@@ -4,7 +4,7 @@ from .curvature import (CurvatureData, OrderExhaustedError, christoffel,
                         covariant_derivative, covariant_derivatives_R,
                         identity_residuals, inverse_metric, riemann)
 from .holonomy import (HolonomyReport, ParallelVerdict, infinitesimal_holonomy,
-                       nullity, parallel_field_check, parallel_vector_candidates)
+                       nullity, parallel_field_check)
 from .jets import (Jet, JetDomainError, JetOrderError, JetShapeError, JetSpace,
                    JetTensor, jet_add, jet_elementary, jet_mul, jet_partial,
                    jet_space)

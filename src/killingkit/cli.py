@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__, metricdsl
 from .curvature import (CurvatureData, OrderExhaustedError, covariant_derivatives_R,
                         identity_residuals, lowered_riemann)
-from .holonomy import infinitesimal_holonomy, nullity, parallel_field_check
+from .holonomy import infinitesimal_holonomy, parallel_field_check
 from .jets import JetDomainError
 from .killing import (KillingGerm, PreconditionError, check_first_prolongation,
                       default_sample_points, germ_of_field, killing_dimension,
@@ -46,6 +46,25 @@ def _parse_param_value(text):
         return int(text)
     except ValueError:
         return float(text)
+
+
+def _checked(convert, ok, expected):
+    """An argparse type: ``convert`` the text, then require ``ok(value)``."""
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+_order_arg = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_tol_arg = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_q_arg = _checked(lambda t: [float(v) for v in np.atleast_1d(_parse_param_value(t))],
+                  bool, "a number or a list a:b:..")
 
 
 def _parse_builtin_string(text):
@@ -288,13 +307,7 @@ def _cmd_holonomy(args):
     spec, source = _spec_from_args(args)
     point = _parse_point(args.point) if args.point else None
     m_max = args.order if args.order is not None else 10
-    report = None
-    for m in range(m_max + 1):
-        curv = CurvatureData.compute(spec, point=point, m_max=m)
-        report = infinitesimal_holonomy(curv, m_max=m, tol=args.tol)
-        if report.stable:
-            break
-    nullity_dim = nullity(curv, tol=args.tol)
+    report = infinitesimal_holonomy(spec, point=point, m_max=m_max, tol=args.tol)
     payload = {
         "inputs": [source],
         "result": {
@@ -305,7 +318,7 @@ def _cmd_holonomy(args):
             "generators": report.generators,
             "parallel_candidates": report.candidates,
             "bracket_closure_enlarges": report.bracket_closure_enlarges,
-            "nullity": nullity_dim,
+            "nullity": report.nullity,
         },
         "tolerances": {"rank_tol": args.tol},
         "warnings": report.warnings,
@@ -313,7 +326,7 @@ def _cmd_holonomy(args):
     lines = [f"holonomy of {spec.name} at {report.point}:",
              f"  algebra dimension: {report.dimension} (trace {report.dims})",
              f"  parallel candidates: {len(report.candidates)}",
-             f"  nullity: {nullity_dim}",
+             f"  nullity: {report.nullity}",
              f"  bracket closure enlarges span: {report.bracket_closure_enlarges}"]
     return payload, lines, EXIT_OK if report.stable else EXIT_INCONCLUSIVE
 
@@ -415,7 +428,8 @@ def _cmd_product(args):
     spec_a, src_a = _load_spec_string(args.left)
     spec_b, src_b = _load_spec_string(args.right)
     prod = product_metric(spec_a, spec_b)
-    residuals = mixed_curvature_residuals(prod, m_max=min(args.order or 3, 3))
+    m_max = 3 if args.order is None else min(args.order, 3)
+    residuals = mixed_curvature_residuals(prod, m_max=m_max)
     payload = {
         "inputs": [src_a, src_b],
         "result": {
@@ -467,9 +481,7 @@ def _cmd_check_decomposition(args):
 
 
 def _cmd_demo_counterexample(args):
-    q_plus = args.q_plus if isinstance(args.q_plus, list) else [args.q_plus]
-    q_minus = args.q_minus if isinstance(args.q_minus, list) else [args.q_minus]
-    prod, components = cw_counterexample(args.n_plus, q_plus, args.n_minus, q_minus)
+    prod, components = cw_counterexample(args.n_plus, args.q_plus, args.n_minus, args.q_minus)
     spec = prod.combined
     pts = default_sample_points(spec)
     chk = verify_killing(spec, components, pts, tol=1e-10)
@@ -487,7 +499,7 @@ def _cmd_demo_counterexample(args):
                               tol=args.tol)
     payload = {
         "inputs": [{"kind": "builtin", "value":
-                    f"cahen_wallach x cahen_wallach, q+={q_plus}, q-={q_minus}",
+                    f"cahen_wallach x cahen_wallach, q+={args.q_plus}, q-={args.q_minus}",
                     "digest": "sha256:" + hashlib.sha256(
                         spec.serialize().encode()).hexdigest()}],
         "result": {
@@ -538,11 +550,11 @@ def _add_spec_args(sp):
 def _add_common(sp, point=True):
     if point:
         sp.add_argument("--point", help="evaluation point, comma-separated")
-    sp.add_argument("--order", type=int, default=None,
+    sp.add_argument("--order", type=_order_arg, default=None,
                     help="derivative/prolongation depth cap (default 10; "
                          "curvature command defaults to 2)")
-    sp.add_argument("--tol", type=float, default=1e-8,
-                    help="rank threshold scale (default 1e-8)")
+    sp.add_argument("--tol", type=_tol_arg, default=1e-8,
+                    help="rank threshold scale, in (0, 1) (default 1e-8)")
     sp.add_argument("--json", action="store_true",
                     help="machine-readable report on stdout")
 
@@ -619,8 +631,8 @@ def build_parser():
 
     sp = sub.add_parser("demo-counterexample",
                         help="plane-wave product with a non-splitting Killing field")
-    sp.add_argument("--q-plus", type=float, default=1.0)
-    sp.add_argument("--q-minus", type=float, default=-1.0)
+    sp.add_argument("--q-plus", type=_q_arg, default=[1.0], help="first factor's q, a:b:..")
+    sp.add_argument("--q-minus", type=_q_arg, default=[-1.0], help="second factor's q, a:b:..")
     sp.add_argument("--n-plus", type=int, default=1)
     sp.add_argument("--n-minus", type=int, default=1)
     _add_common(sp, point=False)

@@ -29,25 +29,6 @@ class OrderExhaustedError(ValueError):
 
 _VAR_LETTERS = "abcdefghijklmnopqrstuvwxy"
 
-# Entries this far below the curvature scale are floating-point residue of
-# exact cancellations; rank decisions zero them first so a mathematically
-# zero matrix cannot seed its own (junk) sigma_max.
-ROUNDOFF_CLEAN = 1e-12
-
-
-def clean_matrix(matrix, scale):
-    floor = ROUNDOFF_CLEAN * max(1.0, scale) ** 2
-    return np.where(np.abs(matrix) <= floor, 0.0, matrix)
-
-
-def data_scale(curv, *extra):
-    """Magnitude of the raw curvature inputs, the reference for rank floors."""
-    vals = [1.0, float(np.abs(curv.g).max()), float(np.abs(curv.ginv).max()),
-            float(np.abs(curv.gamma_jets.value()).max()),
-            float(np.abs(curv.riemann).max())]
-    vals.extend(float(x) for x in extra)
-    return max(vals)
-
 
 def _as_tensor(grid):
     return grid if isinstance(grid, JetTensor) else tensor_from_grid(grid)

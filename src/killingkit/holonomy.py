@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureData, OrderExhaustedError, clean_matrix, data_scale
+from .curvature import CurvatureData
+from .rank import clean_matrix, data_scale, numerical_rank, stabilise
 
 
 @dataclass
@@ -26,6 +27,7 @@ class HolonomyReport:
     generators: np.ndarray       # (dim, n, n), orthonormal in the Frobenius sense
     candidates: np.ndarray       # (k, n) rows spanning the joint kernel
     bracket_closure_enlarges: bool
+    nullity: int
     warnings: list
     tol: float
 
@@ -34,84 +36,57 @@ class HolonomyReport:
         return self.stabilization_order is not None
 
 
-def _rank_and_basis(rows, tol):
-    if rows.size == 0 or not np.any(rows):
-        return 0, np.zeros((0, rows.shape[1]))
-    _, s, vh = np.linalg.svd(rows, full_matrices=False)
-    rank = int(np.sum(s > tol * float(s[0])))
-    return rank, vh[:rank]
+def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8):
+    """Span the endomorphism values of the curvature and its covariant
+    derivatives at a point, one derivative order at a time.
 
-
-def infinitesimal_holonomy(curv, m_max=10, tol=1e-8):
-    """Span the endomorphism values of the curvature derivatives held by ``curv``.
-
-    Stops at the first order that adds nothing; warns when the span is still
-    growing at m_max.
+    Order m ranks the values of orders 0..m, taken from curvature built at jet
+    order m + 3.  Stops at the first order that adds nothing; warns when the
+    span is still growing at m_max.
     """
-    available = len(curv.covR) - 1
-    if m_max > available:
-        raise OrderExhaustedError(
-            f"holonomy to order {m_max} needs covariant derivatives to that "
-            f"order; curvature data holds {available}")
-    n = curv.n
-    scale = data_scale(curv)
-    rows = np.zeros((0, n * n))
-    dims = []
-    stab_order = None
+    p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
+    n = spec.dim
     iu, ju = np.triu_indices(n, k=1)
-    for m in range(m_max + 1):
-        arr = curv.covR[m]
+    curv = None
+
+    def stack_at(m):
+        nonlocal curv
+        curv = CurvatureData.compute(spec, p, m_max=m, jet_order=m + 3)
         # endomorphism slots (l, k) to the back, one row per (i<j, z...)
-        endos = np.moveaxis(arr, (0, 1), (-2, -1))[iu, ju]
-        rows = np.vstack([rows, clean_matrix(endos.reshape(-1, n * n), scale)])
-        rank, _ = _rank_and_basis(rows, tol)
-        dims.append(rank)
-        if m >= 1 and dims[-1] == dims[-2]:
-            stab_order = m - 1
-            break
+        endos = [np.moveaxis(arr, (0, 1), (-2, -1))[iu, ju].reshape(-1, n * n)
+                 for arr in curv.covR]
+        return clean_matrix(np.vstack(endos), data_scale(curv))
+
+    decisions, stab_order, rows = stabilise(stack_at, m_max, tol)
     warnings = []
     if stab_order is None:
         warnings.append(
             f"unstable: holonomy span still growing at order m_max={m_max}")
-    rank, basis = _rank_and_basis(rows, tol)
-    generators = basis.reshape(rank, n, n)
-    candidates = _joint_kernel(generators, n, tol)
-    return HolonomyReport(point=tuple(map(float, curv.point)), dims=dims,
-                          dimension=rank, stabilization_order=stab_order,
+    span = decisions[-1]
+    generators = span.row.reshape(span.rank, n, n)
+    candidates = numerical_rank(generators.reshape(-1, n), tol).null
+    return HolonomyReport(point=tuple(map(float, p)), dims=[d.rank for d in decisions],
+                          dimension=span.rank, stabilization_order=stab_order,
                           generators=generators, candidates=candidates,
-                          bracket_closure_enlarges=_bracket_check(generators, rows, tol),
-                          warnings=warnings, tol=tol)
+                          bracket_closure_enlarges=_bracket_check(generators, rows,
+                                                                  span.rank, tol),
+                          nullity=nullity(curv, tol), warnings=warnings, tol=tol)
 
 
-def _joint_kernel(generators, n, tol):
-    if len(generators) == 0:
-        return np.eye(n)
-    stacked = generators.reshape(-1, n)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-    rank = int(np.sum(s > tol * float(s[0]))) if s.size else 0
-    return vh[rank:]
-
-
-def _bracket_check(generators, rows, tol):
-    """Would adding commutators of the generators enlarge the span?"""
+def _bracket_check(generators, rows, rank, tol):
+    """Would adding commutators of the generators to ``rows``, whose rank is
+    ``rank``, enlarge the span?"""
     k = len(generators)
     if k < 2:
         return False
     n = generators.shape[1]
-    base_rank, _ = _rank_and_basis(rows, tol)
     brackets = []
     for i in range(k):
         for j in range(i + 1, k):
             gi, gj = generators[i], generators[j]
             brackets.append((gi @ gj - gj @ gi).reshape(n * n))
     enlarged = np.vstack([rows, np.array(brackets)])
-    new_rank, _ = _rank_and_basis(enlarged, tol)
-    return bool(new_rank > base_rank)
-
-
-def parallel_vector_candidates(report):
-    """Rows spanning the joint kernel of the holonomy generators."""
-    return report.candidates
+    return bool(numerical_rank(enlarged, tol).rank > rank)
 
 
 def nullity(curv, tol=1e-8):
@@ -119,11 +94,7 @@ def nullity(curv, tol=1e-8):
     the first two-form slot of the curvature."""
     n = curv.n
     mat = np.moveaxis(curv.riemann, 2, -1).reshape(-1, n)  # rows (l,k,j) x col i
-    if not np.any(mat):
-        return n
-    s = np.linalg.svd(mat, compute_uv=False)
-    rank = int(np.sum(s > tol * float(s[0])))
-    return n - rank
+    return n - numerical_rank(mat, tol).rank
 
 
 @dataclass
@@ -142,13 +113,7 @@ def parallel_field_check(spec, point=None, m_max=10, tol=1e-8):
     Downgraded to ``inconclusive`` when the span never stabilises or the
     chart lacks the analytic flag.
     """
-    p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
-    report = None
-    for m in range(m_max + 1):
-        curv = CurvatureData.compute(spec, p, m_max=m, jet_order=m + 3)
-        report = infinitesimal_holonomy(curv, m_max=m, tol=tol)
-        if report.stable:
-            break
+    report = infinitesimal_holonomy(spec, point, m_max, tol)
     warnings = list(report.warnings)
     if not spec.assumptions.analytic:
         warnings.append("analytic flag absent: infinitesimal holonomy may be "

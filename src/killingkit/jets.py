@@ -326,9 +326,6 @@ def _series_coefficients(tag, c0, order):
     raise ValueError(f"unknown elementary function tag {tag!r}")
 
 
-ELEMENTARY_TAGS = ("sin", "cos", "exp", "sinh", "cosh", "sqrt", "reciprocal", "pow_int")
-
-
 def jet_elementary(tag, a, exponent=None):
     """Compose an elementary function with a jet.
 
@@ -406,9 +403,6 @@ class JetTensor:
     def jet(self, *idx):
         return Jet(self.space, self.array[idx])
 
-    def transpose(self, *axes):
-        return JetTensor(np.transpose(self.array, axes + (len(axes),)), self.space)
-
     def __add__(self, other):
         if not isinstance(other, JetTensor) or other.space is not self.space:
             raise JetShapeError("JetTensor addition needs a common space")
@@ -439,13 +433,6 @@ def tensor_from_grid(grid):
         return np.stack([r[0] for r in rows]), space
 
     array, space = walk(grid)
-    return JetTensor(array, space)
-
-
-def tensor_constant(values, space):
-    values = np.asarray(values, dtype=np.float64)
-    array = np.zeros(values.shape + (space.size,))
-    array[..., 0] = values
     return JetTensor(array, space)
 
 

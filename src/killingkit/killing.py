@@ -24,9 +24,9 @@ import numpy as np
 
 from . import metricdsl
 from .curvature import (CurvatureData, OrderExhaustedError, christoffel,
-                        clean_matrix, covariant_derivative, data_scale,
-                        point_frame, riemann)
+                        covariant_derivative, point_frame, riemann)
 from .jets import JetTensor, jet_space, tensor_deriv, tensor_from_grid, tensor_product
+from .rank import clean_matrix, data_scale, stabilise
 
 # Letters labelling the growing condition slots in the prolongation
 # recursion; a, b, c, d, z stay reserved for the bundle contractions and the
@@ -365,59 +365,36 @@ class MultiPointReport:
         return all(r.stable for r in self.reports)
 
 
-def _kernel_of_stack(matrix, tol):
-    ncols = matrix.shape[1]
-    if matrix.size == 0 or not np.any(matrix):
-        return ncols, {"sigma_max": 0.0, "smallest_kept": None, "largest_cut": 0.0}
-    s = np.linalg.svd(matrix, compute_uv=False)
-    smax = float(s[0])
-    thresh = tol * smax
-    rank = int(np.sum(s > thresh))
-    kept = float(s[rank - 1]) if rank else None
-    cut = float(s[rank]) if rank < len(s) else 0.0
-    return ncols - rank, {"sigma_max": smax, "smallest_kept": kept, "largest_cut": cut}
-
-
 def _kernel_trace(spec, point, m_max, tol):
-    n = spec.dim
     g0 = spec.metric_values(point)
+    spec.check_nondegenerate(point, g0)
     basis = so_basis(g0)
-    dim_e = bundle_dim(n)
-    dims, gaps, warnings = [], [], []
+    dim_e = bundle_dim(spec.dim)
+    warnings = []
     if not spec.assumptions.analytic:
         warnings.append(
             "analytic flag absent: the computed dimension is an upper bound "
             "on the isometry-algebra dimension, not necessarily attained")
-    stab_order = None
-    stacked = None
-    for m in range(m_max + 1):
+
+    def stack_at(m):
         curv = CurvatureData.compute(spec, point, m_max=0, jet_order=m + 3)
         tensors = integrability_tensors(curv, m)
         scale = data_scale(curv, np.abs(basis).max() if basis.size else 0.0)
-        stacked = clean_matrix(
+        return clean_matrix(
             np.vstack([t.matrix(basis).reshape(-1, dim_e) for t in tensors]), scale)
-        d, gap = _kernel_of_stack(stacked, tol)
-        gap["order"] = m
-        dims.append(d)
-        gaps.append(gap)
-        if m >= 1 and dims[-1] == dims[-2]:
-            stab_order = m - 1
-            break
+
+    decisions, stab_order, _ = stabilise(stack_at, m_max, tol)
     if stab_order is None:
         warnings.append(
             f"unstable: kernel dimension still changing at order m_max={m_max}; "
             "result is an upper bound only")
-    if stacked is not None and np.any(stacked):
-        _, s, vh = np.linalg.svd(stacked, full_matrices=False)
-        rank = int(np.sum(s > tol * float(s[0])))
-        kernel = vh[rank:]
-    else:
-        kernel = np.eye(dim_e)
+    dims = [dim_e - d.rank for d in decisions]
+    gaps = [dict(d.margin, order=m) for m, d in enumerate(decisions)]
     report = KernelReport(point=tuple(float(x) for x in np.atleast_1d(point)),
                           dims=dims, stabilized_dim=dims[-1],
                           stabilization_order=stab_order, gaps=gaps,
                           warnings=warnings, tol=tol, m_max=m_max)
-    return report, kernel, g0
+    return report, decisions[-1].null, g0
 
 
 def killing_dimension(spec, point=None, m_max=10, tol=1e-8, multi_point=False):

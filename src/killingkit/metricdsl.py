@@ -324,7 +324,8 @@ class ManifoldSpec:
         det = float(np.linalg.det(g))
         if abs(det) < self.degeneracy_tolerance(g):
             raise DegenerateMetricError(
-                f"metric of {self.name!r} degenerate at {tuple(point)}: det = {det:g}"
+                f"metric of {self.name!r} degenerate at {tuple(map(float, point))}: "
+                f"det = {det:g}"
             )
         return det
 

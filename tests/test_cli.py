@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from killingkit.cli import run
 
 
@@ -178,3 +180,40 @@ def test_file_input_round_trip(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["result"]["stabilized_dim"] == 3  # constant negative curvature
+
+
+@pytest.mark.parametrize("command", ["killing-dim", "holonomy"])
+def test_negative_order_is_an_input_error(capsys, command):
+    code, _, err = invoke(capsys, command, "--builtin", "sphere2", "--order", "-1")
+    assert code == 2
+    assert "--order" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "1", "nan", "x"])
+def test_tol_outside_unit_interval_is_an_input_error(capsys, tol):
+    code, _, err = invoke(capsys, "killing-dim", "--builtin", "sphere2", "--tol", tol)
+    assert code == 2
+    assert "--tol" in err
+
+
+def test_product_order_zero_is_honoured(capsys):
+    code, out, _ = invoke(capsys, "product", "sphere2", "hyperbolic2", "--order", "0",
+                          "--json")
+    assert code == 0
+    assert len(json.loads(out)["result"]["mixed_curvature_residuals"]) == 1
+
+
+@pytest.mark.parametrize("command", ["killing-dim", "holonomy"])
+def test_degenerate_point_is_reported_first(capsys, command):
+    code, _, err = invoke(capsys, command, "--builtin", "sphere2", "--point", "0,0")
+    assert code == 2
+    assert "degenerate at (0.0, 0.0)" in err
+
+
+def test_demo_counterexample_takes_q_lists(capsys):
+    code, out, _ = invoke(capsys, "demo-counterexample", "--n-plus", "2",
+                          "--q-plus", "1:2", "--json")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert res["killing_passed"] is True
+    assert res["excess"] == 1
