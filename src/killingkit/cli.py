@@ -109,12 +109,21 @@ def _spec_from_args(args):
     raise SpecError("no input chart: pass --builtin NAME[:params] or --file PATH")
 
 
-def _parse_point(text):
+def _floats(text):
     return [float(v) for v in text.split(",")]
 
 
-def _parse_path(text):
-    points = [_parse_point(p) for p in text.split(";") if p.strip()]
+def _parse_point(text, n):
+    """A point of an n-dimensional chart: exactly n comma-separated floats."""
+    point = _floats(text)
+    if len(point) != n:
+        raise SpecError(f"point {text.strip()!r} has {len(point)} coordinate(s); "
+                        f"the chart has {n}")
+    return point
+
+
+def _parse_path(text, n):
+    points = [_parse_point(p, n) for p in text.split(";") if p.strip()]
     if len(points) < 2:
         raise SpecError("path needs at least two ;-separated points")
     return points
@@ -124,8 +133,8 @@ def _parse_germ(text, n):
     xi_part, bar, a_part = text.partition("|")
     if not bar:
         raise SpecError("germ syntax: xi1,..,xin|a11,..,a1n;a21,..")
-    xi = np.array(_parse_point(xi_part))
-    rows = [_parse_point(r) for r in a_part.split(";")]
+    xi = np.array(_floats(xi_part))
+    rows = [_floats(r) for r in a_part.split(";")]
     a = np.array(rows, dtype=np.float64)
     if xi.shape != (n,) or a.shape != (n, n):
         raise SpecError(f"germ shapes {xi.shape}, {a.shape} do not fit dimension {n}")
@@ -244,7 +253,7 @@ def _cmd_parse(args):
 
 def _cmd_curvature(args):
     spec, source = _spec_from_args(args)
-    point = _parse_point(args.point) if args.point else None
+    point = _parse_point(args.point, spec.dim) if args.point else None
     m_max = args.order if args.order is not None else 2
     curv = CurvatureData.compute(spec, point=point, m_max=m_max)
     res = identity_residuals(curv)
@@ -275,7 +284,7 @@ def _cmd_curvature(args):
 
 def _cmd_killing_dim(args):
     spec, source = _spec_from_args(args)
-    point = _parse_point(args.point) if args.point else None
+    point = _parse_point(args.point, spec.dim) if args.point else None
     m_max = args.order if args.order is not None else 10
     rep = killing_dimension(spec, point=point, m_max=m_max, tol=args.tol,
                             multi_point=args.multi_point)
@@ -305,7 +314,7 @@ def _cmd_killing_dim(args):
 
 def _cmd_holonomy(args):
     spec, source = _spec_from_args(args)
-    point = _parse_point(args.point) if args.point else None
+    point = _parse_point(args.point, spec.dim) if args.point else None
     m_max = args.order if args.order is not None else 10
     report = infinitesimal_holonomy(spec, point=point, m_max=m_max, tol=args.tol)
     payload = {
@@ -333,7 +342,7 @@ def _cmd_holonomy(args):
 
 def _cmd_hypothesis(args):
     spec, source = _spec_from_args(args)
-    point = _parse_point(args.point) if args.point else None
+    point = _parse_point(args.point, spec.dim) if args.point else None
     m_max = args.order if args.order is not None else 10
     verdict = parallel_field_check(spec, point=point, m_max=m_max, tol=args.tol)
     payload = {
@@ -359,12 +368,14 @@ def _cmd_check_field(args):
     if not args.field:
         raise SpecError("check-field requires --field \"expr,expr,...\"")
     components = args.field.split(",")
-    if args.points:
-        pts = _parse_path(args.points)
-    else:
-        pts = [list(p) for p in default_sample_points(spec)]
+    user_pts = _parse_path(args.points, spec.dim) if args.points else []
     if args.point:
-        pts = [_parse_point(args.point)] + pts
+        user_pts = [_parse_point(args.point, spec.dim)] + user_pts
+    for p in user_pts:
+        spec.check_nondegenerate(p)
+    # generated samples keep their per-point errors recorded, not fatal
+    pts = user_pts if args.points else user_pts + [
+        list(p) for p in default_sample_points(spec)]
     killing_chk = verify_killing(spec, components, pts, tol=args.tol)
     germ = germ_of_field(spec, components)
     g0 = spec.metric_values(spec.base_point)
@@ -391,7 +402,7 @@ def _cmd_transport(args):
     spec, source = _spec_from_args(args)
     if not args.path:
         raise SpecError("transport requires --path \"p0;p1;...\"")
-    path = _parse_path(args.path)
+    path = _parse_path(args.path, spec.dim)
     steps = args.steps
     if args.field:
         components = args.field.split(",")

@@ -115,24 +115,19 @@ def covariant_derivative(tensor, variance, gamma):
 
 
 def covariant_derivatives_of_riemann(riemann_jets, gamma, m_max):
-    """Values of the m-th covariant derivatives of the curvature, m <= m_max.
-
-    Returns (values, jets); jets[m] keeps order riemann.order - m for reuse.
-    """
+    """Values of the m-th covariant derivatives of the curvature, m <= m_max."""
     r = _as_tensor(riemann_jets)
     if r.order < m_max:
         raise OrderExhaustedError(
             f"need curvature jets of order >= {m_max}, have {r.order}: increase jet order")
     values = [r.value()]
-    jets = [r]
     variance = "uddd"
     current = r
     for _ in range(m_max):
         current = covariant_derivative(current, variance, gamma)
         variance += "d"
         values.append(current.value())
-        jets.append(current)
-    return values, jets
+    return values
 
 
 def lowered_riemann(curv):
@@ -175,7 +170,6 @@ class CurvatureData:
     gamma_jets: JetTensor
     riemann_jets: JetTensor
     covR: list          # covR[m]: values of the m-th covariant derivative
-    covR_jets: list
 
     @property
     def n(self):
@@ -207,10 +201,9 @@ class CurvatureData:
         ginv = inverse_metric(g)
         gamma = christoffel(g, ginv)
         r = riemann(gamma)
-        values, jets = covariant_derivatives_of_riemann(r, gamma, m_max)
         return cls(spec=spec, point=p, jet_order=k, metric_jets=g,
                    inverse_jets=ginv, gamma_jets=gamma, riemann_jets=r,
-                   covR=values, covR_jets=jets)
+                   covR=covariant_derivatives_of_riemann(r, gamma, m_max))
 
 
 def covariant_derivatives_R(curv, m_max):
@@ -221,9 +214,7 @@ def covariant_derivatives_R(curv, m_max):
             f"increase jet order to {m_max + 3} for m_max={m_max}")
     if m_max < len(curv.covR):
         return curv.covR[:m_max + 1]
-    values, _ = covariant_derivatives_of_riemann(curv.riemann_jets,
-                                                 curv.gamma_jets, m_max)
-    return values
+    return covariant_derivatives_of_riemann(curv.riemann_jets, curv.gamma_jets, m_max)
 
 
 def point_frame(spec, point):

@@ -11,7 +11,9 @@ so three computations fall out of one construction:
 * the curvature condition of D and its repeated covariant derivatives give a
   tower of linear conditions on (xi, A) -- the integrability tensors -- whose
   stabilised joint kernel bounds (and, for analytic charts, computes) the
-  dimension of the isometry algebra;
+  dimension of the isometry algebra; level m is the Lie derivative of the
+  m-th covariant derivative of the curvature along the germ (Nomizu 1960),
+  so the tower is read off from the curvature's covariant derivatives at p;
 * integrating D-parallelism along a path transports germs (Killing transport);
 * the curvature of D evaluated on a germ is a pointwise test that the germ
   can belong to a Killing field.
@@ -24,14 +26,10 @@ import numpy as np
 
 from . import metricdsl
 from .curvature import (CurvatureData, OrderExhaustedError, christoffel,
-                        covariant_derivative, point_frame, riemann)
-from .jets import JetTensor, jet_space, tensor_deriv, tensor_from_grid, tensor_product
+                        covariant_derivative, covariant_derivatives_of_riemann,
+                        point_frame, riemann)
+from .jets import jet_space, tensor_deriv, tensor_from_grid, tensor_product
 from .rank import clean_matrix, data_scale, stabilise
-
-# Letters labelling the growing condition slots in the prolongation
-# recursion; a, b, c, d, z stay reserved for the bundle contractions and the
-# coefficient axis.
-_W_LETTERS = "efghijklmnopqrstuvwABCDEFGH"
 
 
 class PreconditionError(ValueError):
@@ -272,63 +270,48 @@ class IntegrabilityTensor:
         return np.hstack([xi_cols, a_cols])
 
 
+def _derivation_coefficient(cov):
+    """The coefficient of A in A.T, for A acting as a derivation on T = cov,
+    whose first slot is upper and the others lower:
+
+        (A.T)[l, y..] = A[l, b] T[b, y..] - sum_s T[l, .., a at slot s, ..] A[a, y_s]
+
+    with trailing axes (a, b) pairing with A[a, b].  Each term is a Kronecker
+    delta times T, so it is written onto the diagonal it lives on; einsum
+    with an index repeated in the input returns that diagonal as a writable
+    view."""
+    n, w = cov.shape[0], cov.ndim
+    coeff = np.zeros(cov.shape + (n, n))
+    y = list(range(1, w))
+    a, b = w, w + 1
+    upper = np.einsum(coeff, [0] + y + [0, b], [0] + y + [b])      # l == a
+    upper += np.moveaxis(cov, 0, -1)
+    for s in y:
+        lower = np.einsum(coeff, [0] + y + [a, s], [0] + y + [a])  # b == y_s
+        lower -= np.expand_dims(np.moveaxis(cov, s, -1), s)
+    return coeff
+
+
 def integrability_tensors(curv, m_max):
     """The prolongation tower T_0 .. T_{m_max} at the point of ``curv``.
 
-    T_0 is the curvature condition of the bundle connection; each next level
-    is its total covariant derivative with the first-order system substituted
-    back in (derivatives of xi become -A, derivatives of A become the
-    curvature coupling), so every level stays linear in the germ.
+    Level m is the Lie derivative of the m-th covariant derivative of the
+    curvature along the germ (Nomizu 1960):
+    ``T_m(xi, A) = xi^d (nabla^{m+1} R)[.., d] + A.(nabla^m R)``, with A acting
+    as a derivation on every slot.  T_0 is the curvature condition of the
+    bundle connection; T_{m+1} is the covariant derivative of T_m with the
+    first-order system (nabla xi = -A, nabla A = -R(., xi)) substituted
+    back in, rewritten by the Ricci identity.
     """
     if curv.jet_order < m_max + 3:
         raise OrderExhaustedError(
             f"integrability tensors to order {m_max} need jet order "
             f">= {m_max + 3}; curvature data has {curv.jet_order}")
-    n = curv.n
-    gamma = curv.gamma_jets
-    r_full = curv.riemann_jets.truncated(m_max + 1)
-    eye = np.eye(n)
-
-    # Level 0, xi-coefficient: the directional derivative of the curvature.
-    p_jets = covariant_derivative(r_full, "uddd", gamma).truncated(m_max)
-
-    # Level 0, A-coefficient: commutator action minus the two slot insertions.
-    ra = r_full.truncated(m_max).array
-    q_arr = (np.einsum("la,bkijC->lkijabC", eye, ra)
-             - np.einsum("bk,laijC->lkijabC", eye, ra)
-             - np.einsum("bi,lkajC->lkijabC", eye, ra)
-             - np.einsum("bj,lkiaC->lkijabC", eye, ra))
-    q_jets = JetTensor(q_arr, jet_space(n, m_max))
-
-    tensors = []
-    for m in range(m_max + 1):
-        tensors.append(IntegrabilityTensor(order=m,
-                                           xi_coeff=p_jets.value(),
-                                           a_coeff=q_jets.value()))
-        if m == m_max:
-            break
-        w = 4 + m
-        letters = _W_LETTERS[:w]
-        p_var = "u" + "d" * w
-        q_var = "u" + "d" * w + "u"
-        # Next xi-coefficient: derivative of the current one plus the effect
-        # of substituting the curvature coupling for the derivative of A.
-        dp = covariant_derivative(p_jets, p_var, gamma)   # [w.., d, z, C]
-        dp_arr = np.swapaxes(dp.array, -2, -3)            # -> [w.., z, d, C]
-        rq = r_full.truncated(q_jets.order - 1)
-        coupling = tensor_product(f"{letters}ab,abzd->{letters}zd",
-                                  q_jets, rq, q_jets.order - 1)
-        p_next = JetTensor(dp_arr - coupling.array, coupling.space)
-        # Next A-coefficient: derivative of the current one plus the effect
-        # of substituting -A for the derivative of xi.
-        dq = covariant_derivative(q_jets, q_var, gamma)   # [w.., a, b, z, coeff]
-        dq_arr = np.moveaxis(dq.array, -2, -4)            # -> [w.., z, a, b, coeff]
-        p_trunc = p_jets.truncated(dq.order)
-        delta_term = np.einsum(f"{letters}ac,bz->{letters}zabc",
-                               p_trunc.array, eye)
-        q_next = JetTensor(dq_arr - delta_term, dq.space)
-        p_jets, q_jets = p_next, q_next
-    return tensors
+    cov = covariant_derivatives_of_riemann(curv.riemann_jets, curv.gamma_jets,
+                                           m_max + 1)
+    return [IntegrabilityTensor(order=m, xi_coeff=cov[m + 1],
+                                a_coeff=_derivation_coefficient(cov[m]))
+            for m in range(m_max + 1)]
 
 
 # -- kernel dimension -------------------------------------------------------------

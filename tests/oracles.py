@@ -1,13 +1,21 @@
 """Independent oracles: finite differences against plain float evaluation,
-and a generator of random (domain-safe) expression trees.
+a generator of random (domain-safe) expression trees, and the jet-level
+prolongation recursion.
 
-Everything here avoids the jet code path on purpose; these are the reference
-values the jet-based computations are checked against.
+The finite-difference oracles avoid the jet code path on purpose; these are
+the reference values the jet-based computations are checked against.  The
+recursion is the tower as it was built before the closed form of
+``killing.integrability_tensors``: it differentiates the jets of the tower's
+coefficients level by level, so it shares the jet layer but none of the
+closed form's algebra.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from killingkit.curvature import OrderExhaustedError, covariant_derivative
+from killingkit.jets import JetTensor, jet_space, tensor_product
+from killingkit.killing import IntegrabilityTensor
 from killingkit.metricdsl import Binary, Call, Const, Coord, PowInt
 
 FD_STEP = 1e-4
@@ -101,3 +109,70 @@ def random_expression(rng, n_vars, depth=3):
         return PowInt(build(d - 1), int(rng.integers(2, 4)))
 
     return build(depth)
+
+
+# -- the prolongation recursion ---------------------------------------------------
+
+# Letters labelling the growing condition slots in the prolongation
+# recursion; a, b, c, d, z stay reserved for the bundle contractions and the
+# coefficient axis.
+_W_LETTERS = "efghijklmnopqrstuvwABCDEFGH"
+
+
+def tower_by_recursion(curv, m_max):
+    """The prolongation tower T_0 .. T_{m_max} at the point of ``curv``.
+
+    T_0 is the curvature condition of the bundle connection; each next level
+    is its total covariant derivative with the first-order system substituted
+    back in (derivatives of xi become -A, derivatives of A become the
+    curvature coupling), so every level stays linear in the germ.
+    """
+    if curv.jet_order < m_max + 3:
+        raise OrderExhaustedError(
+            f"integrability tensors to order {m_max} need jet order "
+            f">= {m_max + 3}; curvature data has {curv.jet_order}")
+    n = curv.n
+    gamma = curv.gamma_jets
+    r_full = curv.riemann_jets.truncated(m_max + 1)
+    eye = np.eye(n)
+
+    # Level 0, xi-coefficient: the directional derivative of the curvature.
+    p_jets = covariant_derivative(r_full, "uddd", gamma).truncated(m_max)
+
+    # Level 0, A-coefficient: commutator action minus the two slot insertions.
+    ra = r_full.truncated(m_max).array
+    q_arr = (np.einsum("la,bkijC->lkijabC", eye, ra)
+             - np.einsum("bk,laijC->lkijabC", eye, ra)
+             - np.einsum("bi,lkajC->lkijabC", eye, ra)
+             - np.einsum("bj,lkiaC->lkijabC", eye, ra))
+    q_jets = JetTensor(q_arr, jet_space(n, m_max))
+
+    tensors = []
+    for m in range(m_max + 1):
+        tensors.append(IntegrabilityTensor(order=m,
+                                           xi_coeff=p_jets.value(),
+                                           a_coeff=q_jets.value()))
+        if m == m_max:
+            break
+        w = 4 + m
+        letters = _W_LETTERS[:w]
+        p_var = "u" + "d" * w
+        q_var = "u" + "d" * w + "u"
+        # Next xi-coefficient: derivative of the current one plus the effect
+        # of substituting the curvature coupling for the derivative of A.
+        dp = covariant_derivative(p_jets, p_var, gamma)   # [w.., d, z, C]
+        dp_arr = np.swapaxes(dp.array, -2, -3)            # -> [w.., z, d, C]
+        rq = r_full.truncated(q_jets.order - 1)
+        coupling = tensor_product(f"{letters}ab,abzd->{letters}zd",
+                                  q_jets, rq, q_jets.order - 1)
+        p_next = JetTensor(dp_arr - coupling.array, coupling.space)
+        # Next A-coefficient: derivative of the current one plus the effect
+        # of substituting -A for the derivative of xi.
+        dq = covariant_derivative(q_jets, q_var, gamma)   # [w.., a, b, z, coeff]
+        dq_arr = np.moveaxis(dq.array, -2, -4)            # -> [w.., z, a, b, coeff]
+        p_trunc = p_jets.truncated(dq.order)
+        delta_term = np.einsum(f"{letters}ac,bz->{letters}zabc",
+                               p_trunc.array, eye)
+        q_next = JetTensor(dq_arr - delta_term, dq.space)
+        p_jets, q_jets = p_next, q_next
+    return tensors

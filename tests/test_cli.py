@@ -217,3 +217,24 @@ def test_demo_counterexample_takes_q_lists(capsys):
     res = json.loads(out)["result"]
     assert res["killing_passed"] is True
     assert res["excess"] == 1
+
+
+def test_transport_path_nodes_must_fit_the_chart(capsys):
+    code, out, err = invoke(capsys, "transport", "--builtin", "sphere2",
+                            "--germ", "0,1|0,0;0,0", "--path", "1,0;1.1", "--steps", "5")
+    assert code == 2 and out == ""
+    assert "'1.1' has 1 coordinate(s); the chart has 2" in err
+
+
+def test_check_field_rejects_a_degenerate_user_point(capsys):
+    code, out, err = invoke(capsys, "check-field", "--builtin", "sphere2",
+                            "--field", "0,1", "--point", "0,0")
+    assert code == 2 and out == ""
+    assert "degenerate at (0.0, 0.0)" in err
+
+
+def test_check_field_points_must_fit_the_chart(capsys):
+    code, out, err = invoke(capsys, "check-field", "--builtin", "euclidean:n=2",
+                            "--field", "x2,-x1", "--points", "0,0;1;2,2,2")
+    assert code == 2 and out == ""
+    assert "'1' has 1 coordinate(s); the chart has 2" in err

@@ -152,3 +152,24 @@ def test_deriv_consistency_with_partial():
     f = jet_elementary("exp", x * y + x)
     d = f.deriv(0)
     assert d.value == pytest.approx(jet_partial(f, (1, 0)))
+
+
+@pytest.mark.parametrize("chunk", [1, 1000, 5000])
+def test_tensor_product_chunked_matches_unchunked(monkeypatch, chunk):
+    # the shape of a covariant-derivative term: a connection slot contracted
+    # into the curvature, the derivative slot Z appended last
+    from killingkit import jets
+    rng = np.random.default_rng(11)
+    s = jet_space(3, 3)
+    gamma = jets.JetTensor(rng.normal(size=(3, 3, 3, s.size)), s)
+    r = jets.JetTensor(rng.normal(size=(3, 3, 3, 3, s.size)), s)
+    for order in (None, 2):
+        whole = jets.tensor_product("aZA,Abcd->abcdZ", gamma, r, order)
+        einsum, calls = np.einsum, []
+        monkeypatch.setattr(jets, "_CHUNK_ELEMS", chunk)
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(1) or einsum(*a, **k))
+        chunked = jets.tensor_product("aZA,Abcd->abcdZ", gamma, r, order)
+        monkeypatch.undo()
+        assert len(calls) > 1
+        assert chunked.space is whole.space
+        assert np.allclose(chunked.array, whole.array, rtol=1e-14, atol=1e-13)
