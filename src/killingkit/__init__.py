@@ -1,8 +1,8 @@
 """Curvature, holonomy, and Killing-algebra computations on coordinate patches."""
 
 from .curvature import (CurvatureData, OrderExhaustedError, christoffel,
-                        covariant_derivative, covariant_derivatives_R,
-                        identity_residuals, inverse_metric, riemann)
+                        covariant_derivative, identity_residuals, inverse_metric,
+                        riemann)
 from .holonomy import (HolonomyReport, ParallelVerdict, infinitesimal_holonomy,
                        nullity, parallel_field_check)
 from .jets import (Jet, JetDomainError, JetOrderError, JetShapeError, JetSpace,
@@ -11,8 +11,7 @@ from .jets import (Jet, JetDomainError, JetOrderError, JetShapeError, JetSpace,
 from .killing import (FieldCheck, IntegrabilityTensor, KernelReport, KillingGerm,
                       MultiPointReport, PreconditionError, check_first_prolongation,
                       germ_of_field, integrability_tensors, kernel_germs,
-                      killing_curvature, killing_dimension, killing_transport,
-                      verify_killing, wedge)
+                      killing_dimension, killing_transport, verify_killing, wedge)
 from .metricdsl import (Assumptions, DegenerateMetricError, ManifoldSpec,
                         ParseError, SpecError, builtin, known_killing_fields,
                         metric_jets, parse_expression, parse_field, parse_manifold)

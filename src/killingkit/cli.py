@@ -21,8 +21,8 @@ import time
 import numpy as np
 
 from . import __version__, metricdsl
-from .curvature import (CurvatureData, OrderExhaustedError, covariant_derivatives_R,
-                        identity_residuals, lowered_riemann)
+from .curvature import (CurvatureData, OrderExhaustedError, identity_residuals,
+                        lowered_riemann)
 from .holonomy import infinitesimal_holonomy, parallel_field_check
 from .jets import JetDomainError
 from .killing import (KillingGerm, PreconditionError, check_first_prolongation,
@@ -122,10 +122,11 @@ def _parse_point(text, n):
     return point
 
 
-def _parse_path(text, n):
+def _parse_points(text, n):
+    """One or more ;-separated points of an n-dimensional chart."""
     points = [_parse_point(p, n) for p in text.split(";") if p.strip()]
-    if len(points) < 2:
-        raise SpecError("path needs at least two ;-separated points")
+    if not points:
+        raise SpecError(f"no point in {text!r}; expected p0;p1;...")
     return points
 
 
@@ -257,8 +258,7 @@ def _cmd_curvature(args):
     m_max = args.order if args.order is not None else 2
     curv = CurvatureData.compute(spec, point=point, m_max=m_max)
     res = identity_residuals(curv)
-    values = covariant_derivatives_R(curv, m_max)
-    norms = [float(np.abs(v).max()) for v in values]
+    norms = [float(np.abs(v).max()) for v in curv.covR]
     payload = {
         "inputs": [source],
         "result": {
@@ -368,7 +368,7 @@ def _cmd_check_field(args):
     if not args.field:
         raise SpecError("check-field requires --field \"expr,expr,...\"")
     components = args.field.split(",")
-    user_pts = _parse_path(args.points, spec.dim) if args.points else []
+    user_pts = _parse_points(args.points, spec.dim) if args.points else []
     if args.point:
         user_pts = [_parse_point(args.point, spec.dim)] + user_pts
     for p in user_pts:
@@ -402,7 +402,7 @@ def _cmd_transport(args):
     spec, source = _spec_from_args(args)
     if not args.path:
         raise SpecError("transport requires --path \"p0;p1;...\"")
-    path = _parse_path(args.path, spec.dim)
+    path = _parse_points(args.path, spec.dim)
     steps = args.steps
     if args.field:
         components = args.field.split(",")

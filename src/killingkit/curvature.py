@@ -114,22 +114,6 @@ def covariant_derivative(tensor, variance, gamma):
     return out
 
 
-def covariant_derivatives_of_riemann(riemann_jets, gamma, m_max):
-    """Values of the m-th covariant derivatives of the curvature, m <= m_max."""
-    r = _as_tensor(riemann_jets)
-    if r.order < m_max:
-        raise OrderExhaustedError(
-            f"need curvature jets of order >= {m_max}, have {r.order}: increase jet order")
-    values = [r.value()]
-    variance = "uddd"
-    current = r
-    for _ in range(m_max):
-        current = covariant_derivative(current, variance, gamma)
-        variance += "d"
-        values.append(current.value())
-    return values
-
-
 def lowered_riemann(curv):
     """Fully covariant curvature rm[l, k, i, j]: the upper index lowered in
     place, i.e. the metric pairing of d_l against the (i, j)-endomorphism
@@ -164,7 +148,7 @@ class CurvatureData:
 
     spec: object
     point: np.ndarray
-    jet_order: int
+    jet_order: int      # metric jets of order m_max + 2
     metric_jets: JetTensor
     inverse_jets: JetTensor
     gamma_jets: JetTensor
@@ -188,33 +172,27 @@ class CurvatureData:
         return self.riemann_jets.value()
 
     @classmethod
-    def compute(cls, spec, point=None, m_max=1, jet_order=None):
-        """Build curvature data; the default jet order is m_max + 3."""
+    def compute(cls, spec, point=None, m_max=1):
+        """Build curvature data holding covR[0..m_max].
+
+        The m-th covariant derivative of the curvature reads metric jets of
+        order m + 2, so the metric is expanded to order m_max + 2 and
+        inverted to order m_max + 1, the order the Christoffel symbols read.
+        """
         p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
-        k = (m_max + 3) if jet_order is None else int(jet_order)
-        if k < m_max + 3:
-            raise OrderExhaustedError(
-                f"jet order {k} too low for {m_max} covariant derivatives; "
-                f"need at least {m_max + 3}")
-        grid = metricdsl.metric_jets(spec, p, k)
-        g = tensor_from_grid(grid)
-        ginv = inverse_metric(g)
+        k = m_max + 2
+        g = tensor_from_grid(metricdsl.metric_jets(spec, p, k))
+        ginv = inverse_metric(g.truncated(k - 1))
         gamma = christoffel(g, ginv)
         r = riemann(gamma)
+        cov, variance = r, "uddd"
+        covR = [r.value()]
+        for _ in range(m_max):
+            cov = covariant_derivative(cov, variance, gamma)
+            variance += "d"
+            covR.append(cov.value())
         return cls(spec=spec, point=p, jet_order=k, metric_jets=g,
-                   inverse_jets=ginv, gamma_jets=gamma, riemann_jets=r,
-                   covR=covariant_derivatives_of_riemann(r, gamma, m_max))
-
-
-def covariant_derivatives_R(curv, m_max):
-    """Value arrays of the covariant derivatives of the curvature up to m_max."""
-    if curv.jet_order < m_max + 3:
-        raise OrderExhaustedError(
-            f"curvature data built at jet order {curv.jet_order}; "
-            f"increase jet order to {m_max + 3} for m_max={m_max}")
-    if m_max < len(curv.covR):
-        return curv.covR[:m_max + 1]
-    return covariant_derivatives_of_riemann(curv.riemann_jets, curv.gamma_jets, m_max)
+                   inverse_jets=ginv, gamma_jets=gamma, riemann_jets=r, covR=covR)
 
 
 def point_frame(spec, point):
@@ -222,10 +200,5 @@ def point_frame(spec, point):
 
     The cheap evaluator behind the transport integrator and the field checks.
     """
-    p = np.asarray(point, dtype=np.float64)
-    grid = metricdsl.metric_jets(spec, p, 2)
-    g = tensor_from_grid(grid)
-    ginv = inverse_metric(g)
-    gamma = christoffel(g, ginv)
-    r = riemann(gamma)
-    return g.value(), ginv.value(), gamma.value(), r.value()
+    curv = CurvatureData.compute(spec, point, m_max=0)
+    return curv.g, curv.ginv, curv.gamma_jets.value(), curv.riemann

@@ -41,7 +41,7 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8):
     derivatives at a point, one derivative order at a time.
 
     Order m ranks the values of orders 0..m, taken from curvature built at jet
-    order m + 3.  Stops at the first order that adds nothing; warns when the
+    order m + 2.  Stops at the first order that adds nothing; warns when the
     span is still growing at m_max.
     """
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
@@ -51,7 +51,7 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8):
 
     def stack_at(m):
         nonlocal curv
-        curv = CurvatureData.compute(spec, p, m_max=m, jet_order=m + 3)
+        curv = CurvatureData.compute(spec, p, m_max=m)
         # endomorphism slots (l, k) to the back, one row per (i<j, z...)
         endos = [np.moveaxis(arr, (0, 1), (-2, -1))[iu, ju].reshape(-1, n * n)
                  for arr in curv.covR]

@@ -15,8 +15,8 @@ so three computations fall out of one construction:
   m-th covariant derivative of the curvature along the germ (Nomizu 1960),
   so the tower is read off from the curvature's covariant derivatives at p;
 * integrating D-parallelism along a path transports germs (Killing transport);
-* the curvature of D evaluated on a germ is a pointwise test that the germ
-  can belong to a Killing field.
+* the tower applied to one germ is a pointwise test that the germ can belong
+  to a Killing field.
 """
 from __future__ import annotations
 
@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metricdsl
-from .curvature import (CurvatureData, OrderExhaustedError, christoffel,
-                        covariant_derivative, covariant_derivatives_of_riemann,
-                        point_frame, riemann)
+from .curvature import (CurvatureData, OrderExhaustedError, covariant_derivative,
+                        point_frame)
 from .jets import jet_space, tensor_deriv, tensor_from_grid, tensor_product
 from .rank import clean_matrix, data_scale, stabilise
 
@@ -200,19 +199,17 @@ def check_first_prolongation(spec, fld, sample_points, tol=1e-8):
     for p in sample_points:
         p = np.asarray(p, dtype=np.float64)
         try:
-            g = tensor_from_grid(metricdsl.metric_jets(spec, p, 3))
-            gamma = christoffel(g)
-            rvals = riemann(gamma).value()
+            curv = CurvatureData.compute(spec, p, m_max=0)
             xi_jets = tensor_from_grid([e.eval_jet(space2, p) for e in exprs])
         except (metricdsl.SpecError, ValueError) as exc:
             errors.append((tuple(map(float, p)), str(exc)))
             continue
         dxi = tensor_deriv(xi_jets)  # [i, j]: d_j xi^i
-        gamma1 = gamma.truncated(1)
+        gamma1 = curv.gamma_jets
         a_jets = (dxi + tensor_product("ijk,k->ij", gamma1, xi_jets.truncated(1))
                   ).scaled(-1.0)
         grad_a = covariant_derivative(a_jets, "ud", gamma1).value()  # [i, j, c]
-        coupling = np.einsum("ijcd,d->ijc", rvals, xi_jets.value())
+        coupling = np.einsum("ijcd,d->ijc", curv.riemann, xi_jets.value())
         res = grad_a + coupling
         residuals.append((tuple(map(float, p)), float(np.abs(res).max())))
         scale = max(scale, 1.0 + float(np.abs(grad_a).max()),
@@ -221,24 +218,6 @@ def check_first_prolongation(spec, fld, sample_points, tol=1e-8):
     passed = bool(residuals) and max_res <= tol * scale
     return FieldCheck(passed=passed, max_residual=max_res, tol=tol, scale=scale,
                       point_residuals=residuals, point_errors=errors)
-
-
-# -- curvature of the bundle connection ----------------------------------------
-
-def killing_curvature(curv, germ, i, j):
-    """Endomorphism part of the bundle curvature applied to a germ, for the
-    coordinate pair (i, j); the tangent part vanishes identically."""
-    if len(curv.covR) < 2:
-        raise OrderExhaustedError("killing_curvature needs the first covariant "
-                                  "derivative of the curvature")
-    r = curv.riemann
-    a, xi = germ.a, germ.xi
-    r_ij = r[:, :, i, j]
-    nabla_xi_r = np.einsum("lkc,c->lk", curv.covR[1][:, :, i, j, :], xi)
-    bracket = a @ r_ij - r_ij @ a
-    r_ai = np.einsum("lka,a->lk", r[:, :, :, j], a[:, i])   # R(A e_i, e_j)
-    r_aj = np.einsum("lka,a->lk", r[:, :, i, :], a[:, j])   # R(e_i, A e_j)
-    return -(nabla_xi_r + bracket - r_ai - r_aj)
 
 
 # -- integrability tensors -------------------------------------------------------
@@ -303,12 +282,12 @@ def integrability_tensors(curv, m_max):
     first-order system (nabla xi = -A, nabla A = -R(., xi)) substituted
     back in, rewritten by the Ricci identity.
     """
-    if curv.jet_order < m_max + 3:
+    if len(curv.covR) < m_max + 2:
         raise OrderExhaustedError(
-            f"integrability tensors to order {m_max} need jet order "
-            f">= {m_max + 3}; curvature data has {curv.jet_order}")
-    cov = covariant_derivatives_of_riemann(curv.riemann_jets, curv.gamma_jets,
-                                           m_max + 1)
+            f"integrability tensors to order {m_max} read covR[0..{m_max + 1}], "
+            f"which needs jet order {m_max + 3}; curvature data has "
+            f"{curv.jet_order}")
+    cov = curv.covR
     return [IntegrabilityTensor(order=m, xi_coeff=cov[m + 1],
                                 a_coeff=_derivation_coefficient(cov[m]))
             for m in range(m_max + 1)]
@@ -360,7 +339,7 @@ def _kernel_trace(spec, point, m_max, tol):
             "on the isometry-algebra dimension, not necessarily attained")
 
     def stack_at(m):
-        curv = CurvatureData.compute(spec, point, m_max=0, jet_order=m + 3)
+        curv = CurvatureData.compute(spec, point, m_max=m + 1)
         tensors = integrability_tensors(curv, m)
         scale = data_scale(curv, np.abs(basis).max() if basis.size else 0.0)
         return clean_matrix(
@@ -425,7 +404,7 @@ def kernel_germs(spec, point=None, m_max=10, tol=1e-8):
 def germ_kernel_residual(spec, germ, point=None, m_max=2, tol=1e-8):
     """Scaled residual of the tower applied to one germ (membership test)."""
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
-    curv = CurvatureData.compute(spec, p, m_max=0, jet_order=m_max + 3)
+    curv = CurvatureData.compute(spec, p, m_max=m_max + 1)
     tensors = integrability_tensors(curv, m_max)
     germ_scale = max(1.0, float(np.abs(germ.xi).max()), float(np.abs(germ.a).max()))
     worst = 0.0

@@ -312,8 +312,19 @@ class ManifoldSpec:
         g = np.empty((n, n))
         for i in range(n):
             for j in range(i, n):
-                g[i, j] = g[j, i] = self.metric[i][j].eval_float(point)
+                try:
+                    g[i, j] = g[j, i] = self.metric[i][j].eval_float(point)
+                except (JetDomainError, OverflowError) as exc:
+                    raise self._component_error(point, i, j, exc) from exc
         return g
+
+    def _component_error(self, point, i, j, exc):
+        """The error to raise when evaluating component (i, j) at ``point``
+        failed with ``exc``; it names the chart, the point, the component and
+        its expression."""
+        return JetDomainError(
+            f"metric of {self.name!r} at {tuple(map(float, point))}: component "
+            f"({i}, {j}) = {self.metric[i][j].to_text()}: {exc}")
 
     def degeneracy_tolerance(self, g):
         row = float(np.max(np.linalg.norm(g, axis=1)))
@@ -377,7 +388,10 @@ def metric_jets(spec, point, order):
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            jet = spec.metric[i][j].eval_jet(space, point)
+            try:
+                jet = spec.metric[i][j].eval_jet(space, point)
+            except (JetDomainError, OverflowError) as exc:
+                raise spec._component_error(point, i, j, exc) from exc
             grid[i][j] = grid[j][i] = jet
     g0 = np.array([[grid[i][j].value for j in range(n)] for i in range(n)])
     spec.check_nondegenerate(point, g0)
@@ -535,7 +549,7 @@ class _Parser:
         except SpecError:
             raise
         except (JetDomainError, OverflowError) as exc:
-            raise SpecError(f"metric of {name!r} cannot be evaluated at the base point: {exc}")
+            raise SpecError(f"base point outside the metric's domain: {exc}")
 
     def parse_matrix(self):
         self.expect("[")

@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from . import metricdsl
-from .curvature import CurvatureData, covariant_derivatives_R
+from .curvature import CurvatureData
 from .holonomy import parallel_field_check
 from .killing import PreconditionError, germ_kernel_residual, killing_dimension
 from .metricdsl import Assumptions, Const, ManifoldSpec, SpecError, make_spec
@@ -81,11 +81,10 @@ def mixed_curvature_residuals(prod, m_max=3, point=None):
     """
     spec = prod.combined
     curv = CurvatureData.compute(spec, point=point, m_max=m_max)
-    values = covariant_derivatives_R(curv, m_max)
     block_of = np.zeros(spec.dim, dtype=int)
     block_of[list(prod.blocks[1])] = 1
     residuals = []
-    for arr in values:
+    for arr in curv.covR:
         grids = np.meshgrid(*[block_of] * arr.ndim, indexing="ij", sparse=True)
         mixed = reduce(np.minimum, grids) != reduce(np.maximum, grids)
         scale = max(1.0, float(np.abs(arr).max()))
@@ -179,12 +178,11 @@ def mixed_block_check(prod, germ, k_max=2, tol=1e-8, point=None):
             f"germ is not in the integrability kernel (residual {membership:.3g}); "
             "mixed-block check refused")
     curv = CurvatureData.compute(spec, point=point, m_max=k_max)
-    values = covariant_derivatives_R(curv, k_max)
     plus = np.array(list(prod.blocks[0]))
     minus = np.array(list(prod.blocks[1]))
     a = germ.a
     res_minus, res_plus = [], []
-    for arr in values:
+    for arr in curv.covR:
         scale = max(1.0, float(np.abs(arr).max())) * max(1.0, float(np.abs(a).max()))
         sub = _restrict(arr, minus)
         hit = np.einsum("lkaj...,ai->lkij...", sub, a[np.ix_(minus, plus)])

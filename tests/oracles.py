@@ -1,6 +1,6 @@
 """Independent oracles: finite differences against plain float evaluation,
-a generator of random (domain-safe) expression trees, and the jet-level
-prolongation recursion.
+a generator of random (domain-safe) expression trees, the jet-level
+prolongation recursion, and the bundle curvature applied to a germ.
 
 The finite-difference oracles avoid the jet code path on purpose; these are
 the reference values the jet-based computations are checked against.  The
@@ -176,3 +176,21 @@ def tower_by_recursion(curv, m_max):
         q_next = JetTensor(dq_arr - delta_term, dq.space)
         p_jets, q_jets = p_next, q_next
     return tensors
+
+
+# -- curvature of the bundle connection ----------------------------------------
+
+def killing_curvature(curv, germ, i, j):
+    """Endomorphism part of the bundle curvature applied to a germ, for the
+    coordinate pair (i, j); the tangent part vanishes identically."""
+    if len(curv.covR) < 2:
+        raise OrderExhaustedError("killing_curvature needs the first covariant "
+                                  "derivative of the curvature")
+    r = curv.riemann
+    a, xi = germ.a, germ.xi
+    r_ij = r[:, :, i, j]
+    nabla_xi_r = np.einsum("lkc,c->lk", curv.covR[1][:, :, i, j, :], xi)
+    bracket = a @ r_ij - r_ij @ a
+    r_ai = np.einsum("lka,a->lk", r[:, :, :, j], a[:, i])   # R(A e_i, e_j)
+    r_aj = np.einsum("lka,a->lk", r[:, :, i, :], a[:, j])   # R(e_i, A e_j)
+    return -(nabla_xi_r + bracket - r_ai - r_aj)

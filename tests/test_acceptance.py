@@ -12,13 +12,14 @@ from killingkit.holonomy import parallel_field_check
 from killingkit.jets import Jet, jet_mul, jet_partial, jet_space
 from killingkit.killing import (bundle_dim, check_first_prolongation,
                                 default_sample_points, germ_of_field,
-                                killing_curvature, killing_dimension,
-                                killing_transport, verify_killing)
+                                killing_dimension, killing_transport,
+                                verify_killing)
 from killingkit.metricdsl import builtin, known_killing_fields
 from killingkit.product import (cw_counterexample, decomposition_check,
                                 mixed_curvature_residuals, product_metric)
 
-from oracles import fd_first_partial, fd_second_partial, random_expression
+from oracles import (fd_first_partial, fd_second_partial, killing_curvature,
+                     random_expression)
 
 FLAT_SPECS = [
     ("euclidean", {"n": 2}),

@@ -238,3 +238,41 @@ def test_check_field_points_must_fit_the_chart(capsys):
                             "--field", "x2,-x1", "--points", "0,0;1;2,2,2")
     assert code == 2 and out == ""
     assert "'1' has 1 coordinate(s); the chart has 2" in err
+
+
+def test_check_field_takes_a_single_sample_point(capsys):
+    code, out, _ = invoke(capsys, "check-field", "--builtin", "sphere2",
+                          "--field", "0,1", "--points", "1,0")
+    assert code == 0
+    assert "field check on sphere2: Killing" in out
+
+
+def test_transport_path_needs_two_points(capsys):
+    code, out, err = invoke(capsys, "transport", "--builtin", "sphere2",
+                            "--field", "0,1", "--path", "1,0")
+    assert code == 2 and out == ""
+    assert "at least two points" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-field", "--field", "1,0", "--point", "0,0"],
+    ["killing-dim", "--point", "0,0"],
+    ["holonomy", "--point", "0,0"],
+    ["hypothesis", "--point", "0,0"],
+    ["curvature", "--point", "0,0"],
+    ["transport", "--field", "1,0", "--path", "0,1;0,-1", "--steps", "2"],
+], ids=lambda argv: argv[0])
+def test_domain_errors_name_the_point_and_component(capsys, argv):
+    code, out, err = invoke(capsys, argv[0], "--builtin", "hyperbolic2", *argv[1:])
+    assert code == 2 and out == ""
+    assert "metric of 'hyperbolic2' at (0.0, 0.0): component (" in err
+
+
+def test_overflow_at_a_point_is_an_input_error(capsys, tmp_path):
+    chart = tmp_path / "exp.man"
+    chart.write_text("manifold e {\n  coordinates: x, y;\n"
+                     "  metric: [[exp(x), 0], [0, 1]];\n  base_point: (1, 0);\n}\n")
+    for command in ("killing-dim", "holonomy"):
+        code, out, err = invoke(capsys, command, "--file", str(chart), "--point", "1000,0")
+        assert code == 2 and out == ""
+        assert "at (1000.0, 0.0): component (0, 0) = exp(x)" in err

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from killingkit.curvature import (CurvatureData, OrderExhaustedError, christoffel,
-                                  covariant_derivatives_R, identity_residuals,
-                                  inverse_metric, lowered_riemann, point_frame)
+                                  identity_residuals, inverse_metric,
+                                  lowered_riemann, point_frame)
 from killingkit.jets import tensor_from_grid
 from killingkit.metricdsl import builtin, metric_jets, parse_manifold
 
 from oracles import fd_christoffel, fd_riemann
+from test_tower import CHARTS
 
 POLAR_SRC = """
 manifold polar {
@@ -130,22 +131,31 @@ def test_cov_derivative_layout_matches_plain_derivative():
 
 def test_order_exhaustion_errors():
     spec = builtin("sphere2")
-    curv = CurvatureData.compute(spec, m_max=1)
-    with pytest.raises(OrderExhaustedError, match="increase jet order"):
-        covariant_derivatives_R(curv, 5)
-    with pytest.raises(OrderExhaustedError):
-        CurvatureData.compute(spec, m_max=3, jet_order=4)
     g1 = tensor_from_grid(metric_jets(spec, spec.base_point, 0))
     with pytest.raises(OrderExhaustedError):
         christoffel(g1)
 
 
-def test_covariant_derivatives_R_extends():
-    spec = builtin("walker_recurrent")
-    curv = CurvatureData.compute(spec, m_max=1, jet_order=6)
-    values = covariant_derivatives_R(curv, 3)
-    assert len(values) == 4
-    assert values[3].shape == (3,) * 7
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_compute_derives_every_jet_order_from_the_depth(depth):
+    curv = CurvatureData.compute(builtin("walker_recurrent"), m_max=depth)
+    assert curv.jet_order == depth + 2
+    assert curv.metric_jets.order == depth + 2
+    assert curv.inverse_jets.order == depth + 1
+    assert len(curv.covR) == depth + 1
+    assert curv.covR[depth].shape == (3,) * (4 + depth)
+
+
+@pytest.mark.parametrize("chart", sorted(CHARTS))
+def test_metric_jets_of_order_m_plus_2_give_covR_m(chart):
+    # expanding the metric one order deeper leaves every covR[k] unchanged
+    spec = CHARTS[chart]()
+    for depth in range(3):
+        shallow = CurvatureData.compute(spec, m_max=depth).covR
+        deep = CurvatureData.compute(spec, m_max=depth + 1).covR
+        for k in range(depth + 1):
+            size = max(1.0, float(np.abs(deep[k]).max()))
+            assert np.abs(shallow[k] - deep[k]).max() <= 1e-12 * size
 
 
 def test_point_frame_matches_curvature_data():

@@ -1,0 +1,168 @@
+"""Snapshot the ``--json`` reports of killingkit, and diff two snapshots.
+
+    python tools/report_snapshot.py OUT.json [--seeds 1 2 3]
+    python tools/report_snapshot.py --diff A.json B.json
+
+The first form runs every query of the benchmark workloads (``kernel``,
+``transport`` and ``product``, built by ``perfbench/workloads.build`` for each
+seed) and every ``killingkit ...`` command in README.md, each with ``--json``,
+through ``killingkit.cli.run`` of the package in this checkout's ``src/``.  It
+writes one JSON file mapping each query to its exit code, stdout and stderr.
+Chart files go to a fixed directory (``--workdir``), so snapshots taken from
+two checkouts name the same paths and can be compared.
+
+The second form lists each query whose report differs between two snapshots,
+with the largest absolute difference between floats of the two reports and
+every place where anything else (an integer, a string, a flag, a length)
+differs.  It exits 1 when any report differs and 0 otherwise.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import shlex
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("kernel", "transport", "product")
+DEFAULT_WORKDIR = Path(tempfile.gettempdir()) / "killingkit-report-snapshot"
+
+
+def readme_commands(readme):
+    """The argv of every ``killingkit ...`` line of README.md's code blocks,
+    with backslash continuations joined."""
+    commands, pending, in_block = [], "", False
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_block = not in_block
+            continue
+        if not in_block:
+            continue
+        line = pending + line.strip()
+        if line.endswith("\\"):
+            pending = line[:-1] + " "
+            continue
+        pending = ""
+        if line.startswith("killingkit "):
+            commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def run_query(cli, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(list(argv) + ["--json"])
+    return {"argv": list(argv), "code": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
+def snapshot(seeds, workdir):
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from killingkit import cli
+    from killingkit.metricdsl import known_killing_fields
+
+    import workloads
+
+    reports = {}
+    for workload in WORKLOADS:
+        for seed in seeds:
+            queries = workloads.build(workload, seed, str(workdir / workload),
+                                      known_killing_fields)
+            for i, q in enumerate(queries):
+                reports[f"{workload}.{seed}.{i:02d}.{q.name}"] = run_query(cli, q.argv)
+    for i, argv in enumerate(readme_commands(ROOT / "README.md")):
+        reports[f"readme.{i}.{argv[0]}"] = run_query(cli, argv)
+    return reports
+
+
+def compare(a, b, path="", floats=None, others=None):
+    """Walk two decoded reports together.  Returns the largest absolute float
+    difference as (difference, path) and the paths where anything else
+    differs."""
+    floats = [0.0, None] if floats is None else floats
+    others = [] if others is None else others
+    if a == b:
+        pass
+    elif isinstance(a, float) and isinstance(b, float) and math.isfinite(a - b):
+        if abs(a - b) > floats[0]:
+            floats[:] = [abs(a - b), path]
+    elif isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            if key not in a or key not in b:
+                others.append(f"{path}.{key}")
+            else:
+                compare(a[key], b[key], f"{path}.{key}", floats, others)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            others.append(f"{path}[len]")
+        for i, (x, y) in enumerate(zip(a, b)):
+            compare(x, y, f"{path}[{i}]", floats, others)
+    else:
+        others.append(path)
+    return floats, others
+
+
+def diff(path_a, path_b):
+    a = json.loads(Path(path_a).read_text(encoding="utf-8"))
+    b = json.loads(Path(path_b).read_text(encoding="utf-8"))
+    differing = 0
+    for key in sorted(set(a) | set(b)):
+        if key not in a or key not in b:
+            print(f"{key}: only in {path_a if key in a else path_b}")
+            differing += 1
+            continue
+        ra, rb = a[key], b[key]
+        if ra == rb:
+            continue
+        differing += 1
+        notes = []
+        if ra["code"] != rb["code"]:
+            notes.append(f"exit {ra['code']} -> {rb['code']}")
+        if ra["stderr"] != rb["stderr"]:
+            notes.append(f"stderr {ra['stderr'].strip()!r} -> {rb['stderr'].strip()!r}")
+        if ra["stdout"] != rb["stdout"]:
+            try:
+                (largest, where), others = compare(json.loads(ra["stdout"]),
+                                                   json.loads(rb["stdout"]))
+            except ValueError:
+                notes.append("stdout differs and is not JSON")
+            else:
+                if where is not None:
+                    notes.append(f"max |float diff| {largest:.3g} at {where}")
+                if others:
+                    shown = ", ".join(others[:5])
+                    more = f" (+{len(others) - 5} more)" if len(others) > 5 else ""
+                    notes.append(f"other differences at {shown}{more}")
+        print(f"{key}: {'; '.join(notes)}")
+    print(f"{differing} of {len(set(a) | set(b))} queries differ")
+    return 1 if differing else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="snapshot file to write")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                        help="compare two snapshot files instead")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--workdir", type=Path, default=DEFAULT_WORKDIR,
+                        help=f"where chart files are written (default {DEFAULT_WORKDIR})")
+    args = parser.parse_args(argv)
+    if args.diff:
+        return diff(*args.diff)
+    if not args.out:
+        parser.error("give a snapshot file to write, or --diff A B")
+    reports = snapshot(args.seeds, args.workdir)
+    Path(args.out).write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n",
+                              encoding="utf-8")
+    print(f"{len(reports)} reports written to {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
