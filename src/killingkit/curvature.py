@@ -12,6 +12,8 @@ Index conventions, fixed once for the whole project:
 * Covariant-derivative indices are appended after the tensor's own slots, so
   ``covR[m]`` has shape (n,)*(4+m) with layout [l, k, i, j, z_1, ..., z_m],
   z_m being the outermost derivative.
+* Jets may carry one leading point axis before the component axes: the same
+  quantity at each of a batch of points.  In subscripts it is the letter P.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metricdsl
-from .jets import JetTensor, tensor_deriv, tensor_from_grid, tensor_product
+from .jets import JetShapeError, JetTensor, tensor_deriv, tensor_from_grid, tensor_product
 
 
 class OrderExhaustedError(ValueError):
@@ -34,6 +36,15 @@ def _as_tensor(grid):
     return grid if isinstance(grid, JetTensor) else tensor_from_grid(grid)
 
 
+def _points(t, rank):
+    """The subscript of the point axis of a jet tensor whose components have
+    rank ``rank``: "P" when it has one, else ""."""
+    extra = t.array.ndim - 1 - rank
+    if extra not in (0, 1):
+        raise JetShapeError(f"jet tensor of shape {t.shape} for rank {rank}")
+    return "P" * extra
+
+
 def inverse_metric(g):
     """Jets of the inverse metric, via a truncated Neumann series.
 
@@ -41,19 +52,20 @@ def inverse_metric(g):
     the jet algebra, so the series for (I + E)^{-1} terminates at the order.
     """
     g = _as_tensor(g)
-    n = g.shape[0]
+    p = _points(g, 2)
+    n = g.shape[-1]
     g0inv = np.linalg.inv(g.value())
-    em = np.einsum("ia,abc->ibc", g0inv, g.array)
+    em = np.einsum(f"{p}ia,{p}abc->{p}ibc", g0inv, g.array)
     em[..., 0] -= np.eye(n)
     e = JetTensor(-em, g.space)  # -E
     acc = e
     term = e
     for _ in range(g.order - 1):
-        term = tensor_product("ia,ab->ib", e, term)
+        term = tensor_product(f"{p}ia,{p}ab->{p}ib", e, term)
         acc = acc + term
     total = acc.array.copy()
     total[..., 0] += np.eye(n)
-    return JetTensor(np.einsum("iac,ab->ibc", total, g0inv), g.space)
+    return JetTensor(np.einsum(f"{p}iac,{p}ab->{p}ibc", total, g0inv), g.space)
 
 
 def christoffel(metric_jets, inverse_jets=None):
@@ -62,13 +74,15 @@ def christoffel(metric_jets, inverse_jets=None):
     if g.order < 1:
         raise OrderExhaustedError("christoffel needs metric jets of order >= 1")
     ginv = inverse_metric(g) if inverse_jets is None else _as_tensor(inverse_jets)
+    p = _points(g, 2)
     dg = tensor_deriv(g)  # dg[i, j, c] = d_c g_ij
     a = dg.array
     # sym[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    sym = JetTensor(np.einsum("jlic->lijc", a)
-                    + np.einsum("iljc->lijc", a)
-                    - np.einsum("ijlc->lijc", a), dg.space)
-    return tensor_product("kl,lij->kij", ginv.truncated(dg.order), sym).scaled(0.5)
+    sym = JetTensor(np.einsum(f"{p}jlic->{p}lijc", a)
+                    + np.einsum(f"{p}iljc->{p}lijc", a)
+                    - np.einsum(f"{p}ijlc->{p}lijc", a), dg.space)
+    return tensor_product(f"{p}kl,{p}lij->{p}kij", ginv.truncated(dg.order),
+                          sym).scaled(0.5)
 
 
 def riemann(gamma):
@@ -76,12 +90,13 @@ def riemann(gamma):
     gamma = _as_tensor(gamma)
     if gamma.order < 1:
         raise OrderExhaustedError("riemann needs connection jets of order >= 1")
+    p = _points(gamma, 3)
     dg = tensor_deriv(gamma)  # dg[l, j, k, i] = d_i gamma[l, j, k]
     a = dg.array
-    d_term = np.einsum("ljkic->lkijc", a) - np.einsum("likjc->lkijc", a)
+    d_term = np.einsum(f"{p}ljkic->{p}lkijc", a) - np.einsum(f"{p}likjc->{p}lkijc", a)
     gl = gamma.truncated(dg.order)
-    quad = tensor_product("lim,mjk->lkij", gl, gl)
-    quad2 = tensor_product("ljm,mik->lkij", gl, gl)
+    quad = tensor_product(f"{p}lim,{p}mjk->{p}lkij", gl, gl)
+    quad2 = tensor_product(f"{p}ljm,{p}mik->{p}lkij", gl, gl)
     return JetTensor(d_term + quad.array - quad2.array, dg.space)
 
 
@@ -93,9 +108,11 @@ def covariant_derivative(tensor, variance, gamma):
     t = _as_tensor(tensor)
     if t.order < 1:
         raise OrderExhaustedError("covariant derivative needs jets of order >= 1")
+    p = _points(gamma, 3)
     rank = len(variance)
-    if rank != len(t.shape):
-        raise ValueError(f"variance {variance!r} does not match rank {len(t.shape)}")
+    if rank + len(p) != len(t.shape):
+        raise ValueError(f"variance {variance!r} does not match rank "
+                         f"{len(t.shape) - len(p)}")
     out = tensor_deriv(t)  # [..., z, coeff]
     q = out.order
     gl = gamma.truncated(min(gamma.order, q))
@@ -103,13 +120,13 @@ def covariant_derivative(tensor, variance, gamma):
     t_trunc = t.truncated(q)
     for s, v in enumerate(variance):
         slot = letters[s]
-        contracted = letters[:s] + "A" + letters[s + 1:]
-        out_sub = letters + "Z"
+        contracted = p + letters[:s] + "A" + letters[s + 1:]
+        out_sub = p + letters + "Z"
         if v == "u":
-            term = tensor_product(f"{slot}ZA,{contracted}->{out_sub}", gl, t_trunc, q)
+            term = tensor_product(f"{p}{slot}ZA,{contracted}->{out_sub}", gl, t_trunc, q)
             out = out + term
         else:
-            term = tensor_product(f"AZ{slot},{contracted}->{out_sub}", gl, t_trunc, q)
+            term = tensor_product(f"{p}AZ{slot},{contracted}->{out_sub}", gl, t_trunc, q)
             out = out - term
     return out
 
@@ -144,7 +161,8 @@ def identity_residuals(curv):
 
 @dataclass
 class CurvatureData:
-    """Everything curvature-related at one point, to a fixed jet order."""
+    """Everything curvature-related at one point, or at each of a batch of
+    points (a leading point axis on every array), to a fixed jet order."""
 
     spec: object
     point: np.ndarray
@@ -173,7 +191,9 @@ class CurvatureData:
 
     @classmethod
     def compute(cls, spec, point=None, m_max=1):
-        """Build curvature data holding covR[0..m_max].
+        """Build curvature data holding covR[0..m_max], at one point or, with
+        a (P, n) array of points, at each of them (a leading point axis on
+        every array).
 
         The m-th covariant derivative of the curvature reads metric jets of
         order m + 2, so the metric is expanded to order m_max + 2 and
@@ -181,7 +201,7 @@ class CurvatureData:
         """
         p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
         k = m_max + 2
-        g = tensor_from_grid(metricdsl.metric_jets(spec, p, k))
+        g = metricdsl.metric_jet_tensor(spec, p, k)
         ginv = inverse_metric(g.truncated(k - 1))
         gamma = christoffel(g, ginv)
         r = riemann(gamma)
@@ -196,7 +216,8 @@ class CurvatureData:
 
 
 def point_frame(spec, point):
-    """Metric, inverse, connection values, and curvature values at one point.
+    """Metric, inverse, connection values, and curvature values at one point,
+    or at each row of a (P, n) array of points (a leading point axis on each).
 
     The cheap evaluator behind the transport integrator and the field checks.
     """

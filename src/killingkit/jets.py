@@ -6,13 +6,21 @@ vector uses a fixed graded-lexicographic enumeration of the multi-indices, so
 coefficients of total degree <= q always occupy a prefix of the vector; this
 makes truncation a slice and keeps every matrix built downstream reproducible.
 
-Two layers live here:
+Three layers live here:
 
 * ``Jet`` -- a single scalar expansion with operator overloads, the public
   carrier used by the metric DSL and the field checks.
+* ``JetTape`` -- a straight-line program of jet operations, compiled once
+  from expression trees and evaluated on a batch of expansion points (a
+  leading point axis on the coefficient arrays); it is how metric and field
+  expressions become jets.
 * ``JetTensor`` -- a numpy array of coefficient vectors (component axes first,
   coefficient axis last) with vectorised convolution/contraction helpers, used
   by the curvature engine where plain Jets would be too slow.
+
+The Cauchy product and the elementary-function series act on coefficient
+arrays with any leading axes, so one implementation serves a ``Jet`` and a
+batch of points.
 """
 from __future__ import annotations
 
@@ -271,13 +279,18 @@ def jet_add(a, b):
     return Jet(a.space, a.coeffs + b.coeffs, copy=False)
 
 
+def _cauchy(a, b, tab):
+    """Truncated Cauchy product of coefficient arrays along their last axis;
+    any leading axes (a point axis, say) broadcast."""
+    return np.add.reduceat(a[..., tab.ai] * b[..., tab.bi], tab.starts, axis=-1)
+
+
 def jet_mul(a, b):
     """Cauchy product truncated at the common order."""
     _same_space(a, b)
     k = a.order
-    tab = _mul_table(a.n_vars, k, k, k)
-    prod = a.coeffs[tab.ai] * b.coeffs[tab.bi]
-    return Jet(a.space, np.add.reduceat(prod, tab.starts), copy=False)
+    return Jet(a.space, _cauchy(a.coeffs, b.coeffs, _mul_table(a.n_vars, k, k, k)),
+               copy=False)
 
 
 def jet_partial(a, alpha):
@@ -294,36 +307,119 @@ def jet_partial(a, alpha):
 
 
 # -- elementary functions ---------------------------------------------------
+#
+# Coefficient arrays carry the coefficient axis last and any number of leading
+# axes, so one implementation serves a single Jet and a batch of points.  Each
+# function reports where its constant term leaves the domain instead of
+# raising, so a batch can tell which point failed first.
+
+@lru_cache(maxsize=None)
+def _factorials(order):
+    return np.array([math.factorial(k) for k in range(order + 1)], dtype=np.float64)
+
+
+# The transcendental functions come from ``math``, entry by entry: the same
+# values, and the same overflow and domain errors, as a scalar evaluation.
+_MATH = {"exp": (math.exp,), "sin": (math.sin, math.cos), "cos": (math.sin, math.cos),
+         "sinh": (math.sinh, math.cosh), "cosh": (math.sinh, math.cosh)}
+
+
+def _math(fn, c0):
+    """``fn`` at each entry of the array ``c0``, and the mask of the entries
+    where it raises (their values are nan)."""
+    values, bad = [], []
+    for v in c0.ravel().tolist():
+        try:
+            values.append(fn(v))
+            bad.append(False)
+        except (OverflowError, ValueError):
+            values.append(math.nan)
+            bad.append(True)
+    return np.array(values).reshape(c0.shape), np.array(bad).reshape(c0.shape)
+
 
 def _series_coefficients(tag, c0, order):
-    """Univariate Taylor coefficients f^(k)(c0)/k! for k = 0..order."""
-    ks = range(order + 1)
-    if tag == "exp":
-        e = math.exp(c0)
-        return [e / math.factorial(k) for k in ks]
-    if tag in ("sin", "cos"):
-        cycle = [math.sin(c0), math.cos(c0), -math.sin(c0), -math.cos(c0)]
-        off = 0 if tag == "sin" else 1
-        return [cycle[(k + off) % 4] / math.factorial(k) for k in ks]
-    if tag in ("sinh", "cosh"):
-        pair = [math.sinh(c0), math.cosh(c0)]
-        off = 0 if tag == "sinh" else 1
-        return [pair[(k + off) % 2] / math.factorial(k) for k in ks]
-    if tag == "sqrt":
-        if c0 <= 0.0:
-            raise JetDomainError(f"sqrt of jet with constant term {c0} <= 0")
-        out = [math.sqrt(c0)]
-        for k in range(1, order + 1):
-            out.append(out[-1] * (0.5 - (k - 1)) / (k * c0))
-        return out
-    if tag == "reciprocal":
-        if c0 == 0.0:
-            raise JetDomainError("reciprocal of jet with zero constant term")
-        out = [1.0 / c0]
-        for _ in range(order):
-            out.append(-out[-1] / c0)
-        return out
+    """Univariate Taylor coefficients f^(k)(c0)/k! for k = 0..order, on a new
+    last axis, and the mask of constant terms where ``tag`` is undefined (the
+    error is ``_elementary_error``)."""
+    c0 = np.asarray(c0, dtype=np.float64)
+    out = np.empty(c0.shape + (order + 1,))
+    if tag in _MATH:
+        # the derivatives of exp, sin, cos, sinh and cosh repeat with period 1, 4 or 2
+        f, bad = _math(_MATH[tag][0], c0)
+        if tag == "exp":
+            cycle = (f,)
+        else:
+            g, bad2 = _math(_MATH[tag][1], c0)
+            bad = bad | bad2
+            if tag in ("sin", "cos"):
+                cycle = (f, g, -f, -g) if tag == "sin" else (g, -f, -g, f)
+            else:
+                cycle = (f, g) if tag == "sinh" else (g, f)
+        fact = _factorials(order)
+        for k in range(order + 1):
+            out[..., k] = cycle[k % len(cycle)] / fact[k]
+        return out, bad
+    with np.errstate(all="ignore"):
+        if tag == "sqrt":
+            out[..., 0] = np.sqrt(c0)
+            for k in range(1, order + 1):
+                out[..., k] = out[..., k - 1] * (0.5 - (k - 1)) / (k * c0)
+            return out, c0 <= 0.0
+        if tag == "reciprocal":
+            out[..., 0] = 1.0 / c0
+            for k in range(1, order + 1):
+                out[..., k] = -out[..., k - 1] / c0
+            return out, c0 == 0.0
     raise ValueError(f"unknown elementary function tag {tag!r}")
+
+
+def _elementary_error(tag, c0):
+    """The exception ``tag`` raises at a constant term ``c0`` outside its
+    domain: a domain error, or the overflow or domain error of ``math``."""
+    if tag == "reciprocal":
+        return JetDomainError("reciprocal of jet with zero constant term")
+    if tag == "sqrt":
+        return JetDomainError(f"sqrt of jet with constant term {float(c0)} <= 0")
+    for fn in _MATH[tag]:
+        try:
+            fn(float(c0))
+        except (OverflowError, ValueError) as exc:
+            return exc
+    raise AssertionError(f"{tag} is defined at {float(c0)}")
+
+
+def _compose(x, c, tab):
+    """The series with coefficients ``c`` (from ``_series_coefficients`` at
+    the constant terms of ``x``) composed with the jets ``x``, by Horner
+    evaluation in the nilpotent part."""
+    order = c.shape[-1] - 1
+    if order == 0:
+        return c
+    b = np.array(x, dtype=np.float64)
+    b[..., 0] = 0.0
+    # the first Horner step multiplies by a constant jet: a scaling
+    r = b * c[..., order, None]
+    r[..., 0] += c[..., order - 1]
+    for k in range(order - 2, -1, -1):
+        r = _cauchy(r, b, tab)
+        r[..., 0] += c[..., k]
+    return r
+
+
+def _power(x, exponent, tab):
+    """Non-negative integer power of the jets ``x`` by repeated squaring."""
+    result, base = None, x
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else _cauchy(result, base, tab)
+        exponent >>= 1
+        if exponent:
+            base = _cauchy(base, base, tab)
+    if result is None:
+        result = np.zeros(np.shape(x))
+        result[..., 0] = 1.0
+    return result
 
 
 def jet_elementary(tag, a, exponent=None):
@@ -334,6 +430,7 @@ def jet_elementary(tag, a, exponent=None):
     """
     if not isinstance(a, Jet):
         raise TypeError("expected a Jet")
+    tab = _mul_table(a.n_vars, a.order, a.order, a.order)
     if tag == "pow_int":
         if exponent is None or int(exponent) != exponent:
             raise ValueError("pow_int requires an integer exponent")
@@ -341,23 +438,137 @@ def jet_elementary(tag, a, exponent=None):
         if exponent < 0:
             return jet_elementary("pow_int", jet_elementary("reciprocal", a),
                                   exponent=-exponent)
-        result = Jet.constant(a.space, 1.0)
-        base = a
-        e = exponent
-        while e:
-            if e & 1:
-                result = jet_mul(result, base)
-            e >>= 1
-            if e:
-                base = jet_mul(base, base)
-        return result
-    coeffs = _series_coefficients(tag, a.value, a.order)
-    # Horner evaluation in the nilpotent part b = a - a(0).
-    b = a - a.value
-    result = Jet.constant(a.space, coeffs[-1])
-    for k in range(a.order - 1, -1, -1):
-        result = jet_mul(result, b) + coeffs[k]
-    return result
+        return Jet(a.space, _power(a.coeffs, exponent, tab), copy=False)
+    c, bad = _series_coefficients(tag, a.value, a.order)
+    if bad:
+        raise _elementary_error(tag, a.value)
+    return Jet(a.space, _compose(a.coeffs, c, tab), copy=False)
+
+
+# -- straight-line programs over jets ----------------------------------------
+
+class JetTape:
+    """A straight-line program over jets, compiled once and evaluated on a
+    batch of expansion points.
+
+    ``ops`` lists tuples ``(kind, *args)``; an argument naming another op is
+    its index in the list, always an earlier one.  The kinds are
+    ``("const", value)``, ``("coord", i)``, ``("add", a, b)``, ``("sub", a,
+    b)``, ``("neg", a)``, ``("mul", a, b)``, ``("scale", a, k)`` (the product
+    with op k, whose value is a constant jet), ``("pow", a, exponent)`` with
+    a non-negative integer exponent, and ``(tag, a)`` for the elementary
+    functions ``reciprocal``, ``sqrt``, ``exp``, ``sin``, ``cos``, ``sinh``
+    and ``cosh``.  ``outputs`` are the ops whose jets ``evaluate`` returns,
+    and ``owners[op]`` is the first output that reads the op.
+    """
+
+    __slots__ = ("ops", "outputs", "owners")
+
+    def __init__(self, ops, outputs, owners):
+        self.ops = tuple(ops)
+        self.outputs = tuple(outputs)
+        self.owners = tuple(owners)
+
+    def evaluate(self, points, space):
+        """Jets of the outputs about each row of ``points`` (shape (P,
+        n_vars)): an array of shape (P, len(outputs), space.size), and None
+        or, for the failure a point-by-point evaluation would have met first,
+        ``(point, output, error)``: the index of the earliest failing point,
+        the earliest output failing there and the exception of the first op
+        that failed there."""
+        points = np.asarray(points, dtype=np.float64)
+        n_points, order = len(points), space.order
+        tab = _mul_table(space.n_vars, order, order, order)
+        vals = []
+        first_failure = None   # per point, the first op that failed there
+        with np.errstate(all="ignore"):
+            for index, op in enumerate(self.ops):
+                kind = op[0]
+                if kind == "const":
+                    v = np.zeros(space.size)
+                    v[0] = op[1]
+                elif kind == "coord":
+                    i = op[1]
+                    if not 0 <= i < space.n_vars:
+                        raise JetShapeError(
+                            f"variable index {i} out of range for {space}")
+                    v = np.zeros((n_points, space.size))
+                    v[:, 0] = points[:, i]
+                    if order >= 1:
+                        v[:, 1 + i] = 1.0
+                elif kind == "add":
+                    v = vals[op[1]] + vals[op[2]]
+                elif kind == "sub":
+                    v = vals[op[1]] - vals[op[2]]
+                elif kind == "neg":
+                    v = -vals[op[1]]
+                elif kind == "mul":
+                    v = _cauchy(vals[op[1]], vals[op[2]], tab)
+                elif kind == "scale":
+                    v = vals[op[1]] * vals[op[2]][..., :1]
+                elif kind == "pow":
+                    v = _power(vals[op[1]], op[2], tab)
+                else:
+                    x = vals[op[1]]
+                    c, bad = _series_coefficients(kind, x[..., 0], order)
+                    v = _compose(x, c, tab)
+                    if bad.any():
+                        if first_failure is None:
+                            first_failure = np.full(n_points, len(self.ops))
+                        first_failure[np.broadcast_to(bad, (n_points,))
+                                      & (first_failure > index)] = index
+                vals.append(v)
+        out = np.empty((n_points, len(self.outputs), space.size))
+        for k, o in enumerate(self.outputs):
+            out[:, k] = vals[o]
+        if first_failure is None:
+            return out, None
+        point = int(np.argmax(first_failure < len(self.ops)))
+        op = self.ops[first_failure[point]]
+        c0 = vals[op[1]][..., 0]
+        c0 = c0 if c0.ndim == 0 else c0[point]
+        return out, (point, self.owners[first_failure[point]], _elementary_error(op[0], c0))
+
+
+def compile_tape(roots):
+    """Compile expression trees into one ``JetTape`` whose outputs follow
+    ``roots``.
+
+    A node describes itself by ``node.jet_op()``: ``((kind, *params),
+    operands)``, with kind "const" (param: the value), "coord" (param: the
+    variable index), "add", "sub", "mul", "div", "neg", "pow" (param: an
+    integer exponent) or an elementary function.  Equal subtrees, within one
+    tree or across trees, become one op.  The ops of each tree come in the
+    order a recursive evaluation visits its nodes (operands first, left
+    before right), so the first op to fail at a point is the node such an
+    evaluation would fail at.
+    """
+    ops, index, constant, owners, outputs = [], {}, [], [], []
+
+    def emit(op, is_constant):
+        k = index.get(op)
+        if k is None:
+            k = index[op] = len(ops)
+            ops.append(op)
+            constant.append(is_constant)
+            owners.append(len(outputs))
+        return k
+
+    def walk(node):
+        (kind, *params), operands = node.jet_op()
+        args = [walk(x) for x in operands]
+        is_constant = kind == "const" or bool(args) and all(constant[a] for a in args)
+        if kind == "div":   # a / b is a times the reciprocal of b
+            kind, args[1] = "mul", emit(("reciprocal", args[1]), constant[args[1]])
+        if kind == "pow" and params[0] < 0:
+            args[0], params[0] = emit(("reciprocal", args[0]), is_constant), -params[0]
+        if kind == "mul" and (constant[args[0]] or constant[args[1]]):
+            kind, args = "scale", args if constant[args[1]] else args[::-1]
+        return emit((kind, *args, *params), is_constant)
+
+    for root in roots:
+        outputs.append(walk(root))
+    return JetTape(ops, outputs, owners)
 
 
 # -- stacked tensors of jets -------------------------------------------------

@@ -418,10 +418,19 @@ def germ_kernel_residual(spec, germ, point=None, m_max=2, tol=1e-8):
 
 # -- transport --------------------------------------------------------------------
 
+# Steps per batched frame evaluation (2 * _BLOCK_STEPS + 1 stage points at
+# most): bounds the memory of one batch, whatever the number of steps.
+_BLOCK_STEPS = 16
+
+
 def killing_transport(spec, germ, path, steps_per_segment=1000):
     """Parallel transport of a germ along a polyline for the bundle connection.
 
-    Classical fixed-step 4th-order integration of D along each segment.
+    Classical fixed-step 4th-order integration of D along each segment.  The
+    stage points of a block of steps are known in advance, so their
+    connection and curvature values come from one batched ``point_frame``
+    call, in path order; a point where the chart fails raises what
+    evaluating the points one by one would raise first.
     """
     if steps_per_segment < 1:
         raise ValueError("steps_per_segment must be >= 1")
@@ -431,28 +440,37 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     xi = np.array(germ.xi, dtype=np.float64)
     a = np.array(germ.a, dtype=np.float64)
 
-    def rhs(frame, state, u):
+    def rhs(gu, r, state, u):
         s_xi, s_a = state
-        _, _, gamma, r = frame
-        gu = np.einsum("iab,a->ib", gamma, u)
         d_xi = -gu @ s_xi - s_a @ u
         d_a = -gu @ s_a + s_a @ gu - np.einsum("ijcd,c,d->ij", r, u, s_xi)
         return d_xi, d_a
 
+    h = 1.0 / steps_per_segment
     for seg in range(len(path) - 1):
         x0, x1 = path[seg], path[seg + 1]
         u = x1 - x0
-        h = 1.0 / steps_per_segment
-        frame0 = point_frame(spec, x0)
-        for k in range(steps_per_segment):
-            s = k * h
-            frame_mid = point_frame(spec, x0 + (s + h / 2) * u)
-            frame1 = point_frame(spec, x0 + (s + h) * u)
-            k1 = rhs(frame0, (xi, a), u)
-            k2 = rhs(frame_mid, (xi + h / 2 * k1[0], a + h / 2 * k1[1]), u)
-            k3 = rhs(frame_mid, (xi + h / 2 * k2[0], a + h / 2 * k2[1]), u)
-            k4 = rhs(frame1, (xi + h * k3[0], a + h * k3[1]), u)
-            xi = xi + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            a = a + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            frame0 = frame1
+        for k0 in range(0, steps_per_segment, _BLOCK_STEPS):
+            s = np.arange(k0, min(k0 + _BLOCK_STEPS, steps_per_segment)) * h
+            # stage points in path order: (x0,) mid_k, end_k, mid_k+1, ...
+            stages = np.empty((2 * len(s), len(u)))
+            stages[0::2] = x0 + (s + h / 2)[:, None] * u
+            stages[1::2] = x0 + (s + h)[:, None] * u
+            if k0 == 0:
+                stages = np.vstack([x0, stages])
+            _, _, gammas, rs = point_frame(spec, stages)
+            gus = np.einsum("Piab,a->Pib", gammas, u)
+            if k0 == 0:
+                frame0 = gus[0], rs[0]
+                gus, rs = gus[1:], rs[1:]
+            for k in range(len(s)):
+                mid = gus[2 * k], rs[2 * k]
+                frame1 = gus[2 * k + 1], rs[2 * k + 1]
+                k1 = rhs(*frame0, (xi, a), u)
+                k2 = rhs(*mid, (xi + h / 2 * k1[0], a + h / 2 * k1[1]), u)
+                k3 = rhs(*mid, (xi + h / 2 * k2[0], a + h / 2 * k2[1]), u)
+                k4 = rhs(*frame1, (xi + h * k3[0], a + h * k3[1]), u)
+                xi = xi + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+                a = a + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+                frame0 = frame1
     return KillingGerm(xi=xi, a=a)

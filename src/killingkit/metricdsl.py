@@ -20,10 +20,11 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .jets import Jet, JetDomainError, jet_elementary, jet_space
+from .jets import Jet, JetDomainError, JetTensor, compile_tape, jet_space
 
 
 class ParseError(ValueError):
@@ -63,6 +64,21 @@ def _domain_error(v):
 @dataclass(frozen=True)
 class Expr:
     def eval_jet(self, space, point):
+        """The jet of this expression about ``point`` in ``space``; raises the
+        domain error of the first subexpression that fails there."""
+        points = np.asarray(point, dtype=np.float64)[None]
+        coeffs, failure = self._tape.evaluate(points, space)
+        if failure is not None:
+            raise failure[2]
+        return Jet(space, coeffs[0, 0], copy=False)
+
+    @cached_property
+    def _tape(self):
+        return compile_tape([self])
+
+    def jet_op(self):
+        """This node as an operation of ``jets.compile_tape``:
+        ``((kind, *params), operand nodes)``."""
         raise NotImplementedError
 
     def eval_float(self, point):
@@ -83,8 +99,8 @@ class Expr:
 class Const(Expr):
     value: float
 
-    def eval_jet(self, space, point):
-        return Jet.constant(space, self.value)
+    def jet_op(self):
+        return ("const", self.value), ()
 
     def eval_float(self, point):
         return self.value
@@ -104,8 +120,8 @@ class Coord(Expr):
     name: str
     index: int
 
-    def eval_jet(self, space, point):
-        return Jet.variable(space, self.index, point[self.index])
+    def jet_op(self):
+        return ("coord", self.index), ()
 
     def eval_float(self, point):
         return float(point[self.index])
@@ -125,17 +141,10 @@ class Binary(Expr):
     right: Expr
 
     _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
+    _KIND = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
-    def eval_jet(self, space, point):
-        a = self.left.eval_jet(space, point)
-        b = self.right.eval_jet(space, point)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        return a / b
+    def jet_op(self):
+        return (self._KIND[self.op],), (self.left, self.right)
 
     def eval_float(self, point):
         a = self.left.eval_float(point)
@@ -162,8 +171,8 @@ class Binary(Expr):
 class Neg(Expr):
     arg: Expr
 
-    def eval_jet(self, space, point):
-        return -self.arg.eval_jet(space, point)
+    def jet_op(self):
+        return ("neg",), (self.arg,)
 
     def eval_float(self, point):
         return -self.arg.eval_float(point)
@@ -177,9 +186,8 @@ class PowInt(Expr):
     base: Expr
     exponent: int  # >= 0; negative powers are parsed as reciprocals
 
-    def eval_jet(self, space, point):
-        return jet_elementary("pow_int", self.base.eval_jet(space, point),
-                              exponent=self.exponent)
+    def jet_op(self):
+        return ("pow", self.exponent), (self.base,)
 
     def eval_float(self, point):
         return self.base.eval_float(point) ** self.exponent
@@ -193,8 +201,8 @@ class Call(Expr):
     fn: str
     arg: Expr
 
-    def eval_jet(self, space, point):
-        return jet_elementary(self.fn, self.arg.eval_jet(space, point))
+    def jet_op(self):
+        return (self.fn,), (self.arg,)
 
     def eval_float(self, point):
         return _FLOAT_FUNCS[self.fn](self.arg.eval_float(point))
@@ -303,6 +311,12 @@ class ManifoldSpec:
     def dim(self):
         return len(self.coords)
 
+    @cached_property
+    def metric_tape(self):
+        """The metric's upper triangle, in (i, j >= i) order, compiled once."""
+        n = self.dim
+        return compile_tape([self.metric[i][j] for i in range(n) for j in range(i, n)])
+
     def coord_index(self, name):
         return self.coords.index(name)
 
@@ -327,18 +341,25 @@ class ManifoldSpec:
             f"({i}, {j}) = {self.metric[i][j].to_text()}: {exc}")
 
     def degeneracy_tolerance(self, g):
-        row = float(np.max(np.linalg.norm(g, axis=1)))
-        return DEGENERACY_FACTOR * max(row, 1e-300) ** self.dim
+        row = np.max(np.linalg.norm(g, axis=-1), axis=-1)
+        with np.errstate(over="ignore"):
+            return DEGENERACY_FACTOR * np.maximum(row, 1e-300) ** self.dim
 
     def check_nondegenerate(self, point, g=None):
+        """Raise DegenerateMetricError if |det g| is below the tolerance at
+        ``point``.  A (P, n) batch of points with ``g`` of shape (P, n, n) is
+        checked point by point, and the first degenerate one is named."""
         g = self.metric_values(point) if g is None else g
-        det = float(np.linalg.det(g))
-        if abs(det) < self.degeneracy_tolerance(g):
+        det = np.linalg.det(g)
+        bad = np.abs(det) < self.degeneracy_tolerance(g)
+        if bad.any():
+            first = int(np.argmax(bad))
+            p = np.reshape(point, (-1, self.dim))[first]
             raise DegenerateMetricError(
-                f"metric of {self.name!r} degenerate at {tuple(map(float, point))}: "
-                f"det = {det:g}"
+                f"metric of {self.name!r} degenerate at {tuple(map(float, p))}: "
+                f"det = {float(det.ravel()[first]):g}"
             )
-        return det
+        return float(det) if det.ndim == 0 else det
 
     def serialize(self):
         lines = [f"manifold {self.name} {{"]
@@ -378,23 +399,53 @@ def make_spec(name, coords, metric, params=(), base_point=None, assumptions=None
     return spec
 
 
+@lru_cache(maxsize=None)
+def _upper_position(n):
+    # position of component (i, j) among the upper triangle's (i, j >= i)
+    pos = np.empty((n, n), dtype=np.int64)
+    pos[np.triu_indices(n)] = pos.T[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
+    return pos
+
+
+def metric_jet_tensor(spec, point, order):
+    """Jets of the metric about ``point``, or about each row of a (P, n) array
+    of points (a leading point axis on the result), from the spec's tape.
+
+    Checks each point as a point-by-point evaluation would, and raises what
+    it would raise first: a component outside its domain (naming the point,
+    the component and its expression) or a degenerate metric, at the
+    earliest failing point.
+    """
+    points = np.asarray(point, dtype=np.float64)
+    if points.ndim not in (1, 2) or points.shape[-1:] != (spec.dim,):
+        raise SpecError(f"point of dimension {points.shape} for {spec.dim} coordinates")
+    batch = points.reshape(-1, spec.dim)
+    space = jet_space(spec.dim, order)
+    coeffs, failure = spec.metric_tape.evaluate(batch, space)
+    position = _upper_position(spec.dim)
+    g = coeffs[:, position]
+    valid = len(batch) if failure is None else failure[0]
+    spec.check_nondegenerate(batch[:valid], g[:valid, :, :, 0])
+    if failure is not None:
+        point, output, exc = failure
+        if isinstance(exc, (JetDomainError, OverflowError)):
+            i, j = map(int, np.argwhere(position == output)[0])
+            raise spec._component_error(batch[point], i, j, exc) from exc
+        raise exc
+    return JetTensor(g if points.ndim == 2 else g[0], space)
+
+
 def metric_jets(spec, point, order):
     """Expand every metric component about ``point``; symmetric coefficientwise."""
     point = np.asarray(point, dtype=np.float64)
     if point.shape != (spec.dim,):
         raise SpecError(f"point of dimension {point.shape} for {spec.dim} coordinates")
-    space = jet_space(spec.dim, order)
+    g = metric_jet_tensor(spec, point, order)
     n = spec.dim
     grid = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            try:
-                jet = spec.metric[i][j].eval_jet(space, point)
-            except (JetDomainError, OverflowError) as exc:
-                raise spec._component_error(point, i, j, exc) from exc
-            grid[i][j] = grid[j][i] = jet
-    g0 = np.array([[grid[i][j].value for j in range(n)] for i in range(n)])
-    spec.check_nondegenerate(point, g0)
+            grid[i][j] = grid[j][i] = Jet(g.space, g.array[i, j], copy=False)
     return grid
 
 

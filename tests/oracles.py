@@ -1,22 +1,26 @@
 """Independent oracles: finite differences against plain float evaluation,
-a generator of random (domain-safe) expression trees, the jet-level
-prolongation recursion, and the bundle curvature applied to a germ.
+a generator of random (domain-safe) expression trees, the tree-walking jet
+evaluator, the jet-level prolongation recursion, and the bundle curvature
+applied to a germ.
 
 The finite-difference oracles avoid the jet code path on purpose; these are
 the reference values the jet-based computations are checked against.  The
 recursion is the tower as it was built before the closed form of
 ``killing.integrability_tensors``: it differentiates the jets of the tower's
 coefficients level by level, so it shares the jet layer but none of the
-closed form's algebra.
+closed form's algebra.  The tree walk is how expressions became jets before
+they were compiled into a ``JetTape``: one ``Jet`` per node, visited
+recursively, with no shared subexpressions and no batch of points.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from killingkit.curvature import OrderExhaustedError, covariant_derivative
-from killingkit.jets import JetTensor, jet_space, tensor_product
+from killingkit.jets import (Jet, JetDomainError, JetTensor, jet_elementary, jet_space,
+                             tensor_product)
 from killingkit.killing import IntegrabilityTensor
-from killingkit.metricdsl import Binary, Call, Const, Coord, PowInt
+from killingkit.metricdsl import Binary, Call, Const, Coord, Neg, PowInt
 
 FD_STEP = 1e-4
 
@@ -109,6 +113,54 @@ def random_expression(rng, n_vars, depth=3):
         return PowInt(build(d - 1), int(rng.integers(2, 4)))
 
     return build(depth)
+
+
+# -- the tree-walking jet evaluator ----------------------------------------------
+
+def tree_jet(expr, space, point):
+    """The jet of an expression about ``point``, walking its tree node by node."""
+    if isinstance(expr, Const):
+        return Jet.constant(space, expr.value)
+    if isinstance(expr, Coord):
+        return Jet.variable(space, expr.index, point[expr.index])
+    if isinstance(expr, Binary):
+        a = tree_jet(expr.left, space, point)
+        b = tree_jet(expr.right, space, point)
+        if expr.op == "+":
+            return a + b
+        if expr.op == "-":
+            return a - b
+        if expr.op == "*":
+            return a * b
+        return a / b
+    if isinstance(expr, Neg):
+        return -tree_jet(expr.arg, space, point)
+    if isinstance(expr, PowInt):
+        return jet_elementary("pow_int", tree_jet(expr.base, space, point),
+                              exponent=expr.exponent)
+    if isinstance(expr, Call):
+        return jet_elementary(expr.fn, tree_jet(expr.arg, space, point))
+    raise TypeError(f"unknown expression node {expr!r}")
+
+
+def tree_metric_jets(spec, point, order):
+    """Every metric component expanded about one point by the tree walk, with
+    the component's domain error and the nondegeneracy check of
+    ``metricdsl.metric_jets``."""
+    point = np.asarray(point, dtype=np.float64)
+    space = jet_space(spec.dim, order)
+    n = spec.dim
+    grid = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            try:
+                jet = tree_jet(spec.metric[i][j], space, point)
+            except (JetDomainError, OverflowError) as exc:
+                raise spec._component_error(point, i, j, exc) from exc
+            grid[i][j] = grid[j][i] = jet
+    g0 = np.array([[grid[i][j].value for j in range(n)] for i in range(n)])
+    spec.check_nondegenerate(point, g0)
+    return grid
 
 
 # -- the prolongation recursion ---------------------------------------------------

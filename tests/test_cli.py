@@ -276,3 +276,11 @@ def test_overflow_at_a_point_is_an_input_error(capsys, tmp_path):
         code, out, err = invoke(capsys, command, "--file", str(chart), "--point", "1000,0")
         assert code == 2 and out == ""
         assert "at (1000.0, 0.0): component (0, 0) = exp(x)" in err
+
+
+def test_transport_domain_error_message_is_exact(capsys):
+    code, out, err = invoke(capsys, "transport", "--builtin", "hyperbolic2", "--field", "1,0",
+                            "--path", "0,1;0,-1", "--steps", "10")
+    assert code == 2 and out == ""
+    assert err == ("error: metric of 'hyperbolic2' at (0.0, 0.0): component (0, 0) = "
+                   "1.0 / y^2: reciprocal of jet with zero constant term\n")

@@ -413,3 +413,72 @@ def test_transport_rejects_degenerate_chart_point():
     with pytest.raises((DegenerateMetricError, ValueError)):
         # the path crosses y = 0 where the chart blows up
         killing_transport(hy, germ, [[0.0, 1.0], [0.0, -1.0]], steps_per_segment=10)
+
+
+SQRT_CHART = """
+manifold sq {
+  coordinates: x, y;
+  metric: [[1 + sqrt(y), 0], [0, 2 + sqrt(y + 0.5)]];
+  base_point: (0, 1);
+}
+"""
+
+EXP_CHART = """
+manifold ex {
+  coordinates: x, y;
+  metric: [[1 + exp(x) * exp(-x), 0], [0, 1]];
+}
+"""
+
+
+# The messages are those of evaluating the stage points one at a time, in
+# path order: the earliest failing point, then its first failing component.
+@pytest.mark.parametrize("chart,path,steps,error,message", [
+    (lambda: builtin("hyperbolic2"), "0,1;0,-1", 10, "JetDomainError",
+     "metric of 'hyperbolic2' at (0.0, 0.0): component (0, 0) = 1.0 / y^2: "
+     "reciprocal of jet with zero constant term"),
+    (lambda: parse_manifold(SQRT_CHART), "0,1;0,-1.3", 7, "JetDomainError",
+     "metric of 'sq' at (0.0, -0.1499999999999999): component (0, 0) = "
+     "1.0 + sqrt(y): sqrt of jet with constant term -0.1499999999999999 <= 0"),
+    (lambda: builtin("hyperbolic2"), "0,2;0,1;0.5,-1", 10, "JetDomainError",
+     "metric of 'hyperbolic2' at (0.25, 0.0): component (0, 0) = 1.0 / y^2: "
+     "reciprocal of jet with zero constant term"),
+    (lambda: parse_manifold(EXP_CHART), "0,0;1000,0", 10, "JetDomainError",
+     "metric of 'ex' at (750.0000000000001, 0.0): component (0, 0) = "
+     "1.0 + exp(x) * exp(-x): math range error"),
+    (lambda: parse_manifold(EXP_CHART), "0,0;1000,0", 1000, "JetDomainError",
+     "metric of 'ex' at (710.0, 0.0): component (0, 0) = "
+     "1.0 + exp(x) * exp(-x): math range error"),
+    (lambda: builtin("sphere2"), "1,0;-1,0", 10, "DegenerateMetricError",
+     "metric of 'sphere2' degenerate at (0.0, 0.0): det = 0"),
+], ids=["reciprocal", "sqrt", "second-segment", "overflow", "overflow-late-block",
+        "degenerate"])
+def test_transport_names_the_first_failing_stage_point(chart, path, steps, error, message):
+    spec = chart()
+    germ = KillingGerm(xi=np.ones(spec.dim), a=np.zeros((spec.dim, spec.dim)))
+    points = [[float(v) for v in p.split(",")] for p in path.split(";")]
+    with pytest.raises(ValueError) as exc:
+        killing_transport(spec, germ, points, steps)
+    assert type(exc.value).__name__ == error
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("steps", [100, 5000])
+def test_transport_frames_come_in_bounded_batches(monkeypatch, steps):
+    # every stage point is evaluated once, in batches whose size does not
+    # grow with the number of steps
+    from killingkit import killing
+    batches = []
+
+    def spy(spec, points):
+        batches.append(np.shape(points))
+        return point_frame(spec, points)
+
+    eu = builtin("euclidean", n=2)
+    germ = germ_of_field(eu, ["-x2", "x1"])
+    point_frame = killing.point_frame
+    monkeypatch.setattr(killing, "point_frame", spy)
+    killing_transport(eu, germ, [[0, 0], [0.5, 0.7], [0.2, 0.1]], steps)
+    assert all(len(shape) == 2 for shape in batches)
+    assert sum(shape[0] for shape in batches) == 2 * (2 * steps + 1)
+    assert max(shape[0] for shape in batches) == 2 * killing._BLOCK_STEPS + 1

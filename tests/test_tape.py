@@ -1,0 +1,139 @@
+"""The compiled jet tape against the tree-walking reference evaluator, and
+curvature frames of a batch of points against point-by-point ones."""
+import re
+
+import numpy as np
+import pytest
+
+from oracles import random_expression, tree_jet, tree_metric_jets
+from test_tower import CHARTS
+
+from killingkit.curvature import CurvatureData, point_frame
+from killingkit.jets import compile_tape, jet_space
+from killingkit.metricdsl import (Binary, Call, metric_jet_tensor, metric_jets,
+                                  parse_expression, parse_manifold)
+
+TRACE_CHARTS = sorted(set(CHARTS) - {"random3"})
+
+
+def assert_close(new, ref):
+    new, ref = np.asarray(new), np.asarray(ref)
+    assert new.shape == ref.shape
+    assert np.all(np.abs(new - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+
+
+def near_points(spec, count, seed):
+    rng = np.random.default_rng(seed)
+    p = np.asarray(spec.base_point)
+    return p + 0.05 * (1.0 + np.abs(p)) * rng.uniform(-1, 1, size=(count, spec.dim))
+
+
+@pytest.mark.parametrize("chart", sorted(CHARTS))
+def test_metric_tape_matches_tree_walk(chart):
+    # the catalog, Schwarzschild at r0 = 5 and a random chart
+    spec = CHARTS[chart]()
+    for p in [spec.base_point, *near_points(spec, 2, 1)]:
+        for order in range(5):
+            tape = metric_jets(spec, p, order)
+            tree = tree_metric_jets(spec, p, order)
+            for i in range(spec.dim):
+                for j in range(spec.dim):
+                    assert_close(tape[i][j].coeffs, tree[i][j].coeffs)
+
+
+@pytest.mark.parametrize("n_vars", [2, 3])
+def test_expression_tape_matches_tree_walk(n_vars):
+    rng = np.random.default_rng(20 + n_vars)
+    for _ in range(20):
+        expr = random_expression(rng, n_vars, depth=3)
+        p = rng.uniform(-0.5, 0.5, size=n_vars)
+        for order in range(6):
+            space = jet_space(n_vars, order)
+            assert_close(expr.eval_jet(space, p).coeffs, tree_jet(expr, space, p).coeffs)
+
+
+def test_shared_subexpressions_compile_once_and_evaluate_on_a_batch():
+    rng = np.random.default_rng(5)
+    a, b = random_expression(rng, 3, depth=3), random_expression(rng, 3, depth=3)
+    exprs = [a, b, Binary("*", a, b), Call("sin", a), Binary("+", Binary("*", a, b), a)]
+    tape = compile_tape(exprs)
+    assert len(tape.ops) < sum(len(compile_tape([e]).ops) for e in exprs)
+    points = rng.uniform(-0.5, 0.5, size=(6, 3))
+    space = jet_space(3, 3)
+    coeffs, failure = tape.evaluate(points, space)
+    assert failure is None and coeffs.shape == (6, len(exprs), space.size)
+    for k, p in enumerate(points):
+        for e, expr in enumerate(exprs):
+            assert_close(coeffs[k, e], tree_jet(expr, space, p).coeffs)
+
+
+@pytest.mark.parametrize("text,point", [
+    ("1 / (x - y)", (0.5, 0.5)),
+    ("sqrt(x - 1) + 1 / y", (0.5, 0.0)),
+    ("x * sqrt(y) + sqrt(x)", (-0.25, -1.0)),
+    ("exp(1000 * x) - cos(y)", (1.0, 0.0)),
+    ("sinh(x) * y^-2", (800.0, 1.0)),
+    ("cosh(y) + 1 / (x * x)", (0.0, 900.0)),
+])
+def test_expression_tape_raises_what_the_tree_walk_raises(text, point):
+    spec = parse_manifold("manifold s {\n  coordinates: x, y;\n"
+                          "  metric: [[1, 0], [0, 1]];\n}\n")
+    expr = parse_expression(text, spec)
+    space = jet_space(2, 2)
+    with pytest.raises((ValueError, OverflowError)) as tree:
+        tree_jet(expr, space, np.asarray(point))
+    with pytest.raises(type(tree.value), match=f"^{re.escape(str(tree.value))}$"):
+        expr.eval_jet(space, point)
+
+
+# sqrt fails in component (0, 0) at y <= 0, the reciprocal in (1, 1) at
+# x = -1, and the metric is degenerate at x = 0.5
+MIXED = """
+manifold mixed {
+  coordinates: x, y;
+  metric: [[1 + sqrt(y), 0], [0, (x - 0.5) / (x + 1)]];
+  base_point: (0, 1);
+}
+"""
+
+
+def first_sequential_error(spec, points, order):
+    for p in points:
+        try:
+            tree_metric_jets(spec, p, order)
+        except (ValueError, OverflowError) as exc:
+            return exc
+    return None
+
+
+def test_batch_raises_the_first_error_of_a_point_by_point_evaluation():
+    # whatever the order of the points, the batch raises what evaluating
+    # them one by one raises first
+    spec = parse_manifold(MIXED)
+    rng = np.random.default_rng(9)
+    grid = [(x, y) for x in (-1.0, 0.0, 0.5, 1.0) for y in (-0.5, 0.0, 1.0)]
+    seen = set()
+    for _ in range(40):
+        points = np.array([grid[i] for i in rng.permutation(len(grid))[:4]])
+        expected = first_sequential_error(spec, points, 2)
+        if expected is None:
+            assert metric_jet_tensor(spec, points, 2).shape == (4, 2, 2)
+            continue
+        with pytest.raises(type(expected)) as got:
+            metric_jet_tensor(spec, points, 2)
+        assert str(got.value) == str(expected)
+        seen.add(re.search(r"component \(\d, \d\)|degenerate", str(expected)).group())
+    assert seen == {"component (0, 0)", "component (1, 1)", "degenerate"}
+
+
+@pytest.mark.parametrize("chart", TRACE_CHARTS)
+def test_batched_point_frame_matches_single_calls(chart):
+    spec = CHARTS[chart]()
+    points = near_points(spec, 7, 2)
+    batch = point_frame(spec, points)
+    for k, p in enumerate(points):
+        for many, one in zip(batch, point_frame(spec, p)):
+            assert_close(many[k], one)
+    deep = CurvatureData.compute(spec, points[:3], m_max=1)
+    for k, p in enumerate(points[:3]):
+        assert_close(deep.covR[1][k], CurvatureData.compute(spec, p, m_max=1).covR[1])

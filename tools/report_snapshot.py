@@ -5,11 +5,14 @@
 
 The first form runs every query of the benchmark workloads (``kernel``,
 ``transport`` and ``product``, built by ``perfbench/workloads.build`` for each
-seed) and every ``killingkit ...`` command in README.md, each with ``--json``,
-through ``killingkit.cli.run`` of the package in this checkout's ``src/``.  It
-writes one JSON file mapping each query to its exit code, stdout and stderr.
-Chart files go to a fixed directory (``--workdir``), so snapshots taken from
-two checkouts name the same paths and can be compared.
+seed), every ``killingkit ...`` command in README.md and a fixed list of
+commands that must fail (``ERROR_COMMANDS``: Killing transport into a
+domain error, a degenerate point or an overflow, and an invalid step
+count), each with ``--json``, through ``killingkit.cli.run`` of the package
+in this checkout's ``src/``.  It writes one JSON file mapping each query to
+its exit code, stdout and stderr.  Chart files go to a fixed directory
+(``--workdir``), so snapshots taken from two checkouts name the same paths
+and can be compared.
 
 The second form lists each query whose report differs between two snapshots,
 with the largest absolute difference between floats of the two reports and
@@ -31,6 +34,36 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("kernel", "transport", "product")
 DEFAULT_WORKDIR = Path(tempfile.gettempdir()) / "killingkit-report-snapshot"
+
+# Charts of the error commands, written to the workdir; "{name}" in an
+# argument becomes the path of chart ``name``.
+ERROR_CHARTS = {
+    "sqrt": ("manifold sq {\n  coordinates: x, y;\n"
+             "  metric: [[1 + sqrt(y), 0], [0, 2 + sqrt(y + 0.5)]];\n"
+             "  base_point: (0, 1);\n}\n"),
+    "exp": ("manifold ex {\n  coordinates: x, y;\n"
+            "  metric: [[1 + exp(x) * exp(-x), 0], [0, 1]];\n}\n"),
+}
+
+ERROR_COMMANDS = [
+    # the first failing stage point, on the first and on a later segment
+    ["transport", "--builtin", "hyperbolic2", "--field", "1,0", "--path", "0,1;0,-1",
+     "--steps", "10"],
+    ["transport", "--file", "{sqrt}", "--field", "1,0", "--path", "0,1;0,-1.3",
+     "--steps", "7"],
+    ["transport", "--builtin", "hyperbolic2", "--field", "1,0",
+     "--path", "0,2;0,1;0.5,-1", "--steps", "10"],
+    # overflow of exp, in the first block of steps and in a later one
+    ["transport", "--file", "{exp}", "--field", "0,1", "--path", "0,0;1000,0",
+     "--steps", "10"],
+    ["transport", "--file", "{exp}", "--field", "0,1", "--path", "0,0;1000,0",
+     "--steps", "1000"],
+    # a degenerate point, and no steps at all
+    ["transport", "--builtin", "sphere2", "--field", "0,1", "--path", "1,0;-1,0",
+     "--steps", "10"],
+    ["transport", "--builtin", "sphere2", "--field", "0,1", "--path", "1,0;-1,0",
+     "--steps", "0"],
+]
 
 
 def readme_commands(readme):
@@ -78,6 +111,14 @@ def snapshot(seeds, workdir):
                 reports[f"{workload}.{seed}.{i:02d}.{q.name}"] = run_query(cli, q.argv)
     for i, argv in enumerate(readme_commands(ROOT / "README.md")):
         reports[f"readme.{i}.{argv[0]}"] = run_query(cli, argv)
+    charts = {}
+    (workdir / "errors").mkdir(parents=True, exist_ok=True)
+    for name, text in ERROR_CHARTS.items():
+        charts[name] = workdir / "errors" / f"{name}.man"
+        charts[name].write_text(text, encoding="utf-8")
+    for i, argv in enumerate(ERROR_COMMANDS):
+        argv = [arg.format(**charts) for arg in argv]
+        reports[f"errors.{i}.{argv[0]}"] = run_query(cli, argv)
     return reports
 
 
