@@ -557,7 +557,7 @@ def compile_tape(roots):
     def walk(node):
         (kind, *params), operands = node.jet_op()
         args = [walk(x) for x in operands]
-        is_constant = kind == "const" or bool(args) and all(constant[a] for a in args)
+        is_constant = kind == "const" or (bool(args) and all(constant[a] for a in args))
         if kind == "div":   # a / b is a times the reciprocal of b
             kind, args[1] = "mul", emit(("reciprocal", args[1]), constant[args[1]])
         if kind == "pow" and params[0] < 0:

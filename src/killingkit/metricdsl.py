@@ -427,10 +427,10 @@ def metric_jet_tensor(spec, point, order):
     valid = len(batch) if failure is None else failure[0]
     spec.check_nondegenerate(batch[:valid], g[:valid, :, :, 0])
     if failure is not None:
-        point, output, exc = failure
+        k, output, exc = failure
         if isinstance(exc, (JetDomainError, OverflowError)):
             i, j = map(int, np.argwhere(position == output)[0])
-            raise spec._component_error(batch[point], i, j, exc) from exc
+            raise spec._component_error(batch[k], i, j, exc) from exc
         raise exc
     return JetTensor(g if points.ndim == 2 else g[0], space)
 
