@@ -418,7 +418,7 @@ def metric_jet_tensor(spec, point, order):
     """
     points = np.asarray(point, dtype=np.float64)
     if points.ndim not in (1, 2) or points.shape[-1:] != (spec.dim,):
-        raise SpecError(f"point of dimension {points.shape} for {spec.dim} coordinates")
+        raise SpecError(f"point of dimension {points.shape[-1:]} for {spec.dim} coordinates")
     batch = points.reshape(-1, spec.dim)
     space = jet_space(spec.dim, order)
     coeffs, failure = spec.metric_tape.evaluate(batch, space)
