@@ -13,6 +13,7 @@ is reported only in text mode.  Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -372,7 +373,7 @@ def _cmd_check_field(args):
     if args.point:
         user_pts = [_parse_point(args.point, spec.dim)] + user_pts
     for p in user_pts:
-        spec.check_nondegenerate(p)
+        germ_of_field(spec, components, p)   # the chart and the field must evaluate there
     # generated samples keep their per-point errors recorded, not fatal
     pts = user_pts if args.points else user_pts + [
         list(p) for p in default_sample_points(spec)]
@@ -570,6 +571,7 @@ def _add_common(sp, point=True):
                     help="machine-readable report on stdout")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="killingkit",

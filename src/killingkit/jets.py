@@ -9,11 +9,14 @@ makes truncation a slice and keeps every matrix built downstream reproducible.
 Three layers live here:
 
 * ``Jet`` -- a single scalar expansion with operator overloads, the public
-  carrier used by the metric DSL and the field checks.
+  carrier that ``Expr.eval_jet`` and ``metricdsl.metric_jets`` return.
 * ``JetTape`` -- a straight-line program of jet operations, compiled once
   from expression trees and evaluated on a batch of expansion points (a
-  leading point axis on the coefficient arrays); it is how metric and field
-  expressions become jets.
+  leading point axis on the coefficient arrays).  It is the package's only
+  evaluator of expressions at points: metric values and jets, field germs
+  and the field checks all come from it, under one failure rule (an
+  elementary function outside its domain, or an output with a non-finite
+  coefficient).
 * ``JetTensor`` -- a numpy array of coefficient vectors (component axes first,
   coefficient axis last) with vectorised convolution/contraction helpers, used
   by the curvature engine where plain Jets would be too slow.
@@ -474,8 +477,10 @@ class JetTape:
         n_vars)): an array of shape (P, len(outputs), space.size), and None
         or, for the failure a point-by-point evaluation would have met first,
         ``(point, output, error)``: the index of the earliest failing point,
-        the earliest output failing there and the exception of the first op
-        that failed there."""
+        the earliest output failing there and its error.  An output fails
+        where an op it reads leaves the domain of its elementary function
+        (the exception of the first such op), or else where its jet has a
+        non-finite coefficient (an OverflowError)."""
         points = np.asarray(points, dtype=np.float64)
         n_points, order = len(points), space.order
         tab = _mul_table(space.n_vars, order, order, order)
@@ -521,13 +526,27 @@ class JetTape:
         out = np.empty((n_points, len(self.outputs), space.size))
         for k, o in enumerate(self.outputs):
             out[:, k] = vals[o]
-        if first_failure is None:
+        finite = np.isfinite(out).all(axis=-1)
+        if first_failure is None and finite.all():
             return out, None
-        point = int(np.argmax(first_failure < len(self.ops)))
+        # per point, the earliest output with a domain error, and the earliest
+        # output failing at all (n_outputs: none)
+        n_outputs = len(self.outputs)
+        domain = np.full(n_points, n_outputs)
+        if first_failure is not None:
+            failed = first_failure < len(self.ops)
+            domain[failed] = np.asarray(self.owners)[first_failure[failed]]
+        output = np.minimum(domain, np.where(finite.all(axis=1), n_outputs,
+                                             np.argmin(finite, axis=1)))
+        point = int(np.argmax(output < n_outputs))
+        k = int(output[point])
+        if domain[point] > k:
+            bad = out[point, k][~np.isfinite(out[point, k])]
+            return out, (point, k, OverflowError(f"jet has non-finite coefficient {bad[0]}"))
         op = self.ops[first_failure[point]]
         c0 = vals[op[1]][..., 0]
         c0 = c0 if c0.ndim == 0 else c0[point]
-        return out, (point, self.owners[first_failure[point]], _elementary_error(op[0], c0))
+        return out, (point, k, _elementary_error(op[0], c0))
 
 
 def compile_tape(roots):

@@ -27,7 +27,8 @@ import numpy as np
 from . import metricdsl
 from .curvature import (CurvatureData, OrderExhaustedError, covariant_derivative,
                         point_frame)
-from .jets import jet_space, tensor_deriv, tensor_from_grid, tensor_product
+from .jets import (JetDomainError, JetTensor, compile_tape, jet_space, tensor_deriv,
+                   tensor_product)
 from .rank import clean_matrix, data_scale, stabilise
 
 
@@ -98,18 +99,32 @@ def bundle_dim(n):
 
 # -- germs of explicit fields -------------------------------------------------
 
+def _field_jets(spec, fld):
+    """``jets(point, order)``: the jets of the field's components about a
+    point, an (n, size) array, from one tape compiled here.  A failing
+    component raises a JetDomainError naming the point, the component and
+    its expression."""
+    exprs = metricdsl.parse_field(fld, spec)
+    tape = compile_tape(exprs)
+
+    def jets(point, order):
+        coeffs, failure = tape.evaluate(np.asarray(point)[None], jet_space(spec.dim, order))
+        if failure is not None:
+            _, k, exc = failure
+            raise JetDomainError(
+                f"field on {spec.name!r} at {tuple(map(float, point))}: component "
+                f"{k} = {exprs[k].to_text()}: {exc}") from exc
+        return coeffs[0]
+    return jets
+
+
 def germ_of_field(spec, fld, point=None):
     """The germ (xi(p), A(p)) of a vector field, with A = -(grad xi + Gamma xi)."""
-    exprs = metricdsl.parse_field(fld, spec)
+    field_jets = _field_jets(spec, fld)
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
     _, _, gamma, _ = point_frame(spec, p)
-    space = jet_space(spec.dim, 1)
-    xi = np.empty(spec.dim)
-    dxi = np.empty((spec.dim, spec.dim))  # dxi[i, j] = d_j xi^i
-    for i, e in enumerate(exprs):
-        jet = e.eval_jet(space, p)
-        xi[i] = jet.value
-        dxi[i] = jet.coeffs[1:1 + spec.dim]
+    jets = field_jets(p, 1)
+    xi, dxi = jets[:, 0], jets[:, 1:]  # dxi[i, j] = d_j xi^i
     a = -(dxi + np.einsum("ijk,k->ij", gamma, xi))
     return KillingGerm(xi=xi, a=a)
 
@@ -146,26 +161,19 @@ def verify_killing(spec, fld, sample_points, tol=1e-9):
     """Residuals of the metric Lie derivative along the field at sample points.
 
     Passes when every valid sample point has residual <= tol * (1 + |g|).
-    Domain errors at individual points are recorded, not fatal.
+    Failures at individual points (a component that cannot be evaluated, a
+    degenerate metric) are recorded, not fatal.
     """
-    exprs = metricdsl.parse_field(fld, spec)
-    n = spec.dim
-    space = jet_space(n, 1)
+    field_jets = _field_jets(spec, fld)
     residuals, errors = [], []
     g_scale = 0.0
     for p in sample_points:
         p = np.asarray(p, dtype=np.float64)
         try:
-            grid = metricdsl.metric_jets(spec, p, 1)
-            gval = np.array([[grid[i][j].value for j in range(n)] for i in range(n)])
-            dg = np.array([[[grid[i][j].coeffs[1 + k] for j in range(n)]
-                            for i in range(n)] for k in range(n)])
-            xi = np.empty(n)
-            dxi = np.empty((n, n))  # dxi[i, k] = d_i xi^k
-            for k, e in enumerate(exprs):
-                jet = e.eval_jet(space, p)
-                xi[k] = jet.value
-                dxi[:, k] = jet.coeffs[1:1 + n]
+            g = metricdsl.metric_jet_tensor(spec, p, 1).array
+            gval, dg = g[..., 0], np.moveaxis(g[..., 1:], -1, 0)  # dg[k, i, j] = d_k g_ij
+            jets = field_jets(p, 1)
+            xi, dxi = jets[:, 0], jets[:, 1:].T  # dxi[i, k] = d_i xi^k
         except (metricdsl.SpecError, ValueError) as exc:
             errors.append((tuple(map(float, p)), str(exc)))
             continue
@@ -191,16 +199,14 @@ def check_first_prolongation(spec, fld, sample_points, tol=1e-8):
         raise PreconditionError(
             f"field is not Killing on the sample points "
             f"(residual {killing_check.max_residual:.3g}); check refused")
-    exprs = metricdsl.parse_field(fld, spec)
-    n = spec.dim
-    space2 = jet_space(n, 2)
+    field_jets = _field_jets(spec, fld)
     residuals, errors = [], []
     scale = 1.0
     for p in sample_points:
         p = np.asarray(p, dtype=np.float64)
         try:
             curv = CurvatureData.compute(spec, p, m_max=0)
-            xi_jets = tensor_from_grid([e.eval_jet(space2, p) for e in exprs])
+            xi_jets = JetTensor(field_jets(p, 2), jet_space(spec.dim, 2))
         except (metricdsl.SpecError, ValueError) as exc:
             errors.append((tuple(map(float, p)), str(exc)))
             continue
@@ -328,9 +334,7 @@ class MultiPointReport:
 
 
 def _kernel_trace(spec, point, m_max, tol):
-    g0 = spec.metric_values(point)
-    spec.check_nondegenerate(point, g0)
-    basis = so_basis(g0)
+    g0 = None
     dim_e = bundle_dim(spec.dim)
     warnings = []
     if not spec.assumptions.analytic:
@@ -339,7 +343,12 @@ def _kernel_trace(spec, point, m_max, tol):
             "on the isometry-algebra dimension, not necessarily attained")
 
     def stack_at(m):
+        # the metric is evaluated (and checked) here only, once per order;
+        # its value, and so the basis, is the same at every order
+        nonlocal g0
         curv = CurvatureData.compute(spec, point, m_max=m + 1)
+        g0 = curv.g
+        basis = so_basis(g0)
         tensors = integrability_tensors(curv, m)
         scale = data_scale(curv, np.abs(basis).max() if basis.size else 0.0)
         return clean_matrix(
@@ -401,7 +410,7 @@ def kernel_germs(spec, point=None, m_max=10, tol=1e-8):
     return report, [vector_to_germ(v, g0) for v in kernel]
 
 
-def germ_kernel_residual(spec, germ, point=None, m_max=2, tol=1e-8):
+def germ_kernel_residual(spec, germ, point=None, m_max=2):
     """Scaled residual of the tower applied to one germ (membership test)."""
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
     curv = CurvatureData.compute(spec, p, m_max=m_max + 1)

@@ -18,6 +18,7 @@ grid may give only the upper triangle; the lower triangle is mirrored.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -48,16 +49,6 @@ class DegenerateMetricError(SpecError):
 
 FUNCTIONS = ("sin", "cos", "exp", "sinh", "cosh", "sqrt")
 
-_FLOAT_FUNCS = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp,
-    "sinh": math.sinh, "cosh": math.cosh,
-    "sqrt": lambda v: math.sqrt(v) if v > 0 else _domain_error(v),
-}
-
-
-def _domain_error(v):
-    raise JetDomainError(f"sqrt of non-positive value {v}")
-
 
 # -- expression trees ---------------------------------------------------------
 
@@ -65,7 +56,7 @@ def _domain_error(v):
 class Expr:
     def eval_jet(self, space, point):
         """The jet of this expression about ``point`` in ``space``; raises the
-        domain error of the first subexpression that fails there."""
+        failure ``JetTape.evaluate`` reports there."""
         points = np.asarray(point, dtype=np.float64)[None]
         coeffs, failure = self._tape.evaluate(points, space)
         if failure is not None:
@@ -79,9 +70,6 @@ class Expr:
     def jet_op(self):
         """This node as an operation of ``jets.compile_tape``:
         ``((kind, *params), operand nodes)``."""
-        raise NotImplementedError
-
-    def eval_float(self, point):
         raise NotImplementedError
 
     def to_text(self):
@@ -102,9 +90,6 @@ class Const(Expr):
     def jet_op(self):
         return ("const", self.value), ()
 
-    def eval_float(self, point):
-        return self.value
-
     def _text(self, parent_prec):
         if self.value < 0 and parent_prec > 0:
             return f"({self.value!r})"
@@ -122,9 +107,6 @@ class Coord(Expr):
 
     def jet_op(self):
         return ("coord", self.index), ()
-
-    def eval_float(self, point):
-        return float(point[self.index])
 
     def _text(self, parent_prec):
         return self.name
@@ -146,19 +128,6 @@ class Binary(Expr):
     def jet_op(self):
         return (self._KIND[self.op],), (self.left, self.right)
 
-    def eval_float(self, point):
-        a = self.left.eval_float(point)
-        b = self.right.eval_float(point)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if b == 0.0:
-            raise JetDomainError("division by zero")
-        return a / b
-
     def _text(self, parent_prec):
         prec = self._PREC[self.op]
         # Right operand of - and / needs the next precedence level.
@@ -174,9 +143,6 @@ class Neg(Expr):
     def jet_op(self):
         return ("neg",), (self.arg,)
 
-    def eval_float(self, point):
-        return -self.arg.eval_float(point)
-
     def _text(self, parent_prec):
         return _paren(f"-{self.arg._text(3)}", 1, parent_prec)
 
@@ -188,9 +154,6 @@ class PowInt(Expr):
 
     def jet_op(self):
         return ("pow", self.exponent), (self.base,)
-
-    def eval_float(self, point):
-        return self.base.eval_float(point) ** self.exponent
 
     def _text(self, parent_prec):
         return _paren(f"{self.base._text(4)}^{self.exponent}", 3, parent_prec)
@@ -204,15 +167,26 @@ class Call(Expr):
     def jet_op(self):
         return (self.fn,), (self.arg,)
 
-    def eval_float(self, point):
-        return _FLOAT_FUNCS[self.fn](self.arg.eval_float(point))
-
     def _text(self, parent_prec):
         return f"{self.fn}({self.arg._text(0)})"
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _folded(unfolded, fn, *values):
+    """``Const(fn(*values))`` in plain float arithmetic when that is a finite
+    float, else ``unfolded``: evaluation reports the failure at a point."""
+    try:
+        value = fn(*values)
+    except (ArithmeticError, ValueError):
+        return unfolded
+    return Const(value) if math.isfinite(value) else unfolded
+
+
 def _fold(expr):
-    """Collapse parameter-free subtrees to constants; leaves domain errors to evaluation."""
+    """Collapse parameter-free subtrees to constants; leaves domain errors and
+    non-finite values to evaluation."""
     if isinstance(expr, (Const, Coord)):
         return expr
     if isinstance(expr, Neg):
@@ -222,8 +196,8 @@ def _fold(expr):
         return Neg(a)
     if isinstance(expr, Binary):
         a, b = _fold(expr.left), _fold(expr.right)
-        if a.is_constant and b.is_constant and not (expr.op == "/" and b.value == 0.0):
-            return Const(Binary(expr.op, a, b).eval_float(()))
+        if a.is_constant and b.is_constant:
+            return _folded(Binary(expr.op, a, b), _ARITHMETIC[expr.op], a.value, b.value)
         # unit rules keep parameter substitution out of the printed form
         if expr.op == "*":
             if a.is_constant and a.value == 1.0:
@@ -249,7 +223,7 @@ def _fold(expr):
     if isinstance(expr, PowInt):
         a = _fold(expr.base)
         if a.is_constant:
-            return Const(a.value ** expr.exponent)
+            return _folded(PowInt(a, expr.exponent), pow, a.value, expr.exponent)
         if expr.exponent == 1:
             return a
         if expr.exponent == 0:
@@ -257,11 +231,9 @@ def _fold(expr):
         return PowInt(a, expr.exponent)
     if isinstance(expr, Call):
         a = _fold(expr.arg)
-        if a.is_constant:
-            try:
-                return Const(Call(expr.fn, a).eval_float(()))
-            except (JetDomainError, OverflowError, ValueError):
-                return Call(expr.fn, a)
+        # sqrt(0) stays unfolded: its derivatives are infinite, so the tape refuses it
+        if a.is_constant and not (expr.fn == "sqrt" and a.value == 0.0):
+            return _folded(Call(expr.fn, a), getattr(math, expr.fn), a.value)
         return Call(expr.fn, a)
     raise TypeError(f"unknown expression node {expr!r}")
 
@@ -321,16 +293,9 @@ class ManifoldSpec:
         return self.coords.index(name)
 
     def metric_values(self, point):
-        point = np.asarray(point, dtype=np.float64)
-        n = self.dim
-        g = np.empty((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                try:
-                    g[i, j] = g[j, i] = self.metric[i][j].eval_float(point)
-                except (JetDomainError, OverflowError) as exc:
-                    raise self._component_error(point, i, j, exc) from exc
-        return g
+        """The metric at ``point``, from the spec's tape; a failing component
+        raises as in ``metric_jet_tensor``.  Nondegeneracy is not checked."""
+        return _metric_jets(self, point, 0, check=False).array[..., 0].copy()
 
     def _component_error(self, point, i, j, exc):
         """The error to raise when evaluating component (i, j) at ``point``
@@ -412,10 +377,15 @@ def metric_jet_tensor(spec, point, order):
     of points (a leading point axis on the result), from the spec's tape.
 
     Checks each point as a point-by-point evaluation would, and raises what
-    it would raise first: a component outside its domain (naming the point,
-    the component and its expression) or a degenerate metric, at the
-    earliest failing point.
+    it would raise first: a failing component (naming the point, the
+    component and its expression; see ``JetTape.evaluate``) or a degenerate
+    metric, at the earliest failing point.
     """
+    return _metric_jets(spec, point, order, check=True)
+
+
+def _metric_jets(spec, point, order, check):
+    """``metric_jet_tensor``, with the nondegeneracy check only if ``check``."""
     points = np.asarray(point, dtype=np.float64)
     if points.ndim not in (1, 2) or points.shape[-1:] != (spec.dim,):
         raise SpecError(f"point of dimension {points.shape[-1:]} for {spec.dim} coordinates")
@@ -425,13 +395,12 @@ def metric_jet_tensor(spec, point, order):
     position = _upper_position(spec.dim)
     g = coeffs[:, position]
     valid = len(batch) if failure is None else failure[0]
-    spec.check_nondegenerate(batch[:valid], g[:valid, :, :, 0])
+    if check:
+        spec.check_nondegenerate(batch[:valid], g[:valid, :, :, 0])
     if failure is not None:
         k, output, exc = failure
-        if isinstance(exc, (JetDomainError, OverflowError)):
-            i, j = map(int, np.argwhere(position == output)[0])
-            raise spec._component_error(batch[k], i, j, exc) from exc
-        raise exc
+        i, j = map(int, np.argwhere(position == output)[0])
+        raise spec._component_error(batch[k], i, j, exc) from exc
     return JetTensor(g if points.ndim == 2 else g[0], space)
 
 
@@ -597,9 +566,7 @@ class _Parser:
         try:
             return make_spec(name, self.coords, grid, params=params,
                              base_point=base_point, assumptions=assumptions)
-        except SpecError:
-            raise
-        except (JetDomainError, OverflowError) as exc:
+        except JetDomainError as exc:
             raise SpecError(f"base point outside the metric's domain: {exc}")
 
     def parse_matrix(self):

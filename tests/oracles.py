@@ -1,10 +1,13 @@
-"""Independent oracles: finite differences against plain float evaluation,
-a generator of random (domain-safe) expression trees, the tree-walking jet
+"""Independent oracles: the float tree walk and finite differences of it, a
+generator of random (domain-safe) expression trees, the tree-walking jet
 evaluator, the jet-level prolongation recursion, and the bundle curvature
 applied to a germ.
 
-The finite-difference oracles avoid the jet code path on purpose; these are
-the reference values the jet-based computations are checked against.  The
+The package evaluates every expression with its compiled ``JetTape``.  The
+float tree walk here is how expressions were evaluated at points before
+that: plain float arithmetic, node by node.  The finite-difference oracles
+difference it, so they avoid the jet code path on purpose; these are the
+reference values the jet-based computations are checked against.  The
 recursion is the tower as it was built before the closed form of
 ``killing.integrability_tensors``: it differentiates the jets of the tower's
 coefficients level by level, so it shares the jet layer but none of the
@@ -13,6 +16,8 @@ they were compiled into a ``JetTape``: one ``Jet`` per node, visited
 recursively, with no shared subexpressions and no batch of points.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -25,6 +30,59 @@ from killingkit.metricdsl import Binary, Call, Const, Coord, Neg, PowInt
 FD_STEP = 1e-4
 
 
+# -- the float tree walk ------------------------------------------------------
+
+def _domain_error(v):
+    raise JetDomainError(f"sqrt of non-positive value {v}")
+
+
+_FLOAT_FUNCS = {
+    "sin": math.sin, "cos": math.cos, "exp": math.exp,
+    "sinh": math.sinh, "cosh": math.cosh,
+    "sqrt": lambda v: math.sqrt(v) if v > 0 else _domain_error(v),
+}
+
+
+def float_eval(expr, point):
+    """The value of an expression at ``point``, walking its tree node by node
+    in float arithmetic."""
+    if isinstance(expr, Const):
+        return expr.value
+    if isinstance(expr, Coord):
+        return float(point[expr.index])
+    if isinstance(expr, Binary):
+        a = float_eval(expr.left, point)
+        b = float_eval(expr.right, point)
+        if expr.op == "+":
+            return a + b
+        if expr.op == "-":
+            return a - b
+        if expr.op == "*":
+            return a * b
+        if b == 0.0:
+            raise JetDomainError("division by zero")
+        return a / b
+    if isinstance(expr, Neg):
+        return -float_eval(expr.arg, point)
+    if isinstance(expr, PowInt):
+        return float_eval(expr.base, point) ** expr.exponent
+    if isinstance(expr, Call):
+        return _FLOAT_FUNCS[expr.fn](float_eval(expr.arg, point))
+    raise TypeError(f"unknown expression node {expr!r}")
+
+
+def float_metric(spec, point):
+    """The metric at ``point`` by the float tree walk, component by component."""
+    n = spec.dim
+    g = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            g[i, j] = g[j, i] = float_eval(spec.metric[i][j], point)
+    return g
+
+
+# -- finite differences ---------------------------------------------------------
+
 def fd_metric_partials(spec, p, h=FD_STEP):
     """d_k g_ij by central differences of the float metric evaluation."""
     p = np.asarray(p, dtype=np.float64)
@@ -33,14 +91,14 @@ def fd_metric_partials(spec, p, h=FD_STEP):
     for k in range(n):
         e = np.zeros(n)
         e[k] = h
-        dg[:, :, k] = (spec.metric_values(p + e) - spec.metric_values(p - e)) / (2 * h)
+        dg[:, :, k] = (float_metric(spec, p + e) - float_metric(spec, p - e)) / (2 * h)
     return dg
 
 
 def fd_christoffel(spec, p, h=FD_STEP):
     """Connection coefficients straight from the defining formula, with all
     metric derivatives taken by finite differences."""
-    g = spec.metric_values(p)
+    g = float_metric(spec, p)
     ginv = np.linalg.inv(g)
     dg = fd_metric_partials(spec, p, h)
     sym = (np.einsum("jli->lij", dg) + np.einsum("ilj->lij", dg)
@@ -145,8 +203,8 @@ def tree_jet(expr, space, point):
 
 def tree_metric_jets(spec, point, order):
     """Every metric component expanded about one point by the tree walk, with
-    the component's domain error and the nondegeneracy check of
-    ``metricdsl.metric_jets``."""
+    the failure rule and the nondegeneracy check of ``metricdsl.metric_jets``:
+    a component fails on a domain error, or else on a non-finite coefficient."""
     point = np.asarray(point, dtype=np.float64)
     space = jet_space(spec.dim, order)
     n = spec.dim
@@ -157,6 +215,10 @@ def tree_metric_jets(spec, point, order):
                 jet = tree_jet(spec.metric[i][j], space, point)
             except (JetDomainError, OverflowError) as exc:
                 raise spec._component_error(point, i, j, exc) from exc
+            bad = jet.coeffs[~np.isfinite(jet.coeffs)]
+            if bad.size:
+                raise spec._component_error(
+                    point, i, j, OverflowError(f"jet has non-finite coefficient {bad[0]}"))
             grid[i][j] = grid[j][i] = jet
     g0 = np.array([[grid[i][j].value for j in range(n)] for i in range(n)])
     spec.check_nondegenerate(point, g0)

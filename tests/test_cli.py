@@ -254,18 +254,88 @@ def test_transport_path_needs_two_points(capsys):
     assert "at least two points" in err
 
 
+def chart_file(tmp_path, name, metric, base_point):
+    path = tmp_path / f"{name}.man"
+    path.write_text(f"manifold {name} {{\n  coordinates: x, y;\n  metric: {metric};\n"
+                    f"  base_point: ({base_point});\n}}\n")
+    return str(path)
+
+
+# A bad point of each chart, a transport path that meets it first, and the
+# one message every command that evaluates the point gives there.
+BAD_POINTS = [
+    ("hyperbolic2", None, "0,0", "0,1;0,-1",
+     "metric of 'hyperbolic2' at (0.0, 0.0): component (0, 0) = 1.0 / y^2: "
+     "reciprocal of jet with zero constant term"),
+    ("sq", "[[sqrt(x), 0], [0, 1]]", "-1,0", "-1,0;1,0",
+     "metric of 'sq' at (-1.0, 0.0): component (0, 0) = sqrt(x): "
+     "sqrt of jet with constant term -1.0 <= 0"),
+    ("big", "[[x^400, 0], [0, 1]]", "10,0", "10,0;11,0",
+     "metric of 'big' at (10.0, 0.0): component (0, 0) = x^400: "
+     "jet has non-finite coefficient inf"),
+]
+
+
 @pytest.mark.parametrize("argv", [
-    ["check-field", "--field", "1,0", "--point", "0,0"],
-    ["killing-dim", "--point", "0,0"],
-    ["holonomy", "--point", "0,0"],
-    ["hypothesis", "--point", "0,0"],
-    ["curvature", "--point", "0,0"],
-    ["transport", "--field", "1,0", "--path", "0,1;0,-1", "--steps", "2"],
+    ["check-field", "--field", "1,0", "--point={point}"],
+    ["killing-dim", "--point={point}"],
+    ["holonomy", "--point={point}"],
+    ["hypothesis", "--point={point}"],
+    ["curvature", "--point={point}"],
+    ["transport", "--field", "1,0", "--path={path}", "--steps", "2"],
 ], ids=lambda argv: argv[0])
-def test_domain_errors_name_the_point_and_component(capsys, argv):
-    code, out, err = invoke(capsys, argv[0], "--builtin", "hyperbolic2", *argv[1:])
+def test_domain_errors_name_the_point_and_component(capsys, tmp_path, argv):
+    # each command gives the same message at the same bad point
+    for name, metric, point, path, message in BAD_POINTS:
+        chart = (["--builtin", name] if metric is None
+                 else ["--file", chart_file(tmp_path, name, metric, "1, 0")])
+        args = [a.format(point=point, path=path) for a in argv[1:]]
+        code, out, err = invoke(capsys, argv[0], *chart, *args)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("metric,point", [("[[x^400, 0], [0, 1]]", "10,0"),
+                                          ("[[1e200 * 1e200 * x, 0], [0, 1]]", None)])
+def test_non_finite_metric_values_are_input_errors(capsys, tmp_path, metric, point):
+    chart = chart_file(tmp_path, "big", metric, "1, 0")
+    code, out, err = invoke(capsys, "curvature", "--file", chart, "--json",
+                            *([f"--point={point}"] if point else []))
     assert code == 2 and out == ""
-    assert "metric of 'hyperbolic2' at (0.0, 0.0): component (" in err
+    assert "component (0, 0)" in err and "non-finite coefficient inf" in err
+    assert "NaN" not in out and "Infinity" not in out
+
+
+def test_an_overflowing_literal_is_an_input_error(capsys, tmp_path):
+    code, out, err = invoke(capsys, "parse", "--file",
+                            chart_file(tmp_path, "lit", "[[10^400, 0], [0, 1]]", "0, 0"))
+    assert code == 2 and out == ""
+    assert err == ("error: base point outside the metric's domain: metric of 'lit' at "
+                   "(0.0, 0.0): component (0, 0) = 10.0^400: jet has non-finite "
+                   "coefficient inf\n")
+
+
+@pytest.mark.parametrize("field,point,reason", [
+    ("exp(x1),0", "1000,0", "component 0 = exp(x1): math range error"),
+    ("0,1 / x1", "0,0", "component 1 = 1.0 / x1: reciprocal of jet with zero constant term"),
+], ids=["overflow", "domain"])
+@pytest.mark.parametrize("command", ["check-field", "transport"])
+def test_field_errors_name_the_point_and_component(capsys, command, field, point, reason):
+    where = ["--point", point] if command == "check-field" else [
+        "--path", f"{point};{point[:-1]}1", "--steps", "2"]
+    code, out, err = invoke(capsys, command, "--builtin", "euclidean:n=2",
+                            "--field", field, *where)
+    assert code == 2 and out == ""
+    x1 = float(point.split(",")[0])
+    assert err == f"error: field on 'euclidean2' at ({x1}, 0.0): {reason}\n"
+
+
+def test_parser_state_does_not_leak_between_runs(capsys):
+    code, out, _ = invoke(capsys, "killing-dim", "--builtin", "sphere2", "--order", "1",
+                          "--multi-point", "--json")
+    assert code in (0, 3) and "min_dim" in json.loads(out)["result"]
+    code, out, _ = invoke(capsys, "killing-dim", "--builtin", "sphere2", "--json")
+    result = json.loads(out)["result"]
+    assert code == 0 and result["m_max"] == 10 and "min_dim" not in result
 
 
 def test_overflow_at_a_point_is_an_input_error(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -195,7 +196,7 @@ def test_walker_recurrent_direction():
 
 def test_metric_entry_jets_match_finite_differences():
     from killingkit.jets import jet_partial, jet_space
-    from oracles import fd_first_partial, fd_second_partial
+    from oracles import fd_first_partial, fd_second_partial, float_eval
     for name, p in [("sphere2", (0.8, 0.2)), ("walker_recurrent", (0.1, 0.2, 0.3))]:
         spec = builtin(name)
         n = spec.dim
@@ -207,21 +208,31 @@ def test_metric_entry_jets_match_finite_differences():
                 for k in range(n):
                     e = tuple(1 if a == k else 0 for a in range(n))
                     jv = jet_partial(jet, e)
-                    fv = fd_first_partial(expr.eval_float, p, k)
+                    fv = fd_first_partial(functools.partial(float_eval, expr), p, k)
                     assert abs(jv - fv) <= 1e-6 * max(1.0, abs(jv))
                 for k in range(n):
                     alpha = tuple(2 if a == k else 0 for a in range(n))
                     jv = jet_partial(jet, alpha)
-                    fv = fd_second_partial(expr.eval_float, p, k, k)
+                    fv = fd_second_partial(functools.partial(float_eval, expr), p, k, k)
                     assert abs(jv - fv) <= 1e-6 * max(1.0, abs(jv))
 
 
 def test_parse_expression_against_spec():
+    from oracles import float_eval
     spec = builtin("sphere2")
     expr = parse_expression("cos(theta) / sin(theta)", spec)
-    assert expr.eval_float(np.array([math.pi / 4, 0.0])) == pytest.approx(1.0)
+    assert float_eval(expr, np.array([math.pi / 4, 0.0])) == pytest.approx(1.0)
     with pytest.raises(ParseError, match="unknown identifier"):
         parse_expression("cos(thata)", spec)
+
+
+def test_folding_leaves_domain_errors_and_non_finite_values_to_evaluation():
+    spec = builtin("euclidean", n=2)
+    folded = {"2 * 3 + sqrt(4) - x1": "8.0 - x1", "-(2^3) * x2": "(-8.0) * x2",
+              "1e200 * 1e200 * x1": "1e+200 * 1e+200 * x1", "10^400": "10.0^400",
+              "exp(1000)": "exp(1000.0)", "sqrt(0)": "sqrt(0.0)", "1 / 0": "1.0 / 0.0"}
+    for text, expected in folded.items():
+        assert parse_expression(text, spec).to_text() == expected
 
 
 def test_parse_field_component_count():

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import random_expression, tree_jet, tree_metric_jets
+from oracles import float_metric, random_expression, tree_jet, tree_metric_jets
 from test_tower import CHARTS
 
 from killingkit.curvature import CurvatureData, point_frame
@@ -39,6 +39,15 @@ def test_metric_tape_matches_tree_walk(chart):
             for i in range(spec.dim):
                 for j in range(spec.dim):
                     assert_close(tape[i][j].coeffs, tree[i][j].coeffs)
+
+
+@pytest.mark.parametrize("chart", sorted(CHARTS))
+def test_metric_values_match_the_float_walk(chart):
+    # the tape rounds a / b as a * (1 / b), so agreement is to roundoff
+    spec = CHARTS[chart]()
+    for p in [spec.base_point, *near_points(spec, 3, 4)]:
+        ref = float_metric(spec, p)
+        assert np.all(np.abs(spec.metric_values(p) - ref) <= 1e-15 * np.abs(ref))
 
 
 @pytest.mark.parametrize("n_vars", [2, 3])
@@ -124,6 +133,50 @@ def test_batch_raises_the_first_error_of_a_point_by_point_evaluation():
         assert str(got.value) == str(expected)
         seen.add(re.search(r"component \(\d, \d\)|degenerate", str(expected)).group())
     assert seen == {"component (0, 0)", "component (1, 1)", "degenerate"}
+
+
+# component (0, 0) fails on sqrt at y <= 0 and overflows at x = 6 (the
+# domain error wins where both happen); (1, 1) fails on the reciprocal at
+# x = -1 and overflows at y = 7; the metric is degenerate at x = 0.5
+OVERFLOWING = """
+manifold overflowing {
+  coordinates: x, y;
+  metric: [[1 + sqrt(y) + x^400, 0], [0, (x - 0.5) / (x + 1) * (1 + y^400)]];
+  base_point: (0, 1);
+}
+"""
+
+
+def first_error(evaluate, points):
+    for p in points:
+        try:
+            evaluate(p)
+        except (ValueError, OverflowError) as exc:
+            return exc
+    return None
+
+
+def test_batch_mixing_domain_errors_and_non_finite_values_raises_the_first():
+    spec = parse_manifold(OVERFLOWING)
+    rng = np.random.default_rng(10)
+    grid = [(x, y) for x in (-1.0, 0.0, 0.5, 6.0) for y in (-0.5, 1.0, 2.0, 7.0)]
+    seen = set()
+    for _ in range(60):
+        points = np.array([grid[i] for i in rng.permutation(len(grid))[:4]])
+        expected = first_error(lambda p: metric_jet_tensor(spec, p, 2), points)
+        if expected is None:
+            assert metric_jet_tensor(spec, points, 2).shape == (4, 2, 2)
+            continue
+        with pytest.raises(type(expected)) as got:
+            metric_jet_tensor(spec, points, 2)
+        assert str(got.value) == str(expected)
+        with np.errstate(all="ignore"):
+            tree = first_error(lambda p: tree_metric_jets(spec, p, 2), points)
+        assert type(tree) is type(expected) and str(tree) == str(expected)
+        seen.add(re.search(r"component \(\d, \d\)|degenerate", str(expected)).group()
+                 + (" non-finite" if "non-finite" in str(expected) else ""))
+    assert seen == {"component (0, 0)", "component (1, 1)", "degenerate",
+                    "component (0, 0) non-finite", "component (1, 1) non-finite"}
 
 
 @pytest.mark.parametrize("chart", TRACE_CHARTS)

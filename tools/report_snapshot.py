@@ -7,8 +7,9 @@ The first form runs every query of the benchmark workloads (``kernel``,
 ``transport`` and ``product``, built by ``perfbench/workloads.build`` for each
 seed), every ``killingkit ...`` command in README.md and a fixed list of
 commands that must fail (``ERROR_COMMANDS``: Killing transport into a
-domain error, a degenerate point or an overflow, and an invalid step
-count), each with ``--json``, through ``killingkit.cli.run`` of the package
+domain error, a degenerate point or an overflow, an invalid step count,
+every command that evaluates a point at three bad points, non-finite metric
+values and literals, and fields that fail at a point), each with ``--json``, through ``killingkit.cli.run`` of the package
 in this checkout's ``src/``.  It writes one JSON file mapping each query to
 its exit code, stdout and stderr.  Chart files go to a fixed directory
 (``--workdir``), so snapshots taken from two checkouts name the same paths
@@ -43,7 +44,27 @@ ERROR_CHARTS = {
              "  base_point: (0, 1);\n}\n"),
     "exp": ("manifold ex {\n  coordinates: x, y;\n"
             "  metric: [[1 + exp(x) * exp(-x), 0], [0, 1]];\n}\n"),
+    "sqrtx": ("manifold sq {\n  coordinates: x, y;\n"
+              "  metric: [[sqrt(x), 0], [0, 1]];\n  base_point: (1, 0);\n}\n"),
+    "pow400": ("manifold big {\n  coordinates: x, y;\n"
+               "  metric: [[x^400, 0], [0, 1]];\n  base_point: (1, 0);\n}\n"),
+    "infprod": ("manifold inf {\n  coordinates: x, y;\n"
+                "  metric: [[1e200 * 1e200 * x, 0], [0, 1]];\n}\n"),
+    "lit400": ("manifold lit {\n  coordinates: x, y;\n"
+               "  metric: [[10^400, 0], [0, 1]];\n}\n"),
 }
+
+# Every command that evaluates a point, at a bad point of each chart: the
+# chart's arguments, the point and a transport path that meets it first.
+BAD_POINTS = [
+    (["--builtin", "hyperbolic2"], "0,0", "0,1;0,-1"),
+    (["--file", "{sqrtx}"], "-1,0", "-1,0;1,0"),
+    (["--file", "{pow400}"], "10,0", "10,0;11,0"),
+]
+POINT_COMMANDS = [["curvature", "--point={point}"], ["killing-dim", "--point={point}"],
+                  ["holonomy", "--point={point}"], ["hypothesis", "--point={point}"],
+                  ["check-field", "--field", "1,0", "--point={point}"],
+                  ["transport", "--field", "1,0", "--path={path}", "--steps", "2"]]
 
 ERROR_COMMANDS = [
     # the first failing stage point, on the first and on a later segment
@@ -63,7 +84,19 @@ ERROR_COMMANDS = [
      "--steps", "10"],
     ["transport", "--builtin", "sphere2", "--field", "0,1", "--path", "1,0;-1,0",
      "--steps", "0"],
-]
+    # non-finite metric values, and a literal that overflows
+    ["curvature", "--file", "{infprod}"],
+    ["parse", "--file", "{lit400}"],
+    # fields that overflow or leave their domain at a point
+    ["check-field", "--builtin", "euclidean:n=2", "--field", "exp(x1),0",
+     "--point", "1000,0"],
+    ["transport", "--builtin", "euclidean:n=2", "--field", "exp(x1),0",
+     "--path", "1000,0;1000,1", "--steps", "2"],
+    ["check-field", "--builtin", "euclidean:n=2", "--field", "0,1 / x1", "--point", "0,0"],
+    ["transport", "--builtin", "euclidean:n=2", "--field", "0,1 / x1",
+     "--path", "0,0;0,1", "--steps", "2"],
+] + [[command[0], *chart, *(arg.format(point=point, path=path) for arg in command[1:])]
+     for chart, point, path in BAD_POINTS for command in POINT_COMMANDS]
 
 
 def readme_commands(readme):
@@ -87,9 +120,16 @@ def readme_commands(readme):
 
 
 def run_query(cli, argv):
+    """Exit code, stdout and stderr of one query.  An uncaught exception is
+    recorded as the command line would show it: exit 1, and the last line
+    of the traceback appended to stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.run(list(argv) + ["--json"])
+        try:
+            code = cli.run(list(argv) + ["--json"])
+        except Exception as exc:
+            code = 1
+            print(f"Traceback: {type(exc).__name__}: {exc}", file=sys.stderr)
     return {"argv": list(argv), "code": code, "stdout": out.getvalue(),
             "stderr": err.getvalue()}
 
