@@ -300,9 +300,8 @@ def test_non_finite_metric_values_are_input_errors(capsys, tmp_path, metric, poi
     chart = chart_file(tmp_path, "big", metric, "1, 0")
     code, out, err = invoke(capsys, "curvature", "--file", chart, "--json",
                             *([f"--point={point}"] if point else []))
-    assert code == 2 and out == ""
+    assert code == 2 and out == ""   # no NaN or Infinity in a report
     assert "component (0, 0)" in err and "non-finite coefficient inf" in err
-    assert "NaN" not in out and "Infinity" not in out
 
 
 def test_an_overflowing_literal_is_an_input_error(capsys, tmp_path):

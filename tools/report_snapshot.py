@@ -9,8 +9,9 @@ seed), every ``killingkit ...`` command in README.md and a fixed list of
 commands that must fail (``ERROR_COMMANDS``: Killing transport into a
 domain error, a degenerate point or an overflow, an invalid step count,
 every command that evaluates a point at three bad points, non-finite metric
-values and literals, and fields that fail at a point), each with ``--json``, through ``killingkit.cli.run`` of the package
-in this checkout's ``src/``.  It writes one JSON file mapping each query to
+values and literals, and fields that fail at a point), each with
+``--json``, through ``killingkit.cli.run`` of the package in this
+checkout's ``src/``.  It writes one JSON file mapping each query to
 its exit code, stdout and stderr.  Chart files go to a fixed directory
 (``--workdir``), so snapshots taken from two checkouts name the same paths
 and can be compared.
