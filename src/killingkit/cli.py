@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -111,7 +112,15 @@ def _spec_from_args(args):
 
 
 def _floats(text):
-    return [float(v) for v in text.split(",")]
+    """Comma-separated finite floats: a point, a path node or a germ row."""
+    values = []
+    for raw in text.split(","):
+        value = float(raw)
+        if not math.isfinite(value):
+            raise SpecError(f"value {raw.strip()!r} in {text.strip()!r} "
+                            "is not a finite number")
+        values.append(value)
+    return values
 
 
 def _parse_point(text, n):

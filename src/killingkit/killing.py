@@ -432,28 +432,53 @@ def germ_kernel_residual(spec, germ, point=None, m_max=2):
 _BLOCK_STEPS = 16
 
 
+def _transport_generators(gus, rs, u):
+    """The generators M of D-transport along a segment with velocity u, one
+    per frame: ds/dt = M s for s = (xi, A flattened row by row).  ``gus``
+    holds Gamma^i_ab u^a as [P, i, b] and ``rs`` the curvature values
+    [P, l, k, i, j]; the result has shape (P, n + n^2, n + n^2)."""
+    count, n = gus.shape[:2]
+    eye = np.eye(n)
+    m = np.empty((count, n + n * n, n + n * n))
+    m[:, :n, :n] = -gus                                       # -Gamma(u) xi
+    m[:, :n, n:] = -np.einsum("ik,l->ikl", eye, u).reshape(n, n * n)   # -A u
+    m[:, n:, :n] = -np.einsum("Pijcd,c->Pijd", rs, u).reshape(count, n * n, n)
+    m[:, n:, n:] = (np.einsum("ik,Plj->Pijkl", eye, gus)      # A Gamma(u)
+                    - np.einsum("Pik,jl->Pijkl", gus, eye)    # -Gamma(u) A
+                    ).reshape(count, n * n, n * n)
+    return m
+
+
 def killing_transport(spec, germ, path, steps_per_segment=1000):
     """Parallel transport of a germ along a polyline for the bundle connection.
 
-    Classical fixed-step 4th-order integration of D along each segment.  The
-    stage points of a block of steps are known in advance, so their
-    connection and curvature values come from one batched ``point_frame``
-    call, in path order; a point where the chart fails raises what
-    evaluating the points one by one would raise first.
+    Classical fixed-step 4th-order integration of D along each segment.  D is
+    linear in the state s = (xi, vec A), ds/dt = M(t) s, so one step of size
+    h is a matrix, the step propagator
+
+        P = I + h/6 (K1 + 2 K2 + 2 K3 + K4),   K1 = M(t),
+        K2 = M(t + h/2) (I + h/2 K1),   K3 = M(t + h/2) (I + h/2 K2),
+        K4 = M(t + h) (I + h K3),
+
+    and the state is multiplied by the propagators in step order.  The stage
+    points of a block of ``_BLOCK_STEPS`` steps are known in advance, so
+    their connection and curvature values come from one batched
+    ``point_frame`` call, in path order, and the block's M and P come from
+    batched products; a point where the chart fails raises what evaluating
+    the points one by one would raise first.  A block holds the M of its
+    2 * _BLOCK_STEPS + 1 stage points, (n + n^2)^2 floats each, whatever
+    the number of steps.  The products round differently from stepping
+    xi and A through the right-hand side of D stage by stage, so end
+    germs differ from that form in the last bits.
     """
     if steps_per_segment < 1:
         raise ValueError("steps_per_segment must be >= 1")
     path = [np.asarray(p, dtype=np.float64) for p in path]
     if len(path) < 2:
         raise ValueError("path needs at least two points")
-    xi = np.array(germ.xi, dtype=np.float64)
-    a = np.array(germ.a, dtype=np.float64)
-
-    def rhs(gu, r, state, u):
-        s_xi, s_a = state
-        d_xi = -gu @ s_xi - s_a @ u
-        d_a = -gu @ s_a + s_a @ gu - np.einsum("ijcd,c,d->ij", r, u, s_xi)
-        return d_xi, d_a
+    n = len(germ.xi)
+    state = np.concatenate([np.ravel(germ.xi), np.ravel(germ.a)]).astype(np.float64)
+    eye = np.eye(len(state))
 
     h = 1.0 / steps_per_segment
     for seg in range(len(path) - 1):
@@ -469,17 +494,15 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
                 stages = np.vstack([x0, stages])
             _, _, gammas, rs = point_frame(spec, stages)
             gus = np.einsum("Piab,a->Pib", gammas, u)
+            ms = _transport_generators(gus, rs, u)
             if k0 == 0:
-                frame0 = gus[0], rs[0]
-                gus, rs = gus[1:], rs[1:]
-            for k in range(len(s)):
-                mid = gus[2 * k], rs[2 * k]
-                frame1 = gus[2 * k + 1], rs[2 * k + 1]
-                k1 = rhs(*frame0, (xi, a), u)
-                k2 = rhs(*mid, (xi + h / 2 * k1[0], a + h / 2 * k1[1]), u)
-                k3 = rhs(*mid, (xi + h / 2 * k2[0], a + h / 2 * k2[1]), u)
-                k4 = rhs(*frame1, (xi + h * k3[0], a + h * k3[1]), u)
-                xi = xi + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-                a = a + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-                frame0 = frame1
-    return KillingGerm(xi=xi, a=a)
+                m_start, ms = ms[0], ms[1:]
+            mids, ends = ms[0::2], ms[1::2]
+            k1 = np.concatenate([m_start[None], ends[:-1]])
+            k2 = mids + h / 2 * (mids @ k1)
+            k3 = mids + h / 2 * (mids @ k2)
+            k4 = ends + h * (ends @ k3)
+            for step in eye + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4):
+                state = step @ state
+            m_start = ends[-1]
+    return KillingGerm(xi=state[:n].copy(), a=state[n:].reshape(n, n).copy())

@@ -1,7 +1,7 @@
 """Independent oracles: the float tree walk and finite differences of it, a
 generator of random (domain-safe) expression trees, the tree-walking jet
-evaluator, the jet-level prolongation recursion, and the bundle curvature
-applied to a germ.
+evaluator, the jet-level prolongation recursion, the bundle curvature
+applied to a germ, and Killing transport stepped stage by stage.
 
 The package evaluates every expression with its compiled ``JetTape``.  The
 float tree walk here is how expressions were evaluated at points before
@@ -21,10 +21,10 @@ import math
 
 import numpy as np
 
-from killingkit.curvature import OrderExhaustedError, covariant_derivative
+from killingkit.curvature import OrderExhaustedError, covariant_derivative, point_frame
 from killingkit.jets import (Jet, JetDomainError, JetTensor, jet_elementary, jet_space,
                              tensor_product)
-from killingkit.killing import IntegrabilityTensor
+from killingkit.killing import _BLOCK_STEPS, IntegrabilityTensor, KillingGerm
 from killingkit.metricdsl import Binary, Call, Const, Coord, Neg, PowInt
 
 FD_STEP = 1e-4
@@ -308,3 +308,55 @@ def killing_curvature(curv, germ, i, j):
     r_ai = np.einsum("lka,a->lk", r[:, :, :, j], a[:, i])   # R(A e_i, e_j)
     r_aj = np.einsum("lka,a->lk", r[:, :, i, :], a[:, j])   # R(e_i, A e_j)
     return -(nabla_xi_r + bracket - r_ai - r_aj)
+
+
+# -- Killing transport, step by step ------------------------------------------------
+
+def transport_by_steps(spec, germ, path, steps_per_segment=1000):
+    """Killing transport as it was integrated before the step propagators of
+    ``killing.killing_transport``: classical RK4 on the right-hand side of D,
+    with xi and A stepped through each stage separately.  The frames come
+    from the same batched ``point_frame`` calls, so the two differ only in
+    the order of the floating-point operations."""
+    if steps_per_segment < 1:
+        raise ValueError("steps_per_segment must be >= 1")
+    path = [np.asarray(p, dtype=np.float64) for p in path]
+    if len(path) < 2:
+        raise ValueError("path needs at least two points")
+    xi = np.array(germ.xi, dtype=np.float64)
+    a = np.array(germ.a, dtype=np.float64)
+
+    def rhs(gu, r, state, u):
+        s_xi, s_a = state
+        d_xi = -gu @ s_xi - s_a @ u
+        d_a = -gu @ s_a + s_a @ gu - np.einsum("ijcd,c,d->ij", r, u, s_xi)
+        return d_xi, d_a
+
+    h = 1.0 / steps_per_segment
+    for seg in range(len(path) - 1):
+        x0, x1 = path[seg], path[seg + 1]
+        u = x1 - x0
+        for k0 in range(0, steps_per_segment, _BLOCK_STEPS):
+            s = np.arange(k0, min(k0 + _BLOCK_STEPS, steps_per_segment)) * h
+            # stage points in path order: (x0,) mid_k, end_k, mid_k+1, ...
+            stages = np.empty((2 * len(s), len(u)))
+            stages[0::2] = x0 + (s + h / 2)[:, None] * u
+            stages[1::2] = x0 + (s + h)[:, None] * u
+            if k0 == 0:
+                stages = np.vstack([x0, stages])
+            _, _, gammas, rs = point_frame(spec, stages)
+            gus = np.einsum("Piab,a->Pib", gammas, u)
+            if k0 == 0:
+                frame0 = gus[0], rs[0]
+                gus, rs = gus[1:], rs[1:]
+            for k in range(len(s)):
+                mid = gus[2 * k], rs[2 * k]
+                frame1 = gus[2 * k + 1], rs[2 * k + 1]
+                k1 = rhs(*frame0, (xi, a), u)
+                k2 = rhs(*mid, (xi + h / 2 * k1[0], a + h / 2 * k1[1]), u)
+                k3 = rhs(*mid, (xi + h / 2 * k2[0], a + h / 2 * k2[1]), u)
+                k4 = rhs(*frame1, (xi + h * k3[0], a + h * k3[1]), u)
+                xi = xi + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+                a = a + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+                frame0 = frame1
+    return KillingGerm(xi=xi, a=a)

@@ -247,6 +247,26 @@ def test_check_field_takes_a_single_sample_point(capsys):
     assert "field check on sphere2: Killing" in out
 
 
+# A value that is not a finite number, in every option that takes points or
+# a germ: each is an input error that names the value.
+@pytest.mark.parametrize("argv,value", [
+    (["killing-dim", "--builtin", "euclidean:n=2", "--point=nan,0"], "nan"),
+    (["killing-dim", "--builtin", "euclidean:n=2", "--point=inf,0"], "inf"),
+    (["check-field", "--builtin", "euclidean:n=2", "--field", "1,0",
+      "--points", "0,0;-inf,1"], "-inf"),
+    (["transport", "--builtin", "euclidean:n=2", "--germ", "1,0|0,0;0,0",
+      "--path", "0,0;nan,0", "--steps", "2"], "nan"),
+    (["transport", "--builtin", "euclidean:n=2", "--germ", "nan,0|0,0;0,0",
+      "--path", "0,0;1,0", "--steps", "2"], "nan"),
+    (["transport", "--builtin", "euclidean:n=2", "--germ", "1,0|0,0;0,Infinity",
+      "--path", "0,0;1,0", "--steps", "2"], "Infinity"),
+], ids=["point-nan", "point-inf", "points", "path", "germ-xi", "germ-a"])
+def test_non_finite_values_are_input_errors(capsys, argv, value):
+    code, out, err = invoke(capsys, *argv, "--json")
+    assert code == 2 and out == ""
+    assert f"value {value!r} in " in err and "is not a finite number" in err
+
+
 def test_transport_path_needs_two_points(capsys):
     code, out, err = invoke(capsys, "transport", "--builtin", "sphere2",
                             "--field", "0,1", "--path", "1,0")

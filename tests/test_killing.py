@@ -13,7 +13,8 @@ from killingkit.killing import (KillingGerm, PreconditionError, bundle_dim,
                                 wedge)
 from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
 
-from oracles import killing_curvature
+from oracles import killing_curvature, transport_by_steps
+from test_tower import SCHWARZSCHILD, random_chart
 
 
 def sample(spec, count=5):
@@ -482,3 +483,41 @@ def test_transport_frames_come_in_bounded_batches(monkeypatch, steps):
     assert all(len(shape) == 2 for shape in batches)
     assert sum(shape[0] for shape in batches) == 2 * (2 * steps + 1)
     assert max(shape[0] for shape in batches) == 2 * killing._BLOCK_STEPS + 1
+
+
+EXP_LINE_CHART = """
+manifold expline {
+  coordinates: x;
+  metric: [[exp(x)]];
+  base_point: (0);
+}
+"""
+
+# Three-node paths inside each chart's domain: the frame is handed over
+# between blocks of steps and between the two segments.
+TRANSPORT_PATHS = {
+    "sphere2": (lambda: builtin("sphere2"), [[1.0, 0.0], [1.3, 0.4], [0.9, 0.8]]),
+    "hyperbolic2": (lambda: builtin("hyperbolic2"), [[0.0, 1.0], [0.3, 1.4], [-0.2, 0.8]]),
+    "cw2": (lambda: builtin("cahen_wallach", n=2, q=[1.0, -1.0]),
+            [[0.0, 0.0, 0.0, 0.0], [0.3, -0.2, 0.4, 0.1], [0.1, 0.5, -0.2, 0.3]]),
+    "schwarzschild": (lambda: parse_manifold(SCHWARZSCHILD),
+                      [[0.0, 5.0, 1.57, 0.0], [0.3, 5.4, 1.3, 0.2], [0.1, 4.8, 1.7, -0.3]]),
+    "random3": (lambda: random_chart(11, 3),
+                [[0.1, -0.2, 0.2], [0.3, -0.3, 0.35], [0.0, 0.1, 0.3]]),
+    "expline": (lambda: parse_manifold(EXP_LINE_CHART), [[0.0], [0.7], [-0.4]]),
+}
+
+
+@pytest.mark.parametrize("steps", [1, 15, 16, 17, 30, 1000])
+@pytest.mark.parametrize("chart", sorted(TRANSPORT_PATHS))
+def test_transport_propagators_match_stepping_by_stages(chart, steps):
+    make, path = TRANSPORT_PATHS[chart]
+    spec = make()
+    rng = np.random.default_rng(5)
+    n = spec.dim
+    germ = KillingGerm(xi=rng.normal(size=n), a=rng.normal(size=(n, n)))
+    out = killing_transport(spec, germ, path, steps)
+    ref = transport_by_steps(spec, germ, path, steps)
+    scale = max(np.abs(ref.xi).max(), np.abs(ref.a).max())
+    assert np.abs(out.xi - ref.xi).max() <= 1e-12 * scale
+    assert np.abs(out.a - ref.a).max() <= 1e-12 * scale

@@ -17,7 +17,9 @@ its exit code, stdout and stderr.  Chart files go to a fixed directory
 and can be compared.
 
 The second form lists each query whose report differs between two snapshots,
-with the largest absolute difference between floats of the two reports and
+with the largest absolute difference between floats of the two reports, that
+difference relative to the largest |float| of the first snapshot's report
+(a change that only rounds differently stays below about 1e-12 there), and
 every place where anything else (an integer, a string, a flag, a length)
 differs.  It exits 1 when any report differs and 0 otherwise.
 """
@@ -190,6 +192,17 @@ def compare(a, b, path="", floats=None, others=None):
     return floats, others
 
 
+def largest_float(report):
+    """The largest finite |float| anywhere in a decoded report, or 0."""
+    if isinstance(report, float):
+        return abs(report) if math.isfinite(report) else 0.0
+    if isinstance(report, dict):
+        report = list(report.values())
+    if isinstance(report, list):
+        return max((largest_float(v) for v in report), default=0.0)
+    return 0.0
+
+
 def diff(path_a, path_b):
     a = json.loads(Path(path_a).read_text(encoding="utf-8"))
     b = json.loads(Path(path_b).read_text(encoding="utf-8"))
@@ -210,13 +223,16 @@ def diff(path_a, path_b):
             notes.append(f"stderr {ra['stderr'].strip()!r} -> {rb['stderr'].strip()!r}")
         if ra["stdout"] != rb["stdout"]:
             try:
-                (largest, where), others = compare(json.loads(ra["stdout"]),
-                                                   json.loads(rb["stdout"]))
+                doc_a = json.loads(ra["stdout"])
+                (largest, where), others = compare(doc_a, json.loads(rb["stdout"]))
             except ValueError:
                 notes.append("stdout differs and is not JSON")
             else:
                 if where is not None:
-                    notes.append(f"max |float diff| {largest:.3g} at {where}")
+                    scale = largest_float(doc_a)
+                    relative = f"{largest / scale:.3g}" if scale else "inf"
+                    notes.append(f"max |float diff| {largest:.3g} at {where}, "
+                                 f"{relative} of max |float| {scale:.3g}")
                 if others:
                     shown = ", ".join(others[:5])
                     more = f" (+{len(others) - 5} more)" if len(others) > 5 else ""
