@@ -42,12 +42,14 @@ EXIT_INCONCLUSIVE = 3
 # -- input handling -----------------------------------------------------------
 
 def _parse_param_value(text):
+    """A builtin parameter: an integer, a finite float or a list a:b:.."""
+    values = _floats(text, ":")
     if ":" in text:
-        return [float(v) for v in text.split(":")]
+        return values
     try:
         return int(text)
     except ValueError:
-        return float(text)
+        return values[0]
 
 
 def _checked(convert, ok, expected):
@@ -111,14 +113,15 @@ def _spec_from_args(args):
     raise SpecError("no input chart: pass --builtin NAME[:params] or --file PATH")
 
 
-def _floats(text):
-    """Comma-separated finite floats: a point, a path node or a germ row."""
+def _floats(text, sep=","):
+    """Finite floats separated by ``sep``: a point, a path node, a germ row or
+    a builtin parameter list."""
     values = []
-    for raw in text.split(","):
+    for raw in text.split(sep):
         value = float(raw)
         if not math.isfinite(value):
-            raise SpecError(f"value {raw.strip()!r} in {text.strip()!r} "
-                            "is not a finite number")
+            where = f" in {text.strip()!r}" if sep in text else ""
+            raise SpecError(f"value {raw.strip()!r}{where} is not a finite number")
         values.append(value)
     return values
 
@@ -316,7 +319,8 @@ def _cmd_killing_dim(args):
         lines = [f"killing dimension of {spec.name}: {rep.stabilized_dim}",
                  f"  kernel trace by order: {rep.dims}",
                  f"  stabilization order: {rep.stabilization_order}",
-                 f"  rank tolerance: {_fmt(args.tol)} * sigma_max"]
+                 f"  rank tolerance: {_fmt(args.tol)} (absolute, on singular "
+                 "values in the unit frame)"]
     payload = {"inputs": [source], "result": payload_result,
                "tolerances": {"rank_tol": args.tol}, "warnings": warnings}
     return payload, lines, EXIT_OK if stable else EXIT_INCONCLUSIVE
@@ -334,6 +338,7 @@ def _cmd_holonomy(args):
             "dims": report.dims,
             "dimension": report.dimension,
             "stabilization_order": report.stabilization_order,
+            "gaps": report.gaps,
             "generators": report.generators,
             "parallel_candidates": report.candidates,
             "bracket_closure_enlarges": report.bracket_closure_enlarges,
@@ -362,6 +367,7 @@ def _cmd_hypothesis(args):
             "parallel_basis": verdict.basis,
             "holonomy_dimension": verdict.holonomy.dimension,
             "holonomy_dims": verdict.holonomy.dims,
+            "gaps": verdict.holonomy.gaps,
         },
         "tolerances": {"rank_tol": args.tol},
         "warnings": verdict.warnings,
@@ -568,14 +574,18 @@ def _add_spec_args(sp):
     sp.add_argument("--file", help="chart description file")
 
 
-def _add_common(sp, point=True):
+def _add_common(sp, point=True, order=True, tol=True):
     if point:
         sp.add_argument("--point", help="evaluation point, comma-separated")
-    sp.add_argument("--order", type=_order_arg, default=None,
-                    help="derivative/prolongation depth cap (default 10; "
-                         "curvature command defaults to 2)")
-    sp.add_argument("--tol", type=_tol_arg, default=1e-8,
-                    help="rank threshold scale, in (0, 1) (default 1e-8)")
+    if order:
+        sp.add_argument("--order", type=_order_arg, default=None,
+                        help="derivative/prolongation depth cap (default 10; "
+                             "curvature command defaults to 2)")
+    if tol:
+        sp.add_argument("--tol", type=_tol_arg, default=1e-8,
+                        help="absolute threshold on singular values in the unit "
+                             "frame, in (0, 1) (default 1e-8); check-field: the "
+                             "residual tolerance")
     sp.add_argument("--json", action="store_true",
                     help="machine-readable report on stdout")
 
@@ -600,7 +610,7 @@ def build_parser():
 
     sp = sub.add_parser("curvature", help="connection, curvature, identities")
     _add_spec_args(sp)
-    _add_common(sp)
+    _add_common(sp, tol=False)
     sp.set_defaults(func=_cmd_curvature)
 
     sp = sub.add_parser("killing-dim", help="isometry-algebra dimension")
@@ -622,7 +632,7 @@ def build_parser():
 
     sp = sub.add_parser("check-field", help="verify a vector field is Killing")
     _add_spec_args(sp)
-    _add_common(sp)
+    _add_common(sp, order=False)
     sp.add_argument("--field", help="comma-separated component expressions")
     sp.add_argument("--points", help="sample points p0;p1;... (default: "
                                      "base point neighbourhood)")
@@ -630,7 +640,7 @@ def build_parser():
 
     sp = sub.add_parser("transport", help="Killing transport along a polyline")
     _add_spec_args(sp)
-    _add_common(sp, point=False)
+    _add_common(sp, point=False, order=False, tol=False)
     sp.add_argument("--field", help="take the germ of this field at the path start")
     sp.add_argument("--germ", help="explicit germ xi1,..|a11,..;a21,..")
     sp.add_argument("--path", help="polyline p0;p1;...")
@@ -641,7 +651,7 @@ def build_parser():
     sp = sub.add_parser("product", help="build a product chart")
     sp.add_argument("left", help="spec string: builtin[:params] or @file")
     sp.add_argument("right", help="spec string: builtin[:params] or @file")
-    _add_common(sp, point=False)
+    _add_common(sp, point=False, tol=False)
     sp.set_defaults(func=_cmd_product)
 
     sp = sub.add_parser("check-decomposition",

@@ -17,7 +17,9 @@ Index conventions, fixed once for the whole project:
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -159,6 +161,24 @@ def identity_residuals(curv):
     }
 
 
+# The frame in which every rank is decided.  e: columns of a frame of the
+# metric, e^T g e = diag(signs); einv: its inverse; kappa: the curvature
+# scale, 1/length; covR[m]: the m-th covariant derivative of the curvature in
+# that frame over kappa^(m + 2), which carries no units.
+UnitFrame = namedtuple("UnitFrame", "e einv signs kappa covR")
+
+
+def _in_frame(t, e, einv):
+    """Components of a tensor with its first slot upper and the rest lower
+    under the constant change of coordinates x = e y.  Each product contracts
+    the first slot and appends the new one last, so after one product per
+    slot the slots are back in their own order."""
+    flat = t
+    for mat in [einv.T] + [e] * (t.ndim - 1):
+        flat = flat.reshape(len(mat), -1).T @ mat
+    return flat.reshape(t.shape)
+
+
 @dataclass
 class CurvatureData:
     """Everything curvature-related at one point, or at each of a batch of
@@ -213,6 +233,22 @@ class CurvatureData:
             covR.append(cov.value())
         return cls(spec=spec, point=p, jet_order=k, metric_jets=g,
                    inverse_jets=ginv, gamma_jets=gamma, riemann_jets=r, covR=covR)
+
+    @cached_property
+    def unit_frame(self):
+        """The data at a single point in its ``UnitFrame``, where one fixed
+        singular-value threshold means zero whatever the chart's scale: e
+        from ``eigh(g)``; Gamma and covR transformed as tensors under the
+        constant change x = e y; kappa = max(max |Gamma|, max |R|^(1/2))
+        there, or 1 when both vanish."""
+        w, v = np.linalg.eigh(self.g)
+        root = np.sqrt(np.abs(w))
+        e, einv = v / root, (v * root).T
+        gamma = _in_frame(self.gamma_jets.value(), e, einv)
+        cov = [_in_frame(c, e, einv) for c in self.covR]
+        kappa = float(max(np.abs(gamma).max(), np.sqrt(np.abs(cov[0]).max()))) or 1.0
+        return UnitFrame(e=e, einv=einv, signs=np.sign(w), kappa=kappa,
+                         covR=[c / kappa ** (m + 2) for m, c in enumerate(cov)])
 
 
 def point_frame(spec, point):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import CurvatureData
-from .rank import clean_matrix, data_scale, numerical_rank, stabilise
+from .rank import numerical_rank, stabilise
 
 
 @dataclass
@@ -24,7 +24,8 @@ class HolonomyReport:
     dims: list
     dimension: int
     stabilization_order: object  # int, or None when not stabilized
-    generators: np.ndarray       # (dim, n, n), orthonormal in the Frobenius sense
+    gaps: list                   # per order: the margin of its rank decision
+    generators: np.ndarray       # (dim, n, n), Frobenius-orthonormal in the unit frame
     candidates: np.ndarray       # (k, n) rows spanning the joint kernel
     bracket_closure_enlarges: bool
     nullity: int
@@ -41,8 +42,8 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8):
     derivatives at a point, one derivative order at a time.
 
     Order m ranks the values of orders 0..m, taken from curvature built at jet
-    order m + 2.  Stops at the first order that adds nothing; warns when the
-    span is still growing at m_max.
+    order m + 2, in its unit frame.  Stops at the first order that adds
+    nothing; warns when the span is still growing at m_max.
     """
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
     n = spec.dim
@@ -53,9 +54,8 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8):
         nonlocal curv
         curv = CurvatureData.compute(spec, p, m_max=m)
         # endomorphism slots (l, k) to the back, one row per (i<j, z...)
-        endos = [np.moveaxis(arr, (0, 1), (-2, -1))[iu, ju].reshape(-1, n * n)
-                 for arr in curv.covR]
-        return clean_matrix(np.vstack(endos), data_scale(curv))
+        return np.vstack([np.moveaxis(arr, (0, 1), (-2, -1))[iu, ju].reshape(-1, n * n)
+                          for arr in curv.unit_frame.covR])
 
     decisions, stab_order, rows = stabilise(stack_at, m_max, tol)
     warnings = []
@@ -63,11 +63,14 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8):
         warnings.append(
             f"unstable: holonomy span still growing at order m_max={m_max}")
     span = decisions[-1]
+    frame = curv.unit_frame
     generators = span.row.reshape(span.rank, n, n)
     candidates = numerical_rank(generators.reshape(-1, n), tol).null
     return HolonomyReport(point=tuple(map(float, p)), dims=[d.rank for d in decisions],
                           dimension=span.rank, stabilization_order=stab_order,
-                          generators=generators, candidates=candidates,
+                          gaps=[dict(d.margin, order=m) for m, d in enumerate(decisions)],
+                          generators=frame.e @ generators @ frame.einv,
+                          candidates=candidates @ frame.e.T,
                           bracket_closure_enlarges=_bracket_check(generators, rows,
                                                                   span.rank, tol),
                           nullity=nullity(curv, tol), warnings=warnings, tol=tol)
@@ -91,9 +94,10 @@ def _bracket_check(generators, rows, rank, tol):
 
 def nullity(curv, tol=1e-8):
     """Dimension of the space of tangent vectors killed by contraction into
-    the first two-form slot of the curvature."""
+    the first two-form slot of the curvature, ranked in the unit frame."""
     n = curv.n
-    mat = np.moveaxis(curv.riemann, 2, -1).reshape(-1, n)  # rows (l,k,j) x col i
+    rm = curv.unit_frame.covR[0]
+    mat = np.moveaxis(rm, 2, -1).reshape(-1, n)  # rows (l,k,j) x col i
     return n - numerical_rank(mat, tol).rank
 
 

@@ -29,7 +29,7 @@ from .curvature import (CurvatureData, OrderExhaustedError, covariant_derivative
                         point_frame)
 from .jets import (JetDomainError, JetTensor, compile_tape, jet_space, tensor_deriv,
                    tensor_product)
-from .rank import clean_matrix, data_scale, stabilise
+from .rank import stabilise
 
 
 class PreconditionError(ValueError):
@@ -277,8 +277,10 @@ def _derivation_coefficient(cov):
     return coeff
 
 
-def integrability_tensors(curv, m_max):
-    """The prolongation tower T_0 .. T_{m_max} at the point of ``curv``.
+def integrability_tensors(covR, m_max):
+    """The prolongation tower T_0 .. T_{m_max} from the values ``covR[m]`` of
+    the curvature's covariant derivatives at a point (``CurvatureData.covR``,
+    or the same in any frame).
 
     Level m is the Lie derivative of the m-th covariant derivative of the
     curvature along the germ (Nomizu 1960):
@@ -288,14 +290,13 @@ def integrability_tensors(curv, m_max):
     first-order system (nabla xi = -A, nabla A = -R(., xi)) substituted
     back in, rewritten by the Ricci identity.
     """
-    if len(curv.covR) < m_max + 2:
+    if len(covR) < m_max + 2:
         raise OrderExhaustedError(
             f"integrability tensors to order {m_max} read covR[0..{m_max + 1}], "
-            f"which needs jet order {m_max + 3}; curvature data has "
-            f"{curv.jet_order}")
-    cov = curv.covR
-    return [IntegrabilityTensor(order=m, xi_coeff=cov[m + 1],
-                                a_coeff=_derivation_coefficient(cov[m]))
+            f"which needs jet order {m_max + 3}; got covR[0..{len(covR) - 1}] "
+            f"(jet order {len(covR) + 1})")
+    return [IntegrabilityTensor(order=m, xi_coeff=covR[m + 1],
+                                a_coeff=_derivation_coefficient(covR[m]))
             for m in range(m_max + 1)]
 
 
@@ -334,7 +335,9 @@ class MultiPointReport:
 
 
 def _kernel_trace(spec, point, m_max, tol):
-    g0 = None
+    """The kernel report, and the kernel as rows over the germ coordinates of
+    the last order's unit frame, with that frame."""
+    frame = None
     dim_e = bundle_dim(spec.dim)
     warnings = []
     if not spec.assumptions.analytic:
@@ -343,16 +346,14 @@ def _kernel_trace(spec, point, m_max, tol):
             "on the isometry-algebra dimension, not necessarily attained")
 
     def stack_at(m):
-        # the metric is evaluated (and checked) here only, once per order;
-        # its value, and so the basis, is the same at every order
-        nonlocal g0
-        curv = CurvatureData.compute(spec, point, m_max=m + 1)
-        g0 = curv.g
-        basis = so_basis(g0)
-        tensors = integrability_tensors(curv, m)
-        scale = data_scale(curv, np.abs(basis).max() if basis.size else 0.0)
-        return clean_matrix(
-            np.vstack([t.matrix(basis).reshape(-1, dim_e) for t in tensors]), scale)
+        # in the unit frame a germ (xi, A) has coordinates (kappa e^-1 xi,
+        # e^-1 A e), level m is divided by kappa^(m + 2), and so_basis is
+        # taken for diag(signs): no column or row carries units
+        nonlocal frame
+        frame = CurvatureData.compute(spec, point, m_max=m + 1).unit_frame
+        basis = so_basis(np.diag(frame.signs))
+        return np.vstack([t.matrix(basis).reshape(-1, dim_e)
+                          for t in integrability_tensors(frame.covR, m)])
 
     decisions, stab_order, _ = stabilise(stack_at, m_max, tol)
     if stab_order is None:
@@ -365,7 +366,7 @@ def _kernel_trace(spec, point, m_max, tol):
                           dims=dims, stabilized_dim=dims[-1],
                           stabilization_order=stab_order, gaps=gaps,
                           warnings=warnings, tol=tol, m_max=m_max)
-    return report, decisions[-1].null, g0
+    return report, decisions[-1].null, frame
 
 
 def killing_dimension(spec, point=None, m_max=10, tol=1e-8, multi_point=False):
@@ -406,15 +407,17 @@ def _perturbed_points(p, count):
 def kernel_germs(spec, point=None, m_max=10, tol=1e-8):
     """The kernel report plus germs spanning the stabilised kernel."""
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
-    report, kernel, g0 = _kernel_trace(spec, p, m_max, tol)
-    return report, [vector_to_germ(v, g0) for v in kernel]
+    report, kernel, frame = _kernel_trace(spec, p, m_max, tol)
+    germs = [vector_to_germ(v, np.diag(frame.signs)) for v in kernel]
+    return report, [KillingGerm(xi=frame.e @ h.xi / frame.kappa,
+                                a=frame.e @ h.a @ frame.einv) for h in germs]
 
 
 def germ_kernel_residual(spec, germ, point=None, m_max=2):
     """Scaled residual of the tower applied to one germ (membership test)."""
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
     curv = CurvatureData.compute(spec, p, m_max=m_max + 1)
-    tensors = integrability_tensors(curv, m_max)
+    tensors = integrability_tensors(curv.covR, m_max)
     germ_scale = max(1.0, float(np.abs(germ.xi).max()), float(np.abs(germ.a).max()))
     worst = 0.0
     for t in tensors:

@@ -238,22 +238,23 @@ def _fold(expr):
     raise TypeError(f"unknown expression node {expr!r}")
 
 
-def rename_coords(expr, index_map, name_map):
-    """Rewrite coordinate references; used when factors enter a product chart."""
+def substitute_coords(expr, subs):
+    """The expression with each coordinate reference replaced by
+    ``subs[index]``, an expression: renames coordinates when factors enter a
+    product chart, and changes coordinates."""
     if isinstance(expr, Const):
         return expr
     if isinstance(expr, Coord):
-        return Coord(name_map[expr.name], index_map[expr.index])
+        return subs[expr.index]
     if isinstance(expr, Neg):
-        return Neg(rename_coords(expr.arg, index_map, name_map))
+        return Neg(substitute_coords(expr.arg, subs))
     if isinstance(expr, Binary):
-        return Binary(expr.op,
-                      rename_coords(expr.left, index_map, name_map),
-                      rename_coords(expr.right, index_map, name_map))
+        return Binary(expr.op, substitute_coords(expr.left, subs),
+                      substitute_coords(expr.right, subs))
     if isinstance(expr, PowInt):
-        return PowInt(rename_coords(expr.base, index_map, name_map), expr.exponent)
+        return PowInt(substitute_coords(expr.base, subs), expr.exponent)
     if isinstance(expr, Call):
-        return Call(expr.fn, rename_coords(expr.arg, index_map, name_map))
+        return Call(expr.fn, substitute_coords(expr.arg, subs))
     raise TypeError(f"unknown expression node {expr!r}")
 
 
@@ -265,6 +266,9 @@ class Assumptions:
     simply_connected: bool = False
 
 
+# A metric is degenerate where |det g| is below this fraction of the product
+# of its row norms, the largest |det g| can be (Hadamard's inequality).  The
+# ratio does not change when the metric is scaled.
 DEGENERACY_FACTOR = 1e-10
 
 
@@ -305,26 +309,25 @@ class ManifoldSpec:
             f"metric of {self.name!r} at {tuple(map(float, point))}: component "
             f"({i}, {j}) = {self.metric[i][j].to_text()}: {exc}")
 
-    def degeneracy_tolerance(self, g):
-        row = np.max(np.linalg.norm(g, axis=-1), axis=-1)
-        with np.errstate(over="ignore"):
-            return DEGENERACY_FACTOR * np.maximum(row, 1e-300) ** self.dim
-
     def check_nondegenerate(self, point, g=None):
-        """Raise DegenerateMetricError if |det g| is below the tolerance at
-        ``point``.  A (P, n) batch of points with ``g`` of shape (P, n, n) is
-        checked point by point, and the first degenerate one is named."""
+        """Raise DegenerateMetricError if |det g| is at most DEGENERACY_FACTOR
+        times the product of g's row norms at ``point`` (so also where a row
+        is zero).  Both are taken of g divided by its largest |entry|, so
+        neither can overflow.  A (P, n) batch of points with ``g`` of shape
+        (P, n, n) is checked point by point, and the first degenerate one is
+        named."""
         g = self.metric_values(point) if g is None else g
-        det = np.linalg.det(g)
-        bad = np.abs(det) < self.degeneracy_tolerance(g)
+        top = np.abs(g).max(axis=(-2, -1), keepdims=True)
+        unit = g / np.where(top > 0, top, 1.0)
+        rows = np.sqrt((unit * unit).sum(axis=-1)).prod(axis=-1)
+        bad = np.abs(np.linalg.det(unit)) <= DEGENERACY_FACTOR * rows
         if bad.any():
             first = int(np.argmax(bad))
             p = np.reshape(point, (-1, self.dim))[first]
+            det = np.linalg.det(np.reshape(g, (-1, self.dim, self.dim))[first])
             raise DegenerateMetricError(
                 f"metric of {self.name!r} degenerate at {tuple(map(float, p))}: "
-                f"det = {float(det.ravel()[first]):g}"
-            )
-        return float(det) if det.ndim == 0 else det
+                f"det = {det:g}")
 
     def serialize(self):
         lines = [f"manifold {self.name} {{"]

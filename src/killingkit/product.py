@@ -18,7 +18,7 @@ from . import metricdsl
 from .curvature import CurvatureData
 from .holonomy import parallel_field_check
 from .killing import PreconditionError, germ_kernel_residual, killing_dimension
-from .metricdsl import Assumptions, Const, ManifoldSpec, SpecError, make_spec
+from .metricdsl import Assumptions, Const, Coord, ManifoldSpec, SpecError, make_spec
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,10 @@ def product_metric(a, b, prefixes=("a_", "b_")):
     zero = Const(0.0)
     grid = [[zero] * n for _ in range(n)]
     for k, (spec, off) in enumerate(((a, 0), (b, a.dim))):
-        index_map = {i: i + off for i in range(spec.dim)}
+        subs = {i: Coord(renames[k][c], i + off) for i, c in enumerate(spec.coords)}
         for i in range(spec.dim):
             for j in range(spec.dim):
-                grid[off + i][off + j] = metricdsl.rename_coords(
-                    spec.metric[i][j], index_map, renames[k])
+                grid[off + i][off + j] = metricdsl.substitute_coords(spec.metric[i][j], subs)
     params = tuple((prefixes[k] + name, value)
                    for k, spec in enumerate((a, b)) for name, value in spec.params)
     assumptions = Assumptions(

@@ -1,30 +1,13 @@
 """Numerical rank decisions and the order-by-order stabilisation loop shared
-by the Killing kernel and the infinitesimal holonomy."""
+by the Killing kernel and the infinitesimal holonomy.
+
+Ranks are decided on matrices with no units (``CurvatureData.unit_frame``),
+so one absolute threshold serves every chart."""
 from __future__ import annotations
 
 from collections import namedtuple
 
 import numpy as np
-
-# Entries this far below the curvature scale are floating-point residue of
-# exact cancellations; rank decisions zero them first so a mathematically
-# zero matrix cannot seed its own (junk) sigma_max.
-ROUNDOFF_CLEAN = 1e-12
-
-
-def clean_matrix(matrix, scale):
-    floor = ROUNDOFF_CLEAN * max(1.0, scale) ** 2
-    return np.where(np.abs(matrix) <= floor, 0.0, matrix)
-
-
-def data_scale(curv, *extra):
-    """Magnitude of the raw curvature inputs, the reference for rank floors."""
-    vals = [1.0, float(np.abs(curv.g).max()), float(np.abs(curv.ginv).max()),
-            float(np.abs(curv.gamma_jets.value()).max()),
-            float(np.abs(curv.riemann).max())]
-    vals.extend(float(x) for x in extra)
-    return max(vals)
-
 
 # margin: sigma_max, smallest_kept, largest_cut; row and null: orthonormal rows
 # spanning the row space and its complement
@@ -32,15 +15,15 @@ RankDecision = namedtuple("RankDecision", "rank margin row null")
 
 
 def numerical_rank(matrix, tol):
-    """Rank at the threshold tol * sigma_max, from one SVD; an all-zero or
-    empty matrix has rank 0 and needs none."""
+    """Rank at the absolute threshold tol: the number of singular values above
+    it, from one SVD; an all-zero or empty matrix has rank 0 and needs none."""
     ncols = matrix.shape[1]
     if matrix.size == 0 or not np.any(matrix):
         margin = {"sigma_max": 0.0, "smallest_kept": None, "largest_cut": 0.0}
         return RankDecision(0, margin, np.zeros((0, ncols)), np.eye(ncols))
     _, s, vh = np.linalg.svd(matrix, full_matrices=False)
     smax = float(s[0])
-    rank = int(np.sum(s > tol * smax))
+    rank = int(np.sum(s > tol))
     margin = {"sigma_max": smax,
               "smallest_kept": float(s[rank - 1]) if rank else None,
               "largest_cut": float(s[rank]) if rank < len(s) else 0.0}

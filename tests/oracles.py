@@ -1,7 +1,8 @@
 """Independent oracles: the float tree walk and finite differences of it, a
 generator of random (domain-safe) expression trees, the tree-walking jet
 evaluator, the jet-level prolongation recursion, the bundle curvature
-applied to a germ, and Killing transport stepped stage by stage.
+applied to a germ, Killing transport stepped stage by stage, and charts
+changed by an affine change of coordinates and a constant metric factor.
 
 The package evaluates every expression with its compiled ``JetTape``.  The
 float tree walk here is how expressions were evaluated at points before
@@ -18,6 +19,7 @@ recursively, with no shared subexpressions and no batch of points.
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 
@@ -25,7 +27,8 @@ from killingkit.curvature import OrderExhaustedError, covariant_derivative, poin
 from killingkit.jets import (Jet, JetDomainError, JetTensor, jet_elementary, jet_space,
                              tensor_product)
 from killingkit.killing import _BLOCK_STEPS, IntegrabilityTensor, KillingGerm
-from killingkit.metricdsl import Binary, Call, Const, Coord, Neg, PowInt
+from killingkit.metricdsl import (Binary, Call, Const, Coord, Neg, PowInt, make_spec,
+                                  substitute_coords)
 
 FD_STEP = 1e-4
 
@@ -360,3 +363,36 @@ def transport_by_steps(spec, germ, path, steps_per_segment=1000):
                 a = a + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
                 frame0 = frame1
     return KillingGerm(xi=xi, a=a)
+
+
+# -- changed charts ---------------------------------------------------------------
+
+def _sum(terms):
+    return reduce(lambda a, b: Binary("+", a, b), terms) if terms else Const(0.0)
+
+
+def changed_chart(spec, jacobian=None, shift=None, factor=1.0):
+    """``spec`` in coordinates y1.. with x = jacobian y + shift, its metric
+    times ``factor``: g'(y) = factor J^T g(J y + shift) J, at the base point
+    J^-1 (x0 - shift), the same point of the manifold.  The chart's flags are
+    kept, so every invariant of the metric must come out the same."""
+    n = spec.dim
+    jac = np.eye(n) if jacobian is None else np.asarray(jacobian, dtype=np.float64)
+    shift = np.zeros(n) if shift is None else np.asarray(shift, dtype=np.float64)
+    ys = [Coord(f"y{j + 1}", j) for j in range(n)]
+    xs = {i: _sum([Binary("*", Const(float(jac[i, j])), ys[j])
+                   for j in range(n) if jac[i, j]]
+                  + ([Const(float(shift[i]))] if shift[i] else []))
+          for i in range(n)}
+    grid = [[None] * n for _ in range(n)]
+    for k in range(n):
+        for l in range(k, n):
+            grid[k][l] = grid[l][k] = _sum([
+                Binary("*", Const(float(factor * jac[i, k] * jac[j, l])),
+                       substitute_coords(spec.metric[i][j], xs))
+                for i in range(n) for j in range(n)
+                if jac[i, k] * jac[j, l] and not (spec.metric[i][j].is_constant
+                                                  and spec.metric[i][j].value == 0.0)])
+    base = np.linalg.solve(jac, np.asarray(spec.base_point) - shift)
+    return make_spec(f"{spec.name}_changed", [y.name for y in ys], grid,
+                     params=spec.params, base_point=base, assumptions=spec.assumptions)

@@ -16,6 +16,7 @@ def test_killing_dim_builtin(capsys):
     assert code == 0
     assert "killing dimension of euclidean2: 3" in out
     assert "stabilization order: 0" in out
+    assert "rank tolerance: 1e-08 (absolute, on singular values in the unit frame)" in out
 
 
 def test_killing_dim_json_schema(capsys):
@@ -125,6 +126,33 @@ def test_check_decomposition_command(capsys):
     assert doc["result"]["verdict_a"] == "no_parallel_field"
 
 
+def test_check_decomposition_off_unit_scale(capsys):
+    # sphere2:r=1000 has |det g| = 1e12, once read as degenerate
+    code, out, _ = invoke(capsys, "check-decomposition", "sphere2:r=1000",
+                          "cahen_wallach:n=1,q=1", "--json")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert (res["dim_a"], res["dim_b"], res["excess"]) == (3, 4, 0)
+    assert res["verdict_a"] == "no_parallel_field"
+
+
+# Every rank decision reports its margin, in the units of the unit frame,
+# where the threshold is absolute.
+@pytest.mark.parametrize("command", ["killing-dim", "holonomy", "hypothesis"])
+def test_reports_carry_rank_margins(capsys, command):
+    code, out, _ = invoke(capsys, command, "--builtin", "sphere2:r=10000", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    gaps = doc["result"]["gaps"]
+    dims = doc["result"].get("dims") or doc["result"]["holonomy_dims"]
+    assert [g["order"] for g in gaps] == list(range(len(dims)))
+    tol = doc["tolerances"]["rank_tol"]
+    for g in gaps:
+        assert set(g) == {"order", "sigma_max", "smallest_kept", "largest_cut"}
+        assert g["smallest_kept"] is None or g["smallest_kept"] > tol
+        assert g["largest_cut"] <= tol
+
+
 def test_demo_counterexample_command(capsys):
     code, out, _ = invoke(capsys, "demo-counterexample", "--q-plus", "1",
                           "--q-minus", "-1", "--json")
@@ -208,6 +236,38 @@ def test_degenerate_point_is_reported_first(capsys, command):
     code, _, err = invoke(capsys, command, "--builtin", "sphere2", "--point", "0,0")
     assert code == 2
     assert "degenerate at (0.0, 0.0)" in err
+
+
+# options that no command reads are not accepted
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--builtin", "sphere2", "--tol", "0.5"],
+    ["product", "sphere2", "hyperbolic2", "--tol", "0.5"],
+    ["transport", "--builtin", "euclidean:n=2", "--field", "1,0", "--path", "0,0;1,0",
+     "--tol", "0.3"],
+    ["transport", "--builtin", "euclidean:n=2", "--field", "1,0", "--path", "0,0;1,0",
+     "--order", "3"],
+    ["check-field", "--builtin", "sphere2", "--field", "0,1", "--order", "3"],
+], ids=["curvature-tol", "product-tol", "transport-tol", "transport-order",
+        "check-field-order"])
+def test_options_without_effect_are_rejected(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["killing-dim", "--builtin", "sphere2:r=nan"], "value 'nan' is not a finite number"),
+    (["killing-dim", "--builtin", "cahen_wallach:n=1,q=nan"],
+     "value 'nan' is not a finite number"),
+    (["killing-dim", "--builtin", "cahen_wallach:n=2,q=1:-inf"],
+     "value '-inf' in '1:-inf' is not a finite number"),
+    (["demo-counterexample", "--q-plus", "nan"],
+     "argument --q-plus: expected a number or a list a:b:.., got 'nan'"),
+], ids=["sphere2-r", "cw-q", "cw-q-list", "q-plus"])
+def test_non_finite_builtin_parameters_are_input_errors(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err and "line" not in err
 
 
 def test_demo_counterexample_takes_q_lists(capsys):
@@ -365,6 +425,20 @@ def test_overflow_at_a_point_is_an_input_error(capsys, tmp_path):
         code, out, err = invoke(capsys, command, "--file", str(chart), "--point", "1000,0")
         assert code == 2 and out == ""
         assert "at (1000.0, 0.0): component (0, 0) = exp(x)" in err
+
+
+# the nondegeneracy test is scale-free, so only the overflow of exp(x) past
+# x = 709.78 stops the transport, at the first stage point past it, and numpy
+# warns about nothing on the way
+@pytest.mark.filterwarnings("error")
+def test_transport_runs_until_the_metric_overflows(capsys, tmp_path):
+    chart = tmp_path / "exp1.man"
+    chart.write_text("manifold e {\n  coordinates: x;\n  metric: [[exp(x)]];\n}\n")
+    code, out, err = invoke(capsys, "transport", "--file", str(chart), "--germ", "1|0",
+                            "--path", "0;1000")
+    assert code == 2 and out == ""
+    assert err == ("error: metric of 'e' at (710.0,): component (0, 0) = exp(x): "
+                   "math range error\n")
 
 
 def test_transport_domain_error_message_is_exact(capsys):

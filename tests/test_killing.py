@@ -149,7 +149,7 @@ def test_bundle_curvature_annihilates_killing_germs():
 def test_tower_vanishes_on_flat():
     eu = builtin("euclidean", n=3)
     curv = CurvatureData.compute(eu, m_max=3)
-    for t in integrability_tensors(curv, 2):
+    for t in integrability_tensors(curv.covR, 2):
         assert np.abs(t.xi_coeff).max() == 0.0
         assert np.abs(t.a_coeff).max() == 0.0
 
@@ -166,7 +166,7 @@ def test_tower_annihilates_killing_germs():
 def test_tower_level_zero_matches_bundle_curvature():
     cw = builtin("cahen_wallach", n=1, q=-2.0)
     curv = CurvatureData.compute(cw, m_max=2)
-    t0 = integrability_tensors(curv, 0)[0]
+    t0 = integrability_tensors(curv.covR, 0)[0]
     germ = KillingGerm(xi=np.array([0.3, -1.0, 2.0]),
                        a=wedge(np.array([1.0, 0.0, 0.0]),
                                np.array([0.0, 0.0, 1.0]), curv.g))
@@ -188,7 +188,7 @@ def test_tower_level_one_is_derivative_along_transport():
     germ = KillingGerm(xi=rng.normal(size=3),
                        a=wedge(rng.normal(size=3), rng.normal(size=3), g0))
     curv = CurvatureData.compute(spec, point=p, m_max=2)
-    t0, t1 = integrability_tensors(curv, 1)
+    t0, t1 = integrability_tensors(curv.covR, 1)
     gamma = curv.gamma_jets.value()
     val0 = t0.apply(germ.xi, germ.a)
     h = 1e-4
@@ -199,8 +199,8 @@ def test_tower_level_one_is_derivative_along_transport():
         gm = killing_transport(spec, germ, [p, p - e], steps_per_segment=40)
         cp = CurvatureData.compute(spec, point=p + e, m_max=1)
         cm = CurvatureData.compute(spec, point=p - e, m_max=1)
-        vp = integrability_tensors(cp, 0)[0].apply(gp.xi, gp.a)
-        vm = integrability_tensors(cm, 0)[0].apply(gm.xi, gm.a)
+        vp = integrability_tensors(cp.covR, 0)[0].apply(gp.xi, gp.a)
+        vm = integrability_tensors(cm.covR, 0)[0].apply(gm.xi, gm.a)
         fd = (vp - vm) / (2 * h)
         corr = (np.einsum("la,akij->lkij", gamma[:, z], val0)
                 - np.einsum("ak,laij->lkij", gamma[:, z], val0)
@@ -214,7 +214,7 @@ def test_tower_order_exhaustion():
     from killingkit.curvature import OrderExhaustedError
     curv = CurvatureData.compute(builtin("sphere2"), m_max=1)
     with pytest.raises(OrderExhaustedError, match="jet order"):
-        integrability_tensors(curv, 2)
+        integrability_tensors(curv.covR, 2)
 
 
 def test_wedge_germ_detected_by_tower_on_product():

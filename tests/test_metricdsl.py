@@ -98,6 +98,27 @@ def test_degenerate_metric_rejected():
         parse_manifold(src)
 
 
+def chart_with_metric(metric):
+    return f"manifold dg {{\n  coordinates: x, y;\n  metric: {metric};\n}}\n"
+
+
+@pytest.mark.parametrize("metric", ["[[1, 0], [0, 0]]", "[[0, 0], [0, 0]]",
+                                    "[[1, 1], [1, 1 + 1e-12]]",
+                                    "[[1e200, 1e200], [1e200, 1e200]]"])
+def test_zero_rows_and_dependent_rows_are_degenerate(metric):
+    with pytest.raises(DegenerateMetricError):
+        parse_manifold(chart_with_metric(metric))
+
+
+# |det g| over the product of the row norms does not change with the
+# metric's scale, and g is divided by its largest entry first, so no square
+# of an entry overflows
+@pytest.mark.parametrize("metric", ["[[1e-12, 0], [0, 1]]", "[[1e200, 0], [0, 1e200]]",
+                                    "[[0, 1e-150], [1e-150, 0]]", "[[1e6, 0], [0, -1e-6]]"])
+def test_metric_off_unit_scale_is_not_degenerate(metric):
+    assert parse_manifold(chart_with_metric(metric)).dim == 2
+
+
 def test_base_point_dimension_mismatch():
     src = """
     manifold bp {

@@ -70,7 +70,7 @@ def test_tower_matches_recursion(chart):
     spec = CHARTS[chart]()
     m_max = 1 if spec.dim >= 4 else 2
     curv = CurvatureData.compute(spec, m_max=m_max + 1)
-    closed = integrability_tensors(curv, m_max)
+    closed = integrability_tensors(curv.covR, m_max)
     recursion = tower_by_recursion(curv, m_max)
     assert len(closed) == len(recursion) == m_max + 1
     for new, old in zip(closed, recursion):
@@ -88,7 +88,7 @@ def test_tower_annihilates_schwarzschild_killing_germs():
     # symmetric catalog charts the xi-columns of every level are nonzero
     spec = parse_manifold(SCHWARZSCHILD)
     curv = CurvatureData.compute(spec, m_max=2)
-    assert np.abs(integrability_tensors(curv, 0)[0].xi_coeff).max() > 1e-3
+    assert np.abs(integrability_tensors(curv.covR, 0)[0].xi_coeff).max() > 1e-3
     for fld in SCHWARZSCHILD_FIELDS:
         germ = germ_of_field(spec, fld)
         assert germ_kernel_residual(spec, germ, m_max=3) <= 1e-12
