@@ -15,8 +15,8 @@ from .killing import (FieldCheck, IntegrabilityTensor, KernelReport, KillingGerm
 from .metricdsl import (Assumptions, DegenerateMetricError, ManifoldSpec,
                         ParseError, SpecError, builtin, known_killing_fields,
                         metric_jets, parse_expression, parse_field, parse_manifold)
-from .product import (DecompositionReport, MixedBlockReport, ProductSpec,
-                      cw_counterexample, decomposition_check, mixed_block_check,
-                      mixed_curvature_residuals, product_metric)
+from .product import (DecompositionReport, ProductSpec, cw_counterexample,
+                      decomposition_check, mixed_curvature_residuals, product_metric,
+                      slot_matrix)
 
 __version__ = "0.1.0"

@@ -207,6 +207,17 @@ def _kernel_report_payload(rep):
     }
 
 
+def _decomposition_payload(rep):
+    """The keys that check-decomposition and demo-counterexample share past
+    the dimensions: the factors' parallel directions and every rank margin."""
+    rep_a, rep_b = rep.factor_reports
+    return {
+        "parallel_a": rep.parallel[0],
+        "parallel_b": rep.parallel[1],
+        "gaps": {"product": rep.product_report.gaps, "a": rep_a.gaps, "b": rep_b.gaps},
+    }
+
+
 def _field_check_payload(chk):
     return {
         "passed": chk.passed,
@@ -494,6 +505,7 @@ def _cmd_check_decomposition(args):
             "splitting_predicted": rep.verdict_a == "no_parallel_field"
                                    or rep.verdict_b == "no_parallel_field",
             "inconclusive": rep.inconclusive,
+            **_decomposition_payload(rep),
         },
         "tolerances": {"rank_tol": args.tol},
         "warnings": rep.warnings,
@@ -501,7 +513,8 @@ def _cmd_check_decomposition(args):
     lines = [
         f"decomposition check for {spec_a.name} x {spec_b.name}:",
         f"  dim product = {rep.dim_product}, factors = {rep.dim_a} + {rep.dim_b}",
-        f"  excess = {rep.excess}",
+        f"  excess = {rep.excess}, parallel directions = "
+        f"{rep.parallel[0]} x {rep.parallel[1]}",
         f"  factor verdicts: {rep.verdict_a}, {rep.verdict_b}",
     ]
     return payload, lines, EXIT_INCONCLUSIVE if rep.inconclusive else EXIT_OK
@@ -543,6 +556,7 @@ def _cmd_demo_counterexample(args):
             "dim_b": rep.dim_b,
             "excess": rep.excess,
             "verdicts": [rep.verdict_a, rep.verdict_b],
+            **_decomposition_payload(rep),
         },
         "tolerances": {"killing_tol": 1e-10, "rank_tol": args.tol},
         "warnings": rep.warnings,

@@ -48,16 +48,17 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8):
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
     n = spec.dim
     iu, ju = np.triu_indices(n, k=1)
-    curv = None
+    curv = rows = None
 
-    def stack_at(m):
-        nonlocal curv
+    def decide(m):
+        nonlocal curv, rows
         curv = CurvatureData.compute(spec, p, m_max=m)
         # endomorphism slots (l, k) to the back, one row per (i<j, z...)
-        return np.vstack([np.moveaxis(arr, (0, 1), (-2, -1))[iu, ju].reshape(-1, n * n)
+        rows = np.vstack([np.moveaxis(arr, (0, 1), (-2, -1))[iu, ju].reshape(-1, n * n)
                           for arr in curv.unit_frame.covR])
+        return numerical_rank(rows, tol)
 
-    decisions, stab_order, rows = stabilise(stack_at, m_max, tol)
+    decisions, stab_order = stabilise(decide, m_max)
     warnings = []
     if stab_order is None:
         warnings.append(

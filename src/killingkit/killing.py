@@ -29,7 +29,7 @@ from .curvature import (CurvatureData, OrderExhaustedError, covariant_derivative
                         point_frame)
 from .jets import (JetDomainError, JetTensor, compile_tape, jet_space, tensor_deriv,
                    tensor_product)
-from .rank import stabilise
+from .rank import numerical_rank, stabilise
 
 
 class PreconditionError(ValueError):
@@ -334,38 +334,50 @@ class MultiPointReport:
         return all(r.stable for r in self.reports)
 
 
-def _kernel_trace(spec, point, m_max, tol):
-    """The kernel report, and the kernel as rows over the germ coordinates of
-    the last order's unit frame, with that frame."""
-    frame = None
-    dim_e = bundle_dim(spec.dim)
+def tower_stack(frame, m):
+    """The tower T_0 .. T_m at a point as one matrix over the germ
+    coordinates of its ``UnitFrame``: there a germ (xi, A) has coordinates
+    (kappa e^-1 xi, e^-1 A e), level m is divided by kappa^(m + 2), and
+    so_basis is taken for diag(signs), so no column or row carries units."""
+    dim_e = bundle_dim(len(frame.signs))
+    basis = so_basis(np.diag(frame.signs))
+    return np.vstack([t.matrix(basis).reshape(-1, dim_e)
+                      for t in integrability_tensors(frame.covR, m)])
+
+
+def kernel_report(decisions, stab_order, point, dim_e, analytic, m_max, tol):
+    """The ``KernelReport`` of the rank decisions of a tower, order by order,
+    over a germ space of dimension ``dim_e``."""
     warnings = []
-    if not spec.assumptions.analytic:
+    if not analytic:
         warnings.append(
             "analytic flag absent: the computed dimension is an upper bound "
             "on the isometry-algebra dimension, not necessarily attained")
-
-    def stack_at(m):
-        # in the unit frame a germ (xi, A) has coordinates (kappa e^-1 xi,
-        # e^-1 A e), level m is divided by kappa^(m + 2), and so_basis is
-        # taken for diag(signs): no column or row carries units
-        nonlocal frame
-        frame = CurvatureData.compute(spec, point, m_max=m + 1).unit_frame
-        basis = so_basis(np.diag(frame.signs))
-        return np.vstack([t.matrix(basis).reshape(-1, dim_e)
-                          for t in integrability_tensors(frame.covR, m)])
-
-    decisions, stab_order, _ = stabilise(stack_at, m_max, tol)
     if stab_order is None:
         warnings.append(
             f"unstable: kernel dimension still changing at order m_max={m_max}; "
             "result is an upper bound only")
     dims = [dim_e - d.rank for d in decisions]
-    gaps = [dict(d.margin, order=m) for m, d in enumerate(decisions)]
-    report = KernelReport(point=tuple(float(x) for x in np.atleast_1d(point)),
-                          dims=dims, stabilized_dim=dims[-1],
-                          stabilization_order=stab_order, gaps=gaps,
-                          warnings=warnings, tol=tol, m_max=m_max)
+    return KernelReport(point=tuple(float(x) for x in np.atleast_1d(point)),
+                        dims=dims, stabilized_dim=dims[-1],
+                        stabilization_order=stab_order,
+                        gaps=[dict(d.margin, order=m) for m, d in enumerate(decisions)],
+                        warnings=warnings, tol=tol, m_max=m_max)
+
+
+def _kernel_trace(spec, point, m_max, tol):
+    """The kernel report, and the kernel as rows over the germ coordinates of
+    the last order's unit frame, with that frame."""
+    frame = None
+
+    def decide(m):
+        nonlocal frame
+        frame = CurvatureData.compute(spec, point, m_max=m + 1).unit_frame
+        return numerical_rank(tower_stack(frame, m), tol)
+
+    decisions, stab_order = stabilise(decide, m_max)
+    report = kernel_report(decisions, stab_order, point, bundle_dim(spec.dim),
+                           spec.assumptions.analytic, m_max, tol)
     return report, decisions[-1].null, frame
 
 

@@ -17,8 +17,9 @@ import numpy as np
 from . import metricdsl
 from .curvature import CurvatureData
 from .holonomy import parallel_field_check
-from .killing import PreconditionError, germ_kernel_residual, killing_dimension
+from .killing import bundle_dim, kernel_report, tower_stack
 from .metricdsl import Assumptions, Const, Coord, ManifoldSpec, SpecError, make_spec
+from .rank import RankDecision, numerical_rank, stabilise
 
 
 @dataclass(frozen=True)
@@ -100,6 +101,7 @@ class DecompositionReport:
     dim_a: int
     dim_b: int
     excess: int
+    parallel: tuple      # (p_a, p_b): nullities of the factors' slot matrices
     verdict_a: str
     verdict_b: str
     inconclusive: bool
@@ -109,29 +111,101 @@ class DecompositionReport:
     warnings: list
 
 
+def slot_matrix(frame, m):
+    """The matrix whose null space is par: the tangent vectors that give zero
+    in every slot of every nabla^k R, k <= m.  From the ``UnitFrame``
+    ``frame`` of a chart: each covR[k] with its first slot lowered by
+    diag(signs), and each of its 4 + k slots in turn moved last and taken as
+    the columns, (4 + k) n^(3 + k) rows in all."""
+    n = len(frame.signs)
+    rows = []
+    for cov in frame.covR[:m + 1]:
+        low = np.einsum("l,l...->l...", frame.signs, cov)
+        rows += [np.moveaxis(low, s, -1).reshape(-1, n) for s in range(low.ndim)]
+    return np.vstack(rows)
+
+
+def _factor_orders(spec, tol):
+    """``at(m)``: the rank decisions of a factor's tower stack and of its
+    slot matrix at order m, both from one ``CurvatureData`` in the factor's
+    own unit frame; each order is computed once."""
+    done = []
+
+    def at(m):
+        while len(done) <= m:
+            k = len(done)
+            frame = CurvatureData.compute(spec, m_max=k + 1).unit_frame
+            done.append((numerical_rank(tower_stack(frame, k), tol),
+                         numerical_rank(slot_matrix(frame, k), tol)))
+        return done[m]
+    return at
+
+
+def _joint_margin(decisions):
+    """The margin of several rank decisions read together: the largest
+    singular value, the smallest one kept and the largest one cut."""
+    margins = [d.margin for d in decisions]
+    kept = [g["smallest_kept"] for g in margins if g["smallest_kept"] is not None]
+    return {"sigma_max": max(g["sigma_max"] for g in margins),
+            "smallest_kept": min(kept) if kept else None,
+            "largest_cut": max(g["largest_cut"] for g in margins)}
+
+
 def decomposition_check(a, b, m_max=10, tol=1e-8):
-    """Compare the product's stabilised kernel dimension with the factor sum."""
-    rep_a = killing_dimension(a, m_max=m_max, tol=tol)
-    rep_b = killing_dimension(b, m_max=m_max, tol=tol)
-    prod = product_metric(a, b)
-    rep_p = killing_dimension(prod.combined, m_max=m_max, tol=tol)
-    verdict_a = parallel_field_check(a, m_max=m_max, tol=tol)
-    verdict_b = parallel_field_check(b, m_max=m_max, tol=tol)
-    inconclusive = not (rep_a.stable and rep_b.stable and rep_p.stable)
-    warnings = sorted(set(rep_a.warnings + rep_b.warnings + rep_p.warnings
-                          + verdict_a.warnings + verdict_b.warnings))
+    """Compare the product's stabilised kernel dimension with the factor sum.
+
+    No nabla^m R of a product mixes the factors, so its tower is block
+    diagonal: the germs (xi_a, A_aa) and (xi_b, A_bb) meet only their own
+    factor's tower, and the mixed part A_ab is in the kernel exactly when its
+    image lies in par_a and that of its adjoint in par_b, a space of
+    dimension p_a p_b (``slot_matrix``).  So order m of the product's trace
+    is dims_a[m] + dims_b[m] + p_a[m] p_b[m], ranked in each factor's own
+    unit frame; no product chart is built.  Each p is checked against the
+    factor's holonomy candidates, and a mismatch leaves the answer
+    inconclusive.
+    """
+    orders = (_factor_orders(a, tol), _factor_orders(b, tol))
+
+    def decide(m):
+        (tower_a, slots_a), (tower_b, slots_b) = orders[0](m), orders[1](m)
+        mixed = a.dim * b.dim - (a.dim - slots_a.rank) * (b.dim - slots_b.rank)
+        return RankDecision(tower_a.rank + tower_b.rank + mixed,
+                            _joint_margin([tower_a, slots_a, tower_b, slots_b]),
+                            None, None)
+
+    def trace(decide_at, point, n, analytic):
+        return kernel_report(*stabilise(decide_at, m_max), point, bundle_dim(n),
+                             analytic, m_max, tol)
+
+    rep_p = trace(decide, tuple(a.base_point) + tuple(b.base_point), a.dim + b.dim,
+                  a.assumptions.analytic and b.assumptions.analytic)
+    rep_a, rep_b = (trace(lambda m: at(m)[0], spec.base_point, spec.dim,
+                          spec.assumptions.analytic) for spec, at in zip((a, b), orders))
+    last = len(rep_p.dims) - 1
+    parallel = tuple(spec.dim - at(last)[1].rank for spec, at in zip((a, b), orders))
+    verdicts = (parallel_field_check(a, m_max=m_max, tol=tol),
+                parallel_field_check(b, m_max=m_max, tol=tol))
+    warnings = {w for r in (rep_a, rep_b, rep_p) + verdicts for w in r.warnings}
+    mismatched = False
+    for side, spec, p, verdict in zip("ab", (a, b), parallel, verdicts):
+        if p != len(verdict.basis):
+            mismatched = True
+            warnings.add(f"factor {side} ({spec.name}): {p} parallel directions in the "
+                         f"curvature slots but {len(verdict.basis)} holonomy candidates; "
+                         "excess undecided")
     return DecompositionReport(
         dim_product=rep_p.stabilized_dim,
         dim_a=rep_a.stabilized_dim,
         dim_b=rep_b.stabilized_dim,
         excess=rep_p.stabilized_dim - rep_a.stabilized_dim - rep_b.stabilized_dim,
-        verdict_a=verdict_a.kind,
-        verdict_b=verdict_b.kind,
-        inconclusive=inconclusive,
+        parallel=parallel,
+        verdict_a=verdicts[0].kind,
+        verdict_b=verdicts[1].kind,
+        inconclusive=mismatched or not (rep_a.stable and rep_b.stable and rep_p.stable),
         product_report=rep_p,
         factor_reports=(rep_a, rep_b),
-        verdicts=(verdict_a, verdict_b),
-        warnings=warnings)
+        verdicts=verdicts,
+        warnings=sorted(warnings))
 
 
 def cw_counterexample(n_plus=1, q_plus=(1.0,), n_minus=1, q_minus=(-1.0,)):
@@ -148,47 +222,3 @@ def cw_counterexample(n_plus=1, q_plus=(1.0,), n_minus=1, q_minus=(-1.0,)):
     components[prod.combined.coord_index("a_v")] = "-b_t"
     components[prod.combined.coord_index("b_v")] = "a_t"
     return prod, components
-
-
-@dataclass
-class MixedBlockReport:
-    """Residuals of the cross-factor curvature contractions along a germ."""
-
-    residuals_minus: list   # per k: (grad^k R of factor b)(A X_plus, X_minus)
-    residuals_plus: list    # per k: (grad^k R of factor a)(X_plus, A X_minus)
-    max_residual: float
-    passed: bool
-    tol: float
-
-
-def _restrict(arr, idx):
-    for ax in range(arr.ndim):
-        arr = np.take(arr, idx, axis=ax)
-    return arr
-
-
-def mixed_block_check(prod, germ, k_max=2, tol=1e-8, point=None):
-    """For a germ in the stabilised kernel, every contraction of a factor's
-    curvature derivatives with the germ's cross-block must vanish."""
-    spec = prod.combined
-    membership = germ_kernel_residual(spec, germ, point=point, m_max=2)
-    if membership > tol * 10:
-        raise PreconditionError(
-            f"germ is not in the integrability kernel (residual {membership:.3g}); "
-            "mixed-block check refused")
-    curv = CurvatureData.compute(spec, point=point, m_max=k_max)
-    plus = np.array(list(prod.blocks[0]))
-    minus = np.array(list(prod.blocks[1]))
-    a = germ.a
-    res_minus, res_plus = [], []
-    for arr in curv.covR:
-        scale = max(1.0, float(np.abs(arr).max())) * max(1.0, float(np.abs(a).max()))
-        sub = _restrict(arr, minus)
-        hit = np.einsum("lkaj...,ai->lkij...", sub, a[np.ix_(minus, plus)])
-        res_minus.append(float(np.abs(hit).max()) / scale)
-        sub = _restrict(arr, plus)
-        hit = np.einsum("lkia...,aj->lkij...", sub, a[np.ix_(plus, minus)])
-        res_plus.append(float(np.abs(hit).max()) / scale)
-    worst = max(res_minus + res_plus)
-    return MixedBlockReport(residuals_minus=res_minus, residuals_plus=res_plus,
-                            max_residual=worst, passed=worst <= tol, tol=tol)

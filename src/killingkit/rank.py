@@ -34,18 +34,18 @@ def numerical_rank(matrix, tol):
     return RankDecision(rank, margin, vh[:rank], null)
 
 
-def stabilise(stack_at, m_max, tol):
-    """Rank ``stack_at(m)`` for m = 0, 1, ... until two orders in a row agree.
+def stabilise(decide, m_max):
+    """Take the rank decision ``decide(m)`` for m = 0, 1, ... until two orders
+    in a row agree.
 
-    Returns the decision at each order, the stabilisation order (the first of
-    the two, or None when the rank still changes at m_max) and the last stack.
+    Returns the decision at each order and the stabilisation order (the first
+    of the two, or None when the rank still changes at m_max).
     """
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     decisions = []
     for m in range(m_max + 1):
-        stack = stack_at(m)
-        decisions.append(numerical_rank(stack, tol))
+        decisions.append(decide(m))
         if m >= 1 and decisions[-1].rank == decisions[-2].rank:
-            return decisions, m - 1, stack
-    return decisions, None, stack
+            return decisions, m - 1
+    return decisions, None

@@ -26,9 +26,10 @@ import numpy as np
 from killingkit.curvature import OrderExhaustedError, covariant_derivative, point_frame
 from killingkit.jets import (Jet, JetDomainError, JetTensor, jet_elementary, jet_space,
                              tensor_product)
-from killingkit.killing import _BLOCK_STEPS, IntegrabilityTensor, KillingGerm
+from killingkit.killing import _BLOCK_STEPS, IntegrabilityTensor, KillingGerm, _kernel_trace
 from killingkit.metricdsl import (Binary, Call, Const, Coord, Neg, PowInt, make_spec,
                                   substitute_coords)
+from killingkit.product import product_metric
 
 FD_STEP = 1e-4
 
@@ -396,3 +397,16 @@ def changed_chart(spec, jacobian=None, shift=None, factor=1.0):
     base = np.linalg.solve(jac, np.asarray(spec.base_point) - shift)
     return make_spec(f"{spec.name}_changed", [y.name for y in ys], grid,
                      params=spec.params, base_point=base, assumptions=spec.assumptions)
+
+
+# -- the product tower -------------------------------------------------------------
+
+def product_trace_by_full_tower(a, b, m_max, tol):
+    """The kernel report of the product of two charts from the whole tower of
+    the (n_a + n_b)-dimensional product chart, ranked in its unit frame, as
+    ``decomposition_check`` computed it before it read the trace off the
+    factors.  The product chart has one curvature scale for both factors, so
+    the two disagree on factors far apart in scale, where this one is wrong."""
+    spec = product_metric(a, b).combined
+    return _kernel_trace(spec, np.asarray(spec.base_point, dtype=np.float64),
+                         m_max, tol)[0]

@@ -136,6 +136,35 @@ def test_check_decomposition_off_unit_scale(capsys):
     assert res["verdict_a"] == "no_parallel_field"
 
 
+def test_check_decomposition_ranks_each_factor_in_its_own_frame(capsys):
+    # one curvature scale for both factors cut the sphere's slot rows and
+    # reported (7, 3, 1, 3) with exit 0
+    code, out, _ = invoke(capsys, "check-decomposition", "sphere2:r=0.001",
+                          "walker_recurrent", "--json")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert (res["dim_product"], res["dim_a"], res["dim_b"], res["excess"]) == (4, 3, 1, 0)
+
+
+@pytest.mark.parametrize("argv", [["check-decomposition", "cahen_wallach:n=1,q=1",
+                                   "cahen_wallach:n=1,q=-1"],
+                                  ["demo-counterexample"]])
+def test_decomposition_reports_parallel_directions_and_margins(capsys, argv):
+    code, out, _ = invoke(capsys, *argv, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    res = doc["result"]
+    assert (res["parallel_a"], res["parallel_b"], res["excess"]) == (1, 1, 1)
+    assert set(res["gaps"]) == {"product", "a", "b"}
+    tol = doc["tolerances"]["rank_tol"]
+    for gaps in res["gaps"].values():
+        assert [g["order"] for g in gaps] == list(range(len(gaps)))
+        for g in gaps:
+            assert set(g) == {"order", "sigma_max", "smallest_kept", "largest_cut"}
+            assert g["smallest_kept"] is None or g["smallest_kept"] > tol
+            assert g["largest_cut"] <= tol
+
+
 # Every rank decision reports its margin, in the units of the unit frame,
 # where the threshold is absolute.
 @pytest.mark.parametrize("command", ["killing-dim", "holonomy", "hypothesis"])

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from oracles import changed_chart
+from test_product import PAIRS, factors
 from test_tower import CHARTS
 
 from killingkit.holonomy import parallel_field_check
 from killingkit.killing import killing_dimension
 from killingkit.metricdsl import builtin, parse_manifold
+from killingkit.product import decomposition_check
 
 PINNED = sorted(set(CHARTS) - {"random3"})  # the charts of test_traces.py
 
@@ -81,3 +83,19 @@ def test_flat_polar_chart(r):
       assume: analytic, simply_connected;
     }}""")
     assert answers(spec) == ([3, 3], 0, [0, 0], 2, "has_parallel_field")
+
+
+# A product's answer comes from each factor in its own frame, so factors far
+# apart in scale split as they do at unit scale.
+RESCALINGS = {"a*1e-6": (1e-6, 1.0), "b*1e-6": (1.0, 1e-6), "a*1e6": (1e6, 1.0),
+              "a*1e-4,b*1e4": (1e-4, 1e4)}
+
+
+@pytest.mark.parametrize("rescaling", sorted(RESCALINGS))
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_decomposition_does_not_depend_on_the_factors_scales(pair, rescaling):
+    a, b = (changed_chart(spec, factor=f)
+            for spec, f in zip(factors(pair), RESCALINGS[rescaling]))
+    rep = decomposition_check(a, b)
+    assert (rep.dim_a, rep.dim_b, rep.excess) == PAIRS[pair][-1]
+    assert not rep.inconclusive

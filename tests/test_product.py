@@ -1,13 +1,23 @@
+import sys
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from killingkit.killing import (KillingGerm, PreconditionError, germ_of_field,
-                                kernel_germs, verify_killing, wedge,
-                                default_sample_points)
-from killingkit.metricdsl import builtin
+from oracles import product_trace_by_full_tower
+
+from killingkit import killing, product
+from killingkit.curvature import CurvatureData
+from killingkit.killing import (KillingGerm, default_sample_points, germ_kernel_residual,
+                                germ_of_field, kernel_germs, verify_killing, wedge)
+from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
 from killingkit.product import (cw_counterexample, decomposition_check,
-                                mixed_block_check, mixed_curvature_residuals,
-                                product_metric)
+                                mixed_curvature_residuals, product_metric, slot_matrix)
+from killingkit.rank import numerical_rank
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 
 def test_product_of_lines_is_plane():
@@ -116,33 +126,157 @@ def test_counterexample_germ():
     assert np.abs(-germ.a - wedge(vp, vm, g0)).max() < 1e-14
 
 
-def test_mixed_block_check_on_kernel_germs():
+def _slot_residual(spec, vectors, m=2):
+    """Largest |S y| over the columns v of ``vectors``, S the slot matrix of
+    ``spec`` at order m and y = e^-1 v in its unit frame: zero exactly when
+    every column lies in par, relative to the largest entry of ``vectors``."""
+    frame = CurvatureData.compute(spec, m_max=m).unit_frame
+    hit = slot_matrix(frame, m) @ frame.einv @ vectors
+    return float(np.abs(hit).max()) / max(1.0, float(np.abs(vectors).max()))
+
+
+def _parallel(spec, m=2):
+    frame = CurvatureData.compute(spec, m_max=m).unit_frame
+    return spec.dim - numerical_rank(slot_matrix(frame, m), 1e-8).rank
+
+
+def test_kernel_germs_do_not_mix_factors_without_parallel_directions():
     sp = builtin("sphere2")
     hy = builtin("hyperbolic2")
     prod = product_metric(sp, hy)
+    assert (_parallel(sp), _parallel(hy)) == (0, 0)   # p_a * p_b = 0
     _, germs = kernel_germs(prod.combined)
     assert len(germs) == 6
     for germ in germs:
-        rep = mixed_block_check(prod, germ, k_max=2)
-        assert rep.passed, rep.max_residual
+        assert np.abs(germ.a[:2, 2:]).max() <= 1e-8
+        assert np.abs(germ.a[2:, :2]).max() <= 1e-8
 
 
-def test_mixed_block_check_on_counterexample_germ():
+def test_counterexample_germ_mixes_parallel_directions():
     prod, field = cw_counterexample()
     germ = germ_of_field(prod.combined, field)
-    rep = mixed_block_check(prod, germ, k_max=2)
-    assert rep.passed
-    assert rep.max_residual <= 1e-8
-    # the germ has a genuine cross block, so the pass is not vacuous
+    assert germ_kernel_residual(prod.combined, germ) <= 1e-8
+    a, b = prod.factors
+    assert (_parallel(a), _parallel(b)) == (1, 1)
+    # A_ab maps b into par_a and A_ba maps a into par_b, and the germ has a
+    # genuine cross block, so this is not vacuous
+    assert _slot_residual(a, germ.a[:3, 3:]) <= 1e-8
+    assert _slot_residual(b, germ.a[3:, :3]) <= 1e-8
     assert np.abs(germ.a[:3, 3:]).max() > 0.5
 
 
-def test_mixed_block_check_refuses_random_germ():
+def test_random_germ_does_not_mix_parallel_directions():
     prod, _ = cw_counterexample()
     spec = prod.combined
     g0 = spec.metric_values(spec.base_point)
     rng = np.random.default_rng(2)
     germ = KillingGerm(xi=rng.normal(size=6),
                        a=wedge(rng.normal(size=6), rng.normal(size=6), g0))
-    with pytest.raises(PreconditionError, match="refused"):
-        mixed_block_check(prod, germ)
+    assert germ_kernel_residual(spec, germ) > 1e-3
+    a, b = prod.factors
+    assert _slot_residual(a, germ.a[:3, 3:]) > 1e-3
+    assert _slot_residual(b, germ.a[3:, :3]) > 1e-3
+
+
+# The pairs of the block law dims(a x b) = dims(a) + dims(b) + p_a p_b, with
+# (dim_a, dim_b, excess).
+PAIRS = {
+    "s2xh2": ("sphere2", {}, "hyperbolic2", {}, (3, 3, 0)),
+    "s2xcw1": ("sphere2", {}, "cahen_wallach", {"n": 1, "q": 1.0}, (3, 4, 0)),
+    "cw1xcw1": ("cahen_wallach", {"n": 1, "q": 1.0},
+                "cahen_wallach", {"n": 1, "q": -1.0}, (4, 4, 1)),
+    "cw2xcw1": ("cahen_wallach", {"n": 2, "q": [1.0, 2.0]},
+                "cahen_wallach", {"n": 1, "q": -1.0}, (6, 4, 1)),
+    "cw2xcw2": ("cahen_wallach", {"n": 2, "q": [1.0, -1.0]},
+                "cahen_wallach", {"n": 2, "q": [1.0, -1.0]}, (6, 6, 1)),
+    "e2xe2": ("euclidean", {"n": 2}, "euclidean", {"n": 2}, (3, 3, 4)),
+    "e1xs2": ("euclidean", {"n": 1}, "sphere2", {}, (1, 3, 0)),
+    "minkowski12xcw1": ("minkowski", {"p": 1, "q": 2},
+                        "cahen_wallach", {"n": 1, "q": 1.0}, (6, 4, 3)),
+    "walkerxe1": ("walker_recurrent", {}, "euclidean", {"n": 1}, (1, 1, 0)),
+    "walkerxcw1": ("walker_recurrent", {}, "cahen_wallach", {"n": 1, "q": 1.0}, (1, 4, 0)),
+}
+
+
+def factors(pair):
+    name_a, params_a, name_b, params_b, _ = PAIRS[pair]
+    return builtin(name_a, params_a), builtin(name_b, params_b)
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_block_law(pair):
+    rep = decomposition_check(*factors(pair))
+    p_a, p_b = rep.parallel
+    assert (rep.dim_a, rep.dim_b, rep.excess) == PAIRS[pair][-1]
+    assert rep.excess == p_a * p_b
+    assert (p_a, p_b) == tuple(len(v.basis) for v in rep.verdicts)
+    assert not rep.inconclusive
+
+
+@pytest.mark.parametrize("pair", sorted(PAIRS))
+def test_product_trace_matches_the_full_tower(pair):
+    a, b = factors(pair)
+    want = product_trace_by_full_tower(a, b, 10, 1e-8)
+    assert decomposition_check(a, b).product_report.dims == want.dims
+
+
+def test_product_trace_matches_the_full_tower_on_the_product_workload(tmp_path):
+    for seed in (1, 2, 3):
+        queries = workloads.build("product", seed, str(tmp_path / str(seed)),
+                                  known_killing_fields)
+        checked = 0
+        for q in queries:
+            if q.name.startswith("decomp."):
+                a, b = (parse_manifold(Path(arg[1:]).read_text()) for arg in q.argv[1:3])
+            elif q.name.startswith("demo."):
+                qs = [float(arg.split("=")[1]) for arg in q.argv[1:3]]
+                a, b = cw_counterexample(1, qs[:1], 1, qs[1:])[0].factors
+            else:
+                continue
+            want = product_trace_by_full_tower(a, b, 10, 1e-8)
+            assert decomposition_check(a, b).product_report.dims == want.dims, q.name
+            checked += 1
+        assert checked == 9
+
+
+def test_parallel_directions_must_match_the_holonomy(monkeypatch):
+    check = product.parallel_field_check
+
+    def one_more_candidate(spec, **kwargs):
+        verdict = check(spec, **kwargs)
+        return replace(verdict, basis=np.vstack([verdict.basis, np.ones(spec.dim)]))
+
+    monkeypatch.setattr(product, "parallel_field_check", one_more_candidate)
+    rep = decomposition_check(*factors("s2xcw1"))
+    assert rep.inconclusive
+    assert ("factor a (sphere2): 0 parallel directions in the curvature slots but "
+            "1 holonomy candidates; excess undecided") in rep.warnings
+
+
+def test_decomposition_never_touches_the_product_chart(monkeypatch):
+    a, b = factors("s2xcw1")
+    seen = []
+    compute = CurvatureData.compute.__func__
+    tensors = killing.integrability_tensors
+    dimension = killing.killing_dimension
+
+    def spy_compute(cls, spec, *args, **kwargs):
+        seen.append(spec)
+        return compute(cls, spec, *args, **kwargs)
+
+    def spy_tensors(covR, m_max):
+        seen.append(covR[0].shape[0])
+        return tensors(covR, m_max)
+
+    def spy_dimension(spec, *args, **kwargs):
+        seen.append(spec)
+        return dimension(spec, *args, **kwargs)
+
+    monkeypatch.setattr(CurvatureData, "compute", classmethod(spy_compute))
+    monkeypatch.setattr(killing, "integrability_tensors", spy_tensors)
+    monkeypatch.setattr(killing, "killing_dimension", spy_dimension)
+    monkeypatch.setattr(product, "product_metric", None)   # calling it would raise
+    rep = decomposition_check(a, b)
+    assert (rep.dim_product, rep.excess) == (7, 0)
+    assert seen
+    assert all(x is a or x is b or x in (a.dim, b.dim) for x in seen), seen

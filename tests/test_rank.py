@@ -57,23 +57,31 @@ def _stack_of_rank(r, cols=6):
     return np.eye(cols)[:r]
 
 
+def _decide(ranks, asked):
+    def decide(m):
+        asked.append(m)
+        return numerical_rank(_stack_of_rank(ranks(m)), TOL)
+    return decide
+
+
 def test_stabilise_stops_at_first_repeat():
-    ranks = [1, 3, 3, 5]
-    decisions, order, stack = stabilise(lambda m: _stack_of_rank(ranks[m]), 3, TOL)
+    ranks, asked = [1, 3, 3, 5], []
+    decisions, order = stabilise(_decide(ranks.__getitem__, asked), 3)
     assert [d.rank for d in decisions] == [1, 3, 3]
     assert order == 1
-    assert np.array_equal(stack, _stack_of_rank(3))
+    assert asked == [0, 1, 2]
 
 
 def test_stabilise_reports_none_while_still_changing():
-    decisions, order, stack = stabilise(lambda m: _stack_of_rank(m + 1), 2, TOL)
+    asked = []
+    decisions, order = stabilise(_decide(lambda m: m + 1, asked), 2)
     assert [d.rank for d in decisions] == [1, 2, 3]
     assert order is None
-    assert np.array_equal(stack, _stack_of_rank(3))
-    decisions, order, _ = stabilise(lambda m: _stack_of_rank(2), 0, TOL)
+    assert asked == [0, 1, 2]
+    decisions, order = stabilise(_decide(lambda m: 2, []), 0)
     assert len(decisions) == 1 and order is None
 
 
 def test_stabilise_rejects_negative_order():
     with pytest.raises(ValueError):
-        stabilise(lambda m: _stack_of_rank(1), -1, TOL)
+        stabilise(_decide(lambda m: 1, []), -1)

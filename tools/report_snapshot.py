@@ -5,8 +5,9 @@
 
 The first form runs every query of the benchmark workloads (``kernel``,
 ``transport`` and ``product``, built by ``perfbench/workloads.build`` for each
-seed), every ``killingkit ...`` command in README.md and a fixed list of
-commands that must fail (``ERROR_COMMANDS``: Killing transport into a
+seed), every ``killingkit ...`` command in README.md, ``check-decomposition``
+on the pairs of the product block law and on two factors far apart in scale
+(``DECOMPOSITION_COMMANDS``), and a fixed list of commands that must fail (``ERROR_COMMANDS``: Killing transport into a
 domain error, a degenerate point or an overflow, an invalid step count,
 every command that evaluates a point at three bad points, non-finite metric
 values and literals, and fields that fail at a point), each with
@@ -38,6 +39,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("kernel", "transport", "product")
 DEFAULT_WORKDIR = Path(tempfile.gettempdir()) / "killingkit-report-snapshot"
+
+DECOMPOSITION_COMMANDS = [["check-decomposition", a, b] for a, b in [
+    ("sphere2", "hyperbolic2"),
+    ("sphere2", "cahen_wallach:n=1,q=1"),
+    ("cahen_wallach:n=1,q=1", "cahen_wallach:n=1,q=-1"),
+    ("cahen_wallach:n=2,q=1:2", "cahen_wallach:n=1,q=-1"),
+    ("cahen_wallach:n=2,q=1:-1", "cahen_wallach:n=2,q=1:-1"),
+    ("euclidean:n=2", "euclidean:n=2"),
+    ("euclidean:n=1", "sphere2"),
+    ("minkowski:p=1,q=2", "cahen_wallach:n=1,q=1"),
+    ("walker_recurrent", "euclidean:n=1"),
+    ("walker_recurrent", "cahen_wallach:n=1,q=1"),
+    ("sphere2:r=0.001", "walker_recurrent"),
+]]
 
 # Charts of the error commands, written to the workdir; "{name}" in an
 # argument becomes the path of chart ``name``.
@@ -154,6 +169,8 @@ def snapshot(seeds, workdir):
                 reports[f"{workload}.{seed}.{i:02d}.{q.name}"] = run_query(cli, q.argv)
     for i, argv in enumerate(readme_commands(ROOT / "README.md")):
         reports[f"readme.{i}.{argv[0]}"] = run_query(cli, argv)
+    for i, argv in enumerate(DECOMPOSITION_COMMANDS):
+        reports[f"decomposition.{i:02d}.{argv[0]}"] = run_query(cli, argv)
     charts = {}
     (workdir / "errors").mkdir(parents=True, exist_ok=True)
     for name, text in ERROR_CHARTS.items():
