@@ -251,6 +251,28 @@ class CurvatureData:
                          covR=[c / kappa ** (m + 2) for m, c in enumerate(cov)])
 
 
+def frame_ladder(spec, point, first):
+    """``frame(depth)``: the ``UnitFrame`` of the chart at ``point`` holding
+    covR[0..depth], for the rank decisions of one call.
+
+    ``CurvatureData`` is computed only for a depth deeper than any computed
+    so far, the first time straight to max(depth, first); a shallower depth
+    is a slice of the deepest frame's covR.  The stabilisation loop always
+    asks for order 1 after order 0 when it may, so a caller passes as
+    ``first`` the depth its order min(1, m_max) reads.  Sliced covR agree
+    with a fresh computation at the shallower depth up to rounding: the two
+    contract jets of different orders."""
+    deepest = None
+
+    def frame(depth):
+        nonlocal deepest
+        if deepest is None or depth >= len(deepest.covR):
+            m_max = depth if deepest is not None else max(depth, first)
+            deepest = CurvatureData.compute(spec, point, m_max=m_max).unit_frame
+        return deepest._replace(covR=deepest.covR[:depth + 1])
+    return frame
+
+
 def point_frame(spec, point):
     """Metric, inverse, connection values, and curvature values at one point,
     or at each row of a (P, n) array of points (a leading point axis on each).

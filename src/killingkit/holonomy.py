@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import CurvatureData
+from .curvature import frame_ladder
 from .rank import numerical_rank, stabilise
 
 
@@ -37,25 +37,28 @@ class HolonomyReport:
         return self.stabilization_order is not None
 
 
-def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8):
+def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8, frames=None):
     """Span the endomorphism values of the curvature and its covariant
     derivatives at a point, one derivative order at a time.
 
-    Order m ranks the values of orders 0..m, taken from curvature built at jet
-    order m + 2, in its unit frame.  Stops at the first order that adds
-    nothing; warns when the span is still growing at m_max.
+    Order m ranks the values of covR[0..m] in the unit frame of ``frames``, a
+    ``frame_ladder`` of the chart at the point: by default a new one, whose
+    first computation is the depth order 1 reads; ``decomposition_check``
+    passes the ladder its Killing trace has read.  Stops at the first order
+    that adds nothing; warns when the span is still growing at m_max.
     """
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
+    if frames is None:
+        frames = frame_ladder(spec, p, min(1, m_max))
     n = spec.dim
     iu, ju = np.triu_indices(n, k=1)
-    curv = rows = None
+    rows = None
 
     def decide(m):
-        nonlocal curv, rows
-        curv = CurvatureData.compute(spec, p, m_max=m)
+        nonlocal rows
         # endomorphism slots (l, k) to the back, one row per (i<j, z...)
         rows = np.vstack([np.moveaxis(arr, (0, 1), (-2, -1))[iu, ju].reshape(-1, n * n)
-                          for arr in curv.unit_frame.covR])
+                          for arr in frames(m).covR])
         return numerical_rank(rows, tol)
 
     decisions, stab_order = stabilise(decide, m_max)
@@ -64,7 +67,7 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8):
         warnings.append(
             f"unstable: holonomy span still growing at order m_max={m_max}")
     span = decisions[-1]
-    frame = curv.unit_frame
+    frame = frames(len(decisions) - 1)
     generators = span.row.reshape(span.rank, n, n)
     candidates = numerical_rank(generators.reshape(-1, n), tol).null
     return HolonomyReport(point=tuple(map(float, p)), dims=[d.rank for d in decisions],
@@ -74,7 +77,7 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8):
                           candidates=candidates @ frame.e.T,
                           bracket_closure_enlarges=_bracket_check(generators, rows,
                                                                   span.rank, tol),
-                          nullity=nullity(curv, tol), warnings=warnings, tol=tol)
+                          nullity=_frame_nullity(frame, tol), warnings=warnings, tol=tol)
 
 
 def _bracket_check(generators, rows, rank, tol):
@@ -96,8 +99,13 @@ def _bracket_check(generators, rows, rank, tol):
 def nullity(curv, tol=1e-8):
     """Dimension of the space of tangent vectors killed by contraction into
     the first two-form slot of the curvature, ranked in the unit frame."""
-    n = curv.n
-    rm = curv.unit_frame.covR[0]
+    return _frame_nullity(curv.unit_frame, tol)
+
+
+def _frame_nullity(frame, tol):
+    """``nullity`` read off the curvature of a ``UnitFrame``."""
+    rm = frame.covR[0]
+    n = len(rm)
     mat = np.moveaxis(rm, 2, -1).reshape(-1, n)  # rows (l,k,j) x col i
     return n - numerical_rank(mat, tol).rank
 
@@ -112,13 +120,14 @@ class ParallelVerdict:
     warnings: list
 
 
-def parallel_field_check(spec, point=None, m_max=10, tol=1e-8):
-    """Detect parallel vector fields through the holonomy kernel.
+def parallel_field_check(spec, point=None, m_max=10, tol=1e-8, frames=None):
+    """Detect parallel vector fields through the holonomy kernel, read from
+    ``frames`` as ``infinitesimal_holonomy`` reads it.
 
     Downgraded to ``inconclusive`` when the span never stabilises or the
     chart lacks the analytic flag.
     """
-    report = infinitesimal_holonomy(spec, point, m_max, tol)
+    report = infinitesimal_holonomy(spec, point, m_max, tol, frames)
     warnings = list(report.warnings)
     if not spec.assumptions.analytic:
         warnings.append("analytic flag absent: infinitesimal holonomy may be "

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import metricdsl
 from .curvature import (CurvatureData, OrderExhaustedError, covariant_derivative,
-                        point_frame)
+                        frame_ladder, point_frame)
 from .jets import (JetDomainError, JetTensor, compile_tape, jet_space, tensor_deriv,
                    tensor_product)
 from .rank import numerical_rank, stabilise
@@ -365,20 +365,19 @@ def kernel_report(decisions, stab_order, point, dim_e, analytic, m_max, tol):
                         warnings=warnings, tol=tol, m_max=m_max)
 
 
-def _kernel_trace(spec, point, m_max, tol):
-    """The kernel report, and the kernel as rows over the germ coordinates of
-    the last order's unit frame, with that frame."""
-    frame = None
-
-    def decide(m):
-        nonlocal frame
-        frame = CurvatureData.compute(spec, point, m_max=m + 1).unit_frame
-        return numerical_rank(tower_stack(frame, m), tol)
-
-    decisions, stab_order = stabilise(decide, m_max)
+def _kernel_trace(spec, point, m_max, tol, frames=None):
+    """The kernel report, the rank decision of each order (the last one's
+    null space is the kernel, as rows over the germ coordinates of its unit
+    frame), and that frame.  Order m reads covR[0..m+1] from ``frames``, a
+    ``frame_ladder`` of the chart at ``point``: by default a new one, whose
+    first computation is the depth order 1 reads."""
+    if frames is None:
+        frames = frame_ladder(spec, point, min(2, m_max + 1))
+    decisions, stab_order = stabilise(
+        lambda m: numerical_rank(tower_stack(frames(m + 1), m), tol), m_max)
     report = kernel_report(decisions, stab_order, point, bundle_dim(spec.dim),
                            spec.assumptions.analytic, m_max, tol)
-    return report, decisions[-1].null, frame
+    return report, decisions, frames(len(decisions))
 
 
 def killing_dimension(spec, point=None, m_max=10, tol=1e-8, multi_point=False):
@@ -419,8 +418,8 @@ def _perturbed_points(p, count):
 def kernel_germs(spec, point=None, m_max=10, tol=1e-8):
     """The kernel report plus germs spanning the stabilised kernel."""
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
-    report, kernel, frame = _kernel_trace(spec, p, m_max, tol)
-    germs = [vector_to_germ(v, np.diag(frame.signs)) for v in kernel]
+    report, decisions, frame = _kernel_trace(spec, p, m_max, tol)
+    germs = [vector_to_germ(v, np.diag(frame.signs)) for v in decisions[-1].null]
     return report, [KillingGerm(xi=frame.e @ h.xi / frame.kappa,
                                 a=frame.e @ h.a @ frame.einv) for h in germs]
 

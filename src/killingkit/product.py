@@ -15,9 +15,9 @@ from functools import reduce
 import numpy as np
 
 from . import metricdsl
-from .curvature import CurvatureData
+from .curvature import CurvatureData, frame_ladder
 from .holonomy import parallel_field_check
-from .killing import bundle_dim, kernel_report, tower_stack
+from .killing import _kernel_trace, bundle_dim, kernel_report, tower_stack
 from .metricdsl import Assumptions, Const, Coord, ManifoldSpec, SpecError, make_spec
 from .rank import RankDecision, numerical_rank, stabilise
 
@@ -125,22 +125,6 @@ def slot_matrix(frame, m):
     return np.vstack(rows)
 
 
-def _factor_orders(spec, tol):
-    """``at(m)``: the rank decisions of a factor's tower stack and of its
-    slot matrix at order m, both from one ``CurvatureData`` in the factor's
-    own unit frame; each order is computed once."""
-    done = []
-
-    def at(m):
-        while len(done) <= m:
-            k = len(done)
-            frame = CurvatureData.compute(spec, m_max=k + 1).unit_frame
-            done.append((numerical_rank(tower_stack(frame, k), tol),
-                         numerical_rank(slot_matrix(frame, k), tol)))
-        return done[m]
-    return at
-
-
 def _joint_margin(decisions):
     """The margin of several rank decisions read together: the largest
     singular value, the smallest one kept and the largest one cut."""
@@ -163,31 +147,39 @@ def decomposition_check(a, b, m_max=10, tol=1e-8):
     unit frame; no product chart is built.  Each p is checked against the
     factor's holonomy candidates, and a mismatch leaves the answer
     inconclusive.
+
+    Each factor's curvature comes from one ``frame_ladder``, which its
+    Killing trace, its slot matrices and its holonomy verdict all read, so
+    each depth is computed once; the product's trace reuses the rank
+    decisions of the factors' traces.
     """
-    orders = (_factor_orders(a, tol), _factor_orders(b, tol))
+    specs = (a, b)
+    ladders = [frame_ladder(spec, spec.base_point, min(2, m_max + 1)) for spec in specs]
+    traces = [_kernel_trace(spec, spec.base_point, m_max, tol, frames)
+              for spec, frames in zip(specs, ladders)]
+    slots = None
 
     def decide(m):
-        (tower_a, slots_a), (tower_b, slots_b) = orders[0](m), orders[1](m)
-        mixed = a.dim * b.dim - (a.dim - slots_a.rank) * (b.dim - slots_b.rank)
-        return RankDecision(tower_a.rank + tower_b.rank + mixed,
-                            _joint_margin([tower_a, slots_a, tower_b, slots_b]),
-                            None, None)
+        nonlocal slots
+        frames = [ladder(m + 1) for ladder in ladders]
+        slots = [numerical_rank(slot_matrix(frame, m), tol) for frame in frames]
+        towers = [decisions[m] if m < len(decisions)
+                  else numerical_rank(tower_stack(frame, m), tol)
+                  for (_, decisions, _), frame in zip(traces, frames)]
+        mixed = a.dim * b.dim - (a.dim - slots[0].rank) * (b.dim - slots[1].rank)
+        return RankDecision(towers[0].rank + towers[1].rank + mixed,
+                            _joint_margin(towers + slots), None, None)
 
-    def trace(decide_at, point, n, analytic):
-        return kernel_report(*stabilise(decide_at, m_max), point, bundle_dim(n),
-                             analytic, m_max, tol)
-
-    rep_p = trace(decide, tuple(a.base_point) + tuple(b.base_point), a.dim + b.dim,
-                  a.assumptions.analytic and b.assumptions.analytic)
-    rep_a, rep_b = (trace(lambda m: at(m)[0], spec.base_point, spec.dim,
-                          spec.assumptions.analytic) for spec, at in zip((a, b), orders))
-    last = len(rep_p.dims) - 1
-    parallel = tuple(spec.dim - at(last)[1].rank for spec, at in zip((a, b), orders))
-    verdicts = (parallel_field_check(a, m_max=m_max, tol=tol),
-                parallel_field_check(b, m_max=m_max, tol=tol))
+    rep_p = kernel_report(*stabilise(decide, m_max), tuple(a.base_point) + tuple(b.base_point),
+                          bundle_dim(a.dim + b.dim),
+                          a.assumptions.analytic and b.assumptions.analytic, m_max, tol)
+    (rep_a, _, _), (rep_b, _, _) = traces
+    parallel = tuple(spec.dim - s.rank for spec, s in zip(specs, slots))
+    verdicts = tuple(parallel_field_check(spec, m_max=m_max, tol=tol, frames=frames)
+                     for spec, frames in zip(specs, ladders))
     warnings = {w for r in (rep_a, rep_b, rep_p) + verdicts for w in r.warnings}
     mismatched = False
-    for side, spec, p, verdict in zip("ab", (a, b), parallel, verdicts):
+    for side, spec, p, verdict in zip("ab", specs, parallel, verdicts):
         if p != len(verdict.basis):
             mismatched = True
             warnings.add(f"factor {side} ({spec.name}): {p} parallel directions in the "

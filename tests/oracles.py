@@ -1,8 +1,10 @@
 """Independent oracles: the float tree walk and finite differences of it, a
 generator of random (domain-safe) expression trees, the tree-walking jet
 evaluator, the jet-level prolongation recursion, the bundle curvature
-applied to a germ, Killing transport stepped stage by stage, and charts
-changed by an affine change of coordinates and a constant metric factor.
+applied to a germ, Killing transport stepped stage by stage, charts changed
+by an affine change of coordinates and a constant metric factor, the
+product trace from the whole product tower, and unit frames computed afresh
+at every order.
 
 The package evaluates every expression with its compiled ``JetTape``.  The
 float tree walk here is how expressions were evaluated at points before
@@ -23,7 +25,8 @@ from functools import reduce
 
 import numpy as np
 
-from killingkit.curvature import OrderExhaustedError, covariant_derivative, point_frame
+from killingkit.curvature import (CurvatureData, OrderExhaustedError, covariant_derivative,
+                                  point_frame)
 from killingkit.jets import (Jet, JetDomainError, JetTensor, jet_elementary, jet_space,
                              tensor_product)
 from killingkit.killing import _BLOCK_STEPS, IntegrabilityTensor, KillingGerm, _kernel_trace
@@ -410,3 +413,14 @@ def product_trace_by_full_tower(a, b, m_max, tol):
     spec = product_metric(a, b).combined
     return _kernel_trace(spec, np.asarray(spec.base_point, dtype=np.float64),
                          m_max, tol)[0]
+
+
+# -- unit frames at every order ------------------------------------------------------
+
+def frames_per_order(spec, point, first=None):
+    """A stand-in for ``curvature.frame_ladder`` that does what the rank
+    decisions did before it: a fresh ``CurvatureData.compute`` to exactly the
+    depth each order asks for, so nothing is shared between orders or
+    between consumers, and no covR is a slice of a deeper computation.
+    ``first`` is accepted and ignored."""
+    return lambda depth: CurvatureData.compute(spec, point, m_max=depth).unit_frame

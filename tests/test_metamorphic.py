@@ -50,19 +50,26 @@ def test_answers_do_not_depend_on_the_chart(chart, change):
 SPHERE = ([3, 3], 0, [1, 1], 0, "no_parallel_field")
 
 
-@pytest.mark.parametrize("r", [1e-4, 1.0, 1e4])
+SPHERE_RADII = [1e-4, 1.0, 1e4]
+POLE_ANGLES = [0.01, 0.001]
+
+
+@pytest.mark.parametrize("r", SPHERE_RADII)
 def test_sphere_off_unit_radius(r):
     assert answers(builtin("sphere2", r=r)) == SPHERE
 
 
-@pytest.mark.parametrize("theta", [0.01, 0.001])
+@pytest.mark.parametrize("theta", POLE_ANGLES)
 def test_sphere_near_the_pole(theta):
     assert answers(builtin("sphere2"), point=[theta, 0.0]) == SPHERE
 
 
-@pytest.mark.parametrize("r0", [3.0, 5.0, 30.0, 100.0, 300.0, 1000.0])
-def test_schwarzschild_far_out(r0):
-    spec = parse_manifold(f"""
+SCHWARZSCHILD_RADII = [3.0, 5.0, 30.0, 100.0, 300.0, 1000.0]
+POLAR_RADII = [1e-3, 1.0, 1e4]
+
+
+def schwarzschild_at(r0):
+    return parse_manifold(f"""
     manifold schwarzschild {{
       coordinates: t, r, th, ph;
       metric: [[-(1 - 2 / r), 0, 0, 0], [0, 1 / (1 - 2 / r), 0, 0],
@@ -70,19 +77,26 @@ def test_schwarzschild_far_out(r0):
       base_point: (0, {r0!r}, 1.2, 0);
       assume: analytic, simply_connected;
     }}""")
-    assert answers(spec) == ([5, 4, 4], 1, [6, 6], 0, "no_parallel_field")
 
 
-@pytest.mark.parametrize("r", [1e-3, 1.0, 1e4])
-def test_flat_polar_chart(r):
-    spec = parse_manifold(f"""
+def polar_at(r):
+    return parse_manifold(f"""
     manifold polar {{
       coordinates: r, p;
       metric: [[1, 0], [0, r^2]];
       base_point: ({r!r}, 0);
       assume: analytic, simply_connected;
     }}""")
-    assert answers(spec) == ([3, 3], 0, [0, 0], 2, "has_parallel_field")
+
+
+@pytest.mark.parametrize("r0", SCHWARZSCHILD_RADII)
+def test_schwarzschild_far_out(r0):
+    assert answers(schwarzschild_at(r0)) == ([5, 4, 4], 1, [6, 6], 0, "no_parallel_field")
+
+
+@pytest.mark.parametrize("r", POLAR_RADII)
+def test_flat_polar_chart(r):
+    assert answers(polar_at(r)) == ([3, 3], 0, [0, 0], 2, "has_parallel_field")
 
 
 # A product's answer comes from each factor in its own frame, so factors far

@@ -7,12 +7,15 @@ The first form runs every query of the benchmark workloads (``kernel``,
 ``transport`` and ``product``, built by ``perfbench/workloads.build`` for each
 seed), every ``killingkit ...`` command in README.md, ``check-decomposition``
 on the pairs of the product block law and on two factors far apart in scale
-(``DECOMPOSITION_COMMANDS``), and a fixed list of commands that must fail (``ERROR_COMMANDS``: Killing transport into a
-domain error, a degenerate point or an overflow, an invalid step count,
-every command that evaluates a point at three bad points, non-finite metric
-values and literals, and fields that fail at a point), each with
-``--json``, through ``killingkit.cli.run`` of the package in this
-checkout's ``src/``.  It writes one JSON file mapping each query to
+(``DECOMPOSITION_COMMANDS``), ``killing-dim``, ``holonomy``, ``hypothesis``
+and ``check-decomposition`` at ``--order 0`` and ``--order 1``, where the
+first depth of a frame ladder is capped by the order (``LOW_ORDER_COMMANDS``),
+and a fixed list of commands that must fail (``ERROR_COMMANDS``: Killing
+transport into a domain error, a degenerate point or an overflow, an
+invalid step count, every command that evaluates a point at three bad
+points, non-finite metric values and literals, and fields that fail at a
+point), each with ``--json``, through ``killingkit.cli.run`` of the package
+in this checkout's ``src/``.  It writes one JSON file mapping each query to
 its exit code, stdout and stderr.  Chart files go to a fixed directory
 (``--workdir``), so snapshots taken from two checkouts name the same paths
 and can be compared.
@@ -53,6 +56,15 @@ DECOMPOSITION_COMMANDS = [["check-decomposition", a, b] for a, b in [
     ("walker_recurrent", "cahen_wallach:n=1,q=1"),
     ("sphere2:r=0.001", "walker_recurrent"),
 ]]
+
+# The orders at which a frame ladder's first depth is capped by --order, on a
+# chart without and one with a parallel field, and on their product.
+LOW_ORDER_COMMANDS = [
+    [command, "--builtin", chart, "--order", str(order)]
+    for order in (0, 1) for chart in ("sphere2", "cahen_wallach:n=1,q=1")
+    for command in ("killing-dim", "holonomy", "hypothesis")
+] + [["check-decomposition", "sphere2", "cahen_wallach:n=1,q=1", "--order", str(order)]
+     for order in (0, 1)]
 
 # Charts of the error commands, written to the workdir; "{name}" in an
 # argument becomes the path of chart ``name``.
@@ -171,6 +183,8 @@ def snapshot(seeds, workdir):
         reports[f"readme.{i}.{argv[0]}"] = run_query(cli, argv)
     for i, argv in enumerate(DECOMPOSITION_COMMANDS):
         reports[f"decomposition.{i:02d}.{argv[0]}"] = run_query(cli, argv)
+    for i, argv in enumerate(LOW_ORDER_COMMANDS):
+        reports[f"low_order.{i:02d}.{argv[0]}"] = run_query(cli, argv)
     charts = {}
     (workdir / "errors").mkdir(parents=True, exist_ok=True)
     for name, text in ERROR_CHARTS.items():
