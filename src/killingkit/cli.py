@@ -73,15 +73,19 @@ _q_arg = _checked(lambda t: [float(v) for v in np.atleast_1d(_parse_param_value(
 
 def _parse_builtin_string(text):
     name, _, rest = text.partition(":")
+    name = name.strip()
     params = {}
     if rest:
         for item in rest.split(","):
             key, eq, value = item.partition("=")
+            key = key.strip()
             if not eq:
                 raise SpecError(f"malformed builtin parameter {item!r} "
                                 "(expected key=value)")
-            params[key.strip()] = _parse_param_value(value.strip())
-    return name.strip(), params
+            if key in params:
+                raise SpecError(f"{name} parameter {key!r} is given twice")
+            params[key] = _parse_param_value(value.strip())
+    return name, params
 
 
 def _load_spec_string(text):
@@ -234,14 +238,8 @@ def _field_check_payload(chk):
 # -- commands -------------------------------------------------------------------
 
 def _cmd_catalog(args):
-    entries = [
-        {"name": "euclidean", "params": "n (dimension, default 2)"},
-        {"name": "minkowski", "params": "p, q (negative/positive directions)"},
-        {"name": "sphere2", "params": "r (radius, default 1)"},
-        {"name": "hyperbolic2", "params": "none (upper half-plane)"},
-        {"name": "cahen_wallach", "params": "n, q (diagonal entries, q=a:b:...)"},
-        {"name": "walker_recurrent", "params": "none"},
-    ]
+    entries = [{"name": name, "params": params}
+               for name, (_, params) in metricdsl.BUILTINS.items()]
     payload = {"result": {"builtins": entries}, "warnings": []}
     lines = ["available builtin charts:"]
     for e in entries:

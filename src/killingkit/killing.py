@@ -141,10 +141,11 @@ class FieldCheck:
     point_errors: list = field(default_factory=list)
 
 
-def default_sample_points(spec, count=5, radius=0.1):
-    """Deterministic sample points near the base point, for the CLI checks."""
+def default_sample_points(spec, count=5):
+    """Deterministic sample points near the base point, for the CLI checks:
+    steps of 0.1 (1 + max |base point|) along the coordinate axes."""
     p = np.asarray(spec.base_point, dtype=np.float64)
-    delta = radius * (1.0 + float(np.abs(p).max()))
+    delta = 0.1 * (1.0 + float(np.abs(p).max()))
     points = [p.copy()]
     i, sign = 0, 1.0
     while len(points) < count:
@@ -422,21 +423,6 @@ def kernel_germs(spec, point=None, m_max=10, tol=1e-8):
     germs = [vector_to_germ(v, np.diag(frame.signs)) for v in decisions[-1].null]
     return report, [KillingGerm(xi=frame.e @ h.xi / frame.kappa,
                                 a=frame.e @ h.a @ frame.einv) for h in germs]
-
-
-def germ_kernel_residual(spec, germ, point=None, m_max=2):
-    """Scaled residual of the tower applied to one germ (membership test)."""
-    p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
-    curv = CurvatureData.compute(spec, p, m_max=m_max + 1)
-    tensors = integrability_tensors(curv.covR, m_max)
-    germ_scale = max(1.0, float(np.abs(germ.xi).max()), float(np.abs(germ.a).max()))
-    worst = 0.0
-    for t in tensors:
-        res = t.apply(germ.xi, germ.a)
-        scale = max(1.0, float(np.abs(t.xi_coeff).max()),
-                    float(np.abs(t.a_coeff).max())) * germ_scale
-        worst = max(worst, float(np.abs(res).max()) / scale)
-    return worst
 
 
 # -- transport --------------------------------------------------------------------

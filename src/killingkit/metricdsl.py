@@ -17,7 +17,9 @@ grid may give only the upper triangle; the lower triangle is mirrored.
 """
 from __future__ import annotations
 
+import inspect
 import math
+import numbers
 import operator
 import re
 from dataclasses import dataclass, field
@@ -348,9 +350,9 @@ class ManifoldSpec:
         return "\n".join(lines) + "\n"
 
 
-def make_spec(name, coords, metric, params=(), base_point=None, assumptions=None,
-              check=True):
-    """Assemble and validate a ManifoldSpec from already-built expression rows."""
+def make_spec(name, coords, metric, params=(), base_point=None, assumptions=None):
+    """Assemble and validate a ManifoldSpec from already-built expression rows:
+    the metric must be nondegenerate at the base point."""
     coords = tuple(coords)
     n = len(coords)
     if base_point is None:
@@ -362,8 +364,7 @@ def make_spec(name, coords, metric, params=(), base_point=None, assumptions=None
     spec = ManifoldSpec(name=name, coords=coords, metric=grid,
                         params=tuple(params), base_point=base_point,
                         assumptions=assumptions or Assumptions())
-    if check:
-        spec.check_nondegenerate(base_point)
+    spec.check_nondegenerate(base_point)
     return spec
 
 
@@ -720,170 +721,45 @@ def parse_field(components, spec):
 # dv-coefficient depends on v, so the null direction is recurrent, not parallel.
 _WALKER_PROFILE = "x^2 * (1 + v) + x^3"
 
-BUILTIN_NAMES = ("euclidean", "minkowski", "sphere2", "hyperbolic2",
-                 "cahen_wallach", "walker_recurrent")
+
+def _count(name, key, value, least):
+    """Parameter ``key`` of builtin ``name``: an integer >= ``least``."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise SpecError(f"{name} parameter {key} must be an integer >= {least}, "
+                        f"got {value!r}")
+    return int(value)
 
 
-def _q_entries(params, n):
-    q = params.get("q", 1.0)
-    if isinstance(q, (int, float)):
-        q = [float(q)] * n
-    q = [float(v) for v in q]
-    if len(q) != n:
-        raise SpecError(f"expected {n} diagonal entries for q, got {len(q)}")
-    if any(v == 0.0 for v in q):
-        raise SpecError("q must be a non-degenerate diagonal: zero entry found")
-    return q
+def _number(name, key, value):
+    """Parameter ``key`` of builtin ``name``: a finite number."""
+    if not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise SpecError(f"{name} parameter {key} must be a finite number, got {value!r}")
+    return float(value)
 
 
-def builtin(name, params=None, **kw):
-    """Construct a catalog chart; ``params`` maps parameter names to numbers."""
-    params = dict(params or {})
-    params.update(kw)
-    if name == "euclidean":
-        n = int(params.get("n", 2))
-        if n < 1:
-            raise SpecError("euclidean needs n >= 1")
-        coords = [f"x{i+1}" for i in range(n)]
-        rows = ", ".join(
-            "[" + ", ".join("1" if i == j else "0" for j in range(n)) + "]"
-            for i in range(n))
-        src = (f"manifold euclidean{n} {{\n"
-               f"  coordinates: {', '.join(coords)};\n"
-               f"  metric: [{rows}];\n"
-               f"  assume: analytic, simply_connected;\n}}\n")
-        return parse_manifold(src)
-    if name == "minkowski":
-        p = int(params.get("p", 1))
-        q = int(params.get("q", 1))
-        if p < 1 or q < 0:
-            raise SpecError("minkowski needs p >= 1, q >= 0")
-        coords = [f"t{i+1}" for i in range(p)] + [f"x{i+1}" for i in range(q)]
-        n = p + q
-        rows = ", ".join(
-            "[" + ", ".join(("-1" if i < p else "1") if i == j else "0"
-                            for j in range(n)) + "]"
-            for i in range(n))
-        src = (f"manifold minkowski{p}{q} {{\n"
-               f"  coordinates: {', '.join(coords)};\n"
-               f"  metric: [{rows}];\n"
-               f"  assume: analytic, simply_connected;\n}}\n")
-        return parse_manifold(src)
-    if name == "sphere2":
-        r = float(params.get("r", 1.0))
-        if r <= 0:
-            raise SpecError("sphere2 needs r > 0")
-        src = (f"manifold sphere2 {{\n"
-               f"  coordinates: theta, phi;\n"
-               f"  parameters: r = {r!r};\n"
-               f"  metric: [[r^2, 0], [0, r^2 * sin(theta)^2]];\n"
-               f"  base_point: ({math.pi / 2!r}, 0);\n"
-               f"  assume: analytic, simply_connected;\n}}\n")
-        return parse_manifold(src)
-    if name == "hyperbolic2":
-        src = ("manifold hyperbolic2 {\n"
-               "  coordinates: x, y;\n"
-               "  metric: [[1 / y^2, 0], [0, 1 / y^2]];\n"
-               "  base_point: (0, 1);\n"
-               "  assume: analytic, simply_connected;\n}\n")
-        return parse_manifold(src)
-    if name == "cahen_wallach":
-        n = int(params.get("n", 1))
-        if n < 1:
-            raise SpecError("cahen_wallach needs n >= 1")
-        qs = _q_entries(params, n)
-        coords = ["t", "v"] + [f"x{i+1}" for i in range(n)]
-        quad = " + ".join(f"q{i+1} * x{i+1}^2" for i in range(n))
-        dim = n + 2
-        rows = []
-        for i in range(dim):
-            row = []
-            for j in range(dim):
-                if i == 0 and j == 0:
-                    row.append(f"2 * ({quad})")
-                elif {i, j} == {0, 1}:
-                    row.append("1")
-                elif i == j and i >= 2:
-                    row.append("1")
-                else:
-                    row.append("0")
-            rows.append("[" + ", ".join(row) + "]")
-        assigns = ", ".join(f"q{i+1} = {qs[i]!r}" for i in range(n))
-        src = (f"manifold cahen_wallach{n} {{\n"
-               f"  coordinates: {', '.join(coords)};\n"
-               f"  parameters: {assigns};\n"
-               f"  metric: [{', '.join(rows)}];\n"
-               f"  assume: analytic, simply_connected;\n}}\n")
-        return parse_manifold(src)
-    if name == "walker_recurrent":
-        src = (f"manifold walker_recurrent {{\n"
-               f"  coordinates: t, v, x;\n"
-               f"  metric: [[{_WALKER_PROFILE}, 1, 0], [1, 0, 0], [0, 0, 1]];\n"
-               f"  base_point: (0, 0, 0);\n"
-               f"  assume: analytic, simply_connected;\n}}\n")
-        return parse_manifold(src)
-    raise SpecError(f"unknown builtin {name!r} (choose from {', '.join(BUILTIN_NAMES)})")
+def _chart(name, coords, metric, params=(), base_point=None):
+    """Parse a catalog chart from its coordinates, its metric entries as
+    text, its (name, value) parameters and its base point (the origin if
+    None).  Every catalog chart is analytic and simply connected."""
+    lines = [f"manifold {name} {{", f"  coordinates: {', '.join(coords)};"]
+    if params:
+        lines.append("  parameters: " + ", ".join(f"{k} = {v!r}" for k, v in params) + ";")
+    rows = ", ".join("[" + ", ".join(row) + "]" for row in metric)
+    lines.append(f"  metric: [{rows}];")
+    if base_point is not None:
+        lines.append("  base_point: (" + ", ".join(map(repr, base_point)) + ");")
+    lines += ["  assume: analytic, simply_connected;", "}"]
+    return parse_manifold("\n".join(lines))
 
 
-def known_killing_fields(name, params=None, **kw):
-    """Component expressions of a full set of Killing fields for a catalog chart.
-
-    Returned as lists of strings in the chart's coordinates; used by the field
-    verifier and the transport tests as the explicit side of the bound.
-    """
-    params = dict(params or {})
-    params.update(kw)
-    if name == "euclidean":
-        n = int(params.get("n", 2))
-        coords = [f"x{i+1}" for i in range(n)]
-        return _flat_fields(coords, [1.0] * n)
-    if name == "minkowski":
-        p = int(params.get("p", 1))
-        q = int(params.get("q", 1))
-        coords = [f"t{i+1}" for i in range(p)] + [f"x{i+1}" for i in range(q)]
-        return _flat_fields(coords, [-1.0] * p + [1.0] * q)
-    if name == "sphere2":
-        return [
-            ["0", "1"],
-            ["-sin(phi)", "-cos(phi) * cos(theta) / sin(theta)"],
-            ["cos(phi)", "-sin(phi) * cos(theta) / sin(theta)"],
-        ]
-    if name == "hyperbolic2":
-        return [
-            ["1", "0"],
-            ["x", "y"],
-            ["x^2 - y^2", "2 * x * y"],
-        ]
-    if name == "cahen_wallach":
-        n = int(params.get("n", 1))
-        qs = _q_entries(params, n)
-        dim = n + 2
-        fields = []
-        for unit in range(2):  # d/dt and d/dv
-            fields.append(["1" if k == unit else "0" for k in range(dim)])
-        for i, qv in enumerate(qs):
-            # profiles solve f'' = 2 q f; the pair spans the wave symmetries
-            if qv > 0:
-                w = math.sqrt(2 * qv)
-                profiles = [(f"cosh({w!r} * t)", f"{w!r} * sinh({w!r} * t)"),
-                            (f"sinh({w!r} * t)", f"{w!r} * cosh({w!r} * t)")]
-            else:
-                w = math.sqrt(-2 * qv)
-                profiles = [(f"cos({w!r} * t)", f"-{w!r} * sin({w!r} * t)"),
-                            (f"sin({w!r} * t)", f"{w!r} * cos({w!r} * t)")]
-            for f, fprime in profiles:
-                comp = ["0"] * dim
-                comp[2 + i] = f
-                comp[1] = f"-({fprime}) * x{i+1}"
-                fields.append(comp)
-        return fields
-    raise SpecError(f"no field catalog for builtin {name!r}")
-
-
-def _flat_fields(coords, signs):
+def _flat(name, coords, signs):
+    """The flat chart diag(signs) in ``coords``, with its translations and
+    its rotations and boosts."""
     n = len(coords)
+    metric = [["0"] * n for _ in range(n)]
     fields = []
     for i in range(n):
+        metric[i][i] = "-1" if signs[i] < 0 else "1"
         fields.append(["1" if k == i else "0" for k in range(n)])
     for i in range(n):
         for j in range(i + 1, n):
@@ -891,4 +767,130 @@ def _flat_fields(coords, signs):
             comp[i] = coords[j]
             comp[j] = f"-({signs[i] * signs[j]!r}) * {coords[i]}"
             fields.append(comp)
+    return _chart(name, coords, metric), fields
+
+
+def _euclidean(n=2):
+    n = _count("euclidean", "n", n, 1)
+    return _flat(f"euclidean{n}", [f"x{i+1}" for i in range(n)], [1.0] * n)
+
+
+def _minkowski(p=1, q=1):
+    p = _count("minkowski", "p", p, 1)
+    q = _count("minkowski", "q", q, 0)
+    coords = [f"t{i+1}" for i in range(p)] + [f"x{i+1}" for i in range(q)]
+    return _flat(f"minkowski{p}{q}", coords, [-1.0] * p + [1.0] * q)
+
+
+def _sphere2(r=1.0):
+    r = _number("sphere2", "r", r)
+    if r <= 0:
+        raise SpecError(f"sphere2 parameter r must be > 0, got {r!r}")
+    chart = _chart("sphere2", ["theta", "phi"], [["r^2", "0"], ["0", "r^2 * sin(theta)^2"]],
+                   params=[("r", r)], base_point=(math.pi / 2, 0))
+    return chart, [
+        ["0", "1"],
+        ["-sin(phi)", "-cos(phi) * cos(theta) / sin(theta)"],
+        ["cos(phi)", "-sin(phi) * cos(theta) / sin(theta)"],
+    ]
+
+
+def _hyperbolic2():
+    chart = _chart("hyperbolic2", ["x", "y"], [["1 / y^2", "0"], ["0", "1 / y^2"]],
+                   base_point=(0, 1))
+    return chart, [
+        ["1", "0"],
+        ["x", "y"],
+        ["x^2 - y^2", "2 * x * y"],
+    ]
+
+
+def _cahen_wallach(n=1, q=1.0):
+    n = _count("cahen_wallach", "n", n, 1)
+    qs = [_number("cahen_wallach", "q", v)
+          for v in (q if isinstance(q, (list, tuple, np.ndarray)) else [q] * n)]
+    if len(qs) != n:
+        raise SpecError(f"cahen_wallach parameter q must have {n} entries, got {len(qs)}")
+    if any(v == 0.0 for v in qs):
+        raise SpecError("cahen_wallach parameter q must be a non-degenerate diagonal: "
+                        "zero entry found")
+    dim = n + 2
+    metric = [["0"] * dim for _ in range(dim)]
+    metric[0][0] = "2 * (" + " + ".join(f"q{i+1} * x{i+1}^2" for i in range(n)) + ")"
+    metric[0][1] = metric[1][0] = "1"
+    for i in range(2, dim):
+        metric[i][i] = "1"
+    chart = _chart(f"cahen_wallach{n}", ["t", "v"] + [f"x{i+1}" for i in range(n)], metric,
+                   params=[(f"q{i+1}", v) for i, v in enumerate(qs)])
+    fields = []
+    for unit in range(2):  # d/dt and d/dv
+        fields.append(["1" if k == unit else "0" for k in range(dim)])
+    for i, qv in enumerate(qs):
+        # profiles solve f'' = 2 q f; the pair spans the wave symmetries
+        if qv > 0:
+            w = math.sqrt(2 * qv)
+            profiles = [(f"cosh({w!r} * t)", f"{w!r} * sinh({w!r} * t)"),
+                        (f"sinh({w!r} * t)", f"{w!r} * cosh({w!r} * t)")]
+        else:
+            w = math.sqrt(-2 * qv)
+            profiles = [(f"cos({w!r} * t)", f"-{w!r} * sin({w!r} * t)"),
+                        (f"sin({w!r} * t)", f"{w!r} * cos({w!r} * t)")]
+        for f, fprime in profiles:
+            comp = ["0"] * dim
+            comp[2 + i] = f
+            comp[1] = f"-({fprime}) * x{i+1}"
+            fields.append(comp)
+    return chart, fields
+
+
+def _walker_recurrent():
+    metric = [[_WALKER_PROFILE, "1", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+    return _chart("walker_recurrent", ["t", "v", "x"], metric), None
+
+
+# The catalog: each builtin's builder and its parameters as ``catalog``
+# lists them.  A builder takes the chart's parameters as keyword arguments,
+# checks them, and returns the chart and the component strings of a full
+# set of its Killing fields, or None where the catalog lists none.
+BUILTINS = {
+    "euclidean": (_euclidean, "n (dimension, default 2)"),
+    "minkowski": (_minkowski, "p, q (negative/positive directions)"),
+    "sphere2": (_sphere2, "r (radius, default 1)"),
+    "hyperbolic2": (_hyperbolic2, "none (upper half-plane)"),
+    "cahen_wallach": (_cahen_wallach, "n, q (diagonal entries, q=a:b:...)"),
+    "walker_recurrent": (_walker_recurrent, "none"),
+}
+
+
+def _build(name, params, kw):
+    """The chart and Killing fields of builtin ``name``, from the parameters
+    in ``params`` and ``kw``; raises SpecError for an unknown name or key."""
+    if name not in BUILTINS:
+        raise SpecError(f"unknown builtin {name!r} (choose from {', '.join(BUILTINS)})")
+    build = BUILTINS[name][0]
+    params = dict(params or {})
+    params.update(kw)
+    accepted = inspect.signature(build).parameters
+    for key in params:
+        if key not in accepted:
+            raise SpecError(f"{name} has no parameter {key!r} "
+                            f"(it takes {', '.join(accepted) or 'none'})")
+    return build(**params)
+
+
+def builtin(name, params=None, **kw):
+    """Construct a catalog chart; ``params`` maps parameter names to numbers."""
+    return _build(name, params, kw)[0]
+
+
+def known_killing_fields(name, params=None, **kw):
+    """Component expressions of a full set of Killing fields for a catalog chart.
+
+    Returned as lists of strings in the chart's coordinates; used by the field
+    verifier and the transport tests as the explicit side of the bound.  The
+    parameters are checked as ``builtin`` checks them.
+    """
+    fields = _build(name, params, kw)[1]
+    if fields is None:
+        raise SpecError(f"no field catalog for builtin {name!r}")
     return fields

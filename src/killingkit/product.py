@@ -18,7 +18,7 @@ from . import metricdsl
 from .curvature import CurvatureData, frame_ladder
 from .holonomy import parallel_field_check
 from .killing import _kernel_trace, bundle_dim, kernel_report, tower_stack
-from .metricdsl import Assumptions, Const, Coord, ManifoldSpec, SpecError, make_spec
+from .metricdsl import Assumptions, Const, Coord, ManifoldSpec, make_spec
 from .rank import RankDecision, numerical_rank, stabilise
 
 
@@ -28,35 +28,29 @@ class ProductSpec:
 
     combined: ManifoldSpec
     factors: tuple
-    prefixes: tuple
     blocks: tuple        # (range, range) of coordinate indices per factor
-    renames: tuple       # per factor: sorted (name, prefixed name) pairs
 
     @property
     def dim(self):
         return self.combined.dim
 
 
-def product_metric(a, b, prefixes=("a_", "b_")):
-    """Block-diagonal product chart; assumption flags are the conjunction."""
-    renames = []
-    coord_names = []
-    for spec, prefix in zip((a, b), prefixes):
-        mapping = {c: prefix + c for c in spec.coords}
-        renames.append(mapping)
-        coord_names.extend(mapping[c] for c in spec.coords)
-    if len(set(coord_names)) != len(coord_names):
-        raise SpecError("coordinate name collision after prefixing")
+def product_metric(a, b):
+    """Block-diagonal product chart: the first factor's coordinates and
+    parameters prefixed with a_, the second's with b_; assumption flags are
+    the conjunction."""
+    prefixes = ("a_", "b_")
+    coord_names = [prefix + c for spec, prefix in zip((a, b), prefixes) for c in spec.coords]
     n = a.dim + b.dim
     zero = Const(0.0)
     grid = [[zero] * n for _ in range(n)]
-    for k, (spec, off) in enumerate(((a, 0), (b, a.dim))):
-        subs = {i: Coord(renames[k][c], i + off) for i, c in enumerate(spec.coords)}
+    for spec, off in ((a, 0), (b, a.dim)):
+        subs = {i: Coord(coord_names[off + i], off + i) for i in range(spec.dim)}
         for i in range(spec.dim):
             for j in range(spec.dim):
                 grid[off + i][off + j] = metricdsl.substitute_coords(spec.metric[i][j], subs)
-    params = tuple((prefixes[k] + name, value)
-                   for k, spec in enumerate((a, b)) for name, value in spec.params)
+    params = tuple((prefix + name, value)
+                   for spec, prefix in zip((a, b), prefixes) for name, value in spec.params)
     assumptions = Assumptions(
         analytic=a.assumptions.analytic and b.assumptions.analytic,
         simply_connected=(a.assumptions.simply_connected
@@ -68,19 +62,19 @@ def product_metric(a, b, prefixes=("a_", "b_")):
         params=params,
         base_point=tuple(a.base_point) + tuple(b.base_point),
         assumptions=assumptions)
-    return ProductSpec(combined=combined, factors=(a, b), prefixes=tuple(prefixes),
-                       blocks=(range(0, a.dim), range(a.dim, n)),
-                       renames=tuple(tuple(sorted(m.items())) for m in renames))
+    return ProductSpec(combined=combined, factors=(a, b),
+                       blocks=(range(0, a.dim), range(a.dim, n)))
 
 
-def mixed_curvature_residuals(prod, m_max=3, point=None):
-    """Largest mixed component of each covariant derivative of the curvature.
+def mixed_curvature_residuals(prod, m_max=3):
+    """Largest mixed component of each covariant derivative of the curvature
+    at the product's base point.
 
     For a genuine product every component with slots from both factors must
     vanish; values are scaled by the largest component of the full tensor.
     """
     spec = prod.combined
-    curv = CurvatureData.compute(spec, point=point, m_max=m_max)
+    curv = CurvatureData.compute(spec, m_max=m_max)
     block_of = np.zeros(spec.dim, dtype=int)
     block_of[list(prod.blocks[1])] = 1
     residuals = []

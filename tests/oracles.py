@@ -1,10 +1,10 @@
 """Independent oracles: the float tree walk and finite differences of it, a
 generator of random (domain-safe) expression trees, the tree-walking jet
-evaluator, the jet-level prolongation recursion, the bundle curvature
-applied to a germ, Killing transport stepped stage by stage, charts changed
-by an affine change of coordinates and a constant metric factor, the
-product trace from the whole product tower, and unit frames computed afresh
-at every order.
+evaluator, the jet-level prolongation recursion, the tower's residual on a
+germ, the bundle curvature applied to a germ, Killing transport stepped
+stage by stage, charts changed by an affine change of coordinates and a
+constant metric factor, the product trace from the whole product tower, and
+unit frames computed afresh at every order.
 
 The package evaluates every expression with its compiled ``JetTape``.  The
 float tree walk here is how expressions were evaluated at points before
@@ -29,7 +29,8 @@ from killingkit.curvature import (CurvatureData, OrderExhaustedError, covariant_
                                   point_frame)
 from killingkit.jets import (Jet, JetDomainError, JetTensor, jet_elementary, jet_space,
                              tensor_product)
-from killingkit.killing import _BLOCK_STEPS, IntegrabilityTensor, KillingGerm, _kernel_trace
+from killingkit.killing import (_BLOCK_STEPS, IntegrabilityTensor, KillingGerm, _kernel_trace,
+                                integrability_tensors)
 from killingkit.metricdsl import (Binary, Call, Const, Coord, Neg, PowInt, make_spec,
                                   substitute_coords)
 from killingkit.product import product_metric
@@ -297,6 +298,24 @@ def tower_by_recursion(curv, m_max):
         q_next = JetTensor(dq_arr - delta_term, dq.space)
         p_jets, q_jets = p_next, q_next
     return tensors
+
+
+# -- the tower on one germ ---------------------------------------------------------
+
+def germ_kernel_residual(spec, germ, m_max=2):
+    """Residual of the tower levels 0..m_max at the base point applied to one
+    germ, each level scaled by its largest coefficient and the germ by its
+    largest entry (a membership test in chart coordinates, not the unit
+    frame the kernel's rank decisions use)."""
+    curv = CurvatureData.compute(spec, m_max=m_max + 1)
+    germ_scale = max(1.0, float(np.abs(germ.xi).max()), float(np.abs(germ.a).max()))
+    worst = 0.0
+    for t in integrability_tensors(curv.covR, m_max):
+        res = t.apply(germ.xi, germ.a)
+        scale = max(1.0, float(np.abs(t.xi_coeff).max()),
+                    float(np.abs(t.a_coeff).max())) * germ_scale
+        worst = max(worst, float(np.abs(res).max()) / scale)
+    return worst
 
 
 # -- curvature of the bundle connection ----------------------------------------

@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from killingkit.cli import run
+from killingkit.metricdsl import BUILTINS
 
 
 def invoke(capsys, *argv):
@@ -476,3 +479,53 @@ def test_transport_domain_error_message_is_exact(capsys):
     assert code == 2 and out == ""
     assert err == ("error: metric of 'hyperbolic2' at (0.0, 0.0): component (0, 0) = "
                    "1.0 / y^2: reciprocal of jet with zero constant term\n")
+
+
+# (builtin string, the parameter the error names): a list where a number is
+# expected, a count that is not an integer, a key the builtin does not take,
+# a key given twice
+BAD_BUILTINS = [
+    ("sphere2:r=1:2", "parameter r"),
+    ("euclidean:n=1:2", "parameter n"),
+    ("cahen_wallach:n=1:1", "parameter n"),
+    ("euclidean:n=2.5", "parameter n"),
+    ("minkowski:p=1.7", "parameter p"),
+    ("hyperbolic2:r=3", "parameter 'r'"),
+    ("sphere2:foo=1", "parameter 'foo'"),
+    ("euclidean:n=2,n=3", "parameter 'n'"),
+]
+
+
+@pytest.mark.parametrize("chart,message", BAD_BUILTINS, ids=[c for c, _ in BAD_BUILTINS])
+@pytest.mark.parametrize("command", ["killing-dim", "check-decomposition"])
+def test_builtin_parameters_outside_the_catalog_are_input_errors(capsys, command, chart,
+                                                                  message):
+    argv = (["killing-dim", "--builtin", chart] if command == "killing-dim"
+            else ["check-decomposition", chart, "sphere2"])
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2 and out == ""
+    name = chart.partition(":")[0]
+    assert err.splitlines() == [err.strip()] and err.startswith(f"error: {name} ")
+    assert message in err and "Traceback" not in err
+
+
+_numbers = st.one_of(st.integers(-2, 4).map(str),
+                     st.floats(-1e3, 1e3).map(repr),
+                     st.sampled_from(["0", "-0.0", "1e-300", "1e300", "nan", "-inf"]))
+_values = st.one_of(_numbers, st.lists(_numbers, min_size=1, max_size=3).map(":".join))
+
+
+@st.composite
+def builtin_strings(draw):
+    """A builtin string of known and unknown names and keys; counts stay <= 4."""
+    name = draw(st.sampled_from(list(BUILTINS) + ["torus"]))
+    keys = draw(st.lists(st.sampled_from(["n", "p", "q", "r", "foo"]), max_size=3,
+                         unique=True))
+    params = [f"{key}={draw(_values)}" for key in keys]
+    return name + (":" + ",".join(params) if params else "")
+
+
+@given(builtin_strings())
+@settings(max_examples=150, deadline=None)
+def test_parse_of_any_builtin_string_exits_0_or_2(chart):
+    assert run(["parse", "--builtin", chart, "--json"]) in (0, 2)

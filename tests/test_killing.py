@@ -6,14 +6,14 @@ import pytest
 from killingkit.curvature import CurvatureData
 from killingkit.killing import (KillingGerm, PreconditionError, bundle_dim,
                                 check_first_prolongation, default_sample_points,
-                                germ_kernel_residual, germ_of_field, germ_to_vector,
+                                germ_of_field, germ_to_vector,
                                 integrability_tensors, kernel_germs,
                                 killing_dimension, killing_transport, so_basis,
                                 so_coordinates, vector_to_germ, verify_killing,
                                 wedge)
 from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
 
-from oracles import killing_curvature, transport_by_steps
+from oracles import germ_kernel_residual, killing_curvature, transport_by_steps
 from test_tower import SCHWARZSCHILD, random_chart
 
 

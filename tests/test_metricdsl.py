@@ -1,9 +1,11 @@
 import functools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from killingkit.cli import run
 from killingkit.metricdsl import (DegenerateMetricError, ParseError, SpecError,
                                   builtin, known_killing_fields, metric_jets,
                                   parse_expression, parse_field, parse_manifold)
@@ -268,3 +270,30 @@ def test_known_killing_fields_counts():
     assert len(known_killing_fields("sphere2")) == 3
     assert len(known_killing_fields("hyperbolic2")) == 3
     assert len(known_killing_fields("cahen_wallach", n=1, q=1.0)) == 4
+
+
+def test_catalog_lists_exactly_the_builtins(capsys):
+    assert run(["catalog", "--json"]) == 0
+    names = [e["name"] for e in json.loads(capsys.readouterr().out)["result"]["builtins"]]
+    for name in names:
+        assert builtin(name).dim >= 2
+    with pytest.raises(SpecError) as refused:
+        builtin("torus")
+    assert str(refused.value) == f"unknown builtin 'torus' (choose from {', '.join(names)})"
+
+
+@pytest.mark.parametrize("name,params,message", [
+    ("euclidean", {"n": 0}, "euclidean parameter n must be an integer >= 1"),
+    ("euclidean", {"n": 2.5}, "euclidean parameter n must be an integer >= 1"),
+    ("minkowski", {"p": 1, "q": -1}, "minkowski parameter q must be an integer >= 0"),
+    ("sphere2", {"r": [1.0, 2.0]}, "sphere2 parameter r must be a finite number"),
+    ("sphere2", {"r": -1.0}, "sphere2 parameter r must be > 0"),
+    ("hyperbolic2", {"r": 3}, "hyperbolic2 has no parameter 'r'"),
+    ("cahen_wallach", {"n": 2, "q": [1.0]}, "cahen_wallach parameter q must have 2 entries"),
+    ("cahen_wallach", {"n": 1, "q": 0.0}, "cahen_wallach parameter q must be a non-degenerate"),
+    ("torus", {}, "unknown builtin 'torus'"),
+])
+def test_known_killing_fields_refuse_what_builtin_refuses(name, params, message):
+    for make in (builtin, known_killing_fields):
+        with pytest.raises(SpecError, match=message):
+            make(name, **params)

@@ -5,12 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import product_trace_by_full_tower
+from oracles import germ_kernel_residual, product_trace_by_full_tower
 
 from killingkit import killing, product
 from killingkit.curvature import CurvatureData
-from killingkit.killing import (KillingGerm, default_sample_points, germ_kernel_residual,
-                                germ_of_field, kernel_germs, verify_killing, wedge)
+from killingkit.killing import (KillingGerm, default_sample_points, germ_of_field,
+                                kernel_germs, verify_killing, wedge)
 from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
 from killingkit.product import (cw_counterexample, decomposition_check,
                                 mixed_curvature_residuals, product_metric, slot_matrix)

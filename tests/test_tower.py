@@ -5,11 +5,10 @@ import random
 import numpy as np
 import pytest
 
-from oracles import tower_by_recursion
+from oracles import germ_kernel_residual, tower_by_recursion
 
 from killingkit.curvature import CurvatureData
-from killingkit.killing import (KillingGerm, germ_kernel_residual, germ_of_field,
-                                integrability_tensors, wedge)
+from killingkit.killing import KillingGerm, germ_of_field, integrability_tensors, wedge
 from killingkit.metricdsl import builtin, parse_manifold
 
 SCHWARZSCHILD = """

@@ -10,11 +10,13 @@ on the pairs of the product block law and on two factors far apart in scale
 (``DECOMPOSITION_COMMANDS``), ``killing-dim``, ``holonomy``, ``hypothesis``
 and ``check-decomposition`` at ``--order 0`` and ``--order 1``, where the
 first depth of a frame ladder is capped by the order (``LOW_ORDER_COMMANDS``),
-and a fixed list of commands that must fail (``ERROR_COMMANDS``: Killing
-transport into a domain error, a degenerate point or an overflow, an
-invalid step count, every command that evaluates a point at three bad
-points, non-finite metric values and literals, and fields that fail at a
-point), each with ``--json``, through ``killingkit.cli.run`` of the package
+``parse --builtin`` of every builtin form that README.md, the tests and the
+workloads use (``BUILTIN_FORMS``), and a fixed list of commands that must
+fail (``ERROR_COMMANDS``: Killing transport into a domain error, a
+degenerate point or an overflow, an invalid step count, every command that
+evaluates a point at three bad points, non-finite metric values and
+literals, fields that fail at a point, and builtin parameters the catalog
+refuses), each with ``--json``, through ``killingkit.cli.run`` of the package
 in this checkout's ``src/``.  It writes one JSON file mapping each query to
 its exit code, stdout and stderr.  Chart files go to a fixed directory
 (``--workdir``), so snapshots taken from two checkouts name the same paths
@@ -65,6 +67,24 @@ LOW_ORDER_COMMANDS = [
     for command in ("killing-dim", "holonomy", "hypothesis")
 ] + [["check-decomposition", "sphere2", "cahen_wallach:n=1,q=1", "--order", str(order)]
      for order in (0, 1)]
+
+# Every builtin form that README.md, the tests and the workloads use, each
+# parsed, so that a snapshot pins every catalog chart as built.
+BUILTIN_FORMS = [
+    "euclidean", "euclidean:n=1", "euclidean:n=2", "euclidean:n=3",
+    "minkowski", "minkowski:p=1,q=1", "minkowski:p=1,q=2", "minkowski:p=1,q=3",
+    "sphere2", "sphere2:r=2", "sphere2:r=0.0001", "sphere2:r=0.001", "sphere2:r=1000",
+    "sphere2:r=10000", "hyperbolic2", "cahen_wallach", "cahen_wallach:n=1,q=1",
+    "cahen_wallach:n=1,q=-1", "cahen_wallach:n=1,q=-2", "cahen_wallach:n=2,q=1:-1",
+    "cahen_wallach:n=2,q=1:2", "walker_recurrent",
+]
+
+# Builtin parameters the catalog refuses: a list where a number is expected,
+# a count that is not an integer, a key the builtin does not take, and a key
+# given twice.
+BAD_BUILTINS = ["sphere2:r=1:2", "euclidean:n=1:2", "cahen_wallach:n=1:1",
+                "euclidean:n=2.5", "minkowski:p=1.7", "hyperbolic2:r=3", "sphere2:foo=1",
+                "euclidean:n=2,n=3"]
 
 # Charts of the error commands, written to the workdir; "{name}" in an
 # argument becomes the path of chart ``name``.
@@ -126,7 +146,9 @@ ERROR_COMMANDS = [
     ["transport", "--builtin", "euclidean:n=2", "--field", "0,1 / x1",
      "--path", "0,0;0,1", "--steps", "2"],
 ] + [[command[0], *chart, *(arg.format(point=point, path=path) for arg in command[1:])]
-     for chart, point, path in BAD_POINTS for command in POINT_COMMANDS]
+     for chart, point, path in BAD_POINTS for command in POINT_COMMANDS
+] + [argv for chart in BAD_BUILTINS
+     for argv in (["killing-dim", "--builtin", chart], ["check-decomposition", chart, "sphere2"])]
 
 
 def readme_commands(readme):
@@ -185,6 +207,8 @@ def snapshot(seeds, workdir):
         reports[f"decomposition.{i:02d}.{argv[0]}"] = run_query(cli, argv)
     for i, argv in enumerate(LOW_ORDER_COMMANDS):
         reports[f"low_order.{i:02d}.{argv[0]}"] = run_query(cli, argv)
+    for i, chart in enumerate(BUILTIN_FORMS):
+        reports[f"builtin_forms.{i:02d}.parse"] = run_query(cli, ["parse", "--builtin", chart])
     charts = {}
     (workdir / "errors").mkdir(parents=True, exist_ok=True)
     for name, text in ERROR_CHARTS.items():
