@@ -66,6 +66,7 @@ def _checked(convert, ok, expected):
 
 
 _order_arg = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_count_arg = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _tol_arg = _checked(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _q_arg = _checked(lambda t: [float(v) for v in np.atleast_1d(_parse_param_value(t))],
                   bool, "a number or a list a:b:..")
@@ -84,7 +85,10 @@ def _parse_builtin_string(text):
                                 "(expected key=value)")
             if key in params:
                 raise SpecError(f"{name} parameter {key!r} is given twice")
-            params[key] = _parse_param_value(value.strip())
+            try:
+                params[key] = _parse_param_value(value.strip())
+            except SpecError as exc:
+                raise SpecError(f"{name} parameter {key}: {exc}") from None
     return name, params
 
 
@@ -122,7 +126,10 @@ def _floats(text, sep=","):
     a builtin parameter list."""
     values = []
     for raw in text.split(sep):
-        value = float(raw)
+        try:
+            value = float(raw)
+        except ValueError:
+            value = math.nan
         if not math.isfinite(value):
             where = f" in {text.strip()!r}" if sep in text else ""
             raise SpecError(f"value {raw.strip()!r}{where} is not a finite number")
@@ -519,6 +526,13 @@ def _cmd_check_decomposition(args):
 
 
 def _cmd_demo_counterexample(args):
+    for side in ("plus", "minus"):
+        n, q = getattr(args, f"n_{side}"), getattr(args, f"q_{side}")
+        if len(q) != n:
+            raise SpecError(f"--q-{side} must have {n} entries, one per --n-{side} "
+                            f"direction, got {len(q)}")
+        if 0.0 in q:
+            raise SpecError(f"--q-{side} entries must be nonzero, got {q}")
     prod, components = cw_counterexample(args.n_plus, args.q_plus, args.n_minus, args.q_minus)
     spec = prod.combined
     pts = default_sample_points(spec)
@@ -677,8 +691,8 @@ def build_parser():
                         help="plane-wave product with a non-splitting Killing field")
     sp.add_argument("--q-plus", type=_q_arg, default=[1.0], help="first factor's q, a:b:..")
     sp.add_argument("--q-minus", type=_q_arg, default=[-1.0], help="second factor's q, a:b:..")
-    sp.add_argument("--n-plus", type=int, default=1)
-    sp.add_argument("--n-minus", type=int, default=1)
+    sp.add_argument("--n-plus", type=_count_arg, default=1)
+    sp.add_argument("--n-minus", type=_count_arg, default=1)
     _add_common(sp, point=False)
     sp.set_defaults(func=_cmd_demo_counterexample)
 

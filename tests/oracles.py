@@ -3,8 +3,9 @@ generator of random (domain-safe) expression trees, the tree-walking jet
 evaluator, the jet-level prolongation recursion, the tower's residual on a
 germ, the bundle curvature applied to a germ, Killing transport stepped
 stage by stage, charts changed by an affine change of coordinates and a
-constant metric factor, the product trace from the whole product tower, and
-unit frames computed afresh at every order.
+constant metric factor, the product trace from the whole product tower,
+unit frames computed afresh at every order, and jet contractions taken
+densely over every component pair.
 
 The package evaluates every expression with its compiled ``JetTape``.  The
 float tree walk here is how expressions were evaluated at points before
@@ -16,7 +17,9 @@ recursion is the tower as it was built before the closed form of
 coefficients level by level, so it shares the jet layer but none of the
 closed form's algebra.  The tree walk is how expressions became jets before
 they were compiled into a ``JetTape``: one ``Jet`` per node, visited
-recursively, with no shared subexpressions and no batch of points.
+recursively, with no shared subexpressions and no batch of points.  The
+dense contraction is how ``tensor_product`` contracted every operand before
+it learned to skip zero components: one einsum over all component pairs.
 """
 from __future__ import annotations
 
@@ -27,8 +30,8 @@ import numpy as np
 
 from killingkit.curvature import (CurvatureData, OrderExhaustedError, covariant_derivative,
                                   point_frame)
-from killingkit.jets import (Jet, JetDomainError, JetTensor, jet_elementary, jet_space,
-                             tensor_product)
+from killingkit.jets import (Jet, JetDomainError, JetTensor, _mul_table, jet_elementary,
+                             jet_space, tensor_product)
 from killingkit.killing import (_BLOCK_STEPS, IntegrabilityTensor, KillingGerm, _kernel_trace,
                                 integrability_tensors)
 from killingkit.metricdsl import (Binary, Call, Const, Coord, Neg, PowInt, make_spec,
@@ -231,6 +234,20 @@ def tree_metric_jets(spec, point, order):
     g0 = np.array([[grid[i][j].value for j in range(n)] for i in range(n)])
     spec.check_nondegenerate(point, g0)
     return grid
+
+
+# -- the dense contraction ---------------------------------------------------------
+
+def dense_tensor_product(sub, a, b, order=None):
+    """``jets.tensor_product`` by one einsum over every component pair, zero
+    or not, and the segment sum of the Cauchy product's table."""
+    lhs, out = sub.split("->")
+    la, lb = lhs.split(",")
+    order = min(a.order, b.order) if order is None else order
+    tab = _mul_table(a.n_vars, a.order, b.order, order)
+    t = next(c for c in "tuvwxyz" if c not in sub)
+    prod = np.einsum(f"{la}{t},{lb}{t}->{out}{t}", a.array[..., tab.ai], b.array[..., tab.bi])
+    return JetTensor(np.add.reduceat(prod, tab.starts, axis=-1), jet_space(a.n_vars, order))
 
 
 # -- the prolongation recursion ---------------------------------------------------

@@ -302,6 +302,22 @@ def test_non_finite_builtin_parameters_are_input_errors(capsys, argv, message):
     assert message in err and "line" not in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--n-plus", "0"], "argument --n-plus: expected an integer >= 1, got '0'"),
+    (["--n-minus", "-1"], "argument --n-minus: expected an integer >= 1, got '-1'"),
+    (["--n-plus", "2", "--q-plus", "1"],
+     "--q-plus must have 2 entries, one per --n-plus direction, got 1"),
+    (["--n-minus", "2", "--q-minus", "1:2:3"],
+     "--q-minus must have 2 entries, one per --n-minus direction, got 3"),
+    (["--q-plus", "0"], "--q-plus entries must be nonzero"),
+    (["--n-minus", "2", "--q-minus=-1:0"], "--q-minus entries must be nonzero"),
+], ids=["n-plus", "n-minus", "q-plus-count", "q-minus-count", "q-plus-zero", "q-minus-zero"])
+def test_demo_counterexample_errors_name_its_options(capsys, argv, message):
+    code, out, err = invoke(capsys, "demo-counterexample", *argv)
+    assert code == 2 and out == ""
+    assert message in err and "cahen_wallach" not in err and "Traceback" not in err
+
+
 def test_demo_counterexample_takes_q_lists(capsys):
     code, out, _ = invoke(capsys, "demo-counterexample", "--n-plus", "2",
                           "--q-plus", "1:2", "--json")
@@ -493,6 +509,8 @@ BAD_BUILTINS = [
     ("hyperbolic2:r=3", "parameter 'r'"),
     ("sphere2:foo=1", "parameter 'foo'"),
     ("euclidean:n=2,n=3", "parameter 'n'"),
+    ("sphere2:r=", "parameter r"),
+    ("cahen_wallach:n=2,q=1:", "parameter q"),
 ]
 
 

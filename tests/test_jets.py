@@ -1,4 +1,5 @@
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -175,3 +176,140 @@ def test_tensor_product_chunked_matches_unchunked(monkeypatch, chunk):
         assert len(calls) > 1
         assert chunked.space is whole.space
         assert np.allclose(chunked.array, whole.array, rtol=1e-14, atol=1e-13)
+
+
+# The contractions of curvature.py and killing.py, each also taken with the
+# point axis P in front of every operand.
+CONTRACTIONS = ["ia,ab->ib", "kl,lij->kij", "lim,mjk->lkij", "ljm,mik->lkij",
+                "aZA,Abcd->abcdZ", "AZb,aAcd->abcdZ", "AZd,abcA->abcdZ", "ijk,k->ij"]
+
+
+def _with_points(sub):
+    lhs, out = sub.split("->")
+    return ",".join("P" + s for s in lhs.split(",")) + "->P" + out
+
+
+def _component_support(kind, shape, letters, rng):
+    """Which components of an operand are nonzero: none, one, those whose
+    indices (the point axis aside) all fall in one of two diagonal blocks,
+    as on a product chart, or all."""
+    if kind in ("empty", "dense"):
+        return np.full(shape, kind == "dense")
+    if kind == "single":
+        mask = np.zeros(shape, dtype=bool)
+        mask[tuple(int(rng.integers(n)) for n in shape)] = True
+        return mask
+    grid = np.indices(shape)
+    block = [grid[axis] >= 2 for axis, c in enumerate(letters) if c != "P"]
+    return np.all(block, axis=0) | ~np.any(block, axis=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sub=st.sampled_from(CONTRACTIONS), points=st.booleans(),
+       kinds=st.tuples(*[st.sampled_from(["empty", "single", "block", "dense"])] * 2),
+       orders=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+       below=st.sampled_from([None, 0, 1]), chunk=st.sampled_from([None, 1, 40]),
+       seed=st.integers(0, 2**32 - 1))
+def test_sparse_tensor_product_matches_the_dense_oracle(sub, points, kinds, orders, below,
+                                                        chunk, seed):
+    # every contraction may take the sparse path; one whose supports are
+    # dense takes the dense path all the same
+    from killingkit import jets
+    from oracles import dense_tensor_product
+    rng = np.random.default_rng(seed)
+    sub = _with_points(sub) if points else sub
+    operands = []
+    for letters, kind, q in zip(sub.split("->")[0].split(","), kinds, orders):
+        space = jet_space(2, q)
+        shape = tuple(2 if c == "P" else 3 for c in letters)
+        mask = _component_support(kind, shape, letters, rng)
+        coeffs = rng.normal(size=shape + (space.size,))
+        coeffs *= rng.random(coeffs.shape) < 0.7   # zero coefficients in nonzero jets
+        operands.append(jets.JetTensor(coeffs * mask[..., None], space))
+    a, b = operands
+    order = None if below is None else max(0, min(orders) - below)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jets, "_SPARSE_MIN_WORK", 0)
+        if chunk is not None:
+            mp.setattr(jets, "_CHUNK_ELEMS", chunk)
+        result = jets.tensor_product(sub, a, b, order)
+    oracle = dense_tensor_product(sub, a, b, order)
+    bound = dense_tensor_product(sub, jets.JetTensor(np.abs(a.array), a.space),
+                                 jets.JetTensor(np.abs(b.array), b.space), order)
+    assert result.space is oracle.space
+    assert result.array.shape == oracle.array.shape
+    assert np.all(np.abs(result.array - oracle.array) <= 1e-14 * bound.array)
+    assert np.all(result.array[oracle.array == 0] == 0)
+
+
+def _dense_random_chart(n, seed):
+    """A chart whose metric entries are all random expressions in every
+    coordinate, about a diagonal that keeps it nondegenerate at the origin."""
+    from killingkit.metricdsl import Binary, Const, make_spec
+    rng = np.random.default_rng(seed)
+    grid = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            entry = Binary("*", Const(0.05), random_expression(rng, n, depth=3))
+            grid[i][j] = grid[j][i] = Binary("+", Const(3.0 if i == j else 0.0), entry)
+    return make_spec(f"dense{n}", [f"x{i + 1}" for i in range(n)], grid)
+
+
+def test_the_path_switch_follows_the_work_and_the_support(monkeypatch):
+    from killingkit import curvature, jets, metricdsl
+    from killingkit.product import product_metric
+    taken, calls = [], []
+    sparse = jets._sparse_product
+    monkeypatch.setattr(jets, "_sparse_product", lambda *args: taken.append(1) or sparse(*args))
+    contract = jets.tensor_product
+
+    def spy(sub, a, b, order=None):
+        before = len(taken)
+        result = contract(sub, a, b, order)
+        q = min(a.order, b.order) if order is None else order
+        dims = {}
+        for letters, t in zip(sub.split("->")[0].split(","), (a, b)):
+            dims.update(zip(letters, t.shape))
+        pairs = len(jets._mul_table(a.n_vars, a.order, b.order, q).ai)
+        work = pairs * math.prod(dims.values())
+        calls.append((chart, sub, work, len(taken) > before))
+        return result
+
+    monkeypatch.setattr(curvature, "tensor_product", spy)
+    cw1 = metricdsl.builtin("cahen_wallach", n=1, q=1.0)
+    chart = "cw1xcw1"
+    curvature.CurvatureData.compute(product_metric(cw1, cw1).combined, m_max=1)
+    chart = "dense4"
+    curvature.CurvatureData.compute(_dense_random_chart(4, 7), m_max=2)
+
+    # the covariant derivative of the curvature on the product is sparse
+    nabla_r = [c for c in calls if c[0] == "cw1xcw1" and c[1].endswith("->abcdZ")]
+    assert len(nabla_r) == 4 and all(c[3] for c in nabla_r)
+    # the random chart is dense wherever its work would allow the sparse path
+    dense = [c for c in calls if c[0] == "dense4"]
+    assert any(c[2] >= jets._SPARSE_MIN_WORK for c in dense)
+    assert not any(c[3] for c in dense)
+    # and no contraction under the threshold pays for finding supports; on
+    # the product, those of the inverse metric are under it
+    assert not any(c[3] for c in calls if c[2] < jets._SPARSE_MIN_WORK)
+    inverse = [c for c in calls if c[0] == "cw1xcw1" and c[1] == "ia,ab->ib"]
+    assert inverse and not any(c[3] for c in inverse)
+
+
+def test_non_finite_coefficients_contract_as_the_dense_path_does(monkeypatch):
+    # nan times a zero component is nan, so the dense path spreads a
+    # non-finite coefficient where the sparse path would skip it
+    from killingkit import jets
+    from oracles import dense_tensor_product
+    monkeypatch.setattr(jets, "_SPARSE_MIN_WORK", 0)
+    s = jet_space(2, 2)
+    for bad in (np.nan, np.inf):
+        a = np.zeros((3, 3, s.size))
+        a[0, 0, 1] = bad
+        b = np.zeros((3, 3, 3, s.size))
+        b[1, 1, 1, 0] = 1.0
+        a, b = jets.JetTensor(a, s), jets.JetTensor(b, s)
+        with np.errstate(invalid="ignore"):
+            result = jets.tensor_product("kl,lij->kij", a, b)
+            oracle = dense_tensor_product("kl,lij->kij", a, b)
+        np.testing.assert_array_equal(result.array, oracle.array)

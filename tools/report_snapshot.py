@@ -11,14 +11,16 @@ on the pairs of the product block law and on two factors far apart in scale
 and ``check-decomposition`` at ``--order 0`` and ``--order 1``, where the
 first depth of a frame ladder is capped by the order (``LOW_ORDER_COMMANDS``),
 ``parse --builtin`` of every builtin form that README.md, the tests and the
-workloads use (``BUILTIN_FORMS``), and a fixed list of commands that must
-fail (``ERROR_COMMANDS``: Killing transport into a domain error, a
+workloads use (``BUILTIN_FORMS``), the deepest product contractions
+(``DEEP_COMMANDS``: ``product`` on cw2 x cw2 and on two cw1 factors, and
+``curvature --order 3`` on the cw1 x cw1 chart), and a fixed list of commands
+that must fail (``ERROR_COMMANDS``: Killing transport into a domain error, a
 degenerate point or an overflow, an invalid step count, every command that
-evaluates a point at three bad points, non-finite metric values and
-literals, fields that fail at a point, and builtin parameters the catalog
-refuses), each with ``--json``, through ``killingkit.cli.run`` of the package
-in this checkout's ``src/``.  It writes one JSON file mapping each query to
-its exit code, stdout and stderr.  Chart files go to a fixed directory
+evaluates a point at three bad points, non-finite metric values and literals,
+fields that fail at a point, and builtin parameters the catalog refuses), each
+with ``--json``, through ``killingkit.cli.run`` of the package in this
+checkout's ``src/``.  It writes one JSON file mapping each query to its exit
+code, stdout and stderr.  Chart files go to a fixed directory
 (``--workdir``), so snapshots taken from two checkouts name the same paths
 and can be compared.
 
@@ -68,6 +70,16 @@ LOW_ORDER_COMMANDS = [
 ] + [["check-decomposition", "sphere2", "cahen_wallach:n=1,q=1", "--order", str(order)]
      for order in (0, 1)]
 
+# The deepest product contractions, where skipping zero jet components
+# saves the most: the mixed curvature of cw2 x cw2 and of two cw1 factors to
+# order 3, and curvature to order 3 on the cw1 x cw1 chart ("{deep}", written
+# to the workdir).
+DEEP_COMMANDS = [
+    ["product", "cahen_wallach:n=2,q=1:-1", "cahen_wallach:n=2,q=1:-1"],
+    ["product", "cahen_wallach:n=1,q=1", "cahen_wallach:n=1,q=-1"],
+    ["curvature", "--file", "{deep}", "--order", "3"],
+]
+
 # Every builtin form that README.md, the tests and the workloads use, each
 # parsed, so that a snapshot pins every catalog chart as built.
 BUILTIN_FORMS = [
@@ -84,7 +96,7 @@ BUILTIN_FORMS = [
 # given twice.
 BAD_BUILTINS = ["sphere2:r=1:2", "euclidean:n=1:2", "cahen_wallach:n=1:1",
                 "euclidean:n=2.5", "minkowski:p=1.7", "hyperbolic2:r=3", "sphere2:foo=1",
-                "euclidean:n=2,n=3"]
+                "euclidean:n=2,n=3", "sphere2:r=", "cahen_wallach:n=2,q=1:"]
 
 # Charts of the error commands, written to the workdir; "{name}" in an
 # argument becomes the path of chart ``name``.
@@ -189,8 +201,9 @@ def run_query(cli, argv):
 def snapshot(seeds, workdir):
     sys.path.insert(0, str(ROOT / "src"))
     sys.path.insert(0, str(ROOT / "perfbench"))
-    from killingkit import cli
+    from killingkit import cli, metricdsl
     from killingkit.metricdsl import known_killing_fields
+    from killingkit.product import product_metric
 
     import workloads
 
@@ -209,6 +222,13 @@ def snapshot(seeds, workdir):
         reports[f"low_order.{i:02d}.{argv[0]}"] = run_query(cli, argv)
     for i, chart in enumerate(BUILTIN_FORMS):
         reports[f"builtin_forms.{i:02d}.parse"] = run_query(cli, ["parse", "--builtin", chart])
+    deep = workdir / "deep" / "cw1xcw1.man"
+    deep.parent.mkdir(parents=True, exist_ok=True)
+    cw1 = metricdsl.builtin("cahen_wallach", n=1, q=1.0)
+    deep.write_text(product_metric(cw1, cw1).combined.serialize(), encoding="utf-8")
+    for i, argv in enumerate(DEEP_COMMANDS):
+        argv = [arg.format(deep=deep) for arg in argv]
+        reports[f"deep.{i:02d}.{argv[0]}"] = run_query(cli, argv)
     charts = {}
     (workdir / "errors").mkdir(parents=True, exist_ok=True)
     for name, text in ERROR_CHARTS.items():
