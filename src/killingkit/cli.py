@@ -28,8 +28,8 @@ from .curvature import (CurvatureData, OrderExhaustedError, identity_residuals,
 from .holonomy import infinitesimal_holonomy, parallel_field_check
 from .jets import JetDomainError
 from .killing import (KillingGerm, PreconditionError, check_first_prolongation,
-                      default_sample_points, germ_of_field, killing_dimension,
-                      killing_transport, verify_killing, wedge)
+                      default_sample_points, field_jets, germ_of_field,
+                      killing_dimension, killing_transport, verify_killing, wedge)
 from .metricdsl import ParseError, SpecError
 from .product import (cw_counterexample, decomposition_check,
                       mixed_curvature_residuals, product_metric)
@@ -431,14 +431,16 @@ def _cmd_check_field(args):
 
 
 def _cmd_transport(args):
+    if args.field and args.germ:
+        raise SpecError("transport takes --field or --germ, not both")
     spec, source = _spec_from_args(args)
     if not args.path:
         raise SpecError("transport requires --path \"p0;p1;...\"")
     path = _parse_points(args.path, spec.dim)
     steps = args.steps
     if args.field:
-        components = args.field.split(",")
-        germ = germ_of_field(spec, components, path[0])
+        jets = field_jets(spec, args.field.split(","))
+        germ = germ_of_field(spec, jets, path[0])
     elif args.germ:
         germ = _parse_germ(args.germ, spec.dim)
     else:
@@ -457,7 +459,7 @@ def _cmd_transport(args):
              f"  end xi: {[float(x) for x in out.xi]}",
              f"  so defect at end: {_fmt(out.so_defect(g_end))}"]
     if args.field:
-        ref = germ_of_field(spec, components, path[-1])
+        ref = germ_of_field(spec, jets, path[-1])
         deviation = max(float(np.abs(out.xi - ref.xi).max()),
                         float(np.abs(out.a - ref.a).max()))
         result["field_germ_deviation"] = deviation

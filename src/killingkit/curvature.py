@@ -79,12 +79,13 @@ def christoffel(metric_jets, inverse_jets=None):
     p = _points(g, 2)
     dg = tensor_deriv(g)  # dg[i, j, c] = d_c g_ij
     a = dg.array
-    # sym[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij
-    sym = JetTensor(np.einsum(f"{p}jlic->{p}lijc", a)
-                    + np.einsum(f"{p}iljc->{p}lijc", a)
-                    - np.einsum(f"{p}ijlc->{p}lijc", a), dg.space)
+    # sym[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, summed in one owned
+    # buffer: each einsum is a transposed view of dg's array
+    sym = np.einsum(f"{p}jlic->{p}lijc", a).copy()
+    sym += np.einsum(f"{p}iljc->{p}lijc", a)
+    sym -= np.einsum(f"{p}ijlc->{p}lijc", a)
     return tensor_product(f"{p}kl,{p}lij->{p}kij", ginv.truncated(dg.order),
-                          sym).scaled(0.5)
+                          JetTensor(sym, dg.space)).scaled(0.5)
 
 
 def riemann(gamma):
@@ -95,11 +96,16 @@ def riemann(gamma):
     p = _points(gamma, 3)
     dg = tensor_deriv(gamma)  # dg[l, j, k, i] = d_i gamma[l, j, k]
     a = dg.array
-    d_term = np.einsum(f"{p}ljkic->{p}lkijc", a) - np.einsum(f"{p}likjc->{p}lkijc", a)
+    # R[l, k, i, j] = d_i gamma[l, j, k] - d_j gamma[l, i, k]
+    #   + gamma[l, i, m] gamma[m, j, k] - gamma[l, j, m] gamma[m, i, k],
+    # summed in one owned buffer (each einsum is a transposed view of dg's
+    # array), so at most one product is held besides it
+    total = np.einsum(f"{p}ljkic->{p}lkijc", a).copy()
+    total -= np.einsum(f"{p}likjc->{p}lkijc", a)
     gl = gamma.truncated(dg.order)
-    quad = tensor_product(f"{p}lim,{p}mjk->{p}lkij", gl, gl)
-    quad2 = tensor_product(f"{p}ljm,{p}mik->{p}lkij", gl, gl)
-    return JetTensor(d_term + quad.array - quad2.array, dg.space)
+    total += tensor_product(f"{p}lim,{p}mjk->{p}lkij", gl, gl).array
+    total -= tensor_product(f"{p}ljm,{p}mik->{p}lkij", gl, gl).array
+    return JetTensor(total, dg.space)
 
 
 def covariant_derivative(tensor, variance, gamma):

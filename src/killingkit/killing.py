@@ -99,7 +99,7 @@ def bundle_dim(n):
 
 # -- germs of explicit fields -------------------------------------------------
 
-def _field_jets(spec, fld):
+def field_jets(spec, fld):
     """``jets(point, order)``: the jets of the field's components about a
     point, an (n, size) array, from one tape compiled here.  A failing
     component raises a JetDomainError naming the point, the component and
@@ -119,11 +119,13 @@ def _field_jets(spec, fld):
 
 
 def germ_of_field(spec, fld, point=None):
-    """The germ (xi(p), A(p)) of a vector field, with A = -(grad xi + Gamma xi)."""
-    field_jets = _field_jets(spec, fld)
+    """The germ (xi(p), A(p)) of a vector field, with A = -(grad xi + Gamma xi).
+    ``fld`` is the field's component expressions or, to evaluate one field
+    at several points from one compiled tape, their ``field_jets``."""
+    jets_at = fld if callable(fld) else field_jets(spec, fld)
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
     _, _, gamma, _ = point_frame(spec, p)
-    jets = field_jets(p, 1)
+    jets = jets_at(p, 1)
     xi, dxi = jets[:, 0], jets[:, 1:]  # dxi[i, j] = d_j xi^i
     a = -(dxi + np.einsum("ijk,k->ij", gamma, xi))
     return KillingGerm(xi=xi, a=a)
@@ -165,7 +167,7 @@ def verify_killing(spec, fld, sample_points, tol=1e-9):
     Failures at individual points (a component that cannot be evaluated, a
     degenerate metric) are recorded, not fatal.
     """
-    field_jets = _field_jets(spec, fld)
+    jets_at = field_jets(spec, fld)
     residuals, errors = [], []
     g_scale = 0.0
     for p in sample_points:
@@ -173,7 +175,7 @@ def verify_killing(spec, fld, sample_points, tol=1e-9):
         try:
             g = metricdsl.metric_jet_tensor(spec, p, 1).array
             gval, dg = g[..., 0], np.moveaxis(g[..., 1:], -1, 0)  # dg[k, i, j] = d_k g_ij
-            jets = field_jets(p, 1)
+            jets = jets_at(p, 1)
             xi, dxi = jets[:, 0], jets[:, 1:].T  # dxi[i, k] = d_i xi^k
         except (metricdsl.SpecError, ValueError) as exc:
             errors.append((tuple(map(float, p)), str(exc)))
@@ -200,14 +202,14 @@ def check_first_prolongation(spec, fld, sample_points, tol=1e-8):
         raise PreconditionError(
             f"field is not Killing on the sample points "
             f"(residual {killing_check.max_residual:.3g}); check refused")
-    field_jets = _field_jets(spec, fld)
+    jets_at = field_jets(spec, fld)
     residuals, errors = [], []
     scale = 1.0
     for p in sample_points:
         p = np.asarray(p, dtype=np.float64)
         try:
             curv = CurvatureData.compute(spec, p, m_max=0)
-            xi_jets = JetTensor(field_jets(p, 2), jet_space(spec.dim, 2))
+            xi_jets = JetTensor(jets_at(p, 2), jet_space(spec.dim, 2))
         except (metricdsl.SpecError, ValueError) as exc:
             errors.append((tuple(map(float, p)), str(exc)))
             continue
@@ -427,8 +429,26 @@ def kernel_germs(spec, point=None, m_max=10, tol=1e-8):
 
 # -- transport --------------------------------------------------------------------
 
-# Steps per batched frame evaluation (2 * _BLOCK_STEPS + 1 stage points at
-# most): bounds the memory of one batch, whatever the number of steps.
+# Frame budget: one ``point_frame`` call takes P stage points with
+# P * n^4 <= _FRAME_BUDGET (at least one point), so the curvature values it
+# returns, n^4 floats a point, stay within the budget whatever the path.
+# Each call has a fixed cost that more points spread.  Measured time per
+# point of one call (2-vCPU host, one BLAS thread; sphere2, Schwarzschild,
+# cw2 x cw2), by P * n^4:
+#
+#     P * n^4   5e2   2e3   8e3   3.4e4  1.4e5  5.4e5
+#     n = 2      22    11   7.7    7.2    5.2      -   us
+#     n = 4       -    85    49     30     35     43   us
+#     n = 8       -     -     -    268    165    234   us
+#
+# One point alone takes 0.37 / 0.41 / 0.81 ms at n = 2 / 4 / 8.  Past about
+# 1e5 the time per point stops falling at n = 4 and 8 and then rises.  The
+# budget, 33 * 8^4, is the 2 * 16 + 1 stage points of one block of 16 steps
+# at n = 8: 528 points a call at n = 4, 8448 at n = 2.
+_FRAME_BUDGET = 33 * 8 ** 4
+
+# Steps per block of RK4 products: bounds the (P, (n + n^2)^2) generators and
+# K arrays of a block, whatever the number of steps.
 _BLOCK_STEPS = 16
 
 
@@ -449,6 +469,56 @@ def _transport_generators(gus, rs, u):
     return m
 
 
+def _stage_frames(spec, path, steps):
+    """``take(count)``: the connection and curvature values, (P, n, n, n)
+    and (P, n, n, n, n), at the next ``count`` stage points of RK4 along the
+    polyline ``path`` with ``steps`` steps a segment.  The stage points are
+    in path order: each segment's start x0, then the midpoint and the end of
+    each step.  They are evaluated by consecutive ``point_frame`` calls of as
+    many points as ``_FRAME_BUDGET`` allows, each call when a take first
+    needs it.  Every earlier point has been evaluated by then, so a failing
+    point raises what evaluating the points one by one would raise first."""
+    n = len(path[0])
+    per_call = max(1, _FRAME_BUDGET // n ** 4)
+    per_segment = 2 * steps + 1
+    total = (len(path) - 1) * per_segment
+    h = 1.0 / steps
+    evaluated = 0
+    gammas = rs = np.empty((0,))
+
+    def stage_points(start, stop):
+        pieces = []
+        for seg in range(start // per_segment, (stop - 1) // per_segment + 1):
+            x0 = path[seg]
+            i = np.arange(max(start - seg * per_segment, 0),
+                          min(stop - seg * per_segment, per_segment))
+            s = (i - 1) // 2 * h   # step k starts at s = k h
+            points = x0 + np.where(i % 2, s + h / 2, s + h)[:, None] * (path[seg + 1] - x0)
+            points[i == 0] = x0   # exactly: x0 + 0 u would turn -0.0 into 0.0
+            pieces.append(points)
+        return np.concatenate(pieces)
+
+    def take(count):
+        nonlocal evaluated, gammas, rs
+        pieces = []
+        while count:
+            if not len(gammas):
+                # no view may hold the spent batch while the next is evaluated
+                pieces = [(g.copy(), r.copy()) for g, r in pieces]
+                gammas = rs = None
+                stop = min(evaluated + per_call, total)
+                _, _, gammas, rs = point_frame(spec, stage_points(evaluated, stop))
+                evaluated = stop
+            got = min(count, len(gammas))
+            pieces.append((gammas[:got], rs[:got]))
+            gammas, rs = gammas[got:], rs[got:]
+            count -= got
+        if len(pieces) == 1:
+            return pieces[0]
+        return tuple(np.concatenate(part) for part in zip(*pieces))
+    return take
+
+
 def killing_transport(spec, germ, path, steps_per_segment=1000):
     """Parallel transport of a germ along a polyline for the bundle connection.
 
@@ -461,15 +531,16 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
         K4 = M(t + h) (I + h K3),
 
     and the state is multiplied by the propagators in step order.  The stage
-    points of a block of ``_BLOCK_STEPS`` steps are known in advance, so
-    their connection and curvature values come from one batched
-    ``point_frame`` call, in path order, and the block's M and P come from
-    batched products; a point where the chart fails raises what evaluating
-    the points one by one would raise first.  A block holds the M of its
-    2 * _BLOCK_STEPS + 1 stage points, (n + n^2)^2 floats each, whatever
-    the number of steps.  The products round differently from stepping
-    xi and A through the right-hand side of D stage by stage, so end
-    germs differ from that form in the last bits.
+    points of the whole path are known in advance, so their connection and
+    curvature values come from as few batched ``point_frame`` calls as the
+    memory budget allows: each call takes up to P consecutive stage points,
+    in path order across segments, with P n^4 <= ``_FRAME_BUDGET`` floats of
+    curvature.  A point where the chart fails raises what evaluating the
+    points one by one would raise first.  M and P come from batched products
+    over blocks of ``_BLOCK_STEPS`` steps, (n + n^2)^2 floats a stage point,
+    so memory is bounded whatever the number of steps.  The products round
+    differently from stepping xi and A through the right-hand side of D
+    stage by stage, so end germs differ from that form in the last bits.
     """
     if steps_per_segment < 1:
         raise ValueError("steps_per_segment must be >= 1")
@@ -479,24 +550,18 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     n = len(germ.xi)
     state = np.concatenate([np.ravel(germ.xi), np.ravel(germ.a)]).astype(np.float64)
     eye = np.eye(len(state))
+    take = _stage_frames(spec, path, steps_per_segment)
+
+    def generators(count, u):
+        gammas, rs = take(count)
+        return _transport_generators(np.einsum("Piab,a->Pib", gammas, u), rs, u)
 
     h = 1.0 / steps_per_segment
     for seg in range(len(path) - 1):
-        x0, x1 = path[seg], path[seg + 1]
-        u = x1 - x0
+        u = path[seg + 1] - path[seg]
+        m_start = generators(1, u)[0]
         for k0 in range(0, steps_per_segment, _BLOCK_STEPS):
-            s = np.arange(k0, min(k0 + _BLOCK_STEPS, steps_per_segment)) * h
-            # stage points in path order: (x0,) mid_k, end_k, mid_k+1, ...
-            stages = np.empty((2 * len(s), len(u)))
-            stages[0::2] = x0 + (s + h / 2)[:, None] * u
-            stages[1::2] = x0 + (s + h)[:, None] * u
-            if k0 == 0:
-                stages = np.vstack([x0, stages])
-            _, _, gammas, rs = point_frame(spec, stages)
-            gus = np.einsum("Piab,a->Pib", gammas, u)
-            ms = _transport_generators(gus, rs, u)
-            if k0 == 0:
-                m_start, ms = ms[0], ms[1:]
+            ms = generators(2 * min(_BLOCK_STEPS, steps_per_segment - k0), u)
             mids, ends = ms[0::2], ms[1::2]
             k1 = np.concatenate([m_start[None], ends[:-1]])
             k2 = mids + h / 2 * (mids @ k1)

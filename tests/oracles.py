@@ -32,7 +32,7 @@ from killingkit.curvature import (CurvatureData, OrderExhaustedError, covariant_
                                   point_frame)
 from killingkit.jets import (Jet, JetDomainError, JetTensor, _mul_table, jet_elementary,
                              jet_space, tensor_product)
-from killingkit.killing import (_BLOCK_STEPS, IntegrabilityTensor, KillingGerm, _kernel_trace,
+from killingkit.killing import (IntegrabilityTensor, KillingGerm, _kernel_trace,
                                 integrability_tensors)
 from killingkit.metricdsl import (Binary, Call, Const, Coord, Neg, PowInt, make_spec,
                                   substitute_coords)
@@ -355,12 +355,28 @@ def killing_curvature(curv, germ, i, j):
 
 # -- Killing transport, step by step ------------------------------------------------
 
+def stage_points(path, steps):
+    """The RK4 stage points of a polyline in path order: each segment's
+    start, then the midpoint and the end of each step."""
+    h = 1.0 / steps
+    s = np.arange(steps) * h
+    points = []
+    for x0, x1 in zip(np.asarray(path, float)[:-1], np.asarray(path, float)[1:]):
+        seg = np.empty((2 * steps + 1, len(x0)))
+        seg[0] = x0
+        seg[1::2] = x0 + (s + h / 2)[:, None] * (x1 - x0)
+        seg[2::2] = x0 + (s + h)[:, None] * (x1 - x0)
+        points.append(seg)
+    return np.concatenate(points)
+
+
 def transport_by_steps(spec, germ, path, steps_per_segment=1000):
     """Killing transport as it was integrated before the step propagators of
     ``killing.killing_transport``: classical RK4 on the right-hand side of D,
-    with xi and A stepped through each stage separately.  The frames come
-    from the same batched ``point_frame`` calls, so the two differ only in
-    the order of the floating-point operations."""
+    with xi and A stepped through each stage separately.  The frames of each
+    segment come from one ``point_frame`` call over all its stage points,
+    whatever the production batching, so the two differ only in the order
+    of the floating-point operations."""
     if steps_per_segment < 1:
         raise ValueError("steps_per_segment must be >= 1")
     path = [np.asarray(p, dtype=np.float64) for p in path]
@@ -377,31 +393,21 @@ def transport_by_steps(spec, germ, path, steps_per_segment=1000):
 
     h = 1.0 / steps_per_segment
     for seg in range(len(path) - 1):
-        x0, x1 = path[seg], path[seg + 1]
-        u = x1 - x0
-        for k0 in range(0, steps_per_segment, _BLOCK_STEPS):
-            s = np.arange(k0, min(k0 + _BLOCK_STEPS, steps_per_segment)) * h
-            # stage points in path order: (x0,) mid_k, end_k, mid_k+1, ...
-            stages = np.empty((2 * len(s), len(u)))
-            stages[0::2] = x0 + (s + h / 2)[:, None] * u
-            stages[1::2] = x0 + (s + h)[:, None] * u
-            if k0 == 0:
-                stages = np.vstack([x0, stages])
-            _, _, gammas, rs = point_frame(spec, stages)
-            gus = np.einsum("Piab,a->Pib", gammas, u)
-            if k0 == 0:
-                frame0 = gus[0], rs[0]
-                gus, rs = gus[1:], rs[1:]
-            for k in range(len(s)):
-                mid = gus[2 * k], rs[2 * k]
-                frame1 = gus[2 * k + 1], rs[2 * k + 1]
-                k1 = rhs(*frame0, (xi, a), u)
-                k2 = rhs(*mid, (xi + h / 2 * k1[0], a + h / 2 * k1[1]), u)
-                k3 = rhs(*mid, (xi + h / 2 * k2[0], a + h / 2 * k2[1]), u)
-                k4 = rhs(*frame1, (xi + h * k3[0], a + h * k3[1]), u)
-                xi = xi + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-                a = a + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-                frame0 = frame1
+        u = path[seg + 1] - path[seg]
+        _, _, gammas, rs = point_frame(spec, stage_points(path[seg:seg + 2],
+                                                          steps_per_segment))
+        gus = np.einsum("Piab,a->Pib", gammas, u)
+        frame0 = gus[0], rs[0]
+        for k in range(steps_per_segment):
+            mid = gus[2 * k + 1], rs[2 * k + 1]
+            frame1 = gus[2 * k + 2], rs[2 * k + 2]
+            k1 = rhs(*frame0, (xi, a), u)
+            k2 = rhs(*mid, (xi + h / 2 * k1[0], a + h / 2 * k1[1]), u)
+            k3 = rhs(*mid, (xi + h / 2 * k2[0], a + h / 2 * k2[1]), u)
+            k4 = rhs(*frame1, (xi + h * k3[0], a + h * k3[1]), u)
+            xi = xi + h / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+            a = a + h / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+            frame0 = frame1
     return KillingGerm(xi=xi, a=a)
 
 

@@ -114,6 +114,33 @@ def test_transport_with_explicit_germ(capsys):
     assert doc["result"]["end_germ"]["xi"] == [1.0, 0.0]
 
 
+def test_transport_compiles_the_field_once(capsys, monkeypatch):
+    from killingkit import metricdsl
+    parsed = []
+    parse_field = metricdsl.parse_field
+    monkeypatch.setattr(metricdsl, "parse_field",
+                        lambda *args: parsed.append(args) or parse_field(*args))
+    code, out, _ = invoke(capsys, "transport", "--builtin", "sphere2", "--field=0,1",
+                          "--path", "1,0;1.2,0.1;1.1,0.3", "--steps", "5", "--json")
+    assert code == 0 and "field_germ_deviation" in json.loads(out)["result"]
+    assert len(parsed) == 1
+
+
+def test_transport_evaluates_the_end_germ_after_the_path(capsys):
+    # the field fails at the end of the path (x = 0), the chart before it (y = 0)
+    code, out, err = invoke(capsys, "transport", "--builtin", "hyperbolic2",
+                            "--field", "0,1/x", "--path", "1,1;0,-1", "--steps", "10")
+    assert (code, out) == (2, "")
+    assert err == ("error: metric of 'hyperbolic2' at (0.5, 0.0): component (0, 0) = "
+                   "1.0 / y^2: reciprocal of jet with zero constant term\n")
+
+
+def test_transport_takes_a_field_or_a_germ_not_both(capsys):
+    code, out, err = invoke(capsys, "transport", "--builtin", "sphere2", "--field=0,1",
+                            "--germ=1,0,0,0,0,0", "--path=1,0;1.2,0.1")
+    assert (code, out, err) == (2, "", "error: transport takes --field or --germ, not both\n")
+
+
 def test_product_command(capsys):
     code, out, _ = invoke(capsys, "product", "sphere2", "hyperbolic2")
     assert code == 0

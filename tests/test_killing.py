@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from killingkit import killing
 from killingkit.curvature import CurvatureData
 from killingkit.killing import (KillingGerm, PreconditionError, bundle_dim,
                                 check_first_prolongation, default_sample_points,
@@ -12,8 +13,10 @@ from killingkit.killing import (KillingGerm, PreconditionError, bundle_dim,
                                 so_coordinates, vector_to_germ, verify_killing,
                                 wedge)
 from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
+from killingkit.product import product_metric
 
-from oracles import germ_kernel_residual, killing_curvature, transport_by_steps
+from oracles import (germ_kernel_residual, killing_curvature, stage_points,
+                     transport_by_steps)
 from test_tower import SCHWARZSCHILD, random_chart
 
 
@@ -452,8 +455,11 @@ manifold ex {
      "1.0 + exp(x) * exp(-x): math range error"),
     (lambda: builtin("sphere2"), "1,0;-1,0", 10, "DegenerateMetricError",
      "metric of 'sphere2' degenerate at (0.0, 0.0): det = 0"),
+    (lambda: builtin("hyperbolic2"), "-0,0;1,0", 10, "JetDomainError",
+     "metric of 'hyperbolic2' at (-0.0, 0.0): component (0, 0) = 1.0 / y^2: "
+     "reciprocal of jet with zero constant term"),
 ], ids=["reciprocal", "sqrt", "second-segment", "overflow", "overflow-late-block",
-        "degenerate"])
+        "degenerate", "signed-zero-start"])
 def test_transport_names_the_first_failing_stage_point(chart, path, steps, error, message):
     spec = chart()
     germ = KillingGerm(xi=np.ones(spec.dim), a=np.zeros((spec.dim, spec.dim)))
@@ -464,25 +470,50 @@ def test_transport_names_the_first_failing_stage_point(chart, path, steps, error
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("steps", [100, 5000])
-def test_transport_frames_come_in_bounded_batches(monkeypatch, steps):
-    # every stage point is evaluated once, in batches whose size does not
-    # grow with the number of steps
-    from killingkit import killing
+def spy_on_frames(monkeypatch):
+    """Record the points of every ``point_frame`` call that transport makes."""
     batches = []
+    point_frame = killing.point_frame
 
     def spy(spec, points):
-        batches.append(np.shape(points))
+        batches.append(np.array(points))
         return point_frame(spec, points)
 
+    monkeypatch.setattr(killing, "point_frame", spy)
+    return batches
+
+
+@pytest.mark.parametrize("steps", [100, 5000])
+def test_transport_frames_come_in_bounded_batches(monkeypatch, steps):
+    # every stage point is evaluated once, in path order across segments, in
+    # calls as large as the budget allows (at n = 2, 8448 points)
     eu = builtin("euclidean", n=2)
     germ = germ_of_field(eu, ["-x2", "x1"])
-    point_frame = killing.point_frame
-    monkeypatch.setattr(killing, "point_frame", spy)
-    killing_transport(eu, germ, [[0, 0], [0.5, 0.7], [0.2, 0.1]], steps)
-    assert all(len(shape) == 2 for shape in batches)
-    assert sum(shape[0] for shape in batches) == 2 * (2 * steps + 1)
-    assert max(shape[0] for shape in batches) == 2 * killing._BLOCK_STEPS + 1
+    batches = spy_on_frames(monkeypatch)
+    path = [[0, 0], [0.5, 0.7], [0.2, 0.1]]
+    killing_transport(eu, germ, path, steps)
+    assert all(batch.ndim == 2 for batch in batches)
+    assert np.array_equal(np.concatenate(batches), stage_points(path, steps))
+    per_call = killing._FRAME_BUDGET // 2 ** 4
+    assert [len(b) for b in batches[:-1]] == [per_call] * (len(batches) - 1)
+    assert max(len(b) for b in batches) == min(2 * (2 * steps + 1), per_call)
+
+
+# (n, steps): at n = 8, 201 stage points already take 7 calls
+@pytest.mark.parametrize("n,steps", [(2, 30), (2, 5000), (4, 30), (4, 5000), (8, 30),
+                                     (8, 100)])
+def test_transport_frame_batches_fit_the_budget(monkeypatch, n, steps):
+    # P n^4 <= budget in every call, and on one short segment the largest
+    # call stops growing with the step count once it reaches the budget
+    batches = spy_on_frames(monkeypatch)
+    spec = builtin("euclidean", n=n)
+    germ = KillingGerm(xi=np.ones(n), a=np.zeros((n, n)))
+    path = [np.zeros(n), np.full(n, 0.01)]
+    killing_transport(spec, germ, path, steps)
+    per_call = killing._FRAME_BUDGET // n ** 4
+    assert all(len(b) * n ** 4 <= killing._FRAME_BUDGET for b in batches)
+    assert np.array_equal(np.concatenate(batches), stage_points(path, steps))
+    assert max(len(b) for b in batches) == min(2 * steps + 1, per_call)
 
 
 EXP_LINE_CHART = """
@@ -508,10 +539,31 @@ TRANSPORT_PATHS = {
 }
 
 
-@pytest.mark.parametrize("steps", [1, 15, 16, 17, 30, 1000])
-@pytest.mark.parametrize("chart", sorted(TRANSPORT_PATHS))
+# Longer paths where the batches of frames split a segment or end with one:
+# at n = 4 a call takes 528 stage points, so with 264 steps (529 points a
+# segment) the first call splits the first segment's last step; at n = 8 a
+# call takes 33, so with 16 steps every call is one segment, with 17 the
+# calls end inside segments, and with 1 step one call spans every segment.
+MORE_PATHS = {
+    "schwarzschild5": (lambda: parse_manifold(SCHWARZSCHILD),
+                       [[0.0, 5.0, 1.57, 0.0], [0.1, 5.2, 1.4, 0.1], [0.3, 5.4, 1.3, 0.2],
+                        [0.2, 5.0, 1.5, 0.0], [0.1, 4.8, 1.7, -0.3]]),
+    "cw2xcw2": (lambda: product_metric(builtin("cahen_wallach", n=2, q=[1.0, -1.0]),
+                                       builtin("cahen_wallach", n=2, q=[1.0, -1.0])).combined,
+                [[0.0] * 8, [0.1, -0.2, 0.3, 0.1, 0.0, 0.2, -0.1, 0.1],
+                 [0.2, 0.1, -0.1, 0.3, 0.1, 0.0, 0.2, -0.2],
+                 [0.0, 0.2, 0.1, 0.0, -0.2, 0.1, 0.0, 0.3]]),
+}
+PROPAGATOR_CASES = (
+    [(chart, steps) for steps in [1, 15, 16, 17, 30, 1000] for chart in sorted(TRANSPORT_PATHS)]
+    + [("schwarzschild5", steps) for steps in [1, 264]]
+    + [("cw2xcw2", steps) for steps in [1, 16, 17, 40]])
+
+
+@pytest.mark.parametrize("chart,steps", PROPAGATOR_CASES,
+                         ids=[f"{chart}-{steps}" for chart, steps in PROPAGATOR_CASES])
 def test_transport_propagators_match_stepping_by_stages(chart, steps):
-    make, path = TRANSPORT_PATHS[chart]
+    make, path = {**TRANSPORT_PATHS, **MORE_PATHS}[chart]
     spec = make()
     rng = np.random.default_rng(5)
     n = spec.dim
@@ -521,3 +573,17 @@ def test_transport_propagators_match_stepping_by_stages(chart, steps):
     scale = max(np.abs(ref.xi).max(), np.abs(ref.a).max())
     assert np.abs(out.xi - ref.xi).max() <= 1e-12 * scale
     assert np.abs(out.a - ref.a).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("chart,steps", [("sphere2", 30), ("schwarzschild5", 264),
+                                         ("cw2xcw2", 16)])
+def test_one_batched_frame_call_equals_point_by_point(chart, steps):
+    # the first call transport makes, as large as the budget allows: 122
+    # points (the whole path) at n = 2, 528 at n = 4, 33 at n = 8
+    make, path = {**TRANSPORT_PATHS, **MORE_PATHS}[chart]
+    spec = make()
+    points = stage_points(path, steps)[:killing._FRAME_BUDGET // spec.dim ** 4]
+    batch = killing.point_frame(spec, points)
+    for k, p in enumerate(points):
+        for many, one in zip(batch, killing.point_frame(spec, p)):
+            assert np.abs(many[k] - one).max() <= 1e-14 * np.abs(one).max()

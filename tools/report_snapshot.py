@@ -12,8 +12,10 @@ and ``check-decomposition`` at ``--order 0`` and ``--order 1``, where the
 first depth of a frame ladder is capped by the order (``LOW_ORDER_COMMANDS``),
 ``parse --builtin`` of every builtin form that README.md, the tests and the
 workloads use (``BUILTIN_FORMS``), the deepest product contractions
-(``DEEP_COMMANDS``: ``product`` on cw2 x cw2 and on two cw1 factors, and
-``curvature --order 3`` on the cw1 x cw1 chart), and a fixed list of commands
+(``DEEP_COMMANDS``: ``product`` on cw2 x cw2 and on two cw1 factors,
+``curvature --order 3`` on the cw1 x cw1 chart, and ``transport`` of a Killing
+field along three segments at the default 1000 steps on Schwarzschild and on
+cw2), and a fixed list of commands
 that must fail (``ERROR_COMMANDS``: Killing transport into a domain error, a
 degenerate point or an overflow, an invalid step count, every command that
 evaluates a point at three bad points, non-finite metric values and literals,
@@ -73,11 +75,21 @@ LOW_ORDER_COMMANDS = [
 # The deepest product contractions, where skipping zero jet components
 # saves the most: the mixed curvature of cw2 x cw2 and of two cw1 factors to
 # order 3, and curvature to order 3 on the cw1 x cw1 chart ("{deep}", written
-# to the workdir).
+# to the workdir).  Then the longest transports, where frames are batched
+# across segments: three segments at the default 1000 steps on
+# Schwarzschild at r = 5 ("{schwarzschild}", written to the workdir) and on
+# cw2, each with a Killing field of the chart.
 DEEP_COMMANDS = [
     ["product", "cahen_wallach:n=2,q=1:-1", "cahen_wallach:n=2,q=1:-1"],
     ["product", "cahen_wallach:n=1,q=1", "cahen_wallach:n=1,q=-1"],
     ["curvature", "--file", "{deep}", "--order", "3"],
+    ["transport", "--file", "{schwarzschild}",
+     "--field=0,0,sin(ph),cos(ph) * cos(th) / sin(th)",
+     "--path=0,5,1.57,0;0.3,5.4,1.3,0.2;0.1,4.8,1.7,-0.3;-0.2,5.2,1.5,0.4"],
+    ["transport", "--builtin", "cahen_wallach:n=2,q=1:-1",
+     "--field=0,-(1.4142135623730951 * cosh(1.4142135623730951 * t)) * x1,"
+     "sinh(1.4142135623730951 * t),0",
+     "--path=0,0,0,0;0.3,-0.2,0.4,0.1;0.1,0.5,-0.2,0.3;-0.2,0.1,0.1,-0.3"],
 ]
 
 # Every builtin form that README.md, the tests and the workloads use, each
@@ -222,12 +234,16 @@ def snapshot(seeds, workdir):
         reports[f"low_order.{i:02d}.{argv[0]}"] = run_query(cli, argv)
     for i, chart in enumerate(BUILTIN_FORMS):
         reports[f"builtin_forms.{i:02d}.parse"] = run_query(cli, ["parse", "--builtin", chart])
-    deep = workdir / "deep" / "cw1xcw1.man"
-    deep.parent.mkdir(parents=True, exist_ok=True)
+    deep = {"deep": workdir / "deep" / "cw1xcw1.man",
+            "schwarzschild": workdir / "deep" / "schwarzschild.man"}
+    deep["deep"].parent.mkdir(parents=True, exist_ok=True)
     cw1 = metricdsl.builtin("cahen_wallach", n=1, q=1.0)
-    deep.write_text(product_metric(cw1, cw1).combined.serialize(), encoding="utf-8")
+    deep["deep"].write_text(product_metric(cw1, cw1).combined.serialize(),
+                            encoding="utf-8")
+    deep["schwarzschild"].write_text(workloads.schwarzschild_chart([0.0, 5.0, 1.57, 0.0]),
+                                     encoding="utf-8")
     for i, argv in enumerate(DEEP_COMMANDS):
-        argv = [arg.format(deep=deep) for arg in argv]
+        argv = [arg.format(**deep) for arg in argv]
         reports[f"deep.{i:02d}.{argv[0]}"] = run_query(cli, argv)
     charts = {}
     (workdir / "errors").mkdir(parents=True, exist_ok=True)
