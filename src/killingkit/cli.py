@@ -114,6 +114,8 @@ def _load_spec_file(path):
 
 
 def _spec_from_args(args):
+    if getattr(args, "file", None) and getattr(args, "builtin", None):
+        raise SpecError("pass one input chart: --builtin or --file, not both")
     if getattr(args, "file", None):
         return _load_spec_file(args.file)
     if getattr(args, "builtin", None):
@@ -403,13 +405,14 @@ def _cmd_check_field(args):
     user_pts = _parse_points(args.points, spec.dim) if args.points else []
     if args.point:
         user_pts = [_parse_point(args.point, spec.dim)] + user_pts
+    jets = field_jets(spec, components)
     for p in user_pts:
-        germ_of_field(spec, components, p)   # the chart and the field must evaluate there
+        germ_of_field(spec, jets, p)   # the chart and the field must evaluate there
     # generated samples keep their per-point errors recorded, not fatal
     pts = user_pts if args.points else user_pts + [
         list(p) for p in default_sample_points(spec)]
-    killing_chk = verify_killing(spec, components, pts, tol=args.tol)
-    germ = germ_of_field(spec, components)
+    killing_chk = verify_killing(spec, jets, pts, tol=args.tol)
+    germ = germ_of_field(spec, jets)
     g0 = spec.metric_values(spec.base_point)
     result = {
         "field": components,
@@ -421,7 +424,8 @@ def _cmd_check_field(args):
              f"(max residual {_fmt(killing_chk.max_residual)}, "
              f"tol {_fmt(killing_chk.tol)} * {_fmt(killing_chk.scale)})"]
     if killing_chk.passed:
-        prolong = check_first_prolongation(spec, components, pts, tol=max(args.tol, 1e-8))
+        prolong = check_first_prolongation(spec, jets, pts, tol=max(args.tol, 1e-8),
+                                           killing_check=killing_chk)
         result["first_prolongation"] = _field_check_payload(prolong)
         lines.append(f"  derivative identity residual: {_fmt(prolong.max_residual)} "
                      f"({'pass' if prolong.passed else 'fail'})")
@@ -440,13 +444,14 @@ def _cmd_transport(args):
     steps = args.steps
     if args.field:
         jets = field_jets(spec, args.field.split(","))
-        germ = germ_of_field(spec, jets, path[0])
+        moved = killing_transport(spec, jets, path, steps_per_segment=steps)
+        germ, out, g_end = moved.start, moved.end, moved.g_end
     elif args.germ:
         germ = _parse_germ(args.germ, spec.dim)
+        out = killing_transport(spec, germ, path, steps_per_segment=steps)
+        g_end = spec.metric_values(path[-1])
     else:
         raise SpecError("transport requires --field or --germ")
-    out = killing_transport(spec, germ, path, steps_per_segment=steps)
-    g_end = spec.metric_values(path[-1])
     result = {
         "path": [list(map(float, p)) for p in path],
         "steps_per_segment": steps,
@@ -459,7 +464,7 @@ def _cmd_transport(args):
              f"  end xi: {[float(x) for x in out.xi]}",
              f"  so defect at end: {_fmt(out.so_defect(g_end))}"]
     if args.field:
-        ref = germ_of_field(spec, jets, path[-1])
+        ref = moved.field_end
         deviation = max(float(np.abs(out.xi - ref.xi).max()),
                         float(np.abs(out.a - ref.a).max()))
         result["field_germ_deviation"] = deviation

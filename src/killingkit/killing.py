@@ -118,17 +118,25 @@ def field_jets(spec, fld):
     return jets
 
 
+def _field_germ(jets, gamma):
+    """The germ (xi, A), A = -(grad xi + Gamma xi), of a field with 1-jets
+    ``jets`` (``field_jets`` at order 1) at a point with connection values
+    ``gamma``."""
+    xi, dxi = jets[:, 0], jets[:, 1:]  # dxi[i, j] = d_j xi^i
+    return KillingGerm(xi=xi, a=-(dxi + np.einsum("ijk,k->ij", gamma, xi)))
+
+
 def germ_of_field(spec, fld, point=None):
     """The germ (xi(p), A(p)) of a vector field, with A = -(grad xi + Gamma xi).
     ``fld`` is the field's component expressions or, to evaluate one field
-    at several points from one compiled tape, their ``field_jets``."""
+    at several points from one compiled tape, their ``field_jets``.  The
+    chart is evaluated at p before the field, so a chart failure there is
+    named first.  ``killing_transport`` of a field's jets takes the germs at
+    a path's ends from its own frames, as this would."""
     jets_at = fld if callable(fld) else field_jets(spec, fld)
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
     _, _, gamma, _ = point_frame(spec, p)
-    jets = jets_at(p, 1)
-    xi, dxi = jets[:, 0], jets[:, 1:]  # dxi[i, j] = d_j xi^i
-    a = -(dxi + np.einsum("ijk,k->ij", gamma, xi))
-    return KillingGerm(xi=xi, a=a)
+    return _field_germ(jets_at(p, 1), gamma)
 
 
 @dataclass
@@ -165,9 +173,10 @@ def verify_killing(spec, fld, sample_points, tol=1e-9):
 
     Passes when every valid sample point has residual <= tol * (1 + |g|).
     Failures at individual points (a component that cannot be evaluated, a
-    degenerate metric) are recorded, not fatal.
+    degenerate metric) are recorded, not fatal.  ``fld`` is as in
+    ``germ_of_field``.
     """
-    jets_at = field_jets(spec, fld)
+    jets_at = fld if callable(fld) else field_jets(spec, fld)
     residuals, errors = [], []
     g_scale = 0.0
     for p in sample_points:
@@ -185,24 +194,36 @@ def verify_killing(spec, fld, sample_points, tol=1e-9):
                + np.einsum("ik,jk->ij", gval, dxi))
         residuals.append((tuple(map(float, p)), float(np.abs(lie).max())))
         g_scale = max(g_scale, float(np.abs(gval).max()))
+    return _field_check(residuals, errors, tol, 1.0 + g_scale)
+
+
+def _field_check(residuals, errors, tol, scale):
+    """The ``FieldCheck`` of per-point residuals: passed when there is one
+    and the largest is at most tol * scale."""
     max_res = max((r for _, r in residuals), default=float("inf"))
-    scale = 1.0 + g_scale
-    passed = bool(residuals) and max_res <= tol * scale
-    return FieldCheck(passed=passed, max_residual=max_res, tol=tol, scale=scale,
+    return FieldCheck(passed=bool(residuals) and max_res <= tol * scale,
+                      max_residual=max_res, tol=tol, scale=scale,
                       point_residuals=residuals, point_errors=errors)
 
 
-def check_first_prolongation(spec, fld, sample_points, tol=1e-8):
+def check_first_prolongation(spec, fld, sample_points, tol=1e-8, killing_check=None):
     """For a verified Killing field, the derivative of A must cancel R(., xi).
 
-    Refuses (PreconditionError) when the field is not Killing on the samples.
+    Refuses (PreconditionError) when the field is not Killing on the samples
+    at tolerance max(tol, 1e-9).  ``fld`` is as in ``germ_of_field``;
+    ``killing_check`` is the field's ``verify_killing`` on the same samples,
+    if the caller has it: its residuals do not depend on its tolerance.
     """
-    killing_check = verify_killing(spec, fld, sample_points, tol=max(tol, 1e-9))
+    if killing_check is None:
+        killing_check = verify_killing(spec, fld, sample_points)
+    killing_check = _field_check(killing_check.point_residuals,
+                                 killing_check.point_errors, max(tol, 1e-9),
+                                 killing_check.scale)
     if not killing_check.passed:
         raise PreconditionError(
             f"field is not Killing on the sample points "
             f"(residual {killing_check.max_residual:.3g}); check refused")
-    jets_at = field_jets(spec, fld)
+    jets_at = fld if callable(fld) else field_jets(spec, fld)
     residuals, errors = [], []
     scale = 1.0
     for p in sample_points:
@@ -223,10 +244,7 @@ def check_first_prolongation(spec, fld, sample_points, tol=1e-8):
         residuals.append((tuple(map(float, p)), float(np.abs(res).max())))
         scale = max(scale, 1.0 + float(np.abs(grad_a).max()),
                     1.0 + float(np.abs(coupling).max()))
-    max_res = max((r for _, r in residuals), default=float("inf"))
-    passed = bool(residuals) and max_res <= tol * scale
-    return FieldCheck(passed=passed, max_residual=max_res, tol=tol, scale=scale,
-                      point_residuals=residuals, point_errors=errors)
+    return _field_check(residuals, errors, tol, scale)
 
 
 # -- integrability tensors -------------------------------------------------------
@@ -469,26 +487,30 @@ def _transport_generators(gus, rs, u):
     return m
 
 
-def _stage_frames(spec, path, steps):
-    """``take(count)``: the connection and curvature values, (P, n, n, n)
-    and (P, n, n, n, n), at the next ``count`` stage points of RK4 along the
-    polyline ``path`` with ``steps`` steps a segment.  The stage points are
-    in path order: each segment's start x0, then the midpoint and the end of
-    each step.  They are evaluated by consecutive ``point_frame`` calls of as
-    many points as ``_FRAME_BUDGET`` allows, each call when a take first
-    needs it.  Every earlier point has been evaluated by then, so a failing
-    point raises what evaluating the points one by one would raise first."""
+def _stage_frames(spec, path, steps, end=False):
+    """``take(count)``: what ``point_frame`` gives (the metric, its inverse,
+    the connection and the curvature values) at the next ``count`` stage
+    points of RK4 along the polyline ``path`` with ``steps`` steps a
+    segment.  The
+    stage points are in path order: each segment's start x0, then the
+    midpoint and the end of each step; with ``end``, one more point,
+    ``path[-1]`` itself, follows the last of them.  They are evaluated by
+    consecutive ``point_frame`` calls of as many points as ``_FRAME_BUDGET``
+    allows, each call when a take first needs it.  Every earlier point has
+    been evaluated by then, so a failing point raises what evaluating the
+    points one by one would raise first."""
     n = len(path[0])
     per_call = max(1, _FRAME_BUDGET // n ** 4)
     per_segment = 2 * steps + 1
-    total = (len(path) - 1) * per_segment
+    stages = (len(path) - 1) * per_segment
+    total = stages + bool(end)
     h = 1.0 / steps
     evaluated = 0
-    gammas = rs = np.empty((0,))
+    batch = [np.empty(0)]   # the values of the last call not yet taken
 
     def stage_points(start, stop):
         pieces = []
-        for seg in range(start // per_segment, (stop - 1) // per_segment + 1):
+        for seg in range(start // per_segment, (min(stop, stages) - 1) // per_segment + 1):
             x0 = path[seg]
             i = np.arange(max(start - seg * per_segment, 0),
                           min(stop - seg * per_segment, per_segment))
@@ -496,27 +518,41 @@ def _stage_frames(spec, path, steps):
             points = x0 + np.where(i % 2, s + h / 2, s + h)[:, None] * (path[seg + 1] - x0)
             points[i == 0] = x0   # exactly: x0 + 0 u would turn -0.0 into 0.0
             pieces.append(points)
+        if stop > stages:
+            pieces.append(path[-1][None])
         return np.concatenate(pieces)
 
     def take(count):
-        nonlocal evaluated, gammas, rs
+        nonlocal evaluated, batch
         pieces = []
         while count:
-            if not len(gammas):
+            if not len(batch[0]):
                 # no view may hold the spent batch while the next is evaluated
-                pieces = [(g.copy(), r.copy()) for g, r in pieces]
-                gammas = rs = None
+                pieces = [tuple(a.copy() for a in piece) for piece in pieces]
+                batch = None
                 stop = min(evaluated + per_call, total)
-                _, _, gammas, rs = point_frame(spec, stage_points(evaluated, stop))
+                batch = point_frame(spec, stage_points(evaluated, stop))
                 evaluated = stop
-            got = min(count, len(gammas))
-            pieces.append((gammas[:got], rs[:got]))
-            gammas, rs = gammas[got:], rs[got:]
+            got = min(count, len(batch[0]))
+            pieces.append(tuple(a[:got] for a in batch))
+            batch = tuple(a[got:] for a in batch)
             count -= got
         if len(pieces) == 1:
             return pieces[0]
         return tuple(np.concatenate(part) for part in zip(*pieces))
     return take
+
+
+@dataclass(frozen=True)
+class FieldTransport:
+    """Killing transport of a field's germ along a path: the field's germ at
+    the start, the transported germ at the end, the field's own germ at the
+    end and the metric there."""
+
+    start: KillingGerm
+    end: KillingGerm
+    field_end: KillingGerm
+    g_end: np.ndarray
 
 
 def killing_transport(spec, germ, path, steps_per_segment=1000):
@@ -541,27 +577,48 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     so memory is bounded whatever the number of steps.  The products round
     differently from stepping xi and A through the right-hand side of D
     stage by stage, so end germs differ from that form in the last bits.
+
+    ``germ`` is a ``KillingGerm``, and the transported germ is returned; or
+    it is a field's ``field_jets``, and a ``FieldTransport`` is returned.
+    Then the field's germs at both ends come from the same batches, as
+    ``germ_of_field`` would give them: the start germ from the first stage
+    point, which is ``path[0]`` exactly, and the end germ from ``path[-1]``,
+    evaluated as one more point after the last stage point, inside the
+    budget.  The first failure raised is the first of: the chart at
+    ``path[0]``, the field there, the chart at a stage point in path order,
+    the chart at ``path[-1]``, the field there.
     """
     if steps_per_segment < 1:
         raise ValueError("steps_per_segment must be >= 1")
     path = [np.asarray(p, dtype=np.float64) for p in path]
     if len(path) < 2:
         raise ValueError("path needs at least two points")
+    jets_at = germ if callable(germ) else None
+    if jets_at is not None:
+        try:
+            start_jets = jets_at(path[0], 1)
+        except ValueError:
+            point_frame(spec, path[0])   # a chart failure at path[0] comes first
+            raise
+    take = _stage_frames(spec, path, steps_per_segment, end=jets_at is not None)
+
+    def generators(frames, u):
+        _, _, gammas, rs = frames
+        return _transport_generators(np.einsum("Piab,a->Pib", gammas, u), rs, u)
+
+    x0_frames = take(1)   # path[0], the first stage point
+    if jets_at is not None:
+        _, _, gamma_start, _ = x0_frames
+        germ = _field_germ(start_jets, gamma_start[0])
     n = len(germ.xi)
     state = np.concatenate([np.ravel(germ.xi), np.ravel(germ.a)]).astype(np.float64)
     eye = np.eye(len(state))
-    take = _stage_frames(spec, path, steps_per_segment)
-
-    def generators(count, u):
-        gammas, rs = take(count)
-        return _transport_generators(np.einsum("Piab,a->Pib", gammas, u), rs, u)
-
     h = 1.0 / steps_per_segment
     for seg in range(len(path) - 1):
         u = path[seg + 1] - path[seg]
-        m_start = generators(1, u)[0]
+        m_start = generators(x0_frames if seg == 0 else take(1), u)[0]
         for k0 in range(0, steps_per_segment, _BLOCK_STEPS):
-            ms = generators(2 * min(_BLOCK_STEPS, steps_per_segment - k0), u)
+            ms = generators(take(2 * min(_BLOCK_STEPS, steps_per_segment - k0)), u)
             mids, ends = ms[0::2], ms[1::2]
             k1 = np.concatenate([m_start[None], ends[:-1]])
             k2 = mids + h / 2 * (mids @ k1)
@@ -570,4 +627,10 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
             for step in eye + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4):
                 state = step @ state
             m_start = ends[-1]
-    return KillingGerm(xi=state[:n].copy(), a=state[n:].reshape(n, n).copy())
+    out = KillingGerm(xi=state[:n].copy(), a=state[n:].reshape(n, n).copy())
+    if jets_at is None:
+        return out
+    g_end, _, gamma_end, _ = take(1)   # path[-1], after the last stage point
+    return FieldTransport(start=germ, end=out,
+                          field_end=_field_germ(jets_at(path[-1], 1), gamma_end[0]),
+                          g_end=g_end[0])

@@ -135,10 +135,91 @@ def test_transport_evaluates_the_end_germ_after_the_path(capsys):
                    "1.0 / y^2: reciprocal of jet with zero constant term\n")
 
 
+# a field failing at path[0] is named before the chart failing at a later
+# stage point, and the chart failing at path[0] before the field there
+@pytest.mark.parametrize("path,message", [
+    ("0,1;0,-1", "field on 'hyperbolic2' at (0.0, 1.0): component 0 = 1.0 / x: "
+                 "reciprocal of jet with zero constant term"),
+    ("0,0;0,-1", "metric of 'hyperbolic2' at (0.0, 0.0): component (0, 0) = 1.0 / y^2: "
+                 "reciprocal of jet with zero constant term"),
+], ids=["field-before-stage-point", "chart-before-field"])
+def test_transport_names_the_failure_at_the_start_first(capsys, path, message):
+    code, out, err = invoke(capsys, "transport", "--builtin", "hyperbolic2",
+                            "--field", "1/x,0", "--path", path, "--steps", "10")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def spy_on_transport_charts(monkeypatch):
+    """The points of every ``point_frame`` call in ``killing`` and of every
+    ``metric_values`` call, as two lists."""
+    from killingkit import killing, metricdsl
+    frames, values = [], []
+    point_frame = killing.point_frame
+    metric_values = metricdsl.ManifoldSpec.metric_values
+    monkeypatch.setattr(killing, "point_frame",
+                        lambda spec, p: frames.append(p) or point_frame(spec, p))
+    monkeypatch.setattr(metricdsl.ManifoldSpec, "metric_values",
+                        lambda spec, p: values.append(list(p)) or metric_values(spec, p))
+    return frames, values
+
+
+def test_transport_of_a_field_takes_both_ends_from_the_path_frames(capsys, monkeypatch):
+    frames, values = spy_on_transport_charts(monkeypatch)
+    code, out, _ = invoke(capsys, "transport", "--builtin", "sphere2", "--field=0,1",
+                          "--path", "1,0;1.2,0.1;1.1,0.3", "--steps", "30", "--json")
+    assert code == 0 and "field_germ_deviation" in json.loads(out)["result"]
+    assert len(frames) == 1 and list(frames[0][-1]) == [1.1, 0.3]
+    assert [1.1, 0.3] not in values
+
+
+def test_transport_of_a_germ_reads_the_end_metric_alone(capsys, monkeypatch):
+    frames, values = spy_on_transport_charts(monkeypatch)
+    code, _, _ = invoke(capsys, "transport", "--builtin", "sphere2",
+                        "--germ", "0,1|0,0;0,0", "--path", "1,0;1.2,0.1;1.1,0.3",
+                        "--steps", "30", "--json")
+    assert code == 0
+    assert len(frames) == 1 and len(frames[0]) == 2 * (2 * 30 + 1)
+    assert values.count([1.1, 0.3]) == 1
+
+
 def test_transport_takes_a_field_or_a_germ_not_both(capsys):
     code, out, err = invoke(capsys, "transport", "--builtin", "sphere2", "--field=0,1",
                             "--germ=1,0,0,0,0,0", "--path=1,0;1.2,0.1")
     assert (code, out, err) == (2, "", "error: transport takes --field or --germ, not both\n")
+
+
+def test_check_field_compiles_and_verifies_the_field_once(capsys, monkeypatch):
+    from killingkit import cli, killing, metricdsl
+    parsed, verified = [], []
+    parse_field = metricdsl.parse_field
+    verify_killing = killing.verify_killing
+
+    def counted(*args, **kwargs):
+        verified.append(args)
+        return verify_killing(*args, **kwargs)
+
+    monkeypatch.setattr(metricdsl, "parse_field",
+                        lambda *args: parsed.append(args) or parse_field(*args))
+    monkeypatch.setattr(killing, "verify_killing", counted)
+    monkeypatch.setattr(cli, "verify_killing", counted)
+    code, out, _ = invoke(capsys, "check-field", "--builtin", "sphere2", "--field", "0,1",
+                          "--point", "1,0", "--json")
+    assert code == 0 and "first_prolongation" in json.loads(out)["result"]
+    assert (len(parsed), len(verified)) == (1, 1)
+
+
+# every command that reads one chart takes it from one option
+@pytest.mark.parametrize("argv", [
+    ["parse"], ["curvature"], ["killing-dim"], ["holonomy"], ["hypothesis"],
+    ["check-field", "--field", "1,0"],
+    ["transport", "--field", "1,0", "--path", "0,0;1,0", "--steps", "2"],
+], ids=lambda argv: argv[0])
+def test_builtin_and_file_together_are_an_input_error(capsys, tmp_path, argv):
+    chart = chart_file(tmp_path, "flat", "[[1, 0], [0, 1]]", "0, 0")
+    code, out, err = invoke(capsys, argv[0], "--builtin", "euclidean:n=2", "--file", chart,
+                            *argv[1:])
+    assert (code, out, err) == (
+        2, "", "error: pass one input chart: --builtin or --file, not both\n")
 
 
 def test_product_command(capsys):

@@ -7,7 +7,7 @@ from killingkit import killing
 from killingkit.curvature import CurvatureData
 from killingkit.killing import (KillingGerm, PreconditionError, bundle_dim,
                                 check_first_prolongation, default_sample_points,
-                                germ_of_field, germ_to_vector,
+                                field_jets, germ_of_field, germ_to_vector,
                                 integrability_tensors, kernel_germs,
                                 killing_dimension, killing_transport, so_basis,
                                 so_coordinates, vector_to_germ, verify_killing,
@@ -587,3 +587,116 @@ def test_one_batched_frame_call_equals_point_by_point(chart, steps):
     for k, p in enumerate(points):
         for many, one in zip(batch, killing.point_frame(spec, p)):
             assert np.abs(many[k] - one).max() <= 1e-14 * np.abs(one).max()
+
+
+# -- transport of a field's germ -----------------------------------------------------
+
+SQRT_END_CHART = """
+manifold sq {
+  coordinates: x, y;
+  metric: [[1 + sqrt(x - 0.3), 0], [0, 1]];
+  base_point: (1, 0);
+}
+"""
+
+
+def transport_field_point_by_point(spec, fld, path, steps):
+    """A field's germ transported as it was before both ends came from the
+    path's frames: its germ at path[0], the transport of that germ, the
+    metric at path[-1], then the field's own germ there."""
+    germ = germ_of_field(spec, fld, path[0])
+    killing_transport(spec, germ, path, steps)
+    spec.metric_values(path[-1])
+    germ_of_field(spec, fld, path[-1])
+
+
+# One case per rule of the error order: the chart at path[0] (alone, and
+# before the field failing there too), the field at path[0] before a stage
+# point, a stage point before the field at path[-1], the chart at path[-1]
+# (the last stage point, 1.1 + (0.3 - 1.1) = 0.30000000000000004, is inside
+# the chart) before the field there, and the field at path[-1] alone.
+FIELD_ERRORS = {
+    "chart-at-start": (
+        lambda: builtin("hyperbolic2"), ["1", "0"], "0,0;0,1",
+        "metric of 'hyperbolic2' at (0.0, 0.0): component (0, 0) = 1.0 / y^2: "
+        "reciprocal of jet with zero constant term"),
+    "chart-and-field-at-start": (
+        lambda: builtin("hyperbolic2"), ["1 / x", "0"], "0,0;0,-1",
+        "metric of 'hyperbolic2' at (0.0, 0.0): component (0, 0) = 1.0 / y^2: "
+        "reciprocal of jet with zero constant term"),
+    "field-at-start": (
+        lambda: builtin("hyperbolic2"), ["1 / x", "0"], "0,1;0,-1",
+        "field on 'hyperbolic2' at (0.0, 1.0): component 0 = 1.0 / x: "
+        "reciprocal of jet with zero constant term"),
+    "stage-point": (
+        lambda: builtin("hyperbolic2"), ["0", "1 / x"], "1,1;0,-1",
+        "metric of 'hyperbolic2' at (0.5, 0.0): component (0, 0) = 1.0 / y^2: "
+        "reciprocal of jet with zero constant term"),
+    "chart-at-end": (
+        lambda: parse_manifold(SQRT_END_CHART), ["1 / (x - 0.3)", "0"], "1.1,0;0.3,0",
+        "metric of 'sq' at (0.3, 0.0): component (0, 0) = 1.0 + sqrt(x - 0.3): "
+        "sqrt of jet with constant term 0.0 <= 0"),
+    "field-at-end": (
+        lambda: builtin("euclidean", n=2), ["0", "1 / x1"], "1,0;0,0",
+        "field on 'euclidean2' at (0.0, 0.0): component 1 = 1.0 / x1: "
+        "reciprocal of jet with zero constant term"),
+}
+
+
+@pytest.mark.parametrize("case", list(FIELD_ERRORS))
+def test_field_transport_raises_what_point_by_point_raised_first(case):
+    make, fld, path, message = FIELD_ERRORS[case]
+    spec = make()
+    points = [[float(v) for v in p.split(",")] for p in path.split(";")]
+    with pytest.raises(ValueError) as old:
+        transport_field_point_by_point(spec, fld, points, 10)
+    with pytest.raises(ValueError) as new:
+        killing_transport(spec, field_jets(spec, fld), points, 10)
+    assert (type(new.value), str(new.value)) == (type(old.value), str(old.value))
+    assert str(new.value) == message
+
+
+# (n, path nodes, steps): a short path is one call at n = 2 and 4; the stage
+# points fill the budget exactly at n = 4 (16 segments of 33 points) and at
+# n = 8 (one segment of 33), so path[-1] is a call of its own there
+@pytest.mark.parametrize("n,nodes,steps,calls", [(2, 3, 30, 1), (4, 3, 30, 1),
+                                                 (4, 17, 16, 2), (8, 2, 16, 2),
+                                                 (8, 2, 30, 2)])
+def test_field_transport_evaluates_path_end_last_in_budget(monkeypatch, n, nodes, steps,
+                                                           calls):
+    spec = builtin("euclidean", n=n)
+    jets = field_jets(spec, ["-x2", "x1"] + ["0"] * (n - 2))
+    path = [0.01 * k * np.arange(1, n + 1) for k in range(nodes)]
+    batches = spy_on_frames(monkeypatch)
+    killing_transport(spec, jets, path, steps)
+    assert len(batches) == calls
+    assert all(len(b) * n ** 4 <= killing._FRAME_BUDGET for b in batches)
+    assert np.array_equal(np.concatenate(batches),
+                          np.vstack([stage_points(path, steps), path[-1]]))
+
+
+@pytest.mark.parametrize("chart", ["sphere2", "hyperbolic2", "cw2", "schwarzschild"])
+def test_field_transport_germs_are_germ_of_field_and_its_transport(chart):
+    make, path = TRANSPORT_PATHS[chart]
+    spec = make()
+    # any field will do: the germs need not be Killing
+    jets = field_jets(spec, [f"1 + {c} * {spec.coords[0]}" for c in spec.coords])
+    moved = killing_transport(spec, jets, path, 30)
+    start = germ_of_field(spec, jets, path[0])
+    want = [start, killing_transport(spec, start, path, 30),
+            germ_of_field(spec, jets, path[-1])]
+    for got, ref in zip([moved.start, moved.end, moved.field_end], want):
+        scale = max(np.abs(ref.xi).max(), np.abs(ref.a).max())
+        assert np.abs(got.xi - ref.xi).max() <= 1e-14 * scale
+        assert np.abs(got.a - ref.a).max() <= 1e-14 * scale
+    g_end = spec.metric_values(path[-1])
+    assert np.abs(moved.g_end - g_end).max() <= 1e-14 * np.abs(g_end).max()
+
+
+def test_germ_transport_evaluates_no_end_node(monkeypatch):
+    make, path = TRANSPORT_PATHS["sphere2"]
+    spec = make()
+    batches = spy_on_frames(monkeypatch)
+    out = killing_transport(spec, germ_of_field(spec, ["0", "1"], path[0]), path, 30)
+    assert isinstance(out, KillingGerm)
+    assert np.array_equal(np.concatenate(batches[1:]), stage_points(path, 30))

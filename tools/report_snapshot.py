@@ -19,7 +19,9 @@ cw2), and a fixed list of commands
 that must fail (``ERROR_COMMANDS``: Killing transport into a domain error, a
 degenerate point or an overflow, an invalid step count, every command that
 evaluates a point at three bad points, non-finite metric values and literals,
-fields that fail at a point, and builtin parameters the catalog refuses), each
+fields that fail at a point, builtin parameters the catalog refuses, a
+transported field's failures at the path's ends, and a chart given both as
+``--builtin`` and as ``--file``), each
 with ``--json``, through ``killingkit.cli.run`` of the package in this
 checkout's ``src/``.  It writes one JSON file mapping each query to its exit
 code, stdout and stderr.  Chart files go to a fixed directory
@@ -126,6 +128,8 @@ ERROR_CHARTS = {
                 "  metric: [[1e200 * 1e200 * x, 0], [0, 1]];\n}\n"),
     "lit400": ("manifold lit {\n  coordinates: x, y;\n"
                "  metric: [[10^400, 0], [0, 1]];\n}\n"),
+    "sqrtend": ("manifold sq {\n  coordinates: x, y;\n"
+                "  metric: [[1 + sqrt(x - 0.3), 0], [0, 1]];\n  base_point: (1, 0);\n}\n"),
 }
 
 # Every command that evaluates a point, at a bad point of each chart: the
@@ -172,7 +176,24 @@ ERROR_COMMANDS = [
 ] + [[command[0], *chart, *(arg.format(point=point, path=path) for arg in command[1:])]
      for chart, point, path in BAD_POINTS for command in POINT_COMMANDS
 ] + [argv for chart in BAD_BUILTINS
-     for argv in (["killing-dim", "--builtin", chart], ["check-decomposition", chart, "sphere2"])]
+     for argv in (["killing-dim", "--builtin", chart], ["check-decomposition", chart, "sphere2"])
+] + [
+    # the failure at a transported field's start: the field before a later
+    # stage point, the chart before the field
+    ["transport", "--builtin", "hyperbolic2", "--field", "1/x,0", "--path", "0,1;0,-1",
+     "--steps", "10"],
+    ["transport", "--builtin", "hyperbolic2", "--field", "1/x,0", "--path", "0,0;0,-1",
+     "--steps", "10"],
+    # the field failing only at the path's end, after a clean path; the chart
+    # failing only there (the last stage point is 0.30000000000000004), before
+    # the field
+    ["transport", "--builtin", "euclidean:n=2", "--field", "0,1/x1", "--path", "1,0;0,0",
+     "--steps", "10"],
+    ["transport", "--file", "{sqrtend}", "--field", "1/(x - 0.3),0", "--path", "1.1,0;0.3,0",
+     "--steps", "10"],
+    # two input charts
+    ["killing-dim", "--builtin", "euclidean:n=2", "--file", "{sqrtx}"],
+]
 
 
 def readme_commands(readme):
