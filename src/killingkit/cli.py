@@ -607,13 +607,12 @@ def _add_spec_args(sp):
     sp.add_argument("--file", help="chart description file")
 
 
-def _add_common(sp, point=True, order=True, tol=True):
+def _add_common(sp, point=True, order="default 10", tol=True):
     if point:
         sp.add_argument("--point", help="evaluation point, comma-separated")
     if order:
         sp.add_argument("--order", type=_order_arg, default=None,
-                        help="derivative/prolongation depth cap (default 10; "
-                             "curvature command defaults to 2)")
+                        help=f"derivative/prolongation depth cap ({order})")
     if tol:
         sp.add_argument("--tol", type=_tol_arg, default=1e-8,
                         help="absolute threshold on singular values in the unit "
@@ -643,7 +642,7 @@ def build_parser():
 
     sp = sub.add_parser("curvature", help="connection, curvature, identities")
     _add_spec_args(sp)
-    _add_common(sp, tol=False)
+    _add_common(sp, order="default 2", tol=False)
     sp.set_defaults(func=_cmd_curvature)
 
     sp = sub.add_parser("killing-dim", help="isometry-algebra dimension")
@@ -677,14 +676,14 @@ def build_parser():
     sp.add_argument("--field", help="take the germ of this field at the path start")
     sp.add_argument("--germ", help="explicit germ xi1,..|a11,..;a21,..")
     sp.add_argument("--path", help="polyline p0;p1;...")
-    sp.add_argument("--steps", type=int, default=1000,
-                    help="integration steps per segment (default 1000)")
+    sp.add_argument("--steps", type=_count_arg, default=1000,
+                    help="integration steps per segment, >= 1 (default 1000)")
     sp.set_defaults(func=_cmd_transport)
 
     sp = sub.add_parser("product", help="build a product chart")
     sp.add_argument("left", help="spec string: builtin[:params] or @file")
     sp.add_argument("right", help="spec string: builtin[:params] or @file")
-    _add_common(sp, point=False, tol=False)
+    _add_common(sp, point=False, order="at most 3, default 3", tol=False)
     sp.set_defaults(func=_cmd_product)
 
     sp = sub.add_parser("check-decomposition",

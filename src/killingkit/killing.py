@@ -487,60 +487,26 @@ def _transport_generators(gus, rs, u):
     return m
 
 
-def _stage_frames(spec, path, steps, end=False):
-    """``take(count)``: what ``point_frame`` gives (the metric, its inverse,
-    the connection and the curvature values) at the next ``count`` stage
-    points of RK4 along the polyline ``path`` with ``steps`` steps a
-    segment.  The
-    stage points are in path order: each segment's start x0, then the
-    midpoint and the end of each step; with ``end``, one more point,
-    ``path[-1]`` itself, follows the last of them.  They are evaluated by
-    consecutive ``point_frame`` calls of as many points as ``_FRAME_BUDGET``
-    allows, each call when a take first needs it.  Every earlier point has
-    been evaluated by then, so a failing point raises what evaluating the
-    points one by one would raise first."""
-    n = len(path[0])
-    per_call = max(1, _FRAME_BUDGET // n ** 4)
+def _stage_points(path, steps, start, stop):
+    """Stage points ``start`` to ``stop - 1`` of RK4 along the polyline
+    ``path`` with ``steps`` steps a segment, in path order: each segment's
+    start x0, then the midpoint and the end of each step; past the last of
+    them comes ``path[-1]`` itself."""
     per_segment = 2 * steps + 1
     stages = (len(path) - 1) * per_segment
-    total = stages + bool(end)
     h = 1.0 / steps
-    evaluated = 0
-    batch = [np.empty(0)]   # the values of the last call not yet taken
-
-    def stage_points(start, stop):
-        pieces = []
-        for seg in range(start // per_segment, (min(stop, stages) - 1) // per_segment + 1):
-            x0 = path[seg]
-            i = np.arange(max(start - seg * per_segment, 0),
-                          min(stop - seg * per_segment, per_segment))
-            s = (i - 1) // 2 * h   # step k starts at s = k h
-            points = x0 + np.where(i % 2, s + h / 2, s + h)[:, None] * (path[seg + 1] - x0)
-            points[i == 0] = x0   # exactly: x0 + 0 u would turn -0.0 into 0.0
-            pieces.append(points)
-        if stop > stages:
-            pieces.append(path[-1][None])
-        return np.concatenate(pieces)
-
-    def take(count):
-        nonlocal evaluated, batch
-        pieces = []
-        while count:
-            if not len(batch[0]):
-                # no view may hold the spent batch while the next is evaluated
-                pieces = [tuple(a.copy() for a in piece) for piece in pieces]
-                batch = None
-                stop = min(evaluated + per_call, total)
-                batch = point_frame(spec, stage_points(evaluated, stop))
-                evaluated = stop
-            got = min(count, len(batch[0]))
-            pieces.append(tuple(a[:got] for a in batch))
-            batch = tuple(a[got:] for a in batch)
-            count -= got
-        if len(pieces) == 1:
-            return pieces[0]
-        return tuple(np.concatenate(part) for part in zip(*pieces))
-    return take
+    pieces = []
+    for seg in range(start // per_segment, (min(stop, stages) - 1) // per_segment + 1):
+        x0 = path[seg]
+        i = np.arange(max(start - seg * per_segment, 0),
+                      min(stop - seg * per_segment, per_segment))
+        s = (i - 1) // 2 * h   # step k starts at s = k h
+        points = x0 + np.where(i % 2, s + h / 2, s + h)[:, None] * (path[seg + 1] - x0)
+        points[i == 0] = x0   # exactly: x0 + 0 u would turn -0.0 into 0.0
+        pieces.append(points)
+    if stop > stages:
+        pieces.append(path[-1][None])
+    return np.concatenate(pieces)
 
 
 @dataclass(frozen=True)
@@ -566,17 +532,20 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
         K2 = M(t + h/2) (I + h/2 K1),   K3 = M(t + h/2) (I + h/2 K2),
         K4 = M(t + h) (I + h K3),
 
-    and the state is multiplied by the propagators in step order.  The stage
-    points of the whole path are known in advance, so their connection and
-    curvature values come from as few batched ``point_frame`` calls as the
-    memory budget allows: each call takes up to P consecutive stage points,
-    in path order across segments, with P n^4 <= ``_FRAME_BUDGET`` floats of
-    curvature.  A point where the chart fails raises what evaluating the
-    points one by one would raise first.  M and P come from batched products
-    over blocks of ``_BLOCK_STEPS`` steps, (n + n^2)^2 floats a stage point,
-    so memory is bounded whatever the number of steps.  The products round
-    differently from stepping xi and A through the right-hand side of D
-    stage by stage, so end germs differ from that form in the last bits.
+    and the state is multiplied by the propagators in step order.  One loop
+    walks the stage points of the whole path in path order.  Its outer level
+    is the frame batch: one ``point_frame`` call of up to P consecutive
+    stage points with P n^4 <= ``_FRAME_BUDGET`` floats of curvature, made
+    once the previous batch is released, so a point where the chart fails
+    raises what evaluating the points one by one would raise first.  Its
+    inner level is the block: at most twice ``_BLOCK_STEPS`` stage points of
+    one segment inside the batch, whose generators M, after the one or two
+    of the step under way carried over, give P for every step that ends in
+    the block by batched products.  Memory holds one frame batch, one
+    block's M ((n + n^2)^2 floats a point) and the carried ones, whatever
+    the number of steps.  The products round differently from stepping xi
+    and A through the right-hand side of D stage by stage, so end germs
+    differ from that form in the last bits.
 
     ``germ`` is a ``KillingGerm``, and the transported germ is returned; or
     it is a field's ``field_jets``, and a ``FieldTransport`` is returned.
@@ -600,37 +569,43 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
         except ValueError:
             point_frame(spec, path[0])   # a chart failure at path[0] comes first
             raise
-    take = _stage_frames(spec, path, steps_per_segment, end=jets_at is not None)
-
-    def generators(frames, u):
-        _, _, gammas, rs = frames
-        return _transport_generators(np.einsum("Piab,a->Pib", gammas, u), rs, u)
-
-    x0_frames = take(1)   # path[0], the first stage point
-    if jets_at is not None:
-        _, _, gamma_start, _ = x0_frames
-        germ = _field_germ(start_jets, gamma_start[0])
-    n = len(germ.xi)
-    state = np.concatenate([np.ravel(germ.xi), np.ravel(germ.a)]).astype(np.float64)
-    eye = np.eye(len(state))
-    h = 1.0 / steps_per_segment
-    for seg in range(len(path) - 1):
-        u = path[seg + 1] - path[seg]
-        m_start = generators(x0_frames if seg == 0 else take(1), u)[0]
-        for k0 in range(0, steps_per_segment, _BLOCK_STEPS):
-            ms = generators(take(2 * min(_BLOCK_STEPS, steps_per_segment - k0)), u)
-            mids, ends = ms[0::2], ms[1::2]
-            k1 = np.concatenate([m_start[None], ends[:-1]])
+    steps = steps_per_segment
+    n = len(path[0])
+    per_call = max(1, _FRAME_BUDGET // n ** 4)
+    per_segment = 2 * steps + 1
+    stages = (len(path) - 1) * per_segment
+    total = stages + (jets_at is not None)   # in field mode, path[-1] follows
+    h = 1.0 / steps
+    for lo in range(0, total, per_call):
+        hi = min(lo + per_call, total)
+        g = ginv = gammas = rs = None   # release the spent batch before the next
+        g, ginv, gammas, rs = point_frame(spec, _stage_points(path, steps, lo, hi))
+        if lo == 0:
+            if jets_at is not None:
+                germ = _field_germ(start_jets, gammas[0])
+            state = np.concatenate([np.ravel(germ.xi), np.ravel(germ.a)]).astype(np.float64)
+            eye = np.eye(len(state))
+        j = lo
+        while j < min(hi, stages):
+            seg, i = divmod(j, per_segment)
+            stop = min(hi, j - i + per_segment, j + 2 * _BLOCK_STEPS)
+            u = path[seg + 1] - path[seg]
+            ms = _transport_generators(np.einsum("Piab,a->Pib", gammas[j - lo:stop - lo], u),
+                                       rs[j - lo:stop - lo], u)
+            if i:
+                ms = np.concatenate([carry, ms])
+            ended = (len(ms) - 1) // 2   # the steps whose end lies in the block
+            k1, mids, ends = ms[0:2 * ended:2], ms[1:2 * ended:2], ms[2:2 * ended + 1:2]
             k2 = mids + h / 2 * (mids @ k1)
             k3 = mids + h / 2 * (mids @ k2)
             k4 = ends + h * (ends @ k3)
             for step in eye + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4):
                 state = step @ state
-            m_start = ends[-1]
+            carry = ms[2 * ended:]   # the start of the step under way, and its midpoint
+            j = stop
     out = KillingGerm(xi=state[:n].copy(), a=state[n:].reshape(n, n).copy())
     if jets_at is None:
         return out
-    g_end, _, gamma_end, _ = take(1)   # path[-1], after the last stage point
     return FieldTransport(start=germ, end=out,
-                          field_end=_field_germ(jets_at(path[-1], 1), gamma_end[0]),
-                          g_end=g_end[0])
+                          field_end=_field_germ(jets_at(path[-1], 1), gammas[-1]),
+                          g_end=g[-1])

@@ -442,6 +442,23 @@ def test_transport_path_nodes_must_fit_the_chart(capsys):
     assert "'1.1' has 1 coordinate(s); the chart has 2" in err
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_transport_steps_error_names_the_option(capsys, steps):
+    code, out, err = invoke(capsys, "transport", "--builtin", "sphere2", "--germ",
+                            "0,1|0,0;0,0", "--path", "1,0;1.1,0", f"--steps={steps}")
+    assert code == 2 and out == ""
+    assert f"argument --steps: expected an integer >= 1, got '{steps}'" in err
+    assert "steps_per_segment" not in err
+
+
+def test_product_order_help_gives_its_cap_and_default(capsys):
+    code, out, _ = invoke(capsys, "product", "--help")
+    assert code == 0
+    out = " ".join(out.split())
+    assert "derivative/prolongation depth cap (at most 3, default 3)" in out
+    assert "default 10" not in out
+
+
 def test_check_field_rejects_a_degenerate_user_point(capsys):
     code, out, err = invoke(capsys, "check-field", "--builtin", "sphere2",
                             "--field", "0,1", "--point", "0,0")

@@ -700,3 +700,51 @@ def test_germ_transport_evaluates_no_end_node(monkeypatch):
     out = killing_transport(spec, germ_of_field(spec, ["0", "1"], path[0]), path, 30)
     assert isinstance(out, KillingGerm)
     assert np.array_equal(np.concatenate(batches[1:]), stage_points(path, 30))
+
+
+# (chart, steps): at n = 2 one call of 8448 frames holds many blocks of steps;
+# at n = 8 the calls of 33 frames end inside steps
+@pytest.mark.parametrize("chart,steps", [("sphere2", 5000), ("cw2xcw2", 17)])
+@pytest.mark.parametrize("mode", ["germ", "field"])
+def test_transport_generators_come_in_blocks_of_one_segment(monkeypatch, chart, steps, mode):
+    # every call of the RK4 generators takes at most 2 _BLOCK_STEPS frames of
+    # one segment, and together the calls take each stage point once, in
+    # path order, and never the path's end
+    make, path = {**TRANSPORT_PATHS, **MORE_PATHS}[chart]
+    spec = make()
+    n = spec.dim
+    frames, calls = [], []
+    point_frame, generators = killing.point_frame, killing._transport_generators
+
+    def frame_spy(spec, points):
+        out = point_frame(spec, points)
+        frames.append(out)
+        return out
+
+    def generators_spy(gus, rs, u):
+        calls.append((gus.copy(), rs.copy(), u.copy()))
+        return generators(gus, rs, u)
+
+    monkeypatch.setattr(killing, "point_frame", frame_spy)
+    monkeypatch.setattr(killing, "_transport_generators", generators_spy)
+    if mode == "germ":
+        killing_transport(spec, KillingGerm(xi=np.ones(n), a=np.zeros((n, n))), path, steps)
+    else:
+        killing_transport(spec, field_jets(spec, ["1"] + ["0"] * (n - 1)), path, steps)
+    per_segment = 2 * steps + 1
+    stages = (len(path) - 1) * per_segment
+    gammas = np.concatenate([f[2] for f in frames])
+    rs = np.concatenate([f[3] for f in frames])
+    assert len(rs) == stages + (mode == "field")
+    assert max(len(c[0]) for c in calls) <= 2 * killing._BLOCK_STEPS
+    start = 0
+    for gus, r, u in calls:
+        stop = start + len(gus)
+        seg = start // per_segment
+        assert (stop - 1) // per_segment == seg
+        assert np.array_equal(u, np.subtract(path[seg + 1], path[seg]))
+        assert np.array_equal(r, rs[start:stop])
+        want = np.einsum("Piab,a->Pib", gammas[start:stop], u)
+        assert np.abs(gus - want).max() <= 1e-14 * np.abs(want).max()
+        start = stop
+    assert start == stages

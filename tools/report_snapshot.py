@@ -15,7 +15,7 @@ workloads use (``BUILTIN_FORMS``), the deepest product contractions
 (``DEEP_COMMANDS``: ``product`` on cw2 x cw2 and on two cw1 factors,
 ``curvature --order 3`` on the cw1 x cw1 chart, and ``transport`` of a Killing
 field along three segments at the default 1000 steps on Schwarzschild and on
-cw2), and a fixed list of commands
+cw2, and at 17 steps on the cw2 x cw2 chart), and a fixed list of commands
 that must fail (``ERROR_COMMANDS``: Killing transport into a domain error, a
 degenerate point or an overflow, an invalid step count, every command that
 evaluates a point at three bad points, non-finite metric values and literals,
@@ -80,7 +80,10 @@ LOW_ORDER_COMMANDS = [
 # to the workdir).  Then the longest transports, where frames are batched
 # across segments: three segments at the default 1000 steps on
 # Schwarzschild at r = 5 ("{schwarzschild}", written to the workdir) and on
-# cw2, each with a Killing field of the chart.
+# cw2, each with a Killing field of the chart.  Last, a field of the first
+# factor on the cw2 x cw2 chart ("{cw2xcw2}", written to the workdir), n = 8,
+# at 17 steps on three segments: its frame batches of 33 stage points end
+# inside steps.
 DEEP_COMMANDS = [
     ["product", "cahen_wallach:n=2,q=1:-1", "cahen_wallach:n=2,q=1:-1"],
     ["product", "cahen_wallach:n=1,q=1", "cahen_wallach:n=1,q=-1"],
@@ -92,6 +95,11 @@ DEEP_COMMANDS = [
      "--field=0,-(1.4142135623730951 * cosh(1.4142135623730951 * t)) * x1,"
      "sinh(1.4142135623730951 * t),0",
      "--path=0,0,0,0;0.3,-0.2,0.4,0.1;0.1,0.5,-0.2,0.3;-0.2,0.1,0.1,-0.3"],
+    ["transport", "--file", "{cw2xcw2}",
+     "--field=0,-(1.4142135623730951 * cosh(1.4142135623730951 * a_t)) * a_x1,"
+     "sinh(1.4142135623730951 * a_t),0,0,0,0,0",
+     "--path=0,0,0,0,0,0,0,0;0.1,-0.2,0.3,0.1,0,0.2,-0.1,0.1;"
+     "0.2,0.1,-0.1,0.3,0.1,0,0.2,-0.2;0,0.2,0.1,0,-0.2,0.1,0,0.3", "--steps", "17"],
 ]
 
 # Every builtin form that README.md, the tests and the workloads use, each
@@ -256,13 +264,17 @@ def snapshot(seeds, workdir):
     for i, chart in enumerate(BUILTIN_FORMS):
         reports[f"builtin_forms.{i:02d}.parse"] = run_query(cli, ["parse", "--builtin", chart])
     deep = {"deep": workdir / "deep" / "cw1xcw1.man",
-            "schwarzschild": workdir / "deep" / "schwarzschild.man"}
+            "schwarzschild": workdir / "deep" / "schwarzschild.man",
+            "cw2xcw2": workdir / "deep" / "cw2xcw2.man"}
     deep["deep"].parent.mkdir(parents=True, exist_ok=True)
     cw1 = metricdsl.builtin("cahen_wallach", n=1, q=1.0)
     deep["deep"].write_text(product_metric(cw1, cw1).combined.serialize(),
                             encoding="utf-8")
     deep["schwarzschild"].write_text(workloads.schwarzschild_chart([0.0, 5.0, 1.57, 0.0]),
                                      encoding="utf-8")
+    cw2 = metricdsl.builtin("cahen_wallach", n=2, q=[1.0, -1.0])
+    deep["cw2xcw2"].write_text(product_metric(cw2, cw2).combined.serialize(),
+                               encoding="utf-8")
     for i, argv in enumerate(DEEP_COMMANDS):
         argv = [arg.format(**deep) for arg in argv]
         reports[f"deep.{i:02d}.{argv[0]}"] = run_query(cli, argv)
