@@ -21,7 +21,13 @@ degenerate point or an overflow, an invalid step count, every command that
 evaluates a point at three bad points, non-finite metric values and literals,
 fields that fail at a point, builtin parameters the catalog refuses, a
 transported field's failures at the path's ends, and a chart given both as
-``--builtin`` and as ``--file``), each
+``--builtin`` and as ``--file``), and ``check-field`` and
+``demo-counterexample`` on the fields they check (``FIELD_COMMANDS``: every
+catalog Killing field, two fields that are not Killing, one and three
+``--points`` and ``--point`` with ``--points``, generated samples that leave
+a chart's domain, a field that fails at the base point, a tiny sphere, a
+field whose 2-jet overflows where its 1-jet does not, and two plane-wave
+products), each
 with ``--json``, through ``killingkit.cli.run`` of the package in this
 checkout's ``src/``.  It writes one JSON file mapping each query to its exit
 code, stdout and stderr.  Chart files go to a fixed directory
@@ -120,8 +126,8 @@ BAD_BUILTINS = ["sphere2:r=1:2", "euclidean:n=1:2", "cahen_wallach:n=1:1",
                 "euclidean:n=2.5", "minkowski:p=1.7", "hyperbolic2:r=3", "sphere2:foo=1",
                 "euclidean:n=2,n=3", "sphere2:r=", "cahen_wallach:n=2,q=1:"]
 
-# Charts of the error commands, written to the workdir; "{name}" in an
-# argument becomes the path of chart ``name``.
+# Charts of the error and field commands, written to the workdir; "{name}"
+# in an argument becomes the path of chart ``name``.
 ERROR_CHARTS = {
     "sqrt": ("manifold sq {\n  coordinates: x, y;\n"
              "  metric: [[1 + sqrt(y), 0], [0, 2 + sqrt(y + 0.5)]];\n"
@@ -138,6 +144,9 @@ ERROR_CHARTS = {
                "  metric: [[10^400, 0], [0, 1]];\n}\n"),
     "sqrtend": ("manifold sq {\n  coordinates: x, y;\n"
                 "  metric: [[1 + sqrt(x - 0.3), 0], [0, 1]];\n  base_point: (1, 0);\n}\n"),
+    "sqrtlow": ("manifold sq {\n  coordinates: x, y;\n"
+                "  metric: [[1 + sqrt(y), 0], [0, 2 + sqrt(y + 0.5)]];\n"
+                "  base_point: (0, 0.05);\n}\n"),
 }
 
 # Every command that evaluates a point, at a bad point of each chart: the
@@ -201,6 +210,33 @@ ERROR_COMMANDS = [
      "--steps", "10"],
     # two input charts
     ["killing-dim", "--builtin", "euclidean:n=2", "--file", "{sqrtx}"],
+]
+
+# check-field on every Killing field of the catalog charts that have some
+# (``known_killing_fields``), then on the cases where the field or its
+# sample points do not all evaluate, or where a verdict rests on few points.
+FIELD_CATALOG = ["euclidean", "minkowski", "sphere2", "hyperbolic2", "cahen_wallach"]
+FIELD_COMMANDS = [
+    # two fields that are not Killing
+    ["check-field", "--builtin", "sphere2", "--field", "1,0"],
+    ["check-field", "--builtin", "euclidean:n=2", "--field", "x1,x2"],
+    # one and three named sample points, and --point with --points
+    ["check-field", "--builtin", "sphere2", "--field", "0,1", "--points", "1,0"],
+    ["check-field", "--builtin", "hyperbolic2", "--field", "x,y",
+     "--points", "0,1;0.3,1.2;-0.4,0.7"],
+    ["check-field", "--builtin", "sphere2", "--field", "0,1", "--point", "1,0",
+     "--points", "1.2,0.3;0.8,-0.5"],
+    # a generated sample point at y = -0.055 outside the chart's domain: one
+    # point error in each check
+    ["check-field", "--file", "{sqrtlow}", "--field", "1,0"],
+    # the field fails at the base point
+    ["check-field", "--builtin", "euclidean:n=2", "--field", "0,1/x1"],
+    # a tiny sphere, where a tolerance in chart units passes a non-Killing field
+    ["check-field", "--builtin", "sphere2:r=1e-5", "--field", "1,0"],
+    # the field's 1-jet is finite at the point, its 2-jet is not
+    ["check-field", "--builtin", "euclidean:n=2", "--field", "x1^1730,0", "--points", "1.5,0"],
+    ["demo-counterexample", "--n-plus", "2", "--q-plus", "1:2"],
+    ["demo-counterexample", "--q-plus", "0.5", "--q-minus", "-2"],
 ]
 
 
@@ -286,6 +322,11 @@ def snapshot(seeds, workdir):
     for i, argv in enumerate(ERROR_COMMANDS):
         argv = [arg.format(**charts) for arg in argv]
         reports[f"errors.{i}.{argv[0]}"] = run_query(cli, argv)
+    fields = [["check-field", "--builtin", chart, "--field=" + ",".join(fld)]
+              for chart in FIELD_CATALOG for fld in known_killing_fields(chart)]
+    for i, argv in enumerate(fields + FIELD_COMMANDS):
+        argv = [arg.format(**charts) for arg in argv]
+        reports[f"fields.{i:02d}.{argv[0]}"] = run_query(cli, argv)
     return reports
 
 
