@@ -10,8 +10,8 @@ from .jets import (Jet, JetDomainError, JetOrderError, JetShapeError, JetSpace,
                    jet_space)
 from .killing import (FieldCheck, IntegrabilityTensor, KernelReport, KillingGerm,
                       MultiPointReport, PreconditionError, check_first_prolongation,
-                      germ_of_field, integrability_tensors, kernel_germs,
-                      killing_dimension, killing_transport, verify_killing, wedge)
+                      germ_of_field, integrability_tensors, kernel_germs, killing_dimension,
+                      killing_transport, sample_field, verify_killing, wedge)
 from .metricdsl import (Assumptions, DegenerateMetricError, ManifoldSpec,
                         ParseError, SpecError, builtin, known_killing_fields,
                         metric_jets, parse_expression, parse_field, parse_manifold)

@@ -28,8 +28,8 @@ from .curvature import (CurvatureData, OrderExhaustedError, identity_residuals,
 from .holonomy import infinitesimal_holonomy, parallel_field_check
 from .jets import JetDomainError
 from .killing import (KillingGerm, PreconditionError, check_first_prolongation,
-                      default_sample_points, field_jets, germ_of_field,
-                      killing_dimension, killing_transport, verify_killing, wedge)
+                      default_sample_points, field_jets, killing_dimension,
+                      killing_transport, sample_field, verify_killing, wedge)
 from .metricdsl import ParseError, SpecError
 from .product import (cw_counterexample, decomposition_check,
                       mixed_curvature_residuals, product_metric)
@@ -286,8 +286,7 @@ def _cmd_parse(args):
 def _cmd_curvature(args):
     spec, source = _spec_from_args(args)
     point = _parse_point(args.point, spec.dim) if args.point else None
-    m_max = args.order if args.order is not None else 2
-    curv = CurvatureData.compute(spec, point=point, m_max=m_max)
+    curv = CurvatureData.compute(spec, point=point, m_max=args.order)
     res = identity_residuals(curv)
     norms = [float(np.abs(v).max()) for v in curv.covR]
     payload = {
@@ -316,8 +315,7 @@ def _cmd_curvature(args):
 def _cmd_killing_dim(args):
     spec, source = _spec_from_args(args)
     point = _parse_point(args.point, spec.dim) if args.point else None
-    m_max = args.order if args.order is not None else 10
-    rep = killing_dimension(spec, point=point, m_max=m_max, tol=args.tol,
+    rep = killing_dimension(spec, point=point, m_max=args.order, tol=args.tol,
                             multi_point=args.multi_point)
     if args.multi_point:
         payload_result = {
@@ -347,8 +345,7 @@ def _cmd_killing_dim(args):
 def _cmd_holonomy(args):
     spec, source = _spec_from_args(args)
     point = _parse_point(args.point, spec.dim) if args.point else None
-    m_max = args.order if args.order is not None else 10
-    report = infinitesimal_holonomy(spec, point=point, m_max=m_max, tol=args.tol)
+    report = infinitesimal_holonomy(spec, point=point, m_max=args.order, tol=args.tol)
     payload = {
         "inputs": [source],
         "result": {
@@ -376,8 +373,7 @@ def _cmd_holonomy(args):
 def _cmd_hypothesis(args):
     spec, source = _spec_from_args(args)
     point = _parse_point(args.point, spec.dim) if args.point else None
-    m_max = args.order if args.order is not None else 10
-    verdict = parallel_field_check(spec, point=point, m_max=m_max, tol=args.tol)
+    verdict = parallel_field_check(spec, point=point, m_max=args.order, tol=args.tol)
     payload = {
         "inputs": [source],
         "result": {
@@ -406,14 +402,14 @@ def _cmd_check_field(args):
     if args.point:
         user_pts = [_parse_point(args.point, spec.dim)] + user_pts
     jets = field_jets(spec, components)
+    # the points you name and the base point must evaluate; generated ones need not
+    samples = sample_field(spec, jets, user_pts if args.points
+                           else user_pts + default_sample_points(spec))
     for p in user_pts:
-        germ_of_field(spec, jets, p)   # the chart and the field must evaluate there
-    # generated samples keep their per-point errors recorded, not fatal
-    pts = user_pts if args.points else user_pts + [
-        list(p) for p in default_sample_points(spec)]
-    killing_chk = verify_killing(spec, jets, pts, tol=args.tol)
-    germ = germ_of_field(spec, jets)
-    g0 = spec.metric_values(spec.base_point)
+        samples.at(p)
+    at_base = sample_field(spec, jets, [spec.base_point]) if args.points else samples
+    germ, g0 = at_base.at(spec.base_point)
+    killing_chk = verify_killing(samples, tol=args.tol)
     result = {
         "field": components,
         "killing": _field_check_payload(killing_chk),
@@ -424,8 +420,7 @@ def _cmd_check_field(args):
              f"(max residual {_fmt(killing_chk.max_residual)}, "
              f"tol {_fmt(killing_chk.tol)} * {_fmt(killing_chk.scale)})"]
     if killing_chk.passed:
-        prolong = check_first_prolongation(spec, jets, pts, tol=max(args.tol, 1e-8),
-                                           killing_check=killing_chk)
+        prolong = check_first_prolongation(samples, tol=max(args.tol, 1e-8))
         result["first_prolongation"] = _field_check_payload(prolong)
         lines.append(f"  derivative identity residual: {_fmt(prolong.max_residual)} "
                      f"({'pass' if prolong.passed else 'fail'})")
@@ -478,8 +473,7 @@ def _cmd_product(args):
     spec_a, src_a = _load_spec_string(args.left)
     spec_b, src_b = _load_spec_string(args.right)
     prod = product_metric(spec_a, spec_b)
-    m_max = 3 if args.order is None else min(args.order, 3)
-    residuals = mixed_curvature_residuals(prod, m_max=m_max)
+    residuals = mixed_curvature_residuals(prod, m_max=min(args.order, 3))
     payload = {
         "inputs": [src_a, src_b],
         "result": {
@@ -503,8 +497,7 @@ def _cmd_product(args):
 def _cmd_check_decomposition(args):
     spec_a, src_a = _load_spec_string(args.left)
     spec_b, src_b = _load_spec_string(args.right)
-    m_max = args.order if args.order is not None else 10
-    rep = decomposition_check(spec_a, spec_b, m_max=m_max, tol=args.tol)
+    rep = decomposition_check(spec_a, spec_b, m_max=args.order, tol=args.tol)
     payload = {
         "inputs": [src_a, src_b],
         "result": {
@@ -542,10 +535,9 @@ def _cmd_demo_counterexample(args):
             raise SpecError(f"--q-{side} entries must be nonzero, got {q}")
     prod, components = cw_counterexample(args.n_plus, args.q_plus, args.n_minus, args.q_minus)
     spec = prod.combined
-    pts = default_sample_points(spec)
-    chk = verify_killing(spec, components, pts, tol=1e-10)
-    germ = germ_of_field(spec, components)
-    g0 = spec.metric_values(spec.base_point)
+    samples = sample_field(spec, components, default_sample_points(spec))
+    chk = verify_killing(samples, tol=1e-10)
+    germ, g0 = samples.at(spec.base_point)
     v_plus = np.zeros(spec.dim)
     v_plus[spec.coord_index("a_v")] = 1.0
     v_minus = np.zeros(spec.dim)
@@ -553,8 +545,7 @@ def _cmd_demo_counterexample(args):
     w = wedge(v_plus, v_minus, g0)
     grad_xi_residual = float(np.abs(-germ.a - w).max())   # grad xi = + wedge
     a_residual = float(np.abs(germ.a + w).max())          # A = - wedge
-    rep = decomposition_check(prod.factors[0], prod.factors[1],
-                              m_max=args.order if args.order is not None else 10,
+    rep = decomposition_check(prod.factors[0], prod.factors[1], m_max=args.order,
                               tol=args.tol)
     payload = {
         "inputs": [{"kind": "builtin", "value":
@@ -607,12 +598,12 @@ def _add_spec_args(sp):
     sp.add_argument("--file", help="chart description file")
 
 
-def _add_common(sp, point=True, order="default 10", tol=True):
+def _add_common(sp, point=True, order=10, tol=True):
     if point:
         sp.add_argument("--point", help="evaluation point, comma-separated")
-    if order:
-        sp.add_argument("--order", type=_order_arg, default=None,
-                        help=f"derivative/prolongation depth cap ({order})")
+    if order is not None:
+        sp.add_argument("--order", type=_order_arg, default=order,
+                        help="derivative/prolongation depth cap (default %(default)s)")
     if tol:
         sp.add_argument("--tol", type=_tol_arg, default=1e-8,
                         help="absolute threshold on singular values in the unit "
@@ -642,7 +633,7 @@ def build_parser():
 
     sp = sub.add_parser("curvature", help="connection, curvature, identities")
     _add_spec_args(sp)
-    _add_common(sp, order="default 2", tol=False)
+    _add_common(sp, order=2, tol=False)
     sp.set_defaults(func=_cmd_curvature)
 
     sp = sub.add_parser("killing-dim", help="isometry-algebra dimension")
@@ -664,7 +655,7 @@ def build_parser():
 
     sp = sub.add_parser("check-field", help="verify a vector field is Killing")
     _add_spec_args(sp)
-    _add_common(sp, order=False)
+    _add_common(sp, order=None)
     sp.add_argument("--field", help="comma-separated component expressions")
     sp.add_argument("--points", help="sample points p0;p1;... (default: "
                                      "base point neighbourhood)")
@@ -672,7 +663,7 @@ def build_parser():
 
     sp = sub.add_parser("transport", help="Killing transport along a polyline")
     _add_spec_args(sp)
-    _add_common(sp, point=False, order=False, tol=False)
+    _add_common(sp, point=False, order=None, tol=False)
     sp.add_argument("--field", help="take the germ of this field at the path start")
     sp.add_argument("--germ", help="explicit germ xi1,..|a11,..;a21,..")
     sp.add_argument("--path", help="polyline p0;p1;...")
@@ -683,7 +674,9 @@ def build_parser():
     sp = sub.add_parser("product", help="build a product chart")
     sp.add_argument("left", help="spec string: builtin[:params] or @file")
     sp.add_argument("right", help="spec string: builtin[:params] or @file")
-    _add_common(sp, point=False, order="at most 3, default 3", tol=False)
+    sp.add_argument("--order", type=_order_arg, default=3,
+                    help="derivative/prolongation depth cap (at most 3, default %(default)s)")
+    _add_common(sp, point=False, order=None, tol=False)
     sp.set_defaults(func=_cmd_product)
 
     sp = sub.add_parser("check-decomposition",

@@ -283,7 +283,7 @@ def point_frame(spec, point):
     """Metric, inverse, connection values, and curvature values at one point,
     or at each row of a (P, n) array of points (a leading point axis on each).
 
-    The cheap evaluator behind the transport integrator and the field checks.
+    The cheap evaluator behind the transport integrator and ``germ_of_field``.
     """
     curv = CurvatureData.compute(spec, point, m_max=0)
     return curv.g, curv.ginv, curv.gamma_jets.value(), curv.riemann

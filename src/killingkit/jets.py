@@ -338,7 +338,7 @@ def _math(fn, c0):
         except (OverflowError, ValueError):
             values.append(math.nan)
             bad.append(True)
-    return np.array(values).reshape(c0.shape), np.array(bad).reshape(c0.shape)
+    return np.array(values).reshape(c0.shape), np.array(bad, dtype=bool).reshape(c0.shape)
 
 
 def _series_coefficients(tag, c0, order):

@@ -20,7 +20,7 @@ so three computations fall out of one construction:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,10 +47,6 @@ class KillingGerm:
         """Residual of the metric-skewness condition g A + (g A)^T = 0."""
         s = g @ self.a
         return float(np.abs(s + s.T).max())
-
-    def is_so(self, g, tol=1e-9):
-        scale = max(1.0, float(np.abs(g).max())) * max(1.0, float(np.abs(self.a).max()))
-        return self.so_defect(g) <= tol * scale
 
 
 def wedge(v_plus, v_minus, g):
@@ -100,29 +96,30 @@ def bundle_dim(n):
 # -- germs of explicit fields -------------------------------------------------
 
 def field_jets(spec, fld):
-    """``jets(point, order)``: the jets of the field's components about a
-    point, an (n, size) array, from one tape compiled here.  A failing
-    component raises a JetDomainError naming the point, the component and
-    its expression."""
+    """``jets(points, order)``: the jets of the field's components about a
+    point, (n, size), or about each row of a (P, n) array, (P, n, size), from
+    one tape compiled here.  A failing component raises a JetDomainError
+    naming the (earliest failing) point, the component and its expression."""
     exprs = metricdsl.parse_field(fld, spec)
     tape = compile_tape(exprs)
 
-    def jets(point, order):
-        coeffs, failure = tape.evaluate(np.asarray(point)[None], jet_space(spec.dim, order))
+    def jets(points, order):
+        batch = np.atleast_2d(points)
+        coeffs, failure = tape.evaluate(batch, jet_space(spec.dim, order))
         if failure is not None:
-            _, k, exc = failure
+            i, k, exc = failure
             raise JetDomainError(
-                f"field on {spec.name!r} at {tuple(map(float, point))}: component "
+                f"field on {spec.name!r} at {tuple(map(float, batch[i]))}: component "
                 f"{k} = {exprs[k].to_text()}: {exc}") from exc
-        return coeffs[0]
+        return coeffs if np.ndim(points) == 2 else coeffs[0]
     return jets
 
 
 def _field_germ(jets, gamma):
-    """The germ (xi, A), A = -(grad xi + Gamma xi), of a field with 1-jets
-    ``jets`` (``field_jets`` at order 1) at a point with connection values
+    """The germ (xi, A), A = -(grad xi + Gamma xi), of a field with jets
+    ``jets`` (``field_jets`` at order >= 1) at a point with connection values
     ``gamma``."""
-    xi, dxi = jets[:, 0], jets[:, 1:]  # dxi[i, j] = d_j xi^i
+    xi, dxi = jets[:, 0], jets[:, 1:len(jets) + 1]  # dxi[i, j] = d_j xi^i
     return KillingGerm(xi=xi, a=-(dxi + np.einsum("ijk,k->ij", gamma, xi)))
 
 
@@ -137,6 +134,47 @@ def germ_of_field(spec, fld, point=None):
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
     _, _, gamma, _ = point_frame(spec, p)
     return _field_germ(jets_at(p, 1), gamma)
+
+
+@dataclass(frozen=True)
+class FieldSamples:
+    """A field and its chart at sample points: ``curv``, the chart's depth-0
+    ``CurvatureData`` over the points that evaluate, one (P, n) batch in the
+    order given; ``jets``, the field's 2-jets there, a (P, n) JetTensor; and
+    ``errors``, the (point, error) of each point that does not evaluate."""
+
+    curv: CurvatureData
+    jets: JetTensor
+    errors: list
+
+    def at(self, point):
+        """The field's germ and the metric at a point; a bad point raises."""
+        exc = dict(self.errors).get(tuple(map(float, point)))
+        if exc is not None:
+            raise exc
+        k = np.flatnonzero((self.curv.point == np.asarray(point)).all(axis=1))[0]
+        return _field_germ(self.jets.array[k], self.curv.gamma_jets.value()[k]), self.curv.g[k]
+
+
+def sample_field(spec, fld, points):
+    """``FieldSamples`` of a field (``fld`` as in ``germ_of_field``) from one
+    batched evaluation of the chart and one of the field at ``points``; only
+    if that raises, each point alone, the chart first, to find the bad ones."""
+    jets_at = fld if callable(fld) else field_jets(spec, fld)
+    points = np.asarray(points, dtype=np.float64).reshape(-1, spec.dim)
+    try:
+        return FieldSamples(CurvatureData.compute(spec, points, m_max=0),
+                            JetTensor(jets_at(points, 2), jet_space(spec.dim, 2)), [])
+    except ValueError:
+        good, errors = [], []
+    for p in points:
+        try:
+            CurvatureData.compute(spec, p, m_max=0)
+            jets_at(p, 2)
+            good.append(p)
+        except ValueError as exc:
+            errors.append((tuple(map(float, p)), exc))
+    return replace(sample_field(spec, jets_at, good), errors=errors)
 
 
 @dataclass
@@ -168,83 +206,51 @@ def default_sample_points(spec, count=5):
     return points
 
 
-def verify_killing(spec, fld, sample_points, tol=1e-9):
-    """Residuals of the metric Lie derivative along the field at sample points.
-
-    Passes when every valid sample point has residual <= tol * (1 + |g|).
-    Failures at individual points (a component that cannot be evaluated, a
-    degenerate metric) are recorded, not fatal.  ``fld`` is as in
-    ``germ_of_field``.
-    """
-    jets_at = fld if callable(fld) else field_jets(spec, fld)
-    residuals, errors = [], []
-    g_scale = 0.0
-    for p in sample_points:
-        p = np.asarray(p, dtype=np.float64)
-        try:
-            g = metricdsl.metric_jet_tensor(spec, p, 1).array
-            gval, dg = g[..., 0], np.moveaxis(g[..., 1:], -1, 0)  # dg[k, i, j] = d_k g_ij
-            jets = jets_at(p, 1)
-            xi, dxi = jets[:, 0], jets[:, 1:].T  # dxi[i, k] = d_i xi^k
-        except (metricdsl.SpecError, ValueError) as exc:
-            errors.append((tuple(map(float, p)), str(exc)))
-            continue
-        lie = (np.einsum("k,kij->ij", xi, dg)
-               + np.einsum("kj,ik->ij", gval, dxi)
-               + np.einsum("ik,jk->ij", gval, dxi))
-        residuals.append((tuple(map(float, p)), float(np.abs(lie).max())))
-        g_scale = max(g_scale, float(np.abs(gval).max()))
-    return _field_check(residuals, errors, tol, 1.0 + g_scale)
+def _lie_residuals(samples):
+    """Per point max |L_xi g| from the order <= 1 jets, and 1 + max |g|."""
+    g, jets = samples.curv.metric_jets.truncated(1).array, samples.jets.truncated(1).array
+    gval, dg = g[..., 0], np.moveaxis(g[..., 1:], -1, 1)  # dg[P, k, i, j] = d_k g_ij
+    xi, dxi = jets[..., 0], jets[..., 1:]  # dxi[P, k, i] = d_i xi^k
+    lie = (np.einsum("Pk,Pkij->Pij", xi, dg)
+           + np.einsum("Pkj,Pki->Pij", gval, dxi)
+           + np.einsum("Pik,Pkj->Pij", gval, dxi))
+    return np.abs(lie).max(axis=(1, 2)), 1.0 + np.abs(gval).max(initial=0.0)
 
 
-def _field_check(residuals, errors, tol, scale):
-    """The ``FieldCheck`` of per-point residuals: passed when there is one
-    and the largest is at most tol * scale."""
-    max_res = max((r for _, r in residuals), default=float("inf"))
-    return FieldCheck(passed=bool(residuals) and max_res <= tol * scale,
-                      max_residual=max_res, tol=tol, scale=scale,
-                      point_residuals=residuals, point_errors=errors)
+def verify_killing(samples, tol=1e-9):
+    """Residuals of the metric Lie derivative along the field at the points
+    of ``samples`` (``sample_field``), over the batch at once: passed when
+    each point that evaluates has residual <= tol * (1 + |g|)."""
+    return _field_check(samples, *_lie_residuals(samples), tol)
 
 
-def check_first_prolongation(spec, fld, sample_points, tol=1e-8, killing_check=None):
-    """For a verified Killing field, the derivative of A must cancel R(., xi).
+def _field_check(samples, residuals, scale, tol):
+    """Passed when there is a residual and the largest is <= tol * scale."""
+    max_res = float(residuals.max()) if len(residuals) else float("inf")
+    return FieldCheck(passed=bool(len(residuals) and max_res <= tol * scale),
+                      max_residual=max_res, tol=tol, scale=float(scale),
+                      point_residuals=[(tuple(map(float, p)), float(r))
+                                       for p, r in zip(samples.curv.point, residuals)],
+                      point_errors=[(p, str(exc)) for p, exc in samples.errors])
 
-    Refuses (PreconditionError) when the field is not Killing on the samples
-    at tolerance max(tol, 1e-9).  ``fld`` is as in ``germ_of_field``;
-    ``killing_check`` is the field's ``verify_killing`` on the same samples,
-    if the caller has it: its residuals do not depend on its tolerance.
-    """
-    if killing_check is None:
-        killing_check = verify_killing(spec, fld, sample_points)
-    killing_check = _field_check(killing_check.point_residuals,
-                                 killing_check.point_errors, max(tol, 1e-9),
-                                 killing_check.scale)
-    if not killing_check.passed:
+
+def check_first_prolongation(samples, tol=1e-8):
+    """For a verified Killing field, the derivative of A must cancel R(., xi)
+    at the points of ``samples``, over the batch at once.  Refuses
+    (PreconditionError) if the field is not Killing there at max(tol, 1e-9)."""
+    killing = _field_check(samples, *_lie_residuals(samples), max(tol, 1e-9))
+    if not killing.passed:
         raise PreconditionError(
             f"field is not Killing on the sample points "
-            f"(residual {killing_check.max_residual:.3g}); check refused")
-    jets_at = fld if callable(fld) else field_jets(spec, fld)
-    residuals, errors = [], []
-    scale = 1.0
-    for p in sample_points:
-        p = np.asarray(p, dtype=np.float64)
-        try:
-            curv = CurvatureData.compute(spec, p, m_max=0)
-            xi_jets = JetTensor(jets_at(p, 2), jet_space(spec.dim, 2))
-        except (metricdsl.SpecError, ValueError) as exc:
-            errors.append((tuple(map(float, p)), str(exc)))
-            continue
-        dxi = tensor_deriv(xi_jets)  # [i, j]: d_j xi^i
-        gamma1 = curv.gamma_jets
-        a_jets = (dxi + tensor_product("ijk,k->ij", gamma1, xi_jets.truncated(1))
-                  ).scaled(-1.0)
-        grad_a = covariant_derivative(a_jets, "ud", gamma1).value()  # [i, j, c]
-        coupling = np.einsum("ijcd,d->ijc", curv.riemann, xi_jets.value())
-        res = grad_a + coupling
-        residuals.append((tuple(map(float, p)), float(np.abs(res).max())))
-        scale = max(scale, 1.0 + float(np.abs(grad_a).max()),
-                    1.0 + float(np.abs(coupling).max()))
-    return _field_check(residuals, errors, tol, scale)
+            f"(residual {killing.max_residual:.3g}); check refused")
+    dxi = tensor_deriv(samples.jets)  # [P, i, j]: d_j xi^i
+    gamma1 = samples.curv.gamma_jets
+    a_jets = (dxi + tensor_product("Pijk,Pk->Pij", gamma1, samples.jets.truncated(1))
+              ).scaled(-1.0)
+    grad_a = covariant_derivative(a_jets, "ud", gamma1).value()  # [P, i, j, c]
+    coupling = np.einsum("Pijcd,Pd->Pijc", samples.curv.riemann, samples.jets.value())
+    return _field_check(samples, np.abs(grad_a + coupling).max(axis=(1, 2, 3)),
+                        1.0 + max(np.abs(grad_a).max(), np.abs(coupling).max()), tol)
 
 
 # -- integrability tensors -------------------------------------------------------

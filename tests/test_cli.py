@@ -190,9 +190,12 @@ def test_transport_takes_a_field_or_a_germ_not_both(capsys):
 
 def test_check_field_compiles_and_verifies_the_field_once(capsys, monkeypatch):
     from killingkit import cli, killing, metricdsl
-    parsed, verified = [], []
+    from killingkit.curvature import CurvatureData
+    parsed, verified, computed, metric_jets = [], [], [], []
     parse_field = metricdsl.parse_field
     verify_killing = killing.verify_killing
+    compute = CurvatureData.compute.__func__
+    metric_jet_tensor = metricdsl.metric_jet_tensor
 
     def counted(*args, **kwargs):
         verified.append(args)
@@ -202,10 +205,16 @@ def test_check_field_compiles_and_verifies_the_field_once(capsys, monkeypatch):
                         lambda *args: parsed.append(args) or parse_field(*args))
     monkeypatch.setattr(killing, "verify_killing", counted)
     monkeypatch.setattr(cli, "verify_killing", counted)
+    monkeypatch.setattr(CurvatureData, "compute", classmethod(
+        lambda cls, *args, **kwargs: computed.append(args) or compute(cls, *args, **kwargs)))
+    monkeypatch.setattr(metricdsl, "metric_jet_tensor",
+                        lambda *args: metric_jets.append(args) or metric_jet_tensor(*args))
     code, out, _ = invoke(capsys, "check-field", "--builtin", "sphere2", "--field", "0,1",
                           "--point", "1,0", "--json")
     assert code == 0 and "first_prolongation" in json.loads(out)["result"]
     assert (len(parsed), len(verified)) == (1, 1)
+    # the chart at all six sample points in one batch, for both checks
+    assert (len(computed), len(metric_jets)) == (1, 1)
 
 
 # every command that reads one chart takes it from one option
@@ -564,6 +573,16 @@ def test_an_overflowing_literal_is_an_input_error(capsys, tmp_path):
     assert err == ("error: base point outside the metric's domain: metric of 'lit' at "
                    "(0.0, 0.0): component (0, 0) = 10.0^400: jet has non-finite "
                    "coefficient inf\n")
+
+
+# Both checks read the field's 2-jet, so a point where it overflows and the
+# 1-jet does not is a bad point, as where the 1-jet overflows.
+def test_check_field_reads_the_field_to_second_order(capsys):
+    code, out, err = invoke(capsys, "check-field", "--builtin", "euclidean:n=2",
+                            "--field", "x1^1730,0", "--points", "1.5,0")
+    assert (code, out, err) == (
+        2, "", "error: field on 'euclidean2' at (1.5, 0.0): component 0 = x1^1730: "
+               "jet has non-finite coefficient inf\n")
 
 
 @pytest.mark.parametrize("field,point,reason", [

@@ -10,7 +10,7 @@ from oracles import germ_kernel_residual, product_trace_by_full_tower
 from killingkit import killing, product
 from killingkit.curvature import CurvatureData
 from killingkit.killing import (KillingGerm, default_sample_points, germ_of_field,
-                                kernel_germs, verify_killing, wedge)
+                                kernel_germs, sample_field, verify_killing, wedge)
 from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
 from killingkit.product import (cw_counterexample, decomposition_check,
                                 mixed_curvature_residuals, product_metric, slot_matrix)
@@ -92,7 +92,7 @@ def test_counterexample_field_is_killing_but_projections_fail():
     prod, field = cw_counterexample(1, (1.0,), 1, (-1.0,))
     spec = prod.combined
     pts = default_sample_points(spec)
-    assert verify_killing(spec, field, pts, tol=1e-10).passed
+    assert verify_killing(sample_field(spec, field, pts), tol=1e-10).passed
     # zero out either factor's components: no longer Killing
     iv_a = spec.coord_index("a_v")
     iv_b = spec.coord_index("b_v")
@@ -100,8 +100,8 @@ def test_counterexample_field_is_killing_but_projections_fail():
     proj_a[iv_b] = "0"
     proj_b = list(field)
     proj_b[iv_a] = "0"
-    assert not verify_killing(spec, proj_a, pts, tol=1e-10).passed
-    assert not verify_killing(spec, proj_b, pts, tol=1e-10).passed
+    assert not verify_killing(sample_field(spec, proj_a, pts), tol=1e-10).passed
+    assert not verify_killing(sample_field(spec, proj_b, pts), tol=1e-10).passed
 
 
 def test_counterexample_excess():

@@ -234,7 +234,8 @@ FIELD_COMMANDS = [
     # a tiny sphere, where a tolerance in chart units passes a non-Killing field
     ["check-field", "--builtin", "sphere2:r=1e-5", "--field", "1,0"],
     # the field's 1-jet is finite at the point, its 2-jet is not
-    ["check-field", "--builtin", "euclidean:n=2", "--field", "x1^1730,0", "--points", "1.5,0"],
+    ["check-field", "--builtin", "euclidean:n=2", "--field", "x1^1730,0",
+     "--points", "1.5,0"],
     ["demo-counterexample", "--n-plus", "2", "--q-plus", "1:2"],
     ["demo-counterexample", "--q-plus", "0.5", "--q-minus", "-2"],
 ]
