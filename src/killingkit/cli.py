@@ -402,13 +402,16 @@ def _cmd_check_field(args):
     if args.point:
         user_pts = [_parse_point(args.point, spec.dim)] + user_pts
     jets = field_jets(spec, components)
-    # the points you name and the base point must evaluate; generated ones need not
-    samples = sample_field(spec, jets, user_pts if args.points
-                           else user_pts + default_sample_points(spec))
+    # the points you name and the base point must evaluate; generated ones
+    # need not.  With --points the base point, where the report's germ is
+    # taken, rides last in the batch but is left out of the checks.
+    samples = sample_field(spec, jets, user_pts + ([spec.base_point] if args.points
+                                                   else default_sample_points(spec)))
     for p in user_pts:
         samples.at(p)
-    at_base = sample_field(spec, jets, [spec.base_point]) if args.points else samples
-    germ, g0 = at_base.at(spec.base_point)
+    germ, g0 = samples.at(spec.base_point)
+    if args.points:
+        samples = samples.take(slice(len(user_pts)))
     killing_chk = verify_killing(samples, tol=args.tol)
     result = {
         "field": components,

@@ -241,42 +241,89 @@ class CurvatureData:
                    inverse_jets=ginv, gamma_jets=gamma, riemann_jets=r, covR=covR)
 
     @cached_property
+    def unit_frames(self):
+        """The data at each point of a batch in its ``UnitFrame``, a list,
+        from one batched ``eigh``; a single point is a batch of one.  There
+        one fixed singular-value threshold means zero whatever the chart's
+        scale: e from ``eigh(g)``; Gamma and covR transformed as tensors
+        under the constant change x = e y; kappa = max(max |Gamma|,
+        max |R|^(1/2)) there, or 1 when both vanish."""
+        def batch(a):
+            return a if self.point.ndim == 2 else a[None]
+
+        w, v = np.linalg.eigh(batch(self.g))
+        root = np.sqrt(np.abs(w))[:, None, :]
+        es, einvs = v / root, np.swapaxes(v * root, 1, 2)
+        gammas, covs = batch(self.gamma_jets.value()), [batch(c) for c in self.covR]
+        frames = []
+        for k, (e, einv) in enumerate(zip(es, einvs)):
+            gamma = _in_frame(gammas[k], e, einv)
+            cov = [_in_frame(c[k], e, einv) for c in covs]
+            kappa = float(max(np.abs(gamma).max(), np.sqrt(np.abs(cov[0]).max()))) or 1.0
+            frames.append(UnitFrame(e=e, einv=einv, signs=np.sign(w[k]), kappa=kappa,
+                                    covR=[c / kappa ** (m + 2) for m, c in enumerate(cov)]))
+        return frames
+
+    @property
     def unit_frame(self):
-        """The data at a single point in its ``UnitFrame``, where one fixed
-        singular-value threshold means zero whatever the chart's scale: e
-        from ``eigh(g)``; Gamma and covR transformed as tensors under the
-        constant change x = e y; kappa = max(max |Gamma|, max |R|^(1/2))
-        there, or 1 when both vanish."""
-        w, v = np.linalg.eigh(self.g)
-        root = np.sqrt(np.abs(w))
-        e, einv = v / root, (v * root).T
-        gamma = _in_frame(self.gamma_jets.value(), e, einv)
-        cov = [_in_frame(c, e, einv) for c in self.covR]
-        kappa = float(max(np.abs(gamma).max(), np.sqrt(np.abs(cov[0]).max()))) or 1.0
-        return UnitFrame(e=e, einv=einv, signs=np.sign(w), kappa=kappa,
-                         covR=[c / kappa ** (m + 2) for m, c in enumerate(cov)])
+        """The ``UnitFrame`` of the data at a single point."""
+        return self.unit_frames[0]
 
 
-def frame_ladder(spec, point, first):
-    """``frame(depth)``: the ``UnitFrame`` of the chart at ``point`` holding
-    covR[0..depth], for the rank decisions of one call.
+# Frame budget: one ``CurvatureData.compute`` of a frame ladder or of
+# Killing transport takes P points with P * n^(4 + depth) <= _FRAME_BUDGET
+# (at least one point), so the deepest curvature values it returns stay
+# within the budget whatever the number of points; transport evaluates depth
+# 0.  Each call has a fixed cost that more points spread.  Measured time per
+# point of one depth-0 call (2-vCPU host, one BLAS thread; sphere2,
+# Schwarzschild, cw2 x cw2), by P * n^4:
+#
+#     P * n^4   5e2   2e3   8e3   3.4e4  1.4e5  5.4e5
+#     n = 2      22    11   7.7    7.2    5.2      -   us
+#     n = 4       -    85    49     30     35     43   us
+#     n = 8       -     -     -    268    165    234   us
+#
+# One point alone takes 0.37 / 0.41 / 0.81 ms at n = 2 / 4 / 8.  Past about
+# 1e5 the time per point stops falling at n = 4 and 8 and then rises.  The
+# budget, 33 * 8^4, is the 2 * 16 + 1 stage points of one block of 16 steps
+# at n = 8: 528 points a call at n = 4, 8448 at n = 2.
+_FRAME_BUDGET = 33 * 8 ** 4
 
-    ``CurvatureData`` is computed only for a depth deeper than any computed
-    so far, the first time straight to max(depth, first); a shallower depth
-    is a slice of the deepest frame's covR.  The stabilisation loop always
-    asks for order 1 after order 0 when it may, so a caller passes as
-    ``first`` the depth its order min(1, m_max) reads.  Sliced covR agree
-    with a fresh computation at the shallower depth up to rounding: the two
-    contract jets of different orders."""
-    deepest = None
 
-    def frame(depth):
-        nonlocal deepest
-        if deepest is None or depth >= len(deepest.covR):
-            m_max = depth if deepest is not None else max(depth, first)
-            deepest = CurvatureData.compute(spec, point, m_max=m_max).unit_frame
-        return deepest._replace(covR=deepest.covR[:depth + 1])
-    return frame
+def frame_ladder(spec, points, first):
+    """``frames(depth, which)``: the ``UnitFrame`` of the chart at each row
+    ``which`` (indices; all rows by default) of the (P, n) array ``points``,
+    holding covR[0..depth], for the rank decisions of one call.
+
+    ``CurvatureData`` is computed at a point only for a depth deeper than
+    any computed there so far, the first time straight to max(depth, first),
+    and for all the rows asked that need it at once: one batched compute of
+    as many rows as P * n^(4 + depth) <= ``_FRAME_BUDGET`` allows (at least
+    one), then the next.  A shallower depth is a slice of the deepest frame's
+    covR.  The stabilisation loop always asks for order 1 after order 0 when
+    it may, so a caller passes as ``first`` the depth its order
+    min(1, m_max) reads.  Batching changes no bit of a point's frame; sliced
+    covR agree with a fresh computation at the shallower depth up to
+    rounding: the two contract jets of different orders."""
+    points = np.asarray(points, dtype=np.float64)
+    deepest = [None] * len(points)
+
+    def frames(depth, which=None):
+        which = range(len(points)) if which is None else which
+        todo = [k for k in which if deepest[k] is None or depth >= len(deepest[k].covR)]
+        m_max = max(depth, first)
+        per_call = max(1, _FRAME_BUDGET // spec.dim ** (4 + m_max))
+        for lo in range(0, len(todo), per_call):
+            rows = todo[lo:lo + per_call]
+            # a lone point is computed without a point axis, which costs a
+            # few percent at P = 1; the batch's jets are released before the
+            # next batch is computed
+            batch = points[rows] if len(rows) > 1 else points[rows[0]]
+            for k, frame in zip(rows, CurvatureData.compute(spec, batch,
+                                                            m_max=m_max).unit_frames):
+                deepest[k] = frame
+        return [deepest[k]._replace(covR=deepest[k].covR[:depth + 1]) for k in which]
+    return frames
 
 
 def point_frame(spec, point):

@@ -42,32 +42,33 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8, frames=None):
     derivatives at a point, one derivative order at a time.
 
     Order m ranks the values of covR[0..m] in the unit frame of ``frames``, a
-    ``frame_ladder`` of the chart at the point: by default a new one, whose
-    first computation is the depth order 1 reads; ``decomposition_check``
-    passes the ladder its Killing trace has read.  Stops at the first order
-    that adds nothing; warns when the span is still growing at m_max.
+    ``frame_ladder`` of the chart at the point alone: by default a new one,
+    whose first computation is the depth order 1 reads;
+    ``decomposition_check`` passes the ladder its Killing trace has read.
+    Stops at the first order that adds nothing; warns when the span is still
+    growing at m_max.
     """
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
     if frames is None:
-        frames = frame_ladder(spec, p, min(1, m_max))
+        frames = frame_ladder(spec, p[None], min(1, m_max))
     n = spec.dim
     iu, ju = np.triu_indices(n, k=1)
     rows = None
 
-    def decide(m):
+    def decide(m, _):
         nonlocal rows
         # endomorphism slots (l, k) to the back, one row per (i<j, z...)
         rows = np.vstack([np.moveaxis(arr, (0, 1), (-2, -1))[iu, ju].reshape(-1, n * n)
-                          for arr in frames(m).covR])
-        return numerical_rank(rows, tol)
+                          for arr in frames(m)[0].covR])
+        return [numerical_rank(rows, tol)]
 
-    decisions, stab_order = stabilise(decide, m_max)
+    [(decisions, stab_order)] = stabilise(decide, m_max, 1)
     warnings = []
     if stab_order is None:
         warnings.append(
             f"unstable: holonomy span still growing at order m_max={m_max}")
     span = decisions[-1]
-    frame = frames(len(decisions) - 1)
+    [frame] = frames(len(decisions) - 1)
     generators = span.row.reshape(span.rank, n, n)
     candidates = numerical_rank(generators.reshape(-1, n), tol).null
     return HolonomyReport(point=tuple(map(float, p)), dims=[d.rank for d in decisions],

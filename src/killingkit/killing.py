@@ -25,8 +25,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metricdsl
-from .curvature import (CurvatureData, OrderExhaustedError, covariant_derivative,
-                        frame_ladder, point_frame)
+from .curvature import (_FRAME_BUDGET, CurvatureData, OrderExhaustedError,
+                        covariant_derivative, frame_ladder, point_frame)
 from .jets import (JetDomainError, JetTensor, compile_tape, jet_space, tensor_deriv,
                    tensor_product)
 from .rank import numerical_rank, stabilise
@@ -154,6 +154,16 @@ class FieldSamples:
             raise exc
         k = np.flatnonzero((self.curv.point == np.asarray(point)).all(axis=1))[0]
         return _field_germ(self.jets.array[k], self.curv.gamma_jets.value()[k]), self.curv.g[k]
+
+    def take(self, rows):
+        """The samples at the points ``rows`` (a slice) of the batch."""
+        def cut(t):
+            return JetTensor(t.array[rows], t.space)
+        c = self.curv
+        curv = replace(c, point=c.point[rows], metric_jets=cut(c.metric_jets),
+                       inverse_jets=cut(c.inverse_jets), gamma_jets=cut(c.gamma_jets),
+                       riemann_jets=cut(c.riemann_jets), covR=[v[rows] for v in c.covR])
+        return replace(self, curv=curv, jets=cut(self.jets))
 
 
 def sample_field(spec, fld, points):
@@ -392,33 +402,47 @@ def kernel_report(decisions, stab_order, point, dim_e, analytic, m_max, tol):
                         warnings=warnings, tol=tol, m_max=m_max)
 
 
-def _kernel_trace(spec, point, m_max, tol, frames=None):
-    """The kernel report, the rank decision of each order (the last one's
-    null space is the kernel, as rows over the germ coordinates of its unit
-    frame), and that frame.  Order m reads covR[0..m+1] from ``frames``, a
-    ``frame_ladder`` of the chart at ``point``: by default a new one, whose
+def _kernel_trace(spec, points, m_max, tol, frames=None):
+    """For each row of the (P, n) array ``points``: the kernel report, the
+    rank decision of each order (the last one's null space is the kernel, as
+    rows over the germ coordinates of its unit frame), and that frame.  The
+    points are ranked in lockstep by one ``stabilise`` loop; order m reads
+    covR[0..m+1] of the points still in it from ``frames``, a
+    ``frame_ladder`` of the chart at ``points``: by default a new one, whose
     first computation is the depth order 1 reads."""
     if frames is None:
-        frames = frame_ladder(spec, point, min(2, m_max + 1))
-    decisions, stab_order = stabilise(
-        lambda m: numerical_rank(tower_stack(frames(m + 1), m), tol), m_max)
-    report = kernel_report(decisions, stab_order, point, bundle_dim(spec.dim),
-                           spec.assumptions.analytic, m_max, tol)
-    return report, decisions, frames(len(decisions))
+        frames = frame_ladder(spec, points, min(2, m_max + 1))
+    traces = stabilise(lambda m, active: [numerical_rank(tower_stack(frame, m), tol)
+                                          for frame in frames(m + 1, active)],
+                       m_max, len(points))
+    return [(kernel_report(decisions, stab_order, point, bundle_dim(spec.dim),
+                           spec.assumptions.analytic, m_max, tol),
+             decisions, frames(len(decisions), [k])[0])
+            for k, (point, (decisions, stab_order)) in enumerate(zip(points, traces))]
 
 
 def killing_dimension(spec, point=None, m_max=10, tol=1e-8, multi_point=False):
     """Stabilised joint-kernel dimension of the integrability tower.
 
-    With ``multi_point`` the computation also runs at five perturbed points,
-    reporting the minimum (guards against non-generic base points).
+    With ``multi_point`` the trace is also taken at five perturbed points,
+    reporting the minimum (guards against non-generic base points).  The
+    points are ranked in lockstep, each group sharing one frame ladder and
+    one stabilisation loop: each depth of the curvature is computed in one
+    batch over the points whose trace is still changing, and each point's
+    ranks are decided in its own frame, so every trace is the one the point
+    alone gives.  A group holds the frames of all its points at once, so it
+    takes as many points as one computation of the first depth may
+    (``_FRAME_BUDGET``): all six up to n = 4, one at n = 8.
     """
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
     if not multi_point:
-        report, _, _ = _kernel_trace(spec, p, m_max, tol)
-        return report
-    points = [p] + _perturbed_points(p, 5)
-    reports = [_kernel_trace(spec, q, m_max, tol)[0] for q in points]
+        return _kernel_trace(spec, p[None], m_max, tol)[0][0]
+    points = np.array([p] + _perturbed_points(p, 5))
+    group = max(1, _FRAME_BUDGET // spec.dim ** (4 + min(2, m_max + 1)))
+    reports = []
+    for lo in range(0, len(points), group):   # one group's frames are released before the next
+        reports += [report for report, _, _ in _kernel_trace(spec, points[lo:lo + group],
+                                                             m_max, tol)]
     warnings = sorted({w for r in reports for w in r.warnings})
     return MultiPointReport(min_dim=min(r.stabilized_dim for r in reports),
                             reports=reports,
@@ -445,31 +469,13 @@ def _perturbed_points(p, count):
 def kernel_germs(spec, point=None, m_max=10, tol=1e-8):
     """The kernel report plus germs spanning the stabilised kernel."""
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
-    report, decisions, frame = _kernel_trace(spec, p, m_max, tol)
+    [(report, decisions, frame)] = _kernel_trace(spec, p[None], m_max, tol)
     germs = [vector_to_germ(v, np.diag(frame.signs)) for v in decisions[-1].null]
     return report, [KillingGerm(xi=frame.e @ h.xi / frame.kappa,
                                 a=frame.e @ h.a @ frame.einv) for h in germs]
 
 
 # -- transport --------------------------------------------------------------------
-
-# Frame budget: one ``point_frame`` call takes P stage points with
-# P * n^4 <= _FRAME_BUDGET (at least one point), so the curvature values it
-# returns, n^4 floats a point, stay within the budget whatever the path.
-# Each call has a fixed cost that more points spread.  Measured time per
-# point of one call (2-vCPU host, one BLAS thread; sphere2, Schwarzschild,
-# cw2 x cw2), by P * n^4:
-#
-#     P * n^4   5e2   2e3   8e3   3.4e4  1.4e5  5.4e5
-#     n = 2      22    11   7.7    7.2    5.2      -   us
-#     n = 4       -    85    49     30     35     43   us
-#     n = 8       -     -     -    268    165    234   us
-#
-# One point alone takes 0.37 / 0.41 / 0.81 ms at n = 2 / 4 / 8.  Past about
-# 1e5 the time per point stops falling at n = 4 and 8 and then rises.  The
-# budget, 33 * 8^4, is the 2 * 16 + 1 stage points of one block of 16 steps
-# at n = 8: 528 points a call at n = 4, 8448 at n = 2.
-_FRAME_BUDGET = 33 * 8 ** 4
 
 # Steps per block of RK4 products: bounds the (P, (n + n^2)^2) generators and
 # K arrays of a block, whatever the number of steps.

@@ -148,23 +148,24 @@ def decomposition_check(a, b, m_max=10, tol=1e-8):
     decisions of the factors' traces.
     """
     specs = (a, b)
-    ladders = [frame_ladder(spec, spec.base_point, min(2, m_max + 1)) for spec in specs]
-    traces = [_kernel_trace(spec, spec.base_point, m_max, tol, frames)
+    ladders = [frame_ladder(spec, [spec.base_point], min(2, m_max + 1)) for spec in specs]
+    traces = [_kernel_trace(spec, [spec.base_point], m_max, tol, frames)[0]
               for spec, frames in zip(specs, ladders)]
     slots = None
 
-    def decide(m):
+    def decide(m, _):
         nonlocal slots
-        frames = [ladder(m + 1) for ladder in ladders]
+        frames = [ladder(m + 1)[0] for ladder in ladders]
         slots = [numerical_rank(slot_matrix(frame, m), tol) for frame in frames]
         towers = [decisions[m] if m < len(decisions)
                   else numerical_rank(tower_stack(frame, m), tol)
                   for (_, decisions, _), frame in zip(traces, frames)]
         mixed = a.dim * b.dim - (a.dim - slots[0].rank) * (b.dim - slots[1].rank)
-        return RankDecision(towers[0].rank + towers[1].rank + mixed,
-                            _joint_margin(towers + slots), None, None)
+        return [RankDecision(towers[0].rank + towers[1].rank + mixed,
+                             _joint_margin(towers + slots), None, None)]
 
-    rep_p = kernel_report(*stabilise(decide, m_max), tuple(a.base_point) + tuple(b.base_point),
+    [trace] = stabilise(decide, m_max, 1)
+    rep_p = kernel_report(*trace, tuple(a.base_point) + tuple(b.base_point),
                           bundle_dim(a.dim + b.dim),
                           a.assumptions.analytic and b.assumptions.analytic, m_max, tol)
     (rep_a, _, _), (rep_b, _, _) = traces

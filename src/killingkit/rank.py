@@ -34,18 +34,27 @@ def numerical_rank(matrix, tol):
     return RankDecision(rank, margin, vh[:rank], null)
 
 
-def stabilise(decide, m_max):
-    """Take the rank decision ``decide(m)`` for m = 0, 1, ... until two orders
-    in a row agree.
+def stabilise(decide, m_max, count):
+    """Take the rank decisions of ``count`` points in lockstep, for
+    m = 0, 1, ...: ``decide(m, active)`` returns the decision at order m of
+    each point listed in ``active``, and a point leaves once two orders in a
+    row agree.
 
-    Returns the decision at each order and the stabilisation order (the first
-    of the two, or None when the rank still changes at m_max).
+    Returns, for each point, its decision at each order and its
+    stabilisation order (the first of the two, or None when the rank still
+    changes at m_max).
     """
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
-    decisions = []
+    decisions = [[] for _ in range(count)]
+    orders = [None] * count
+    active = list(range(count))
     for m in range(m_max + 1):
-        decisions.append(decide(m))
-        if m >= 1 and decisions[-1].rank == decisions[-2].rank:
-            return decisions, m - 1
-    return decisions, None
+        for k, decision in zip(active, decide(m, active)):
+            decisions[k].append(decision)
+            if m >= 1 and decision.rank == decisions[k][-2].rank:
+                orders[k] = m - 1
+        active = [k for k in active if orders[k] is None]
+        if not active:
+            break
+    return list(zip(decisions, orders))

@@ -453,16 +453,20 @@ def product_trace_by_full_tower(a, b, m_max, tol):
     factors.  The product chart has one curvature scale for both factors, so
     the two disagree on factors far apart in scale, where this one is wrong."""
     spec = product_metric(a, b).combined
-    return _kernel_trace(spec, np.asarray(spec.base_point, dtype=np.float64),
-                         m_max, tol)[0]
+    return _kernel_trace(spec, [spec.base_point], m_max, tol)[0][0]
 
 
 # -- unit frames at every order ------------------------------------------------------
 
-def frames_per_order(spec, point, first=None):
+def frames_per_order(spec, points, first=None):
     """A stand-in for ``curvature.frame_ladder`` that does what the rank
-    decisions did before it: a fresh ``CurvatureData.compute`` to exactly the
-    depth each order asks for, so nothing is shared between orders or
-    between consumers, and no covR is a slice of a deeper computation.
-    ``first`` is accepted and ignored."""
-    return lambda depth: CurvatureData.compute(spec, point, m_max=depth).unit_frame
+    decisions did before it: a fresh ``CurvatureData.compute`` at one point
+    to exactly the depth each order asks for, so nothing is shared between
+    orders, points or consumers, and no covR is a slice of a deeper
+    computation.  ``first`` is accepted and ignored."""
+    points = np.asarray(points, dtype=np.float64)
+
+    def frames(depth, which=None):
+        return [CurvatureData.compute(spec, points[k], m_max=depth).unit_frame
+                for k in (range(len(points)) if which is None else which)]
+    return frames

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +221,26 @@ def test_check_field_compiles_and_verifies_the_field_once(capsys, monkeypatch):
     assert (len(computed), len(metric_jets)) == (1, 1)
 
 
+
+def test_check_field_points_takes_the_base_point_in_the_same_batch(capsys, monkeypatch):
+    # the report's germ is taken at the base point in the batch of the named
+    # points, which alone are checked
+    from killingkit.curvature import CurvatureData
+    computed = []
+    compute = CurvatureData.compute.__func__
+    monkeypatch.setattr(CurvatureData, "compute", classmethod(
+        lambda cls, *args, **kwargs: computed.append(args) or compute(cls, *args, **kwargs)))
+    code, out, _ = invoke(capsys, "check-field", "--builtin", "sphere2", "--field", "0,1",
+                          "--points", "1,0", "--json")
+    assert code == 0 and len(computed) == 1
+    result = json.loads(out)["result"]
+    for check in ("killing", "first_prolongation"):
+        assert [r["point"] for r in result[check]["point_residuals"]] == [[1.0, 0.0]]
+    _, base, _ = invoke(capsys, "check-field", "--builtin", "sphere2", "--field", "0,1",
+                        "--json")
+    assert result["germ"] == json.loads(base)["result"]["germ"]
+
+
 # every command that reads one chart takes it from one option
 @pytest.mark.parametrize("argv", [
     ["parse"], ["curvature"], ["killing-dim"], ["holonomy"], ["hypothesis"],
@@ -321,6 +345,27 @@ def test_multi_point_mode(capsys):
     doc = json.loads(out)
     assert doc["result"]["min_dim"] == 3
     assert len(doc["result"]["reports"]) == 6
+
+
+def test_multi_point_names_the_first_perturbed_point_off_the_domain(capsys, tmp_path):
+    # the third of the six points, (0.01 - 0.0505, 0), leaves the domain of
+    # sqrt(x); the points are evaluated in one batch, and the message names
+    # it as evaluating them one by one does
+    chart = chart_file(tmp_path, "sqrtnear", "[[1 + sqrt(x), 0], [0, 1]]", "0.01, 0")
+    code, out, err = invoke(capsys, "killing-dim", "--file", chart, "--multi-point")
+    assert (code, out) == (2, "")
+    assert err == ("error: metric of 'sqrtnear' at (-0.0405, 0.0): component (0, 0) = "
+                   "1.0 + sqrt(x): sqrt of jet with constant term -0.0405 <= 0\n")
+
+
+def test_python_m_killingkit_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-m", "killingkit", "catalog", "--json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["command"] == "catalog"
 
 
 def test_warnings_appear_verbatim(capsys):

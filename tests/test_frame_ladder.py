@@ -1,6 +1,8 @@
 """The frame ladder: the curvature of a chart point is computed once per depth
 in a call, and the Killing trace, the slot matrices and the holonomy all read
-it.  Its answers are those of a fresh computation at every order."""
+it; the points of ``killing-dim --multi-point`` share one ladder, computed in
+one batch per depth.  Its answers are those of a fresh computation at every
+order and point."""
 import numpy as np
 import pytest
 
@@ -15,18 +17,20 @@ from killingkit import holonomy, killing, product
 from killingkit.curvature import CurvatureData, frame_ladder
 from killingkit.holonomy import infinitesimal_holonomy, parallel_field_check
 from killingkit.killing import killing_dimension
-from killingkit.metricdsl import builtin
+from killingkit.metricdsl import builtin, parse_manifold
 from killingkit.product import decomposition_check
 
 
 @pytest.fixture
 def computed(monkeypatch):
-    """Every ``CurvatureData.compute`` call, as (spec, depth)."""
+    """Every ``CurvatureData.compute`` call, as (spec, depth, number of
+    points)."""
     seen = []
     compute = CurvatureData.compute.__func__
 
     def spy(cls, spec, point=None, m_max=1):
-        seen.append((spec, m_max))
+        seen.append((spec, m_max, len(np.atleast_2d(spec.base_point if point is None
+                                                    else point))))
         return compute(cls, spec, point, m_max)
 
     monkeypatch.setattr(CurvatureData, "compute", classmethod(spy))
@@ -34,29 +38,29 @@ def computed(monkeypatch):
 
 
 def depths_of(spec, computed):
-    return [depth for s, depth in computed if s is spec]
+    return [depth for s, depth, _ in computed if s is spec]
 
 
 # -- the ladder --------------------------------------------------------------------
 
 def test_ladder_computes_only_deeper_depths(computed):
     spec = builtin("cahen_wallach", n=2, q=[1.0, -1.0])
-    frames = frame_ladder(spec, spec.base_point, 2)
-    shallow = [frames(d) for d in (0, 1, 2, 1)]
+    frames = frame_ladder(spec, [spec.base_point], 2)
+    shallow = [frames(d)[0] for d in (0, 1, 2, 1)]
     assert depths_of(spec, computed) == [2]
     assert [len(f.covR) for f in shallow] == [1, 2, 3, 2]
-    deep = frames(3)
+    [deep] = frames(3)
     assert depths_of(spec, computed) == [2, 3]
     assert len(deep.covR) == 4
     # a shallower depth is a slice of the deepest frame, with its e and kappa
-    again = frames(1)
+    [again] = frames(1)
     assert again.kappa == deep.kappa and again.e is deep.e
     assert all(a is b for a, b in zip(again.covR, deep.covR))
 
 
 def test_ladder_starts_at_the_depth_asked_when_deeper_than_first(computed):
     spec = builtin("sphere2")
-    frames = frame_ladder(spec, spec.base_point, 1)
+    frames = frame_ladder(spec, [spec.base_point], 1)
     frames(3)
     frames(0)
     assert depths_of(spec, computed) == [3]
@@ -198,3 +202,81 @@ def test_decompositions_match_frames_per_order(pair, rescaling, monkeypatch):
         a, b = (changed_chart(spec, factor=f)
                 for spec, f in zip((a, b), RESCALINGS[rescaling]))
     assert_same_as_per_order(monkeypatch, decomposition_answers, a, b)
+
+
+# -- one ladder over the points of killing-dim --multi-point ------------------------
+
+QUARTIC = """manifold quartic {
+  coordinates: x, y;
+  metric: [[1, 0], [0, 1 + x^4]];
+  base_point: (0, 0);
+}
+"""
+
+MULTI_CHARTS = {**{chart: CHARTS[chart] for chart in PINNED},
+                "quartic": lambda: parse_manifold(QUARTIC)}
+
+# (depth, points) of each computation of a multi-point call.  On the quartic
+# chart the base point and the two points off it in y trace [3, 2, 1, 1], the
+# other three [2, 1, 1]: all six read depth 3 at order 2, where the three
+# leave, and the rest read depth 4 at order 3.
+MULTI_COMPUTES = {"sphere2": [(2, 6)], "schwarzschild": [(2, 6), (3, 6)],
+                  "quartic": [(2, 6), (3, 6), (4, 3)]}
+
+
+@pytest.mark.parametrize("chart", sorted(MULTI_COMPUTES))
+def test_multi_point_computes_each_depth_once_over_the_points_still_changing(chart,
+                                                                          computed):
+    spec = MULTI_CHARTS[chart]()
+    killing_dimension(spec, multi_point=True)
+    assert [(depth, count) for s, depth, count in computed if s is spec] == \
+        MULTI_COMPUTES[chart]
+
+
+def multi_point_answers(spec, m_max):
+    rep = killing_dimension(spec, m_max=m_max, multi_point=True)
+    exact = (rep.min_dim, rep.points, rep.warnings,
+             [(r.point, r.dims, r.stabilization_order, r.warnings) for r in rep.reports])
+    return exact, [g for r in rep.reports for g in r.gaps]
+
+
+@pytest.mark.parametrize("m_max", [0, 1, 10])
+@pytest.mark.parametrize("chart", sorted(MULTI_CHARTS))
+def test_multi_point_matches_frames_per_order(chart, m_max, monkeypatch):
+    spec = MULTI_CHARTS[chart]()
+    assert_same_as_per_order(monkeypatch, multi_point_answers, spec, m_max)
+    # each point's report is, to the last bit, that of the point alone
+    rep = killing_dimension(spec, m_max=m_max, multi_point=True)
+    assert rep.reports == [killing_dimension(spec, point=q, m_max=m_max)
+                           for q in rep.points]
+
+
+def test_ladder_splits_a_batch_by_the_budget(computed):
+    # n = 4: 33 points a computation at depth 2, 2 at depth 4; batching
+    # changes no bit of a point's frame
+    spec = builtin("cahen_wallach", n=2, q=[1.0, -1.0])
+    points = np.array([spec.base_point] + killing._perturbed_points(
+        np.asarray(spec.base_point, dtype=np.float64), 5))
+    frames = frame_ladder(spec, points, 2)
+    frames(2)
+    batched = frames(4, [5, 0, 2, 3, 1])
+    assert [(d, count) for _, d, count in computed] == [(2, 6), (4, 2), (4, 2), (4, 1)]
+    for k, frame in zip([5, 0, 2, 3, 1], batched):
+        [alone] = frame_ladder(spec, points[[k]], 4)(4)
+        assert frame.kappa == alone.kappa
+        for a, b in zip([frame.e, frame.einv, frame.signs, *frame.covR],
+                        [alone.e, alone.einv, alone.signs, *alone.covR]):
+            assert np.array_equal(a, b)
+
+
+# n = 8: a point's depth-2 curvature alone is past the budget, so each point
+# is its own lockstep group; at --order 0 the first depth is 1, and four
+# points fit
+@pytest.mark.parametrize("m_max,computes", [(10, [(2, 1)] * 6), (0, [(1, 4), (1, 2)])])
+def test_multi_point_budget_splits_an_eight_dimensional_chart(m_max, computes, computed):
+    cw2 = builtin("cahen_wallach", n=2, q=[1.0, -1.0])
+    spec = product.product_metric(cw2, cw2).combined
+    rep = killing_dimension(spec, m_max=m_max, multi_point=True)
+    assert [(d, count) for _, d, count in computed] == computes
+    assert rep.reports == [killing_dimension(spec, point=q, m_max=m_max)
+                           for q in rep.points]

@@ -58,15 +58,15 @@ def _stack_of_rank(r, cols=6):
 
 
 def _decide(ranks, asked):
-    def decide(m):
+    def decide(m, active):
         asked.append(m)
-        return numerical_rank(_stack_of_rank(ranks(m)), TOL)
+        return [numerical_rank(_stack_of_rank(ranks(m)), TOL) for _ in active]
     return decide
 
 
 def test_stabilise_stops_at_first_repeat():
     ranks, asked = [1, 3, 3, 5], []
-    decisions, order = stabilise(_decide(ranks.__getitem__, asked), 3)
+    [(decisions, order)] = stabilise(_decide(ranks.__getitem__, asked), 3, 1)
     assert [d.rank for d in decisions] == [1, 3, 3]
     assert order == 1
     assert asked == [0, 1, 2]
@@ -74,14 +74,34 @@ def test_stabilise_stops_at_first_repeat():
 
 def test_stabilise_reports_none_while_still_changing():
     asked = []
-    decisions, order = stabilise(_decide(lambda m: m + 1, asked), 2)
+    [(decisions, order)] = stabilise(_decide(lambda m: m + 1, asked), 2, 1)
     assert [d.rank for d in decisions] == [1, 2, 3]
     assert order is None
     assert asked == [0, 1, 2]
-    decisions, order = stabilise(_decide(lambda m: 2, []), 0)
+    [(decisions, order)] = stabilise(_decide(lambda m: 2, []), 0, 1)
     assert len(decisions) == 1 and order is None
+
+
+def test_stabilise_drops_each_point_once_its_ranks_repeat():
+    # three points in lockstep: each is asked for exactly the orders it
+    # would be asked for alone, and leaves after its first repeat
+    ranks = [[1, 3, 3, 5], [2, 2, 4, 4], [1, 2, 3, 4]]
+    asked = []
+
+    def decide(m, active):
+        asked.append((m, list(active)))
+        return [numerical_rank(_stack_of_rank(ranks[k][m]), TOL) for k in active]
+
+    traces = stabilise(decide, 3, 3)
+    assert asked == [(0, [0, 1, 2]), (1, [0, 1, 2]), (2, [0, 2]), (3, [2])]
+    assert [[d.rank for d in decisions] for decisions, _ in traces] == [
+        [1, 3, 3], [2, 2], [1, 2, 3, 4]]
+    assert [order for _, order in traces] == [1, 0, None]
+    for k, (decisions, order) in enumerate(traces):
+        [alone] = stabilise(lambda m, active: decide(m, [k]), 3, 1)
+        assert ([d.rank for d in alone[0]], alone[1]) == ([d.rank for d in decisions], order)
 
 
 def test_stabilise_rejects_negative_order():
     with pytest.raises(ValueError):
-        stabilise(_decide(lambda m: 1, []), -1)
+        stabilise(_decide(lambda m: 1, []), -1, 1)

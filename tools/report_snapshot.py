@@ -27,10 +27,13 @@ catalog Killing field, two fields that are not Killing, one and three
 ``--points`` and ``--point`` with ``--points``, generated samples that leave
 a chart's domain, a field that fails at the base point, a tiny sphere, a
 field whose 2-jet overflows where its 1-jet does not, and two plane-wave
-products), each
-with ``--json``, through ``killingkit.cli.run`` of the package in this
-checkout's ``src/``.  It writes one JSON file mapping each query to its exit
-code, stdout and stderr.  Chart files go to a fixed directory
+products), and ``killing-dim --multi-point`` where the points' traces leave
+the lockstep loop at different orders, at the default order and at
+``--order 0`` and ``--order 1``, and where a perturbed point leaves the
+chart's domain (``MULTI_POINT_COMMANDS``), each with ``--json``, through
+``killingkit.cli.run`` of the package in this checkout's ``src/``.  It
+writes one JSON file mapping each query to its exit code, stdout and
+stderr.  Chart files go to a fixed directory
 (``--workdir``), so snapshots taken from two checkouts name the same paths
 and can be compared.
 
@@ -241,6 +244,25 @@ FIELD_COMMANDS = [
 ]
 
 
+# killing-dim --multi-point: on a chart whose base point is not regular
+# (g = diag(1, 1 + x^4) at the origin: the traces [3, 2, 1, 1] there and at
+# the two points off it in y, [2, 1, 1] at the other three) and on
+# Schwarzschild at r = 5 ("{schwarzschild}", as in DEEP_COMMANDS), each at
+# the default order, --order 0 and --order 1; then a chart where the
+# perturbed point (-0.0405, 0) leaves the domain of sqrt(x), an error.
+MULTI_POINT_CHARTS = {
+    "quartic": ("manifold quartic {\n  coordinates: x, y;\n"
+                "  metric: [[1, 0], [0, 1 + x^4]];\n  base_point: (0, 0);\n}\n"),
+    "sqrtnear": ("manifold sqrtnear {\n  coordinates: x, y;\n"
+                 "  metric: [[1 + sqrt(x), 0], [0, 1]];\n  base_point: (0.01, 0);\n}\n"),
+}
+MULTI_POINT_COMMANDS = [
+    ["killing-dim", "--multi-point", "--file", chart, *order]
+    for chart in ("{quartic}", "{schwarzschild}")
+    for order in ([], ["--order", "0"], ["--order", "1"])
+] + [["killing-dim", "--multi-point", "--file", "{sqrtnear}"]]
+
+
 def readme_commands(readme):
     """The argv of every ``killingkit ...`` line of README.md's code blocks,
     with backslash continuations joined."""
@@ -328,6 +350,13 @@ def snapshot(seeds, workdir):
     for i, argv in enumerate(fields + FIELD_COMMANDS):
         argv = [arg.format(**charts) for arg in argv]
         reports[f"fields.{i:02d}.{argv[0]}"] = run_query(cli, argv)
+    (workdir / "multi_point").mkdir(parents=True, exist_ok=True)
+    for name, text in MULTI_POINT_CHARTS.items():
+        charts[name] = workdir / "multi_point" / f"{name}.man"
+        charts[name].write_text(text, encoding="utf-8")
+    for i, argv in enumerate(MULTI_POINT_COMMANDS):
+        argv = [arg.format(**charts, schwarzschild=deep["schwarzschild"]) for arg in argv]
+        reports[f"multi_point.{i:02d}.{argv[0]}"] = run_query(cli, argv)
     return reports
 
 
