@@ -5,16 +5,16 @@ from .curvature import (CurvatureData, OrderExhaustedError, christoffel,
                         riemann)
 from .holonomy import (HolonomyReport, ParallelVerdict, infinitesimal_holonomy,
                        nullity, parallel_field_check)
-from .jets import (Jet, JetDomainError, JetOrderError, JetShapeError, JetSpace,
-                   JetTensor, jet_add, jet_elementary, jet_mul, jet_partial,
+from .jets import (JetDomainError, JetOrderError, JetShapeError, JetSpace, JetTensor,
                    jet_space)
 from .killing import (FieldCheck, IntegrabilityTensor, KernelReport, KillingGerm,
                       MultiPointReport, PreconditionError, check_first_prolongation,
-                      germ_of_field, integrability_tensors, kernel_germs, killing_dimension,
+                      integrability_tensors, kernel_germs, killing_dimension,
                       killing_transport, sample_field, verify_killing, wedge)
 from .metricdsl import (Assumptions, DegenerateMetricError, ManifoldSpec,
                         ParseError, SpecError, builtin, known_killing_fields,
-                        metric_jets, parse_expression, parse_field, parse_manifold)
+                        metric_jet_tensor, parse_expression, parse_field,
+                        parse_manifold)
 from .product import (DecompositionReport, ProductSpec, cw_counterexample,
                       decomposition_check, mixed_curvature_residuals, product_metric,
                       slot_matrix)

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import metricdsl
-from .jets import JetShapeError, JetTensor, tensor_deriv, tensor_from_grid, tensor_product
+from .jets import JetShapeError, JetTensor, tensor_deriv, tensor_product
 
 
 class OrderExhaustedError(ValueError):
@@ -32,10 +32,6 @@ class OrderExhaustedError(ValueError):
 
 
 _VAR_LETTERS = "abcdefghijklmnopqrstuvwxy"
-
-
-def _as_tensor(grid):
-    return grid if isinstance(grid, JetTensor) else tensor_from_grid(grid)
 
 
 def _points(t, rank):
@@ -53,7 +49,6 @@ def inverse_metric(g):
     Writing g = g0 (I + E) with E carrying no constant term, E is nilpotent in
     the jet algebra, so the series for (I + E)^{-1} terminates at the order.
     """
-    g = _as_tensor(g)
     p = _points(g, 2)
     n = g.shape[-1]
     g0inv = np.linalg.inv(g.value())
@@ -72,10 +67,10 @@ def inverse_metric(g):
 
 def christoffel(metric_jets, inverse_jets=None):
     """Connection coefficients as jets of one order less than the metric."""
-    g = _as_tensor(metric_jets)
+    g = metric_jets
     if g.order < 1:
         raise OrderExhaustedError("christoffel needs metric jets of order >= 1")
-    ginv = inverse_metric(g) if inverse_jets is None else _as_tensor(inverse_jets)
+    ginv = inverse_metric(g) if inverse_jets is None else inverse_jets
     p = _points(g, 2)
     dg = tensor_deriv(g)  # dg[i, j, c] = d_c g_ij
     a = dg.array
@@ -90,7 +85,6 @@ def christoffel(metric_jets, inverse_jets=None):
 
 def riemann(gamma):
     """Curvature jets from connection jets, one further order down."""
-    gamma = _as_tensor(gamma)
     if gamma.order < 1:
         raise OrderExhaustedError("riemann needs connection jets of order >= 1")
     p = _points(gamma, 3)
@@ -113,19 +107,18 @@ def covariant_derivative(tensor, variance, gamma):
 
     ``variance`` marks each component axis 'u' (upper) or 'd' (lower).
     """
-    t = _as_tensor(tensor)
-    if t.order < 1:
+    if tensor.order < 1:
         raise OrderExhaustedError("covariant derivative needs jets of order >= 1")
     p = _points(gamma, 3)
     rank = len(variance)
-    if rank + len(p) != len(t.shape):
+    if rank + len(p) != len(tensor.shape):
         raise ValueError(f"variance {variance!r} does not match rank "
-                         f"{len(t.shape) - len(p)}")
-    out = tensor_deriv(t)  # [..., z, coeff]
+                         f"{len(tensor.shape) - len(p)}")
+    out = tensor_deriv(tensor)  # [..., z, coeff]
     q = out.order
     gl = gamma.truncated(min(gamma.order, q))
     letters = _VAR_LETTERS[:rank]
-    t_trunc = t.truncated(q)
+    t_trunc = tensor.truncated(q)
     for s, v in enumerate(variance):
         slot = letters[s]
         contracted = p + letters[:s] + "A" + letters[s + 1:]
@@ -271,8 +264,9 @@ class CurvatureData:
 
 
 # Frame budget: one ``CurvatureData.compute`` of a frame ladder or of
-# Killing transport takes P points with P * n^(4 + depth) <= _FRAME_BUDGET
-# (at least one point), so the deepest curvature values it returns stay
+# Killing transport, and one lockstep group of multi-point Killing traces,
+# takes P points with P * n^(4 + depth) <= _FRAME_BUDGET (at least one
+# point; ``budget_points``), so the deepest curvature values it holds stay
 # within the budget whatever the number of points; transport evaluates depth
 # 0.  Each call has a fixed cost that more points spread.  Measured time per
 # point of one depth-0 call (2-vCPU host, one BLAS thread; sphere2,
@@ -290,6 +284,13 @@ class CurvatureData:
 _FRAME_BUDGET = 33 * 8 ** 4
 
 
+def budget_points(n, depth):
+    """The points one ``CurvatureData.compute`` of depth ``depth`` on an
+    n-dimensional chart may take: P with P * n^(4 + depth) <=
+    ``_FRAME_BUDGET``, at least one."""
+    return max(1, _FRAME_BUDGET // n ** (4 + depth))
+
+
 def frame_ladder(spec, points, first):
     """``frames(depth, which)``: the ``UnitFrame`` of the chart at each row
     ``which`` (indices; all rows by default) of the (P, n) array ``points``,
@@ -298,13 +299,13 @@ def frame_ladder(spec, points, first):
     ``CurvatureData`` is computed at a point only for a depth deeper than
     any computed there so far, the first time straight to max(depth, first),
     and for all the rows asked that need it at once: one batched compute of
-    as many rows as P * n^(4 + depth) <= ``_FRAME_BUDGET`` allows (at least
-    one), then the next.  A shallower depth is a slice of the deepest frame's
-    covR.  The stabilisation loop always asks for order 1 after order 0 when
-    it may, so a caller passes as ``first`` the depth its order
-    min(1, m_max) reads.  Batching changes no bit of a point's frame; sliced
-    covR agree with a fresh computation at the shallower depth up to
-    rounding: the two contract jets of different orders."""
+    as many rows as ``budget_points`` allows, then the next.  A shallower
+    depth is a slice of the deepest frame's covR.  The stabilisation loop
+    always asks for order 1 after order 0 when it may, so a caller passes as
+    ``first`` the depth its order min(1, m_max) reads.  Batching changes no
+    bit of a point's frame; sliced covR agree with a fresh computation at
+    the shallower depth up to rounding: the two contract jets of different
+    orders."""
     points = np.asarray(points, dtype=np.float64)
     deepest = [None] * len(points)
 
@@ -312,7 +313,7 @@ def frame_ladder(spec, points, first):
         which = range(len(points)) if which is None else which
         todo = [k for k in which if deepest[k] is None or depth >= len(deepest[k].covR)]
         m_max = max(depth, first)
-        per_call = max(1, _FRAME_BUDGET // spec.dim ** (4 + m_max))
+        per_call = budget_points(spec.dim, m_max)
         for lo in range(0, len(todo), per_call):
             rows = todo[lo:lo + per_call]
             # a lone point is computed without a point axis, which costs a
@@ -330,7 +331,7 @@ def point_frame(spec, point):
     """Metric, inverse, connection values, and curvature values at one point,
     or at each row of a (P, n) array of points (a leading point axis on each).
 
-    The cheap evaluator behind the transport integrator and ``germ_of_field``.
+    The cheap evaluator behind the transport integrator.
     """
     curv = CurvatureData.compute(spec, point, m_max=0)
     return curv.g, curv.ginv, curv.gamma_jets.value(), curv.riemann

@@ -6,10 +6,8 @@ vector uses a fixed graded-lexicographic enumeration of the multi-indices, so
 coefficients of total degree <= q always occupy a prefix of the vector; this
 makes truncation a slice and keeps every matrix built downstream reproducible.
 
-Three layers live here:
+Two layers live here:
 
-* ``Jet`` -- a single scalar expansion with operator overloads, the public
-  carrier that ``Expr.eval_jet`` and ``metricdsl.metric_jets`` return.
 * ``JetTape`` -- a straight-line program of jet operations, compiled once
   from expression trees and evaluated on a batch of expansion points (a
   leading point axis on the coefficient arrays).  It is the package's only
@@ -18,12 +16,13 @@ Three layers live here:
   elementary function outside its domain, or an output with a non-finite
   coefficient).
 * ``JetTensor`` -- a numpy array of coefficient vectors (component axes first,
-  coefficient axis last) with vectorised convolution/contraction helpers, used
-  by the curvature engine where plain Jets would be too slow.
+  coefficient axis last) with vectorised convolution/contraction helpers: the
+  carrier of every jet the curvature engine reads, from the tape's metric
+  jets on.
 
 The Cauchy product and the elementary-function series act on coefficient
-arrays with any leading axes, so one implementation serves a ``Jet`` and a
-batch of points.
+arrays with any leading axes, so the tape runs one implementation on a batch
+of points.
 """
 from __future__ import annotations
 
@@ -137,184 +136,19 @@ def _deriv_table(n_vars, order):
     return src, fac
 
 
-class Jet:
-    """One truncated Taylor expansion; treat instances as immutable."""
-
-    __slots__ = ("space", "coeffs")
-
-    def __init__(self, space, coeffs, copy=True):
-        coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.shape != (space.size,):
-            raise JetShapeError(
-                f"coefficient vector of length {coeffs.shape} does not fit {space}"
-            )
-        if copy:
-            coeffs = coeffs.copy()
-        coeffs.setflags(write=False)
-        self.space = space
-        self.coeffs = coeffs
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, space, value):
-        c = np.zeros(space.size)
-        c[0] = value
-        return cls(space, c, copy=False)
-
-    @classmethod
-    def variable(cls, space, i, base_value):
-        """The expansion of the i-th coordinate about a point with x_i = base_value."""
-        if not 0 <= i < space.n_vars:
-            raise JetShapeError(f"variable index {i} out of range for {space}")
-        c = np.zeros(space.size)
-        c[0] = base_value
-        if space.order >= 1:
-            c[1 + i] = 1.0
-        return cls(space, c, copy=False)
-
-    # -- basic queries -----------------------------------------------------
-
-    @property
-    def n_vars(self):
-        return self.space.n_vars
-
-    @property
-    def order(self):
-        return self.space.order
-
-    @property
-    def value(self):
-        """The constant term, i.e. the value at the expansion point."""
-        return float(self.coeffs[0])
-
-    def coefficient(self, alpha):
-        alpha = tuple(int(a) for a in alpha)
-        idx = self.space.index.get(alpha)
-        if idx is None:
-            raise JetOrderError(f"multi-index {alpha} not stored in {self.space}")
-        return float(self.coeffs[idx])
-
-    def deriv(self, i):
-        """Partial derivative along coordinate i, as a jet of one order less."""
-        src, fac = _deriv_table(self.n_vars, self.order)
-        return Jet(jet_space(self.n_vars, self.order - 1),
-                   self.coeffs[src[i]] * fac[i], copy=False)
-
-    def truncated(self, order):
-        if order > self.order:
-            raise JetOrderError(f"cannot extend order {self.order} jet to {order}")
-        s = jet_space(self.n_vars, order)
-        return Jet(s, self.coeffs[:s.size], copy=False)
-
-    def __repr__(self):
-        return f"Jet(n_vars={self.n_vars}, order={self.order}, value={self.value})"
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.space is not self.space:
-                raise JetShapeError(
-                    f"mixed jet spaces {self.space} and {other.space}"
-                )
-            return other
-        if isinstance(other, (int, float, np.integer, np.floating)):
-            return Jet.constant(self.space, float(other))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Jet(self.space, self.coeffs + other.coeffs, copy=False)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Jet(self.space, self.coeffs - other.coeffs, copy=False)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return Jet(self.space, other.coeffs - self.coeffs, copy=False)
-
-    def __neg__(self):
-        return Jet(self.space, -self.coeffs, copy=False)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return jet_mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return jet_mul(self, jet_elementary("reciprocal", other))
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return jet_mul(other, jet_elementary("reciprocal", self))
-
-    def __pow__(self, exponent):
-        return jet_elementary("pow_int", self, exponent=exponent)
-
-
-def _same_space(a, b):
-    if not isinstance(a, Jet) or not isinstance(b, Jet):
-        raise TypeError("expected Jet operands")
-    if a.space is not b.space:
-        raise JetShapeError(f"mixed jet spaces {a.space} and {b.space}")
-
-
-def jet_add(a, b):
-    _same_space(a, b)
-    return Jet(a.space, a.coeffs + b.coeffs, copy=False)
-
-
 def _cauchy(a, b, tab):
     """Truncated Cauchy product of coefficient arrays along their last axis;
     any leading axes (a point axis, say) broadcast."""
     return np.add.reduceat(a[..., tab.ai] * b[..., tab.bi], tab.starts, axis=-1)
 
 
-def jet_mul(a, b):
-    """Cauchy product truncated at the common order."""
-    _same_space(a, b)
-    k = a.order
-    return Jet(a.space, _cauchy(a.coeffs, b.coeffs, _mul_table(a.n_vars, k, k, k)),
-               copy=False)
-
-
-def jet_partial(a, alpha):
-    """The derivative value d^alpha at the expansion point, i.e. alpha! * c_alpha."""
-    alpha = tuple(int(x) for x in alpha)
-    if len(alpha) != a.n_vars:
-        raise JetShapeError(f"multi-index length {len(alpha)} != n_vars {a.n_vars}")
-    if sum(alpha) > a.order:
-        raise JetOrderError(f"|{alpha}| exceeds jet order {a.order}")
-    scale = 1.0
-    for x in alpha:
-        scale *= math.factorial(x)
-    return scale * a.coefficient(alpha)
-
-
 # -- elementary functions ---------------------------------------------------
 #
 # Coefficient arrays carry the coefficient axis last and any number of leading
-# axes, so one implementation serves a single Jet and a batch of points.  Each
-# function reports where its constant term leaves the domain instead of
-# raising, so a batch can tell which point failed first.
+# axes, so one implementation serves a constant jet of a tape (no point axis)
+# and a batch of points.  Each function reports where its constant term
+# leaves the domain instead of raising, so a batch can tell which point
+# failed first.
 
 @lru_cache(maxsize=None)
 def _factorials(order):
@@ -423,29 +257,6 @@ def _power(x, exponent, tab):
         result = np.zeros(np.shape(x))
         result[..., 0] = 1.0
     return result
-
-
-def jet_elementary(tag, a, exponent=None):
-    """Compose an elementary function with a jet.
-
-    ``pow_int`` needs the integer ``exponent``; negative exponents are taken
-    as positive powers of the reciprocal.
-    """
-    if not isinstance(a, Jet):
-        raise TypeError("expected a Jet")
-    tab = _mul_table(a.n_vars, a.order, a.order, a.order)
-    if tag == "pow_int":
-        if exponent is None or int(exponent) != exponent:
-            raise ValueError("pow_int requires an integer exponent")
-        exponent = int(exponent)
-        if exponent < 0:
-            return jet_elementary("pow_int", jet_elementary("reciprocal", a),
-                                  exponent=-exponent)
-        return Jet(a.space, _power(a.coeffs, exponent, tab), copy=False)
-    c, bad = _series_coefficients(tag, a.value, a.order)
-    if bad:
-        raise _elementary_error(tag, a.value)
-    return Jet(a.space, _compose(a.coeffs, c, tab), copy=False)
 
 
 # -- straight-line programs over jets ----------------------------------------
@@ -630,9 +441,6 @@ class JetTensor:
         s = jet_space(self.n_vars, order)
         return JetTensor(self.array[..., :s.size], s)
 
-    def jet(self, *idx):
-        return Jet(self.space, self.array[idx])
-
     def __add__(self, other):
         if not isinstance(other, JetTensor) or other.space is not self.space:
             raise JetShapeError("JetTensor addition needs a common space")
@@ -648,22 +456,6 @@ class JetTensor:
 
     def scaled(self, factor):
         return JetTensor(self.array * factor, self.space)
-
-
-def tensor_from_grid(grid):
-    """Stack a (nested) sequence of Jets into a JetTensor."""
-    def walk(node):
-        if isinstance(node, Jet):
-            return node.coeffs, node.space
-        rows = [walk(child) for child in node]
-        space = rows[0][1]
-        for _, s in rows:
-            if s is not space:
-                raise JetShapeError("grid entries live in different jet spaces")
-        return np.stack([r[0] for r in rows]), space
-
-    array, space = walk(grid)
-    return JetTensor(array, space)
 
 
 _CHUNK_ELEMS = 30_000_000

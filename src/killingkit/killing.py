@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import metricdsl
-from .curvature import (_FRAME_BUDGET, CurvatureData, OrderExhaustedError,
+from .curvature import (CurvatureData, OrderExhaustedError, budget_points,
                         covariant_derivative, frame_ladder, point_frame)
 from .jets import (JetDomainError, JetTensor, compile_tape, jet_space, tensor_deriv,
                    tensor_product)
@@ -123,19 +123,6 @@ def _field_germ(jets, gamma):
     return KillingGerm(xi=xi, a=-(dxi + np.einsum("ijk,k->ij", gamma, xi)))
 
 
-def germ_of_field(spec, fld, point=None):
-    """The germ (xi(p), A(p)) of a vector field, with A = -(grad xi + Gamma xi).
-    ``fld`` is the field's component expressions or, to evaluate one field
-    at several points from one compiled tape, their ``field_jets``.  The
-    chart is evaluated at p before the field, so a chart failure there is
-    named first.  ``killing_transport`` of a field's jets takes the germs at
-    a path's ends from its own frames, as this would."""
-    jets_at = fld if callable(fld) else field_jets(spec, fld)
-    p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
-    _, _, gamma, _ = point_frame(spec, p)
-    return _field_germ(jets_at(p, 1), gamma)
-
-
 @dataclass(frozen=True)
 class FieldSamples:
     """A field and its chart at sample points: ``curv``, the chart's depth-0
@@ -167,9 +154,11 @@ class FieldSamples:
 
 
 def sample_field(spec, fld, points):
-    """``FieldSamples`` of a field (``fld`` as in ``germ_of_field``) from one
-    batched evaluation of the chart and one of the field at ``points``; only
-    if that raises, each point alone, the chart first, to find the bad ones."""
+    """``FieldSamples`` of a field (``fld``: its component expressions or, to
+    sample one field several times from one compiled tape, its
+    ``field_jets``) from one batched evaluation of the chart and one of the
+    field at ``points``; only if that raises, each point alone, the chart
+    first, to find the bad ones."""
     jets_at = fld if callable(fld) else field_jets(spec, fld)
     points = np.asarray(points, dtype=np.float64).reshape(-1, spec.dim)
     try:
@@ -432,13 +421,13 @@ def killing_dimension(spec, point=None, m_max=10, tol=1e-8, multi_point=False):
     ranks are decided in its own frame, so every trace is the one the point
     alone gives.  A group holds the frames of all its points at once, so it
     takes as many points as one computation of the first depth may
-    (``_FRAME_BUDGET``): all six up to n = 4, one at n = 8.
+    (``curvature.budget_points``): all six up to n = 4, one at n = 8.
     """
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
     if not multi_point:
         return _kernel_trace(spec, p[None], m_max, tol)[0][0]
     points = np.array([p] + _perturbed_points(p, 5))
-    group = max(1, _FRAME_BUDGET // spec.dim ** (4 + min(2, m_max + 1)))
+    group = budget_points(spec.dim, min(2, m_max + 1))
     reports = []
     for lo in range(0, len(points), group):   # one group's frames are released before the next
         reports += [report for report, _, _ in _kernel_trace(spec, points[lo:lo + group],
@@ -546,14 +535,15 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
 
     and the state is multiplied by the propagators in step order.  One loop
     walks the stage points of the whole path in path order.  Its outer level
-    is the frame batch: one ``point_frame`` call of up to P consecutive
-    stage points with P n^4 <= ``_FRAME_BUDGET`` floats of curvature, made
-    once the previous batch is released, so a point where the chart fails
-    raises what evaluating the points one by one would raise first.  Its
-    inner level is the block: at most twice ``_BLOCK_STEPS`` stage points of
-    one segment inside the batch, whose generators M, after the one or two
-    of the step under way carried over, give P for every step that ends in
-    the block by batched products.  Memory holds one frame batch, one
+    is the frame batch: one ``point_frame`` call of as many consecutive
+    stage points as ``budget_points`` allows at depth 0 (P n^4 floats of
+    curvature within the frame budget), made once the previous batch is
+    released, so a point where the chart fails raises what evaluating the
+    points one by one would raise first.  Its inner level is the block: at
+    most twice ``_BLOCK_STEPS`` stage points of one segment inside the
+    batch, whose generators M, after the one or two of the step under way
+    carried over, give P for every step that ends in the block by batched
+    products.  Memory holds one frame batch, one
     block's M ((n + n^2)^2 floats a point) and the carried ones, whatever
     the number of steps.  The products round differently from stepping xi
     and A through the right-hand side of D stage by stage, so end germs
@@ -562,7 +552,7 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     ``germ`` is a ``KillingGerm``, and the transported germ is returned; or
     it is a field's ``field_jets``, and a ``FieldTransport`` is returned.
     Then the field's germs at both ends come from the same batches, as
-    ``germ_of_field`` would give them: the start germ from the first stage
+    ``sample_field`` would give them: the start germ from the first stage
     point, which is ``path[0]`` exactly, and the end germ from ``path[-1]``,
     evaluated as one more point after the last stage point, inside the
     budget.  The first failure raised is the first of: the chart at
@@ -583,7 +573,7 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
             raise
     steps = steps_per_segment
     n = len(path[0])
-    per_call = max(1, _FRAME_BUDGET // n ** 4)
+    per_call = budget_points(n, 0)
     per_segment = 2 * steps + 1
     stages = (len(path) - 1) * per_segment
     total = stages + (jets_at is not None)   # in field mode, path[-1] follows

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .jets import Jet, JetDomainError, JetTensor, compile_tape, jet_space
+from .jets import JetDomainError, JetTensor, compile_tape, jet_space
 
 
 class ParseError(ValueError):
@@ -56,19 +56,6 @@ FUNCTIONS = ("sin", "cos", "exp", "sinh", "cosh", "sqrt")
 
 @dataclass(frozen=True)
 class Expr:
-    def eval_jet(self, space, point):
-        """The jet of this expression about ``point`` in ``space``; raises the
-        failure ``JetTape.evaluate`` reports there."""
-        points = np.asarray(point, dtype=np.float64)[None]
-        coeffs, failure = self._tape.evaluate(points, space)
-        if failure is not None:
-            raise failure[2]
-        return Jet(space, coeffs[0, 0], copy=False)
-
-    @cached_property
-    def _tape(self):
-        return compile_tape([self])
-
     def jet_op(self):
         """This node as an operation of ``jets.compile_tape``:
         ``((kind, *params), operand nodes)``."""
@@ -301,7 +288,7 @@ class ManifoldSpec:
     def metric_values(self, point):
         """The metric at ``point``, from the spec's tape; a failing component
         raises as in ``metric_jet_tensor``.  Nondegeneracy is not checked."""
-        return _metric_jets(self, point, 0, check=False).array[..., 0].copy()
+        return _metric_jet_tensor(self, point, 0, check=False).array[..., 0].copy()
 
     def _component_error(self, point, i, j, exc):
         """The error to raise when evaluating component (i, j) at ``point``
@@ -385,10 +372,10 @@ def metric_jet_tensor(spec, point, order):
     component and its expression; see ``JetTape.evaluate``) or a degenerate
     metric, at the earliest failing point.
     """
-    return _metric_jets(spec, point, order, check=True)
+    return _metric_jet_tensor(spec, point, order, check=True)
 
 
-def _metric_jets(spec, point, order, check):
+def _metric_jet_tensor(spec, point, order, check):
     """``metric_jet_tensor``, with the nondegeneracy check only if ``check``."""
     points = np.asarray(point, dtype=np.float64)
     if points.ndim not in (1, 2) or points.shape[-1:] != (spec.dim,):
@@ -406,20 +393,6 @@ def _metric_jets(spec, point, order, check):
         i, j = map(int, np.argwhere(position == output)[0])
         raise spec._component_error(batch[k], i, j, exc) from exc
     return JetTensor(g if points.ndim == 2 else g[0], space)
-
-
-def metric_jets(spec, point, order):
-    """Expand every metric component about ``point``; symmetric coefficientwise."""
-    point = np.asarray(point, dtype=np.float64)
-    if point.shape != (spec.dim,):
-        raise SpecError(f"point of dimension {point.shape} for {spec.dim} coordinates")
-    g = metric_jet_tensor(spec, point, order)
-    n = spec.dim
-    grid = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            grid[i][j] = grid[j][i] = Jet(g.space, g.array[i, j], copy=False)
-    return grid
 
 
 # -- tokenizer / parser -------------------------------------------------------

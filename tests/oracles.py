@@ -16,9 +16,10 @@ recursion is the tower as it was built before the closed form of
 ``killing.integrability_tensors``: it differentiates the jets of the tower's
 coefficients level by level, so it shares the jet layer but none of the
 closed form's algebra.  The tree walk is how expressions became jets before
-they were compiled into a ``JetTape``: one ``Jet`` per node, visited
-recursively, with no shared subexpressions and no batch of points.  The
-dense contraction is how ``tensor_product`` contracted every operand before
+they were compiled into a ``JetTape``: one coefficient vector per node,
+visited recursively, with no shared subexpressions and no batch of points;
+it runs the tape's Cauchy product and series kernels one node at a time.
+The dense contraction is how ``tensor_product`` contracted every operand before
 it learned to skip zero components: one einsum over all component pairs.
 """
 from __future__ import annotations
@@ -30,8 +31,9 @@ import numpy as np
 
 from killingkit.curvature import (CurvatureData, OrderExhaustedError, covariant_derivative,
                                   point_frame)
-from killingkit.jets import (Jet, JetDomainError, JetTensor, _mul_table, jet_elementary,
-                             jet_space, tensor_product)
+from killingkit.jets import (JetDomainError, JetTensor, _cauchy, _compose, _elementary_error,
+                             _mul_table, _power, _series_coefficients, jet_space,
+                             tensor_product)
 from killingkit.killing import (IntegrabilityTensor, KillingGerm, _kernel_trace,
                                 integrability_tensors)
 from killingkit.metricdsl import (Binary, Call, Const, Coord, Neg, PowInt, make_spec,
@@ -187,52 +189,70 @@ def random_expression(rng, n_vars, depth=3):
 # -- the tree-walking jet evaluator ----------------------------------------------
 
 def tree_jet(expr, space, point):
-    """The jet of an expression about ``point``, walking its tree node by node."""
-    if isinstance(expr, Const):
-        return Jet.constant(space, expr.value)
-    if isinstance(expr, Coord):
-        return Jet.variable(space, expr.index, point[expr.index])
-    if isinstance(expr, Binary):
-        a = tree_jet(expr.left, space, point)
-        b = tree_jet(expr.right, space, point)
-        if expr.op == "+":
-            return a + b
-        if expr.op == "-":
-            return a - b
-        if expr.op == "*":
-            return a * b
-        return a / b
-    if isinstance(expr, Neg):
-        return -tree_jet(expr.arg, space, point)
-    if isinstance(expr, PowInt):
-        return jet_elementary("pow_int", tree_jet(expr.base, space, point),
-                              exponent=expr.exponent)
-    if isinstance(expr, Call):
-        return jet_elementary(expr.fn, tree_jet(expr.arg, space, point))
-    raise TypeError(f"unknown expression node {expr!r}")
+    """The coefficient vector of an expression's jet about ``point``, walking
+    its tree node by node: a / b is a times the reciprocal of b, and a
+    negative power a positive power of the reciprocal."""
+    tab = _mul_table(space.n_vars, space.order, space.order, space.order)
+
+    def elementary(tag, x):
+        c, bad = _series_coefficients(tag, x[0], space.order)
+        if bad:
+            raise _elementary_error(tag, x[0])
+        return _compose(x, c, tab)
+
+    def walk(e):
+        if isinstance(e, Const):
+            c = np.zeros(space.size)
+            c[0] = e.value
+            return c
+        if isinstance(e, Coord):
+            c = np.zeros(space.size)
+            c[0] = point[e.index]
+            if space.order >= 1:
+                c[1 + e.index] = 1.0
+            return c
+        if isinstance(e, Binary):
+            a, b = walk(e.left), walk(e.right)
+            if e.op == "+":
+                return a + b
+            if e.op == "-":
+                return a - b
+            return _cauchy(a, b if e.op == "*" else elementary("reciprocal", b), tab)
+        if isinstance(e, Neg):
+            return -walk(e.arg)
+        if isinstance(e, PowInt):
+            base = walk(e.base)
+            if e.exponent < 0:
+                base = elementary("reciprocal", base)
+            return _power(base, abs(e.exponent), tab)
+        if isinstance(e, Call):
+            return elementary(e.fn, walk(e.arg))
+        raise TypeError(f"unknown expression node {e!r}")
+
+    return walk(expr)
 
 
 def tree_metric_jets(spec, point, order):
-    """Every metric component expanded about one point by the tree walk, with
-    the failure rule and the nondegeneracy check of ``metricdsl.metric_jets``:
-    a component fails on a domain error, or else on a non-finite coefficient."""
+    """Every metric component expanded about one point by the tree walk, an
+    (n, n, size) array, with the failure rule and the nondegeneracy check of
+    ``metricdsl.metric_jet_tensor``: a component fails on a domain error, or
+    else on a non-finite coefficient."""
     point = np.asarray(point, dtype=np.float64)
     space = jet_space(spec.dim, order)
     n = spec.dim
-    grid = [[None] * n for _ in range(n)]
+    grid = np.empty((n, n, space.size))
     for i in range(n):
         for j in range(i, n):
             try:
                 jet = tree_jet(spec.metric[i][j], space, point)
             except (JetDomainError, OverflowError) as exc:
                 raise spec._component_error(point, i, j, exc) from exc
-            bad = jet.coeffs[~np.isfinite(jet.coeffs)]
+            bad = jet[~np.isfinite(jet)]
             if bad.size:
                 raise spec._component_error(
                     point, i, j, OverflowError(f"jet has non-finite coefficient {bad[0]}"))
-            grid[i][j] = grid[j][i] = jet
-    g0 = np.array([[grid[i][j].value for j in range(n)] for i in range(n)])
-    spec.check_nondegenerate(point, g0)
+            grid[i, j] = grid[j, i] = jet
+    spec.check_nondegenerate(point, grid[..., 0])
     return grid
 
 

@@ -6,8 +6,7 @@ import pytest
 from killingkit.curvature import (CurvatureData, OrderExhaustedError, christoffel,
                                   identity_residuals, inverse_metric,
                                   lowered_riemann, point_frame)
-from killingkit.jets import tensor_from_grid
-from killingkit.metricdsl import builtin, metric_jets, parse_manifold
+from killingkit.metricdsl import builtin, metric_jet_tensor, parse_manifold
 
 from oracles import fd_christoffel, fd_riemann
 from test_tower import CHARTS
@@ -35,7 +34,7 @@ CATALOG = [
 
 def test_inverse_metric_jets():
     spec = builtin("sphere2")
-    g = tensor_from_grid(metric_jets(spec, (1.1, 0.2), 3))
+    g = metric_jet_tensor(spec, (1.1, 0.2), 3)
     ginv = inverse_metric(g)
     from killingkit.jets import tensor_product
     prod = tensor_product("ia,aj->ij", g, ginv)
@@ -131,7 +130,7 @@ def test_cov_derivative_layout_matches_plain_derivative():
 
 def test_order_exhaustion_errors():
     spec = builtin("sphere2")
-    g1 = tensor_from_grid(metric_jets(spec, spec.base_point, 0))
+    g1 = metric_jet_tensor(spec, spec.base_point, 0)
     with pytest.raises(OrderExhaustedError):
         christoffel(g1)
 

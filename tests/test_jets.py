@@ -6,89 +6,102 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from killingkit.jets import (Jet, JetDomainError, JetOrderError, JetShapeError,
-                             jet_add, jet_elementary, jet_mul, jet_partial,
-                             jet_space)
+from killingkit.jets import (JetDomainError, JetOrderError, JetShapeError, JetTensor,
+                             compile_tape, jet_space, tensor_deriv, tensor_product)
+from killingkit.metricdsl import Binary, Call, Const, Coord, PowInt
 
 from oracles import fd_first_partial, fd_second_partial, float_eval, random_expression
 
+X, Y = Coord("x", 0), Coord("y", 1)
 
-def coords(space, point=None):
-    point = point or [0.0] * space.n_vars
-    return [Jet.variable(space, i, point[i]) for i in range(space.n_vars)]
+
+def tape_jet(expr, space, point=None):
+    """The coefficients of an expression's jet about ``point`` (the origin by
+    default), from a tape compiled for it alone; raises the failure the tape
+    reports there."""
+    point = np.zeros(space.n_vars) if point is None else np.asarray(point, dtype=np.float64)
+    coeffs, failure = compile_tape([expr]).evaluate(point[None], space)
+    if failure is not None:
+        raise failure[2]
+    return coeffs[0, 0]
+
+
+def partial_value(coeffs, space, alpha):
+    """The derivative d^alpha at the expansion point, alpha! c_alpha, of the
+    jet with coefficients ``coeffs`` in ``space``."""
+    return math.prod(map(math.factorial, alpha)) * coeffs[space.index[tuple(alpha)]]
+
+
+def plus(a, b):
+    return Binary("+", a, b)
+
+
+def times(a, b):
+    return Binary("*", a, b)
 
 
 def test_product_of_binomials():
     s = jet_space(2, 2)
-    x, y = coords(s)
-    p = (1 + x) * (1 + y)
-    assert p.coefficient((0, 0)) == 1.0
-    assert p.coefficient((1, 0)) == 1.0
-    assert p.coefficient((0, 1)) == 1.0
-    assert p.coefficient((1, 1)) == 1.0
-    assert p.coefficient((2, 0)) == 0.0
+    p = tape_jet(times(plus(Const(1.0), X), plus(Const(1.0), Y)), s)
+    assert p[s.index[(0, 0)]] == 1.0
+    assert p[s.index[(1, 0)]] == 1.0
+    assert p[s.index[(0, 1)]] == 1.0
+    assert p[s.index[(1, 1)]] == 1.0
+    assert p[s.index[(2, 0)]] == 0.0
 
 
 def test_truncation_drops_top_degree():
     s = jet_space(2, 1)
-    x, _ = coords(s)
-    assert np.all((x * x).coeffs == 0.0)
+    assert np.all(tape_jet(times(X, X), s) == 0.0)
 
 
 def test_multiplicative_identity():
     rng = np.random.default_rng(7)
     s = jet_space(3, 3)
-    a = Jet(s, rng.normal(size=s.size))
-    one = Jet.constant(s, 1.0)
-    assert np.allclose(jet_mul(a, one).coeffs, a.coeffs)
+    a = JetTensor(rng.normal(size=s.size), s)
+    one = JetTensor(np.eye(1, s.size)[0], s)
+    assert np.allclose(tensor_product(",->", a, one).array, a.array)
 
 
 def test_elementary_series():
     s = jet_space(1, 3)
-    x = Jet.variable(s, 0, 0.0)
-    sx = jet_elementary("sin", x)
-    assert np.allclose(sx.coeffs, [0.0, 1.0, 0.0, -1 / 6])
+    assert np.allclose(tape_jet(Call("sin", X), s), [0.0, 1.0, 0.0, -1 / 6])
     s2 = jet_space(1, 2)
-    x2 = Jet.variable(s2, 0, 0.0)
-    assert np.allclose(jet_elementary("exp", x2).coeffs, [1.0, 1.0, 0.5])
-    assert np.allclose(jet_elementary("sqrt", 1 + x2).coeffs, [1.0, 0.5, -0.125])
+    assert np.allclose(tape_jet(Call("exp", X), s2), [1.0, 1.0, 0.5])
+    assert np.allclose(tape_jet(Call("sqrt", plus(Const(1.0), X)), s2), [1.0, 0.5, -0.125])
 
 
 def test_pow_int_and_reciprocal():
     s = jet_space(1, 3)
-    x = Jet.variable(s, 0, 0.5)
-    p = jet_elementary("pow_int", x, exponent=3)
-    assert p.value == pytest.approx(0.125)
-    inv = jet_elementary("pow_int", x, exponent=-2)
-    ref = jet_elementary("reciprocal", jet_mul(x, x))
-    assert np.allclose(inv.coeffs, ref.coeffs)
-    assert jet_elementary("pow_int", x, exponent=0).value == 1.0
+    p = tape_jet(PowInt(X, 3), s, [0.5])
+    assert p[0] == pytest.approx(0.125)
+    inv = tape_jet(PowInt(X, -2), s, [0.5])
+    ref = tape_jet(Binary("/", Const(1.0), times(X, X)), s, [0.5])
+    assert np.allclose(inv, ref)
+    assert tape_jet(PowInt(X, 0), s, [0.5])[0] == 1.0
 
 
 def test_partial_values():
     s = jet_space(2, 2)
-    x, y = coords(s)
-    assert jet_partial(x * y, (1, 1)) == pytest.approx(1.0)
-    assert jet_partial(x * x, (2, 0)) == pytest.approx(2.0)
-    a = 3.5 + 2 * x
-    assert jet_partial(a, (0, 0)) == pytest.approx(3.5)
+    assert partial_value(tape_jet(times(X, Y), s), s, (1, 1)) == pytest.approx(1.0)
+    assert partial_value(tape_jet(times(X, X), s), s, (2, 0)) == pytest.approx(2.0)
+    a = tape_jet(plus(Const(3.5), times(Const(2.0), X)), s)
+    assert partial_value(a, s, (0, 0)) == pytest.approx(3.5)
 
 
 def test_error_conditions():
     s = jet_space(2, 2)
-    x, y = coords(s)
+    x = JetTensor(tape_jet(X, s), s)
     with pytest.raises(JetShapeError):
-        jet_add(x, Jet.variable(jet_space(2, 1), 0, 0.0))
+        x + JetTensor(tape_jet(X, jet_space(2, 1)), jet_space(2, 1))
     with pytest.raises(JetShapeError):
-        jet_add(x, Jet.variable(jet_space(3, 2), 0, 0.0))
+        x + JetTensor(tape_jet(X, jet_space(3, 2)), jet_space(3, 2))
     with pytest.raises(JetOrderError):
-        jet_partial(x, (3, 0))
+        x.truncated(3)
     with pytest.raises(JetDomainError):
-        jet_elementary("reciprocal", x)  # zero constant term
+        tape_jet(Binary("/", Const(1.0), X), s)  # zero constant term
     with pytest.raises(JetDomainError):
-        jet_elementary("sqrt", -1 + x)
-    with pytest.raises(ValueError):
-        jet_elementary("pow_int", x)  # missing exponent
+        tape_jet(Call("sqrt", plus(Const(-1.0), X)), s)
 
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
@@ -96,17 +109,21 @@ jet_coeffs = st.lists(finite, min_size=10, max_size=10)  # space (2, 3) has 10
 
 
 def _jet(coeffs):
-    return Jet(jet_space(2, 3), np.array(coeffs))
+    return JetTensor(np.array(coeffs), jet_space(2, 3))
+
+
+def _mul(a, b):
+    return tensor_product(",->", a, b)
 
 
 @given(jet_coeffs, jet_coeffs)
 @settings(max_examples=60, deadline=None)
 def test_leibniz_rule(ca, cb):
     a, b = _jet(ca), _jet(cb)
+    da, db, dab = tensor_deriv(a).array, tensor_deriv(b).array, tensor_deriv(_mul(a, b)).array
     for i in range(2):
-        e = (1, 0) if i == 0 else (0, 1)
-        lhs = jet_partial(jet_mul(a, b), e)
-        rhs = jet_partial(a, e) * b.value + a.value * jet_partial(b, e)
+        lhs = dab[i, 0]
+        rhs = da[i, 0] * b.array[0] + a.array[0] * db[i, 0]
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
 
 
@@ -114,15 +131,15 @@ def test_leibniz_rule(ca, cb):
 @settings(max_examples=60, deadline=None)
 def test_mul_commutative(ca, cb):
     a, b = _jet(ca), _jet(cb)
-    assert np.allclose(jet_mul(a, b).coeffs, jet_mul(b, a).coeffs)
+    assert np.allclose(_mul(a, b).array, _mul(b, a).array)
 
 
 @given(jet_coeffs, jet_coeffs, jet_coeffs)
 @settings(max_examples=60, deadline=None)
 def test_mul_associative(ca, cb, cc):
     a, b, c = _jet(ca), _jet(cb), _jet(cc)
-    lhs = jet_mul(jet_mul(a, b), c).coeffs
-    rhs = jet_mul(a, jet_mul(b, c)).coeffs
+    lhs = _mul(_mul(a, b), c).array
+    rhs = _mul(a, _mul(b, c)).array
     scale = max(1.0, np.abs(lhs).max())
     assert np.abs(lhs - rhs).max() <= 1e-10 * scale
 
@@ -133,28 +150,27 @@ def test_finite_difference_cross_check_sample():
     for _ in range(10):
         expr = random_expression(rng, 2, depth=3)
         p = rng.uniform(-0.5, 0.5, size=2)
-        jet = expr.eval_jet(space, p)
+        jet = tape_jet(expr, space, p)
         f = functools.partial(float_eval, expr)
         for i in range(2):
             e = tuple(1 if k == i else 0 for k in range(2))
-            jv = jet_partial(jet, e)
+            jv = partial_value(jet, space, e)
             fv = fd_first_partial(f, p, i)
             assert abs(jv - fv) <= 1e-6 * max(1.0, abs(jv))
         for i in range(2):
             for j in range(i, 2):
                 alpha = tuple((1 if k == i else 0) + (1 if k == j else 0)
                               for k in range(2))
-                jv = jet_partial(jet, alpha)
+                jv = partial_value(jet, space, alpha)
                 fv = fd_second_partial(f, p, i, j)
                 assert abs(jv - fv) <= 1e-6 * max(1.0, abs(jv))
 
 
 def test_deriv_consistency_with_partial():
     s = jet_space(2, 3)
-    x, y = coords(s, [0.3, -0.2])
-    f = jet_elementary("exp", x * y + x)
-    d = f.deriv(0)
-    assert d.value == pytest.approx(jet_partial(f, (1, 0)))
+    f = tape_jet(Call("exp", plus(times(X, Y), X)), s, [0.3, -0.2])
+    d = tensor_deriv(JetTensor(f, s))
+    assert d.array[0, 0] == pytest.approx(partial_value(f, s, (1, 0)))
 
 
 @pytest.mark.parametrize("chunk", [1, 1000, 5000])

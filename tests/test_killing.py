@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from killingkit import killing
+from killingkit import curvature, killing
 from killingkit.curvature import CurvatureData
 from killingkit.killing import (KillingGerm, PreconditionError, bundle_dim,
                                 check_first_prolongation, default_sample_points,
-                                field_jets, germ_of_field, germ_to_vector,
+                                field_jets, germ_to_vector,
                                 integrability_tensors, kernel_germs,
                                 killing_dimension, killing_transport, sample_field,
                                 so_basis, so_coordinates, vector_to_germ,
@@ -24,18 +24,25 @@ def sample(spec, count=5):
     return default_sample_points(spec, count=count)
 
 
+def field_germ(spec, fld, point=None):
+    """The germ of a field at ``point`` (the base point by default), read
+    from a one-point ``sample_field`` batch."""
+    p = spec.base_point if point is None else point
+    return sample_field(spec, fld, [p]).at(p)[0]
+
+
 # -- germs ---------------------------------------------------------------------
 
 def test_translation_germ_flat():
     eu = builtin("euclidean", n=2)
-    germ = germ_of_field(eu, ["1", "0"])
+    germ = field_germ(eu, ["1", "0"])
     assert np.allclose(germ.xi, [1.0, 0.0])
     assert np.abs(germ.a).max() == 0.0
 
 
 def test_rotation_germ_is_minus_gradient():
     eu = builtin("euclidean", n=2)
-    germ = germ_of_field(eu, ["-x2", "x1"])
+    germ = field_germ(eu, ["-x2", "x1"])
     assert np.allclose(germ.a, [[0.0, 1.0], [-1.0, 0.0]])
     assert germ.so_defect(np.eye(2)) <= 1e-9
 
@@ -44,7 +51,7 @@ def test_cross_field_germ_is_pure_wedge():
     from killingkit.product import cw_counterexample
     prod, field = cw_counterexample(1, (1.0,), 1, (-1.0,))
     spec = prod.combined
-    germ = germ_of_field(spec, field)
+    germ = field_germ(spec, field)
     g0 = spec.metric_values(spec.base_point)
     vp = np.zeros(6)
     vp[spec.coord_index("a_v")] = 1.0
@@ -141,7 +148,7 @@ def test_bundle_curvature_annihilates_killing_germs():
         spec = builtin(name, **params)
         curv = CurvatureData.compute(spec, m_max=1)
         for field in known_killing_fields(name, **params):
-            germ = germ_of_field(spec, field)
+            germ = field_germ(spec, field)
             worst = max(np.abs(killing_curvature(curv, germ, i, j)).max()
                         for i, j in itertools.combinations(range(spec.dim), 2))
             assert worst <= 1e-8
@@ -162,7 +169,7 @@ def test_tower_annihilates_killing_germs():
                          ("cahen_wallach", {"n": 1, "q": 1.0})]:
         spec = builtin(name, **params)
         for field in known_killing_fields(name, **params):
-            germ = germ_of_field(spec, field)
+            germ = field_germ(spec, field)
             assert germ_kernel_residual(spec, germ, m_max=2) <= 1e-8
 
 
@@ -301,7 +308,7 @@ def test_kernel_germs_span_killing_fields():
     rep, germs = kernel_germs(sp)
     assert len(germs) == 3
     g0 = sp.metric_values(sp.base_point)
-    field_vectors = [germ_to_vector(germ_of_field(sp, f), g0)
+    field_vectors = [germ_to_vector(field_germ(sp, f), g0)
                      for f in known_killing_fields("sphere2")]
     kernel_matrix = np.array([germ_to_vector(g, g0) for g in germs])
     # every field germ lies in the span of the computed kernel
@@ -345,7 +352,7 @@ def test_wedge_properties():
 
 def test_transport_translation_unchanged():
     eu = builtin("euclidean", n=2)
-    germ = germ_of_field(eu, ["1", "0"])
+    germ = field_germ(eu, ["1", "0"])
     out = killing_transport(eu, germ, [[0, 0], [0.4, 0.3], [-0.1, 0.8]],
                             steps_per_segment=50)
     assert np.allclose(out.xi, germ.xi)
@@ -354,10 +361,10 @@ def test_transport_translation_unchanged():
 
 def test_transport_matches_field_germ():
     eu = builtin("euclidean", n=2)
-    germ = germ_of_field(eu, ["-x2", "x1"])
+    germ = field_germ(eu, ["-x2", "x1"])
     q = [0.5, 0.7]
     out = killing_transport(eu, germ, [[0, 0], q], steps_per_segment=1000)
-    ref = germ_of_field(eu, ["-x2", "x1"], q)
+    ref = field_germ(eu, ["-x2", "x1"], q)
     assert np.abs(out.xi - ref.xi).max() <= 1e-8
     assert np.abs(out.a - ref.a).max() <= 1e-8
 
@@ -365,7 +372,7 @@ def test_transport_matches_field_germ():
 def test_transport_path_independence_for_kernel_germ():
     sp = builtin("sphere2")
     field = known_killing_fields("sphere2")[1]
-    germ = germ_of_field(sp, field)
+    germ = field_germ(sp, field)
     p0 = np.array(sp.base_point)
     q = p0 + [0.3, 0.4]
     direct = killing_transport(sp, germ, [p0, q], 400)
@@ -376,7 +383,7 @@ def test_transport_path_independence_for_kernel_germ():
 
 def test_transport_preserves_skewness():
     sp = builtin("sphere2")
-    germ = germ_of_field(sp, known_killing_fields("sphere2")[0])
+    germ = field_germ(sp, known_killing_fields("sphere2")[0])
     q = np.array(sp.base_point) + [0.2, 0.5]
     out = killing_transport(sp, germ, [sp.base_point, q], 500)
     assert out.so_defect(sp.metric_values(q)) <= 1e-9
@@ -395,7 +402,7 @@ def test_loop_defect_for_non_kernel_germ():
     defect = max(np.abs(out.xi - germ.xi).max(), np.abs(out.a - germ.a).max())
     assert defect > 1e-3
     # while a kernel germ returns unchanged
-    ref = germ_of_field(cw, ["0", "1", "0"])
+    ref = field_germ(cw, ["0", "1", "0"])
     back = killing_transport(cw, ref, loop, 300)
     assert np.abs(back.xi - ref.xi).max() <= 1e-9
     assert np.abs(back.a - ref.a).max() <= 1e-9
@@ -403,7 +410,7 @@ def test_loop_defect_for_non_kernel_germ():
 
 def test_transport_argument_validation():
     eu = builtin("euclidean", n=2)
-    germ = germ_of_field(eu, ["1", "0"])
+    germ = field_germ(eu, ["1", "0"])
     with pytest.raises(ValueError, match="steps_per_segment"):
         killing_transport(eu, germ, [[0, 0], [1, 0]], steps_per_segment=0)
     with pytest.raises(ValueError, match="two points"):
@@ -413,7 +420,7 @@ def test_transport_argument_validation():
 def test_transport_rejects_degenerate_chart_point():
     from killingkit.metricdsl import DegenerateMetricError
     hy = builtin("hyperbolic2")
-    germ = germ_of_field(hy, ["1", "0"])
+    germ = field_germ(hy, ["1", "0"])
     with pytest.raises((DegenerateMetricError, ValueError)):
         # the path crosses y = 0 where the chart blows up
         killing_transport(hy, germ, [[0.0, 1.0], [0.0, -1.0]], steps_per_segment=10)
@@ -488,13 +495,13 @@ def test_transport_frames_come_in_bounded_batches(monkeypatch, steps):
     # every stage point is evaluated once, in path order across segments, in
     # calls as large as the budget allows (at n = 2, 8448 points)
     eu = builtin("euclidean", n=2)
-    germ = germ_of_field(eu, ["-x2", "x1"])
+    germ = field_germ(eu, ["-x2", "x1"])
     batches = spy_on_frames(monkeypatch)
     path = [[0, 0], [0.5, 0.7], [0.2, 0.1]]
     killing_transport(eu, germ, path, steps)
     assert all(batch.ndim == 2 for batch in batches)
     assert np.array_equal(np.concatenate(batches), stage_points(path, steps))
-    per_call = killing._FRAME_BUDGET // 2 ** 4
+    per_call = curvature._FRAME_BUDGET // 2 ** 4
     assert [len(b) for b in batches[:-1]] == [per_call] * (len(batches) - 1)
     assert max(len(b) for b in batches) == min(2 * (2 * steps + 1), per_call)
 
@@ -510,8 +517,8 @@ def test_transport_frame_batches_fit_the_budget(monkeypatch, n, steps):
     germ = KillingGerm(xi=np.ones(n), a=np.zeros((n, n)))
     path = [np.zeros(n), np.full(n, 0.01)]
     killing_transport(spec, germ, path, steps)
-    per_call = killing._FRAME_BUDGET // n ** 4
-    assert all(len(b) * n ** 4 <= killing._FRAME_BUDGET for b in batches)
+    per_call = curvature._FRAME_BUDGET // n ** 4
+    assert all(len(b) * n ** 4 <= curvature._FRAME_BUDGET for b in batches)
     assert np.array_equal(np.concatenate(batches), stage_points(path, steps))
     assert max(len(b) for b in batches) == min(2 * steps + 1, per_call)
 
@@ -582,7 +589,7 @@ def test_one_batched_frame_call_equals_point_by_point(chart, steps):
     # points (the whole path) at n = 2, 528 at n = 4, 33 at n = 8
     make, path = {**TRANSPORT_PATHS, **MORE_PATHS}[chart]
     spec = make()
-    points = stage_points(path, steps)[:killing._FRAME_BUDGET // spec.dim ** 4]
+    points = stage_points(path, steps)[:curvature._FRAME_BUDGET // spec.dim ** 4]
     batch = killing.point_frame(spec, points)
     for k, p in enumerate(points):
         for many, one in zip(batch, killing.point_frame(spec, p)):
@@ -604,10 +611,10 @@ def transport_field_point_by_point(spec, fld, path, steps):
     """A field's germ transported as it was before both ends came from the
     path's frames: its germ at path[0], the transport of that germ, the
     metric at path[-1], then the field's own germ there."""
-    germ = germ_of_field(spec, fld, path[0])
+    germ = field_germ(spec, fld, path[0])
     killing_transport(spec, germ, path, steps)
     spec.metric_values(path[-1])
-    germ_of_field(spec, fld, path[-1])
+    field_germ(spec, fld, path[-1])
 
 
 # One case per rule of the error order: the chart at path[0] (alone, and
@@ -670,7 +677,7 @@ def test_field_transport_evaluates_path_end_last_in_budget(monkeypatch, n, nodes
     batches = spy_on_frames(monkeypatch)
     killing_transport(spec, jets, path, steps)
     assert len(batches) == calls
-    assert all(len(b) * n ** 4 <= killing._FRAME_BUDGET for b in batches)
+    assert all(len(b) * n ** 4 <= curvature._FRAME_BUDGET for b in batches)
     assert np.array_equal(np.concatenate(batches),
                           np.vstack([stage_points(path, steps), path[-1]]))
 
@@ -682,9 +689,9 @@ def test_field_transport_germs_are_germ_of_field_and_its_transport(chart):
     # any field will do: the germs need not be Killing
     jets = field_jets(spec, [f"1 + {c} * {spec.coords[0]}" for c in spec.coords])
     moved = killing_transport(spec, jets, path, 30)
-    start = germ_of_field(spec, jets, path[0])
+    start = field_germ(spec, jets, path[0])
     want = [start, killing_transport(spec, start, path, 30),
-            germ_of_field(spec, jets, path[-1])]
+            field_germ(spec, jets, path[-1])]
     for got, ref in zip([moved.start, moved.end, moved.field_end], want):
         scale = max(np.abs(ref.xi).max(), np.abs(ref.a).max())
         assert np.abs(got.xi - ref.xi).max() <= 1e-14 * scale
@@ -697,9 +704,9 @@ def test_germ_transport_evaluates_no_end_node(monkeypatch):
     make, path = TRANSPORT_PATHS["sphere2"]
     spec = make()
     batches = spy_on_frames(monkeypatch)
-    out = killing_transport(spec, germ_of_field(spec, ["0", "1"], path[0]), path, 30)
+    out = killing_transport(spec, field_germ(spec, ["0", "1"], path[0]), path, 30)
     assert isinstance(out, KillingGerm)
-    assert np.array_equal(np.concatenate(batches[1:]), stage_points(path, 30))
+    assert np.array_equal(np.concatenate(batches), stage_points(path, 30))
 
 
 # (chart, steps): at n = 2 one call of 8448 frames holds many blocks of steps;

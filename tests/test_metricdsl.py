@@ -7,7 +7,7 @@ import pytest
 
 from killingkit.cli import run
 from killingkit.metricdsl import (DegenerateMetricError, ParseError, SpecError,
-                                  builtin, known_killing_fields, metric_jets,
+                                  builtin, known_killing_fields, metric_jet_tensor,
                                   parse_expression, parse_field, parse_manifold)
 
 EUCLID2_SRC = """
@@ -40,10 +40,10 @@ def test_parse_euclidean():
 
 def test_parse_cahen_wallach_metric_jets():
     spec = parse_manifold(CW_SRC)
-    grid = metric_jets(spec, spec.base_point, 2)
-    assert grid[0][0].coefficient((0, 0, 2)) == pytest.approx(2.0)
-    assert grid[0][1].value == pytest.approx(1.0)
-    assert grid[1][0].coeffs == pytest.approx(grid[0][1].coeffs)
+    g = metric_jet_tensor(spec, spec.base_point, 2)
+    assert g.array[0, 0, g.space.index[(0, 0, 2)]] == pytest.approx(2.0)
+    assert g.value()[0, 1] == pytest.approx(1.0)
+    assert g.array[1, 0] == pytest.approx(g.array[0, 1])
 
 
 def test_asymmetric_grid_rejected():
@@ -161,11 +161,11 @@ def test_metric_jets_symmetry_catalog():
                          ("cahen_wallach", {"n": 1, "q": -2.0}),
                          ("walker_recurrent", {})]:
         spec = builtin(name, **params)
-        grid = metric_jets(spec, spec.base_point, 3)
+        g = metric_jet_tensor(spec, spec.base_point, 3).array
         n = spec.dim
         for i in range(n):
             for j in range(n):
-                assert np.array_equal(grid[i][j].coeffs, grid[j][i].coeffs)
+                assert np.array_equal(g[i, j], g[j, i])
 
 
 def test_builtin_euclidean_identity():
@@ -218,24 +218,24 @@ def test_walker_recurrent_direction():
 
 
 def test_metric_entry_jets_match_finite_differences():
-    from killingkit.jets import jet_partial, jet_space
     from oracles import fd_first_partial, fd_second_partial, float_eval
+    from test_jets import partial_value
     for name, p in [("sphere2", (0.8, 0.2)), ("walker_recurrent", (0.1, 0.2, 0.3))]:
         spec = builtin(name)
         n = spec.dim
-        space = jet_space(n, 2)
+        g = metric_jet_tensor(spec, p, 2)
         for i in range(n):
             for j in range(n):
                 expr = spec.metric[i][j]
-                jet = expr.eval_jet(space, np.asarray(p))
+                jet = g.array[i, j]
                 for k in range(n):
                     e = tuple(1 if a == k else 0 for a in range(n))
-                    jv = jet_partial(jet, e)
+                    jv = partial_value(jet, g.space, e)
                     fv = fd_first_partial(functools.partial(float_eval, expr), p, k)
                     assert abs(jv - fv) <= 1e-6 * max(1.0, abs(jv))
                 for k in range(n):
                     alpha = tuple(2 if a == k else 0 for a in range(n))
-                    jv = jet_partial(jet, alpha)
+                    jv = partial_value(jet, g.space, alpha)
                     fv = fd_second_partial(functools.partial(float_eval, expr), p, k, k)
                     assert abs(jv - fv) <= 1e-6 * max(1.0, abs(jv))
 

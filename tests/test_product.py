@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from oracles import germ_kernel_residual, product_trace_by_full_tower
+from test_killing import field_germ
 
 from killingkit import killing, product
 from killingkit.curvature import CurvatureData
-from killingkit.killing import (KillingGerm, default_sample_points, germ_of_field,
-                                kernel_germs, sample_field, verify_killing, wedge)
+from killingkit.killing import (KillingGerm, default_sample_points, kernel_germs,
+                                sample_field, verify_killing, wedge)
 from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
 from killingkit.product import (cw_counterexample, decomposition_check,
                                 mixed_curvature_residuals, product_metric, slot_matrix)
@@ -116,7 +117,7 @@ def test_counterexample_excess():
 def test_counterexample_germ():
     prod, field = cw_counterexample(1, (2.0,), 1, (-3.0,))
     spec = prod.combined
-    germ = germ_of_field(spec, field)
+    germ = field_germ(spec, field)
     g0 = spec.metric_values(spec.base_point)
     vp = np.zeros(6)
     vp[spec.coord_index("a_v")] = 1.0
@@ -154,7 +155,7 @@ def test_kernel_germs_do_not_mix_factors_without_parallel_directions():
 
 def test_counterexample_germ_mixes_parallel_directions():
     prod, field = cw_counterexample()
-    germ = germ_of_field(prod.combined, field)
+    germ = field_germ(prod.combined, field)
     assert germ_kernel_residual(prod.combined, germ) <= 1e-8
     a, b = prod.factors
     assert (_parallel(a), _parallel(b)) == (1, 1)

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from oracles import float_metric, random_expression, tree_jet, tree_metric_jets
+from test_jets import tape_jet
 from test_tower import CHARTS
 
 from killingkit.curvature import CurvatureData, point_frame
 from killingkit.jets import compile_tape, jet_space
-from killingkit.metricdsl import (Binary, Call, metric_jet_tensor, metric_jets,
-                                  parse_expression, parse_manifold)
+from killingkit.metricdsl import (Binary, Call, metric_jet_tensor, parse_expression,
+                                  parse_manifold)
 
 TRACE_CHARTS = sorted(set(CHARTS) - {"random3"})
 
@@ -34,11 +35,11 @@ def test_metric_tape_matches_tree_walk(chart):
     spec = CHARTS[chart]()
     for p in [spec.base_point, *near_points(spec, 2, 1)]:
         for order in range(5):
-            tape = metric_jets(spec, p, order)
+            tape = metric_jet_tensor(spec, p, order).array
             tree = tree_metric_jets(spec, p, order)
             for i in range(spec.dim):
                 for j in range(spec.dim):
-                    assert_close(tape[i][j].coeffs, tree[i][j].coeffs)
+                    assert_close(tape[i, j], tree[i, j])
 
 
 @pytest.mark.parametrize("chart", sorted(CHARTS))
@@ -58,7 +59,7 @@ def test_expression_tape_matches_tree_walk(n_vars):
         p = rng.uniform(-0.5, 0.5, size=n_vars)
         for order in range(6):
             space = jet_space(n_vars, order)
-            assert_close(expr.eval_jet(space, p).coeffs, tree_jet(expr, space, p).coeffs)
+            assert_close(tape_jet(expr, space, p), tree_jet(expr, space, p))
 
 
 def test_shared_subexpressions_compile_once_and_evaluate_on_a_batch():
@@ -73,7 +74,7 @@ def test_shared_subexpressions_compile_once_and_evaluate_on_a_batch():
     assert failure is None and coeffs.shape == (6, len(exprs), space.size)
     for k, p in enumerate(points):
         for e, expr in enumerate(exprs):
-            assert_close(coeffs[k, e], tree_jet(expr, space, p).coeffs)
+            assert_close(coeffs[k, e], tree_jet(expr, space, p))
 
 
 @pytest.mark.parametrize("text,point", [
@@ -92,7 +93,7 @@ def test_expression_tape_raises_what_the_tree_walk_raises(text, point):
     with pytest.raises((ValueError, OverflowError)) as tree:
         tree_jet(expr, space, np.asarray(point))
     with pytest.raises(type(tree.value), match=f"^{re.escape(str(tree.value))}$"):
-        expr.eval_jet(space, point)
+        tape_jet(expr, space, point)
 
 
 # sqrt fails in component (0, 0) at y <= 0, the reciprocal in (1, 1) at
