@@ -4,7 +4,7 @@ from .curvature import (CurvatureData, OrderExhaustedError, christoffel,
                         covariant_derivative, identity_residuals, inverse_metric,
                         riemann)
 from .holonomy import (HolonomyReport, ParallelVerdict, infinitesimal_holonomy,
-                       nullity, parallel_field_check)
+                       parallel_field_check)
 from .jets import (JetDomainError, JetOrderError, JetShapeError, JetSpace, JetTensor,
                    jet_space)
 from .killing import (FieldCheck, IntegrabilityTensor, KernelReport, KillingGerm,

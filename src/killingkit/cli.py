@@ -8,7 +8,9 @@ Reports go to standard output, human-readable by default, or as one JSON
 document with ``--json``.  JSON reports are byte-identical across identical
 invocations: keys are sorted, floats carry 12 significant digits, and timing
 is reported only in text mode.  Exit codes: 0 success, 2 input error,
-3 inconclusive (a stabilisation warning somewhere in the result).
+3 inconclusive (a stabilisation warning somewhere in the result, or a field
+that passes ``check-field``'s Killing check and fails its derivative
+identity).
 """
 from __future__ import annotations
 
@@ -422,14 +424,18 @@ def _cmd_check_field(args):
              f"{'Killing' if killing_chk.passed else 'NOT Killing'} "
              f"(max residual {_fmt(killing_chk.max_residual)}, "
              f"tol {_fmt(killing_chk.tol)} * {_fmt(killing_chk.scale)})"]
+    warnings = []
     if killing_chk.passed:
         prolong = check_first_prolongation(samples, tol=max(args.tol, 1e-8))
         result["first_prolongation"] = _field_check_payload(prolong)
         lines.append(f"  derivative identity residual: {_fmt(prolong.max_residual)} "
                      f"({'pass' if prolong.passed else 'fail'})")
+        if not prolong.passed:
+            warnings.append("the field passes the Killing check but fails the derivative "
+                            "identity: the Killing verdict is inconclusive at this tolerance")
     payload = {"inputs": [source], "result": result,
-               "tolerances": {"field_tol": args.tol}, "warnings": []}
-    return payload, lines, EXIT_OK
+               "tolerances": {"field_tol": args.tol}, "warnings": warnings}
+    return payload, lines, EXIT_INCONCLUSIVE if warnings else EXIT_OK
 
 
 def _cmd_transport(args):
@@ -441,28 +447,26 @@ def _cmd_transport(args):
     path = _parse_points(args.path, spec.dim)
     steps = args.steps
     if args.field:
-        jets = field_jets(spec, args.field.split(","))
-        moved = killing_transport(spec, jets, path, steps_per_segment=steps)
-        germ, out, g_end = moved.start, moved.end, moved.g_end
+        germ = field_jets(spec, args.field.split(","))
     elif args.germ:
         germ = _parse_germ(args.germ, spec.dim)
-        out = killing_transport(spec, germ, path, steps_per_segment=steps)
-        g_end = spec.metric_values(path[-1])
     else:
         raise SpecError("transport requires --field or --germ")
+    moved = killing_transport(spec, germ, path, steps_per_segment=steps)
+    out = moved.end
     result = {
         "path": [list(map(float, p)) for p in path],
         "steps_per_segment": steps,
-        "start_germ": {"xi": germ.xi, "a": germ.a},
+        "start_germ": {"xi": moved.start.xi, "a": moved.start.a},
         "end_germ": {"xi": out.xi, "a": out.a},
-        "so_defect_at_end": out.so_defect(g_end),
+        "so_defect_at_end": out.so_defect(moved.g_end),
     }
     lines = [f"transported germ along {len(path) - 1} segment(s), "
              f"{steps} steps each",
              f"  end xi: {[float(x) for x in out.xi]}",
-             f"  so defect at end: {_fmt(out.so_defect(g_end))}"]
-    if args.field:
-        ref = moved.field_end
+             f"  so defect at end: {_fmt(out.so_defect(moved.g_end))}"]
+    ref = moved.field_end
+    if ref is not None:
         deviation = max(float(np.abs(out.xi - ref.xi).max()),
                         float(np.abs(out.a - ref.a).max()))
         result["field_germ_deviation"] = deviation

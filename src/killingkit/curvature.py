@@ -193,10 +193,6 @@ class CurvatureData:
     covR: list          # covR[m]: values of the m-th covariant derivative
 
     @property
-    def n(self):
-        return self.spec.dim
-
-    @property
     def g(self):
         return self.metric_jets.value()
 
@@ -256,11 +252,6 @@ class CurvatureData:
             frames.append(UnitFrame(e=e, einv=einv, signs=np.sign(w[k]), kappa=kappa,
                                     covR=[c / kappa ** (m + 2) for m, c in enumerate(cov)]))
         return frames
-
-    @property
-    def unit_frame(self):
-        """The ``UnitFrame`` of the data at a single point."""
-        return self.unit_frames[0]
 
 
 # Frame budget: one ``CurvatureData.compute`` of a frame ladder or of

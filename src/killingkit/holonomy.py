@@ -71,6 +71,9 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8, frames=None):
     [frame] = frames(len(decisions) - 1)
     generators = span.row.reshape(span.rank, n, n)
     candidates = numerical_rank(generators.reshape(-1, n), tol).null
+    # nullity: the vectors killed by contraction into the curvature's first
+    # two-form slot, rows (l, k, j) x column i
+    killed = numerical_rank(np.moveaxis(frame.covR[0], 2, -1).reshape(-1, n), tol)
     return HolonomyReport(point=tuple(map(float, p)), dims=[d.rank for d in decisions],
                           dimension=span.rank, stabilization_order=stab_order,
                           gaps=[dict(d.margin, order=m) for m, d in enumerate(decisions)],
@@ -78,7 +81,7 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8, frames=None):
                           candidates=candidates @ frame.e.T,
                           bracket_closure_enlarges=_bracket_check(generators, rows,
                                                                   span.rank, tol),
-                          nullity=_frame_nullity(frame, tol), warnings=warnings, tol=tol)
+                          nullity=n - killed.rank, warnings=warnings, tol=tol)
 
 
 def _bracket_check(generators, rows, rank, tol):
@@ -95,20 +98,6 @@ def _bracket_check(generators, rows, rank, tol):
             brackets.append((gi @ gj - gj @ gi).reshape(n * n))
     enlarged = np.vstack([rows, np.array(brackets)])
     return bool(numerical_rank(enlarged, tol).rank > rank)
-
-
-def nullity(curv, tol=1e-8):
-    """Dimension of the space of tangent vectors killed by contraction into
-    the first two-form slot of the curvature, ranked in the unit frame."""
-    return _frame_nullity(curv.unit_frame, tol)
-
-
-def _frame_nullity(frame, tol):
-    """``nullity`` read off the curvature of a ``UnitFrame``."""
-    rm = frame.covR[0]
-    n = len(rm)
-    mat = np.moveaxis(rm, 2, -1).reshape(-1, n)  # rows (l,k,j) x col i
-    return n - numerical_rank(mat, tol).rank
 
 
 @dataclass

@@ -57,35 +57,25 @@ def wedge(v_plus, v_minus, g):
     return np.outer(v_minus, g @ v_plus) - np.outer(v_plus, g @ v_minus)
 
 
-def so_basis(g):
-    """A basis of the metric-skew endomorphisms, enumerated by pairs r < s."""
-    n = g.shape[0]
-    ginv = np.linalg.inv(g)
-    mats = []
-    for r in range(n):
-        for s in range(r + 1, n):
-            skew = np.zeros((n, n))
-            skew[r, s] = 1.0
-            skew[s, r] = -1.0
-            mats.append(ginv @ skew)
-    return np.array(mats).reshape(len(mats), n, n)
+def so_basis(signs):
+    """A basis of the endomorphisms that are skew for the metric diag(signs),
+    whose entries are +-1: diag(signs)(E_rs - E_sr) for the pairs r < s in
+    order."""
+    n = len(signs)
+    r, s = np.triu_indices(n, k=1)
+    k = np.arange(len(r))
+    basis = np.zeros((len(r), n, n))
+    basis[k, r, s] = signs[r]
+    basis[k, s, r] = -signs[s]
+    return basis
 
 
-def so_coordinates(a, g):
-    """Coordinates of a metric-skew A in the so_basis enumeration."""
-    s = g @ a
-    n = g.shape[0]
-    return np.array([s[r, c] for r in range(n) for c in range(r + 1, n)])
-
-
-def germ_to_vector(germ, g):
-    return np.concatenate([germ.xi, so_coordinates(germ.a, g)])
-
-
-def vector_to_germ(vec, g):
-    n = g.shape[0]
+def vector_to_germ(vec, signs):
+    """The germ with coordinates ``vec``, (xi, the so_basis(signs)
+    components of A), in a frame with metric diag(signs)."""
+    n = len(signs)
     xi = np.asarray(vec[:n], dtype=np.float64)
-    a = np.einsum("k,kij->ij", vec[n:], so_basis(g))
+    a = np.einsum("k,kij->ij", vec[n:], so_basis(signs))
     return KillingGerm(xi=xi, a=a)
 
 
@@ -272,13 +262,16 @@ class IntegrabilityTensor:
         return (np.tensordot(self.xi_coeff, xi, axes=([w], [0]))
                 + np.tensordot(self.a_coeff, a, axes=([w, w + 1], [0, 1])))
 
-    def matrix(self, basis):
-        """Stack into a matrix over the germ coordinates (xi, so-basis)."""
-        n = self.xi_coeff.shape[-1]
+    def matrix(self, signs):
+        """Stack into a matrix over the germ coordinates (xi, so_basis(signs))
+        of a frame with metric diag(signs).  Adding 0.0 turns -0.0 into 0.0,
+        as summing over the whole basis did: LAPACK reads the sign."""
+        n = len(signs)
         rows = int(np.prod(self.xi_coeff.shape[:-1]))
-        xi_cols = self.xi_coeff.reshape(rows, n)
-        a_cols = np.einsum("wab,kab->wk", self.a_coeff.reshape(rows, n, n), basis)
-        return np.hstack([xi_cols, a_cols])
+        a = self.a_coeff.reshape(rows, n, n)
+        r, s = np.triu_indices(n, k=1)
+        a_cols = signs[r] * a[:, r, s] - signs[s] * a[:, s, r] + 0.0
+        return np.hstack([self.xi_coeff.reshape(rows, n), a_cols])
 
 
 def _derivation_coefficient(cov):
@@ -363,11 +356,10 @@ class MultiPointReport:
 def tower_stack(frame, m):
     """The tower T_0 .. T_m at a point as one matrix over the germ
     coordinates of its ``UnitFrame``: there a germ (xi, A) has coordinates
-    (kappa e^-1 xi, e^-1 A e), level m is divided by kappa^(m + 2), and
-    so_basis is taken for diag(signs), so no column or row carries units."""
+    (kappa e^-1 xi, e^-1 A e over so_basis(signs)) and level m is divided by
+    kappa^(m + 2), so no column or row carries units."""
     dim_e = bundle_dim(len(frame.signs))
-    basis = so_basis(np.diag(frame.signs))
-    return np.vstack([t.matrix(basis).reshape(-1, dim_e)
+    return np.vstack([t.matrix(frame.signs).reshape(-1, dim_e)
                       for t in integrability_tensors(frame.covR, m)])
 
 
@@ -459,7 +451,7 @@ def kernel_germs(spec, point=None, m_max=10, tol=1e-8):
     """The kernel report plus germs spanning the stabilised kernel."""
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
     [(report, decisions, frame)] = _kernel_trace(spec, p[None], m_max, tol)
-    germs = [vector_to_germ(v, np.diag(frame.signs)) for v in decisions[-1].null]
+    germs = [vector_to_germ(v, frame.signs) for v in decisions[-1].null]
     return report, [KillingGerm(xi=frame.e @ h.xi / frame.kappa,
                                 a=frame.e @ h.a @ frame.einv) for h in germs]
 
@@ -511,15 +503,15 @@ def _stage_points(path, steps, start, stop):
 
 
 @dataclass(frozen=True)
-class FieldTransport:
-    """Killing transport of a field's germ along a path: the field's germ at
-    the start, the transported germ at the end, the field's own germ at the
-    end and the metric there."""
+class Transport:
+    """Killing transport of a germ along a path: the germ at the start, the
+    transported germ at the end, the metric there and, when a field's germ
+    was transported, the field's own germ at the end (else None)."""
 
     start: KillingGerm
     end: KillingGerm
-    field_end: KillingGerm
     g_end: np.ndarray
+    field_end: KillingGerm = None
 
 
 def killing_transport(spec, germ, path, steps_per_segment=1000):
@@ -549,15 +541,15 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     and A through the right-hand side of D stage by stage, so end germs
     differ from that form in the last bits.
 
-    ``germ`` is a ``KillingGerm``, and the transported germ is returned; or
-    it is a field's ``field_jets``, and a ``FieldTransport`` is returned.
-    Then the field's germs at both ends come from the same batches, as
+    Returns a ``Transport``.  ``path[-1]`` is evaluated as one more point
+    after the last stage point, inside the budget, for the metric at the
+    end.  ``germ`` is a ``KillingGerm``, or a field's ``field_jets``: then
+    the field's germs at both ends come from the same batches, as
     ``sample_field`` would give them: the start germ from the first stage
-    point, which is ``path[0]`` exactly, and the end germ from ``path[-1]``,
-    evaluated as one more point after the last stage point, inside the
-    budget.  The first failure raised is the first of: the chart at
-    ``path[0]``, the field there, the chart at a stage point in path order,
-    the chart at ``path[-1]``, the field there.
+    point, which is ``path[0]`` exactly, and the end germ from ``path[-1]``.
+    The first failure raised is the first of: the chart at ``path[0]``, the
+    field there, the chart at a stage point in path order, the chart at
+    ``path[-1]``, the field there.
     """
     if steps_per_segment < 1:
         raise ValueError("steps_per_segment must be >= 1")
@@ -576,7 +568,7 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     per_call = budget_points(n, 0)
     per_segment = 2 * steps + 1
     stages = (len(path) - 1) * per_segment
-    total = stages + (jets_at is not None)   # in field mode, path[-1] follows
+    total = stages + 1   # path[-1] follows the stage points
     h = 1.0 / steps
     for lo in range(0, total, per_call):
         hi = min(lo + per_call, total)
@@ -605,9 +597,6 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
                 state = step @ state
             carry = ms[2 * ended:]   # the start of the step under way, and its midpoint
             j = stop
-    out = KillingGerm(xi=state[:n].copy(), a=state[n:].reshape(n, n).copy())
-    if jets_at is None:
-        return out
-    return FieldTransport(start=germ, end=out,
-                          field_end=_field_germ(jets_at(path[-1], 1), gammas[-1]),
-                          g_end=g[-1])
+    end = KillingGerm(xi=state[:n].copy(), a=state[n:].reshape(n, n).copy())
+    field_end = None if jets_at is None else _field_germ(jets_at(path[-1], 1), gammas[-1])
+    return Transport(start=germ, end=end, g_end=g[-1], field_end=field_end)

@@ -1,7 +1,7 @@
 """Numerical rank decisions and the order-by-order stabilisation loop shared
 by the Killing kernel and the infinitesimal holonomy.
 
-Ranks are decided on matrices with no units (``CurvatureData.unit_frame``),
+Ranks are decided on matrices with no units (``CurvatureData.unit_frames``),
 so one absolute threshold serves every chart."""
 from __future__ import annotations
 

@@ -1,7 +1,8 @@
 """Independent oracles: the float tree walk and finite differences of it, a
 generator of random (domain-safe) expression trees, the tree-walking jet
-evaluator, the jet-level prolongation recursion, the tower's residual on a
-germ, the bundle curvature applied to a germ, Killing transport stepped
+evaluator, the jet-level prolongation recursion, the tower's matrix
+contracted against a basis of the metric-skew endomorphisms, the tower's
+residual on a germ, the bundle curvature applied to a germ, Killing transport stepped
 stage by stage, charts changed by an affine change of coordinates and a
 constant metric factor, the product trace from the whole product tower,
 unit frames computed afresh at every order, and jet contractions taken
@@ -21,6 +22,10 @@ visited recursively, with no shared subexpressions and no batch of points;
 it runs the tape's Cauchy product and series kernels one node at a time.
 The dense contraction is how ``tensor_product`` contracted every operand before
 it learned to skip zero components: one einsum over all component pairs.
+The basis contraction is how ``killing.tower_stack`` built the A-columns
+before it read them off the frame's signs: A's coefficient contracted with
+every entry of each basis matrix g^-1 (E_rs - E_sr), g^-1 from
+``np.linalg.inv``.
 """
 from __future__ import annotations
 
@@ -290,7 +295,7 @@ def tower_by_recursion(curv, m_max):
         raise OrderExhaustedError(
             f"integrability tensors to order {m_max} need jet order "
             f">= {m_max + 3}; curvature data has {curv.jet_order}")
-    n = curv.n
+    n = curv.spec.dim
     gamma = curv.gamma_jets
     r_full = curv.riemann_jets.truncated(m_max + 1)
     eye = np.eye(n)
@@ -335,6 +340,30 @@ def tower_by_recursion(curv, m_max):
         q_next = JetTensor(dq_arr - delta_term, dq.space)
         p_jets, q_jets = p_next, q_next
     return tensors
+
+
+def tower_stack_by_basis(frame, m):
+    """The tower T_0 .. T_m of a ``UnitFrame`` as one matrix over the germ
+    coordinates (xi, so-basis components of A), the so-basis built for the
+    metric g = diag(signs) as a general one and each level's A-coefficient
+    contracted with every basis entry."""
+    g = np.diag(frame.signs)
+    n = len(g)
+    ginv = np.linalg.inv(g)
+    basis = []
+    for r in range(n):
+        for s in range(r + 1, n):
+            skew = np.zeros((n, n))
+            skew[r, s] = 1.0
+            skew[s, r] = -1.0
+            basis.append(ginv @ skew)
+    basis = np.array(basis).reshape(len(basis), n, n)
+    blocks = []
+    for t in integrability_tensors(frame.covR, m):
+        rows = int(np.prod(t.xi_coeff.shape[:-1]))
+        a_cols = np.einsum("wab,kab->wk", t.a_coeff.reshape(rows, n, n), basis)
+        blocks.append(np.hstack([t.xi_coeff.reshape(rows, n), a_cols]))
+    return np.vstack(blocks)
 
 
 # -- the tower on one germ ---------------------------------------------------------
@@ -487,6 +516,6 @@ def frames_per_order(spec, points, first=None):
     points = np.asarray(points, dtype=np.float64)
 
     def frames(depth, which=None):
-        return [CurvatureData.compute(spec, points[k], m_max=depth).unit_frame
+        return [CurvatureData.compute(spec, points[k], m_max=depth).unit_frames[0]
                 for k in (range(len(points)) if which is None else which)]
     return frames

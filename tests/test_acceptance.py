@@ -184,7 +184,7 @@ def test_criterion_8_killing_connection_consistency():
             polyline = [p0]
             for _ in range(1 if k < 2 else 2):  # third polyline has a corner
                 polyline.append(p0 + rng.uniform(-0.25, 0.25, size=spec.dim))
-            out = killing_transport(spec, germ, polyline, steps_per_segment=1000)
+            out = killing_transport(spec, germ, polyline, steps_per_segment=1000).end
             ref = field_germ(spec, field, polyline[-1])
             deviation = max(float(np.abs(out.xi - ref.xi).max()),
                             float(np.abs(out.a - ref.a).max()))

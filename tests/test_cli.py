@@ -100,6 +100,24 @@ def test_check_field_command(capsys):
     assert "NOT Killing" in out
 
 
+def test_check_field_that_passes_killing_and_fails_the_identity_is_inconclusive(capsys):
+    # on a sphere of radius 1e-5 the chart-unit tolerance passes d/dth, which
+    # is not Killing, while the derivative identity fails: the report
+    # contradicts itself, so it warns and exits 3
+    code, out, _ = invoke(capsys, "check-field", "--builtin", "sphere2:r=1e-5",
+                          "--field", "1,0", "--json")
+    doc = json.loads(out)
+    assert code == 3
+    assert doc["result"]["killing"]["passed"]
+    assert not doc["result"]["first_prolongation"]["passed"]
+    assert doc["warnings"] == ["the field passes the Killing check but fails the "
+                               "derivative identity: the Killing verdict is "
+                               "inconclusive at this tolerance"]
+    code, out, _ = invoke(capsys, "check-field", "--builtin", "sphere2", "--field", "0,1",
+                          "--json")
+    assert (code, json.loads(out)["warnings"]) == (0, [])
+
+
 def test_transport_command(capsys):
     code, out, _ = invoke(capsys, "transport", "--builtin", "euclidean:n=2",
                           "--field=-x2,x1", "--path", "0,0;0.4,0.3",
@@ -176,14 +194,16 @@ def test_transport_of_a_field_takes_both_ends_from_the_path_frames(capsys, monke
     assert [1.1, 0.3] not in values
 
 
-def test_transport_of_a_germ_reads_the_end_metric_alone(capsys, monkeypatch):
+def test_transport_of_a_germ_takes_the_end_metric_from_the_path_frames(capsys,
+                                                                      monkeypatch):
     frames, values = spy_on_transport_charts(monkeypatch)
     code, _, _ = invoke(capsys, "transport", "--builtin", "sphere2",
                         "--germ", "0,1|0,0;0,0", "--path", "1,0;1.2,0.1;1.1,0.3",
                         "--steps", "30", "--json")
     assert code == 0
-    assert len(frames) == 1 and len(frames[0]) == 2 * (2 * 30 + 1)
-    assert values.count([1.1, 0.3]) == 1
+    assert len(frames) == 1 and len(frames[0]) == 2 * (2 * 30 + 1) + 1
+    assert list(frames[0][-1]) == [1.1, 0.3]
+    assert [1.1, 0.3] not in values
 
 
 def test_transport_takes_a_field_or_a_germ_not_both(capsys):

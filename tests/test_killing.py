@@ -7,10 +7,9 @@ from killingkit import curvature, killing
 from killingkit.curvature import CurvatureData
 from killingkit.killing import (KillingGerm, PreconditionError, bundle_dim,
                                 check_first_prolongation, default_sample_points,
-                                field_jets, germ_to_vector,
-                                integrability_tensors, kernel_germs,
+                                field_jets, integrability_tensors, kernel_germs,
                                 killing_dimension, killing_transport, sample_field,
-                                so_basis, so_coordinates, vector_to_germ,
+                                so_basis, vector_to_germ,
                                 verify_killing, wedge)
 from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
 from killingkit.product import product_metric
@@ -205,8 +204,8 @@ def test_tower_level_one_is_derivative_along_transport():
     for z in range(3):
         e = np.zeros(3)
         e[z] = h
-        gp = killing_transport(spec, germ, [p, p + e], steps_per_segment=40)
-        gm = killing_transport(spec, germ, [p, p - e], steps_per_segment=40)
+        gp = killing_transport(spec, germ, [p, p + e], steps_per_segment=40).end
+        gm = killing_transport(spec, germ, [p, p - e], steps_per_segment=40).end
         cp = CurvatureData.compute(spec, point=p + e, m_max=1)
         cm = CurvatureData.compute(spec, point=p - e, m_max=1)
         vp = integrability_tensors(cp.covR, 0)[0].apply(gp.xi, gp.a)
@@ -307,10 +306,10 @@ def test_kernel_germs_span_killing_fields():
     sp = builtin("sphere2")
     rep, germs = kernel_germs(sp)
     assert len(germs) == 3
-    g0 = sp.metric_values(sp.base_point)
-    field_vectors = [germ_to_vector(field_germ(sp, f), g0)
-                     for f in known_killing_fields("sphere2")]
-    kernel_matrix = np.array([germ_to_vector(g, g0) for g in germs])
+    def flat(germ):
+        return np.concatenate([germ.xi, germ.a.ravel()])
+    field_vectors = [flat(field_germ(sp, f)) for f in known_killing_fields("sphere2")]
+    kernel_matrix = np.array([flat(g) for g in germs])
     # every field germ lies in the span of the computed kernel
     for v in field_vectors:
         coeff, res, _, _ = np.linalg.lstsq(kernel_matrix.T, v, rcond=None)
@@ -320,17 +319,22 @@ def test_kernel_germs_span_killing_fields():
 # -- germ coordinates ----------------------------------------------------------------------
 
 def test_so_basis_round_trip():
+    # in a frame with metric diag(signs) the basis is skew, independent, and
+    # the coordinates of A are the entries r < s of diag(signs) A
     rng = np.random.default_rng(5)
-    cw = builtin("cahen_wallach", n=1, q=1.0)
-    g = cw.metric_values(cw.base_point)
-    basis = so_basis(g)
-    coords = rng.normal(size=len(basis))
-    a = np.einsum("k,kij->ij", coords, basis)
-    assert np.allclose(so_coordinates(a, g), coords)
-    vec = rng.normal(size=bundle_dim(3))
-    germ = vector_to_germ(vec, g)
-    assert np.allclose(germ_to_vector(germ, g), vec)
-    assert germ.so_defect(g) <= 1e-9
+    for signs in ([1.0], [1.0, 1.0], [-1.0, 1.0, 1.0], [1.0, -1.0, 1.0, -1.0]):
+        signs = np.array(signs)
+        n, g = len(signs), np.diag(signs)
+        basis = so_basis(signs)
+        assert basis.shape == (n * (n - 1) // 2, n, n)
+        for b in basis:
+            assert np.array_equal(g @ b, -(g @ b).T)
+        assert np.linalg.matrix_rank(basis.reshape(len(basis), n * n)) == len(basis)
+        vec = rng.normal(size=bundle_dim(n))
+        germ = vector_to_germ(vec, signs)
+        assert np.array_equal(germ.xi, vec[:n])
+        assert np.array_equal((g @ germ.a)[np.triu_indices(n, k=1)], vec[n:])
+        assert germ.so_defect(g) <= 1e-12
 
 
 def test_wedge_properties():
@@ -354,7 +358,7 @@ def test_transport_translation_unchanged():
     eu = builtin("euclidean", n=2)
     germ = field_germ(eu, ["1", "0"])
     out = killing_transport(eu, germ, [[0, 0], [0.4, 0.3], [-0.1, 0.8]],
-                            steps_per_segment=50)
+                            steps_per_segment=50).end
     assert np.allclose(out.xi, germ.xi)
     assert np.abs(out.a).max() == 0.0
 
@@ -363,7 +367,7 @@ def test_transport_matches_field_germ():
     eu = builtin("euclidean", n=2)
     germ = field_germ(eu, ["-x2", "x1"])
     q = [0.5, 0.7]
-    out = killing_transport(eu, germ, [[0, 0], q], steps_per_segment=1000)
+    out = killing_transport(eu, germ, [[0, 0], q], steps_per_segment=1000).end
     ref = field_germ(eu, ["-x2", "x1"], q)
     assert np.abs(out.xi - ref.xi).max() <= 1e-8
     assert np.abs(out.a - ref.a).max() <= 1e-8
@@ -375,8 +379,8 @@ def test_transport_path_independence_for_kernel_germ():
     germ = field_germ(sp, field)
     p0 = np.array(sp.base_point)
     q = p0 + [0.3, 0.4]
-    direct = killing_transport(sp, germ, [p0, q], 400)
-    detour = killing_transport(sp, germ, [p0, p0 + [0.0, 0.4], q], 400)
+    direct = killing_transport(sp, germ, [p0, q], 400).end
+    detour = killing_transport(sp, germ, [p0, p0 + [0.0, 0.4], q], 400).end
     assert np.abs(direct.xi - detour.xi).max() <= 1e-7
     assert np.abs(direct.a - detour.a).max() <= 1e-7
 
@@ -385,8 +389,9 @@ def test_transport_preserves_skewness():
     sp = builtin("sphere2")
     germ = field_germ(sp, known_killing_fields("sphere2")[0])
     q = np.array(sp.base_point) + [0.2, 0.5]
-    out = killing_transport(sp, germ, [sp.base_point, q], 500)
-    assert out.so_defect(sp.metric_values(q)) <= 1e-9
+    moved = killing_transport(sp, germ, [sp.base_point, q], 500)
+    assert moved.end.so_defect(sp.metric_values(q)) <= 1e-9
+    assert np.array_equal(moved.g_end, sp.metric_values(q))
 
 
 def test_loop_defect_for_non_kernel_germ():
@@ -398,12 +403,12 @@ def test_loop_defect_for_non_kernel_germ():
     germ = KillingGerm(xi=np.zeros(3), a=boost)
     assert germ_kernel_residual(cw, germ, m_max=1) > 1e-3
     loop = [[0, 0, 0], [0.4, 0, 0], [0.4, 0, 0.4], [0, 0, 0.4], [0, 0, 0]]
-    out = killing_transport(cw, germ, loop, 300)
+    out = killing_transport(cw, germ, loop, 300).end
     defect = max(np.abs(out.xi - germ.xi).max(), np.abs(out.a - germ.a).max())
     assert defect > 1e-3
     # while a kernel germ returns unchanged
     ref = field_germ(cw, ["0", "1", "0"])
-    back = killing_transport(cw, ref, loop, 300)
+    back = killing_transport(cw, ref, loop, 300).end
     assert np.abs(back.xi - ref.xi).max() <= 1e-9
     assert np.abs(back.a - ref.a).max() <= 1e-9
 
@@ -492,18 +497,20 @@ def spy_on_frames(monkeypatch):
 
 @pytest.mark.parametrize("steps", [100, 5000])
 def test_transport_frames_come_in_bounded_batches(monkeypatch, steps):
-    # every stage point is evaluated once, in path order across segments, in
-    # calls as large as the budget allows (at n = 2, 8448 points)
+    # every stage point, then the path's end, is evaluated once, in path
+    # order across segments, in calls as large as the budget allows (at
+    # n = 2, 8448 points)
     eu = builtin("euclidean", n=2)
     germ = field_germ(eu, ["-x2", "x1"])
     batches = spy_on_frames(monkeypatch)
     path = [[0, 0], [0.5, 0.7], [0.2, 0.1]]
     killing_transport(eu, germ, path, steps)
     assert all(batch.ndim == 2 for batch in batches)
-    assert np.array_equal(np.concatenate(batches), stage_points(path, steps))
+    assert np.array_equal(np.concatenate(batches),
+                          np.vstack([stage_points(path, steps), path[-1]]))
     per_call = curvature._FRAME_BUDGET // 2 ** 4
     assert [len(b) for b in batches[:-1]] == [per_call] * (len(batches) - 1)
-    assert max(len(b) for b in batches) == min(2 * (2 * steps + 1), per_call)
+    assert max(len(b) for b in batches) == min(2 * (2 * steps + 1) + 1, per_call)
 
 
 # (n, steps): at n = 8, 201 stage points already take 7 calls
@@ -519,8 +526,9 @@ def test_transport_frame_batches_fit_the_budget(monkeypatch, n, steps):
     killing_transport(spec, germ, path, steps)
     per_call = curvature._FRAME_BUDGET // n ** 4
     assert all(len(b) * n ** 4 <= curvature._FRAME_BUDGET for b in batches)
-    assert np.array_equal(np.concatenate(batches), stage_points(path, steps))
-    assert max(len(b) for b in batches) == min(2 * steps + 1, per_call)
+    assert np.array_equal(np.concatenate(batches),
+                          np.vstack([stage_points(path, steps), path[-1]]))
+    assert max(len(b) for b in batches) == min(2 * steps + 2, per_call)
 
 
 EXP_LINE_CHART = """
@@ -575,7 +583,7 @@ def test_transport_propagators_match_stepping_by_stages(chart, steps):
     rng = np.random.default_rng(5)
     n = spec.dim
     germ = KillingGerm(xi=rng.normal(size=n), a=rng.normal(size=(n, n)))
-    out = killing_transport(spec, germ, path, steps)
+    out = killing_transport(spec, germ, path, steps).end
     ref = transport_by_steps(spec, germ, path, steps)
     scale = max(np.abs(ref.xi).max(), np.abs(ref.a).max())
     assert np.abs(out.xi - ref.xi).max() <= 1e-12 * scale
@@ -690,7 +698,7 @@ def test_field_transport_germs_are_germ_of_field_and_its_transport(chart):
     jets = field_jets(spec, [f"1 + {c} * {spec.coords[0]}" for c in spec.coords])
     moved = killing_transport(spec, jets, path, 30)
     start = field_germ(spec, jets, path[0])
-    want = [start, killing_transport(spec, start, path, 30),
+    want = [start, killing_transport(spec, start, path, 30).end,
             field_germ(spec, jets, path[-1])]
     for got, ref in zip([moved.start, moved.end, moved.field_end], want):
         scale = max(np.abs(ref.xi).max(), np.abs(ref.a).max())
@@ -700,13 +708,25 @@ def test_field_transport_germs_are_germ_of_field_and_its_transport(chart):
     assert np.abs(moved.g_end - g_end).max() <= 1e-14 * np.abs(g_end).max()
 
 
-def test_germ_transport_evaluates_no_end_node(monkeypatch):
-    make, path = TRANSPORT_PATHS["sphere2"]
+# (chart, steps): one call of 122 stage points and the end at n = 2; at n = 8
+# calls of 33 frames ending inside steps, then one of the last 6 stage points
+# and the end
+@pytest.mark.parametrize("chart,steps", [("sphere2", 30), ("cw2xcw2", 17)])
+def test_germ_transport_evaluates_the_end_node_last_in_its_batch(monkeypatch, chart,
+                                                                 steps):
+    # as for a field: path[-1] is one more point after the last stage point,
+    # evaluated once, in the final call, and the metric at the end is its own
+    make, path = {**TRANSPORT_PATHS, **MORE_PATHS}[chart]
     spec = make()
+    n = spec.dim
     batches = spy_on_frames(monkeypatch)
-    out = killing_transport(spec, field_germ(spec, ["0", "1"], path[0]), path, 30)
-    assert isinstance(out, KillingGerm)
-    assert np.array_equal(np.concatenate(batches), stage_points(path, 30))
+    germ = KillingGerm(xi=np.ones(n), a=np.zeros((n, n)))
+    moved = killing_transport(spec, germ, path, steps)
+    points = np.concatenate(batches)
+    assert np.array_equal(points, np.vstack([stage_points(path, steps), path[-1]]))
+    assert len(batches[-1]) == len(points) % (curvature._FRAME_BUDGET // n ** 4)
+    assert moved.start is germ and moved.field_end is None
+    assert np.array_equal(moved.g_end, killing.point_frame(spec, path[-1])[0])
 
 
 # (chart, steps): at n = 2 one call of 8448 frames holds many blocks of steps;
@@ -716,7 +736,7 @@ def test_germ_transport_evaluates_no_end_node(monkeypatch):
 def test_transport_generators_come_in_blocks_of_one_segment(monkeypatch, chart, steps, mode):
     # every call of the RK4 generators takes at most 2 _BLOCK_STEPS frames of
     # one segment, and together the calls take each stage point once, in
-    # path order, and never the path's end
+    # path order, and never the path's end, which the frames hold last
     make, path = {**TRANSPORT_PATHS, **MORE_PATHS}[chart]
     spec = make()
     n = spec.dim
@@ -742,7 +762,7 @@ def test_transport_generators_come_in_blocks_of_one_segment(monkeypatch, chart, 
     stages = (len(path) - 1) * per_segment
     gammas = np.concatenate([f[2] for f in frames])
     rs = np.concatenate([f[3] for f in frames])
-    assert len(rs) == stages + (mode == "field")
+    assert len(rs) == stages + 1
     assert max(len(c[0]) for c in calls) <= 2 * killing._BLOCK_STEPS
     start = 0
     for gus, r, u in calls:

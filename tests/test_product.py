@@ -131,13 +131,13 @@ def _slot_residual(spec, vectors, m=2):
     """Largest |S y| over the columns v of ``vectors``, S the slot matrix of
     ``spec`` at order m and y = e^-1 v in its unit frame: zero exactly when
     every column lies in par, relative to the largest entry of ``vectors``."""
-    frame = CurvatureData.compute(spec, m_max=m).unit_frame
+    frame = CurvatureData.compute(spec, m_max=m).unit_frames[0]
     hit = slot_matrix(frame, m) @ frame.einv @ vectors
     return float(np.abs(hit).max()) / max(1.0, float(np.abs(vectors).max()))
 
 
 def _parallel(spec, m=2):
-    frame = CurvatureData.compute(spec, m_max=m).unit_frame
+    frame = CurvatureData.compute(spec, m_max=m).unit_frames[0]
     return spec.dim - numerical_rank(slot_matrix(frame, m), 1e-8).rank
 
 

@@ -1,15 +1,18 @@
-"""The closed-form prolongation tower against the jet-level recursion, and its
-xi-columns on a chart whose curvature is not parallel."""
+"""The closed-form prolongation tower against the jet-level recursion, its
+xi-columns on a chart whose curvature is not parallel, and its matrix against
+the contraction with a basis of the metric-skew endomorphisms."""
 import random
 
 import numpy as np
 import pytest
 
-from oracles import germ_kernel_residual, tower_by_recursion
+from oracles import germ_kernel_residual, tower_by_recursion, tower_stack_by_basis
 
 from killingkit.curvature import CurvatureData
-from killingkit.killing import KillingGerm, integrability_tensors, sample_field, wedge
+from killingkit.killing import (KillingGerm, integrability_tensors, sample_field,
+                                tower_stack, wedge)
 from killingkit.metricdsl import builtin, parse_manifold
+from killingkit.product import product_metric
 
 SCHWARZSCHILD = """
 manifold schwarzschild {
@@ -100,3 +103,23 @@ def test_tower_rejects_a_wedge_germ_on_schwarzschild():
     germ = KillingGerm(xi=rng.normal(size=4),
                        a=wedge(rng.normal(size=4), rng.normal(size=4), g0))
     assert germ_kernel_residual(spec, germ, m_max=3) > 1e-3
+
+
+# The charts whose traces tests/test_traces.py pins, and cw2 x cw2 (n = 8).
+STACK_CHARTS = {
+    **{name: CHARTS[name] for name in ["euclidean3", "minkowski12", "sphere2", "hyperbolic2",
+                                       "cw1", "cw2", "walker_recurrent", "schwarzschild"]},
+    "cw2xcw2": lambda: product_metric(builtin("cahen_wallach", n=2, q=[1.0, -1.0]),
+                                      builtin("cahen_wallach", n=2, q=[1.0, -1.0])).combined,
+}
+
+
+@pytest.mark.parametrize("chart", list(STACK_CHARTS))
+def test_tower_stack_is_the_basis_contraction_bit_for_bit(chart):
+    # LAPACK reads the sign of a zero, so the signs of zeros must agree too
+    spec = STACK_CHARTS[chart]()
+    frame = CurvatureData.compute(spec, m_max=3).unit_frames[0]
+    for m in range(3):
+        got, want = tower_stack(frame, m), tower_stack_by_basis(frame, m)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))

@@ -13,15 +13,18 @@ first depth of a frame ladder is capped by the order (``LOW_ORDER_COMMANDS``),
 ``parse --builtin`` of every builtin form that README.md, the tests and the
 workloads use (``BUILTIN_FORMS``), the deepest product contractions
 (``DEEP_COMMANDS``: ``product`` on cw2 x cw2 and on two cw1 factors,
-``curvature --order 3`` on the cw1 x cw1 chart, and ``transport`` of a Killing
+``curvature --order 3`` on the cw1 x cw1 chart, ``transport`` of a Killing
 field along three segments at the default 1000 steps on Schwarzschild and on
-cw2, and at 17 steps on the cw2 x cw2 chart), and a fixed list of commands
+cw2, and at 17 steps on the cw2 x cw2 chart, and ``transport --germ`` of an
+explicit germ on sphere2 along two segments at 30 steps and on the cw2 x cw2
+chart at 17 steps), and a fixed list of commands
 that must fail (``ERROR_COMMANDS``: Killing transport into a domain error, a
 degenerate point or an overflow, an invalid step count, every command that
 evaluates a point at three bad points, non-finite metric values and literals,
 fields that fail at a point, builtin parameters the catalog refuses, a
-transported field's failures at the path's ends, and a chart given both as
-``--builtin`` and as ``--file``), and ``check-field`` and
+transported field's failures at the path's ends, a chart given both as
+``--builtin`` and as ``--file``, and a malformed ``--germ``), and
+``check-field`` and
 ``demo-counterexample`` on the fields they check (``FIELD_COMMANDS``: every
 catalog Killing field, two fields that are not Killing, one and three
 ``--points`` and ``--point`` with ``--points``, generated samples that leave
@@ -92,7 +95,14 @@ LOW_ORDER_COMMANDS = [
 # cw2, each with a Killing field of the chart.  Last, a field of the first
 # factor on the cw2 x cw2 chart ("{cw2xcw2}", written to the workdir), n = 8,
 # at 17 steps on three segments: its frame batches of 33 stage points end
-# inside steps.
+# inside steps.  Last, transport of an explicit germ, which is not a field's:
+# on sphere2 along two segments at 30 steps, one frame batch with the path's
+# end; and on the cw2 x cw2 chart along the same path as the field, at 17
+# steps, where the batches end inside steps and the last one holds the end
+# (A tridiagonal: 0.1 above the diagonal, -0.1 below).
+CW2XCW2_GERM = ("--germ=1,0,0.5,0,0,-0.2,0,0.3|"
+                + ";".join(",".join("0.1" if c == r + 1 else "-0.1" if c == r - 1 else "0"
+                                    for c in range(8)) for r in range(8)))
 DEEP_COMMANDS = [
     ["product", "cahen_wallach:n=2,q=1:-1", "cahen_wallach:n=2,q=1:-1"],
     ["product", "cahen_wallach:n=1,q=1", "cahen_wallach:n=1,q=-1"],
@@ -107,6 +117,11 @@ DEEP_COMMANDS = [
     ["transport", "--file", "{cw2xcw2}",
      "--field=0,-(1.4142135623730951 * cosh(1.4142135623730951 * a_t)) * a_x1,"
      "sinh(1.4142135623730951 * a_t),0,0,0,0,0",
+     "--path=0,0,0,0,0,0,0,0;0.1,-0.2,0.3,0.1,0,0.2,-0.1,0.1;"
+     "0.2,0.1,-0.1,0.3,0.1,0,0.2,-0.2;0,0.2,0.1,0,-0.2,0.1,0,0.3", "--steps", "17"],
+    ["transport", "--builtin", "sphere2", "--germ=0,1|0,0.3;-0.3,0",
+     "--path=1,0;1.2,0.1;1.1,0.3", "--steps", "30"],
+    ["transport", "--file", "{cw2xcw2}", CW2XCW2_GERM,
      "--path=0,0,0,0,0,0,0,0;0.1,-0.2,0.3,0.1,0,0.2,-0.1,0.1;"
      "0.2,0.1,-0.1,0.3,0.1,0,0.2,-0.2;0,0.2,0.1,0,-0.2,0.1,0,0.3", "--steps", "17"],
 ]
@@ -213,6 +228,9 @@ ERROR_COMMANDS = [
      "--steps", "10"],
     # two input charts
     ["killing-dim", "--builtin", "euclidean:n=2", "--file", "{sqrtx}"],
+    # a germ whose A has one row where the chart needs two
+    ["transport", "--builtin", "sphere2", "--germ", "0,1|0,0", "--path", "1,0;1.2,0.1",
+     "--steps", "10"],
 ]
 
 # check-field on every Killing field of the catalog charts that have some
