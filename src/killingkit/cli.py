@@ -30,8 +30,8 @@ from .curvature import (CurvatureData, OrderExhaustedError, identity_residuals,
 from .holonomy import infinitesimal_holonomy, parallel_field_check
 from .jets import JetDomainError
 from .killing import (KillingGerm, PreconditionError, check_first_prolongation,
-                      default_sample_points, field_jets, killing_dimension,
-                      killing_transport, sample_field, verify_killing, wedge)
+                      field_jets, killing_dimension, killing_transport,
+                      nearby_points, sample_field, verify_killing, wedge)
 from .metricdsl import ParseError, SpecError
 from .product import (cw_counterexample, decomposition_check,
                       mixed_curvature_residuals, product_metric)
@@ -400,20 +400,15 @@ def _cmd_check_field(args):
     if not args.field:
         raise SpecError("check-field requires --field \"expr,expr,...\"")
     components = args.field.split(",")
-    user_pts = _parse_points(args.points, spec.dim) if args.points else []
-    if args.point:
-        user_pts = [_parse_point(args.point, spec.dim)] + user_pts
-    jets = field_jets(spec, components)
-    # the points you name and the base point must evaluate; generated ones
-    # need not.  With --points the base point, where the report's germ is
-    # taken, rides last in the batch but is left out of the checks.
-    samples = sample_field(spec, jets, user_pts + ([spec.base_point] if args.points
-                                                   else default_sample_points(spec)))
-    for p in user_pts:
+    base = _parse_point(args.point, spec.dim) if args.point else spec.base_point
+    named = _parse_points(args.points, spec.dim) if args.points else []
+    # the base point, where the report's germ is taken, and the points you
+    # name must evaluate; the nearby points generated without --points need not
+    samples = sample_field(spec, field_jets(spec, components),
+                           [base] + (named or nearby_points(base)))
+    germ, g0 = samples.at(base)
+    for p in named:
         samples.at(p)
-    germ, g0 = samples.at(spec.base_point)
-    if args.points:
-        samples = samples.take(slice(len(user_pts)))
     killing_chk = verify_killing(samples, tol=args.tol)
     result = {
         "field": components,
@@ -542,7 +537,8 @@ def _cmd_demo_counterexample(args):
             raise SpecError(f"--q-{side} entries must be nonzero, got {q}")
     prod, components = cw_counterexample(args.n_plus, args.q_plus, args.n_minus, args.q_minus)
     spec = prod.combined
-    samples = sample_field(spec, components, default_sample_points(spec))
+    samples = sample_field(spec, components,
+                           [spec.base_point] + nearby_points(spec.base_point))
     chk = verify_killing(samples, tol=1e-10)
     germ, g0 = samples.at(spec.base_point)
     v_plus = np.zeros(spec.dim)
@@ -607,7 +603,7 @@ def _add_spec_args(sp):
 
 def _add_common(sp, point=True, order=10, tol=True):
     if point:
-        sp.add_argument("--point", help="evaluation point, comma-separated")
+        sp.add_argument("--point", help="base point, comma-separated (default: the chart's)")
     if order is not None:
         sp.add_argument("--order", type=_order_arg, default=order,
                         help="derivative/prolongation depth cap (default %(default)s)")
@@ -647,7 +643,7 @@ def build_parser():
     _add_spec_args(sp)
     _add_common(sp)
     sp.add_argument("--multi-point", action="store_true",
-                    help="also evaluate at 5 perturbed points, report the minimum")
+                    help="also evaluate at the 5 nearby points, report the minimum")
     sp.set_defaults(func=_cmd_killing_dim)
 
     sp = sub.add_parser("holonomy", help="infinitesimal holonomy algebra")
@@ -664,8 +660,9 @@ def build_parser():
     _add_spec_args(sp)
     _add_common(sp, order=None)
     sp.add_argument("--field", help="comma-separated component expressions")
-    sp.add_argument("--points", help="sample points p0;p1;... (default: "
-                                     "base point neighbourhood)")
+    sp.add_argument("--points", help="sample points p0;p1;... checked after the base "
+                                     "point (default: the 5 nearby points that "
+                                     "killing-dim --multi-point traces)")
     sp.set_defaults(func=_cmd_check_field)
 
     sp = sub.add_parser("transport", help="Killing transport along a polyline")

@@ -132,16 +132,6 @@ class FieldSamples:
         k = np.flatnonzero((self.curv.point == np.asarray(point)).all(axis=1))[0]
         return _field_germ(self.jets.array[k], self.curv.gamma_jets.value()[k]), self.curv.g[k]
 
-    def take(self, rows):
-        """The samples at the points ``rows`` (a slice) of the batch."""
-        def cut(t):
-            return JetTensor(t.array[rows], t.space)
-        c = self.curv
-        curv = replace(c, point=c.point[rows], metric_jets=cut(c.metric_jets),
-                       inverse_jets=cut(c.inverse_jets), gamma_jets=cut(c.gamma_jets),
-                       riemann_jets=cut(c.riemann_jets), covR=[v[rows] for v in c.covR])
-        return replace(self, curv=curv, jets=cut(self.jets))
-
 
 def sample_field(spec, fld, points):
     """``FieldSamples`` of a field (``fld``: its component expressions or, to
@@ -176,23 +166,6 @@ class FieldCheck:
     scale: float
     point_residuals: list
     point_errors: list = field(default_factory=list)
-
-
-def default_sample_points(spec, count=5):
-    """Deterministic sample points near the base point, for the CLI checks:
-    steps of 0.1 (1 + max |base point|) along the coordinate axes."""
-    p = np.asarray(spec.base_point, dtype=np.float64)
-    delta = 0.1 * (1.0 + float(np.abs(p).max()))
-    points = [p.copy()]
-    i, sign = 0, 1.0
-    while len(points) < count:
-        q = p.copy()
-        q[i % spec.dim] += sign * delta * (1.0 + 0.25 * (i // spec.dim))
-        points.append(q)
-        if sign < 0:
-            i += 1
-        sign = -sign
-    return points
 
 
 def _lie_residuals(samples):
@@ -341,7 +314,7 @@ class KernelReport:
 
 @dataclass
 class MultiPointReport:
-    """Kernel traces at the base point and perturbed points; min is reported."""
+    """Kernel traces at the base point and its nearby points; min is reported."""
 
     min_dim: int
     reports: list
@@ -405,20 +378,20 @@ def _kernel_trace(spec, points, m_max, tol, frames=None):
 def killing_dimension(spec, point=None, m_max=10, tol=1e-8, multi_point=False):
     """Stabilised joint-kernel dimension of the integrability tower.
 
-    With ``multi_point`` the trace is also taken at five perturbed points,
-    reporting the minimum (guards against non-generic base points).  The
-    points are ranked in lockstep, each group sharing one frame ladder and
-    one stabilisation loop: each depth of the curvature is computed in one
-    batch over the points whose trace is still changing, and each point's
-    ranks are decided in its own frame, so every trace is the one the point
-    alone gives.  A group holds the frames of all its points at once, so it
+    With ``multi_point`` the trace is also taken at the point's five
+    ``nearby_points``, reporting the minimum (guards against non-generic base
+    points).  The points are ranked in lockstep, each group sharing one frame
+    ladder and one stabilisation loop: each depth of the curvature is
+    computed in one batch over the points whose trace is still changing, and
+    each point's ranks are decided in its own frame, so every trace is the
+    one the point alone gives.  A group holds the frames of all its points at once, so it
     takes as many points as one computation of the first depth may
     (``curvature.budget_points``): all six up to n = 4, one at n = 8.
     """
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
     if not multi_point:
         return _kernel_trace(spec, p[None], m_max, tol)[0][0]
-    points = np.array([p] + _perturbed_points(p, 5))
+    points = np.array([p] + nearby_points(p))
     group = budget_points(spec.dim, min(2, m_max + 1))
     reports = []
     for lo in range(0, len(points), group):   # one group's frames are released before the next
@@ -431,19 +404,21 @@ def killing_dimension(spec, point=None, m_max=10, tol=1e-8, multi_point=False):
                             warnings=warnings)
 
 
-def _perturbed_points(p, count):
+def nearby_points(p, count=5):
+    """``count`` points near the point ``p``: steps of delta = 0.05 (1 + max |p|)
+    each way along the coordinate axes in turn, a quarter longer each time the
+    axes wrap, then the diagonal p + delta / sqrt(n); a 1-D chart has no
+    diagonal, so it gets one more axis step instead."""
+    p = np.asarray(p, dtype=np.float64)
     n = len(p)
     delta = 0.05 * (1.0 + float(np.abs(p).max()))
     points = []
-    i, sign = 0, 1.0
-    while len(points) < count - 1:
+    for k in range(count - 1 if n > 1 else count):
         q = p.copy()
-        q[i % n] += sign * delta
+        q[k // 2 % n] += (-delta if k % 2 else delta) * (1.0 + 0.25 * (k // 2 // n))
         points.append(q)
-        if sign < 0:
-            i += 1
-        sign = -sign
-    points.append(p + delta / np.sqrt(n))
+    if n > 1:
+        points.append(p + delta / np.sqrt(n))
     return points
 
 

@@ -5,8 +5,9 @@ contracted against a basis of the metric-skew endomorphisms, the tower's
 residual on a germ, the bundle curvature applied to a germ, Killing transport stepped
 stage by stage, charts changed by an affine change of coordinates and a
 constant metric factor, the product trace from the whole product tower,
-unit frames computed afresh at every order, and jet contractions taken
-densely over every component pair.
+unit frames computed afresh at every order, jet contractions taken
+densely over every component pair, and the points near a base point as
+``killing-dim --multi-point`` chose them before ``killing.nearby_points``.
 
 The package evaluates every expression with its compiled ``JetTape``.  The
 float tree walk here is how expressions were evaluated at points before
@@ -25,7 +26,9 @@ it learned to skip zero components: one einsum over all component pairs.
 The basis contraction is how ``killing.tower_stack`` built the A-columns
 before it read them off the frame's signs: A's coefficient contracted with
 every entry of each basis matrix g^-1 (E_rs - E_sr), g^-1 from
-``np.linalg.inv``.
+``np.linalg.inv``.  The perturbed points are the rule ``nearby_points``
+keeps bit for bit on charts of dimension >= 2; on a 1-D chart it repeated
+points.
 """
 from __future__ import annotations
 
@@ -519,3 +522,24 @@ def frames_per_order(spec, points, first=None):
         return [CurvatureData.compute(spec, points[k], m_max=depth).unit_frames[0]
                 for k in (range(len(points)) if which is None else which)]
     return frames
+
+
+# -- points near a base point ----------------------------------------------------------
+
+def perturbed_points(p, count):
+    """``count`` points near p: steps of delta = 0.05 (1 + max |p|) each way
+    along the axes in turn, all of one length, then the diagonal
+    p + delta / sqrt(n)."""
+    n = len(p)
+    delta = 0.05 * (1.0 + float(np.abs(p).max()))
+    points = []
+    i, sign = 0, 1.0
+    while len(points) < count - 1:
+        q = p.copy()
+        q[i % n] += sign * delta
+        points.append(q)
+        if sign < 0:
+            i += 1
+        sign = -sign
+    points.append(p + delta / np.sqrt(n))
+    return points

@@ -11,8 +11,7 @@ import numpy as np
 from killingkit.curvature import CurvatureData, identity_residuals
 from killingkit.holonomy import parallel_field_check
 from killingkit.jets import JetTensor, jet_space, tensor_deriv, tensor_product
-from killingkit.killing import (bundle_dim, check_first_prolongation,
-                                default_sample_points, killing_dimension,
+from killingkit.killing import (bundle_dim, check_first_prolongation, killing_dimension,
                                 killing_transport, sample_field, verify_killing)
 from killingkit.metricdsl import builtin, known_killing_fields
 from killingkit.product import (cw_counterexample, decomposition_check,
@@ -21,7 +20,7 @@ from killingkit.product import (cw_counterexample, decomposition_check,
 from oracles import (fd_first_partial, fd_second_partial, float_eval, killing_curvature,
                      random_expression)
 from test_jets import partial_value, tape_jet
-from test_killing import field_germ
+from test_killing import field_germ, sample
 
 FLAT_SPECS = [
     ("euclidean", {"n": 2}),
@@ -57,7 +56,7 @@ def test_criterion_1_flat_spaces():
         assert rep.stabilized_dim == bundle_dim(spec.dim)
         assert rep.stabilization_order == 0
         assert elapsed < 1.0, (name, params, elapsed)
-        pts = default_sample_points(spec)
+        pts = sample(spec)
         fields = known_killing_fields(name, **params)
         assert len(fields) == bundle_dim(spec.dim)
         for field in fields:
@@ -72,7 +71,7 @@ def test_criterion_2_constant_curvature_surfaces():
         elapsed = time.perf_counter() - start
         assert rep.stabilized_dim == 3
         assert elapsed < 2.0
-        pts = default_sample_points(spec)
+        pts = sample(spec)
         fields = known_killing_fields(name)
         assert len(fields) == 3
         for field in fields:
@@ -119,7 +118,7 @@ def test_criterion_6_counterexample_reproduction():
     # the advertised field: t_plus d/dv_minus - t_minus d/dv_plus
     assert field[iv_b] == "a_t"
     assert field[iv_a] == "-b_t"
-    chk = verify_killing(sample_field(spec, field, default_sample_points(spec)), tol=1e-10)
+    chk = verify_killing(sample_field(spec, field, sample(spec)), tol=1e-10)
     assert chk.passed
     assert chk.max_residual <= 1e-10
     germ = field_germ(spec, field)
@@ -164,7 +163,7 @@ def test_criterion_8_killing_connection_consistency():
     cases.append((prod.combined, cross))
 
     for spec, field in cases:
-        pts = default_sample_points(spec)
+        pts = sample(spec)
         samples = sample_field(spec, field, pts)
         assert verify_killing(samples, tol=1e-9).passed
         prolong = check_first_prolongation(samples, tol=1e-8)

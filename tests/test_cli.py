@@ -1,15 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from killingkit.cli import run
-from killingkit.metricdsl import BUILTINS
+from killingkit.metricdsl import BUILTINS, builtin
+
+from oracles import random_expression
 
 
 def invoke(capsys, *argv):
@@ -243,8 +248,8 @@ def test_check_field_compiles_and_verifies_the_field_once(capsys, monkeypatch):
 
 
 def test_check_field_points_takes_the_base_point_in_the_same_batch(capsys, monkeypatch):
-    # the report's germ is taken at the base point in the batch of the named
-    # points, which alone are checked
+    # the base point, where the report's germ is taken, is checked first and
+    # the named points after it, all from one batch
     from killingkit.curvature import CurvatureData
     computed = []
     compute = CurvatureData.compute.__func__
@@ -254,11 +259,31 @@ def test_check_field_points_takes_the_base_point_in_the_same_batch(capsys, monke
                           "--points", "1,0", "--json")
     assert code == 0 and len(computed) == 1
     result = json.loads(out)["result"]
+    base = pytest.approx(builtin("sphere2").base_point, rel=1e-11)   # 12 digits in JSON
     for check in ("killing", "first_prolongation"):
-        assert [r["point"] for r in result[check]["point_residuals"]] == [[1.0, 0.0]]
-    _, base, _ = invoke(capsys, "check-field", "--builtin", "sphere2", "--field", "0,1",
-                        "--json")
-    assert result["germ"] == json.loads(base)["result"]["germ"]
+        assert [r["point"] for r in result[check]["point_residuals"]] == [base, [1.0, 0.0]]
+    _, alone, _ = invoke(capsys, "check-field", "--builtin", "sphere2", "--field", "0,1",
+                         "--json")
+    assert result["germ"] == json.loads(alone)["result"]["germ"]
+
+
+def test_check_field_point_sets_the_base_point(capsys, tmp_path):
+    # --point moves the base point, as in every other command: the report is
+    # that of the chart whose base point it is
+    text = builtin("sphere2").serialize()
+    start = text.index("base_point:")
+    chart = tmp_path / "moved.man"
+    chart.write_text(text[:start] + "base_point: (1, 0.5);"
+                     + text[text.index("\n", start):], encoding="utf-8")
+    _, moved, _ = invoke(capsys, "check-field", "--file", str(chart), "--field", "0,1",
+                         "--json")
+    code, out, _ = invoke(capsys, "check-field", "--builtin", "sphere2", "--field", "0,1",
+                          "--point", "1,0.5", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result == json.loads(moved)["result"]
+    points = [r["point"] for r in result["killing"]["point_residuals"]]
+    assert len(points) == 6 and points[0] == [1.0, 0.5]
 
 
 # every command that reads one chart takes it from one option
@@ -756,3 +781,51 @@ def builtin_strings(draw):
 @settings(max_examples=150, deadline=None)
 def test_parse_of_any_builtin_string_exits_0_or_2(chart):
     assert run(["parse", "--builtin", chart, "--json"]) in (0, 2)
+
+
+@st.composite
+def random_charts(draw):
+    """The text of a chart with random domain-safe entries (oracles'
+    ``random_expression``) near the identity: diagonal 1 + (..), off-diagonal
+    0.1 * (..), in 1 to 3 coordinates, at the origin; the entries are
+    analytic."""
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            text = random_expression(rng, n, depth=2).to_text()
+            rows[i][j] = rows[j][i] = f"1 + ({text})" if i == j else f"0.1 * ({text})"
+    metric = ", ".join("[" + ", ".join(r) + "]" for r in rows)
+    coords = ", ".join(f"x{i + 1}" for i in range(n))
+    return n, (f"manifold random {{\n  coordinates: {coords};\n  metric: [{metric}];\n"
+               "  assume: analytic, simply_connected;\n}\n")
+
+
+def quiet_run(*argv):
+    """Exit code and decoded --json report of one command (None on exit 2)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run([*argv, "--json"])
+    return code, json.loads(out.getvalue()) if out.getvalue() else None
+
+
+# On any chart: no traceback, an exit code in {0, 2, 3}, a Killing dimension
+# within n(n + 1)/2 and no more parallel candidates than the nullity.
+@given(random_charts())
+@settings(max_examples=40, deadline=None)
+def test_commands_on_random_charts_keep_their_contract(tmp_path_factory, chart):
+    n, text = chart
+    path = tmp_path_factory.mktemp("random") / "random.man"
+    path.write_text(text, encoding="utf-8")
+    where = ["--file", str(path), "--order", "2"]
+    codes = {}
+    for command in ("killing-dim", "holonomy", "hypothesis"):
+        codes[command], doc = quiet_run(command, *where)
+        if command == "killing-dim" and doc is not None:
+            assert doc["result"]["stabilized_dim"] <= n * (n + 1) // 2
+        if command == "holonomy" and doc is not None:
+            assert len(doc["result"]["parallel_candidates"]) <= doc["result"]["nullity"]
+    codes["check-field"], _ = quiet_run("check-field", "--file", str(path),
+                                        "--field", ",".join(["1"] + ["0"] * (n - 1)))
+    assert set(codes.values()) <= {0, 2, 3}, codes

@@ -255,8 +255,7 @@ def test_ladder_splits_a_batch_by_the_budget(computed):
     # n = 4: 33 points a computation at depth 2, 2 at depth 4; batching
     # changes no bit of a point's frame
     spec = builtin("cahen_wallach", n=2, q=[1.0, -1.0])
-    points = np.array([spec.base_point] + killing._perturbed_points(
-        np.asarray(spec.base_point, dtype=np.float64), 5))
+    points = np.array([spec.base_point] + killing.nearby_points(spec.base_point))
     frames = frame_ladder(spec, points, 2)
     frames(2)
     batched = frames(4, [5, 0, 2, 3, 1])

@@ -6,21 +6,21 @@ import pytest
 from killingkit import curvature, killing
 from killingkit.curvature import CurvatureData
 from killingkit.killing import (KillingGerm, PreconditionError, bundle_dim,
-                                check_first_prolongation, default_sample_points,
-                                field_jets, integrability_tensors, kernel_germs,
-                                killing_dimension, killing_transport, sample_field,
-                                so_basis, vector_to_germ,
-                                verify_killing, wedge)
+                                check_first_prolongation, field_jets,
+                                integrability_tensors, kernel_germs, killing_dimension,
+                                killing_transport, nearby_points, sample_field,
+                                so_basis, vector_to_germ, verify_killing, wedge)
 from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
 from killingkit.product import product_metric
 
-from oracles import (germ_kernel_residual, killing_curvature, stage_points,
-                     transport_by_steps)
-from test_tower import SCHWARZSCHILD, random_chart
+from oracles import (germ_kernel_residual, killing_curvature, perturbed_points,
+                     stage_points, transport_by_steps)
+from test_tower import CHARTS, SCHWARZSCHILD, random_chart
 
 
-def sample(spec, count=5):
-    return default_sample_points(spec, count=count)
+def sample(spec):
+    """The base point and its nearby points: the samples of check-field."""
+    return [spec.base_point] + nearby_points(spec.base_point)
 
 
 def field_germ(spec, fld, point=None):
@@ -300,6 +300,31 @@ def test_multi_point_mode():
     assert rep.min_dim == 3
     assert len(rep.reports) == 6
     assert all(r.stabilized_dim == 3 for r in rep.reports)
+
+
+def test_nearby_points_keep_the_perturbed_points_off_the_line():
+    # n >= 2: the axes do not wrap in five points, so the points are those
+    # of the rule killing-dim used before, to the last bit: at the base
+    # points of the charts of test_traces.py, of cw2 x cw2 and at random ones
+    cw2 = builtin("cahen_wallach", n=2, q=[1.0, -1.0])
+    specs = [CHARTS[c]() for c in sorted(set(CHARTS) - {"random3"})]
+    points = [np.asarray(s.base_point, dtype=np.float64)
+              for s in specs + [product_metric(cw2, cw2).combined]]
+    rng = np.random.default_rng(20)
+    points += [rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-3, 4)
+               for n in (2, 2, 3, 4, 5, 8)]
+    for p in points:
+        new, old = nearby_points(p), perturbed_points(p.copy(), 5)
+        assert [q.tobytes() for q in new] == [q.tobytes() for q in old]
+
+
+@pytest.mark.parametrize("x,delta", [(0.0, 0.05), (-3.0, 0.2)])
+def test_nearby_points_on_a_line_are_distinct(x, delta):
+    # a 1-D chart has no diagonal: the axis wraps, a quarter longer each time
+    rep = killing_dimension(builtin("euclidean", n=1), point=[x], multi_point=True)
+    assert len(set(rep.points)) == 6
+    assert np.allclose(np.ravel(rep.points),
+                       x + delta * np.array([0.0, 1.0, -1.0, 1.25, -1.25, 1.5]))
 
 
 def test_kernel_germs_span_killing_fields():

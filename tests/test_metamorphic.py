@@ -1,13 +1,17 @@
 """The Killing dimension and the holonomy verdict do not depend on the chart:
-they stay the same when the metric is scaled and under linear and affine
-changes of coordinates, and come out right off unit scale and near a
-coordinate singularity."""
+they stay the same when the metric is scaled, under linear and affine
+changes of coordinates and when the base point moves along an orbit of the
+isometry group, and come out right off unit scale and near a coordinate
+singularity."""
+import json
+
 import numpy as np
 import pytest
 
 from oracles import changed_chart
+from test_cli import invoke
 from test_product import PAIRS, factors
-from test_tower import CHARTS
+from test_tower import CHARTS, SCHWARZSCHILD
 
 from killingkit.holonomy import parallel_field_check
 from killingkit.killing import killing_dimension
@@ -113,3 +117,68 @@ def test_decomposition_does_not_depend_on_the_factors_scales(pair, rescaling):
     rep = decomposition_check(a, b)
     assert (rep.dim_a, rep.dim_b, rep.excess) == PAIRS[pair][-1]
     assert not rep.inconclusive
+
+
+# Moving the base point with --point along an orbit of the isometry group:
+# sphere2 toward the pole, hyperbolic2 in y, cw1 along every coordinate, and
+# Schwarzschild (r0 = 5) in theta toward the axis, along an orbit of its
+# rotations.  The answer is the exit code and result of killing-dim
+# (the stabilised dimension), holonomy (dimension, parallel candidates,
+# nullity) and hypothesis (verdict).  Near an axis the rank scale of ROADMAP
+# item 1 takes max |Gamma| into kappa, real curvature falls below the rank
+# tolerance, and the answer is wrong with exit 0: those points are strict
+# xfails until item 1 lands.
+NEAR_AXIS = pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the Gamma-based rank scale cuts real curvature near a "
+    "coordinate axis"))
+SPHERE_ANSWER = (0, 3, 0, 1, 0, 0, 0, "no_parallel_field")
+ORBITS = [
+    *(("sphere2", f"{t!r},0.4", SPHERE_ANSWER, ())
+      for t in (1.2, 0.1, 1e-2, 1e-3, 1e-4)),
+    *(("sphere2", f"{t!r},0.4", SPHERE_ANSWER, NEAR_AXIS) for t in (3e-5, 1e-5, 1e-6)),
+    *(("hyperbolic2", f"3.7,{y!r}", SPHERE_ANSWER, ())
+      for y in (1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3)),
+    *(("cahen_wallach:n=1,q=1", f"{x!r},{-x!r},{x!r}", (0, 4, 0, 1, 1, 1, 0,
+                                                          "has_parallel_field"), ())
+      for x in (0.5, 3.0, 10.0, 30.0, 100.0, 300.0)),
+    *(("schwarzschild", f"0,5,{t!r},0", (0, 4, 0, 6, 0, 0, 0, "no_parallel_field"), marks)
+      for t, marks in ((1.2, ()), (1e-2, ()), (1e-3, NEAR_AXIS), (1e-4, NEAR_AXIS),
+                       (1e-5, NEAR_AXIS))),
+]
+
+
+def cli_result(capsys, *argv):
+    code, out, _ = invoke(capsys, *argv, "--json")
+    return code, json.loads(out)["result"]
+
+
+def chart_args(chart, tmp_path):
+    if chart != "schwarzschild":
+        return ["--builtin", chart]
+    path = tmp_path / "schwarzschild.man"
+    path.write_text(SCHWARZSCHILD, encoding="utf-8")
+    return ["--file", str(path)]
+
+
+@pytest.mark.parametrize("chart,point,answer", [
+    pytest.param(chart, point, answer, marks=marks, id=f"{chart}@{point}")
+    for chart, point, answer, marks in ORBITS])
+def test_answers_do_not_depend_on_the_point_of_an_orbit(capsys, tmp_path, chart, point,
+                                                        answer):
+    where = [*chart_args(chart, tmp_path), f"--point={point}"]
+    kernel_code, kernel = cli_result(capsys, "killing-dim", *where)
+    holonomy_code, holonomy = cli_result(capsys, "holonomy", *where)
+    verdict_code, verdict = cli_result(capsys, "hypothesis", *where)
+    assert (kernel_code, kernel["stabilized_dim"], holonomy_code, holonomy["dimension"],
+            len(holonomy["parallel_candidates"]), holonomy["nullity"],
+            verdict_code, verdict["verdict"]) == answer
+
+
+# check-field at the same sphere2 points: d/dphi is Killing, d/dtheta is not
+@pytest.mark.parametrize("theta", [1.2, 0.1, 1e-2, 1e-3, 1e-4, 3e-5, 1e-5, 1e-6])
+def test_check_field_verdicts_do_not_depend_on_the_point_of_an_orbit(capsys, theta):
+    for field, killing in (("0,1", True), ("1,0", False)):
+        code, result = cli_result(capsys, "check-field", "--builtin", "sphere2",
+                                  "--field", field, f"--point={theta!r},0.4")
+        assert (code, result["killing"]["passed"]) == (0, killing)
+        assert result["killing"]["point_residuals"][0]["point"] == [theta, 0.4]

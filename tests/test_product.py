@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from oracles import germ_kernel_residual, product_trace_by_full_tower
-from test_killing import field_germ
+from test_killing import field_germ, sample
 
 from killingkit import killing, product
 from killingkit.curvature import CurvatureData
-from killingkit.killing import (KillingGerm, default_sample_points, kernel_germs,
-                                sample_field, verify_killing, wedge)
+from killingkit.killing import (KillingGerm, kernel_germs, sample_field, verify_killing,
+                                wedge)
 from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
 from killingkit.product import (cw_counterexample, decomposition_check,
                                 mixed_curvature_residuals, product_metric, slot_matrix)
@@ -92,7 +92,7 @@ def test_monotonicity_of_product_dimension():
 def test_counterexample_field_is_killing_but_projections_fail():
     prod, field = cw_counterexample(1, (1.0,), 1, (-1.0,))
     spec = prod.combined
-    pts = default_sample_points(spec)
+    pts = sample(spec)
     assert verify_killing(sample_field(spec, field, pts), tol=1e-10).passed
     # zero out either factor's components: no longer Killing
     iv_a = spec.coord_index("a_v")

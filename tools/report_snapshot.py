@@ -30,11 +30,12 @@ catalog Killing field, two fields that are not Killing, one and three
 ``--points`` and ``--point`` with ``--points``, generated samples that leave
 a chart's domain, a field that fails at the base point, a tiny sphere, a
 field whose 2-jet overflows where its 1-jet does not, and two plane-wave
-products), and ``killing-dim --multi-point`` where the points' traces leave
-the lockstep loop at different orders, at the default order and at
-``--order 0`` and ``--order 1``, and where a perturbed point leaves the
-chart's domain (``MULTI_POINT_COMMANDS``), each with ``--json``, through
-``killingkit.cli.run`` of the package in this checkout's ``src/``.  It
+products, and, last, ``--point`` moving the base point, without and with
+``--points``), and ``killing-dim --multi-point`` where the points' traces
+leave the lockstep loop at different orders, at the default order and at
+``--order 0`` and ``--order 1``, where a nearby point leaves the chart's
+domain, and on a 1-D chart (``MULTI_POINT_COMMANDS``), each with ``--json``,
+through ``killingkit.cli.run`` of the package in this checkout's ``src/``.  It
 writes one JSON file mapping each query to its exit code, stdout and
 stderr.  Chart files go to a fixed directory
 (``--workdir``), so snapshots taken from two checkouts name the same paths
@@ -247,7 +248,7 @@ FIELD_COMMANDS = [
      "--points", "0,1;0.3,1.2;-0.4,0.7"],
     ["check-field", "--builtin", "sphere2", "--field", "0,1", "--point", "1,0",
      "--points", "1.2,0.3;0.8,-0.5"],
-    # a generated sample point at y = -0.055 outside the chart's domain: one
+    # a generated sample point at y = -0.0025 outside the chart's domain: one
     # point error in each check
     ["check-field", "--file", "{sqrtlow}", "--field", "1,0"],
     # the field fails at the base point
@@ -259,6 +260,11 @@ FIELD_COMMANDS = [
      "--points", "1.5,0"],
     ["demo-counterexample", "--n-plus", "2", "--q-plus", "1:2"],
     ["demo-counterexample", "--q-plus", "0.5", "--q-minus", "-2"],
+    # --point sets the base point: the germ is taken there, and the samples
+    # are it and its nearby points, or it and the --points entries
+    ["check-field", "--builtin", "sphere2", "--field", "0,1", "--point", "1,0.5"],
+    ["check-field", "--builtin", "sphere2", "--field", "0,1", "--point", "1,0.5",
+     "--points", "1.2,0.4"],
 ]
 
 
@@ -267,7 +273,8 @@ FIELD_COMMANDS = [
 # the two points off it in y, [2, 1, 1] at the other three) and on
 # Schwarzschild at r = 5 ("{schwarzschild}", as in DEEP_COMMANDS), each at
 # the default order, --order 0 and --order 1; then a chart where the
-# perturbed point (-0.0405, 0) leaves the domain of sqrt(x), an error.
+# nearby point (-0.0405, 0) leaves the domain of sqrt(x), an error; last, a
+# 1-D chart, whose nearby points wrap around its one axis.
 MULTI_POINT_CHARTS = {
     "quartic": ("manifold quartic {\n  coordinates: x, y;\n"
                 "  metric: [[1, 0], [0, 1 + x^4]];\n  base_point: (0, 0);\n}\n"),
@@ -278,7 +285,8 @@ MULTI_POINT_COMMANDS = [
     ["killing-dim", "--multi-point", "--file", chart, *order]
     for chart in ("{quartic}", "{schwarzschild}")
     for order in ([], ["--order", "0"], ["--order", "1"])
-] + [["killing-dim", "--multi-point", "--file", "{sqrtnear}"]]
+] + [["killing-dim", "--multi-point", "--file", "{sqrtnear}"],
+      ["killing-dim", "--multi-point", "--builtin", "euclidean:n=1"]]
 
 
 def readme_commands(readme):
