@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import frame_ladder
-from .rank import numerical_rank, stabilise
+from .killing import so_basis
+from .rank import fixed_basis, numerical_rank, stabilise
 
 
 @dataclass
@@ -69,8 +70,11 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8, frames=None):
             f"unstable: holonomy span still growing at order m_max={m_max}")
     span = decisions[-1]
     [frame] = frames(len(decisions) - 1)
-    generators = span.row.reshape(span.rank, n, n)
-    candidates = numerical_rank(generators.reshape(-1, n), tol).null
+    # bases by a fixed rule, which rounding in the rows cannot turn: the
+    # generators from the so(p, q) basis, the candidates from the frame's
+    so_rows = so_basis(frame.signs).reshape(-1, n * n) / np.sqrt(2.0)
+    generators = fixed_basis(span.row, so_rows).reshape(span.rank, n, n)
+    candidates = fixed_basis(numerical_rank(generators.reshape(-1, n), tol).null)
     # nullity: the vectors killed by contraction into the curvature's first
     # two-form slot, rows (l, k, j) x column i
     killed = numerical_rank(np.moveaxis(frame.covR[0], 2, -1).reshape(-1, n), tol)

@@ -29,7 +29,7 @@ from .curvature import (CurvatureData, OrderExhaustedError, budget_points,
                         covariant_derivative, frame_ladder, point_frame)
 from .jets import (JetDomainError, JetTensor, compile_tape, jet_space, tensor_deriv,
                    tensor_product)
-from .rank import numerical_rank, stabilise
+from .rank import fixed_basis, numerical_rank, stabilise
 
 
 class PreconditionError(ValueError):
@@ -426,7 +426,7 @@ def kernel_germs(spec, point=None, m_max=10, tol=1e-8):
     """The kernel report plus germs spanning the stabilised kernel."""
     p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
     [(report, decisions, frame)] = _kernel_trace(spec, p[None], m_max, tol)
-    germs = [vector_to_germ(v, frame.signs) for v in decisions[-1].null]
+    germs = [vector_to_germ(v, frame.signs) for v in fixed_basis(decisions[-1].null)]
     return report, [KillingGerm(xi=frame.e @ h.xi / frame.kappa,
                                 a=frame.e @ h.a @ frame.einv) for h in germs]
 

@@ -34,6 +34,34 @@ def numerical_rank(matrix, tol):
     return RankDecision(rank, margin, vh[:rank], null)
 
 
+def fixed_basis(rows, fixed=None):
+    """An orthonormal basis of the span of the orthonormal ``rows``, chosen
+    by a fixed rule, so that rounding in the rows cannot turn it within the
+    span: the vectors of the orthonormal ``fixed`` basis (rows, the standard
+    basis by default), in order, projected onto the span and orthonormalised
+    one after the other, each turned to meet its fixed vector positively.  A
+    projection that the vectors before it leave with less than 1/(2 sqrt(m))
+    of unit length (m fixed vectors) is skipped: the projections left over
+    then hold less than a quarter in all, so the rule always finds as many
+    vectors as the span has dimensions.  A span that holds every fixed
+    vector gets the fixed basis itself."""
+    if len(rows) == 0:
+        return rows
+    coords = rows if fixed is None else rows @ fixed.T   # projections, over the rows
+    floor = 0.5 / np.sqrt(coords.shape[1])
+    picked = []
+    for v in coords.T:
+        for _ in range(2):   # twice is enough (Gram-Schmidt with reorthogonalisation)
+            for w in picked:
+                v = v - (w @ v) * w
+        norm = np.linalg.norm(v)
+        if norm > floor:
+            picked.append(v / norm)
+            if len(picked) == len(rows):
+                break
+    return np.array(picked) @ rows
+
+
 def stabilise(decide, m_max, count):
     """Take the rank decisions of ``count`` points in lockstep, for
     m = 0, 1, ...: ``decide(m, active)`` returns the decision at order m of

@@ -132,3 +132,55 @@ def test_nullity_dominates_candidate_count():
         rep = infinitesimal_holonomy(spec, m_max=m)
         assert spec.dim - numerical_rank(rows, 1e-8).rank == rep.nullity
         assert rep.nullity >= len(rep.candidates)
+
+
+# -- bases by a fixed rule --------------------------------------------------------
+
+def _basis_charts():
+    from test_tower import CHARTS
+    return {**CHARTS,
+            "sphere2xeuclidean2": lambda: product_metric(builtin("sphere2"),
+                                                         builtin("euclidean", n=2)).combined,
+            "cw1xcw1": lambda: product_metric(*[builtin("cahen_wallach", n=1, q=1.0)] * 2
+                                              ).combined}
+
+
+@pytest.mark.parametrize("chart", sorted(_basis_charts()))
+def test_rounding_in_the_rows_does_not_turn_the_bases(chart, monkeypatch):
+    # the holonomy generators and candidates and the kernel germs, with every
+    # matrix ranked perturbed by a relative 1e-15, move by at most 1e-12
+    from killingkit import holonomy, killing, rank
+    from killingkit.killing import kernel_germs
+    spec = _basis_charts()[chart]()
+    want_hol, (_, want_germs) = infinitesimal_holonomy(spec), kernel_germs(spec)
+    rng = np.random.default_rng(0)
+
+    def perturbed(matrix, tol):
+        return rank.numerical_rank(matrix * (1 + 1e-15 * rng.standard_normal(matrix.shape)),
+                                   tol)
+
+    for module in (holonomy, killing):
+        monkeypatch.setattr(module, "numerical_rank", perturbed)
+    got_hol, (_, got_germs) = infinitesimal_holonomy(spec), kernel_germs(spec)
+    assert got_hol.dims == want_hol.dims and len(got_germs) == len(want_germs)
+    pairs = [(got_hol.generators, want_hol.generators),
+             (got_hol.candidates, want_hol.candidates)]
+    pairs += [(g.xi, w.xi) for g, w in zip(got_germs, want_germs)]
+    pairs += [(g.a, w.a) for g, w in zip(got_germs, want_germs)]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+
+
+def test_a_span_of_every_fixed_vector_gets_the_fixed_basis():
+    from killingkit.rank import fixed_basis
+    rng = np.random.default_rng(3)
+    fixed = np.linalg.qr(rng.standard_normal((5, 5)))[0].T
+    rows = np.linalg.qr(rng.standard_normal((5, 5)))[0].T
+    np.testing.assert_allclose(fixed_basis(rows, fixed), fixed, atol=1e-14)
+    np.testing.assert_allclose(fixed_basis(rows), np.eye(5), atol=1e-14)
+    # a plane through e1 + e2 and e3: the projections of e1, e2 and e3 in order
+    plane = np.array([[1.0, 1.0, 0, 0, 0], [0, 0, 1.0, 0, 0]])
+    plane[0] /= np.sqrt(2.0)
+    basis = fixed_basis(np.linalg.qr(rng.standard_normal((2, 2)))[0] @ plane)
+    np.testing.assert_allclose(basis, plane, atol=1e-14)
