@@ -20,7 +20,7 @@ so three computations fall out of one construction:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -137,13 +137,17 @@ def sample_field(spec, fld, points):
     """``FieldSamples`` of a field (``fld``: its component expressions or, to
     sample one field several times from one compiled tape, its
     ``field_jets``) from one batched evaluation of the chart and one of the
-    field at ``points``; only if that raises, each point alone, the chart
-    first, to find the bad ones."""
+    field at ``points``.  Only if that raises, each point is evaluated alone,
+    the chart first, to find the bad ones, and the good ones once more in
+    one batch, whose failure is raised."""
     jets_at = fld if callable(fld) else field_jets(spec, fld)
     points = np.asarray(points, dtype=np.float64).reshape(-1, spec.dim)
+
+    def samples(batch, errors):
+        return FieldSamples(CurvatureData.compute(spec, batch, m_max=0),
+                            JetTensor(jets_at(batch, 2), jet_space(spec.dim, 2)), errors)
     try:
-        return FieldSamples(CurvatureData.compute(spec, points, m_max=0),
-                            JetTensor(jets_at(points, 2), jet_space(spec.dim, 2)), [])
+        return samples(points, [])
     except ValueError:
         good, errors = [], []
     for p in points:
@@ -153,7 +157,7 @@ def sample_field(spec, fld, points):
             good.append(p)
         except ValueError as exc:
             errors.append((tuple(map(float, p)), exc))
-    return replace(sample_field(spec, jets_at, good), errors=errors)
+    return samples(np.reshape(good, (-1, spec.dim)), errors)
 
 
 @dataclass

@@ -93,6 +93,26 @@ def test_known_fields_are_killing(name, params):
         assert chk.passed, (field, chk.max_residual)
 
 
+def test_a_batch_failure_no_point_reproduces_is_raised(monkeypatch):
+    # a batch that fails though each of its points evaluates alone: the good
+    # points are evaluated together once more, and that failure is raised
+    from killingkit import killing
+    compute = killing.CurvatureData.compute
+
+    def fails_on_batches(spec, point=None, m_max=1):
+        if np.ndim(point) == 2 and len(point) > 1:
+            raise ValueError("batch of more than one point")
+        return compute(spec, point, m_max=m_max)
+
+    monkeypatch.setattr(killing.CurvatureData, "compute", fails_on_batches)
+    eu = builtin("euclidean", n=2)
+    with pytest.raises(ValueError, match="batch of more than one point"):
+        sample_field(eu, ["-x2", "x1"], sample(eu))
+    # a batch of one point, or of none, evaluates
+    assert verify_killing(sample_field(eu, ["-x2", "x1"], sample(eu)[:1])).passed
+    assert len(sample_field(eu, ["-x2", "x1"], np.zeros((0, 2))).curv.point) == 0
+
+
 def test_domain_error_is_per_point():
     hy = builtin("hyperbolic2")
     pts = [(0.0, 1.0), (0.0, 0.0)]  # second point leaves the chart (y = 0)
