@@ -57,8 +57,9 @@ def inverse_metric(g):
     e = JetTensor(-em, g.space)  # -E
     acc = e
     term = e
+    operators = {}   # -E's multiplication operator, built once for every power
     for _ in range(g.order - 1):
-        term = tensor_product(f"{p}ia,{p}ab->{p}ib", e, term)
+        term = tensor_product(f"{p}ia,{p}ab->{p}ib", e, term, None, operators)
         acc = acc + term
     total = acc.array.copy()
     total[..., 0] += np.eye(n)
@@ -119,16 +120,20 @@ def covariant_derivative(tensor, variance, gamma):
     gl = gamma.truncated(min(gamma.order, q))
     letters = _VAR_LETTERS[:rank]
     t_trunc = tensor.truncated(q)
+    # every slot contracts the same two jet tensors, so Gamma's
+    # multiplication operator is built once for the upper slots and once
+    # for the lower ones
+    operators = {}
     for s, v in enumerate(variance):
         slot = letters[s]
         contracted = p + letters[:s] + "A" + letters[s + 1:]
         out_sub = p + letters + "Z"
         if v == "u":
-            term = tensor_product(f"{p}{slot}ZA,{contracted}->{out_sub}", gl, t_trunc, q)
-            out = out + term
+            out.array += tensor_product(f"{p}{slot}ZA,{contracted}->{out_sub}", gl, t_trunc,
+                                        q, operators).array
         else:
-            term = tensor_product(f"{p}AZ{slot},{contracted}->{out_sub}", gl, t_trunc, q)
-            out = out - term
+            out.array -= tensor_product(f"{p}AZ{slot},{contracted}->{out_sub}", gl, t_trunc,
+                                        q, operators).array
     return out
 
 

@@ -16,9 +16,10 @@ Two layers live here:
   elementary function outside its domain, or an output with a non-finite
   coefficient).
 * ``JetTensor`` -- a numpy array of coefficient vectors (component axes first,
-  coefficient axis last) with vectorised convolution/contraction helpers: the
-  carrier of every jet the curvature engine reads, from the tape's metric
-  jets on.
+  coefficient axis last): the carrier of every jet the curvature engine
+  reads, from the tape's metric jets on.  ``tensor_product`` contracts two
+  of them with a truncated Cauchy product, as one matrix product with the
+  multiplication operator of the operand with fewer components.
 
 The Cauchy product and the elementary-function series act on coefficient
 arrays with any leading axes, so the tape runs one implementation on a batch
@@ -460,26 +461,67 @@ class JetTensor:
 
 _CHUNK_ELEMS = 30_000_000
 
-# A contraction takes the sparse path when its dense work (table pairs times
-# the product of all index sizes) is at least this, and at most a quarter of
-# its component pairs join two nonzero components.  Below it, finding the
-# supports (about 0.1 ms) costs more than skipping the zero pairs saves.
-# Measured per call over the benchmark's three workloads at seeds 5 and 9
-# (2-vCPU host, one BLAS thread): the summed contraction time was lowest
-# between 2e4 and 5e4 on each, and the sparse path on every call made it
-# about 40% slower than all-dense on kernel.  Any share from 5% to 40%
-# picked the same path on every call.
-_SPARSE_MIN_WORK = 40_000
+# ``tensor_product`` takes each contraction one of three ways, chosen from
+# shapes, orders and supports only, never from the number of points, and
+# point by point (a batch whose points would choose differently is taken
+# one point at a time), so a point's result is the same bit for bit alone
+# or in a batch.
+#
+# * The operator, by default: the operand with fewer components becomes its
+#   multiplication operator and the contraction is one matrix product.  Its
+#   matrix holds (y coefficients) x (output coefficients) entries per
+#   component against the table's pairs, a fill that grows with the order;
+#   past ``_OPERATOR_MAX_FILL`` the gather is faster, and the operator is
+#   also not taken where it would hold more floats than the gather and more
+#   than ``_OPERATOR_SMALL`` a point.  Measured, operator against gather, us
+#   a call (2-vCPU host, one BLAS thread, random dense operands):
+#
+#     contraction        n  order  fill  operator  gather
+#     ia,ab->ib          4    4     9.9     103      243
+#     ia,ab->ib          6    3    15.5     359      407
+#     ia,ab->ib          6    4    24.2    2158     1744
+#     ia,ab->ib          8    3    28.1    2306     1535
+#     kl,lij->kij        6    3    15.5     670      983
+#     kl,lij->kij        6    4    24.2    4041     3399
+#     lim,mjk->lkij      6    3    15.5    4354     5520
+#     aZA,Abcd->abcdZ    6    2     8.6    1847     5851
+#     aZA,Abcd->abcdZ    8    1     4.8    1330     6227
+#
+# * The join, where the way above costs at least ``_SPARSE_MIN_WORK``
+#   operator multiply-adds a point (the gather's at ``_GATHER_COST`` each)
+#   and the pairs of nonzero components cost less, at ``_JOIN_COST`` each
+#   plus ``_SPARSE_MIN_WORK``: only those pairs are multiplied.  Finding the
+#   supports and joining them costs 0.1-0.3 ms, each joined multiply-add
+#   6-10 ns, an operator one about 0.07 ns and a gathered one 1.5-4 ns.
+#   Measured on the contractions of product charts, operator against join,
+#   us a call:
+#
+#     contraction        n  order  operator madds  joined madds  operator  join
+#     aZA,Abcd->abcdZ    6    1       2.3e6              52          231   333
+#     lim,mjk->lkij      8    1       2.7e6              68          274   279
+#     lim,mjk->lkij      6    2       6.1e6             182          536   270
+#     kl,lij->kij        8    2       8.3e6            1836          644   354
+#
+# * The gather, beyond the operator's fill or memory, or where a point has a
+#   non-finite coefficient, which the operator's zero entries would spread
+#   where no pair meets it: both operands are gathered along the table and
+#   multiplied by one einsum over every component pair.
+_SPARSE_MIN_WORK = 3_000_000
+_JOIN_COST = 128
+_GATHER_COST = 40
+_OPERATOR_MAX_FILL = 20
+_OPERATOR_SMALL = 2 ** 17
+_OPERATOR, _JOIN, _GATHER = range(3)
 
 
 def _support(arr, letters, weights):
     """The components of ``arr`` whose jets are not identically zero: their
-    jets, and for each dict of letter weights in ``weights``, the sum of
-    their index along each letter times its weight (a flat index)."""
+    flat indices, and for each dict of letter weights in ``weights``, the
+    sum of their index along each letter times its weight (a flat index)."""
     nz = arr.any(axis=-1)
     rows = np.flatnonzero(nz)
     w = np.array([[wt.get(c, 0) for c in letters] for wt in weights], dtype=np.int64)
-    return arr.reshape(-1, arr.shape[-1])[rows], w @ np.array(np.unravel_index(rows, nz.shape))
+    return rows, w @ np.array(np.unravel_index(rows, nz.shape))
 
 
 def _strides(letters, dims):
@@ -491,105 +533,261 @@ def _strides(letters, dims):
     return out
 
 
-def _sparse_product(ga, gb, join, tab, out_shape, out_space):
-    """The contraction of ``tensor_product`` over joined pairs of nonzero
-    components only.  ``ga`` and ``gb`` hold the nonzero components' jets
-    gathered along the table; ``join`` is, for each joined pair, its entry
-    in ``ga``, its entry in ``gb`` and its flat output index, sorted by that
-    index.  Pairs with one output index are summed before the segment sum
-    over coefficients, as in the dense path, and the sums are scattered into
-    a zero output."""
-    ia, ib, fo = join
-    coeffs = np.zeros((math.prod(out_shape), out_space.size))
-    block = max(1, _CHUNK_ELEMS // len(tab.ai))
-    for lo in range(0, len(fo), block):
-        f = fo[lo:lo + block]
-        first = np.flatnonzero(np.diff(f, prepend=-1))
-        prod = ga[ia[lo:lo + block]] * gb[ib[lo:lo + block]]
-        if len(first) < len(f):
-            prod = np.add.reduceat(prod, first, axis=0)
-        coeffs[f[first]] += np.add.reduceat(prod, tab.starts, axis=-1)
-    return coeffs.reshape(out_shape + (out_space.size,))
-
-
-def _sparse_join(la, lb, out_sub, a, b, tab, dims):
-    """The operands of ``_sparse_product``, or None when the dense path
-    should run: more than a quarter of the component pairs join two nonzero
-    components, or a nonzero component has a non-finite coefficient (whose
-    products with zero components the dense path would keep)."""
+def _join(la, lb, out_sub, batch, a, b, dims):
+    """The pairs of nonzero components that meet in a contraction: their
+    number at each point of the batch, and a function that lists them: the
+    supports' jets, and for each pair its entry in each support and its flat
+    output index, sorted by that index."""
     shared = [c for c in la if c in lb]
     key = _strides(shared, dims)
     out = _strides(out_sub, dims)
-    ja, (key_a, out_a) = _support(a, la, (key, out))
-    jb, (key_b, out_b) = _support(b, lb, (key, {c: w for c, w in out.items() if c not in la}))
+    rows_a, (key_a, out_a, point_a) = _support(a, la, (key, out, _strides(batch, dims)))
+    rows_b, (key_b, out_b) = _support(b, lb, (key, {c: w for c, w in out.items() if c not in la}))
     count_b = np.bincount(key_b, minlength=math.prod(dims[c] for c in shared))
     reps = count_b[key_a]
-    joined = int(reps.sum())
-    if 4 * joined > math.prod(dims.values()):
-        return None
-    if not (np.isfinite(ja).all() and np.isfinite(jb).all()):
-        return None
-    # in key order, the b entries an a entry meets are the run of its key
-    by_key = np.argsort(key_b, kind="stable")
-    run_start = (np.cumsum(count_b) - count_b)[key_a]
-    ia = np.repeat(np.arange(len(reps)), reps)
-    within = np.arange(joined) - np.repeat(np.cumsum(reps) - reps, reps)
-    ib = by_key[np.repeat(run_start, reps) + within]
-    fo = out_a[ia] + out_b[ib]
-    order = np.argsort(fo, kind="stable")
-    return ja[:, tab.ai], jb[:, tab.bi], (ia[order], ib[order], fo[order])
+
+    def pairs():
+        # in key order, the b entries an a entry meets are the run of its key
+        by_key = np.argsort(key_b, kind="stable")
+        run_start = (np.cumsum(count_b) - count_b)[key_a]
+        ia = np.repeat(np.arange(len(reps)), reps)
+        within = np.arange(len(ia)) - np.repeat(np.cumsum(reps) - reps, reps)
+        ib = by_key[np.repeat(run_start, reps) + within]
+        fo = out_a[ia] + out_b[ib]
+        order = np.argsort(fo, kind="stable")
+        return (a.reshape(-1, a.shape[-1])[rows_a], b.reshape(-1, b.shape[-1])[rows_b],
+                (ia[order], ib[order], fo[order]))
+    return np.bincount(point_a, weights=reps, minlength=math.prod(dims[c] for c in batch)), pairs
 
 
-def tensor_product(sub, a, b, order=None):
-    """Contraction of two JetTensors with a truncated Cauchy product.
+def _joined_product(ja, jb, join, tab, out_shape, out_space):
+    """The contraction over the pairs of nonzero components of ``_join``
+    only.  Pairs with one output index are summed before the segment sum
+    over coefficients, and the sums fill a zero output.  The blocks of
+    pairs end where an output index does, so each output is summed at once,
+    whatever else the contraction holds."""
+    ia, ib, fo = join
+    ga, gb = ja[:, tab.ai], jb[:, tab.bi]
+    coeffs = np.zeros((math.prod(out_shape), out_space.size))
+    block = max(1, _CHUNK_ELEMS // len(tab.ai))
+    bounds = np.searchsorted(fo, fo[::block])
+    bounds = np.append(bounds[np.diff(bounds, prepend=-1) > 0], len(fo))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        f = fo[lo:hi]
+        first = np.flatnonzero(np.diff(f, prepend=-1))
+        prod = ga[ia[lo:hi]] * gb[ib[lo:hi]]
+        if len(first) < len(f):
+            prod = np.add.reduceat(prod, first, axis=0)
+        coeffs[f[first]] = np.add.reduceat(prod, tab.starts, axis=-1)
+    return coeffs.reshape(out_shape + (out_space.size,))
 
-    ``sub`` is an einsum subscript over the component axes only, e.g.
-    ``'kl,lij->kij'``; the coefficient axes convolve.  A large contraction
-    whose component pairs are mostly zero multiplies only the pairs of
-    nonzero components; the terms it skips are exact zeros.
-    """
-    lhs, out_sub = sub.split("->")
-    la, lb = lhs.split(",")
-    if order is None:
-        order = min(a.order, b.order)
-    out_space = jet_space(a.n_vars, order)
-    tab = _mul_table(a.n_vars, a.order, b.order, order)
-    used = set(la) | set(lb) | set(out_sub)
-    t = next(c for c in string.ascii_letters if c not in used)
-    expr = f"{la}{t},{lb}{t}->{out_sub}{t}"
 
-    dims = {}
-    for letters, arr in ((la, a.array), (lb, b.array)):
-        for axis, c in enumerate(letters):
-            dims[c] = arr.shape[axis]
-    out_shape = tuple(dims[c] for c in out_sub)
-    out_comp = math.prod(out_shape)
-
-    npairs = len(tab.ai)
-    # the join needs each letter once per operand and one size per letter
-    if (npairs * math.prod(dims.values()) >= _SPARSE_MIN_WORK and la and lb
-            and len(set(la)) == len(la) and len(set(lb)) == len(lb)
-            and a.array.shape[:-1] == tuple(dims[c] for c in la)):
-        operands = _sparse_join(la, lb, out_sub, a.array, b.array, tab, dims)
-        if operands is not None:
-            return JetTensor(_sparse_product(*operands, tab, out_shape, out_space), out_space)
-
+def _gathered_product(expr, a, b, tab, out_shape, out_space):
+    """The contraction over every component pair: both operands gathered
+    along the table, one einsum over every index letter and the pair axis,
+    and the segment sum; in blocks of output coefficients where the einsum
+    would exceed ``_CHUNK_ELEMS`` entries."""
+    npairs, out_comp = len(tab.ai), math.prod(out_shape)
     if out_comp * npairs <= _CHUNK_ELEMS or len(tab.starts) == 1:
-        prod = np.einsum(expr, a.array[..., tab.ai], b.array[..., tab.bi])
-        coeffs = np.add.reduceat(prod, tab.starts, axis=-1)
-        return JetTensor(coeffs, out_space)
-
-    # Large intermediate: process blocks of output coefficients.
+        return np.add.reduceat(np.einsum(expr, a[..., tab.ai], b[..., tab.bi]),
+                               tab.starts, axis=-1)
     coeffs = np.empty(out_shape + (out_space.size,))
     block = max(1, _CHUNK_ELEMS // max(1, out_comp * (npairs // len(tab.starts) + 1)))
     starts = list(tab.starts) + [npairs]
     for lo in range(0, out_space.size, block):
         hi = min(lo + block, out_space.size)
         s0, s1 = starts[lo], starts[hi]
-        prod = np.einsum(expr, a.array[..., tab.ai[s0:s1]], b.array[..., tab.bi[s0:s1]])
-        local = np.asarray(starts[lo:hi]) - s0
-        coeffs[..., lo:hi] = np.add.reduceat(prod, local, axis=-1)
-    return JetTensor(coeffs, out_space)
+        prod = np.einsum(expr, a[..., tab.ai[s0:s1]], b[..., tab.bi[s0:s1]])
+        coeffs[..., lo:hi] = np.add.reduceat(prod, np.asarray(starts[lo:hi]) - s0, axis=-1)
+    return coeffs
+
+
+def _own_letters(letters, others):
+    """``letters`` with each repeated letter once and each letter that
+    ``others`` does not name dropped: the operand's diagonal, summed over
+    the letters no one else reads."""
+    return "".join(dict.fromkeys(c for c in letters if c in others))
+
+
+_Plan = namedtuple("_Plan", "la lb out_sub norm_a norm_b dims batch lead out_shape fill held "
+                            "madds dense x_perm x_shape op_shape scatter y_size y_perm y_shape "
+                            "res_shape out_perm key")
+
+
+@lru_cache(maxsize=None)
+def _scatter_index(n_vars, qa, qb, qout, x_is_a, n_free):
+    """Where the multiplication operator of the operand x (``a`` when
+    ``x_is_a``) puts the pairs of the table: for each of x's ``n_free``
+    free components and each pair, the flat index of (the other operand's
+    coefficient beta, free component, output coefficient gamma) within the
+    operator's rows of one summed component; and x's coefficient of each
+    pair, gamma - beta."""
+    tab = _mul_table(n_vars, qa, qb, qout)
+    out_size = jet_space(n_vars, qout).size
+    gi = np.repeat(np.arange(out_size), np.diff(np.append(tab.starts, len(tab.ai))))
+    xi, yi = (tab.ai, tab.bi) if x_is_a else (tab.bi, tab.ai)
+    return (yi * n_free + np.arange(n_free)[:, None]) * out_size + gi, xi
+
+
+@lru_cache(maxsize=None)
+def _plan(sub, a_shape, b_shape, n_vars, qa, qb, order):
+    """What the shapes and orders tell about one contraction: the letters'
+    roles, the numbers ``tensor_product`` chooses its way by (the
+    operator's fill, the floats each way holds, the operator's
+    multiply-adds and those over every component pair) and the layout of
+    the operator's matrix product.
+
+    The operand x with fewer components (batch letters aside) becomes the
+    operator, of shape (summed components x the other operand's
+    coefficients beta, free components x output coefficients gamma): x's
+    coefficient gamma - beta where that is a multi-index of x, else zero.
+    The other operand, y, is laid out as (y's free components, summed
+    components x beta), and the matrix product of the two is the result
+    with its components as (y's free ones, x's free ones)."""
+    lhs, out_sub = sub.split("->")
+    la0, lb0 = lhs.split(",")
+    dims = {**dict(zip(la0, a_shape)), **dict(zip(lb0, b_shape))}
+    la = _own_letters(la0, lb0 + out_sub)
+    lb = _own_letters(lb0, la + out_sub)
+    batch = "".join(c for c in out_sub if c in la and c in lb)
+    lead = tuple(dims[c] for c in batch)
+
+    def size(letters):
+        return math.prod(dims[c] for c in letters if c not in batch)
+
+    x_is_a = size(la) <= size(lb)
+    lx, ly, qy = (la, lb, qb) if x_is_a else (lb, la, qa)
+    summed = "".join(c for c in lx if c in ly and c not in batch)
+    free_x = "".join(c for c in lx if c not in ly)
+    free_y = "".join(c for c in ly if c not in lx)
+    n_sum, n_free, n_free_y = size(summed), size(free_x), size(free_y)
+    npairs = len(_mul_table(n_vars, qa, qb, order).ai)
+    y_size = jet_space(n_vars, min(qy, order)).size
+    out_size = jet_space(n_vars, order).size
+    madds = size(ly) * y_size * n_free * out_size
+    # the floats each way holds at a point: the operator, y laid out and the
+    # product; both operands gathered along the table and the einsum
+    held = (n_sum * n_free * y_size * out_size + size(ly) * y_size + size(out_sub) * out_size,
+            (size(la) + size(lb) + size(out_sub)) * npairs)
+    res = batch + free_y + free_x
+    return _Plan(
+        la=la, lb=lb, out_sub=out_sub, dims=dims, batch=batch, lead=lead,
+        norm_a=None if la == la0 else f"{la0}...->{la}...",
+        norm_b=None if lb == lb0 else f"{lb0}...->{lb}...",
+        out_shape=tuple(dims[c] for c in out_sub), fill=y_size * out_size / npairs,
+        held=held, madds=madds, dense=npairs * size("".join(dims)),
+        x_perm=tuple(lx.index(c) for c in batch + summed + free_x) + (len(lx),),
+        x_shape=lead + (n_sum, n_free, npairs),
+        op_shape=(lead + (n_sum, y_size * n_free * out_size),
+                  lead + (n_sum * y_size, n_free * out_size)),
+        scatter=(n_vars, qa, qb, order, x_is_a, n_free),
+        y_size=y_size, y_perm=tuple((ly + ".").index(c) for c in batch + free_y + summed + "."),
+        y_shape=lead + (n_free_y, n_sum * y_size),
+        res_shape=tuple(dims[c] for c in res) + (out_size,),
+        out_perm=tuple(res.index(c) for c in out_sub) + (len(res),),
+        key=(x_is_a, "".join("b" if c in batch else "s" if c in summed else "f" for c in lx),
+             order))
+
+
+def _finite_points(letters, arr, batch, n_points):
+    """Whether each point of the batch (the batch letters flattened in the
+    order of ``batch``) has only finite coefficients in ``arr``."""
+    ok = np.isfinite(arr).all(axis=-1)
+    ok = np.moveaxis(ok, [letters.index(c) for c in batch], range(len(batch)))
+    return ok.reshape(n_points, ok.size // max(n_points, 1)).all(axis=1)
+
+
+def _ways(p, xa, xb, npairs):
+    """The way each point of the batch takes (one for a batch of none), and
+    the join's lister of pairs when a point takes the join, else None.
+
+    The operator, unless its fill or the floats it holds rule it out; then
+    the gather.  Where that way's cost, in operator multiply-adds, reaches
+    ``_SPARSE_MIN_WORK``, the supports are looked at, and a point whose
+    joined pairs cost less takes the join.  A point with a non-finite
+    coefficient takes the gather."""
+    if p.fill <= _OPERATOR_MAX_FILL and p.held[0] <= max(p.held[1], _OPERATOR_SMALL):
+        way, cost = _OPERATOR, p.madds
+    else:
+        way, cost = _GATHER, _GATHER_COST * p.dense
+    look = bool(p.la and p.lb) and cost >= _SPARSE_MIN_WORK
+    finite = np.isfinite(xa).all() and np.isfinite(xb).all()
+    if finite and not look:
+        return [way], None
+    n_points = math.prod(p.lead)
+    if not n_points:
+        return [way], None
+    finite = (np.ones(n_points, dtype=bool) if finite
+              else _finite_points(p.la, xa, p.batch, n_points)
+              & _finite_points(p.lb, xb, p.batch, n_points))
+    ways = np.where(finite, way, _GATHER)
+    pairs = None
+    if look:
+        counts, pairs = _join(p.la, p.lb, p.out_sub, p.batch, xa, xb, p.dims)
+        ways[finite & (_SPARSE_MIN_WORK + _JOIN_COST * npairs * counts < cost)] = _JOIN
+    ways = ways.tolist()
+    return ways, pairs if _JOIN in ways else None
+
+
+def tensor_product(sub, a, b, order=None, operators=None):
+    """Contraction of two JetTensors with a truncated Cauchy product.
+
+    ``sub`` is an einsum subscript over the component axes only, e.g.
+    ``'kl,lij->kij'``; the coefficient axes convolve.  A letter in both
+    operands and in the output is a batch letter, such as the point axis P.
+
+    The operand with fewer components (batch letters aside) becomes its
+    multiplication operator, and the contraction is one matrix product,
+    batched over the batch letters.  A large contraction whose component
+    pairs are mostly zero multiplies only the pairs of nonzero components
+    instead, and high orders (where the operator is mostly zeros) and
+    non-finite coefficients gather both operands along the multiplication
+    table (see ``_SPARSE_MIN_WORK``).  Each way agrees with the sum over
+    every component pair up to the order of summation.
+
+    ``operators`` is a dict in which the operators built are kept for
+    reuse: pass one dict only to calls whose operand with fewer components
+    (``a`` on a tie), the one made an operator, is the same JetTensor.
+    """
+    if order is None:
+        order = min(a.order, b.order)
+    out_space = jet_space(a.n_vars, order)
+    tab = _mul_table(a.n_vars, a.order, b.order, order)
+    p = _plan(sub, a.array.shape[:-1], b.array.shape[:-1], a.n_vars, a.order, b.order, order)
+    xa = a.array if p.norm_a is None else np.einsum(p.norm_a, a.array)
+    xb = b.array if p.norm_b is None else np.einsum(p.norm_b, b.array)
+
+    ways, pairs = _ways(p, xa, xb, len(tab.ai))
+    if len(set(ways)) > 1:
+        # the points disagree: each is taken as it would be alone
+        coeffs = np.empty(p.out_shape + (out_space.size,))
+        drop = {ord(c): None for c in p.batch}
+        alone = f"{p.la.translate(drop)},{p.lb.translate(drop)}->{p.out_sub.translate(drop)}"
+        for point in np.ndindex(p.lead):
+            at = dict(zip(p.batch, point))
+            pa, pb, po = (tuple(at.get(c, slice(None)) for c in s)
+                          for s in (p.la, p.lb, p.out_sub))
+            coeffs[po] = tensor_product(alone, JetTensor(xa[pa], a.space),
+                                        JetTensor(xb[pb], b.space), order).array
+        return JetTensor(coeffs, out_space)
+    way = ways[0]
+    if way == _JOIN:
+        return JetTensor(_joined_product(*pairs(), tab, p.out_shape, out_space), out_space)
+    if way == _GATHER:
+        return JetTensor(_gathered_product(f"{p.la}...,{p.lb}...->{p.out_sub}...", xa, xb,
+                                           tab, p.out_shape, out_space), out_space)
+
+    x, y = (xa, xb) if p.key[0] else (xb, xa)
+    op = None if operators is None else operators.get(p.key)
+    if op is None:
+        index, xi = _scatter_index(*p.scatter)
+        op = np.zeros(p.op_shape[0])
+        op[..., index] = np.take(x.transpose(p.x_perm), xi, axis=-1).reshape(p.x_shape)
+        op = op.reshape(p.op_shape[1])
+        if operators is not None:
+            operators[p.key] = op
+    res = np.matmul(y[..., :p.y_size].transpose(p.y_perm).reshape(p.y_shape), op)
+    return JetTensor(res.reshape(p.res_shape).transpose(p.out_perm), out_space)
 
 
 def tensor_deriv(a):

@@ -173,25 +173,41 @@ def test_deriv_consistency_with_partial():
     assert d.array[0, 0] == pytest.approx(partial_value(f, s, (1, 0)))
 
 
+# The ways of ``tensor_product``, each forced by its thresholds: the
+# operator, the gather along the table and the join of nonzero components.
+WAYS = {"operator": {"_OPERATOR_MAX_FILL": math.inf, "_OPERATOR_SMALL": math.inf,
+                     "_SPARSE_MIN_WORK": math.inf},
+        "gather": {"_OPERATOR_MAX_FILL": -1, "_SPARSE_MIN_WORK": math.inf},
+        "join": {"_SPARSE_MIN_WORK": 0, "_JOIN_COST": 0}}
+
+
 @pytest.mark.parametrize("chunk", [1, 1000, 5000])
 def test_tensor_product_chunked_matches_unchunked(monkeypatch, chunk):
     # the shape of a covariant-derivative term: a connection slot contracted
-    # into the curvature, the derivative slot Z appended last
+    # into the curvature, the derivative slot Z appended last.  The gather
+    # and the join multiply in blocks of at most _CHUNK_ELEMS entries.
     from killingkit import jets
     rng = np.random.default_rng(11)
     s = jet_space(3, 3)
     gamma = jets.JetTensor(rng.normal(size=(3, 3, 3, s.size)), s)
     r = jets.JetTensor(rng.normal(size=(3, 3, 3, 3, s.size)), s)
-    for order in (None, 2):
-        whole = jets.tensor_product("aZA,Abcd->abcdZ", gamma, r, order)
-        einsum, calls = np.einsum, []
-        monkeypatch.setattr(jets, "_CHUNK_ELEMS", chunk)
-        monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(1) or einsum(*a, **k))
-        chunked = jets.tensor_product("aZA,Abcd->abcdZ", gamma, r, order)
-        monkeypatch.undo()
-        assert len(calls) > 1
-        assert chunked.space is whole.space
-        assert np.allclose(chunked.array, whole.array, rtol=1e-14, atol=1e-13)
+    r.array[1] = 0.0   # zero components for the join to skip
+    for way in ("gather", "join"):
+        for order in (None, 2):
+            whole = jets.tensor_product("aZA,Abcd->abcdZ", gamma, r, order)
+            # one einsum a block of the gather; one flatnonzero a support
+            # and a block of the join
+            spied = {"gather": "einsum", "join": "flatnonzero"}[way]
+            real, calls = getattr(np, spied), []
+            with monkeypatch.context() as m:
+                for name, value in WAYS[way].items():
+                    m.setattr(jets, name, value)
+                m.setattr(jets, "_CHUNK_ELEMS", chunk)
+                m.setattr(np, spied, lambda *a, **k: calls.append(1) or real(*a, **k))
+                chunked = jets.tensor_product("aZA,Abcd->abcdZ", gamma, r, order)
+            assert len(calls) > {"gather": 1, "join": 3}[way]
+            assert chunked.space is whole.space
+            assert np.allclose(chunked.array, whole.array, rtol=1e-14, atol=1e-13)
 
 
 # The contractions of curvature.py and killing.py, each also taken with the
@@ -274,42 +290,46 @@ def _dense_random_chart(n, seed):
 def test_the_path_switch_follows_the_work_and_the_support(monkeypatch):
     from killingkit import curvature, jets, metricdsl
     from killingkit.product import product_metric
-    taken, calls = [], []
-    sparse = jets._sparse_product
-    monkeypatch.setattr(jets, "_sparse_product", lambda *args: taken.append(1) or sparse(*args))
-    contract = jets.tensor_product
+    calls, looked = [], []
+    ways, join = jets._ways, jets._join
 
-    def spy(sub, a, b, order=None):
-        before = len(taken)
-        result = contract(sub, a, b, order)
-        q = min(a.order, b.order) if order is None else order
-        dims = {}
-        for letters, t in zip(sub.split("->")[0].split(","), (a, b)):
-            dims.update(zip(letters, t.shape))
-        pairs = len(jets._mul_table(a.n_vars, a.order, b.order, q).ai)
-        work = pairs * math.prod(dims.values())
-        calls.append((chart, sub, work, len(taken) > before))
-        return result
+    def spy_ways(p, xa, xb, npairs):
+        taken, pairs = ways(p, xa, xb, npairs)
+        calls.append((chart, f"{p.la},{p.lb}->{p.out_sub}", p, taken[0]))
+        return taken, pairs
 
-    monkeypatch.setattr(curvature, "tensor_product", spy)
+    monkeypatch.setattr(jets, "_ways", spy_ways)
+    monkeypatch.setattr(jets, "_join", lambda *args: looked.append(chart) or join(*args))
     cw1 = metricdsl.builtin("cahen_wallach", n=1, q=1.0)
     chart = "cw1xcw1"
-    curvature.CurvatureData.compute(product_metric(cw1, cw1).combined, m_max=1)
-    chart = "dense4"
-    curvature.CurvatureData.compute(_dense_random_chart(4, 7), m_max=2)
+    curvature.CurvatureData.compute(product_metric(cw1, cw1).combined, m_max=2)
+    chart = "dense6"
+    curvature.CurvatureData.compute(_dense_random_chart(6, 7), m_max=2)
 
-    # the covariant derivative of the curvature on the product is sparse
-    nabla_r = [c for c in calls if c[0] == "cw1xcw1" and c[1].endswith("->abcdZ")]
-    assert len(nabla_r) == 4 and all(c[3] for c in nabla_r)
-    # the random chart is dense wherever its work would allow the sparse path
-    dense = [c for c in calls if c[0] == "dense4"]
-    assert any(c[2] >= jets._SPARSE_MIN_WORK for c in dense)
-    assert not any(c[3] for c in dense)
-    # and no contraction under the threshold pays for finding supports; on
-    # the product, those of the inverse metric are under it
-    assert not any(c[3] for c in calls if c[2] < jets._SPARSE_MIN_WORK)
-    inverse = [c for c in calls if c[0] == "cw1xcw1" and c[1] == "ia,ab->ib"]
-    assert inverse and not any(c[3] for c in inverse)
+    def cost(p):
+        if p.fill <= jets._OPERATOR_MAX_FILL and p.held[0] <= max(p.held[1],
+                                                                   jets._OPERATOR_SMALL):
+            return p.madds
+        return jets._GATHER_COST * p.dense
+
+    # the operator where it holds few entries per pair and no more floats
+    # than the gather, else the gather, unless the join was taken
+    for _, _, p, way in calls:
+        operator = p.fill <= jets._OPERATOR_MAX_FILL and p.held[0] <= max(
+            p.held[1], jets._OPERATOR_SMALL)
+        assert way == jets._JOIN or way == (jets._OPERATOR if operator else jets._GATHER)
+    # on the product the curvature's products of Gamma with itself, past the
+    # work at which supports are looked at, take the join; the covariant
+    # derivatives take the operator
+    product = [c for c in calls if c[0] == "cw1xcw1"]
+    assert {c[1] for c in product if c[3] == jets._JOIN} >= {"lim,mjk->lkij", "ljm,mik->lkij"}
+    assert all(c[3] == jets._OPERATOR for c in product if c[1].endswith("Z"))
+    # the random chart looks at its supports and takes the join nowhere
+    dense = [c for c in calls if c[0] == "dense6"]
+    assert "dense6" in looked and not any(c[3] == jets._JOIN for c in dense)
+    assert {c[3] for c in dense} == {jets._OPERATOR, jets._GATHER}
+    # and no contraction under the threshold pays for finding supports
+    assert len(looked) == sum(cost(c[2]) >= jets._SPARSE_MIN_WORK for c in calls)
 
 
 def test_non_finite_coefficients_contract_as_the_dense_path_does(monkeypatch):
@@ -329,3 +349,75 @@ def test_non_finite_coefficients_contract_as_the_dense_path_does(monkeypatch):
             result = jets.tensor_product("kl,lij->kij", a, b)
             oracle = dense_tensor_product("kl,lij->kij", a, b)
         np.testing.assert_array_equal(result.array, oracle.array)
+
+
+@settings(max_examples=250, deadline=None)
+@given(sub=st.sampled_from(CONTRACTIONS), points=st.sampled_from([None, 0, 1, 3]),
+       n=st.integers(1, 4), orders=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       below=st.sampled_from([None, 0, 1, 2]),
+       kinds=st.tuples(*[st.sampled_from(["empty", "single", "block", "dense"])] * 2),
+       bad=st.sampled_from([None, ("a", np.nan), ("b", np.inf), ("a", -np.inf), ("b", np.nan)]),
+       way=st.sampled_from([None, *WAYS]), seed=st.integers(0, 2**32 - 1))
+def test_tensor_product_matches_the_dense_oracle(sub, points, n, orders, below, kinds, bad,
+                                                 way, seed):
+    # every contraction, with and without a point axis (an empty one too), by
+    # the rule or forced one way, agrees with the sum over every component
+    # pair; a non-finite coefficient spreads exactly as in that sum
+    from killingkit import jets
+    from oracles import dense_tensor_product
+    rng = np.random.default_rng(seed)
+    sub = sub if points is None else _with_points(sub)
+    operands = []
+    for letters, kind, q in zip(sub.split("->")[0].split(","), kinds, orders):
+        space = jet_space(n, q)
+        shape = tuple(points if c == "P" else n for c in letters)
+        mask = _component_support(kind, shape, letters, rng) if all(shape) else np.ones(shape)
+        coeffs = rng.normal(size=shape + (space.size,)) * mask[..., None]
+        operands.append(coeffs)
+    if bad is not None and operands["ab".index(bad[0])].size:
+        arr = operands["ab".index(bad[0])]
+        arr[tuple(int(rng.integers(d)) for d in arr.shape)] = bad[1]
+    a, b = (jets.JetTensor(c, jet_space(n, q)) for c, q in zip(operands, orders))
+    order = None if below is None else max(0, min(orders) - below)
+    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+        for name, value in WAYS.get(way, {}).items():
+            mp.setattr(jets, name, value)
+        result = jets.tensor_product(sub, a, b, order)
+        oracle = dense_tensor_product(sub, a, b, order)
+        bound = dense_tensor_product(sub, jets.JetTensor(np.abs(a.array), a.space),
+                                     jets.JetTensor(np.abs(b.array), b.space), order)
+    assert result.space is oracle.space
+    assert result.array.shape == oracle.array.shape
+    got, want = result.array, oracle.array
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_array_equal(got[~finite & ~np.isnan(want)], want[~finite & ~np.isnan(want)])
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * bound.array[finite])
+    assert np.all(got[want == 0] == 0)
+
+
+# The tracemalloc peaks of two contractions at the parent commit of the
+# operator (c56423c, numpy 2.4), which gathered both operands along the table
+# for the first and for the second, a covariant-derivative term: the
+# operator must hold no more.
+MEMORY_PINS = [("kl,lij->kij", 6, 4, (6, 6), (6, 6, 6), 6_816_972),
+               ("aZA,Abcd->abcdZ", 8, 2, (8, 8, 8), (8, 8, 8, 8), 51_906_779)]
+
+
+@pytest.mark.parametrize("sub,n,q,a_shape,b_shape,parent", MEMORY_PINS)
+def test_contractions_hold_no_more_than_the_gather_did(sub, n, q, a_shape, b_shape, parent):
+    import tracemalloc
+    from killingkit import jets
+    rng = np.random.default_rng(5)
+    s = jet_space(n, q)
+    a = jets.JetTensor(rng.normal(size=a_shape + (s.size,)), s)
+    b = jets.JetTensor(rng.normal(size=b_shape + (s.size,)), s)
+    jets.tensor_product(sub, a, b)   # the tables, outside the measure
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        jets.tensor_product(sub, a, b)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= parent
