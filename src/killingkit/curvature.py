@@ -120,9 +120,9 @@ def covariant_derivative(tensor, variance, gamma):
     gl = gamma.truncated(min(gamma.order, q))
     letters = _VAR_LETTERS[:rank]
     t_trunc = tensor.truncated(q)
-    # every slot contracts the same two jet tensors, so Gamma's
-    # multiplication operator is built once for the upper slots and once
-    # for the lower ones
+    # every slot contracts the same two jet tensors, so the multiplication
+    # operator of the one with fewer components (Gamma, but for a metric) is
+    # built once for the upper slots and once for the lower ones
     operators = {}
     for s, v in enumerate(variance):
         slot = letters[s]

@@ -71,7 +71,7 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8, frames=None):
     span = decisions[-1]
     [frame] = frames(len(decisions) - 1)
     # bases by a fixed rule, which rounding in the rows cannot turn: the
-    # generators from the so(p, q) basis, the candidates from the frame's
+    # generators from the so(p, q) basis, the candidates from the frame's axes
     so_rows = so_basis(frame.signs).reshape(-1, n * n) / np.sqrt(2.0)
     generators = fixed_basis(span.row, so_rows).reshape(span.rank, n, n)
     candidates = fixed_basis(numerical_rank(generators.reshape(-1, n), tol).null)

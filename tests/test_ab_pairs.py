@@ -54,7 +54,7 @@ def test_pairs_alternate_and_take_consecutive_seeds(monkeypatch, tmp_path, capsy
                           "--workload", "kernel", "--pairs", "3", "--seconds", "2",
                           "--seed", "7"])
     assert code == 0
-    assert runs == [("parent", "kernel", 7, 2), ("change", "kernel", 7, 2.0),
-                    ("change", "kernel", 8, 2), ("parent", "kernel", 8, 2.0),
-                    ("parent", "kernel", 9, 2), ("change", "kernel", 9, 2.0)]
+    assert runs == [("parent", "kernel", 7, 2), ("change", "kernel", 7, 2),
+                    ("change", "kernel", 8, 2), ("parent", "kernel", 8, 2),
+                    ("parent", "kernel", 9, 2), ("change", "kernel", 9, 2)]
     assert "3/3" in capsys.readouterr().out

@@ -169,7 +169,8 @@ def test_rounding_in_the_rows_does_not_turn_the_bases(chart, monkeypatch):
     pairs += [(g.a, w.a) for g, w in zip(got_germs, want_germs)]
     for got, want in pairs:
         assert got.shape == want.shape
-        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+        scale = max(1.0, np.abs(want).max(initial=0.0))
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
 
 
 def test_a_span_of_every_fixed_vector_gets_the_fixed_basis():

@@ -396,6 +396,23 @@ def test_tensor_product_matches_the_dense_oracle(sub, points, n, orders, below, 
     assert np.all(got[want == 0] == 0)
 
 
+@pytest.mark.parametrize("sub", ["ii,ij->j", "ij,k->k", "iPj,Pjk->Pik", "ak,kb->ba"])
+@pytest.mark.parametrize("way", [None, *WAYS])
+def test_any_subscript_contracts_as_the_dense_oracle(sub, way, monkeypatch):
+    # a repeated letter takes the diagonal, a letter of one operand only is
+    # summed, and batch and output letters may come in any order
+    from killingkit import jets
+    from oracles import dense_tensor_product
+    rng = np.random.default_rng(2)
+    s = jet_space(2, 2)
+    a, b = (jets.JetTensor(rng.normal(size=(3,) * len(letters) + (s.size,)), s)
+            for letters in sub.split("->")[0].split(","))
+    for name, value in WAYS.get(way, {}).items():
+        monkeypatch.setattr(jets, name, value)
+    np.testing.assert_allclose(jets.tensor_product(sub, a, b).array,
+                               dense_tensor_product(sub, a, b).array, rtol=1e-13, atol=1e-13)
+
+
 # The tracemalloc peaks of two contractions at the parent commit of the
 # operator (c56423c, numpy 2.4), which gathered both operands along the table
 # for the first and for the second, a covariant-derivative term: the
