@@ -28,7 +28,6 @@ of points.
 from __future__ import annotations
 
 import math
-import string
 from collections import namedtuple
 from functools import lru_cache
 
