@@ -306,18 +306,16 @@ def test_the_path_switch_follows_the_work_and_the_support(monkeypatch):
     chart = "dense6"
     curvature.CurvatureData.compute(_dense_random_chart(6, 7), m_max=2)
 
-    def cost(p):
+    def default(p):
+        # the way the shapes choose, and its cost, before supports are looked at
         if p.fill <= jets._OPERATOR_MAX_FILL and p.held[0] <= max(p.held[1],
                                                                    jets._OPERATOR_SMALL):
-            return p.madds
-        return jets._GATHER_COST * p.dense
+            return jets._OPERATOR, p.madds
+        return jets._GATHER, jets._GATHER_COST * p.dense
 
     # the operator where it holds few entries per pair and no more floats
     # than the gather, else the gather, unless the join was taken
-    for _, _, p, way in calls:
-        operator = p.fill <= jets._OPERATOR_MAX_FILL and p.held[0] <= max(
-            p.held[1], jets._OPERATOR_SMALL)
-        assert way == jets._JOIN or way == (jets._OPERATOR if operator else jets._GATHER)
+    assert all(way in (jets._JOIN, default(p)[0]) for _, _, p, way in calls)
     # on the product the curvature's products of Gamma with itself, past the
     # work at which supports are looked at, take the join; the covariant
     # derivatives take the operator
@@ -329,7 +327,7 @@ def test_the_path_switch_follows_the_work_and_the_support(monkeypatch):
     assert "dense6" in looked and not any(c[3] == jets._JOIN for c in dense)
     assert {c[3] for c in dense} == {jets._OPERATOR, jets._GATHER}
     # and no contraction under the threshold pays for finding supports
-    assert len(looked) == sum(cost(c[2]) >= jets._SPARSE_MIN_WORK for c in calls)
+    assert len(looked) == sum(default(c[2])[1] >= jets._SPARSE_MIN_WORK for c in calls)
 
 
 def test_non_finite_coefficients_contract_as_the_dense_path_does(monkeypatch):
