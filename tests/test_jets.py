@@ -411,10 +411,10 @@ def test_any_subscript_contracts_as_the_dense_oracle(sub, way, monkeypatch):
                                dense_tensor_product(sub, a, b).array, rtol=1e-13, atol=1e-13)
 
 
-# The tracemalloc peaks of two contractions at the parent commit of the
-# operator (c56423c, numpy 2.4), which gathered both operands along the table
-# for the first and for the second, a covariant-derivative term: the
-# operator must hold no more.
+# The tracemalloc peaks of two contractions at commit c56423c (numpy 2.4),
+# where every dense contraction gathered both operands along the table: the
+# first, at a high order, still takes the gather, and the second, a
+# covariant-derivative term, takes the operator, which must hold no more.
 MEMORY_PINS = [("kl,lij->kij", 6, 4, (6, 6), (6, 6, 6), 6_816_972),
                ("aZA,Abcd->abcdZ", 8, 2, (8, 8, 8), (8, 8, 8, 8), 51_906_779)]
 
