@@ -469,29 +469,28 @@ _CHUNK_ELEMS = 30_000_000
 # * The operator, by default: the operand with fewer components becomes its
 #   multiplication operator and the contraction is one matrix product.  Its
 #   matrix holds (y coefficients) x (output coefficients) entries per
-#   component against the table's pairs, a fill that grows with the order;
-#   past ``_OPERATOR_MAX_FILL`` the gather is faster, and the operator is
-#   also not taken where it would hold more floats than the gather and more
-#   than ``_OPERATOR_SMALL`` a point.  Measured, operator against gather, us
-#   a call (2-vCPU host, one BLAS thread, random dense operands):
+#   component, where the gather holds the table's pairs, so the operator
+#   grows faster with the order; it is not taken where it would hold more
+#   floats at a point than the gather does.
+#   Measured, operator against gather, us a call (2-vCPU host, one BLAS
+#   thread, random dense operands of one order), with the floats each holds
+#   a point; the gather is taken in the rows marked *:
 #
-#     contraction        n  order  fill  operator  gather
-#     ia,ab->ib          4    4     9.9     103      243
-#     ia,ab->ib          6    3    15.5     359      407
-#     ia,ab->ib          6    4    24.2    2158     1744
-#     ia,ab->ib          8    3    28.1    2306     1535
-#     kl,lij->kij        6    3    15.5     670      983
-#     kl,lij->kij        6    4    24.2    4041     3399
-#     lim,mjk->lkij      6    3    15.5    4354     5520
-#     aZA,Abcd->abcdZ    6    2     8.6    1847     5851
-#     aZA,Abcd->abcdZ    8    1     4.8    1330     6227
+#     contraction        n  order  operator floats  gather floats  operator  gather
+#     ia,ab->ib          2    3            480             420         35      24  *
+#     ia,ab->ib          4    4         80,640          23,760         84     199  *
+#     kl,lij->kij        4    3         24,080          23,760         68     164  *
+#     kl,lij->kij        6    4      1,678,320         851,760       4841    4681  *
+#     lim,mjk->lkij      4    3         89,600          63,360        233     658  *
+#     aZA,Abcd->abcdZ    4    3        123,200         221,760        624    1673
+#     aZA,Abcd->abcdZ    6    2        423,360         845,208       2247    6880
+#     aZA,Abcd->abcdZ    8    1        373,248         635,392       1228    5172
 #
-# * The join, where the way above costs at least ``_SPARSE_MIN_WORK``
-#   operator multiply-adds a point (the gather's at ``_GATHER_COST`` each)
-#   and the pairs of nonzero components cost less, at ``_JOIN_COST`` each
-#   plus ``_SPARSE_MIN_WORK``: only those pairs are multiplied.  Finding the
-#   supports and joining them costs 0.1-0.3 ms, each joined multiply-add
-#   6-10 ns, an operator one about 0.07 ns and a gathered one 1.5-4 ns.
+# * The join, where the operator's cost reaches ``_SPARSE_MIN_WORK``
+#   multiply-adds a point and the pairs of nonzero components cost less, at
+#   ``_JOIN_COST`` each plus ``_SPARSE_MIN_WORK``: only those pairs are
+#   multiplied.  Finding the supports and joining them costs 0.1-0.3 ms,
+#   each joined multiply-add 6-10 ns and an operator one about 0.07 ns.
 #   Measured on the contractions of product charts, operator against join,
 #   us a call:
 #
@@ -501,15 +500,12 @@ _CHUNK_ELEMS = 30_000_000
 #     lim,mjk->lkij      6    2       6.1e6             182          536   270
 #     kl,lij->kij        8    2       8.3e6            1836          644   354
 #
-# * The gather, beyond the operator's fill or memory, or where a point has a
-#   non-finite coefficient, which the operator's zero entries would spread
-#   where no pair meets it: both operands are gathered along the table and
-#   multiplied by one einsum over every component pair.
+# * The gather, where the operator would hold more floats, or where a point
+#   has a non-finite coefficient, which the operator's zero entries would
+#   spread where no pair meets it: both operands are gathered along the
+#   table and multiplied by one einsum over every component pair.
 _SPARSE_MIN_WORK = 3_000_000
 _JOIN_COST = 128
-_GATHER_COST = 40
-_OPERATOR_MAX_FILL = 20
-_OPERATOR_SMALL = 2 ** 17
 _OPERATOR, _JOIN, _GATHER = range(3)
 
 
@@ -608,8 +604,8 @@ def _own_letters(letters, others):
     return "".join(dict.fromkeys(c for c in letters if c in others))
 
 
-_Plan = namedtuple("_Plan", "la lb out_sub norm_a norm_b dims batch lead out_shape fill held "
-                            "madds dense x_perm x_shape op_shape scatter y_size y_perm y_shape "
+_Plan = namedtuple("_Plan", "la lb out_sub norm_a norm_b dims batch lead out_shape held "
+                            "madds x_perm x_shape op_shape scatter y_size y_perm y_shape "
                             "res_shape out_perm key")
 
 
@@ -631,10 +627,9 @@ def _scatter_index(n_vars, qa, qb, qout, x_is_a, n_free):
 @lru_cache(maxsize=None)
 def _plan(sub, a_shape, b_shape, n_vars, qa, qb, order):
     """What the shapes and orders tell about one contraction: the letters'
-    roles, the numbers ``tensor_product`` chooses its way by (the
-    operator's fill, the floats each way holds, the operator's
-    multiply-adds and those over every component pair) and the layout of
-    the operator's matrix product.
+    roles, the numbers ``tensor_product`` chooses its way by (the floats
+    the operator and the gather hold, and the operator's multiply-adds) and
+    the layout of the operator's matrix product.
 
     The operand x with fewer components (batch letters aside) becomes the
     operator, of shape (summed components x the other operand's
@@ -669,12 +664,12 @@ def _plan(sub, a_shape, b_shape, n_vars, qa, qb, order):
     held = (n_sum * n_free * y_size * out_size + size(ly) * y_size + size(out_sub) * out_size,
             (size(la) + size(lb) + size(out_sub)) * npairs)
     res = batch + free_y + free_x
+    norm_a = None if la == la0 else f"{la0}...->{la}..."
+    norm_b = None if lb == lb0 else f"{lb0}...->{lb}..."
     return _Plan(
         la=la, lb=lb, out_sub=out_sub, dims=dims, batch=batch, lead=lead,
-        norm_a=None if la == la0 else f"{la0}...->{la}...",
-        norm_b=None if lb == lb0 else f"{lb0}...->{lb}...",
-        out_shape=tuple(dims[c] for c in out_sub), fill=y_size * out_size / npairs,
-        held=held, madds=madds, dense=npairs * size("".join(dims)),
+        norm_a=norm_a, norm_b=norm_b,
+        out_shape=tuple(dims[c] for c in out_sub), held=held, madds=madds,
         x_perm=tuple(lx.index(c) for c in batch + summed + free_x) + (len(lx),),
         x_shape=lead + (n_sum, n_free, npairs),
         op_shape=(lead + (n_sum, y_size * n_free * out_size),
@@ -684,8 +679,9 @@ def _plan(sub, a_shape, b_shape, n_vars, qa, qb, order):
         y_shape=lead + (n_free_y, n_sum * y_size),
         res_shape=tuple(dims[c] for c in res) + (out_size,),
         out_perm=tuple(res.index(c) for c in out_sub) + (len(res),),
+        # what, besides x's array, fixes the operator built from it
         key=(x_is_a, "".join("b" if c in batch else "s" if c in summed else "f" for c in lx),
-             order))
+             norm_a if x_is_a else norm_b, n_vars, qa, qb, order))
 
 
 def _finite_points(letters, arr, batch, n_points):
@@ -696,19 +692,21 @@ def _finite_points(letters, arr, batch, n_points):
     return ok.reshape(n_points, ok.size // max(n_points, 1)).all(axis=1)
 
 
+def _shape_way(p):
+    """The way the shapes choose: the operator, unless it would hold more
+    floats at a point than the gather."""
+    return _OPERATOR if p.held[0] <= p.held[1] else _GATHER
+
+
 def _ways(p, xa, xb, npairs):
     """The way each point of the batch takes (one for a batch of none), and
     the join's lister of pairs when a point takes the join, else None.
 
-    The operator, unless its fill or the floats it holds rule it out; then
-    the gather.  Where that way's cost, in operator multiply-adds, reaches
-    ``_SPARSE_MIN_WORK``, the supports are looked at, and a point whose
+    The way the shapes choose, but where the operator's multiply-adds reach
+    ``_SPARSE_MIN_WORK`` the supports are looked at, and a point whose
     joined pairs cost less takes the join.  A point with a non-finite
     coefficient takes the gather."""
-    if p.fill <= _OPERATOR_MAX_FILL and p.held[0] <= max(p.held[1], _OPERATOR_SMALL):
-        way, cost = _OPERATOR, p.madds
-    else:
-        way, cost = _GATHER, _GATHER_COST * p.dense
+    way, cost = _shape_way(p), p.madds
     look = bool(p.la and p.lb) and cost >= _SPARSE_MIN_WORK
     finite = np.isfinite(xa).all() and np.isfinite(xb).all()
     if finite and not look:
@@ -739,14 +737,14 @@ def tensor_product(sub, a, b, order=None, operators=None):
     multiplication operator, and the contraction is one matrix product,
     batched over the batch letters.  A large contraction whose component
     pairs are mostly zero multiplies only the pairs of nonzero components
-    instead, and high orders (where the operator is mostly zeros) and
-    non-finite coefficients gather both operands along the multiplication
-    table (see ``_SPARSE_MIN_WORK``).  Each way agrees with the sum over
-    every component pair up to the order of summation.
+    instead.  Where the operator would hold more floats than both operands
+    gathered along the multiplication table, or a coefficient is not
+    finite, they are gathered (see ``_SPARSE_MIN_WORK``).  Each way agrees
+    with the sum over every component pair up to the order of summation.
 
     ``operators`` is a dict in which the operators built are kept for
-    reuse: pass one dict only to calls whose operand with fewer components
-    (``a`` on a tie), the one made an operator, is the same JetTensor.
+    reuse by later calls that pass the same dict; an operator is reused
+    only by a call that makes the same, unchanged array its operator.
     """
     if order is None:
         order = min(a.order, b.order)
@@ -777,14 +775,17 @@ def tensor_product(sub, a, b, order=None, operators=None):
                                            tab, p.out_shape, out_space), out_space)
 
     x, y = (xa, xb) if p.key[0] else (xb, xa)
-    op = None if operators is None else operators.get(p.key)
-    if op is None:
+    source = a.array if p.key[0] else b.array
+    kept = (operators or {}).get(p.key)
+    if kept is not None and kept[0] is source:
+        op = kept[1]
+    else:
         index, xi = _scatter_index(*p.scatter)
         op = np.zeros(p.op_shape[0])
         op[..., index] = np.take(x.transpose(p.x_perm), xi, axis=-1).reshape(p.x_shape)
         op = op.reshape(p.op_shape[1])
         if operators is not None:
-            operators[p.key] = op
+            operators[p.key] = (source, op)
     res = np.matmul(y[..., :p.y_size].transpose(p.y_perm).reshape(p.y_shape), op)
     return JetTensor(res.reshape(p.res_shape).transpose(p.out_perm), out_space)
 

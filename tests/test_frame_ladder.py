@@ -251,6 +251,25 @@ def test_multi_point_matches_frames_per_order(chart, m_max, monkeypatch):
                            for q in rep.points]
 
 
+def test_a_multi_point_batch_holds_no_more_than_the_gather_did():
+    # the tracemalloc peak of a warm multi-point call at commit c56423c
+    # (numpy 2.4), where every dense contraction gathered both operands
+    # along the table; each depth here is computed for all six points at
+    # once, so an operator that held more a point than the gather would
+    # show six times over
+    import tracemalloc
+    spec = MULTI_CHARTS["schwarzschild"]()
+    killing_dimension(spec, multi_point=True)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        killing_dimension(spec, multi_point=True)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5_575_995
+
+
 def test_ladder_splits_a_batch_by_the_budget(computed):
     # n = 4: 33 points a computation at depth 2, 2 at depth 4; batching
     # changes no bit of a point's frame

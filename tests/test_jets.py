@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from killingkit import jets
 from killingkit.jets import (JetDomainError, JetOrderError, JetShapeError, JetTensor,
                              compile_tape, jet_space, tensor_deriv, tensor_product)
 from killingkit.metricdsl import Binary, Call, Const, Coord, PowInt
@@ -173,11 +174,11 @@ def test_deriv_consistency_with_partial():
     assert d.array[0, 0] == pytest.approx(partial_value(f, s, (1, 0)))
 
 
-# The ways of ``tensor_product``, each forced by its thresholds: the
-# operator, the gather along the table and the join of nonzero components.
-WAYS = {"operator": {"_OPERATOR_MAX_FILL": math.inf, "_OPERATOR_SMALL": math.inf,
-                     "_SPARSE_MIN_WORK": math.inf},
-        "gather": {"_OPERATOR_MAX_FILL": -1, "_SPARSE_MIN_WORK": math.inf},
+# The ways of ``tensor_product``, each forced: the operator and the gather
+# along the table by the way the shapes choose, the join of nonzero
+# components by its thresholds.
+WAYS = {"operator": {"_shape_way": lambda p: jets._OPERATOR, "_SPARSE_MIN_WORK": math.inf},
+        "gather": {"_shape_way": lambda p: jets._GATHER, "_SPARSE_MIN_WORK": math.inf},
         "join": {"_SPARSE_MIN_WORK": 0, "_JOIN_COST": 0}}
 
 
@@ -186,7 +187,6 @@ def test_tensor_product_chunked_matches_unchunked(monkeypatch, chunk):
     # the shape of a covariant-derivative term: a connection slot contracted
     # into the curvature, the derivative slot Z appended last.  The gather
     # and the join multiply in blocks of at most _CHUNK_ELEMS entries.
-    from killingkit import jets
     rng = np.random.default_rng(11)
     s = jet_space(3, 3)
     gamma = jets.JetTensor(rng.normal(size=(3, 3, 3, s.size)), s)
@@ -246,7 +246,6 @@ def test_sparse_tensor_product_matches_the_dense_oracle(sub, points, kinds, orde
                                                         chunk, seed):
     # every contraction may take the sparse path; one whose supports are
     # dense takes the dense path all the same
-    from killingkit import jets
     from oracles import dense_tensor_product
     rng = np.random.default_rng(seed)
     sub = _with_points(sub) if points else sub
@@ -288,7 +287,7 @@ def _dense_random_chart(n, seed):
 
 
 def test_the_path_switch_follows_the_work_and_the_support(monkeypatch):
-    from killingkit import curvature, jets, metricdsl
+    from killingkit import curvature, metricdsl
     from killingkit.product import product_metric
     calls, looked = [], []
     ways, join = jets._ways, jets._join
@@ -307,15 +306,12 @@ def test_the_path_switch_follows_the_work_and_the_support(monkeypatch):
     curvature.CurvatureData.compute(_dense_random_chart(6, 7), m_max=2)
 
     def default(p):
-        # the way the shapes choose, and its cost, before supports are looked at
-        if p.fill <= jets._OPERATOR_MAX_FILL and p.held[0] <= max(p.held[1],
-                                                                   jets._OPERATOR_SMALL):
-            return jets._OPERATOR, p.madds
-        return jets._GATHER, jets._GATHER_COST * p.dense
+        # the way the shapes choose, before supports are looked at
+        return jets._OPERATOR if p.held[0] <= p.held[1] else jets._GATHER
 
-    # the operator where it holds few entries per pair and no more floats
-    # than the gather, else the gather, unless the join was taken
-    assert all(way in (jets._JOIN, default(p)[0]) for _, _, p, way in calls)
+    # the operator where it holds no more floats than the gather, else the
+    # gather, unless the join was taken
+    assert all(way in (jets._JOIN, default(p)) for _, _, p, way in calls)
     # on the product the curvature's products of Gamma with itself, past the
     # work at which supports are looked at, take the join; the covariant
     # derivatives take the operator
@@ -327,13 +323,12 @@ def test_the_path_switch_follows_the_work_and_the_support(monkeypatch):
     assert "dense6" in looked and not any(c[3] == jets._JOIN for c in dense)
     assert {c[3] for c in dense} == {jets._OPERATOR, jets._GATHER}
     # and no contraction under the threshold pays for finding supports
-    assert len(looked) == sum(default(c[2])[1] >= jets._SPARSE_MIN_WORK for c in calls)
+    assert len(looked) == sum(c[2].madds >= jets._SPARSE_MIN_WORK for c in calls)
 
 
 def test_non_finite_coefficients_contract_as_the_dense_path_does(monkeypatch):
     # nan times a zero component is nan, so the dense path spreads a
     # non-finite coefficient where the sparse path would skip it
-    from killingkit import jets
     from oracles import dense_tensor_product
     monkeypatch.setattr(jets, "_SPARSE_MIN_WORK", 0)
     s = jet_space(2, 2)
@@ -361,7 +356,6 @@ def test_tensor_product_matches_the_dense_oracle(sub, points, n, orders, below, 
     # every contraction, with and without a point axis (an empty one too), by
     # the rule or forced one way, agrees with the sum over every component
     # pair; a non-finite coefficient spreads exactly as in that sum
-    from killingkit import jets
     from oracles import dense_tensor_product
     rng = np.random.default_rng(seed)
     sub = sub if points is None else _with_points(sub)
@@ -399,7 +393,6 @@ def test_tensor_product_matches_the_dense_oracle(sub, points, n, orders, below, 
 def test_any_subscript_contracts_as_the_dense_oracle(sub, way, monkeypatch):
     # a repeated letter takes the diagonal, a letter of one operand only is
     # summed, and batch and output letters may come in any order
-    from killingkit import jets
     from oracles import dense_tensor_product
     rng = np.random.default_rng(2)
     s = jet_space(2, 2)
@@ -409,6 +402,24 @@ def test_any_subscript_contracts_as_the_dense_oracle(sub, way, monkeypatch):
         monkeypatch.setattr(jets, name, value)
     np.testing.assert_allclose(jets.tensor_product(sub, a, b).array,
                                dense_tensor_product(sub, a, b).array, rtol=1e-13, atol=1e-13)
+
+
+def test_a_kept_operator_is_reused_only_for_its_own_array():
+    # one dict passed to calls that make different arrays of one shape the
+    # operator: each call contracts its own, and a repeated array is reused
+    rng = np.random.default_rng(4)
+    s = jet_space(3, 2)
+    g0, g1 = (JetTensor(rng.normal(size=(3, 3, 3, s.size)), s) for _ in range(2))
+    r = JetTensor(rng.normal(size=(3, 3, 3, 3, s.size)), s)
+    operators, built = {}, []
+    for gamma in (g0, g1, g1):
+        got = tensor_product("aZA,Abcd->abcdZ", gamma, r, None, operators)
+        np.testing.assert_array_equal(got.array,
+                                      tensor_product("aZA,Abcd->abcdZ", gamma, r).array)
+        (source, op), = operators.values()
+        assert source is gamma.array
+        built.append(op)
+    assert built[1] is not built[0] and built[2] is built[1]
 
 
 # The tracemalloc peaks of two contractions at commit c56423c (numpy 2.4),
@@ -422,7 +433,6 @@ MEMORY_PINS = [("kl,lij->kij", 6, 4, (6, 6), (6, 6, 6), 6_816_972),
 @pytest.mark.parametrize("sub,n,q,a_shape,b_shape,parent", MEMORY_PINS)
 def test_contractions_hold_no_more_than_the_gather_did(sub, n, q, a_shape, b_shape, parent):
     import tracemalloc
-    from killingkit import jets
     rng = np.random.default_rng(5)
     s = jet_space(n, q)
     a = jets.JetTensor(rng.normal(size=a_shape + (s.size,)), s)
