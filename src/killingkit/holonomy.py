@@ -42,7 +42,8 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8, frames=None):
     """Span the endomorphism values of the curvature and its covariant
     derivatives at a point, one derivative order at a time.
 
-    Order m ranks the values of covR[0..m] in the unit frame of ``frames``, a
+    Order m ranks covR[m]'s ``endomorphism_rows`` on order m - 1's decision,
+    in the unit frame of ``frames``, a
     ``frame_ladder`` of the chart at the point alone: by default a new one,
     whose first computation is the depth order 1 reads;
     ``decomposition_check`` passes the ladder its Killing trace has read.
@@ -53,17 +54,9 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8, frames=None):
     if frames is None:
         frames = frame_ladder(spec, p[None], min(1, m_max))
     n = spec.dim
-    iu, ju = np.triu_indices(n, k=1)
-    rows = None
-
-    def decide(m, _):
-        nonlocal rows
-        # endomorphism slots (l, k) to the back, one row per (i<j, z...)
-        rows = np.vstack([np.moveaxis(arr, (0, 1), (-2, -1))[iu, ju].reshape(-1, n * n)
-                          for arr in frames(m)[0].covR])
-        return [numerical_rank(rows, tol)]
-
-    [(decisions, stab_order)] = stabilise(decide, m_max, 1)
+    [(decisions, stab_order)] = stabilise(
+        lambda m, _, previous: [numerical_rank(endomorphism_rows(frames(m)[0], m), tol,
+                                               previous[0])], m_max, 1)
     warnings = []
     if stab_order is None:
         warnings.append(
@@ -83,25 +76,26 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8, frames=None):
                           gaps=[dict(d.margin, order=m) for m, d in enumerate(decisions)],
                           generators=frame.e @ generators @ frame.einv,
                           candidates=candidates @ frame.e.T,
-                          bracket_closure_enlarges=_bracket_check(generators, rows,
-                                                                  span.rank, tol),
+                          bracket_closure_enlarges=_bracket_check(generators, span, tol),
                           nullity=n - killed.rank, warnings=warnings, tol=tol)
 
 
-def _bracket_check(generators, rows, rank, tol):
-    """Would adding commutators of the generators to ``rows``, whose rank is
-    ``rank``, enlarge the span?"""
-    k = len(generators)
-    if k < 2:
+def endomorphism_rows(frame, m):
+    """The rows order m adds to the holonomy span: covR[m] of the ``UnitFrame``
+    ``frame``, endomorphism slots (l, k) last, one row per (i < j, z...)."""
+    n = len(frame.signs)
+    iu, ju = np.triu_indices(n, k=1)
+    return np.moveaxis(frame.covR[m], (0, 1), (-2, -1))[iu, ju].reshape(-1, n * n)
+
+
+def _bracket_check(generators, span, tol):
+    """Would adding commutators of the generators to the rows ranked by the
+    decision ``span`` enlarge the span?"""
+    if len(generators) < 2:
         return False
-    n = generators.shape[1]
-    brackets = []
-    for i in range(k):
-        for j in range(i + 1, k):
-            gi, gj = generators[i], generators[j]
-            brackets.append((gi @ gj - gj @ gi).reshape(n * n))
-    enlarged = np.vstack([rows, np.array(brackets)])
-    return bool(numerical_rank(enlarged, tol).rank > rank)
+    i, j = np.triu_indices(len(generators), k=1)
+    brackets = generators[i] @ generators[j] - generators[j] @ generators[i]
+    return bool(numerical_rank(brackets.reshape(len(i), -1), tol, span).rank > span.rank)
 
 
 @dataclass

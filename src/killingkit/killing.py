@@ -234,11 +234,6 @@ class IntegrabilityTensor:
     xi_coeff: np.ndarray
     a_coeff: np.ndarray
 
-    def apply(self, xi, a):
-        w = self.xi_coeff.ndim - 1
-        return (np.tensordot(self.xi_coeff, xi, axes=([w], [0]))
-                + np.tensordot(self.a_coeff, a, axes=([w, w + 1], [0, 1])))
-
     def matrix(self, signs):
         """Stack into a matrix over the germ coordinates (xi, so_basis(signs))
         of a frame with metric diag(signs).  Adding 0.0 turns -0.0 into 0.0,
@@ -273,10 +268,10 @@ def _derivation_coefficient(cov):
     return coeff
 
 
-def integrability_tensors(covR, m_max):
-    """The prolongation tower T_0 .. T_{m_max} from the values ``covR[m]`` of
-    the curvature's covariant derivatives at a point (``CurvatureData.covR``,
-    or the same in any frame).
+def integrability_tensors(covR, orders):
+    """The levels T_m, m in ``orders``, of the prolongation tower from the
+    values ``covR[m]`` of the curvature's covariant derivatives at a point
+    (``CurvatureData.covR``, or the same in any frame).
 
     Level m is the Lie derivative of the m-th covariant derivative of the
     curvature along the germ (Nomizu 1960):
@@ -286,14 +281,15 @@ def integrability_tensors(covR, m_max):
     first-order system (nabla xi = -A, nabla A = -R(., xi)) substituted
     back in, rewritten by the Ricci identity.
     """
-    if len(covR) < m_max + 2:
+    top = max(orders, default=-1)
+    if len(covR) < top + 2:
         raise OrderExhaustedError(
-            f"integrability tensors to order {m_max} read covR[0..{m_max + 1}], "
-            f"which needs jet order {m_max + 3}; got covR[0..{len(covR) - 1}] "
+            f"the integrability tensor of order {top} reads covR[{top + 1}], "
+            f"which needs jet order {top + 3}; got covR[0..{len(covR) - 1}] "
             f"(jet order {len(covR) + 1})")
     return [IntegrabilityTensor(order=m, xi_coeff=covR[m + 1],
                                 a_coeff=_derivation_coefficient(covR[m]))
-            for m in range(m_max + 1)]
+            for m in orders]
 
 
 # -- kernel dimension -------------------------------------------------------------
@@ -330,14 +326,13 @@ class MultiPointReport:
         return all(r.stable for r in self.reports)
 
 
-def tower_stack(frame, m):
-    """The tower T_0 .. T_m at a point as one matrix over the germ
-    coordinates of its ``UnitFrame``: there a germ (xi, A) has coordinates
+def tower_level(frame, m):
+    """Level m of the tower at a point as a matrix over the germ coordinates
+    of its ``UnitFrame``: there a germ (xi, A) has coordinates
     (kappa e^-1 xi, e^-1 A e over so_basis(signs)) and level m is divided by
     kappa^(m + 2), so no column or row carries units."""
-    dim_e = bundle_dim(len(frame.signs))
-    return np.vstack([t.matrix(frame.signs).reshape(-1, dim_e)
-                      for t in integrability_tensors(frame.covR, m)])
+    [level] = integrability_tensors(frame.covR, [m])
+    return level.matrix(frame.signs)
 
 
 def kernel_report(decisions, stab_order, point, dim_e, analytic, m_max, tol):
@@ -364,15 +359,15 @@ def _kernel_trace(spec, points, m_max, tol, frames=None):
     """For each row of the (P, n) array ``points``: the kernel report, the
     rank decision of each order (the last one's null space is the kernel, as
     rows over the germ coordinates of its unit frame), and that frame.  The
-    points are ranked in lockstep by one ``stabilise`` loop; order m reads
-    covR[0..m+1] of the points still in it from ``frames``, a
+    points are ranked in lockstep by one ``stabilise`` loop; order m ranks
+    level m on each point's decision at order m - 1, from ``frames``, a
     ``frame_ladder`` of the chart at ``points``: by default a new one, whose
     first computation is the depth order 1 reads."""
     if frames is None:
         frames = frame_ladder(spec, points, min(2, m_max + 1))
-    traces = stabilise(lambda m, active: [numerical_rank(tower_stack(frame, m), tol)
-                                          for frame in frames(m + 1, active)],
-                       m_max, len(points))
+    traces = stabilise(lambda m, active, previous: [
+        numerical_rank(tower_level(frame, m), tol, prev)
+        for frame, prev in zip(frames(m + 1, active), previous)], m_max, len(points))
     return [(kernel_report(decisions, stab_order, point, bundle_dim(spec.dim),
                            spec.assumptions.analytic, m_max, tol),
              decisions, frames(len(decisions), [k])[0])

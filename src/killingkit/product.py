@@ -17,7 +17,7 @@ import numpy as np
 from . import metricdsl
 from .curvature import CurvatureData, frame_ladder
 from .holonomy import parallel_field_check
-from .killing import _kernel_trace, bundle_dim, kernel_report, tower_stack
+from .killing import _kernel_trace, bundle_dim, kernel_report, tower_level
 from .metricdsl import Assumptions, Const, Coord, ManifoldSpec, make_spec
 from .rank import RankDecision, numerical_rank, stabilise
 
@@ -106,17 +106,14 @@ class DecompositionReport:
 
 
 def slot_matrix(frame, m):
-    """The matrix whose null space is par: the tangent vectors that give zero
-    in every slot of every nabla^k R, k <= m.  From the ``UnitFrame``
-    ``frame`` of a chart: each covR[k] with its first slot lowered by
-    diag(signs), and each of its 4 + k slots in turn moved last and taken as
-    the columns, (4 + k) n^(3 + k) rows in all."""
+    """The rows that order m adds to the matrix whose null space is par: the
+    tangent vectors that give zero in every slot of every nabla^k R, k <= m.
+    From the ``UnitFrame`` ``frame`` of a chart: covR[m] with its first slot
+    lowered by diag(signs), and each of its 4 + m slots in turn moved last
+    and taken as the columns, (4 + m) n^(3 + m) rows in all."""
     n = len(frame.signs)
-    rows = []
-    for cov in frame.covR[:m + 1]:
-        low = np.einsum("l,l...->l...", frame.signs, cov)
-        rows += [np.moveaxis(low, s, -1).reshape(-1, n) for s in range(low.ndim)]
-    return np.vstack(rows)
+    low = np.einsum("l,l...->l...", frame.signs, frame.covR[m])
+    return np.vstack([np.moveaxis(low, s, -1).reshape(-1, n) for s in range(low.ndim)])
 
 
 def _joint_margin(decisions):
@@ -145,24 +142,26 @@ def decomposition_check(a, b, m_max=10, tol=1e-8):
     Each factor's curvature comes from one ``frame_ladder``, which its
     Killing trace, its slot matrices and its holonomy verdict all read, so
     each depth is computed once; the product's trace reuses the rank
-    decisions of the factors' traces.
+    decisions of the factors' traces, and past a factor's last order ranks
+    its next level on them, as its trace would have.
     """
     specs = (a, b)
     ladders = [frame_ladder(spec, [spec.base_point], min(2, m_max + 1)) for spec in specs]
     traces = [_kernel_trace(spec, [spec.base_point], m_max, tol, frames)[0]
               for spec, frames in zip(specs, ladders)]
-    slots = None
+    towers = [list(decisions) for _, decisions, _ in traces]
+    slots = [None, None]
 
-    def decide(m, _):
-        nonlocal slots
-        frames = [ladder(m + 1)[0] for ladder in ladders]
-        slots = [numerical_rank(slot_matrix(frame, m), tol) for frame in frames]
-        towers = [decisions[m] if m < len(decisions)
-                  else numerical_rank(tower_stack(frame, m), tol)
-                  for (_, decisions, _), frame in zip(traces, frames)]
+    def decide(m, _, __):
+        for k, ladder in enumerate(ladders):
+            [frame] = ladder(m + 1)
+            slots[k] = numerical_rank(slot_matrix(frame, m), tol, slots[k])
+            if m == len(towers[k]):
+                towers[k].append(numerical_rank(tower_level(frame, m), tol, towers[k][-1]))
+        here = [tower[m] for tower in towers]
         mixed = a.dim * b.dim - (a.dim - slots[0].rank) * (b.dim - slots[1].rank)
-        return [RankDecision(towers[0].rank + towers[1].rank + mixed,
-                             _joint_margin(towers + slots), None, None)]
+        return [RankDecision(here[0].rank + here[1].rank + mixed,
+                             _joint_margin(here + slots), None, None, None)]
 
     [trace] = stabilise(decide, m_max, 1)
     rep_p = kernel_report(*trace, tuple(a.base_point) + tuple(b.base_point),

@@ -1,5 +1,7 @@
 """Numerical rank decisions and the order-by-order stabilisation loop shared
-by the Killing kernel and the infinitesimal holonomy.
+by the Killing kernel, the infinitesimal holonomy and a product's slot
+matrices.  Each order's new block is ranked under the previous decision's
+``factor``, which has the Gram matrix of every block before it.
 
 Ranks are decided on matrices with no units (``CurvatureData.unit_frames``),
 so one absolute threshold serves every chart."""
@@ -10,17 +12,22 @@ from collections import namedtuple
 import numpy as np
 
 # margin: sigma_max, smallest_kept, largest_cut; row and null: orthonormal rows
-# spanning the row space and its complement
-RankDecision = namedtuple("RankDecision", "rank margin row null")
+# spanning the row space and its complement; factor: S Vh, of the same Gram matrix
+RankDecision = namedtuple("RankDecision", "rank margin row null factor")
 
 
-def numerical_rank(matrix, tol):
-    """Rank at the absolute threshold tol: the number of singular values above
-    it, from one SVD; an all-zero or empty matrix has rank 0 and needs none."""
+def numerical_rank(block, tol, previous=None):
+    """Rank at the absolute threshold tol of ``block`` under the ``factor`` of
+    the decision ``previous``, if any: [A; B] and [S Vh; B] have one Gram
+    matrix, so one rank, margin and null space.  The number of singular
+    values above tol, from one SVD; an all-zero or empty matrix has rank 0
+    and needs none."""
+    matrix = block if previous is None else np.vstack([previous.factor, block])
     ncols = matrix.shape[1]
     if matrix.size == 0 or not np.any(matrix):
         margin = {"sigma_max": 0.0, "smallest_kept": None, "largest_cut": 0.0}
-        return RankDecision(0, margin, np.zeros((0, ncols)), np.eye(ncols))
+        return RankDecision(0, margin, np.zeros((0, ncols)), np.eye(ncols),
+                            np.zeros((0, ncols)))
     _, s, vh = np.linalg.svd(matrix, full_matrices=False)
     smax = float(s[0])
     rank = int(np.sum(s > tol))
@@ -31,7 +38,7 @@ def numerical_rank(matrix, tol):
     if len(vh) < ncols:  # a wide matrix: the thin SVD leaves part of the null space out
         q, _ = np.linalg.qr(vh.T, mode="complete")
         null = np.vstack([null, q[:, len(vh):].T])
-    return RankDecision(rank, margin, vh[:rank], null)
+    return RankDecision(rank, margin, vh[:rank], null, s[:, None] * vh)
 
 
 def fixed_basis(rows, fixed=None):
@@ -64,9 +71,10 @@ def fixed_basis(rows, fixed=None):
 
 def stabilise(decide, m_max, count):
     """Take the rank decisions of ``count`` points in lockstep, for
-    m = 0, 1, ...: ``decide(m, active)`` returns the decision at order m of
-    each point listed in ``active``, and a point leaves once two orders in a
-    row agree.
+    m = 0, 1, ...: ``decide(m, active, previous)`` returns the decision at
+    order m of each point listed in ``active``, given each one's decision at
+    order m - 1 in ``previous`` (None at m = 0), and a point leaves once two
+    orders in a row agree.
 
     Returns, for each point, its decision at each order and its
     stabilisation order (the first of the two, or None when the rank still
@@ -78,7 +86,8 @@ def stabilise(decide, m_max, count):
     orders = [None] * count
     active = list(range(count))
     for m in range(m_max + 1):
-        for k, decision in zip(active, decide(m, active)):
+        previous = [decisions[k][-1] if m else None for k in active]
+        for k, decision in zip(active, decide(m, active, previous)):
             decisions[k].append(decision)
             if m >= 1 and decision.rank == decisions[k][-2].rank:
                 orders[k] = m - 1

@@ -23,8 +23,8 @@ visited recursively, with no shared subexpressions and no batch of points;
 it runs the tape's Cauchy product and series kernels one node at a time.
 The dense contraction is how ``tensor_product`` contracted every operand before
 it learned to skip zero components: one einsum over all component pairs.
-The basis contraction is how ``killing.tower_stack`` built the A-columns
-before it read them off the frame's signs: A's coefficient contracted with
+The basis contraction is how the tower's matrix in a unit frame built the
+A-columns before it read them off the frame's signs: A's coefficient contracted with
 every entry of each basis matrix g^-1 (E_rs - E_sr), g^-1 from
 ``np.linalg.inv``.  The perturbed points are the rule ``nearby_points``
 keeps bit for bit on charts of dimension >= 2; on a 1-D chart it repeated
@@ -362,7 +362,7 @@ def tower_stack_by_basis(frame, m):
             basis.append(ginv @ skew)
     basis = np.array(basis).reshape(len(basis), n, n)
     blocks = []
-    for t in integrability_tensors(frame.covR, m):
+    for t in integrability_tensors(frame.covR, range(m + 1)):
         rows = int(np.prod(t.xi_coeff.shape[:-1]))
         a_cols = np.einsum("wab,kab->wk", t.a_coeff.reshape(rows, n, n), basis)
         blocks.append(np.hstack([t.xi_coeff.reshape(rows, n), a_cols]))
@@ -370,6 +370,14 @@ def tower_stack_by_basis(frame, m):
 
 
 # -- the tower on one germ ---------------------------------------------------------
+
+def apply_tensor(t, xi, a):
+    """The level ``t`` (an ``IntegrabilityTensor``) applied to the germ
+    (xi, A): ``xi_coeff`` contracted with xi plus ``a_coeff`` with A."""
+    w = t.xi_coeff.ndim - 1
+    return (np.tensordot(t.xi_coeff, xi, axes=([w], [0]))
+            + np.tensordot(t.a_coeff, a, axes=([w, w + 1], [0, 1])))
+
 
 def germ_kernel_residual(spec, germ, m_max=2):
     """Residual of the tower levels 0..m_max at the base point applied to one
@@ -379,8 +387,8 @@ def germ_kernel_residual(spec, germ, m_max=2):
     curv = CurvatureData.compute(spec, m_max=m_max + 1)
     germ_scale = max(1.0, float(np.abs(germ.xi).max()), float(np.abs(germ.a).max()))
     worst = 0.0
-    for t in integrability_tensors(curv.covR, m_max):
-        res = t.apply(germ.xi, germ.a)
+    for t in integrability_tensors(curv.covR, range(m_max + 1)):
+        res = apply_tensor(t, germ.xi, germ.a)
         scale = max(1.0, float(np.abs(t.xi_coeff).max()),
                     float(np.abs(t.a_coeff).max())) * germ_scale
         worst = max(worst, float(np.abs(res).max()) / scale)

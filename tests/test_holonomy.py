@@ -155,9 +155,9 @@ def test_rounding_in_the_rows_does_not_turn_the_bases(chart, monkeypatch):
     want_hol, (_, want_germs) = infinitesimal_holonomy(spec), kernel_germs(spec)
     rng = np.random.default_rng(0)
 
-    def perturbed(matrix, tol):
+    def perturbed(matrix, tol, previous=None):
         return rank.numerical_rank(matrix * (1 + 1e-15 * rng.standard_normal(matrix.shape)),
-                                   tol)
+                                   tol, previous)
 
     for module in (holonomy, killing):
         monkeypatch.setattr(module, "numerical_rank", perturbed)

@@ -13,8 +13,8 @@ from killingkit.killing import (KillingGerm, PreconditionError, bundle_dim,
 from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
 from killingkit.product import product_metric
 
-from oracles import (germ_kernel_residual, killing_curvature, perturbed_points,
-                     stage_points, transport_by_steps)
+from oracles import (apply_tensor, germ_kernel_residual, killing_curvature,
+                     perturbed_points, stage_points, transport_by_steps)
 from test_tower import CHARTS, SCHWARZSCHILD, random_chart
 
 
@@ -178,7 +178,7 @@ def test_bundle_curvature_annihilates_killing_germs():
 def test_tower_vanishes_on_flat():
     eu = builtin("euclidean", n=3)
     curv = CurvatureData.compute(eu, m_max=3)
-    for t in integrability_tensors(curv.covR, 2):
+    for t in integrability_tensors(curv.covR, range(3)):
         assert np.abs(t.xi_coeff).max() == 0.0
         assert np.abs(t.a_coeff).max() == 0.0
 
@@ -195,11 +195,11 @@ def test_tower_annihilates_killing_germs():
 def test_tower_level_zero_matches_bundle_curvature():
     cw = builtin("cahen_wallach", n=1, q=-2.0)
     curv = CurvatureData.compute(cw, m_max=2)
-    t0 = integrability_tensors(curv.covR, 0)[0]
+    [t0] = integrability_tensors(curv.covR, [0])
     germ = KillingGerm(xi=np.array([0.3, -1.0, 2.0]),
                        a=wedge(np.array([1.0, 0.0, 0.0]),
                                np.array([0.0, 0.0, 1.0]), curv.g))
-    applied = t0.apply(germ.xi, germ.a)
+    applied = apply_tensor(t0, germ.xi, germ.a)
     for i, j in itertools.combinations(range(3), 2):
         assert np.allclose(applied[:, :, i, j],
                            -killing_curvature(curv, germ, i, j))
@@ -217,9 +217,9 @@ def test_tower_level_one_is_derivative_along_transport():
     germ = KillingGerm(xi=rng.normal(size=3),
                        a=wedge(rng.normal(size=3), rng.normal(size=3), g0))
     curv = CurvatureData.compute(spec, point=p, m_max=2)
-    t0, t1 = integrability_tensors(curv.covR, 1)
+    t0, t1 = integrability_tensors(curv.covR, range(2))
     gamma = curv.gamma_jets.value()
-    val0 = t0.apply(germ.xi, germ.a)
+    val0 = apply_tensor(t0, germ.xi, germ.a)
     h = 1e-4
     for z in range(3):
         e = np.zeros(3)
@@ -228,14 +228,14 @@ def test_tower_level_one_is_derivative_along_transport():
         gm = killing_transport(spec, germ, [p, p - e], steps_per_segment=40).end
         cp = CurvatureData.compute(spec, point=p + e, m_max=1)
         cm = CurvatureData.compute(spec, point=p - e, m_max=1)
-        vp = integrability_tensors(cp.covR, 0)[0].apply(gp.xi, gp.a)
-        vm = integrability_tensors(cm.covR, 0)[0].apply(gm.xi, gm.a)
+        vp = apply_tensor(integrability_tensors(cp.covR, [0])[0], gp.xi, gp.a)
+        vm = apply_tensor(integrability_tensors(cm.covR, [0])[0], gm.xi, gm.a)
         fd = (vp - vm) / (2 * h)
         corr = (np.einsum("la,akij->lkij", gamma[:, z], val0)
                 - np.einsum("ak,laij->lkij", gamma[:, z], val0)
                 - np.einsum("ai,lkaj->lkij", gamma[:, z], val0)
                 - np.einsum("aj,lkia->lkij", gamma[:, z], val0))
-        got = t1.apply(germ.xi, germ.a)[..., z]
+        got = apply_tensor(t1, germ.xi, germ.a)[..., z]
         assert np.abs(got - (fd + corr)).max() < 1e-6
 
 
@@ -243,7 +243,25 @@ def test_tower_order_exhaustion():
     from killingkit.curvature import OrderExhaustedError
     curv = CurvatureData.compute(builtin("sphere2"), m_max=1)
     with pytest.raises(OrderExhaustedError, match="jet order"):
-        integrability_tensors(curv.covR, 2)
+        integrability_tensors(curv.covR, [2])
+
+
+@pytest.mark.parametrize("multi_point", [False, True])
+def test_each_tower_level_is_built_once(multi_point, monkeypatch):
+    # a point's trace builds level m once, at order m: len(dims) levels
+    built = []
+    tensors = killing.integrability_tensors
+
+    def spy_tensors(covR, orders):
+        levels = tensors(covR, orders)
+        built.extend(t.order for t in levels)
+        return levels
+
+    monkeypatch.setattr(killing, "integrability_tensors", spy_tensors)
+    rep = killing_dimension(parse_manifold(SCHWARZSCHILD), multi_point=multi_point)
+    reports = rep.reports if multi_point else [rep]
+    assert max(len(r.dims) for r in reports) == 3
+    assert sorted(built) == sorted(m for r in reports for m in range(len(r.dims)))
 
 
 def test_wedge_germ_detected_by_tower_on_product():

@@ -127,18 +127,25 @@ def test_counterexample_germ():
     assert np.abs(-germ.a - wedge(vp, vm, g0)).max() < 1e-14
 
 
-def _slot_residual(spec, vectors, m=2):
-    """Largest |S y| over the columns v of ``vectors``, S the slot matrix of
-    ``spec`` at order m and y = e^-1 v in its unit frame: zero exactly when
-    every column lies in par, relative to the largest entry of ``vectors``."""
+def _slot_stack(spec, m):
+    """The slot matrices of ``spec`` at orders 0..m, stacked, in its unit
+    frame, and that frame."""
     frame = CurvatureData.compute(spec, m_max=m).unit_frames[0]
-    hit = slot_matrix(frame, m) @ frame.einv @ vectors
+    return np.vstack([slot_matrix(frame, k) for k in range(m + 1)]), frame
+
+
+def _slot_residual(spec, vectors, m=2):
+    """Largest |S y| over the columns v of ``vectors``, S the slot matrices of
+    ``spec`` at orders 0..m and y = e^-1 v in its unit frame: zero exactly
+    when every column lies in par, relative to the largest entry of
+    ``vectors``."""
+    stack, frame = _slot_stack(spec, m)
+    hit = stack @ frame.einv @ vectors
     return float(np.abs(hit).max()) / max(1.0, float(np.abs(vectors).max()))
 
 
 def _parallel(spec, m=2):
-    frame = CurvatureData.compute(spec, m_max=m).unit_frames[0]
-    return spec.dim - numerical_rank(slot_matrix(frame, m), 1e-8).rank
+    return spec.dim - numerical_rank(_slot_stack(spec, m)[0], 1e-8).rank
 
 
 def test_kernel_germs_do_not_mix_factors_without_parallel_directions():
@@ -254,6 +261,27 @@ def test_parallel_directions_must_match_the_holonomy(monkeypatch):
             "1 holonomy candidates; excess undecided") in rep.warnings
 
 
+def test_decomposition_builds_each_factor_level_once(monkeypatch):
+    # walker x e1: the product's trace runs one order past e1's, so e1's
+    # tower goes on from its trace's last decision; each factor builds level
+    # m once, at order m
+    a, b = factors("walkerxe1")
+    built = {a.dim: [], b.dim: []}
+    tensors = killing.integrability_tensors
+
+    def spy_tensors(covR, orders):
+        levels = tensors(covR, orders)
+        built[covR[0].shape[0]].extend(t.order for t in levels)
+        return levels
+
+    monkeypatch.setattr(killing, "integrability_tensors", spy_tensors)
+    rep = decomposition_check(a, b)
+    length = len(rep.product_report.dims)
+    assert [len(r.dims) for r in rep.factor_reports] == [3, 2] and length == 3
+    for spec, report in zip((a, b), rep.factor_reports):
+        assert built[spec.dim] == list(range(max(len(report.dims), length)))
+
+
 def test_decomposition_never_touches_the_product_chart(monkeypatch):
     a, b = factors("s2xcw1")
     seen = []
@@ -265,9 +293,9 @@ def test_decomposition_never_touches_the_product_chart(monkeypatch):
         seen.append(spec)
         return compute(cls, spec, *args, **kwargs)
 
-    def spy_tensors(covR, m_max):
+    def spy_tensors(covR, orders):
         seen.append(covR[0].shape[0])
-        return tensors(covR, m_max)
+        return tensors(covR, orders)
 
     def spy_dimension(spec, *args, **kwargs):
         seen.append(spec)

@@ -53,12 +53,68 @@ def test_zero_and_empty_matrices_have_rank_zero(shape):
     assert np.array_equal(dec.null, np.eye(shape[1]))
 
 
+def _assert_same_decision(got, want):
+    """Rank, margin within 1e-12 of sigma_max, and null space equal: the
+    projectors within 1e-10, as a gap of 1e-6 sigma_max (the cases drawn
+    here go that low) lets rounding turn the null space by about 1e-10."""
+    assert got.rank == want.rank
+    scale = max(1.0, want.margin["sigma_max"])
+    for key, value in want.margin.items():
+        assert (got.margin[key] is None) == (value is None), key
+        assert value is None or abs(got.margin[key] - value) <= 1e-12 * scale, key
+    assert np.abs(got.null.T @ got.null - want.null.T @ want.null).max(initial=0.0) <= 1e-10
+
+
+@given(low_rank_matrices(), st.integers(0, 7))
+@settings(max_examples=200, deadline=None)
+def test_ranking_on_the_previous_factor_decides_as_the_stack(case, split):
+    # [A; B] and [S Vh; B] have one Gram matrix, so one rank, margin and
+    # null space; the factor has no more rows than the block or columns
+    a, _ = case
+    top, bottom = a[:split], a[split:]
+    previous = numerical_rank(top, TOL)
+    assert len(previous.factor) <= min(len(top), a.shape[1])
+    assert previous.factor.shape[1] == a.shape[1]
+    _assert_same_decision(numerical_rank(bottom, TOL, previous), numerical_rank(a, TOL))
+
+
+def test_previous_factor_of_a_wide_block():
+    # the holonomy span of a surface starts with a 1 x 4 block
+    rng = np.random.default_rng(1)
+    top, bottom = rng.standard_normal((1, 4)), rng.standard_normal((2, 4))
+    previous = numerical_rank(top, TOL)
+    assert previous.factor.shape == (1, 4) and len(previous.null) == 3
+    got = numerical_rank(bottom, TOL, previous)
+    assert got.rank == 3 and got.null.shape == (1, 4)
+    _assert_same_decision(got, numerical_rank(np.vstack([top, bottom]), TOL))
+
+
+def test_previous_decision_of_rank_zero():
+    # an all-zero block leaves a factor of no rows: the next block is ranked alone
+    previous = numerical_rank(np.zeros((3, 4)), TOL)
+    assert previous.factor.shape == (0, 4)
+    block = np.random.default_rng(2).standard_normal((2, 4))
+    _assert_same_decision(numerical_rank(block, TOL, previous), numerical_rank(block, TOL))
+    _assert_same_decision(numerical_rank(np.zeros((2, 4)), TOL, previous),
+                          numerical_rank(np.zeros((5, 4)), TOL))
+
+
+def test_all_zero_block_keeps_the_previous_decision():
+    rng = np.random.default_rng(3)
+    top = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))   # rank 2
+    previous = numerical_rank(top, TOL)
+    got = numerical_rank(np.zeros((6, 4)), TOL, previous)
+    assert got.rank == previous.rank == 2
+    _assert_same_decision(got, previous)
+    _assert_same_decision(got, numerical_rank(np.vstack([top, np.zeros((6, 4))]), TOL))
+
+
 def _stack_of_rank(r, cols=6):
     return np.eye(cols)[:r]
 
 
 def _decide(ranks, asked):
-    def decide(m, active):
+    def decide(m, active, previous):
         asked.append(m)
         return [numerical_rank(_stack_of_rank(ranks(m)), TOL) for _ in active]
     return decide
@@ -88,7 +144,7 @@ def test_stabilise_drops_each_point_once_its_ranks_repeat():
     ranks = [[1, 3, 3, 5], [2, 2, 4, 4], [1, 2, 3, 4]]
     asked = []
 
-    def decide(m, active):
+    def decide(m, active, previous):
         asked.append((m, list(active)))
         return [numerical_rank(_stack_of_rank(ranks[k][m]), TOL) for k in active]
 
@@ -98,7 +154,7 @@ def test_stabilise_drops_each_point_once_its_ranks_repeat():
         [1, 3, 3], [2, 2], [1, 2, 3, 4]]
     assert [order for _, order in traces] == [1, 0, None]
     for k, (decisions, order) in enumerate(traces):
-        [alone] = stabilise(lambda m, active: decide(m, [k]), 3, 1)
+        [alone] = stabilise(lambda m, active, previous: decide(m, [k], previous), 3, 1)
         assert ([d.rank for d in alone[0]], alone[1]) == ([d.rank for d in decisions], order)
 
 

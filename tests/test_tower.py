@@ -1,6 +1,8 @@
 """The closed-form prolongation tower against the jet-level recursion, its
-xi-columns on a chart whose curvature is not parallel, and its matrix against
-the contraction with a basis of the metric-skew endomorphisms."""
+xi-columns on a chart whose curvature is not parallel, its matrix against
+the contraction with a basis of the metric-skew endomorphisms, and the rank
+decisions of each order-by-order stack, one block at a time, against the
+whole stack."""
 import random
 
 import numpy as np
@@ -9,10 +11,12 @@ import pytest
 from oracles import germ_kernel_residual, tower_by_recursion, tower_stack_by_basis
 
 from killingkit.curvature import CurvatureData
+from killingkit.holonomy import endomorphism_rows
 from killingkit.killing import (KillingGerm, integrability_tensors, sample_field,
-                                tower_stack, wedge)
+                                tower_level, wedge)
 from killingkit.metricdsl import builtin, parse_manifold
-from killingkit.product import product_metric
+from killingkit.product import product_metric, slot_matrix
+from killingkit.rank import numerical_rank
 
 SCHWARZSCHILD = """
 manifold schwarzschild {
@@ -72,7 +76,7 @@ def test_tower_matches_recursion(chart):
     spec = CHARTS[chart]()
     m_max = 1 if spec.dim >= 4 else 2
     curv = CurvatureData.compute(spec, m_max=m_max + 1)
-    closed = integrability_tensors(curv.covR, m_max)
+    closed = integrability_tensors(curv.covR, range(m_max + 1))
     recursion = tower_by_recursion(curv, m_max)
     assert len(closed) == len(recursion) == m_max + 1
     for new, old in zip(closed, recursion):
@@ -90,7 +94,7 @@ def test_tower_annihilates_schwarzschild_killing_germs():
     # symmetric catalog charts the xi-columns of every level are nonzero
     spec = parse_manifold(SCHWARZSCHILD)
     curv = CurvatureData.compute(spec, m_max=2)
-    assert np.abs(integrability_tensors(curv.covR, 0)[0].xi_coeff).max() > 1e-3
+    assert np.abs(integrability_tensors(curv.covR, [0])[0].xi_coeff).max() > 1e-3
     for fld in SCHWARZSCHILD_FIELDS:
         germ, _ = sample_field(spec, fld, [spec.base_point]).at(spec.base_point)
         assert germ_kernel_residual(spec, germ, m_max=3) <= 1e-12
@@ -119,7 +123,56 @@ def test_tower_stack_is_the_basis_contraction_bit_for_bit(chart):
     # LAPACK reads the sign of a zero, so the signs of zeros must agree too
     spec = STACK_CHARTS[chart]()
     frame = CurvatureData.compute(spec, m_max=3).unit_frames[0]
+    want = tower_stack_by_basis(frame, 2)
+    start = 0
     for m in range(3):
-        got, want = tower_stack(frame, m), tower_stack_by_basis(frame, m)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+        got = tower_level(frame, m)
+        assert np.array_equal(got, want[start:start + len(got)])
+        assert np.array_equal(np.signbit(got), np.signbit(want[start:start + len(got)]))
+        start += len(got)
+    assert start == len(want)
+
+
+# The blocks that each order adds to a stack: the tower's level, the holonomy
+# span's endomorphism values and the slot matrix of par.
+BLOCKS = {"tower": tower_level, "holonomy": endomorphism_rows, "slots": slot_matrix}
+
+
+@pytest.mark.parametrize("chart", list(STACK_CHARTS))
+def test_running_decisions_match_the_whole_stack(chart):
+    # ranking each order's block on the factor of the order before decides
+    # what ranking the stack of every block so far decides, up to rounding
+    spec = STACK_CHARTS[chart]()
+    frame = CurvatureData.compute(spec, m_max=3).unit_frames[0]
+    for name, block in BLOCKS.items():
+        blocks, running = [], None
+        for m in range(3):
+            blocks.append(block(frame, m))
+            running = numerical_rank(blocks[-1], 1e-8, running)
+            whole = numerical_rank(np.vstack(blocks), 1e-8)
+            scale = max(1.0, whole.margin["sigma_max"])
+            assert running.rank == whole.rank, (name, m)
+            for key, want in whole.margin.items():
+                got = running.margin[key]
+                assert (got is None) == (want is None), (name, m, key)
+                assert want is None or abs(got - want) <= 1e-12 * scale, (name, m, key)
+            assert np.abs(running.null.T @ running.null
+                          - whole.null.T @ whole.null).max() <= 1e-12, (name, m)
+
+
+def test_a_deep_trace_holds_no_more_than_the_rebuilt_stack_did():
+    # the tracemalloc peak of a warm trace at commit 19341e0 (numpy 2.4),
+    # where every order ranked the stack of levels 0..m built afresh
+    import tracemalloc
+
+    from killingkit.killing import killing_dimension
+    spec = STACK_CHARTS["cw2xcw2"]()
+    killing_dimension(spec, m_max=3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        killing_dimension(spec, m_max=3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 44_488_621
