@@ -7,10 +7,10 @@ from .holonomy import (HolonomyReport, ParallelVerdict, infinitesimal_holonomy,
                        parallel_field_check)
 from .jets import (JetDomainError, JetOrderError, JetShapeError, JetSpace, JetTensor,
                    jet_space)
-from .killing import (FieldCheck, IntegrabilityTensor, KernelReport, KillingGerm,
-                      MultiPointReport, PreconditionError, check_first_prolongation,
-                      integrability_tensors, kernel_germs, killing_dimension,
-                      killing_transport, sample_field, verify_killing, wedge)
+from .killing import (FieldCheck, KernelReport, KillingGerm, MultiPointReport,
+                      PreconditionError, check_first_prolongation, kernel_germs,
+                      killing_dimension, killing_transport, sample_field, verify_killing,
+                      wedge)
 from .metricdsl import (Assumptions, DegenerateMetricError, ManifoldSpec,
                         ParseError, SpecError, builtin, known_killing_fields,
                         metric_jet_tensor, parse_expression, parse_field,

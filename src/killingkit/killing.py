@@ -20,6 +20,7 @@ so three computations fall out of one construction:
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,77 +220,86 @@ def check_first_prolongation(samples, tol=1e-8):
                         1.0 + max(np.abs(grad_a).max(), np.abs(coupling).max()), tol)
 
 
-# -- integrability tensors -------------------------------------------------------
+# -- the tower's levels --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntegrabilityTensor:
-    """One level of the prolongation tower: a linear map on germs.
+@functools.lru_cache(maxsize=None)
+def _level_gather(n, m):
+    """The index arrays that build level m of the tower at dimension n from
+    covR[m] and covR[m + 1] (``tower_level``), whatever the signs.
 
-    ``xi_coeff`` has shape (n,)*(4+order) + (n,) and contracts xi;
-    ``a_coeff`` has shape (n,)*(4+order) + (n, n), its first extra index
-    pairing with the upper index of A.
-    """
+    Returns ``rows``, the flat indices of the level's independent rows
+    (l, k, i, j, z..) with l < k, i < j and (l, k) <= (i, j), in order;
+    ``weights``, 2 where (l, k) = (i, j) and 2 sqrt(2) elsewhere; and the
+    terms of the A-columns: term t adds ``coef[t] signs[sign[t]]
+    covR[m].flat[source[t]]`` to the flat entry ``target[t]`` of the
+    (rows, C(n, 2)) block.  A acts on covR[m] as a derivation,
 
-    order: int
-    xi_coeff: np.ndarray
-    a_coeff: np.ndarray
+        (A.T)[l, y..] = A[l, b] T[b, y..] - sum_s T[l, .., a at slot s, ..] A[a, y_s],
 
-    def matrix(self, signs):
-        """Stack into a matrix over the germ coordinates (xi, so_basis(signs))
-        of a frame with metric diag(signs).  Adding 0.0 turns -0.0 into 0.0,
-        as summing over the whole basis did: LAPACK reads the sign."""
-        n = len(signs)
-        rows = int(np.prod(self.xi_coeff.shape[:-1]))
-        a = self.a_coeff.reshape(rows, n, n)
-        r, s = np.triu_indices(n, k=1)
-        a_cols = signs[r] * a[:, r, s] - signs[s] * a[:, s, r] + 0.0
-        return np.hstack([self.xi_coeff.reshape(rows, n), a_cols])
-
-
-def _derivation_coefficient(cov):
-    """The coefficient of A in A.T, for A acting as a derivation on T = cov,
-    whose first slot is upper and the others lower:
-
-        (A.T)[l, y..] = A[l, b] T[b, y..] - sum_s T[l, .., a at slot s, ..] A[a, y_s]
-
-    with trailing axes (a, b) pairing with A[a, b].  Each term is a Kronecker
-    delta times T, so it is written onto the diagonal it lives on; einsum
-    with an index repeated in the input returns that diagonal as a writable
-    view."""
-    n, w = cov.shape[0], cov.ndim
-    coeff = np.zeros(cov.shape + (n, n))
-    y = list(range(1, w))
-    a, b = w, w + 1
-    upper = np.einsum(coeff, [0] + y + [0, b], [0] + y + [b])      # l == a
-    upper += np.moveaxis(cov, 0, -1)
-    for s in y:
-        lower = np.einsum(coeff, [0] + y + [a, s], [0] + y + [a])  # b == y_s
-        lower -= np.expand_dims(np.moveaxis(cov, s, -1), s)
-    return coeff
+    and A = sum_p c_p so_basis(signs)[p], whose entry (r, s), r < s, is
+    signs[r] and (s, r) is -signs[s]: the term of T[b, y..] falls in the
+    column of the pair {l, b}, times +signs[l] if l < b and -signs[l] if
+    b < l; that of T[l, .., a at s, ..] in the column of {a, y_s}, times
+    -signs[a] if a < y_s and +signs[a] if y_s < a.  The arrays are
+    read-only, as every call of the process shares them."""
+    r, s = np.triu_indices(n, k=1)
+    pair = np.zeros((n, n), dtype=np.intp)
+    pair[r, s] = pair[s, r] = np.arange(len(r))
+    p1, p2 = np.triu_indices(len(r))
+    heads = np.stack([r[p1], s[p1], r[p2], s[p2]], axis=1)
+    tails = np.indices((n,) * m).reshape(m, n ** m).T
+    idx = np.hstack([np.repeat(heads, n ** m, axis=0), np.tile(tails, (len(heads), 1))])
+    shape = (n,) * (4 + m)
+    rows = np.ravel_multi_index(idx.T, shape)
+    weights = np.repeat(np.where(p1 == p2, 2.0, 2.0 * np.sqrt(2.0)), n ** m)
+    a = np.arange(n)
+    target, source, sign, coef = [], [], [], []
+    for slot, stride in enumerate(n ** np.arange(3 + m, -1, -1)):
+        y = idx[:, slot, None]
+        keep = a != y
+        target.append((np.arange(len(idx))[:, None] * len(r) + pair[y, a])[keep])
+        source.append((rows[:, None] + (a - y) * stride)[keep])
+        sign.append(np.broadcast_to(y if slot == 0 else a, keep.shape)[keep])
+        coef.append((np.where(a < y, -1.0, 1.0) * weights[:, None])[keep])
+    arrays = (rows, weights, np.concatenate(target), np.concatenate(source),
+              np.concatenate(sign), np.concatenate(coef))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
-def integrability_tensors(covR, orders):
-    """The levels T_m, m in ``orders``, of the prolongation tower from the
-    values ``covR[m]`` of the curvature's covariant derivatives at a point
-    (``CurvatureData.covR``, or the same in any frame).
+def tower_level(frame, m):
+    """Level m of the tower at a point as a matrix over the germ coordinates
+    of its ``UnitFrame``: there a germ (xi, A) has coordinates
+    (kappa e^-1 xi, e^-1 A e over so_basis(signs)) and level m is divided by
+    kappa^(m + 2), so no column or row carries units.
 
     Level m is the Lie derivative of the m-th covariant derivative of the
-    curvature along the germ (Nomizu 1960):
-    ``T_m(xi, A) = xi^d (nabla^{m+1} R)[.., d] + A.(nabla^m R)``, with A acting
-    as a derivation on every slot.  T_0 is the curvature condition of the
-    bundle connection; T_{m+1} is the covariant derivative of T_m with the
-    first-order system (nabla xi = -A, nabla A = -R(., xi)) substituted
-    back in, rewritten by the Ricci identity.
-    """
-    top = max(orders, default=-1)
-    if len(covR) < top + 2:
+    curvature along the germ (Nomizu 1960), T_m(xi, A) = xi^d
+    covR[m + 1][.., d] + A.covR[m], with A acting as a derivation on every
+    slot; T_{m+1} is the covariant derivative of T_m with the first-order
+    system (nabla xi = -A, nabla A = -R(., xi)) substituted back in.  Its
+    rows (l, k, i, j, z..) lowered by the signs keep the curvature's
+    symmetries, antisymmetry in (l, k) and in (i, j) and the pair symmetry,
+    as nabla^m R and a derivation by A in so(g) both keep them
+    (Kobayashi-Nomizu I, ch. V, section 2).  So the rows with l = k or
+    i = j are zero in exact arithmetic, the rest come in groups of 4 or 8
+    equal up to sign, and one row of each group, weighted by the square
+    root of its group's size (``_level_gather``), has the Gram matrix of
+    all n^(4+m) rows: the same singular values, rank, margin and null
+    space, from C(C(n, 2) + 1, 2) n^m rows."""
+    covR = frame.covR
+    if len(covR) < m + 2:
         raise OrderExhaustedError(
-            f"the integrability tensor of order {top} reads covR[{top + 1}], "
-            f"which needs jet order {top + 3}; got covR[0..{len(covR) - 1}] "
-            f"(jet order {len(covR) + 1})")
-    return [IntegrabilityTensor(order=m, xi_coeff=covR[m + 1],
-                                a_coeff=_derivation_coefficient(covR[m]))
-            for m in orders]
+            f"the tower's level {m} reads covR[{m + 1}], which needs jet order "
+            f"{m + 3}; got covR[0..{len(covR) - 1}] (jet order {len(covR) + 1})")
+    n = len(frame.signs)
+    rows, weights, target, source, sign, coef = _level_gather(n, m)
+    shape = (len(rows), n * (n - 1) // 2)
+    a_cols = np.bincount(target, covR[m].ravel()[source] * frame.signs[sign] * coef,
+                         minlength=shape[0] * shape[1])
+    return np.hstack([covR[m + 1].reshape(-1, n)[rows] * weights[:, None],
+                      a_cols.reshape(shape)])
 
 
 # -- kernel dimension -------------------------------------------------------------
@@ -324,15 +334,6 @@ class MultiPointReport:
     @property
     def stable(self):
         return all(r.stable for r in self.reports)
-
-
-def tower_level(frame, m):
-    """Level m of the tower at a point as a matrix over the germ coordinates
-    of its ``UnitFrame``: there a germ (xi, A) has coordinates
-    (kappa e^-1 xi, e^-1 A e over so_basis(signs)) and level m is divided by
-    kappa^(m + 2), so no column or row carries units."""
-    [level] = integrability_tensors(frame.covR, [m])
-    return level.matrix(frame.signs)
 
 
 def kernel_report(decisions, stab_order, point, dim_e, analytic, m_max, tol):

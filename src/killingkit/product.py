@@ -109,11 +109,16 @@ def slot_matrix(frame, m):
     """The rows that order m adds to the matrix whose null space is par: the
     tangent vectors that give zero in every slot of every nabla^k R, k <= m.
     From the ``UnitFrame`` ``frame`` of a chart: covR[m] with its first slot
-    lowered by diag(signs), and each of its 4 + m slots in turn moved last
-    and taken as the columns, (4 + m) n^(3 + m) rows in all."""
+    lowered by diag(signs), each of its slots in turn moved last and taken as
+    the columns.  The lowered tensor is antisymmetric in its slots 0 and 1
+    and in 2 and 3, and symmetric under the swap of the two pairs, so the
+    blocks of the four curvature slots have one Gram matrix: the slot-0
+    block weighted by 2 stands for all four, and the m derivative slots
+    follow, (1 + m) n^(3 + m) rows in all."""
     n = len(frame.signs)
     low = np.einsum("l,l...->l...", frame.signs, frame.covR[m])
-    return np.vstack([np.moveaxis(low, s, -1).reshape(-1, n) for s in range(low.ndim)])
+    return np.vstack([2.0 * np.moveaxis(low, 0, -1).reshape(-1, n)]
+                     + [np.moveaxis(low, s, -1).reshape(-1, n) for s in range(4, low.ndim)])
 
 
 def _joint_margin(decisions):

@@ -21,7 +21,10 @@ def numerical_rank(block, tol, previous=None):
     the decision ``previous``, if any: [A; B] and [S Vh; B] have one Gram
     matrix, so one rank, margin and null space.  The number of singular
     values above tol, from one SVD; an all-zero or empty matrix has rank 0
-    and needs none."""
+    and needs none, and an all-zero or empty block adds nothing to
+    ``previous``, which is returned as it is."""
+    if previous is not None and not np.any(block):
+        return previous
     matrix = block if previous is None else np.vstack([previous.factor, block])
     ncols = matrix.shape[1]
     if matrix.size == 0 or not np.any(matrix):

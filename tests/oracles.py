@@ -1,8 +1,8 @@
 """Independent oracles: the float tree walk and finite differences of it, a
 generator of random (domain-safe) expression trees, the tree-walking jet
-evaluator, the jet-level prolongation recursion, the tower's matrix
-contracted against a basis of the metric-skew endomorphisms, the tower's
-residual on a germ, the bundle curvature applied to a germ, Killing transport stepped
+evaluator, the tower's levels as whole tensors, the jet-level prolongation
+recursion, the tower's matrix contracted against a basis of the
+metric-skew endomorphisms, the tower's residual on a germ, the bundle curvature applied to a germ, Killing transport stepped
 stage by stage, charts changed by an affine change of coordinates and a
 constant metric factor, the product trace from the whole product tower,
 unit frames computed afresh at every order, jet contractions taken
@@ -14,10 +14,13 @@ float tree walk here is how expressions were evaluated at points before
 that: plain float arithmetic, node by node.  The finite-difference oracles
 difference it, so they avoid the jet code path on purpose; these are the
 reference values the jet-based computations are checked against.  The
-recursion is the tower as it was built before the closed form of
-``killing.integrability_tensors``: it differentiates the jets of the tower's
-coefficients level by level, so it shares the jet layer but none of the
-closed form's algebra.  The tree walk is how expressions became jets before
+whole-tensor levels (``integrability_tensors``) are the tower's closed form
+as the package built it before ``killing.tower_level`` gathered only the
+independent rows: every one of the n^(4+m) rows, the coefficient of A as an
+n^(6+m)-float array.  The recursion is the tower as it was built before
+that closed form: it differentiates the jets of the tower's coefficients
+level by level, so it shares the jet layer but none of the closed form's
+algebra.  The tree walk is how expressions became jets before
 they were compiled into a ``JetTape``: one coefficient vector per node,
 visited recursively, with no shared subexpressions and no batch of points;
 it runs the tape's Cauchy product and series kernels one node at a time.
@@ -33,6 +36,7 @@ points.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
@@ -42,8 +46,7 @@ from killingkit.curvature import (CurvatureData, OrderExhaustedError, covariant_
 from killingkit.jets import (JetDomainError, JetTensor, _cauchy, _compose, _elementary_error,
                              _mul_table, _power, _series_coefficients, jet_space,
                              tensor_product)
-from killingkit.killing import (IntegrabilityTensor, KillingGerm, _kernel_trace,
-                                integrability_tensors)
+from killingkit.killing import KillingGerm, _kernel_trace
 from killingkit.metricdsl import (Binary, Call, Const, Coord, Neg, PowInt, make_spec,
                                   substitute_coords)
 from killingkit.product import product_metric
@@ -276,6 +279,71 @@ def dense_tensor_product(sub, a, b, order=None):
     t = next(c for c in "tuvwxyz" if c not in sub)
     prod = np.einsum(f"{la}{t},{lb}{t}->{out}{t}", a.array[..., tab.ai], b.array[..., tab.bi])
     return JetTensor(np.add.reduceat(prod, tab.starts, axis=-1), jet_space(a.n_vars, order))
+
+
+# -- the full-tensor tower ----------------------------------------------------------
+
+@dataclass(frozen=True)
+class IntegrabilityTensor:
+    """One level of the prolongation tower: a linear map on germs.
+
+    ``xi_coeff`` has shape (n,)*(4+order) + (n,) and contracts xi;
+    ``a_coeff`` has shape (n,)*(4+order) + (n, n), its first extra index
+    pairing with the upper index of A.
+    """
+
+    order: int
+    xi_coeff: np.ndarray
+    a_coeff: np.ndarray
+
+    def matrix(self, signs):
+        """Stack into a matrix over the germ coordinates (xi, so_basis(signs))
+        of a frame with metric diag(signs), all n^(4+order) rows."""
+        n = len(signs)
+        rows = int(np.prod(self.xi_coeff.shape[:-1]))
+        a = self.a_coeff.reshape(rows, n, n)
+        r, s = np.triu_indices(n, k=1)
+        a_cols = signs[r] * a[:, r, s] - signs[s] * a[:, s, r]
+        return np.hstack([self.xi_coeff.reshape(rows, n), a_cols])
+
+
+def derivation_coefficient(cov):
+    """The coefficient of A in A.T, for A acting as a derivation on T = cov,
+    whose first slot is upper and the others lower:
+
+        (A.T)[l, y..] = A[l, b] T[b, y..] - sum_s T[l, .., a at slot s, ..] A[a, y_s]
+
+    with trailing axes (a, b) pairing with A[a, b].  Each term is a Kronecker
+    delta times T, so it is written onto the diagonal it lives on; einsum
+    with an index repeated in the input returns that diagonal as a writable
+    view."""
+    n, w = cov.shape[0], cov.ndim
+    coeff = np.zeros(cov.shape + (n, n))
+    y = list(range(1, w))
+    a, b = w, w + 1
+    upper = np.einsum(coeff, [0] + y + [0, b], [0] + y + [b])      # l == a
+    upper += np.moveaxis(cov, 0, -1)
+    for s in y:
+        lower = np.einsum(coeff, [0] + y + [a, s], [0] + y + [a])  # b == y_s
+        lower -= np.expand_dims(np.moveaxis(cov, s, -1), s)
+    return coeff
+
+
+def integrability_tensors(covR, orders):
+    """The levels T_m, m in ``orders``, of the prolongation tower as whole
+    tensors over every row (l, k, i, j, z..), from the values ``covR[m]`` of
+    the curvature's covariant derivatives at a point (``CurvatureData.covR``,
+    or the same in any frame): ``T_m(xi, A) = xi^d (nabla^{m+1} R)[.., d] +
+    A.(nabla^m R)``, with A acting as a derivation on every slot."""
+    top = max(orders, default=-1)
+    if len(covR) < top + 2:
+        raise OrderExhaustedError(
+            f"the integrability tensor of order {top} reads covR[{top + 1}], "
+            f"which needs jet order {top + 3}; got covR[0..{len(covR) - 1}] "
+            f"(jet order {len(covR) + 1})")
+    return [IntegrabilityTensor(order=m, xi_coeff=covR[m + 1],
+                                a_coeff=derivation_coefficient(covR[m]))
+            for m in orders]
 
 
 # -- the prolongation recursion ---------------------------------------------------

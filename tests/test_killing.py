@@ -6,15 +6,15 @@ import pytest
 from killingkit import curvature, killing
 from killingkit.curvature import CurvatureData
 from killingkit.killing import (KillingGerm, PreconditionError, bundle_dim,
-                                check_first_prolongation, field_jets,
-                                integrability_tensors, kernel_germs, killing_dimension,
-                                killing_transport, nearby_points, sample_field,
-                                so_basis, vector_to_germ, verify_killing, wedge)
+                                check_first_prolongation, field_jets, kernel_germs,
+                                killing_dimension, killing_transport, nearby_points,
+                                sample_field, so_basis, tower_level, vector_to_germ,
+                                verify_killing, wedge)
 from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
 from killingkit.product import product_metric
 
-from oracles import (apply_tensor, germ_kernel_residual, killing_curvature,
-                     perturbed_points, stage_points, transport_by_steps)
+from oracles import (apply_tensor, germ_kernel_residual, integrability_tensors,
+                     killing_curvature, perturbed_points, stage_points, transport_by_steps)
 from test_tower import CHARTS, SCHWARZSCHILD, random_chart
 
 
@@ -177,10 +177,9 @@ def test_bundle_curvature_annihilates_killing_germs():
 
 def test_tower_vanishes_on_flat():
     eu = builtin("euclidean", n=3)
-    curv = CurvatureData.compute(eu, m_max=3)
-    for t in integrability_tensors(curv.covR, range(3)):
-        assert np.abs(t.xi_coeff).max() == 0.0
-        assert np.abs(t.a_coeff).max() == 0.0
+    frame = CurvatureData.compute(eu, m_max=3).unit_frames[0]
+    for m in range(3):
+        assert np.abs(tower_level(frame, m)).max() == 0.0
 
 
 def test_tower_annihilates_killing_germs():
@@ -240,24 +239,26 @@ def test_tower_level_one_is_derivative_along_transport():
 
 
 def test_tower_order_exhaustion():
+    # level m reads covR[m + 1]: a frame of depth 1 holds levels 0 and no more
     from killingkit.curvature import OrderExhaustedError
-    curv = CurvatureData.compute(builtin("sphere2"), m_max=1)
-    with pytest.raises(OrderExhaustedError, match="jet order"):
-        integrability_tensors(curv.covR, [2])
+    frame = CurvatureData.compute(builtin("sphere2"), m_max=1).unit_frames[0]
+    assert len(tower_level(frame, 0)) == 1
+    for m in (1, 2):
+        with pytest.raises(OrderExhaustedError, match="jet order"):
+            tower_level(frame, m)
 
 
 @pytest.mark.parametrize("multi_point", [False, True])
 def test_each_tower_level_is_built_once(multi_point, monkeypatch):
     # a point's trace builds level m once, at order m: len(dims) levels
     built = []
-    tensors = killing.integrability_tensors
+    level = killing.tower_level
 
-    def spy_tensors(covR, orders):
-        levels = tensors(covR, orders)
-        built.extend(t.order for t in levels)
-        return levels
+    def spy_level(frame, m):
+        built.append(m)
+        return level(frame, m)
 
-    monkeypatch.setattr(killing, "integrability_tensors", spy_tensors)
+    monkeypatch.setattr(killing, "tower_level", spy_level)
     rep = killing_dimension(parse_manifold(SCHWARZSCHILD), multi_point=multi_point)
     reports = rep.reports if multi_point else [rep]
     assert max(len(r.dims) for r in reports) == 3

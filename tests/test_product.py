@@ -267,14 +267,14 @@ def test_decomposition_builds_each_factor_level_once(monkeypatch):
     # m once, at order m
     a, b = factors("walkerxe1")
     built = {a.dim: [], b.dim: []}
-    tensors = killing.integrability_tensors
+    level = killing.tower_level
 
-    def spy_tensors(covR, orders):
-        levels = tensors(covR, orders)
-        built[covR[0].shape[0]].extend(t.order for t in levels)
-        return levels
+    def spy_level(frame, m):
+        built[len(frame.signs)].append(m)
+        return level(frame, m)
 
-    monkeypatch.setattr(killing, "integrability_tensors", spy_tensors)
+    monkeypatch.setattr(killing, "tower_level", spy_level)
+    monkeypatch.setattr(product, "tower_level", spy_level)
     rep = decomposition_check(a, b)
     length = len(rep.product_report.dims)
     assert [len(r.dims) for r in rep.factor_reports] == [3, 2] and length == 3
@@ -286,23 +286,24 @@ def test_decomposition_never_touches_the_product_chart(monkeypatch):
     a, b = factors("s2xcw1")
     seen = []
     compute = CurvatureData.compute.__func__
-    tensors = killing.integrability_tensors
+    level = killing.tower_level
     dimension = killing.killing_dimension
 
     def spy_compute(cls, spec, *args, **kwargs):
         seen.append(spec)
         return compute(cls, spec, *args, **kwargs)
 
-    def spy_tensors(covR, orders):
-        seen.append(covR[0].shape[0])
-        return tensors(covR, orders)
+    def spy_level(frame, m):
+        seen.append(len(frame.signs))
+        return level(frame, m)
 
     def spy_dimension(spec, *args, **kwargs):
         seen.append(spec)
         return dimension(spec, *args, **kwargs)
 
     monkeypatch.setattr(CurvatureData, "compute", classmethod(spy_compute))
-    monkeypatch.setattr(killing, "integrability_tensors", spy_tensors)
+    monkeypatch.setattr(killing, "tower_level", spy_level)
+    monkeypatch.setattr(product, "tower_level", spy_level)
     monkeypatch.setattr(killing, "killing_dimension", spy_dimension)
     monkeypatch.setattr(product, "product_metric", None)   # calling it would raise
     rep = decomposition_check(a, b)

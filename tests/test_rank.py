@@ -161,3 +161,25 @@ def test_stabilise_drops_each_point_once_its_ranks_repeat():
 def test_stabilise_rejects_negative_order():
     with pytest.raises(ValueError):
         stabilise(_decide(lambda m: 1, []), -1, 1)
+
+
+def test_an_all_zero_block_takes_no_svd(monkeypatch):
+    # [S Vh; 0] has the singular values and right vectors of S Vh: the
+    # decision under it is the previous one, returned with no SVD
+    rng = np.random.default_rng(5)
+    top = rng.standard_normal((2, 4))
+    previous = numerical_rank(top, TOL)
+    calls = []
+    svd = np.linalg.svd
+
+    def spy_svd(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy_svd)
+    for block in (np.zeros((3, 4)), np.zeros((0, 4))):
+        assert numerical_rank(block, TOL, previous) is previous
+        _assert_same_decision(previous, numerical_rank(np.vstack([top, block]), TOL))
+    assert calls == [(5, 4), (2, 4)]   # the two whole stacks only
+    numerical_rank(np.eye(4)[:1], TOL, previous)
+    assert calls[-1] == (3, 4)

@@ -1,19 +1,23 @@
 """The closed-form prolongation tower against the jet-level recursion, its
-xi-columns on a chart whose curvature is not parallel, its matrix against
-the contraction with a basis of the metric-skew endomorphisms, and the rank
-decisions of each order-by-order stack, one block at a time, against the
-whole stack."""
+xi-columns on a chart whose curvature is not parallel, each level's
+independent rows against the contraction with a basis of the metric-skew
+endomorphisms, with their count and the cache of their index arrays, the
+slot matrices against every slot's block, and the rank decisions of each
+order-by-order stack, one block at a time, against the whole stack."""
+import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
-from oracles import germ_kernel_residual, tower_by_recursion, tower_stack_by_basis
+from oracles import (germ_kernel_residual, integrability_tensors, tower_by_recursion,
+                     tower_stack_by_basis)
 
+from killingkit import killing
 from killingkit.curvature import CurvatureData
 from killingkit.holonomy import endomorphism_rows
-from killingkit.killing import (KillingGerm, integrability_tensors, sample_field,
-                                tower_level, wedge)
+from killingkit.killing import KillingGerm, sample_field, tower_level, wedge
 from killingkit.metricdsl import builtin, parse_manifold
 from killingkit.product import product_metric, slot_matrix
 from killingkit.rank import numerical_rank
@@ -118,19 +122,98 @@ STACK_CHARTS = {
 }
 
 
+def independent_rows(n, m):
+    """The flat indices of the rows (l, k, i, j, z..) of a level with l < k,
+    i < j and (l, k) <= (i, j), in order, and their weights: 2 where
+    (l, k) = (i, j), which stands for 4 rows, and sqrt(8) elsewhere, for 8."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rows, weights = [], []
+    for x, head in enumerate(pairs):
+        for tail in pairs[x:]:
+            for z in itertools.product(range(n), repeat=m):
+                rows.append(np.ravel_multi_index(head + tail + z, (n,) * (4 + m)))
+                weights.append(2.0 if head == tail else np.sqrt(8.0))
+    return np.array(rows, dtype=np.intp), np.array(weights)
+
+
+def _gram_distance(a, b):
+    """Largest entry of a^T a - b^T b over the largest of b^T b, or over 1
+    when that is smaller: the entries of a unit frame are of order one."""
+    want = b.T @ b
+    return np.abs(a.T @ a - want).max() / max(1.0, np.abs(want).max())
+
+
 @pytest.mark.parametrize("chart", list(STACK_CHARTS))
 def test_tower_stack_is_the_basis_contraction_bit_for_bit(chart):
-    # LAPACK reads the sign of a zero, so the signs of zeros must agree too
+    # each level is the basis contraction's independent rows times their
+    # weights: the xi-columns bit for bit, the A-columns, summed in another
+    # order, within 1e-15 of the level's largest entry; and it has the Gram
+    # matrix of all n^(4+m) rows
     spec = STACK_CHARTS[chart]()
+    n = spec.dim
     frame = CurvatureData.compute(spec, m_max=3).unit_frames[0]
     want = tower_stack_by_basis(frame, 2)
     start = 0
     for m in range(3):
+        full = want[start:start + n ** (4 + m)]
+        start += len(full)
+        rows, weights = independent_rows(n, m)
+        picked = full[rows] * weights[:, None]
         got = tower_level(frame, m)
-        assert np.array_equal(got, want[start:start + len(got)])
-        assert np.array_equal(np.signbit(got), np.signbit(want[start:start + len(got)]))
-        start += len(got)
+        assert got.shape == picked.shape
+        assert np.array_equal(got[:, :n], picked[:, :n])
+        assert np.abs(got - picked).max() <= 1e-15 * np.abs(got).max()
+        assert _gram_distance(got, full) <= 1e-14, m
     assert start == len(want)
+
+
+@pytest.mark.parametrize("chart", sorted(CHARTS) + ["cw2xcw2", "euclidean1"])
+def test_tower_level_has_one_row_per_group_of_equal_rows(chart):
+    # C(C(n, 2) + 1, 2) n^m rows over the n + C(n, 2) germ coordinates; a
+    # 1-D chart has none
+    spec = {**CHARTS, **STACK_CHARTS, "euclidean1": lambda: builtin("euclidean", n=1)}[chart]()
+    n = spec.dim
+    frame = CurvatureData.compute(spec, m_max=3).unit_frames[0]
+    for m in range(3):
+        assert tower_level(frame, m).shape == (
+            math.comb(math.comb(n, 2) + 1, 2) * n ** m, n + math.comb(n, 2))
+
+
+def test_one_gather_serves_both_signatures_of_a_dimension():
+    # the index arrays are cached per (n, m); the signs are applied per call
+    frames = [CurvatureData.compute(CHARTS[name](), m_max=1).unit_frames[0]
+              for name in ("cw1", "random3")]
+    assert sorted(frames[0].signs) == [-1.0, 1.0, 1.0] and all(frames[1].signs == 1.0)
+    killing._level_gather.cache_clear()
+    for frame in frames:
+        rows, weights = independent_rows(3, 0)
+        [level] = integrability_tensors(frame.covR, [0])
+        picked = level.matrix(frame.signs)[rows] * weights[:, None]
+        got = tower_level(frame, 0)
+        assert np.abs(got - picked).max() <= 1e-15 * np.abs(got).max()
+        assert np.abs(got).max() > 0.1
+    info = killing._level_gather.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def _all_slot_blocks(frame, m):
+    """Every slot's block of covR[m] lowered by the signs, (4 + m) n^(3 + m)
+    rows: each slot in turn moved last and taken as the columns."""
+    n = len(frame.signs)
+    low = np.einsum("l,l...->l...", frame.signs, frame.covR[m])
+    return np.vstack([np.moveaxis(low, s, -1).reshape(-1, n) for s in range(low.ndim)])
+
+
+@pytest.mark.parametrize("chart", list(STACK_CHARTS))
+def test_slot_matrix_has_the_gram_matrix_of_every_slot_block(chart):
+    # the slot-0 block weighted by 2 stands for the four curvature slots
+    spec = STACK_CHARTS[chart]()
+    n = spec.dim
+    frame = CurvatureData.compute(spec, m_max=2).unit_frames[0]
+    for m in range(3):
+        got = slot_matrix(frame, m)
+        assert got.shape == ((1 + m) * n ** (3 + m), n)
+        assert _gram_distance(got, _all_slot_blocks(frame, m)) <= 1e-14, m
 
 
 # The blocks that each order adds to a stack: the tower's level, the holonomy
@@ -161,8 +244,10 @@ def test_running_decisions_match_the_whole_stack(chart):
 
 
 def test_a_deep_trace_holds_no_more_than_the_rebuilt_stack_did():
-    # the tracemalloc peak of a warm trace at commit 19341e0 (numpy 2.4),
-    # where every order ranked the stack of levels 0..m built afresh
+    # the tracemalloc peak of a warm trace: 44,488,621 B at commit 19341e0
+    # (numpy 2.4), where every order ranked the stack of levels 0..m built
+    # afresh, and 9,683,563 B with each level built once as its independent
+    # rows; the pin is the latter plus a margin of 1.3 MB
     import tracemalloc
 
     from killingkit.killing import killing_dimension
@@ -175,4 +260,4 @@ def test_a_deep_trace_holds_no_more_than_the_rebuilt_stack_did():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 44_488_621
+    assert peak <= 11_000_000
