@@ -17,10 +17,10 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import math
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _encode_string
 
 import numpy as np
 
@@ -172,20 +172,62 @@ def _parse_germ(text, n):
 
 # -- output handling ----------------------------------------------------------
 
-def _round_floats(obj):
-    if isinstance(obj, float):
-        return float(f"{obj:.12g}") + 0.0
-    if isinstance(obj, (np.floating,)):
-        return float(f"{float(obj):.12g}") + 0.0
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return _round_floats(obj.tolist())
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+def _float_text(x):
+    """A report float: 12 significant digits and no negative zero, spelt as
+    JSON spells it."""
+    x = float(f"{x:.12g}") + 0.0
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return repr(x)
+
+
+def _write_json(obj, out, newline):
+    """Append the report text of ``obj`` to the list ``out``: floats rounded
+    to 12 significant digits (numpy scalars and arrays read as the Python
+    values they hold), string keys sorted, nested containers on lines of
+    their own indented two spaces deeper than ``newline``.  The text is that
+    of ``json.dumps(obj, sort_keys=True, indent=2)`` after the rounding."""
+    if isinstance(obj, str):
+        out.append(_encode_string(obj))
+    elif isinstance(obj, float):
+        out.append(_float_text(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = newline + "  "
+        if isinstance(obj, dict):
+            out.append("{")
+            for key, value in sorted(obj.items()):
+                out.append(inner)
+                out.append(_encode_string(key))
+                out.append(": ")
+                _write_json(value, out, inner)
+                out.append(",")
+            out[-1] = newline + "}"
+        else:
+            out.append("[")
+            for value in obj:
+                out.append(inner)
+                _write_json(value, out, inner)
+                out.append(",")
+            out[-1] = newline + "]"
+    elif isinstance(obj, np.floating):
+        out.append(_float_text(float(obj)))
+    elif isinstance(obj, np.integer):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, np.ndarray):
+        _write_json(obj.tolist(), out, newline)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _fmt(x):
@@ -204,7 +246,9 @@ def _print_text(payload, lines, elapsed):
 
 def _emit(args, payload, lines, elapsed):
     if args.json:
-        print(json.dumps(_round_floats(payload), sort_keys=True, indent=2))
+        out = []
+        _write_json(payload, out, "\n")
+        print("".join(out))
     else:
         _print_text(payload, lines, elapsed)
 

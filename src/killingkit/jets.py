@@ -91,27 +91,32 @@ def jet_space(n_vars, order):
 _MulTable = namedtuple("_MulTable", "ai bi starts")
 
 
+def _positions(space, exponents):
+    """The position in ``space`` of each row of ``exponents`` (multi-indices
+    of total degree <= space.order): each multi-index is read as a number in
+    base order + 1 and looked up among the space's sorted keys."""
+    weights = (space.order + 1) ** np.arange(space.n_vars, dtype=np.int64)
+    keys = space.exponents @ weights
+    order = np.argsort(keys)
+    return order[np.searchsorted(keys, exponents @ weights, sorter=order)]
+
+
 @lru_cache(maxsize=None)
 def _mul_table(n_vars, qa, qb, qout):
     # Triples (gamma, alpha, beta) with alpha + beta = gamma, sorted by gamma,
-    # so a truncated Cauchy product is gather / multiply / segment-sum.
+    # then alpha, so a truncated Cauchy product is gather / multiply /
+    # segment-sum.
     if qout > qa + qb:
         raise JetOrderError(f"product order {qout} exceeds {qa}+{qb}")
     sa = jet_space(n_vars, qa)
     sb = jet_space(n_vars, qb)
     so = jet_space(n_vars, qout)
-    rows = []
-    for ia in range(sa.size_at(min(qa, qout))):
-        alpha = sa.exponents[ia]
-        room = qout - int(alpha.sum())
-        nb = sb.size_at(min(qb, room))
-        gammas = alpha + sb.exponents[:nb]
-        for ib in range(nb):
-            rows.append((so.index[tuple(map(int, gammas[ib]))], ia, ib))
-    rows.sort()
-    gi = np.array([r[0] for r in rows], dtype=np.int64)
-    ai = np.array([r[1] for r in rows], dtype=np.int64)
-    bi = np.array([r[2] for r in rows], dtype=np.int64)
+    alphas = sa.exponents[:sa.size_at(min(qa, qout))]
+    betas = sb.exponents[:sb.size_at(min(qb, qout))]
+    ai, bi = np.nonzero(alphas.sum(axis=1)[:, None] + betas.sum(axis=1) <= qout)
+    gi = _positions(so, alphas[ai] + betas[bi])
+    rows = np.lexsort((ai, gi))
+    ai, bi, gi = ai[rows], bi[rows], gi[rows]
     uniq, starts = np.unique(gi, return_index=True)
     if len(uniq) != so.size:
         raise AssertionError("incomplete multiplication table")
@@ -124,15 +129,10 @@ def _deriv_table(n_vars, order):
     if order < 1:
         raise JetOrderError("cannot differentiate an order-0 jet")
     s = jet_space(n_vars, order)
-    s1 = jet_space(n_vars, order - 1)
-    src = np.empty((n_vars, s1.size), dtype=np.int64)
-    fac = np.empty((n_vars, s1.size), dtype=np.float64)
-    for t, alpha in enumerate(s1.exponents):
-        a = tuple(map(int, alpha))
-        for i in range(n_vars):
-            beta = a[:i] + (a[i] + 1,) + a[i + 1:]
-            src[i, t] = s.index[beta]
-            fac[i, t] = a[i] + 1
+    alphas = jet_space(n_vars, order - 1).exponents
+    unit = np.eye(n_vars, dtype=np.int64)
+    src = _positions(s, alphas[None, :, :] + unit[:, None, :])
+    fac = (alphas.T + 1).astype(np.float64)
     return src, fac
 
 
@@ -793,4 +793,8 @@ def tensor_product(sub, a, b, order=None, operators=None):
 def tensor_deriv(a):
     """All partial derivatives; appends the derivative axis before the coefficient axis."""
     src, fac = _deriv_table(a.n_vars, a.order)
-    return JetTensor(a.array[..., src] * fac, jet_space(a.n_vars, a.order - 1))
+    # C order: the product keeps the fancy index's layout, whose strides
+    # would make every in-place slot term of a covariant derivative walk
+    # the whole array
+    return JetTensor(np.ascontiguousarray(a.array[..., src] * fac),
+                     jet_space(a.n_vars, a.order - 1))

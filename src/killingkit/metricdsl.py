@@ -23,7 +23,7 @@ import numbers
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -67,10 +67,6 @@ class Expr:
     def _text(self, parent_prec):
         raise NotImplementedError
 
-    @property
-    def is_constant(self):
-        return False
-
 
 @dataclass(frozen=True)
 class Const(Expr):
@@ -83,10 +79,6 @@ class Const(Expr):
         if self.value < 0 and parent_prec > 0:
             return f"({self.value!r})"
         return repr(self.value)
-
-    @property
-    def is_constant(self):
-        return True
 
 
 @dataclass(frozen=True)
@@ -173,58 +165,58 @@ def _folded(unfolded, fn, *values):
     return Const(value) if math.isfinite(value) else unfolded
 
 
-def _fold(expr):
-    """Collapse parameter-free subtrees to constants; leaves domain errors and
-    non-finite values to evaluation."""
-    if isinstance(expr, (Const, Coord)):
-        return expr
-    if isinstance(expr, Neg):
-        a = _fold(expr.arg)
-        if a.is_constant:
-            return Const(-a.value)
-        return Neg(a)
-    if isinstance(expr, Binary):
-        a, b = _fold(expr.left), _fold(expr.right)
-        if a.is_constant and b.is_constant:
-            return _folded(Binary(expr.op, a, b), _ARITHMETIC[expr.op], a.value, b.value)
-        # unit rules keep parameter substitution out of the printed form
-        if expr.op == "*":
-            if a.is_constant and a.value == 1.0:
-                return b
-            if b.is_constant and b.value == 1.0:
-                return a
-            if (a.is_constant and a.value == 0.0) or (b.is_constant and b.value == 0.0):
-                return Const(0.0)
-        elif expr.op == "+":
-            if a.is_constant and a.value == 0.0:
-                return b
-            if b.is_constant and b.value == 0.0:
-                return a
-        elif expr.op == "-":
-            if b.is_constant and b.value == 0.0:
-                return a
-            if a.is_constant and a.value == 0.0:
-                return Neg(b)
-        elif expr.op == "/":
-            if b.is_constant and b.value == 1.0:
-                return a
-        return Binary(expr.op, a, b)
-    if isinstance(expr, PowInt):
-        a = _fold(expr.base)
-        if a.is_constant:
-            return _folded(PowInt(a, expr.exponent), pow, a.value, expr.exponent)
-        if expr.exponent == 1:
+# The parser and the catalog build every node through these four, which fold
+# as they build: parameter-free subtrees collapse to constants, and domain
+# errors and non-finite values are left to evaluation.  Their operands are
+# already folded, so no tree is walked twice.
+
+def _neg(a):
+    return Const(-a.value) if type(a) is Const else Neg(a)
+
+
+def _binary(op, a, b):
+    ca, cb = type(a) is Const, type(b) is Const
+    if ca and cb:
+        return _folded(Binary(op, a, b), _ARITHMETIC[op], a.value, b.value)
+    # unit rules keep parameter substitution out of the printed form
+    if op == "*":
+        if ca and a.value == 1.0:
+            return b
+        if cb and b.value == 1.0:
             return a
-        if expr.exponent == 0:
-            return Const(1.0)
-        return PowInt(a, expr.exponent)
-    if isinstance(expr, Call):
-        a = _fold(expr.arg)
-        # sqrt(0) stays unfolded: its derivatives are infinite, so the tape refuses it
-        if a.is_constant and not (expr.fn == "sqrt" and a.value == 0.0):
-            return _folded(Call(expr.fn, a), getattr(math, expr.fn), a.value)
-        return Call(expr.fn, a)
-    raise TypeError(f"unknown expression node {expr!r}")
+        if (ca and a.value == 0.0) or (cb and b.value == 0.0):
+            return Const(0.0)
+    elif op == "+":
+        if ca and a.value == 0.0:
+            return b
+        if cb and b.value == 0.0:
+            return a
+    elif op == "-":
+        if cb and b.value == 0.0:
+            return a
+        if ca and a.value == 0.0:
+            return Neg(b)
+    elif op == "/":
+        if cb and b.value == 1.0:
+            return a
+    return Binary(op, a, b)
+
+
+def _pow(a, exponent):
+    if type(a) is Const:
+        return _folded(PowInt(a, exponent), pow, a.value, exponent)
+    if exponent == 1:
+        return a
+    if exponent == 0:
+        return Const(1.0)
+    return PowInt(a, exponent)
+
+
+def _call(fn, a):
+    # sqrt(0) stays unfolded: its derivatives are infinite, so the tape refuses it
+    if type(a) is Const and not (fn == "sqrt" and a.value == 0.0):
+        return _folded(Call(fn, a), getattr(math, fn), a.value)
+    return Call(fn, a)
 
 
 def substitute_coords(expr, subs):
@@ -263,7 +255,10 @@ DEGENERACY_FACTOR = 1e-10
 
 @dataclass(frozen=True, eq=True)
 class ManifoldSpec:
-    """A parsed chart: coordinates, metric expressions, base point, assumptions."""
+    """A parsed chart: coordinates, metric expressions, base point, assumptions.
+
+    Built only by ``make_spec``, which checks that the metric is
+    nondegenerate at the base point."""
 
     name: str
     coords: tuple
@@ -355,6 +350,17 @@ def make_spec(name, coords, metric, params=(), base_point=None, assumptions=None
     return spec
 
 
+def _read_spec(name, coords, metric, params, base_point, assumptions):
+    """``make_spec`` for a chart file or a catalog chart: ``params`` maps
+    names to values, and a base point outside the metric's domain is a
+    SpecError."""
+    try:
+        return make_spec(name, coords, metric, params=tuple(sorted(params.items())),
+                         base_point=base_point, assumptions=assumptions)
+    except JetDomainError as exc:
+        raise SpecError(f"base point outside the metric's domain: {exc}")
+
+
 @lru_cache(maxsize=None)
 def _upper_position(n):
     # position of component (i, j) among the upper triangle's (i, j >= i)
@@ -370,7 +376,9 @@ def metric_jet_tensor(spec, point, order):
     Checks each point as a point-by-point evaluation would, and raises what
     it would raise first: a failing component (naming the point, the
     component and its expression; see ``JetTape.evaluate``) or a degenerate
-    metric, at the earliest failing point.
+    metric, at the earliest failing point.  The base point alone is not
+    checked again: ``make_spec`` checked it, and the order-0 coefficients of
+    any order are the values it checked.
     """
     return _metric_jet_tensor(spec, point, order, check=True)
 
@@ -386,7 +394,7 @@ def _metric_jet_tensor(spec, point, order, check):
     position = _upper_position(spec.dim)
     g = coeffs[:, position]
     valid = len(batch) if failure is None else failure[0]
-    if check:
+    if check and not (points.ndim == 1 and tuple(points.tolist()) == spec.base_point):
         spec.check_nondegenerate(batch[:valid], g[:valid, :, :, 0])
     if failure is not None:
         k, output, exc = failure
@@ -397,41 +405,39 @@ def _metric_jet_tensor(spec, point, order, check):
 
 # -- tokenizer / parser -------------------------------------------------------
 
+# Each match skips whitespace, newlines and comments, then takes one token:
+# the end of the text, or a character no token starts with.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t\r]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<number>(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<sym>[{}\[\](),;:=^+\-*/])
+    (?:[ \t\r\n]+|\#[^\n]*)*
+    (?:(?P<number>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)
+     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+     | (?P<sym>[{}\[\](),;:=^+\-*/])
+     | (?P<eof>\Z)
+     | (?P<bad>.))
 """, re.VERBOSE)
 
 
+def _line_col(text, offset):
+    """The 1-based line and column of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def _tokenize(text):
+    """Tokens ``(kind, text, offset)``, the last one ``("eof", "", len(text))``."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(value)
-        else:
-            tokens.append((kind, value, line, col))
-            col += len(value)
-        pos = m.end()
-    tokens.append(("eof", "", line, col))
-    return tokens
+        start = m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[start]!r}", *_line_col(text, start))
+        tokens.append((kind, m[kind], start))
+        if kind == "eof":
+            return tokens
 
 
 class _Parser:
     def __init__(self, text):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.coords = []
@@ -449,7 +455,7 @@ class _Parser:
 
     def error(self, message, tok=None):
         tok = tok or self.peek()
-        raise ParseError(message, tok[2], tok[3])
+        raise ParseError(message, *_line_col(self.text, tok[2]))
 
     def expect(self, value):
         tok = self.next()
@@ -464,7 +470,7 @@ class _Parser:
         return tok
 
     def accept(self, value):
-        if self.peek()[1] == value:
+        if self.tokens[self.pos][1] == value:
             self.next()
             return True
         return False
@@ -503,7 +509,7 @@ class _Parser:
 
         self.expect("metric")
         self.expect(":")
-        rows, row_positions = self.parse_matrix()
+        rows, row_tokens = self.parse_matrix()
         self.expect(";")
 
         base_point = None
@@ -538,13 +544,8 @@ class _Parser:
         if tok[0] != "eof":
             self.error(f"trailing input {tok[1]!r}", tok)
 
-        grid = self.finish_grid(rows, row_positions)
-        params = tuple(sorted(self.params.items()))
-        try:
-            return make_spec(name, self.coords, grid, params=params,
-                             base_point=base_point, assumptions=assumptions)
-        except JetDomainError as exc:
-            raise SpecError(f"base point outside the metric's domain: {exc}")
+        grid = self.finish_grid(rows, row_tokens)
+        return _read_spec(name, self.coords, grid, self.params, base_point, assumptions)
 
     def parse_matrix(self):
         self.expect("[")
@@ -556,17 +557,16 @@ class _Parser:
                 row.append(self.parse_expr())
             self.expect("]")
             rows.append(row)
-            positions.append((tok[2], tok[3]))
+            positions.append(tok)
             if not self.accept(","):
                 break
         self.expect("]")
         return rows, positions
 
-    def finish_grid(self, rows, row_positions):
+    def finish_grid(self, rows, row_tokens):
         n = len(self.coords)
         if len(rows) != n:
-            raise ParseError(f"metric has {len(rows)} rows for {n} coordinates",
-                             *row_positions[0])
+            self.error(f"metric has {len(rows)} rows for {n} coordinates", row_tokens[0])
         grid = [[None] * n for _ in range(n)]
         for i, row in enumerate(rows):
             if len(row) == n:
@@ -577,9 +577,8 @@ class _Parser:
                 for k, e in enumerate(row):
                     grid[i][i + k] = e
             else:
-                raise ParseError(
-                    f"metric row {i + 1} has {len(row)} entries (expected {n} or {n - i})",
-                    *row_positions[i])
+                self.error(f"metric row {i + 1} has {len(row)} entries "
+                           f"(expected {n} or {n - i})", row_tokens[i])
         for i in range(n):
             for j in range(i + 1, n):
                 lower, upper = grid[j][i], grid[i][j]
@@ -604,38 +603,38 @@ class _Parser:
             self.error(f"expected number, found {tok[1]!r}", tok)
         return sign * float(tok[1])
 
-    # expression grammar: + - | * / | unary - | ^int | atom
+    # expression grammar: + - | * / | unary - | ^int | atom; every node is
+    # folded as it is built
     def parse_expr(self):
         node = self.parse_term()
-        while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
-            node = Binary(op, node, self.parse_term())
-        return _fold(node)
+        tokens = self.tokens
+        while (op := tokens[self.pos][1]) in ("+", "-"):
+            self.pos += 1
+            node = _binary(op, node, self.parse_term())
+        return node
 
     def parse_term(self):
         node = self.parse_factor()
-        while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
-            node = Binary(op, node, self.parse_factor())
+        tokens = self.tokens
+        while (op := tokens[self.pos][1]) in ("*", "/"):
+            self.pos += 1
+            node = _binary(op, node, self.parse_factor())
         return node
 
     def parse_factor(self):
         if self.accept("-"):
-            return Neg(self.parse_factor())
-        return self.parse_power()
-
-    def parse_power(self):
+            return _neg(self.parse_factor())
         base = self.parse_atom()
-        if self.accept("^"):
-            neg = self.accept("-")
-            tok = self.next()
-            if tok[0] != "number" or "." in tok[1] or "e" in tok[1] or "E" in tok[1]:
-                self.error(f"expected integer exponent, found {tok[1]!r}", tok)
-            k = int(tok[1])
-            if neg:
-                return PowInt(Binary("/", Const(1.0), base), k)
-            return PowInt(base, k)
-        return base
+        if not self.accept("^"):
+            return base
+        neg = self.accept("-")
+        tok = self.next()
+        if tok[0] != "number" or "." in tok[1] or "e" in tok[1] or "E" in tok[1]:
+            self.error(f"expected integer exponent, found {tok[1]!r}", tok)
+        k = int(tok[1])
+        if neg:
+            return _pow(_binary("/", Const(1.0), base), k)
+        return _pow(base, k)
 
     def parse_atom(self):
         tok = self.next()
@@ -651,7 +650,7 @@ class _Parser:
                 self.expect("(")
                 arg = self.parse_expr()
                 self.expect(")")
-                return Call(name, arg)
+                return _call(name, arg)
             if name in self.coords:
                 return Coord(name, self.coords.index(name))
             if name in self.params:
@@ -691,10 +690,6 @@ def parse_field(components, spec):
 
 # -- builtin catalog ----------------------------------------------------------
 
-# dv-coefficient depends on v, so the null direction is recurrent, not parallel.
-_WALKER_PROFILE = "x^2 * (1 + v) + x^3"
-
-
 def _count(name, key, value, least):
     """Parameter ``key`` of builtin ``name``: an integer >= ``least``."""
     if not isinstance(value, numbers.Integral) or value < least:
@@ -711,28 +706,26 @@ def _number(name, key, value):
 
 
 def _chart(name, coords, metric, params=(), base_point=None):
-    """Parse a catalog chart from its coordinates, its metric entries as
-    text, its (name, value) parameters and its base point (the origin if
-    None).  Every catalog chart is analytic and simply connected."""
-    lines = [f"manifold {name} {{", f"  coordinates: {', '.join(coords)};"]
-    if params:
-        lines.append("  parameters: " + ", ".join(f"{k} = {v!r}" for k, v in params) + ";")
-    rows = ", ".join("[" + ", ".join(row) + "]" for row in metric)
-    lines.append(f"  metric: [{rows}];")
-    if base_point is not None:
-        lines.append("  base_point: (" + ", ".join(map(repr, base_point)) + ");")
-    lines += ["  assume: analytic, simply_connected;", "}"]
-    return parse_manifold("\n".join(lines))
+    """A catalog chart from its coordinate names, its metric as a function of
+    the coordinates' ``Coord`` nodes that returns the full grid of trees, its
+    (name, value) parameters and its base point (the origin if None).  The
+    trees are built with the folding constructors, as the parser builds
+    them.  Every catalog chart is analytic and simply connected."""
+    nodes = [Coord(c, i) for i, c in enumerate(coords)]
+    return _read_spec(name, coords, metric(*nodes), dict(params), base_point,
+                      Assumptions(analytic=True, simply_connected=True))
 
 
 def _flat(name, coords, signs):
     """The flat chart diag(signs) in ``coords``, with its translations and
     its rotations and boosts."""
     n = len(coords)
-    metric = [["0"] * n for _ in range(n)]
+
+    def metric(*x):
+        return [[Const(signs[i] if i == j else 0.0) for j in range(n)] for i in range(n)]
+
     fields = []
     for i in range(n):
-        metric[i][i] = "-1" if signs[i] < 0 else "1"
         fields.append(["1" if k == i else "0" for k in range(n)])
     for i in range(n):
         for j in range(i + 1, n):
@@ -759,8 +752,15 @@ def _sphere2(r=1.0):
     r = _number("sphere2", "r", r)
     if r <= 0:
         raise SpecError(f"sphere2 parameter r must be > 0, got {r!r}")
-    chart = _chart("sphere2", ["theta", "phi"], [["r^2", "0"], ["0", "r^2 * sin(theta)^2"]],
-                   params=[("r", r)], base_point=(math.pi / 2, 0))
+
+    def metric(theta, phi):
+        # [[r^2, 0], [0, r^2 * sin(theta)^2]]
+        r2 = _pow(Const(r), 2)
+        return [[r2, Const(0.0)],
+                [Const(0.0), _binary("*", r2, _pow(_call("sin", theta), 2))]]
+
+    chart = _chart("sphere2", ["theta", "phi"], metric, params=[("r", r)],
+                   base_point=(math.pi / 2, 0))
     return chart, [
         ["0", "1"],
         ["-sin(phi)", "-cos(phi) * cos(theta) / sin(theta)"],
@@ -769,8 +769,12 @@ def _sphere2(r=1.0):
 
 
 def _hyperbolic2():
-    chart = _chart("hyperbolic2", ["x", "y"], [["1 / y^2", "0"], ["0", "1 / y^2"]],
-                   base_point=(0, 1))
+    def metric(x, y):
+        # [[1 / y^2, 0], [0, 1 / y^2]]
+        h = _binary("/", Const(1.0), _pow(y, 2))
+        return [[h, Const(0.0)], [Const(0.0), h]]
+
+    chart = _chart("hyperbolic2", ["x", "y"], metric, base_point=(0, 1))
     return chart, [
         ["1", "0"],
         ["x", "y"],
@@ -788,11 +792,16 @@ def _cahen_wallach(n=1, q=1.0):
         raise SpecError("cahen_wallach parameter q must be a non-degenerate diagonal: "
                         "zero entry found")
     dim = n + 2
-    metric = [["0"] * dim for _ in range(dim)]
-    metric[0][0] = "2 * (" + " + ".join(f"q{i+1} * x{i+1}^2" for i in range(n)) + ")"
-    metric[0][1] = metric[1][0] = "1"
-    for i in range(2, dim):
-        metric[i][i] = "1"
+
+    def metric(t, v, *x):
+        # g_tt = 2 * (q1 * x1^2 + ... + qn * xn^2), g_tv = 1, g_xixi = 1
+        terms = [_binary("*", Const(qv), _pow(xi, 2)) for qv, xi in zip(qs, x)]
+        grid = [[Const(1.0 if 2 <= i == j else 0.0) for j in range(dim)] for i in range(dim)]
+        grid[0][0] = _binary("*", Const(2.0), reduce(
+            lambda total, term: _binary("+", total, term), terms))
+        grid[0][1] = grid[1][0] = Const(1.0)
+        return grid
+
     chart = _chart(f"cahen_wallach{n}", ["t", "v"] + [f"x{i+1}" for i in range(n)], metric,
                    params=[(f"q{i+1}", v) for i, v in enumerate(qs)])
     fields = []
@@ -817,7 +826,15 @@ def _cahen_wallach(n=1, q=1.0):
 
 
 def _walker_recurrent():
-    metric = [[_WALKER_PROFILE, "1", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+    def metric(t, v, x):
+        # g_tt = x^2 * (1 + v) + x^3, g_tv = 1, g_xx = 1: the dv-coefficient
+        # depends on v, so the null direction is recurrent, not parallel
+        g_tt = _binary("+", _binary("*", _pow(x, 2), _binary("+", Const(1.0), v)),
+                       _pow(x, 3))
+        return [[g_tt, Const(1.0), Const(0.0)],
+                [Const(1.0), Const(0.0), Const(0.0)],
+                [Const(0.0), Const(0.0), Const(1.0)]]
+
     return _chart("walker_recurrent", ["t", "v", "x"], metric), None
 
 

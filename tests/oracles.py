@@ -7,7 +7,10 @@ stage by stage, charts changed by an affine change of coordinates and a
 constant metric factor, the product trace from the whole product tower,
 unit frames computed afresh at every order, jet contractions taken
 densely over every component pair, and the points near a base point as
-``killing-dim --multi-point`` chose them before ``killing.nearby_points``.
+``killing-dim --multi-point`` chose them before ``killing.nearby_points``,
+the jet multiplication and derivative tables built in Python loops, the
+catalog charts written as text and parsed, and the report rounded before
+the standard JSON encoder writes it.
 
 The package evaluates every expression with its compiled ``JetTape``.  The
 float tree walk here is how expressions were evaluated at points before
@@ -31,7 +34,10 @@ A-columns before it read them off the frame's signs: A's coefficient contracted 
 every entry of each basis matrix g^-1 (E_rs - E_sr), g^-1 from
 ``np.linalg.inv``.  The perturbed points are the rule ``nearby_points``
 keeps bit for bit on charts of dimension >= 2; on a 1-D chart it repeated
-points.
+points.  The loop-built tables, the text catalog and the rounding walk are
+how the package built those before numpy built the tables, the catalog
+built expression trees and ``cli`` wrote the report in one walk; the
+package must match them exactly.
 """
 from __future__ import annotations
 
@@ -565,8 +571,7 @@ def changed_chart(spec, jacobian=None, shift=None, factor=1.0):
                 Binary("*", Const(float(factor * jac[i, k] * jac[j, l])),
                        substitute_coords(spec.metric[i][j], xs))
                 for i in range(n) for j in range(n)
-                if jac[i, k] * jac[j, l] and not (spec.metric[i][j].is_constant
-                                                  and spec.metric[i][j].value == 0.0)])
+                if jac[i, k] * jac[j, l] and spec.metric[i][j] != Const(0.0)])
     base = np.linalg.solve(jac, np.asarray(spec.base_point) - shift)
     return make_spec(f"{spec.name}_changed", [y.name for y in ys], grid,
                      params=spec.params, base_point=base, assumptions=spec.assumptions)
@@ -619,3 +624,115 @@ def perturbed_points(p, count):
         sign = -sign
     points.append(p + delta / np.sqrt(n))
     return points
+
+
+# -- multiplication and derivative tables, built in loops ------------------------------
+
+def mul_table_by_loop(n_vars, qa, qb, qout):
+    """``jets._mul_table`` as it was built before numpy built it: one Python
+    loop over the pairs (alpha, beta), a dict lookup of alpha + beta each,
+    and a sort of the triples (gamma, alpha, beta).  Returns (ai, bi,
+    starts)."""
+    sa, sb, so = jet_space(n_vars, qa), jet_space(n_vars, qb), jet_space(n_vars, qout)
+    rows = []
+    for ia in range(sa.size_at(min(qa, qout))):
+        alpha = sa.exponents[ia]
+        nb = sb.size_at(min(qb, qout - int(alpha.sum())))
+        gammas = alpha + sb.exponents[:nb]
+        for ib in range(nb):
+            rows.append((so.index[tuple(map(int, gammas[ib]))], ia, ib))
+    rows.sort()
+    gi, ai, bi = (np.array([r[k] for r in rows], dtype=np.int64) for k in range(3))
+    return ai, bi, np.unique(gi, return_index=True)[1]
+
+
+def deriv_table_by_loop(n_vars, order):
+    """``jets._deriv_table`` built entry by entry: d/dx_i maps the
+    coefficient of alpha + e_i, scaled by alpha_i + 1, onto alpha."""
+    s, s1 = jet_space(n_vars, order), jet_space(n_vars, order - 1)
+    src = np.empty((n_vars, s1.size), dtype=np.int64)
+    fac = np.empty((n_vars, s1.size), dtype=np.float64)
+    for t, alpha in enumerate(s1.exponents):
+        a = tuple(map(int, alpha))
+        for i in range(n_vars):
+            src[i, t] = s.index[a[:i] + (a[i] + 1,) + a[i + 1:]]
+            fac[i, t] = a[i] + 1
+    return src, fac
+
+
+# -- the catalog as text ------------------------------------------------------------
+
+def catalog_chart_from_text(name, params):
+    """The catalog chart ``name`` as the package built it before its charts
+    were expression trees: the chart written as text, its parameters in a
+    ``parameters:`` line, and parsed.  ``params`` are the builtin's
+    parameters, as ``cli`` reads them from ``name:key=value,...``."""
+    if name in ("euclidean", "minkowski"):
+        if name == "euclidean":
+            n = int(params.get("n", 2))
+            coords, signs, label = [f"x{i+1}" for i in range(n)], [1.0] * n, f"euclidean{n}"
+        else:
+            p, q = int(params.get("p", 1)), int(params.get("q", 1))
+            coords = [f"t{i+1}" for i in range(p)] + [f"x{i+1}" for i in range(q)]
+            signs, label = [-1.0] * p + [1.0] * q, f"minkowski{p}{q}"
+        metric = [[("-1" if signs[i] < 0 else "1") if i == j else "0"
+                   for j in range(len(coords))] for i in range(len(coords))]
+        return _text_chart(label, coords, metric)
+    if name == "sphere2":
+        return _text_chart("sphere2", ["theta", "phi"], [["r^2", "0"], ["0", "r^2 * sin(theta)^2"]],
+                           params=[("r", float(params.get("r", 1.0)))],
+                           base_point=(math.pi / 2, 0))
+    if name == "hyperbolic2":
+        return _text_chart("hyperbolic2", ["x", "y"], [["1 / y^2", "0"], ["0", "1 / y^2"]],
+                           base_point=(0, 1))
+    if name == "cahen_wallach":
+        n = int(params.get("n", 1))
+        q = params.get("q", 1.0)
+        qs = [float(v) for v in (q if isinstance(q, list) else [q] * n)]
+        dim = n + 2
+        metric = [["0"] * dim for _ in range(dim)]
+        metric[0][0] = "2 * (" + " + ".join(f"q{i+1} * x{i+1}^2" for i in range(n)) + ")"
+        metric[0][1] = metric[1][0] = "1"
+        for i in range(2, dim):
+            metric[i][i] = "1"
+        return _text_chart(f"cahen_wallach{n}", ["t", "v"] + [f"x{i+1}" for i in range(n)],
+                           metric, params=[(f"q{i+1}", v) for i, v in enumerate(qs)])
+    if name == "walker_recurrent":
+        metric = [["x^2 * (1 + v) + x^3", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]]
+        return _text_chart("walker_recurrent", ["t", "v", "x"], metric)
+    raise ValueError(f"no text form of builtin {name!r}")
+
+
+def _text_chart(name, coords, metric, params=(), base_point=None):
+    from killingkit.metricdsl import parse_manifold
+    lines = [f"manifold {name} {{", f"  coordinates: {', '.join(coords)};"]
+    if params:
+        lines.append("  parameters: " + ", ".join(f"{k} = {v!r}" for k, v in params) + ";")
+    rows = ", ".join("[" + ", ".join(row) + "]" for row in metric)
+    lines.append(f"  metric: [{rows}];")
+    if base_point is not None:
+        lines.append("  base_point: (" + ", ".join(map(repr, base_point)) + ");")
+    lines += ["  assume: analytic, simply_connected;", "}"]
+    return parse_manifold("\n".join(lines))
+
+
+# -- the report's rounding, then the standard JSON encoder ----------------------------
+
+def round_floats(obj):
+    """A report payload as ``cli`` rounded it before writing it in one walk:
+    floats to 12 significant digits with no negative zero, numpy scalars and
+    arrays as Python values, tuples as lists.  ``json.dumps(round_floats(p),
+    sort_keys=True, indent=2)`` is the report text."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}") + 0.0
+    if isinstance(obj, (np.floating,)):
+        return float(f"{float(obj):.12g}") + 0.0
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, np.ndarray):
+        return round_floats(obj.tolist())
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round_floats(v) for v in obj]
+    return obj

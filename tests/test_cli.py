@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from killingkit.cli import run
 from killingkit.metricdsl import BUILTINS, builtin
 
-from oracles import random_expression
+from oracles import random_expression, round_floats
 
 
 def invoke(capsys, *argv):
@@ -829,3 +830,49 @@ def test_commands_on_random_charts_keep_their_contract(tmp_path_factory, chart):
     codes["check-field"], _ = quiet_run("check-field", "--file", str(path),
                                         "--field", ",".join(["1"] + ["0"] * (n - 1)))
     assert set(codes.values()) <= {0, 2, 3}, codes
+
+
+# Report leaves: floats with every special value, numpy scalars, strings
+# with non-ASCII and control characters, and numpy arrays of floats.
+_REPORT_SCALARS = st.one_of(
+    st.floats(), st.floats(width=32),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, math.nan, math.inf, -math.inf,
+                     123456789012.0, 1e16, 1e-5, 0.1 + 0.2]),
+    st.integers(), st.booleans(), st.none(), st.text(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.integers(0, 255).map(np.uint8))
+_REPORT_ARRAYS = st.one_of(
+    st.lists(st.floats(), max_size=6).map(np.array),
+    st.lists(st.floats(), max_size=6).map(lambda xs: np.array(xs).reshape(-1, 1)),
+    st.lists(st.floats(width=32), max_size=6).map(lambda xs: np.array(xs, dtype=np.float32)))
+_REPORTS = st.recursive(
+    _REPORT_SCALARS | _REPORT_ARRAYS,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(_REPORTS)
+@settings(max_examples=200, deadline=None)
+def test_reports_are_written_as_the_rounded_standard_encoder_writes_them(payload):
+    import argparse
+    from killingkit import cli
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(argparse.Namespace(json=True), payload, [], 0.0)
+    assert out.getvalue() == json.dumps(round_floats(payload), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("point,checks", [(None, 1), ("1.5707963267948966,0", 1),
+                                          ("1,0.5", 2)])
+def test_each_point_of_a_query_is_checked_once(capsys, monkeypatch, point, checks):
+    # make_spec checks the base point; the curvature at the base point does
+    # not check it again, and at any other point it checks that point
+    from killingkit import metricdsl
+    calls = []
+    check = metricdsl.ManifoldSpec.check_nondegenerate
+    monkeypatch.setattr(metricdsl.ManifoldSpec, "check_nondegenerate",
+                        lambda spec, *args: calls.append(args) or check(spec, *args))
+    argv = ["killing-dim", "--builtin", "sphere2", "--json"]
+    code, _, _ = invoke(capsys, *argv, *([f"--point={point}"] if point else []))
+    assert code == 0 and len(calls) == checks

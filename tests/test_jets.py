@@ -11,7 +11,8 @@ from killingkit.jets import (JetDomainError, JetOrderError, JetShapeError, JetTe
                              compile_tape, jet_space, tensor_deriv, tensor_product)
 from killingkit.metricdsl import Binary, Call, Const, Coord, PowInt
 
-from oracles import fd_first_partial, fd_second_partial, float_eval, random_expression
+from oracles import (deriv_table_by_loop, fd_first_partial, fd_second_partial, float_eval,
+                     mul_table_by_loop, random_expression)
 
 X, Y = Coord("x", 0), Coord("y", 1)
 
@@ -446,3 +447,41 @@ def test_contractions_hold_no_more_than_the_gather_did(sub, n, q, a_shape, b_sha
     finally:
         tracemalloc.stop()
     assert peak <= parent
+
+
+TABLE_KEYS = [(qa, qb, qout) for qa in range(6) for qb in range(6)
+              for qout in range(min(qa + qb, 5) + 1)]
+
+
+@pytest.mark.parametrize("n_vars", range(1, 9))
+def test_tables_match_the_loop_built_oracle(n_vars):
+    # the row order (gamma, then alpha, then beta) fixes the order of every
+    # Cauchy sum, so the tables must be equal, not just equivalent
+    for key in TABLE_KEYS:
+        table = jets._mul_table(n_vars, *key)
+        for got, want in zip(table, mul_table_by_loop(n_vars, *key)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), key
+    for order in range(1, 6):
+        for got, want in zip(jets._deriv_table(n_vars, order),
+                             deriv_table_by_loop(n_vars, order)):
+            assert got.dtype == want.dtype and np.array_equal(got, want), order
+
+
+@pytest.mark.parametrize("points", [None, 3])
+def test_derivatives_come_out_in_c_order(points):
+    # an in-place slot term of a covariant derivative walks its output in
+    # C order; any other layout makes it stride across the whole array
+    from killingkit.curvature import christoffel, covariant_derivative, inverse_metric
+    from killingkit.metricdsl import builtin, metric_jet_tensor
+    spec = builtin("cahen_wallach", n=2, q=[1.0, -1.0])
+    p = (np.asarray(spec.base_point) if points is None
+         else spec.base_point + 0.1 * np.arange(points)[:, None])
+    g = metric_jet_tensor(spec, p, 4)
+    gamma = christoffel(g, inverse_metric(g.truncated(3)))
+    assert tensor_deriv(g).array.flags.c_contiguous
+    cov, variance = gamma, "udd"
+    for _ in range(2):
+        cov = covariant_derivative(cov, variance, gamma)
+        variance += "d"
+        assert cov.array.flags.c_contiguous
+        assert tensor_deriv(cov).array.flags.c_contiguous

@@ -1,14 +1,19 @@
 import functools
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from killingkit.cli import run
+from killingkit.cli import _parse_builtin_string, run
 from killingkit.metricdsl import (DegenerateMetricError, ParseError, SpecError,
                                   builtin, known_killing_fields, metric_jet_tensor,
                                   parse_expression, parse_field, parse_manifold)
+
+from oracles import catalog_chart_from_text
+from test_tower import CHARTS, random_chart
 
 EUCLID2_SRC = """
 # a flat plane
@@ -297,3 +302,118 @@ def test_known_killing_fields_refuse_what_builtin_refuses(name, params, message)
     for make in (builtin, known_killing_fields):
         with pytest.raises(SpecError, match=message):
             make(name, **params)
+
+
+# Every site that raises a ParseError, through the CLI: the exit code and
+# the exact message, line and column on stderr.  The strings are those the
+# line-by-line tokenizer and the folding pass wrote.
+PARSE_ERRORS = {
+    "after-comment": ("manifold m {  # a comment; @ is fine here\n  coordinates: x, y; # more\n"
+                      "  @metric: [[1, 0], [0, 1]];\n}\n",
+                      "line 3, col 3: unexpected character '@'"),
+    "after-tab": ("manifold m {\n\tcoordinates:\tx, y;\t\t%\n}\n",
+                  "line 2, col 22: unexpected character '%'"),
+    "crlf-line": ("manifold m {\r\n  coordinates: x, y;\r\n  metric: [[1, 0], [0, 1]] !;\r\n}\r\n",
+                  "line 3, col 28: unexpected character '!'"),
+    "last-line": ("manifold m {\n  coordinates: x;\n  metric: [[1]];\n} ;",
+                  "line 4, col 3: trailing input ';'"),
+    "end-of-file": ("manifold m {\n  coordinates: x;\n  metric: [[1]];\n  # no closing brace\n",
+                    "line 5, col 1: expected '}', found ''"),
+    "empty": ("", "line 1, col 1: expected 'manifold', found ''"),
+    "expected-keyword": ("  # header\n\n  chart m {\n}\n",
+                         "line 3, col 3: expected 'manifold', found 'chart'"),
+    "unknown-identifier": ("manifold m {\n  coordinates: x, y;\n"
+                           "  metric: [[1, 0], [0, 1 + x * zz]];\n}\n",
+                           "line 3, col 32: unknown identifier 'zz'"),
+    "fractional-exponent": ("manifold m {\n  coordinates: x, y;\n  metric: [[1, 0], [0, x^1.5]];\n}\n",
+                            "line 3, col 26: expected integer exponent, found '1.5'"),
+    "float-exponent": ("manifold m {\n  coordinates: x, y;\n  metric: [[1, 0], [0, x^2e0]];\n}\n",
+                       "line 3, col 26: expected integer exponent, found '2e0'"),
+    "symbolic-exponent": ("manifold m {\n  coordinates: x, y;\n  metric: [[1, 0], [0, x^y]];\n}\n",
+                          "line 3, col 26: expected integer exponent, found 'y'"),
+    "trailing-input": ("manifold m {\n  coordinates: x;\n  metric: [[1]];\n}\n\n  extra\n",
+                       "line 6, col 3: trailing input 'extra'"),
+    "row-count": ("manifold m {\n  coordinates: x, y;\n  metric: [\n    [1, 0]];\n}\n",
+                  "line 4, col 5: metric has 1 rows for 2 coordinates"),
+    "row-entries": ("manifold m {\n  coordinates: x, y;\n  metric: [[1, 0],\n     [0, 1, 2]];\n}\n",
+                    "line 4, col 6: metric row 2 has 3 entries (expected 2 or 1)"),
+    "expected-identifier": ("manifold m {\n  coordinates: x, 2;\n}\n",
+                            "line 2, col 19: expected identifier, found '2'"),
+    "duplicate-coordinate": ("manifold m {\n  coordinates: x, y, x;\n}\n",
+                             "line 2, col 22: duplicate coordinate 'x'"),
+    "shadowed-function": ("manifold m {\n  coordinates: x, sin;\n}\n",
+                          "line 2, col 19: coordinate name 'sin' shadows a function"),
+    "colliding-parameter": ("manifold m {\n  coordinates: x;\n  parameters: a = 1, x = 2;\n}\n",
+                            "line 3, col 22: parameter 'x' collides with another name"),
+    "unknown-flag": ("manifold m {\n  coordinates: x;\n  metric: [[1]];\n"
+                     "  assume: analytic, compact;\n}\n",
+                     "line 4, col 21: unknown assumption flag 'compact'"),
+    "expected-number": ("manifold m {\n  coordinates: x;\n  metric: [[1]];\n  base_point: (- x);\n}\n",
+                        "line 4, col 18: expected number, found 'x'"),
+    "unexpected-token": ("manifold m {\n  coordinates: x;\n  metric: [[1 + *]];\n}\n",
+                         "line 3, col 17: unexpected token '*'"),
+}
+
+FIELD_PARSE_ERRORS = {
+    "0,sin(theta": "line 1, col 10: expected ')', found ''",
+    "0,theta ? 2": "line 1, col 7: unexpected character '?'",
+    "0,theta theta": "line 1, col 7: trailing input 'theta'",
+    "0,rho": "line 1, col 1: unknown identifier 'rho'",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_ERRORS))
+def test_parse_errors_keep_their_message_line_and_column(case, tmp_path, capsys):
+    text, message = PARSE_ERRORS[case]
+    chart = tmp_path / "chart.man"
+    chart.write_bytes(text.encode())
+    assert run(["parse", "--file", str(chart)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("field", sorted(FIELD_PARSE_ERRORS))
+def test_field_parse_errors_keep_their_message_line_and_column(field, capsys):
+    assert run(["check-field", "--builtin", "sphere2", "--field", field]) == 2
+    assert capsys.readouterr() == ("", f"error: {FIELD_PARSE_ERRORS[field]}\n")
+
+
+def _load_tool(name):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BUILTIN_FORMS = _load_tool("report_snapshot").BUILTIN_FORMS
+
+
+@pytest.mark.parametrize("form", BUILTIN_FORMS)
+def test_catalog_trees_are_the_charts_the_text_path_parsed(form):
+    name, params = _parse_builtin_string(form)
+    spec, old = builtin(name, params), catalog_chart_from_text(name, params)
+    # repr tells Const(1) from Const(1.0), which compare equal
+    assert spec == old and repr(spec.metric) == repr(old.metric)
+    assert spec.serialize() == old.serialize()
+    assert spec.metric_tape.ops == old.metric_tape.ops
+    assert spec.metric_tape.outputs == old.metric_tape.outputs
+
+
+BASE_POINT_CHARTS = {
+    **CHARTS,
+    **{f"random{n}.{seed}": functools.partial(random_chart, seed, n)
+       for n in (2, 3, 4) for seed in (1, 2)},
+    **{form: functools.partial(lambda f: builtin(*_parse_builtin_string(f)), form)
+       for form in BUILTIN_FORMS},
+}
+
+
+@pytest.mark.parametrize("chart", sorted(BASE_POINT_CHARTS))
+def test_jets_at_the_base_point_hold_the_values_make_spec_checked(chart):
+    # metric_jet_tensor does not check the base point again because these
+    # are the values make_spec checked, bit for bit, at every order
+    spec = BASE_POINT_CHARTS[chart]()
+    checked = spec.metric_values(spec.base_point)
+    for order in range(1, 6):
+        g = metric_jet_tensor(spec, spec.base_point, order).array[..., 0]
+        assert g.tobytes() == checked.tobytes()

@@ -23,7 +23,11 @@ degenerate point or an overflow, an invalid step count, every command that
 evaluates a point at three bad points, non-finite metric values and literals,
 fields that fail at a point, builtin parameters the catalog refuses, a
 transported field's failures at the path's ends, a chart given both as
-``--builtin`` and as ``--file``, and a malformed ``--germ``), and
+``--builtin`` and as ``--file``, a malformed ``--germ``, chart files with a
+syntax error (after a comment, a tab, on a CRLF line, on the last line, at
+the end of the file, an unknown name, a non-integer exponent, trailing input
+and a wrong row count), charts degenerate at their base point or at the
+``--point`` given, and fields with a syntax error), and
 ``check-field`` and
 ``demo-counterexample`` on the fields they check (``FIELD_COMMANDS``: every
 catalog Killing field, two fields that are not Killing, one and three
@@ -166,6 +170,28 @@ ERROR_CHARTS = {
     "sqrtlow": ("manifold sq {\n  coordinates: x, y;\n"
                 "  metric: [[1 + sqrt(y), 0], [0, 2 + sqrt(y + 0.5)]];\n"
                 "  base_point: (0, 0.05);\n}\n"),
+    # malformed files: the parse error's message, line and column
+    "badcomment": ("manifold m {  # a comment\n  coordinates: x, y; # another\n"
+                   "  metric: [[1, 0], [0, 1]]; # note ; @\n  @\n}\n"),
+    "badtab": "manifold m {\n\tcoordinates:\tx, y;\n\t\tmetric: [[1, 0],\t[0, $]];\n}\n",
+    "badcrlf": ("manifold m {\r\n  coordinates: x, y;\r\n"
+                "  metric: [[1, 0], [0, 1]];\r\n  base_point: (1, ?);\r\n}\r\n"),
+    "badlastline": ("manifold m {\n  coordinates: x, y;\n"
+                    "  metric: [[1, 0], [0, 1]];\n} }"),
+    "badeof": "manifold m {\n  coordinates: x, y;\n  metric: [[1, 0], [0, 1]];\n  ",
+    "badident": ("manifold m {\n  coordinates: x, y;\n"
+                 "  metric: [[1, 0], [0, 1 + z^2]];\n}\n"),
+    "badexponent": ("manifold m {\n  coordinates: x, y;\n"
+                    "  metric: [[1, 0], [0, 1 + x^2.5]];\n}\n"),
+    "badtrailing": ("manifold m {\n  coordinates: x, y;\n"
+                    "  metric: [[1, 0], [0, 1]];\n}\nmanifold n {\n"),
+    "badrows": ("manifold m {\n  coordinates: x, y, z;\n"
+                "  metric: [[1, 0, 0],\n           [1, 0]];\n}\n"),
+    # degenerate at the base point; nondegenerate there and degenerate at x = 0
+    "degenerate": ("manifold d {\n  coordinates: x, y;\n"
+                   "  metric: [[x^2, 0], [0, 1]];\n}\n"),
+    "degenerateoff": ("manifold d {\n  coordinates: x, y;\n"
+                      "  metric: [[x^2, 0], [0, 1]];\n  base_point: (1, 0);\n}\n"),
 }
 
 # Every command that evaluates a point, at a bad point of each chart: the
@@ -231,6 +257,19 @@ ERROR_COMMANDS = [
     ["killing-dim", "--builtin", "euclidean:n=2", "--file", "{sqrtx}"],
     # a germ whose A has one row where the chart needs two
     ["transport", "--builtin", "sphere2", "--germ", "0,1|0,0", "--path", "1,0;1.2,0.1",
+     "--steps", "10"],
+] + [["parse", "--file", "{%s}" % name]
+     for name in ERROR_CHARTS if name.startswith("bad")] + [
+    # a chart degenerate at its base point, with and without --point
+    # elsewhere; a chart degenerate only at the --point given
+    ["killing-dim", "--file", "{degenerate}"],
+    ["killing-dim", "--file", "{degenerate}", "--point=1,0"],
+    ["killing-dim", "--file", "{degenerateoff}", "--point=0,0"],
+    ["holonomy", "--file", "{degenerateoff}", "--point=0,0.5"],
+    # a field with a syntax error
+    ["check-field", "--builtin", "sphere2", "--field", "0,sin(theta"],
+    ["check-field", "--builtin", "sphere2", "--field", "0,2 $ theta"],
+    ["transport", "--builtin", "sphere2", "--field", "0,theta^0.5", "--path", "1,0;1.2,0.1",
      "--steps", "10"],
 ]
 
