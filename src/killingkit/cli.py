@@ -7,10 +7,13 @@ strings (``sphere2``, ``cahen_wallach:n=1,q=1``, ``@path/chart.man``).
 Reports go to standard output, human-readable by default, or as one JSON
 document with ``--json``.  JSON reports are byte-identical across identical
 invocations: keys are sorted, floats carry 12 significant digits, and timing
-is reported only in text mode.  Exit codes: 0 success, 2 input error,
-3 inconclusive (a stabilisation warning somewhere in the result, or a field
-that passes ``check-field``'s Killing check and fails its derivative
-identity).
+is reported only in text mode.  Exit codes: 0 success, 2 input error (the
+errors that name bad input: a chart, point, germ or field that does not
+parse or evaluate, a degenerate metric, too low an order, a check's
+precondition), 3 inconclusive (a stabilisation warning somewhere in the
+result, a field that passes ``check-field``'s Killing check and fails its
+derivative identity, or a computation that failed inside the package, with
+a warning naming where).
 """
 from __future__ import annotations
 
@@ -20,7 +23,9 @@ import hashlib
 import math
 import sys
 import time
+import traceback
 from json.encoder import encode_basestring_ascii as _encode_string
+from pathlib import Path
 
 import numpy as np
 
@@ -164,6 +169,9 @@ def _parse_germ(text, n):
         raise SpecError("germ syntax: xi1,..,xin|a11,..,a1n;a21,..")
     xi = np.array(_floats(xi_part))
     rows = [_floats(r) for r in a_part.split(";")]
+    if len({len(r) for r in rows}) > 1:
+        raise SpecError(f"germ rows of {[len(r) for r in rows]} entries do not fit "
+                        f"dimension {n}")
     a = np.array(rows, dtype=np.float64)
     if xi.shape != (n,) or a.shape != (n, n):
         raise SpecError(f"germ shapes {xi.shape}, {a.shape} do not fit dimension {n}")
@@ -334,7 +342,7 @@ def _cmd_curvature(args):
     point = _parse_point(args.point, spec.dim) if args.point else None
     curv = CurvatureData.compute(spec, point=point, m_max=args.order)
     res = identity_residuals(curv)
-    norms = [float(np.abs(v).max()) for v in curv.covR]
+    norms = [float(np.abs(curv.whole(m)).max()) for m in range(len(curv.covR))]
     payload = {
         "inputs": [source],
         "result": {
@@ -484,6 +492,8 @@ def _cmd_transport(args):
     if not args.path:
         raise SpecError("transport requires --path \"p0;p1;...\"")
     path = _parse_points(args.path, spec.dim)
+    if len(path) < 2:
+        raise SpecError("path needs at least two points")
     steps = args.steps
     if args.field:
         germ = field_jets(spec, args.field.split(","))
@@ -746,6 +756,15 @@ def build_parser():
     return parser
 
 
+def _stage(exc):
+    """Where in the package ``exc`` was raised: the innermost frame of its
+    traceback in this package's directory, as module.function."""
+    here = Path(__file__).parent
+    inside = [f for f in traceback.extract_tb(exc.__traceback__)
+              if Path(f.filename).parent == here]
+    return f"{Path(inside[-1].filename).stem}.{inside[-1].name}" if inside else __package__
+
+
 def run(argv=None):
     parser = build_parser()
     try:
@@ -757,9 +776,13 @@ def run(argv=None):
     try:
         payload, lines, code = args.func(args)
     except (ParseError, SpecError, JetDomainError, OrderExhaustedError,
-            PreconditionError, ValueError) as exc:
+            PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:   # a failure inside a computation, not bad input
+        print(f"warning: {args.command} failed in {_stage(exc)}: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
     payload.setdefault("warnings", [])
     payload = {"schema": 1, "command": args.command, **payload}
     _emit(args, payload, lines, time.perf_counter() - start)

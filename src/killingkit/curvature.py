@@ -4,22 +4,31 @@ covariant derivatives, computed as jets of the metric components.
 Index conventions, fixed once for the whole project:
 
 * ``gamma[k, i, j]`` is the connection coefficient with upper index k,
-  symmetric in (i, j);
+  symmetric in (i, j); ``first[l, i, j]`` = g_la gamma[a, i, j] is the
+  Christoffel symbol of the first kind;
 * ``riemann[l, k, i, j]`` is the component of the endomorphism produced by the
   coordinate pair (i, j) acting on the k-th basis vector: the commutator of
   covariant derivatives along i and j applied to d_k gives
   ``riemann[l, k, i, j]`` times d_l.  The two-form slots (i, j) come last.
-* Covariant-derivative indices are appended after the tensor's own slots, so
-  ``covR[m]`` has shape (n,)*(4+m) with layout [l, k, i, j, z_1, ..., z_m],
-  z_m being the outermost derivative.
+  Lowered, rm[l, k, i, j] = g_la riemann[a, k, i, j].
+* The curvature and its covariant derivatives are kept lowered and in pair
+  form.  The pairs (l, k) with l < k are numbered in the order of
+  ``np.triu_indices(n, 1)``, N = C(n, 2) of them, and ``covR[m]`` has shape
+  (N, N) + (n,)*m with layout [P, Q, z_1, ..., z_m], P = (l, k) and
+  Q = (i, j): the m-th covariant derivative of rm, z_m being the outermost
+  derivative.  Lowered, nabla^m R is antisymmetric in (l, k) and in (i, j)
+  and symmetric under the swap of the pairs (Kobayashi-Nomizu I, ch. V,
+  section 2), so the pair form holds every independent component, and
+  ``unpack`` gives the whole tensor [l, k, i, j, z..] back.
 * Jets may carry one leading point axis before the component axes: the same
   quantity at each of a batch of points.  In subscripts it is the letter P.
 """
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -67,7 +76,8 @@ def inverse_metric(g):
 
 
 def christoffel(metric_jets, inverse_jets=None):
-    """Connection coefficients as jets of one order less than the metric."""
+    """Connection coefficients of the second and of the first kind, gamma and
+    first, as jets of one order less than the metric."""
     g = metric_jets
     if g.order < 1:
         raise OrderExhaustedError("christoffel needs metric jets of order >= 1")
@@ -75,38 +85,96 @@ def christoffel(metric_jets, inverse_jets=None):
     p = _points(g, 2)
     dg = tensor_deriv(g)  # dg[i, j, c] = d_c g_ij
     a = dg.array
-    # sym[l, i, j] = d_i g_jl + d_j g_il - d_l g_ij, summed in one owned
-    # buffer: each einsum is a transposed view of dg's array
-    sym = np.einsum(f"{p}jlic->{p}lijc", a).copy()
-    sym += np.einsum(f"{p}iljc->{p}lijc", a)
-    sym -= np.einsum(f"{p}ijlc->{p}lijc", a)
-    return tensor_product(f"{p}kl,{p}lij->{p}kij", ginv.truncated(dg.order),
-                          JetTensor(sym, dg.space)).scaled(0.5)
+    # first[l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, summed in one
+    # owned buffer: each einsum is a transposed view of dg's array
+    first = np.einsum(f"{p}jlic->{p}lijc", a).copy()
+    first += np.einsum(f"{p}iljc->{p}lijc", a)
+    first -= np.einsum(f"{p}ijlc->{p}lijc", a)
+    first *= 0.5
+    first = JetTensor(first, dg.space)
+    return tensor_product(f"{p}kl,{p}lij->{p}kij", ginv.truncated(dg.order), first), first
 
 
-def riemann(gamma):
-    """Curvature jets from connection jets, one further order down."""
+@lru_cache(maxsize=None)
+def _pair_cells(n):
+    """The flat indices, in an (n, n, n, n) array, of the entries [l, k, i, j]
+    and [l, k, j, i] with (l, k) = P and (i, j) = Q, on the (N, N) grid of
+    pairs P, Q; read-only."""
+    r, s = np.triu_indices(n, k=1)
+    head = (r * n + s)[:, None] * n * n
+    cells = (head + r * n + s, head + s * n + r)
+    for arr in cells:
+        arr.flags.writeable = False
+    return cells
+
+
+def riemann(gamma, first):
+    """The lowered curvature in pair form, [P, Q], as jets one order below
+    the connection's, from its coefficients of both kinds (``christoffel``):
+
+        rm[l, k, i, j] = D[l, k, i, j] - D[l, k, j, i],
+        D[l, k, i, j] = d_i first[l, j, k] - first[a, i, l] gamma[a, j, k],
+
+    which is g_la riemann[a, k, i, j] with d_i g_la = first[l, i, a] +
+    first[a, i, l] substituted, so no jet of g is read."""
     if gamma.order < 1:
         raise OrderExhaustedError("riemann needs connection jets of order >= 1")
     p = _points(gamma, 3)
-    dg = tensor_deriv(gamma)  # dg[l, j, k, i] = d_i gamma[l, j, k]
-    a = dg.array
-    # R[l, k, i, j] = d_i gamma[l, j, k] - d_j gamma[l, i, k]
-    #   + gamma[l, i, m] gamma[m, j, k] - gamma[l, j, m] gamma[m, i, k],
-    # summed in one owned buffer (each einsum is a transposed view of dg's
-    # array), so at most one product is held besides it
-    total = np.einsum(f"{p}ljkic->{p}lkijc", a).copy()
-    total -= np.einsum(f"{p}likjc->{p}lkijc", a)
-    gl = gamma.truncated(dg.order)
-    total += tensor_product(f"{p}lim,{p}mjk->{p}lkij", gl, gl).array
-    total -= tensor_product(f"{p}ljm,{p}mik->{p}lkij", gl, gl).array
+    n = gamma.shape[-1]
+    dg = tensor_deriv(first)  # dg[l, j, k, i] = d_i first[l, j, k]
+    d = np.einsum(f"{p}ljkic->{p}lkijc", dg.array) - tensor_product(
+        f"{p}ail,{p}ajk->{p}lkij", first.truncated(dg.order), gamma.truncated(dg.order)).array
+    d = d.reshape(d.shape[:len(p)] + (n ** 4, d.shape[-1]))
+    cells, swapped = _pair_cells(n)
+    total = np.take(d, cells, axis=len(p))
+    total -= np.take(d, swapped, axis=len(p))
     return JetTensor(total, dg.space)
 
 
-def covariant_derivative(tensor, variance, gamma):
+@lru_cache(maxsize=None)
+def _wedge_matrix(n):
+    """The (N N, n n) matrix, entries 0 and +-1, that maps an endomorphism
+    B[e, f] (upper index first, flattened row by row) to its action on
+    two-forms in pair form: (B.w)[a, b] = B[e, a] w[e, b] + B[e, b] w[a, e]
+    is sum over Q of W[P, Q] w[Q] with P = (a, b), Q = (c, d) and
+
+        W[P, Q] = B[c, a] delta_bd - B[d, a] delta_bc
+                  + delta_ac B[d, b] - delta_ad B[c, b].
+
+    Read-only: every call of the process shares it."""
+    r, s = np.triu_indices(n, k=1)
+    big = len(r)
+    rows, cols = np.meshgrid(np.arange(big), np.arange(big), indexing="ij")
+    a, b, c, d = r[rows], s[rows], r[cols], s[cols]
+    mat = np.zeros((big, big, n, n))
+    for sign, upper, lower, hit in ((1.0, c, a, b == d), (-1.0, d, a, b == c),
+                                    (1.0, d, b, a == c), (-1.0, c, b, a == d)):
+        np.add.at(mat, (rows[hit], cols[hit], upper[hit], lower[hit]), sign)
+    mat = mat.reshape(big * big, n * n)
+    mat.flags.writeable = False
+    return mat
+
+
+def pair_connection(gamma):
+    """The connection acting on two-forms in pair form: jets of W[P, Q, z],
+    the ``_wedge_matrix`` of gamma[., z, .], one matrix product for every z
+    and coefficient."""
+    p = _points(gamma, 3)
+    n = gamma.shape[-1]
+    a = np.moveaxis(gamma.array, len(p) + 1, -2)   # [e, f, z, coeff]
+    flat = a.reshape(a.shape[:len(p)] + (n * n, n * a.shape[-1]))
+    big = n * (n - 1) // 2
+    return JetTensor((_wedge_matrix(n) @ flat).reshape(
+        a.shape[:len(p)] + (big, big, n, a.shape[-1])), gamma.space)
+
+
+def covariant_derivative(tensor, variance, gamma, pairs=None):
     """Covariant derivative of a jet tensor; appends the derivative slot last.
 
-    ``variance`` marks each component axis 'u' (upper) or 'd' (lower).
+    ``variance`` marks each component axis 'u' (upper), 'd' (lower) or 'p'
+    (a lowered pair of two-form slots in pair form); on a 'p' slot the
+    connection acts through ``pairs`` (``pair_connection(gamma)``, built
+    here when not given).
     """
     if tensor.order < 1:
         raise OrderExhaustedError("covariant derivative needs jets of order >= 1")
@@ -117,12 +185,17 @@ def covariant_derivative(tensor, variance, gamma):
                          f"{len(tensor.shape) - len(p)}")
     out = tensor_deriv(tensor)  # [..., z, coeff]
     q = out.order
+    if not out.array.size:   # a 1-D chart has no pairs
+        return out
     gl = gamma.truncated(min(gamma.order, q))
+    if "p" in variance:
+        pairs = pair_connection(gamma) if pairs is None else pairs
+        wl = pairs.truncated(min(pairs.order, q))
     letters = _VAR_LETTERS[:rank]
     t_trunc = tensor.truncated(q)
-    # every slot contracts the same two jet tensors, so the multiplication
-    # operator of the one with fewer components (Gamma, but for a metric) is
-    # built once for the upper slots and once for the lower ones
+    # every slot of one kind contracts the same two jet tensors, so the
+    # multiplication operator of the one with fewer components is built once
+    # for the upper slots, once for the lower ones and once for the pairs
     operators = {}
     for s, v in enumerate(variance):
         slot = letters[s]
@@ -131,17 +204,35 @@ def covariant_derivative(tensor, variance, gamma):
         if v == "u":
             out.array += tensor_product(f"{p}{slot}ZA,{contracted}->{out_sub}", gl, t_trunc,
                                         q, operators).array
-        else:
+        elif v == "d":
             out.array -= tensor_product(f"{p}AZ{slot},{contracted}->{out_sub}", gl, t_trunc,
+                                        q, operators).array
+        else:
+            out.array -= tensor_product(f"{p}{slot}AZ,{contracted}->{out_sub}", wl, t_trunc,
                                         q, operators).array
     return out
 
 
+def unpack(pairs, n, lead=0):
+    """The whole lowered tensor [l, k, i, j, z..] of a covR entry in pair
+    form [P, Q, z..] (``lead`` leading axes, such as a point axis, are kept
+    in front): antisymmetric in (l, k) and in (i, j), and zero where l = k
+    or i = j."""
+    r, s = np.triu_indices(n, k=1)
+    x = np.moveaxis(pairs, (lead, lead + 1), (0, 1))
+    half = np.zeros((n, n) + x.shape[1:])
+    half[r, s] = x
+    half[s, r] = -x
+    whole = np.zeros((n, n, n, n) + x.shape[2:])
+    whole[:, :, r, s] = half
+    whole[:, :, s, r] = -half
+    return np.moveaxis(whole, range(4, 4 + lead), range(lead))
+
+
 def lowered_riemann(curv):
-    """Fully covariant curvature rm[l, k, i, j]: the upper index lowered in
-    place, i.e. the metric pairing of d_l against the (i, j)-endomorphism
-    applied to d_k."""
-    return np.einsum("la,akij->lkij", curv.g, curv.riemann)
+    """Fully covariant curvature rm[l, k, i, j]: the metric pairing of d_l
+    against the (i, j)-endomorphism applied to d_k."""
+    return unpack(curv.covR[0], curv.g.shape[-1], curv.point.ndim - 1)
 
 
 def identity_residuals(curv):
@@ -168,17 +259,20 @@ def identity_residuals(curv):
 # The frame in which every rank is decided.  e: columns of a frame of the
 # metric, e^T g e = diag(signs); einv: its inverse; kappa: the curvature
 # scale, 1/length; covR[m]: the m-th covariant derivative of the curvature in
-# that frame over kappa^(m + 2), which carries no units.
+# that frame over kappa^(m + 2), which carries no units, in pair form.
 UnitFrame = namedtuple("UnitFrame", "e einv signs kappa covR")
 
 
-def _in_frame(t, e, einv):
-    """Components of a tensor with its first slot upper and the rest lower
-    under the constant change of coordinates x = e y.  Each product contracts
-    the first slot and appends the new one last, so after one product per
-    slot the slots are back in their own order."""
+def _in_frame(t, mats):
+    """Components of a tensor under the constant change of coordinates
+    x = e y: slot s is contracted with ``mats[s]`` along its rows (einv.T
+    for an upper slot, e for a lower one, the 2 x 2 minors of e for a pair).
+    Each product contracts the first slot and appends the new one last, so
+    after one product per slot the slots are back in their own order."""
+    if not t.size:
+        return t
     flat = t
-    for mat in [einv.T] + [e] * (t.ndim - 1):
+    for mat in mats:
         flat = flat.reshape(len(mat), -1).T @ mat
     return flat.reshape(t.shape)
 
@@ -194,8 +288,7 @@ class CurvatureData:
     metric_jets: JetTensor
     inverse_jets: JetTensor
     gamma_jets: JetTensor
-    riemann_jets: JetTensor
-    covR: list          # covR[m]: values of the m-th covariant derivative
+    covR: list          # covR[m]: values of the m-th covariant derivative, in pair form
 
     @property
     def g(self):
@@ -205,9 +298,18 @@ class CurvatureData:
     def ginv(self):
         return self.inverse_jets.value()
 
-    @property
+    def whole(self, m):
+        """covR[m] as the whole tensor [l, k, i, j, z..] with its first slot
+        raised by the inverse metric's values."""
+        lead = self.point.ndim - 1
+        t = unpack(self.covR[m], self.g.shape[-1], lead)
+        flat = t.reshape(t.shape[:lead + 1] + (math.prod(t.shape[lead + 1:]),))
+        return np.matmul(self.ginv, flat).reshape(t.shape)
+
+    @cached_property
     def riemann(self):
-        return self.riemann_jets.value()
+        """The curvature values riemann[l, k, i, j], raised from covR[0]."""
+        return self.whole(0)
 
     @classmethod
     def compute(cls, spec, point=None, m_max=1):
@@ -223,16 +325,18 @@ class CurvatureData:
         k = m_max + 2
         g = metricdsl.metric_jet_tensor(spec, p, k)
         ginv = inverse_metric(g.truncated(k - 1))
-        gamma = christoffel(g, ginv)
-        r = riemann(gamma)
-        cov, variance = r, "uddd"
-        covR = [r.value()]
+        gamma, first = christoffel(g, ginv)
+        cov = riemann(gamma, first)
+        # the first covariant derivative, the deepest that reads the pair
+        # connection, takes it to the order of its output, m_max - 1
+        variance, pairs = "pp", pair_connection(gamma.truncated(m_max - 1)) if m_max else None
+        covR = [cov.value()]
         for _ in range(m_max):
-            cov = covariant_derivative(cov, variance, gamma)
+            cov = covariant_derivative(cov, variance, gamma, pairs)
             variance += "d"
             covR.append(cov.value())
         return cls(spec=spec, point=p, jet_order=k, metric_jets=g,
-                   inverse_jets=ginv, gamma_jets=gamma, riemann_jets=r, covR=covR)
+                   inverse_jets=ginv, gamma_jets=gamma, covR=covR)
 
     @cached_property
     def unit_frames(self):
@@ -240,8 +344,9 @@ class CurvatureData:
         from one batched ``eigh``; a single point is a batch of one.  There
         one fixed singular-value threshold means zero whatever the chart's
         scale: e from ``eigh(g)``; Gamma and covR transformed as tensors
-        under the constant change x = e y; kappa = max(max |Gamma|,
-        max |R|^(1/2)) there, or 1 when both vanish."""
+        under the constant change x = e y, a pair slot by the 2 x 2 minors
+        of e; kappa = max(max |Gamma|, max |R|^(1/2)) there, or 1 when both
+        vanish."""
         def batch(a):
             return a if self.point.ndim == 2 else a[None]
 
@@ -249,11 +354,17 @@ class CurvatureData:
         root = np.sqrt(np.abs(w))[:, None, :]
         es, einvs = v / root, np.swapaxes(v * root, 1, 2)
         gammas, covs = batch(self.gamma_jets.value()), [batch(c) for c in self.covR]
+        cells, swapped = _pair_cells(es.shape[-1])
         frames = []
         for k, (e, einv) in enumerate(zip(es, einvs)):
-            gamma = _in_frame(gammas[k], e, einv)
-            cov = [_in_frame(c[k], e, einv) for c in covs]
-            kappa = float(max(np.abs(gamma).max(), np.sqrt(np.abs(cov[0]).max()))) or 1.0
+            gamma = _in_frame(gammas[k], [einv.T, e, e])
+            # minors[P', P] = e[l', l] e[k', k] - e[l', k] e[k', l]: the entries
+            # [l', k', l, k] and [l', k', k, l] of e[x, y] e[u, v] laid out [x, u, y, v]
+            outer = np.einsum("xy,uv->xuyv", e, e).ravel()
+            minors = outer[cells] - outer[swapped]
+            cov = [_in_frame(c[k], [minors, minors] + [e] * m) for m, c in enumerate(covs)]
+            kappa = float(max(np.abs(gamma).max(),
+                              np.sqrt(np.abs(cov[0]).max(initial=0.0)))) or 1.0
             frames.append(UnitFrame(e=e, einv=einv, signs=np.sign(w[k]), kappa=kappa,
                                     covR=[c / kappa ** (m + 2) for m, c in enumerate(cov)]))
         return frames

@@ -8,11 +8,12 @@ extends to an actual parallel field.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import frame_ladder
+from .curvature import frame_ladder, unpack
 from .killing import so_basis
 from .rank import fixed_basis, numerical_rank, stabilise
 
@@ -63,39 +64,48 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8, frames=None):
             f"unstable: holonomy span still growing at order m_max={m_max}")
     span = decisions[-1]
     [frame] = frames(len(decisions) - 1)
-    # bases by a fixed rule, which rounding in the rows cannot turn: the
-    # generators from the so(p, q) basis, the candidates from the frame's axes
+    # the span's rows are so(p, q) coordinates over so_basis(signs) / sqrt(2),
+    # an orthonormal basis of so(p, q) among the endomorphisms; bases by a
+    # fixed rule, which rounding in the rows cannot turn: the generators from
+    # that basis, the candidates from the frame's axes
     so_rows = so_basis(frame.signs).reshape(-1, n * n) / np.sqrt(2.0)
-    generators = fixed_basis(span.row, so_rows).reshape(span.rank, n, n)
+    generators = (fixed_basis(span.row) @ so_rows).reshape(span.rank, n, n)
     candidates = fixed_basis(numerical_rank(generators.reshape(-1, n), tol).null)
     # nullity: the vectors killed by contraction into the curvature's first
     # two-form slot, rows (l, k, j) x column i
-    killed = numerical_rank(np.moveaxis(frame.covR[0], 2, -1).reshape(-1, n), tol)
+    killed = numerical_rank(np.moveaxis(unpack(frame.covR[0], n), 2, -1).reshape(-1, n), tol)
     return HolonomyReport(point=tuple(map(float, p)), dims=[d.rank for d in decisions],
                           dimension=span.rank, stabilization_order=stab_order,
                           gaps=[dict(d.margin, order=m) for m, d in enumerate(decisions)],
                           generators=frame.e @ generators @ frame.einv,
                           candidates=candidates @ frame.e.T,
-                          bracket_closure_enlarges=_bracket_check(generators, span, tol),
+                          bracket_closure_enlarges=_bracket_check(generators, span, tol,
+                                                                  so_rows),
                           nullity=n - killed.rank, warnings=warnings, tol=tol)
 
 
 def endomorphism_rows(frame, m):
     """The rows order m adds to the holonomy span: covR[m] of the ``UnitFrame``
-    ``frame``, endomorphism slots (l, k) last, one row per (i < j, z...)."""
-    n = len(frame.signs)
-    iu, ju = np.triu_indices(n, k=1)
-    return np.moveaxis(frame.covR[m], (0, 1), (-2, -1))[iu, ju].reshape(-1, n * n)
+    ``frame``, one row per (Q, z..), each the endomorphism of its two-form
+    and derivative slots in so(p, q) coordinates.  The lowered entry of
+    covR[m] at the pair P = (l, k) is the endomorphism's coordinate on
+    so_basis(signs)[P]; times sqrt(2) it is the coordinate on the
+    orthonormal basis so_basis(signs) / sqrt(2), so a row has the length of
+    the endomorphism's n x n entries, and the rank is at most C(n, 2)."""
+    rows = np.moveaxis(frame.covR[m], 0, -1)
+    return np.sqrt(2.0) * rows.reshape(math.prod(rows.shape[:-1]), rows.shape[-1])
 
 
-def _bracket_check(generators, span, tol):
-    """Would adding commutators of the generators to the rows ranked by the
+def _bracket_check(generators, span, tol, so_rows):
+    """Would adding commutators of the generators, in the so(p, q)
+    coordinates of the orthonormal ``so_rows``, to the rows ranked by the
     decision ``span`` enlarge the span?"""
     if len(generators) < 2:
         return False
     i, j = np.triu_indices(len(generators), k=1)
     brackets = generators[i] @ generators[j] - generators[j] @ generators[i]
-    return bool(numerical_rank(brackets.reshape(len(i), -1), tol, span).rank > span.rank)
+    return bool(numerical_rank(brackets.reshape(len(i), -1) @ so_rows.T, tol,
+                               span).rank > span.rank)
 
 
 @dataclass

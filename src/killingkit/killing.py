@@ -20,13 +20,12 @@ so three computations fall out of one construction:
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metricdsl
-from .curvature import (CurvatureData, OrderExhaustedError, budget_points,
+from .curvature import (CurvatureData, OrderExhaustedError, _wedge_matrix, budget_points,
                         covariant_derivative, frame_ladder, point_frame)
 from .jets import (JetDomainError, JetTensor, compile_tape, jet_space, tensor_deriv,
                    tensor_product)
@@ -201,6 +200,27 @@ def _field_check(samples, residuals, scale, tol):
                       point_errors=[(p, str(exc)) for p, exc in samples.errors])
 
 
+def _riemann_from_connection(gamma):
+    """The curvature values riemann[P, l, k, i, j] from connection jets
+    gamma[P, l, i, j] of order 1, by the same contractions of gamma's jets
+    as the covariant derivative of A in ``check_first_prolongation``:
+
+        riemann[l, k, i, j] = d_i gamma[l, j, k] - d_j gamma[l, i, k]
+            + gamma[l, i, m] gamma[m, j, k] - gamma[l, j, m] gamma[m, i, k].
+
+    For a field of the chart's symmetry the two then cancel bit for bit.
+    ``CurvatureData.riemann``, raised from the lowered curvature, does not:
+    near a coordinate singularity, where g^-1 is large, the raise turns its
+    rounding into residuals above the check's tolerance (sphere2 at
+    theta = 3e-5: 3.2e-7 against 0)."""
+    dg = tensor_deriv(gamma)  # dg[P, l, j, k, i] = d_i gamma[l, j, k]
+    gl = gamma.truncated(dg.order)
+    total = (np.einsum("Pljkic->Plkijc", dg.array) - np.einsum("Plikjc->Plkijc", dg.array)
+             + tensor_product("Plim,Pmjk->Plkij", gl, gl).array
+             - tensor_product("Pljm,Pmik->Plkij", gl, gl).array)
+    return total[..., 0]
+
+
 def check_first_prolongation(samples, tol=1e-8):
     """For a verified Killing field, the derivative of A must cancel R(., xi)
     at the points of ``samples``, over the batch at once.  Refuses
@@ -215,56 +235,94 @@ def check_first_prolongation(samples, tol=1e-8):
     a_jets = (dxi + tensor_product("Pijk,Pk->Pij", gamma1, samples.jets.truncated(1))
               ).scaled(-1.0)
     grad_a = covariant_derivative(a_jets, "ud", gamma1).value()  # [P, i, j, c]
-    coupling = np.einsum("Pijcd,Pd->Pijc", samples.curv.riemann, samples.jets.value())
+    coupling = np.einsum("Pijcd,Pd->Pijc", _riemann_from_connection(gamma1),
+                         samples.jets.value())
     return _field_check(samples, np.abs(grad_a + coupling).max(axis=(1, 2, 3)),
                         1.0 + max(np.abs(grad_a).max(), np.abs(coupling).max()), tol)
 
 
 # -- the tower's levels --------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _level_gather(n, m):
+def _build_level_gather(n, m):
     """The index arrays that build level m of the tower at dimension n from
-    covR[m] and covR[m + 1] (``tower_level``), whatever the signs.
+    covR[m] and covR[m + 1] in pair form (``tower_level``), whatever the
+    signs.
 
-    Returns ``rows``, the flat indices of the level's independent rows
-    (l, k, i, j, z..) with l < k, i < j and (l, k) <= (i, j), in order;
-    ``weights``, 2 where (l, k) = (i, j) and 2 sqrt(2) elsewhere; and the
-    terms of the A-columns: term t adds ``coef[t] signs[sign[t]]
-    covR[m].flat[source[t]]`` to the flat entry ``target[t]`` of the
-    (rows, C(n, 2)) block.  A acts on covR[m] as a derivation,
-
-        (A.T)[l, y..] = A[l, b] T[b, y..] - sum_s T[l, .., a at slot s, ..] A[a, y_s],
-
-    and A = sum_p c_p so_basis(signs)[p], whose entry (r, s), r < s, is
-    signs[r] and (s, r) is -signs[s]: the term of T[b, y..] falls in the
-    column of the pair {l, b}, times +signs[l] if l < b and -signs[l] if
-    b < l; that of T[l, .., a at s, ..] in the column of {a, y_s}, times
-    -signs[a] if a < y_s and +signs[a] if y_s < a.  The arrays are
-    read-only, as every call of the process shares them."""
+    Returns ``xi_rows``, the level's rows (P, Q, z..) with P <= Q, in order,
+    as rows of covR[m + 1] over its last slot; ``weights``, 2 where P = Q
+    and 2 sqrt(2) elsewhere; and the terms of the A-columns: term t adds
+    ``coef[t] signs[sign[t]] covR[m].flat[source[t]]`` to the flat entry
+    ``target[t]`` of the (rows, C(n, 2)) block.  A acts on the lowered
+    covR[m] as a derivation, (A.T)[y..] = -sum_s T[.., A e_{y_s} at slot
+    s, ..], and A = sum_p c_p so_basis(signs)[p], whose entry (r, s),
+    r < s, is signs[r] and (s, r) is -signs[s].  On a pair slot it acts by
+    minus the ``_wedge_matrix`` of so_basis(signs)[p], which meets each
+    pair P sharing one index with p in one pair; on a derivation slot with
+    index y in p = {y, y'}, it reads T at y' there, times -signs[y'] if
+    y' < y and +signs[y'] if y < y'.  That is 4 (n - 2) + m (n - 1) terms a
+    row."""
     r, s = np.triu_indices(n, k=1)
-    pair = np.zeros((n, n), dtype=np.intp)
-    pair[r, s] = pair[s, r] = np.arange(len(r))
-    p1, p2 = np.triu_indices(len(r))
-    heads = np.stack([r[p1], s[p1], r[p2], s[p2]], axis=1)
-    tails = np.indices((n,) * m).reshape(m, n ** m).T
-    idx = np.hstack([np.repeat(heads, n ** m, axis=0), np.tile(tails, (len(heads), 1))])
-    shape = (n,) * (4 + m)
-    rows = np.ravel_multi_index(idx.T, shape)
-    weights = np.repeat(np.where(p1 == p2, 2.0, 2.0 * np.sqrt(2.0)), n ** m)
-    a = np.arange(n)
+    big = len(r)
+    heads, tails = np.triu_indices(big)
+    size = n ** m
+    z = np.arange(size)
+    weights = np.repeat(np.where(heads == tails, 2.0, 2.0 * np.sqrt(2.0)), size)
+    at = (np.arange(len(heads))[:, None] * size + z) * big   # [h, z]: the row's first entry
+    xi_rows = ((heads * big + tails)[:, None] * size + z).ravel()
+    wedge = _wedge_matrix(n).reshape(big, big, n, n)
+    by_r, by_s = -wedge[:, :, r, s], wedge[:, :, s, r]          # [P, R, p]
+    # each pair P meets, for the 2 (n - 2) columns p sharing one index with
+    # it, one pair met[P, k], with one of by_r and by_s nonzero
+    pair, met, col = np.nonzero((by_r != 0) | (by_s != 0))
+    hits = max(2 * (n - 2), 0)
+    value = (by_r + by_s)[pair, met, col].reshape(big, hits)
+    sign_of = np.where(by_r[pair, met, col] != 0, r[col], s[col]).reshape(big, hits)
+    met, col = met.reshape(big, hits), col.reshape(big, hits)
     target, source, sign, coef = [], [], [], []
-    for slot, stride in enumerate(n ** np.arange(3 + m, -1, -1)):
-        y = idx[:, slot, None]
-        keep = a != y
-        target.append((np.arange(len(idx))[:, None] * len(r) + pair[y, a])[keep])
-        source.append((rows[:, None] + (a - y) * stride)[keep])
-        sign.append(np.broadcast_to(y if slot == 0 else a, keep.shape)[keep])
-        coef.append((np.where(a < y, -1.0, 1.0) * weights[:, None])[keep])
-    arrays = (rows, weights, np.concatenate(target), np.concatenate(source),
-              np.concatenate(sign), np.concatenate(coef))
+    w = weights.reshape(len(heads), size)
+    for moving, cells in ((heads, met[heads] * big + tails[:, None]),    # [h, k]
+                          (tails, heads[:, None] * big + met[tails])):
+        target.append(at[:, None, :] + col[moving][:, :, None])
+        source.append(cells[:, :, None] * size + z)
+        sign.append(np.broadcast_to(sign_of[moving][:, :, None], target[-1].shape))
+        coef.append(value[moving][:, :, None] * w[:, None, :])
+    a = np.arange(n)
+    pair_of = np.zeros((n, n), dtype=np.intp)
+    pair_of[r, s] = pair_of[s, r] = np.arange(big)
+    for slot in range(m):
+        stride = n ** (m - 1 - slot)
+        y = z // stride % n                                    # [z]
+        other = np.array([a[a != k] for k in range(n)]).reshape(n, n - 1)[y]   # [z, j]
+        target.append(at[:, :, None] + pair_of[y[:, None], other])
+        source.append(((heads * big + tails)[:, None, None] * size + z[:, None])
+                      + (other - y[:, None]) * stride)
+        sign.append(np.broadcast_to(other, target[-1].shape))
+        coef.append(np.where(other < y[:, None], -1.0, 1.0) * w[:, :, None])
+    arrays = (xi_rows, weights) + tuple(np.concatenate([t.ravel() for t in group])
+                                        for group in (target, source, sign, coef))
     for arr in arrays:
         arr.flags.writeable = False
+    return arrays
+
+
+# The level gathers kept for reuse, most recently used last, and the bytes
+# they may hold in all: a gather larger than that is built for its call and
+# released with it (at n = 8, m = 2 it holds 32 MB).
+_gathers = {}
+_GATHER_BYTES = 8 << 20
+
+
+def _level_gather(n, m):
+    """``_build_level_gather(n, m)``, kept for reuse within ``_GATHER_BYTES``
+    (the least recently used dropped first)."""
+    arrays = _gathers.pop((n, m), None)
+    if arrays is None:
+        arrays = _build_level_gather(n, m)
+        _gathers[(n, m)] = arrays
+        while sum(a.nbytes for kept in _gathers.values() for a in kept) > _GATHER_BYTES:
+            del _gathers[next(iter(_gathers))]
+    else:
+        _gathers[(n, m)] = arrays
     return arrays
 
 
@@ -279,26 +337,27 @@ def tower_level(frame, m):
     covR[m + 1][.., d] + A.covR[m], with A acting as a derivation on every
     slot; T_{m+1} is the covariant derivative of T_m with the first-order
     system (nabla xi = -A, nabla A = -R(., xi)) substituted back in.  Its
-    rows (l, k, i, j, z..) lowered by the signs keep the curvature's
-    symmetries, antisymmetry in (l, k) and in (i, j) and the pair symmetry,
-    as nabla^m R and a derivation by A in so(g) both keep them
+    rows (l, k, i, j, z..) keep the lowered curvature's symmetries,
+    antisymmetry in (l, k) and in (i, j) and the pair symmetry, as
+    nabla^m R and a derivation by A in so(g) both keep them
     (Kobayashi-Nomizu I, ch. V, section 2).  So the rows with l = k or
     i = j are zero in exact arithmetic, the rest come in groups of 4 or 8
-    equal up to sign, and one row of each group, weighted by the square
-    root of its group's size (``_level_gather``), has the Gram matrix of
-    all n^(4+m) rows: the same singular values, rank, margin and null
-    space, from C(C(n, 2) + 1, 2) n^m rows."""
+    equal up to sign, and one row of each group, the pairs P <= Q of covR
+    in pair form weighted by the square root of its group's size
+    (``_build_level_gather``), has the Gram matrix of all n^(4+m) rows: the same
+    singular values, rank, margin and null space, from C(C(n, 2) + 1, 2)
+    n^m rows."""
     covR = frame.covR
     if len(covR) < m + 2:
         raise OrderExhaustedError(
             f"the tower's level {m} reads covR[{m + 1}], which needs jet order "
             f"{m + 3}; got covR[0..{len(covR) - 1}] (jet order {len(covR) + 1})")
     n = len(frame.signs)
-    rows, weights, target, source, sign, coef = _level_gather(n, m)
-    shape = (len(rows), n * (n - 1) // 2)
+    xi_rows, weights, target, source, sign, coef = _level_gather(n, m)
+    shape = (len(xi_rows), n * (n - 1) // 2)
     a_cols = np.bincount(target, covR[m].ravel()[source] * frame.signs[sign] * coef,
                          minlength=shape[0] * shape[1])
-    return np.hstack([covR[m + 1].reshape(-1, n)[rows] * weights[:, None],
+    return np.hstack([covR[m + 1].reshape(-1, n)[xi_rows] * weights[:, None],
                       a_cols.reshape(shape)])
 
 

@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from . import metricdsl
-from .curvature import CurvatureData, frame_ladder
+from .curvature import CurvatureData, frame_ladder, unpack
 from .holonomy import parallel_field_check
 from .killing import _kernel_trace, bundle_dim, kernel_report, tower_level
 from .metricdsl import Assumptions, Const, Coord, ManifoldSpec, make_spec
@@ -78,7 +78,7 @@ def mixed_curvature_residuals(prod, m_max=3):
     block_of = np.zeros(spec.dim, dtype=int)
     block_of[list(prod.blocks[1])] = 1
     residuals = []
-    for arr in curv.covR:
+    for arr in map(curv.whole, range(len(curv.covR))):
         grids = np.meshgrid(*[block_of] * arr.ndim, indexing="ij", sparse=True)
         mixed = reduce(np.minimum, grids) != reduce(np.maximum, grids)
         scale = max(1.0, float(np.abs(arr).max()))
@@ -108,15 +108,15 @@ class DecompositionReport:
 def slot_matrix(frame, m):
     """The rows that order m adds to the matrix whose null space is par: the
     tangent vectors that give zero in every slot of every nabla^k R, k <= m.
-    From the ``UnitFrame`` ``frame`` of a chart: covR[m] with its first slot
-    lowered by diag(signs), each of its slots in turn moved last and taken as
-    the columns.  The lowered tensor is antisymmetric in its slots 0 and 1
-    and in 2 and 3, and symmetric under the swap of the two pairs, so the
-    blocks of the four curvature slots have one Gram matrix: the slot-0
-    block weighted by 2 stands for all four, and the m derivative slots
-    follow, (1 + m) n^(3 + m) rows in all."""
+    From the ``UnitFrame`` ``frame`` of a chart: covR[m] unpacked, lowered,
+    each of its slots in turn moved last and taken as the columns.  The
+    lowered tensor is antisymmetric in its slots 0 and 1 and in 2 and 3,
+    and symmetric under the swap of the two pairs, so the blocks of the four
+    curvature slots have one Gram matrix: the slot-0 block weighted by 2
+    stands for all four, and the m derivative slots follow, (1 + m)
+    n^(3 + m) rows in all."""
     n = len(frame.signs)
-    low = np.einsum("l,l...->l...", frame.signs, frame.covR[m])
+    low = unpack(frame.covR[m], n)
     return np.vstack([2.0 * np.moveaxis(low, 0, -1).reshape(-1, n)]
                      + [np.moveaxis(low, s, -1).reshape(-1, n) for s in range(4, low.ndim)])
 

@@ -47,11 +47,11 @@ from functools import reduce
 
 import numpy as np
 
-from killingkit.curvature import (CurvatureData, OrderExhaustedError, covariant_derivative,
-                                  point_frame)
+from killingkit.curvature import (CurvatureData, OrderExhaustedError, _points,
+                                  covariant_derivative, point_frame, unpack)
 from killingkit.jets import (JetDomainError, JetTensor, _cauchy, _compose, _elementary_error,
                              _mul_table, _power, _series_coefficients, jet_space,
-                             tensor_product)
+                             tensor_deriv, tensor_product)
 from killingkit.killing import KillingGerm, _kernel_trace
 from killingkit.metricdsl import (Binary, Call, Const, Coord, Neg, PowInt, make_spec,
                                   substitute_coords)
@@ -287,6 +287,50 @@ def dense_tensor_product(sub, a, b, order=None):
     return JetTensor(np.add.reduceat(prod, tab.starts, axis=-1), jet_space(a.n_vars, order))
 
 
+# -- the full-tensor curvature chain -------------------------------------------------
+
+def riemann_by_connection(gamma):
+    """Curvature jets riemann[l, k, i, j] from connection jets, one order
+    down, by two Gamma.Gamma contractions: ``curvature.riemann`` as it was
+    before it built the lowered curvature in pair form from the Christoffel
+    symbols of the first kind."""
+    p = _points(gamma, 3)
+    dg = tensor_deriv(gamma)  # dg[l, j, k, i] = d_i gamma[l, j, k]
+    a = dg.array
+    total = np.einsum(f"{p}ljkic->{p}lkijc", a).copy()
+    total -= np.einsum(f"{p}likjc->{p}lkijc", a)
+    gl = gamma.truncated(dg.order)
+    total += tensor_product(f"{p}lim,{p}mjk->{p}lkij", gl, gl).array
+    total -= tensor_product(f"{p}ljm,{p}mik->{p}lkij", gl, gl).array
+    return JetTensor(total, dg.space)
+
+
+def full_tensor_chain(curv):
+    """The values of the curvature and its covariant derivatives, as deep as
+    ``curv`` holds them, as the package computed them before the pair form:
+    R from the connection jets of ``curv`` by ``riemann_by_connection``, and
+    each covariant derivative over every component of the whole tensor, its
+    first slot upper, layout [l, k, i, j, z..]."""
+    gamma = curv.gamma_jets
+    cov, variance = riemann_by_connection(gamma), "uddd"
+    covR = [cov.value()]
+    for _ in range(len(curv.covR) - 1):
+        cov = covariant_derivative(cov, variance, gamma)
+        variance += "d"
+        covR.append(cov.value())
+    return covR
+
+
+def whole_covR(data):
+    """The covR of a ``CurvatureData`` or a ``UnitFrame`` as whole tensors
+    with their first slot raised, layout [l, k, i, j, z..]: what covR held
+    before the pair form."""
+    if isinstance(data, CurvatureData):
+        return [data.whole(m) for m in range(len(data.covR))]
+    n = len(data.signs)
+    return [np.einsum("l,l...->l...", data.signs, unpack(c, n)) for c in data.covR]
+
+
 # -- the full-tensor tower ----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -338,8 +382,9 @@ def derivation_coefficient(cov):
 def integrability_tensors(covR, orders):
     """The levels T_m, m in ``orders``, of the prolongation tower as whole
     tensors over every row (l, k, i, j, z..), from the values ``covR[m]`` of
-    the curvature's covariant derivatives at a point (``CurvatureData.covR``,
-    or the same in any frame): ``T_m(xi, A) = xi^d (nabla^{m+1} R)[.., d] +
+    the curvature's covariant derivatives at a point as whole tensors with
+    their first slot raised (``whole_covR``, of a ``CurvatureData`` or a
+    ``UnitFrame``): ``T_m(xi, A) = xi^d (nabla^{m+1} R)[.., d] +
     A.(nabla^m R)``, with A acting as a derivation on every slot."""
     top = max(orders, default=-1)
     if len(covR) < top + 2:
@@ -374,7 +419,7 @@ def tower_by_recursion(curv, m_max):
             f">= {m_max + 3}; curvature data has {curv.jet_order}")
     n = curv.spec.dim
     gamma = curv.gamma_jets
-    r_full = curv.riemann_jets.truncated(m_max + 1)
+    r_full = riemann_by_connection(gamma).truncated(m_max + 1)
     eye = np.eye(n)
 
     # Level 0, xi-coefficient: the directional derivative of the curvature.
@@ -436,7 +481,7 @@ def tower_stack_by_basis(frame, m):
             basis.append(ginv @ skew)
     basis = np.array(basis).reshape(len(basis), n, n)
     blocks = []
-    for t in integrability_tensors(frame.covR, range(m + 1)):
+    for t in integrability_tensors(whole_covR(frame), range(m + 1)):
         rows = int(np.prod(t.xi_coeff.shape[:-1]))
         a_cols = np.einsum("wab,kab->wk", t.a_coeff.reshape(rows, n, n), basis)
         blocks.append(np.hstack([t.xi_coeff.reshape(rows, n), a_cols]))
@@ -461,7 +506,7 @@ def germ_kernel_residual(spec, germ, m_max=2):
     curv = CurvatureData.compute(spec, m_max=m_max + 1)
     germ_scale = max(1.0, float(np.abs(germ.xi).max()), float(np.abs(germ.a).max()))
     worst = 0.0
-    for t in integrability_tensors(curv.covR, range(m_max + 1)):
+    for t in integrability_tensors(whole_covR(curv), range(m_max + 1)):
         res = apply_tensor(t, germ.xi, germ.a)
         scale = max(1.0, float(np.abs(t.xi_coeff).max()),
                     float(np.abs(t.a_coeff).max())) * germ_scale
@@ -480,7 +525,7 @@ def killing_curvature(curv, germ, i, j):
     r = curv.riemann
     a, xi = germ.a, germ.xi
     r_ij = r[:, :, i, j]
-    nabla_xi_r = np.einsum("lkc,c->lk", curv.covR[1][:, :, i, j, :], xi)
+    nabla_xi_r = np.einsum("lkc,c->lk", curv.whole(1)[:, :, i, j, :], xi)
     bracket = a @ r_ij - r_ij @ a
     r_ai = np.einsum("lka,a->lk", r[:, :, :, j], a[:, i])   # R(A e_i, e_j)
     r_aj = np.einsum("lka,a->lk", r[:, :, i, :], a[:, j])   # R(e_i, A e_j)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from killingkit.cli import run
 from killingkit.metricdsl import BUILTINS, builtin
 
-from oracles import random_expression, round_floats
+from oracles import changed_chart, random_expression, round_floats
 
 
 def invoke(capsys, *argv):
@@ -600,6 +600,27 @@ def test_non_finite_values_are_input_errors(capsys, argv, value):
     assert f"value {value!r} in " in err and "is not a finite number" in err
 
 
+def test_a_ragged_germ_is_an_input_error(capsys):
+    code, out, err = invoke(capsys, "transport", "--builtin", "sphere2", "--germ", "0,1|0,0;1",
+                            "--path", "1,0;1.2,0.1", "--json")
+    assert code == 2 and out == ""
+    assert err == "error: germ rows of [2, 1] entries do not fit dimension 2\n"
+
+
+def test_a_failure_inside_a_computation_exits_3_naming_where(capsys, monkeypatch):
+    # a numpy error inside the package is not bad input: exit 3 and a
+    # warning that names the function it came from, not exit 2
+    from killingkit import rank
+
+    def svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(rank.np.linalg, "svd", svd)
+    code, out, err = invoke(capsys, "holonomy", "--builtin", "sphere2", "--json")
+    assert code == 3 and out == ""
+    assert err == ("warning: holonomy failed in rank.numerical_rank: "
+                   "LinAlgError: SVD did not converge\n")
+
+
 def test_transport_path_needs_two_points(capsys):
     code, out, err = invoke(capsys, "transport", "--builtin", "sphere2",
                             "--field", "0,1", "--path", "1,0")
@@ -827,9 +848,44 @@ def test_commands_on_random_charts_keep_their_contract(tmp_path_factory, chart):
             assert doc["result"]["stabilized_dim"] <= n * (n + 1) // 2
         if command == "holonomy" and doc is not None:
             assert len(doc["result"]["parallel_candidates"]) <= doc["result"]["nullity"]
+            assert doc["result"]["dimension"] <= n * (n - 1) // 2
     codes["check-field"], _ = quiet_run("check-field", "--file", str(path),
                                         "--field", ",".join(["1"] + ["0"] * (n - 1)))
     assert set(codes.values()) <= {0, 2, 3}, codes
+
+
+# Charts of the conditioning sweep (ROADMAP item 4) whose holonomy span
+# ranked more than C(n, 2) directions, which once crashed with exit 2: the
+# chart under x = A y with A = Q1 diag(geomspace(1, c, n) / sqrt(c)) Q2, Q1
+# and Q2 the Q factors of two draws of default_rng(seed).standard_normal((n,
+# n)); and a 1-D chart, whose holonomy algebra so(1) has no coordinates.
+SWEEP_CRASHES = [("schwarzschild", 20, 3), ("hyperbolic2", 100, 1), ("random3", 100, 0),
+                 ("walker_recurrent", 100, 0)]
+
+
+@pytest.mark.parametrize("name,c,seed", SWEEP_CRASHES)
+def test_ill_conditioned_charts_keep_the_holonomy_in_so_p_q(tmp_path, name, c, seed):
+    from test_tower import CHARTS
+    spec = CHARTS[name]()
+    n = spec.dim
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    path = tmp_path / "changed.man"
+    path.write_text(changed_chart(spec, q1 @ np.diag(np.geomspace(1, c, n) / np.sqrt(c)) @ q2)
+                    .serialize(), encoding="utf-8")
+    for command, key in (("holonomy", "dimension"), ("hypothesis", "holonomy_dimension")):
+        code, doc = quiet_run(command, "--file", str(path))
+        assert code in (0, 3) and doc["result"][key] <= math.comb(n, 2), (command, code)
+
+
+def test_a_1d_chart_has_no_holonomy_and_one_parallel_field():
+    code, doc = quiet_run("holonomy", "--builtin", "euclidean:n=1")
+    assert code == 0 and doc["result"]["dimension"] == 0
+    assert doc["result"]["generators"] == [] and doc["result"]["parallel_candidates"] == [[1.0]]
+    code, doc = quiet_run("hypothesis", "--builtin", "euclidean:n=1")
+    assert code == 0 and doc["result"]["verdict"] == "has_parallel_field"
+    assert doc["result"]["holonomy_dimension"] == 0
 
 
 # Report leaves: floats with every special value, numpy scalars, strings

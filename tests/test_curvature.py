@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,10 +6,11 @@ import pytest
 
 from killingkit.curvature import (CurvatureData, OrderExhaustedError, christoffel,
                                   identity_residuals, inverse_metric,
-                                  lowered_riemann, point_frame)
+                                  lowered_riemann, point_frame, riemann, unpack)
+from killingkit.jets import tensor_product
 from killingkit.metricdsl import builtin, metric_jet_tensor, parse_manifold
 
-from oracles import fd_christoffel, fd_riemann
+from oracles import fd_christoffel, fd_riemann, full_tensor_chain, riemann_by_connection
 from test_tower import CHARTS
 
 POLAR_SRC = """
@@ -125,7 +127,7 @@ def test_cov_derivative_layout_matches_plain_derivative():
                 - np.einsum("ak,laij->lkij", gamma[:, c], curv.riemann)
                 - np.einsum("ai,lkaj->lkij", gamma[:, c], curv.riemann)
                 - np.einsum("aj,lkia->lkij", gamma[:, c], curv.riemann))
-        assert np.abs(curv.covR[1][..., c] - (partial + corr)).max() < 1e-7
+        assert np.abs(curv.whole(1)[..., c] - (partial + corr)).max() < 1e-7
 
 
 def test_order_exhaustion_errors():
@@ -142,7 +144,7 @@ def test_compute_derives_every_jet_order_from_the_depth(depth):
     assert curv.metric_jets.order == depth + 2
     assert curv.inverse_jets.order == depth + 1
     assert len(curv.covR) == depth + 1
-    assert curv.covR[depth].shape == (3,) * (4 + depth)
+    assert curv.covR[depth].shape == (math.comb(3, 2),) * 2 + (3,) * depth
 
 
 @pytest.mark.parametrize("chart", sorted(CHARTS))
@@ -165,3 +167,94 @@ def test_point_frame_matches_curvature_data():
     assert np.allclose(g, curv.g)
     assert np.allclose(gamma, curv.gamma_jets.value())
     assert np.allclose(r, curv.riemann)
+
+
+# -- the pair form against the whole-tensor chain --------------------------------
+
+def _pair_charts():
+    from test_tower import STACK_CHARTS
+    return {**{f"{name}:{params}": (lambda name=name, params=params: builtin(name, **params))
+               for name, params in CATALOG}, **STACK_CHARTS, "random3": CHARTS["random3"]}
+
+
+PAIR_CHARTS = _pair_charts()
+
+
+def assert_same_tensor(got, want, unit):
+    """``got`` within 1e-14 of ``want`` relative to its largest entry; or,
+    where ``want`` is zero in exact arithmetic (nabla^m R of a locally
+    symmetric chart), both rounding: below 1e-11 of ``unit``, the scale
+    kappa^(m + 2) of nabla^m R, kappa = max(max |Gamma|, max |R|^(1/2))."""
+    top = float(np.abs(want).max())
+    if top <= 1e-11 * unit:
+        assert float(np.abs(got).max()) <= 1e-11 * unit
+    else:
+        assert float(np.abs(got - want).max()) <= 1e-14 * top
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["point", "points"])
+@pytest.mark.parametrize("chart", list(PAIR_CHARTS))
+def test_pair_form_unpacks_to_the_whole_tensor_chain(chart, batch):
+    # covR[m] unpacked and raised against R from two Gamma.Gamma contractions
+    # and each covariant derivative over every component, to depth 3, at one
+    # point and at a batch of two
+    spec = PAIR_CHARTS[chart]()
+    base = np.asarray(spec.base_point, dtype=np.float64)
+    point = np.array([base, base + 0.01 * np.arange(1, spec.dim + 1)]) if batch else base
+    curv = CurvatureData.compute(spec, point, m_max=3)
+    want = full_tensor_chain(curv)
+    for k in range(len(point) if batch else 1):
+        at = (lambda a: a[k]) if batch else (lambda a: a)
+        kappa = max(float(np.abs(at(curv.gamma_jets.value())).max()),
+                    float(np.abs(at(want[0])).max()) ** 0.5)
+        for m in range(4):
+            got = at(curv.whole(m))
+            assert got.shape == (spec.dim,) * (4 + m)
+            assert_same_tensor(got, at(want[m]), kappa ** (m + 2))
+
+
+@pytest.mark.parametrize("chart", sorted(CHARTS))
+def test_first_kind_curvature_is_the_lowered_curvature(chart):
+    # R built from the Christoffel symbols of the first kind is g times R
+    # built from those of the second kind, coefficient by coefficient
+    spec = CHARTS[chart]()
+    g = metric_jet_tensor(spec, spec.base_point, 4)
+    gamma, first = christoffel(g, inverse_metric(g.truncated(3)))
+    upper = riemann_by_connection(gamma)
+    lowered = tensor_product("la,akij->lkij", g.truncated(upper.order), upper).array
+    r, s = np.triu_indices(spec.dim, k=1)
+    want = lowered[r[:, None], s[:, None], r[None, :], s[None, :]]
+    got = riemann(gamma, first)
+    assert got.order == upper.order == 2
+    assert np.abs(got.array - want).max() <= 1e-14 * max(float(np.abs(want).max()), 1e-300)
+
+
+@pytest.mark.parametrize("chart", list(PAIR_CHARTS))
+def test_each_pair_matrix_is_symmetric(chart):
+    # nabla^m R lowered is symmetric under the swap of its two pairs; the
+    # pair form keeps both triangles, equal up to rounding
+    curv = CurvatureData.compute(PAIR_CHARTS[chart](), m_max=3)
+    kappa = max(float(np.abs(curv.gamma_jets.value()).max()),
+                float(np.abs(curv.covR[0]).max()) ** 0.5)
+    for m, c in enumerate(curv.covR):
+        assert_same_tensor(np.swapaxes(c, 0, 1), c, kappa ** (m + 2))
+
+
+def test_unpack_fills_every_symmetry_of_the_curvature():
+    rng = np.random.default_rng(5)
+    pairs = rng.standard_normal((6, 6, 4))
+    whole = unpack(pairs, 4)
+    assert whole.shape == (4, 4, 4, 4, 4)
+    for (l, k), (i, j) in itertools.product(itertools.combinations(range(4), 2), repeat=2):
+        p, q = PAIRS_OF_4.index((l, k)), PAIRS_OF_4.index((i, j))
+        assert np.array_equal(whole[l, k, i, j], pairs[p, q])
+        assert np.array_equal(whole[k, l, j, i], pairs[p, q])
+        assert np.array_equal(whole[k, l, i, j], -pairs[p, q])
+    assert not whole[np.arange(4), np.arange(4)].any()
+    assert not whole[:, :, np.arange(4), np.arange(4)].any()
+    batch = unpack(np.stack([pairs, 2 * pairs]), 4, lead=1)
+    assert np.array_equal(batch[1], 2 * whole)
+    assert unpack(np.zeros((0, 0)), 1).shape == (1, 1, 1, 1)
+
+
+PAIRS_OF_4 = list(itertools.combinations(range(4), 2))

@@ -7,6 +7,8 @@ from killingkit.metricdsl import builtin, parse_manifold
 from killingkit.product import cw_counterexample, product_metric
 from killingkit.rank import numerical_rank
 
+from oracles import whole_covR
+
 
 def holonomy_of(spec, m_max=3):
     curv = CurvatureData.compute(spec, m_max=m_max)
@@ -128,7 +130,7 @@ def test_nullity_dominates_candidate_count():
         m = 2
         # the nullity read off a fresh frame of depth m, not the report's
         frame = CurvatureData.compute(spec, m_max=m).unit_frames[0]
-        rows = np.moveaxis(frame.covR[0], 2, -1).reshape(-1, spec.dim)
+        rows = np.moveaxis(whole_covR(frame)[0], 2, -1).reshape(-1, spec.dim)
         rep = infinitesimal_holonomy(spec, m_max=m)
         assert spec.dim - numerical_rank(rows, 1e-8).rank == rep.nullity
         assert rep.nullity >= len(rep.candidates)

@@ -14,7 +14,8 @@ from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
 from killingkit.product import product_metric
 
 from oracles import (apply_tensor, germ_kernel_residual, integrability_tensors,
-                     killing_curvature, perturbed_points, stage_points, transport_by_steps)
+                     killing_curvature, perturbed_points, stage_points, transport_by_steps,
+                     whole_covR)
 from test_tower import CHARTS, SCHWARZSCHILD, random_chart
 
 
@@ -194,7 +195,7 @@ def test_tower_annihilates_killing_germs():
 def test_tower_level_zero_matches_bundle_curvature():
     cw = builtin("cahen_wallach", n=1, q=-2.0)
     curv = CurvatureData.compute(cw, m_max=2)
-    [t0] = integrability_tensors(curv.covR, [0])
+    [t0] = integrability_tensors(whole_covR(curv), [0])
     germ = KillingGerm(xi=np.array([0.3, -1.0, 2.0]),
                        a=wedge(np.array([1.0, 0.0, 0.0]),
                                np.array([0.0, 0.0, 1.0]), curv.g))
@@ -216,7 +217,7 @@ def test_tower_level_one_is_derivative_along_transport():
     germ = KillingGerm(xi=rng.normal(size=3),
                        a=wedge(rng.normal(size=3), rng.normal(size=3), g0))
     curv = CurvatureData.compute(spec, point=p, m_max=2)
-    t0, t1 = integrability_tensors(curv.covR, range(2))
+    t0, t1 = integrability_tensors(whole_covR(curv), range(2))
     gamma = curv.gamma_jets.value()
     val0 = apply_tensor(t0, germ.xi, germ.a)
     h = 1e-4
@@ -227,8 +228,8 @@ def test_tower_level_one_is_derivative_along_transport():
         gm = killing_transport(spec, germ, [p, p - e], steps_per_segment=40).end
         cp = CurvatureData.compute(spec, point=p + e, m_max=1)
         cm = CurvatureData.compute(spec, point=p - e, m_max=1)
-        vp = apply_tensor(integrability_tensors(cp.covR, [0])[0], gp.xi, gp.a)
-        vm = apply_tensor(integrability_tensors(cm.covR, [0])[0], gm.xi, gm.a)
+        vp = apply_tensor(integrability_tensors(whole_covR(cp), [0])[0], gp.xi, gp.a)
+        vm = apply_tensor(integrability_tensors(whole_covR(cm), [0])[0], gm.xi, gm.a)
         fd = (vp - vm) / (2 * h)
         corr = (np.einsum("la,akij->lkij", gamma[:, z], val0)
                 - np.einsum("ak,laij->lkij", gamma[:, z], val0)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import (germ_kernel_residual, integrability_tensors, tower_by_recursion,
-                     tower_stack_by_basis)
+                     tower_stack_by_basis, whole_covR)
 
 from killingkit import killing
 from killingkit.curvature import CurvatureData
@@ -80,7 +80,7 @@ def test_tower_matches_recursion(chart):
     spec = CHARTS[chart]()
     m_max = 1 if spec.dim >= 4 else 2
     curv = CurvatureData.compute(spec, m_max=m_max + 1)
-    closed = integrability_tensors(curv.covR, range(m_max + 1))
+    closed = integrability_tensors(whole_covR(curv), range(m_max + 1))
     recursion = tower_by_recursion(curv, m_max)
     assert len(closed) == len(recursion) == m_max + 1
     for new, old in zip(closed, recursion):
@@ -98,7 +98,7 @@ def test_tower_annihilates_schwarzschild_killing_germs():
     # symmetric catalog charts the xi-columns of every level are nonzero
     spec = parse_manifold(SCHWARZSCHILD)
     curv = CurvatureData.compute(spec, m_max=2)
-    assert np.abs(integrability_tensors(curv.covR, [0])[0].xi_coeff).max() > 1e-3
+    assert np.abs(integrability_tensors(whole_covR(curv), [0])[0].xi_coeff).max() > 1e-3
     for fld in SCHWARZSCHILD_FIELDS:
         germ, _ = sample_field(spec, fld, [spec.base_point]).at(spec.base_point)
         assert germ_kernel_residual(spec, germ, m_max=3) <= 1e-12
@@ -146,9 +146,9 @@ def _gram_distance(a, b):
 @pytest.mark.parametrize("chart", list(STACK_CHARTS))
 def test_tower_stack_is_the_basis_contraction_bit_for_bit(chart):
     # each level is the basis contraction's independent rows times their
-    # weights: the xi-columns bit for bit, the A-columns, summed in another
-    # order, within 1e-15 of the level's largest entry; and it has the Gram
-    # matrix of all n^(4+m) rows
+    # weights, lowered (times signs[l]): the xi-columns bit for bit, the
+    # A-columns, summed in another order, within 1e-15 of the level's
+    # largest entry; and it has the Gram matrix of all n^(4+m) rows
     spec = STACK_CHARTS[chart]()
     n = spec.dim
     frame = CurvatureData.compute(spec, m_max=3).unit_frames[0]
@@ -158,7 +158,8 @@ def test_tower_stack_is_the_basis_contraction_bit_for_bit(chart):
         full = want[start:start + n ** (4 + m)]
         start += len(full)
         rows, weights = independent_rows(n, m)
-        picked = full[rows] * weights[:, None]
+        lowered = frame.signs[np.unravel_index(rows, (n,) * (4 + m))[0]]
+        picked = full[rows] * (weights * lowered)[:, None]
         got = tower_level(frame, m)
         assert got.shape == picked.shape
         assert np.array_equal(got[:, :n], picked[:, :n])
@@ -180,27 +181,28 @@ def test_tower_level_has_one_row_per_group_of_equal_rows(chart):
 
 
 def test_one_gather_serves_both_signatures_of_a_dimension():
-    # the index arrays are cached per (n, m); the signs are applied per call
+    # the index arrays are kept per (n, m); the signs are applied per call
     frames = [CurvatureData.compute(CHARTS[name](), m_max=1).unit_frames[0]
               for name in ("cw1", "random3")]
     assert sorted(frames[0].signs) == [-1.0, 1.0, 1.0] and all(frames[1].signs == 1.0)
-    killing._level_gather.cache_clear()
+    killing._gathers.clear()
     for frame in frames:
         rows, weights = independent_rows(3, 0)
-        [level] = integrability_tensors(frame.covR, [0])
-        picked = level.matrix(frame.signs)[rows] * weights[:, None]
+        [level] = integrability_tensors(whole_covR(frame), [0])
+        lowered = frame.signs[np.unravel_index(rows, (3,) * 4)[0]]
+        picked = level.matrix(frame.signs)[rows] * (weights * lowered)[:, None]
         got = tower_level(frame, 0)
         assert np.abs(got - picked).max() <= 1e-15 * np.abs(got).max()
         assert np.abs(got).max() > 0.1
-    info = killing._level_gather.cache_info()
-    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    assert list(killing._gathers) == [(3, 0)]
+    assert killing._level_gather(3, 0) is killing._gathers[(3, 0)]
 
 
 def _all_slot_blocks(frame, m):
     """Every slot's block of covR[m] lowered by the signs, (4 + m) n^(3 + m)
     rows: each slot in turn moved last and taken as the columns."""
     n = len(frame.signs)
-    low = np.einsum("l,l...->l...", frame.signs, frame.covR[m])
+    low = np.einsum("l,l...->l...", frame.signs, whole_covR(frame)[m])
     return np.vstack([np.moveaxis(low, s, -1).reshape(-1, n) for s in range(low.ndim)])
 
 

@@ -17,7 +17,10 @@ workloads use (``BUILTIN_FORMS``), the deepest product contractions
 field along three segments at the default 1000 steps on Schwarzschild and on
 cw2, and at 17 steps on the cw2 x cw2 chart, and ``transport --germ`` of an
 explicit germ on sphere2 along two segments at 30 steps and on the cw2 x cw2
-chart at 17 steps), and a fixed list of commands
+chart at 17 steps, and, at depth 3 above n = 4, ``curvature --order 3`` on
+cw3 (n = 5), ``product`` of the benchmark's cw2c and cw2d charts at
+``--order 3`` (n = 8) and ``killing-dim --order 3`` on the cw2 x cw2 chart),
+and a fixed list of commands
 that must fail (``ERROR_COMMANDS``: Killing transport into a domain error, a
 degenerate point or an overflow, an invalid step count, every command that
 evaluates a point at three bad points, non-finite metric values and literals,
@@ -104,7 +107,11 @@ LOW_ORDER_COMMANDS = [
 # on sphere2 along two segments at 30 steps, one frame batch with the path's
 # end; and on the cw2 x cw2 chart along the same path as the field, at 17
 # steps, where the batches end inside steps and the last one holds the end
-# (A tridiagonal: 0.1 above the diagonal, -0.1 below).
+# (A tridiagonal: 0.1 above the diagonal, -0.1 below).  Then the depth-3
+# curvature above n = 4, where no workload class goes: curvature on cw3
+# (n = 5), the product of the benchmark's two n = 4 plane waves cw2c and
+# cw2d ("{cw2c}", "{cw2d}", written to the workdir at fixed base points) and
+# the Killing tower of the cw2 x cw2 chart, each at --order 3.
 CW2XCW2_GERM = ("--germ=1,0,0.5,0,0,-0.2,0,0.3|"
                 + ";".join(",".join("0.1" if c == r + 1 else "-0.1" if c == r - 1 else "0"
                                     for c in range(8)) for r in range(8)))
@@ -129,6 +136,9 @@ DEEP_COMMANDS = [
     ["transport", "--file", "{cw2xcw2}", CW2XCW2_GERM,
      "--path=0,0,0,0,0,0,0,0;0.1,-0.2,0.3,0.1,0,0.2,-0.1,0.1;"
      "0.2,0.1,-0.1,0.3,0.1,0,0.2,-0.2;0,0.2,0.1,0,-0.2,0.1,0,0.3", "--steps", "17"],
+    ["curvature", "--builtin", "cahen_wallach:n=3,q=1:-1:2", "--order", "3"],
+    ["product", "@{cw2c}", "@{cw2d}", "--order", "3"],
+    ["killing-dim", "--file", "{cw2xcw2}", "--order", "3"],
 ]
 
 # Every builtin form that README.md, the tests and the workloads use, each
@@ -389,7 +399,8 @@ def snapshot(seeds, workdir):
         reports[f"builtin_forms.{i:02d}.parse"] = run_query(cli, ["parse", "--builtin", chart])
     deep = {"deep": workdir / "deep" / "cw1xcw1.man",
             "schwarzschild": workdir / "deep" / "schwarzschild.man",
-            "cw2xcw2": workdir / "deep" / "cw2xcw2.man"}
+            "cw2xcw2": workdir / "deep" / "cw2xcw2.man",
+            "cw2c": workdir / "deep" / "cw2c.man", "cw2d": workdir / "deep" / "cw2d.man"}
     deep["deep"].parent.mkdir(parents=True, exist_ok=True)
     cw1 = metricdsl.builtin("cahen_wallach", n=1, q=1.0)
     deep["deep"].write_text(product_metric(cw1, cw1).combined.serialize(),
@@ -399,6 +410,10 @@ def snapshot(seeds, workdir):
     cw2 = metricdsl.builtin("cahen_wallach", n=2, q=[1.0, -1.0])
     deep["cw2xcw2"].write_text(product_metric(cw2, cw2).combined.serialize(),
                                encoding="utf-8")
+    deep["cw2c"].write_text(workloads.cahen_wallach_chart([1.0, 2.0], [0.3, -0.2, 0.1, -0.25]),
+                            encoding="utf-8")
+    deep["cw2d"].write_text(workloads.cahen_wallach_chart([-1.0, -2.0], [-0.4, 0.1, 0.2, 0.15]),
+                            encoding="utf-8")
     for i, argv in enumerate(DEEP_COMMANDS):
         argv = [arg.format(**deep) for arg in argv]
         reports[f"deep.{i:02d}.{argv[0]}"] = run_query(cli, argv)
