@@ -213,20 +213,36 @@ def covariant_derivative(tensor, variance, gamma, pairs=None):
     return out
 
 
+@lru_cache(maxsize=None)
+def _unpack_map(n):
+    """For each entry [l, k, i, j] of an (n, n, n, n) array, the flat index of
+    its pair entry [P, Q] in an (N, N) array with one more entry, a zero, at
+    N N, and its sign: the zero where l = k or i = j; read-only."""
+    r, s = np.triu_indices(n, k=1)
+    big = len(r)
+    pair = np.full((n, n), big)
+    sign = np.zeros((n, n))
+    pair[r, s] = pair[s, r] = np.arange(big)
+    sign[r, s], sign[s, r] = 1.0, -1.0
+    index = np.where((pair < big)[:, :, None, None] & (pair < big)[None, None],
+                     pair[:, :, None, None] * big + pair[None, None], big * big).ravel()
+    signs = (sign[:, :, None, None] * sign[None, None]).ravel()
+    for arr in (index, signs):
+        arr.flags.writeable = False
+    return index, signs
+
+
 def unpack(pairs, n, lead=0):
     """The whole lowered tensor [l, k, i, j, z..] of a covR entry in pair
     form [P, Q, z..] (``lead`` leading axes, such as a point axis, are kept
     in front): antisymmetric in (l, k) and in (i, j), and zero where l = k
     or i = j."""
-    r, s = np.triu_indices(n, k=1)
-    x = np.moveaxis(pairs, (lead, lead + 1), (0, 1))
-    half = np.zeros((n, n) + x.shape[1:])
-    half[r, s] = x
-    half[s, r] = -x
-    whole = np.zeros((n, n, n, n) + x.shape[2:])
-    whole[:, :, r, s] = half
-    whole[:, :, s, r] = -half
-    return np.moveaxis(whole, range(4, 4 + lead), range(lead))
+    index, signs = _unpack_map(n)
+    head, tail = pairs.shape[:lead], pairs.shape[lead + 2:]
+    flat = pairs.reshape(head + (pairs.shape[lead] * pairs.shape[lead + 1],) + tail)
+    flat = np.concatenate([flat, np.zeros(head + (1,) + tail)], axis=lead)
+    whole = np.take(flat, index, axis=lead) * signs.reshape((-1,) + (1,) * len(tail))
+    return whole.reshape(head + (n,) * 4 + tail)
 
 
 def lowered_riemann(curv):
