@@ -122,13 +122,16 @@ def riemann(gamma, first):
     p = _points(gamma, 3)
     n = gamma.shape[-1]
     dg = tensor_deriv(first)  # dg[l, j, k, i] = d_i first[l, j, k]
-    d = np.einsum(f"{p}ljkic->{p}lkijc", dg.array) - tensor_product(
-        f"{p}ail,{p}ajk->{p}lkij", first.truncated(dg.order), gamma.truncated(dg.order)).array
+    d = tensor_product(f"{p}ail,{p}ajk->{p}lkij", first.truncated(dg.order),
+                       gamma.truncated(dg.order)).array
+    # D in B's buffer, and dg released before D is laid out flat
+    np.subtract(np.einsum(f"{p}ljkic->{p}lkijc", dg.array), d, out=d)
+    space, dg = dg.space, None
     d = d.reshape(d.shape[:len(p)] + (n ** 4, d.shape[-1]))
     cells, swapped = _pair_cells(n)
     total = np.take(d, cells, axis=len(p))
     total -= np.take(d, swapped, axis=len(p))
-    return JetTensor(total, dg.space)
+    return JetTensor(total, space)
 
 
 @lru_cache(maxsize=None)
