@@ -1,6 +1,7 @@
 """Independent oracles: the float tree walk and finite differences of it, a
 generator of random (domain-safe) expression trees, the tree-walking jet
-evaluator, the tower's levels as whole tensors, the jet-level prolongation
+evaluator, the curvature and its covariant derivatives over every component
+of the whole tensor, the tower's levels as whole tensors, the jet-level prolongation
 recursion, the tower's matrix contracted against a basis of the
 metric-skew endomorphisms, the tower's residual on a germ, the bundle curvature applied to a germ, Killing transport stepped
 stage by stage, charts changed by an affine change of coordinates and a
@@ -27,6 +28,10 @@ algebra.  The tree walk is how expressions became jets before
 they were compiled into a ``JetTape``: one coefficient vector per node,
 visited recursively, with no shared subexpressions and no batch of points;
 it runs the tape's Cauchy product and series kernels one node at a time.
+The whole-tensor curvature chain is how ``CurvatureData`` computed covR
+before it kept the curvature lowered in pair form: R from two products of
+the connection with itself, and each covariant derivative over all n^(4+m)
+components with the first slot upper.
 The dense contraction is how ``tensor_product`` contracted every operand before
 it learned to skip zero components: one einsum over all component pairs.
 The basis contraction is how the tower's matrix in a unit frame built the
