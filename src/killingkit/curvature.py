@@ -188,8 +188,6 @@ def covariant_derivative(tensor, variance, gamma, pairs=None):
                          f"{len(tensor.shape) - len(p)}")
     out = tensor_deriv(tensor)  # [..., z, coeff]
     q = out.order
-    if not out.array.size:   # a 1-D chart has no pairs
-        return out
     gl = gamma.truncated(min(gamma.order, q))
     if "p" in variance:
         pairs = pair_connection(gamma) if pairs is None else pairs
