@@ -77,11 +77,13 @@ def inverse_metric(g):
 
 def christoffel(metric_jets, inverse_jets=None):
     """Connection coefficients of the second and of the first kind, gamma and
-    first, as jets of one order less than the metric."""
+    first.  first has one order less than the metric; gamma = g^-1 first has
+    the order of ``inverse_jets`` if that is lower, and without it g^-1 is
+    taken at the order of first."""
     g = metric_jets
     if g.order < 1:
         raise OrderExhaustedError("christoffel needs metric jets of order >= 1")
-    ginv = inverse_metric(g) if inverse_jets is None else inverse_jets
+    ginv = inverse_metric(g.truncated(g.order - 1)) if inverse_jets is None else inverse_jets
     p = _points(g, 2)
     dg = tensor_deriv(g)  # dg[i, j, c] = d_c g_ij
     a = dg.array
@@ -92,7 +94,8 @@ def christoffel(metric_jets, inverse_jets=None):
     first -= np.einsum(f"{p}ijlc->{p}lijc", a)
     first *= 0.5
     first = JetTensor(first, dg.space)
-    return tensor_product(f"{p}kl,{p}lij->{p}kij", ginv.truncated(dg.order), first), first
+    q = min(ginv.order, first.order)
+    return tensor_product(f"{p}kl,{p}lij->{p}kij", ginv.truncated(q), first.truncated(q)), first
 
 
 @lru_cache(maxsize=None)
@@ -110,15 +113,17 @@ def _pair_cells(n):
 
 def riemann(gamma, first):
     """The lowered curvature in pair form, [P, Q], as jets one order below
-    the connection's, from its coefficients of both kinds (``christoffel``):
+    ``first``'s, from the connection coefficients of both kinds
+    (``christoffel``):
 
         rm[l, k, i, j] = D[l, k, i, j] - D[l, k, j, i],
         D[l, k, i, j] = d_i first[l, j, k] - first[a, i, l] gamma[a, j, k],
 
     which is g_la riemann[a, k, i, j] with d_i g_la = first[l, i, a] +
-    first[a, i, l] substituted, so no jet of g is read."""
-    if gamma.order < 1:
-        raise OrderExhaustedError("riemann needs connection jets of order >= 1")
+    first[a, i, l] substituted, so no jet of g is read.  gamma is read to
+    the order of the result only."""
+    if first.order < 1:
+        raise OrderExhaustedError("riemann needs first-kind connection jets of order >= 1")
     p = _points(gamma, 3)
     n = gamma.shape[-1]
     dg = tensor_deriv(first)  # dg[l, j, k, i] = d_i first[l, j, k]
@@ -261,7 +266,8 @@ def identity_residuals(curv):
     pair = np.abs(rm - np.einsum("ijlk->lkij", rm)).max()
     bianchi = np.abs(rm + np.einsum("lijk->lkij", rm)
                      + np.einsum("ljki->lkij", rm)).max()
-    nabla_g = covariant_derivative(curv.metric_jets, "dd", curv.gamma_jets).value()
+    nabla_g = covariant_derivative(curv.metric_jets.truncated(1), "dd",
+                                   curv.gamma_jets.truncated(0)).value()
     g_scale = max(1.0, float(np.abs(curv.g).max()),
                   float(np.abs(curv.gamma_jets.value()).max()))
     return {
@@ -303,8 +309,8 @@ class CurvatureData:
     point: np.ndarray
     jet_order: int      # metric jets of order m_max + 2
     metric_jets: JetTensor
-    inverse_jets: JetTensor
-    gamma_jets: JetTensor
+    inverse_jets: JetTensor     # of order m_max
+    gamma_jets: JetTensor       # of order m_max, the most any reader reads
     covR: list          # covR[m]: values of the m-th covariant derivative, in pair form
 
     @property
@@ -335,13 +341,16 @@ class CurvatureData:
         every array).
 
         The m-th covariant derivative of the curvature reads metric jets of
-        order m + 2, so the metric is expanded to order m_max + 2 and
-        inverted to order m_max + 1, the order the Christoffel symbols read.
+        order m + 2, so the metric is expanded to order m_max + 2, and the
+        Christoffel symbols of the first kind, from which R is built, to
+        order m_max + 1.  Those of the second kind are read to order m_max
+        at most, by R's Gamma.Gamma term and by each covariant derivative,
+        so the metric is inverted to order m_max and gamma has that order.
         """
         p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
         k = m_max + 2
         g = metricdsl.metric_jet_tensor(spec, p, k)
-        ginv = inverse_metric(g.truncated(k - 1))
+        ginv = inverse_metric(g.truncated(m_max))
         gamma, first = christoffel(g, ginv)
         cov = riemann(gamma, first)
         # the first covariant derivative, the deepest that reads the pair

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import metricdsl
 from .curvature import (CurvatureData, OrderExhaustedError, _wedge_matrix, budget_points,
-                        covariant_derivative, frame_ladder, point_frame)
+                        christoffel, covariant_derivative, frame_ladder, point_frame)
 from .jets import (JetDomainError, JetTensor, compile_tape, jet_space, tensor_deriv,
                    tensor_product)
 from .rank import fixed_basis, numerical_rank, stabilise
@@ -231,7 +231,8 @@ def check_first_prolongation(samples, tol=1e-8):
             f"field is not Killing on the sample points "
             f"(residual {killing.max_residual:.3g}); check refused")
     dxi = tensor_deriv(samples.jets)  # [P, i, j]: d_j xi^i
-    gamma1 = samples.curv.gamma_jets
+    # the connection to order 1, one more than the depth-0 data's own gamma
+    gamma1 = christoffel(samples.curv.metric_jets)[0]
     a_jets = (dxi + tensor_product("Pijk,Pk->Pij", gamma1, samples.jets.truncated(1))
               ).scaled(-1.0)
     grad_a = covariant_derivative(a_jets, "ud", gamma1).value()  # [P, i, j, c]

@@ -52,7 +52,7 @@ from functools import reduce
 
 import numpy as np
 
-from killingkit.curvature import (CurvatureData, OrderExhaustedError, _points,
+from killingkit.curvature import (CurvatureData, OrderExhaustedError, _points, christoffel,
                                   covariant_derivative, point_frame, unpack)
 from killingkit.jets import (JetDomainError, JetTensor, _cauchy, _compose, _elementary_error,
                              _mul_table, _power, _series_coefficients, jet_space,
@@ -313,10 +313,11 @@ def riemann_by_connection(gamma):
 def full_tensor_chain(curv):
     """The values of the curvature and its covariant derivatives, as deep as
     ``curv`` holds them, as the package computed them before the pair form:
-    R from the connection jets of ``curv`` by ``riemann_by_connection``, and
+    R by ``riemann_by_connection`` from the connection of ``curv``'s metric
+    jets, taken one order deeper than ``curv.gamma_jets``, and
     each covariant derivative over every component of the whole tensor, its
     first slot upper, layout [l, k, i, j, z..]."""
-    gamma = curv.gamma_jets
+    gamma = christoffel(curv.metric_jets)[0]
     cov, variance = riemann_by_connection(gamma), "uddd"
     covR = [cov.value()]
     for _ in range(len(curv.covR) - 1):
@@ -423,7 +424,7 @@ def tower_by_recursion(curv, m_max):
             f"integrability tensors to order {m_max} need jet order "
             f">= {m_max + 3}; curvature data has {curv.jet_order}")
     n = curv.spec.dim
-    gamma = curv.gamma_jets
+    gamma = christoffel(curv.metric_jets)[0]
     r_full = riemann_by_connection(gamma).truncated(m_max + 1)
     eye = np.eye(n)
 

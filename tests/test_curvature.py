@@ -142,7 +142,7 @@ def test_compute_derives_every_jet_order_from_the_depth(depth):
     curv = CurvatureData.compute(builtin("walker_recurrent"), m_max=depth)
     assert curv.jet_order == depth + 2
     assert curv.metric_jets.order == depth + 2
-    assert curv.inverse_jets.order == depth + 1
+    assert curv.inverse_jets.order == curv.gamma_jets.order == depth
     assert len(curv.covR) == depth + 1
     assert curv.covR[depth].shape == (math.comb(3, 2),) * 2 + (3,) * depth
 
@@ -227,6 +227,23 @@ def test_first_kind_curvature_is_the_lowered_curvature(chart):
     got = riemann(gamma, first)
     assert got.order == upper.order == 2
     assert np.abs(got.array - want).max() <= 1e-14 * max(float(np.abs(want).max()), 1e-300)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["point", "points"])
+@pytest.mark.parametrize("chart", list(PAIR_CHARTS))
+def test_riemann_reads_gamma_to_its_own_order_only(chart, batch):
+    # R has one order less than the first-kind symbols, and its Gamma.Gamma
+    # term reads gamma to that order: gamma cut there gives the same R
+    spec = PAIR_CHARTS[chart]()
+    base = np.asarray(spec.base_point, dtype=np.float64)
+    point = np.array([base, base + 0.01 * np.arange(1, spec.dim + 1)]) if batch else base
+    for order in (2, 4):
+        gamma, first = christoffel(metric_jet_tensor(spec, point, order))
+        want = riemann(gamma, first)
+        got = riemann(gamma.truncated(first.order - 1), first)
+        assert got.order == want.order == order - 2
+        top = float(np.abs(want.array).max(initial=0.0))
+        assert float(np.abs(got.array - want.array).max(initial=0.0)) <= 1e-14 * top
 
 
 @pytest.mark.parametrize("chart", list(PAIR_CHARTS))

@@ -41,7 +41,10 @@ products, and, last, ``--point`` moving the base point, without and with
 ``--points``), and ``killing-dim --multi-point`` where the points' traces
 leave the lockstep loop at different orders, at the default order and at
 ``--order 0`` and ``--order 1``, where a nearby point leaves the chart's
-domain, and on a 1-D chart (``MULTI_POINT_COMMANDS``), each with ``--json``,
+domain, and on a 1-D chart (``MULTI_POINT_COMMANDS``), and, near a
+coordinate axis, ``check-field`` of a rotation on sphere2 and on
+Schwarzschild and ``curvature`` at ``--order 0`` and ``--order 1`` on both
+(``AXIS_COMMANDS``), each with ``--json``,
 through ``killingkit.cli.run`` of the package in this checkout's ``src/``.  It
 writes one JSON file mapping each query to its exit code, stdout and
 stderr.  Chart files go to a fixed directory
@@ -337,6 +340,20 @@ MULTI_POINT_COMMANDS = [
 ] + [["killing-dim", "--multi-point", "--file", "{sqrtnear}"],
       ["killing-dim", "--multi-point", "--builtin", "euclidean:n=1"]]
 
+# Near a coordinate axis, where g^-1 and Gamma are large: check-field of
+# sphere2's rotation d/dphi at theta = 3e-5 and 1e-5, and of Schwarzschild's
+# ("{schwarzschild}", as in DEEP_COMMANDS) at theta = 1e-3, whose first
+# prolongation cancels to rounding only if its connection is taken as
+# before; then curvature at --order 0 and --order 1 on both charts.
+AXIS_COMMANDS = [
+    ["check-field", "--builtin", "sphere2", "--field", "0,1", "--point", "3e-05,0.4"],
+    ["check-field", "--builtin", "sphere2", "--field", "0,1", "--point", "1e-05,0.4"],
+    ["check-field", "--file", "{schwarzschild}",
+     "--field=0,0,sin(ph),cos(ph) * cos(th) / sin(th)", "--point", "0,5,0.001,0"],
+] + [["curvature", *chart, "--order", str(order)]
+     for chart in (["--builtin", "sphere2"], ["--file", "{schwarzschild}"])
+     for order in (0, 1)]
+
 
 def readme_commands(readme):
     """The argv of every ``killingkit ...`` line of README.md's code blocks,
@@ -437,6 +454,9 @@ def snapshot(seeds, workdir):
     for i, argv in enumerate(MULTI_POINT_COMMANDS):
         argv = [arg.format(**charts, schwarzschild=deep["schwarzschild"]) for arg in argv]
         reports[f"multi_point.{i:02d}.{argv[0]}"] = run_query(cli, argv)
+    for i, argv in enumerate(AXIS_COMMANDS):
+        argv = [arg.format(schwarzschild=deep["schwarzschild"]) for arg in argv]
+        reports[f"axis.{i:02d}.{argv[0]}"] = run_query(cli, argv)
     return reports
 
 
