@@ -9,7 +9,8 @@ document with ``--json``.  JSON reports are byte-identical across identical
 invocations: keys are sorted, floats carry 12 significant digits, and timing
 is reported only in text mode.  Exit codes: 0 success, 2 input error (the
 errors that name bad input: a chart, point, germ or field that does not
-parse or evaluate, a degenerate metric, too low an order, a check's
+parse or evaluate, a degenerate metric, a point where the curvature
+computed from finite metric jets overflows, too low an order, a check's
 precondition), 3 inconclusive (a stabilisation warning somewhere in the
 result, a field that passes ``check-field``'s Killing check and fails its
 derivative identity, or a computation that failed inside the package, with

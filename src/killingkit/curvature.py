@@ -33,7 +33,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import metricdsl
-from .jets import JetShapeError, JetTensor, tensor_deriv, tensor_product
+from .jets import JetDomainError, JetShapeError, JetTensor, tensor_deriv, tensor_product
 
 
 class OrderExhaustedError(ValueError):
@@ -88,11 +88,11 @@ def christoffel(metric_jets, inverse_jets=None):
     dg = tensor_deriv(g)  # dg[i, j, c] = d_c g_ij
     a = dg.array
     # first[l, i, j] = (d_i g_jl + d_j g_il - d_l g_ij) / 2, summed in one
-    # owned buffer: each einsum is a transposed view of dg's array
+    # owned buffer of transposed views of dg's array, halved so as not to overflow
+    a *= 0.5
     first = np.einsum(f"{p}jlic->{p}lijc", a).copy()
     first += np.einsum(f"{p}iljc->{p}lijc", a)
     first -= np.einsum(f"{p}ijlc->{p}lijc", a)
-    first *= 0.5
     first = JetTensor(first, dg.space)
     q = min(ginv.order, first.order)
     return tensor_product(f"{p}kl,{p}lij->{p}kij", ginv.truncated(q), first.truncated(q)), first
@@ -346,21 +346,43 @@ class CurvatureData:
         order m_max + 1.  Those of the second kind are read to order m_max
         at most, by R's Gamma.Gamma term and by each covariant derivative,
         so the metric is inverted to order m_max and gamma has that order.
+
+        A non-finite entry in the jets of g^-1 or gamma or in a covR[m]
+        raises a JetDomainError naming the chart and the earliest point with
+        one, as a metric jet does; a batch raises what its points would
+        raise one by one, in order.
         """
         p = np.asarray(spec.base_point if point is None else point, dtype=np.float64)
         k = m_max + 2
-        g = metricdsl.metric_jet_tensor(spec, p, k)
-        ginv = inverse_metric(g.truncated(m_max))
-        gamma, first = christoffel(g, ginv)
-        cov = riemann(gamma, first)
-        # the first covariant derivative, the deepest that reads the pair
-        # connection, takes it to the order of its output, m_max - 1
-        variance, pairs = "pp", pair_connection(gamma.truncated(m_max - 1)) if m_max else None
-        covR = [cov.value()]
-        for _ in range(m_max):
-            cov = covariant_derivative(cov, variance, gamma, pairs)
-            variance += "d"
-            covR.append(cov.value())
+        try:
+            g = metricdsl.metric_jet_tensor(spec, p, k)
+        except (JetDomainError, metricdsl.SpecError):
+            # an earlier point may overflow: the halves in order raise the first failure
+            if p.ndim == 2 and len(p) > 1:
+                for half in np.array_split(p, 2):
+                    cls.compute(spec, half, m_max)
+            raise
+        with np.errstate(all="ignore"):
+            ginv = inverse_metric(g.truncated(m_max))
+            gamma, first = christoffel(g, ginv)
+            cov = riemann(gamma, first)
+            # the first covariant derivative, the deepest that reads the pair
+            # connection, takes it to the order of its output, m_max - 1
+            variance, pairs = "pp", pair_connection(gamma.truncated(m_max - 1)) if m_max else None
+            covR = [cov.value()]
+            for _ in range(m_max):
+                cov = covariant_derivative(cov, variance, gamma, pairs)
+                variance += "d"
+                covR.append(cov.value())
+        kept = {"the jets of g^-1": ginv.array, "the jets of gamma": gamma.array,
+                **{f"nabla^{m} R": c for m, c in enumerate(covR)}}
+        bad = np.array([~np.isfinite(a).all(axis=tuple(range(p.ndim - 1, a.ndim)))
+                        for a in kept.values()]).reshape(len(kept), -1)   # [quantity, point]
+        if bad.any():
+            at = int(np.argmax(bad.any(axis=0)))
+            raise JetDomainError(
+                f"curvature of {spec.name!r} at {tuple(map(float, p.reshape(-1, spec.dim)[at]))}"
+                f": a non-finite entry in {list(kept)[int(np.argmax(bad[:, at]))]}")
         return cls(spec=spec, point=p, jet_order=k, metric_jets=g,
                    inverse_jets=ginv, gamma_jets=gamma, covR=covR)
 

@@ -500,10 +500,14 @@ _CHUNK_ELEMS = 30_000_000
 #     lim,mjk->lkij      6    2       6.1e6             182          536   270
 #     kl,lij->kij        8    2       8.3e6            1836          644   354
 #
-# * The gather, where the operator would hold more floats, or where a point
-#   has a non-finite coefficient, which the operator's zero entries would
-#   spread where no pair meets it: both operands are gathered along the
-#   table and multiplied by one einsum over every component pair.
+# * The gather, where the operator would hold more floats: both operands
+#   are gathered along the table and multiplied by one einsum over every
+#   component pair.
+#
+# Every way takes finite operands and plain subscripts only (each letter at
+# most once in an operand, read by the other operand or the output): nan
+# times an operator's zero entry is nan where the join skips the pair.  The
+# curvature chain refuses a non-finite jet, as the tape does.
 _SPARSE_MIN_WORK = 3_000_000
 _JOIN_COST = 128
 _OPERATOR, _JOIN, _GATHER = range(3)
@@ -597,14 +601,7 @@ def _gathered_product(expr, a, b, tab, out_shape, out_space):
     return coeffs
 
 
-def _own_letters(letters, others):
-    """``letters`` with each repeated letter once and each letter that
-    ``others`` does not name dropped: the operand's diagonal, summed over
-    the letters no one else reads."""
-    return "".join(dict.fromkeys(c for c in letters if c in others))
-
-
-_Plan = namedtuple("_Plan", "la lb out_sub norm_a norm_b dims batch lead out_shape held "
+_Plan = namedtuple("_Plan", "la lb out_sub dims batch lead out_shape held "
                             "madds x_perm x_shape op_shape scatter y_size y_perm y_shape "
                             "res_shape out_perm key")
 
@@ -639,10 +636,11 @@ def _plan(sub, a_shape, b_shape, n_vars, qa, qb, order):
     components x beta), and the matrix product of the two is the result
     with its components as (y's free ones, x's free ones)."""
     lhs, out_sub = sub.split("->")
-    la0, lb0 = lhs.split(",")
-    dims = {**dict(zip(la0, a_shape)), **dict(zip(lb0, b_shape))}
-    la = _own_letters(la0, lb0 + out_sub)
-    lb = _own_letters(lb0, la + out_sub)
+    la, lb = lhs.split(",")
+    if any(len(set(s)) < len(s) or not set(s) <= set(t + out_sub) for s, t in ((la, lb), (lb, la))):
+        raise ValueError(f"subscript {sub!r}: an operand letter must appear once "
+                         "and be read by the other operand or the output")
+    dims = {**dict(zip(la, a_shape)), **dict(zip(lb, b_shape))}
     batch = "".join(c for c in out_sub if c in la and c in lb)
     lead = tuple(dims[c] for c in batch)
 
@@ -664,11 +662,8 @@ def _plan(sub, a_shape, b_shape, n_vars, qa, qb, order):
     held = (n_sum * n_free * y_size * out_size + size(ly) * y_size + size(out_sub) * out_size,
             (size(la) + size(lb) + size(out_sub)) * npairs)
     res = batch + free_y + free_x
-    norm_a = None if la == la0 else f"{la0}...->{la}..."
-    norm_b = None if lb == lb0 else f"{lb0}...->{lb}..."
     return _Plan(
         la=la, lb=lb, out_sub=out_sub, dims=dims, batch=batch, lead=lead,
-        norm_a=norm_a, norm_b=norm_b,
         out_shape=tuple(dims[c] for c in out_sub), held=held, madds=madds,
         x_perm=tuple(lx.index(c) for c in batch + summed + free_x) + (len(lx),),
         x_shape=lead + (n_sum, n_free, npairs),
@@ -681,15 +676,7 @@ def _plan(sub, a_shape, b_shape, n_vars, qa, qb, order):
         out_perm=tuple(res.index(c) for c in out_sub) + (len(res),),
         # what, besides x's array, fixes the operator built from it
         key=(x_is_a, "".join("b" if c in batch else "s" if c in summed else "f" for c in lx),
-             norm_a if x_is_a else norm_b, n_vars, qa, qb, order))
-
-
-def _finite_points(letters, arr, batch, n_points):
-    """Whether each point of the batch (the batch letters flattened in the
-    order of ``batch``) has only finite coefficients in ``arr``."""
-    ok = np.isfinite(arr).all(axis=-1)
-    ok = np.moveaxis(ok, [letters.index(c) for c in batch], range(len(batch)))
-    return ok.reshape(n_points, ok.size // max(n_points, 1)).all(axis=1)
+             n_vars, qa, qb, order))
 
 
 def _shape_way(p):
@@ -704,25 +691,12 @@ def _ways(p, xa, xb, npairs):
 
     The way the shapes choose, but where the operator's multiply-adds reach
     ``_SPARSE_MIN_WORK`` the supports are looked at, and a point whose
-    joined pairs cost less takes the join.  A point with a non-finite
-    coefficient takes the gather."""
+    joined pairs cost less takes the join."""
     way, cost = _shape_way(p), p.madds
-    look = bool(p.la and p.lb) and cost >= _SPARSE_MIN_WORK
-    finite = np.isfinite(xa).all() and np.isfinite(xb).all()
-    if finite and not look:
+    if not (p.la and p.lb) or cost < _SPARSE_MIN_WORK or not math.prod(p.lead):
         return [way], None
-    n_points = math.prod(p.lead)
-    if not n_points:
-        return [way], None
-    finite = (np.ones(n_points, dtype=bool) if finite
-              else _finite_points(p.la, xa, p.batch, n_points)
-              & _finite_points(p.lb, xb, p.batch, n_points))
-    ways = np.where(finite, way, _GATHER)
-    pairs = None
-    if look:
-        counts, pairs = _join(p.la, p.lb, p.out_sub, p.batch, xa, xb, p.dims)
-        ways[finite & (_SPARSE_MIN_WORK + _JOIN_COST * npairs * counts < cost)] = _JOIN
-    ways = ways.tolist()
+    counts, pairs = _join(p.la, p.lb, p.out_sub, p.batch, xa, xb, p.dims)
+    ways = np.where(_SPARSE_MIN_WORK + _JOIN_COST * npairs * counts < cost, _JOIN, way).tolist()
     return ways, pairs if _JOIN in ways else None
 
 
@@ -733,14 +707,18 @@ def tensor_product(sub, a, b, order=None, operators=None):
     ``'kl,lij->kij'``; the coefficient axes convolve.  A letter in both
     operands and in the output is a batch letter, such as the point axis P.
 
+    Subscripts are plain, else ValueError: each letter at most once in an
+    operand (no diagonal) and read by the other operand or by the output (no
+    sum within one operand).  Coefficients must be finite.
+
     The operand with fewer components (batch letters aside) becomes its
     multiplication operator, and the contraction is one matrix product,
     batched over the batch letters.  A large contraction whose component
     pairs are mostly zero multiplies only the pairs of nonzero components
     instead.  Where the operator would hold more floats than both operands
-    gathered along the multiplication table, or a coefficient is not
-    finite, they are gathered (see ``_SPARSE_MIN_WORK``).  Each way agrees
-    with the sum over every component pair up to the order of summation.
+    gathered along the multiplication table, they are gathered (see the
+    comment above ``_SPARSE_MIN_WORK``).  Each way agrees with the sum over
+    every component pair up to the order of summation.
 
     ``operators`` is a dict in which the operators built are kept for
     reuse by later calls that pass the same dict; an operator is reused
@@ -751,10 +729,7 @@ def tensor_product(sub, a, b, order=None, operators=None):
     out_space = jet_space(a.n_vars, order)
     tab = _mul_table(a.n_vars, a.order, b.order, order)
     p = _plan(sub, a.array.shape[:-1], b.array.shape[:-1], a.n_vars, a.order, b.order, order)
-    xa = a.array if p.norm_a is None else np.einsum(p.norm_a, a.array)
-    xb = b.array if p.norm_b is None else np.einsum(p.norm_b, b.array)
-
-    ways, pairs = _ways(p, xa, xb, len(tab.ai))
+    ways, pairs = _ways(p, a.array, b.array, len(tab.ai))
     if len(set(ways)) > 1:
         # the points disagree: each is taken as it would be alone
         coeffs = np.empty(p.out_shape + (out_space.size,))
@@ -764,20 +739,19 @@ def tensor_product(sub, a, b, order=None, operators=None):
             at = dict(zip(p.batch, point))
             pa, pb, po = (tuple(at.get(c, slice(None)) for c in s)
                           for s in (p.la, p.lb, p.out_sub))
-            coeffs[po] = tensor_product(alone, JetTensor(xa[pa], a.space),
-                                        JetTensor(xb[pb], b.space), order).array
+            coeffs[po] = tensor_product(alone, JetTensor(a.array[pa], a.space),
+                                        JetTensor(b.array[pb], b.space), order).array
         return JetTensor(coeffs, out_space)
     way = ways[0]
     if way == _JOIN:
         return JetTensor(_joined_product(*pairs(), tab, p.out_shape, out_space), out_space)
     if way == _GATHER:
-        return JetTensor(_gathered_product(f"{p.la}...,{p.lb}...->{p.out_sub}...", xa, xb,
-                                           tab, p.out_shape, out_space), out_space)
+        return JetTensor(_gathered_product(f"{p.la}...,{p.lb}...->{p.out_sub}...", a.array,
+                                           b.array, tab, p.out_shape, out_space), out_space)
 
-    x, y = (xa, xb) if p.key[0] else (xb, xa)
-    source = a.array if p.key[0] else b.array
+    x, y = (a.array, b.array) if p.key[0] else (b.array, a.array)
     kept = (operators or {}).get(p.key)
-    if kept is not None and kept[0] is source:
+    if kept is not None and kept[0] is x:
         op = kept[1]
     else:
         index, xi = _scatter_index(*p.scatter)
@@ -785,7 +759,7 @@ def tensor_product(sub, a, b, order=None, operators=None):
         op[..., index] = np.take(x.transpose(p.x_perm), xi, axis=-1).reshape(p.x_shape)
         op = op.reshape(p.op_shape[1])
         if operators is not None:
-            operators[p.key] = (source, op)
+            operators[p.key] = (x, op)
     res = np.matmul(y[..., :p.y_size].transpose(p.y_perm).reshape(p.y_shape), op)
     return JetTensor(res.reshape(p.res_shape).transpose(p.out_perm), out_space)
 

@@ -678,6 +678,39 @@ def test_non_finite_metric_values_are_input_errors(capsys, tmp_path, metric, poi
     assert "component (0, 0)" in err and "non-finite coefficient inf" in err
 
 
+# Every metric jet of this chart is finite, but at x = 0 its inverse is
+# about 1e300 and the Christoffel symbols overflow: each command refuses the
+# point as it refuses a metric jet that overflows, with no warning on the way.
+OVERFLOW_METRIC = "[[1e-300 + 1e10 * x, 0], [0, 1]]"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["curvature"], ["killing-dim"], ["holonomy"],
+    ["transport", "--germ", "1,0|0,0;0,0", "--path", "0,0;0,1", "--steps", "10"],
+], ids=lambda argv: argv[0])
+def test_a_curvature_overflow_is_an_input_error(capsys, tmp_path, argv):
+    chart = chart_file(tmp_path, "over", OVERFLOW_METRIC, "0, 0")
+    code, out, err = invoke(capsys, argv[0], "--file", chart, *argv[1:])
+    assert code == 2 and out == ""   # no NaN or Infinity in a report
+    assert err.startswith("error: curvature of 'over' at (0.0, 0.0): a non-finite entry in ")
+    assert err.count("\n") == 1
+
+
+# On this chart sqrt(1 - y) leaves its domain at y = 1; the path's second
+# segment starts at (0, 0), where the curvature overflows, and reaches y = 1
+# later in the same frame batch.
+def test_transport_raises_a_curvature_overflow_before_a_later_metric_error(capsys, tmp_path):
+    chart = chart_file(tmp_path, "over", "[[1e-300 + 1e10 * x, 0], [0, 1 + sqrt(1 - y)]]",
+                       "1, 0")
+    transport = ["transport", "--file", chart, "--germ", "1,0|0,0;0,0", "--steps", "10"]
+    code, out, err = invoke(capsys, *transport, "--path", "1,0;1,2")
+    assert (code, out) == (2, "") and err.startswith("error: metric of 'over' at (1.0, 1.0)")
+    code, out, err = invoke(capsys, *transport, "--path", "1,0;0,0;0,2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: curvature of 'over' at (0.0, 0.0): a non-finite entry in ")
+
+
 def test_an_overflowing_literal_is_an_input_error(capsys, tmp_path):
     code, out, err = invoke(capsys, "parse", "--file",
                             chart_file(tmp_path, "lit", "[[10^400, 0], [0, 1]]", "0, 0"))

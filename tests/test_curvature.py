@@ -7,7 +7,7 @@ import pytest
 from killingkit.curvature import (CurvatureData, OrderExhaustedError, christoffel,
                                   identity_residuals, inverse_metric,
                                   lowered_riemann, point_frame, riemann, unpack)
-from killingkit.jets import tensor_product
+from killingkit.jets import JetDomainError, tensor_product
 from killingkit.metricdsl import builtin, metric_jet_tensor, parse_manifold
 
 from oracles import fd_christoffel, fd_riemann, full_tensor_chain, riemann_by_connection
@@ -38,7 +38,7 @@ def test_inverse_metric_jets():
     spec = builtin("sphere2")
     g = metric_jet_tensor(spec, (1.1, 0.2), 3)
     ginv = inverse_metric(g)
-    from killingkit.jets import tensor_product
+    from killingkit.jets import JetDomainError, tensor_product
     prod = tensor_product("ia,aj->ij", g, ginv)
     expect = np.zeros_like(prod.array)
     expect[0, 0, 0] = expect[1, 1, 0] = 1.0
@@ -275,3 +275,26 @@ def test_unpack_fills_every_symmetry_of_the_curvature():
 
 
 PAIRS_OF_4 = list(itertools.combinations(range(4), 2))
+
+
+# Every metric jet of this chart is finite, but at x = 0 its inverse is
+# about 1e300 and the Christoffel symbols overflow.
+OVERFLOW_SRC = """
+manifold over {
+  coordinates: x, y;
+  metric: [[1e-300 + 1e10 * x, 0], [0, 1]];
+  base_point: (1, 0);
+}
+"""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m_max", [0, 2])
+def test_a_batch_names_the_earliest_point_whose_curvature_overflows(m_max):
+    spec = parse_manifold(OVERFLOW_SRC)
+    curv = CurvatureData.compute(spec, np.array([[1.0, 0.0], [0.5, 0.0]]), m_max=m_max)
+    assert all(np.isfinite(c).all() for c in curv.covR)
+    for points in ([0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]):
+        with pytest.raises(JetDomainError, match=r"^curvature of 'over' at \(0\.0, 0\.0\): "
+                                                 r"a non-finite entry in "):
+            CurvatureData.compute(spec, np.array(points), m_max=m_max)

@@ -327,36 +327,17 @@ def test_the_path_switch_follows_the_work_and_the_support(monkeypatch):
     assert len(looked) == sum(c[2].madds >= jets._SPARSE_MIN_WORK for c in calls)
 
 
-def test_non_finite_coefficients_contract_as_the_dense_path_does(monkeypatch):
-    # nan times a zero component is nan, so the dense path spreads a
-    # non-finite coefficient where the sparse path would skip it
-    from oracles import dense_tensor_product
-    monkeypatch.setattr(jets, "_SPARSE_MIN_WORK", 0)
-    s = jet_space(2, 2)
-    for bad in (np.nan, np.inf):
-        a = np.zeros((3, 3, s.size))
-        a[0, 0, 1] = bad
-        b = np.zeros((3, 3, 3, s.size))
-        b[1, 1, 1, 0] = 1.0
-        a, b = jets.JetTensor(a, s), jets.JetTensor(b, s)
-        with np.errstate(invalid="ignore"):
-            result = jets.tensor_product("kl,lij->kij", a, b)
-            oracle = dense_tensor_product("kl,lij->kij", a, b)
-        np.testing.assert_array_equal(result.array, oracle.array)
-
-
 @settings(max_examples=250, deadline=None)
 @given(sub=st.sampled_from(CONTRACTIONS), points=st.sampled_from([None, 0, 1, 3]),
        n=st.integers(1, 4), orders=st.tuples(st.integers(0, 4), st.integers(0, 4)),
        below=st.sampled_from([None, 0, 1, 2]),
        kinds=st.tuples(*[st.sampled_from(["empty", "single", "block", "dense"])] * 2),
-       bad=st.sampled_from([None, ("a", np.nan), ("b", np.inf), ("a", -np.inf), ("b", np.nan)]),
        way=st.sampled_from([None, *WAYS]), seed=st.integers(0, 2**32 - 1))
-def test_tensor_product_matches_the_dense_oracle(sub, points, n, orders, below, kinds, bad,
-                                                 way, seed):
+def test_tensor_product_matches_the_dense_oracle(sub, points, n, orders, below, kinds, way,
+                                                 seed):
     # every contraction, with and without a point axis (an empty one too), by
     # the rule or forced one way, agrees with the sum over every component
-    # pair; a non-finite coefficient spreads exactly as in that sum
+    # pair
     from oracles import dense_tensor_product
     rng = np.random.default_rng(seed)
     sub = sub if points is None else _with_points(sub)
@@ -367,12 +348,9 @@ def test_tensor_product_matches_the_dense_oracle(sub, points, n, orders, below, 
         mask = _component_support(kind, shape, letters, rng) if all(shape) else np.ones(shape)
         coeffs = rng.normal(size=shape + (space.size,)) * mask[..., None]
         operands.append(coeffs)
-    if bad is not None and operands["ab".index(bad[0])].size:
-        arr = operands["ab".index(bad[0])]
-        arr[tuple(int(rng.integers(d)) for d in arr.shape)] = bad[1]
     a, b = (jets.JetTensor(c, jet_space(n, q)) for c, q in zip(operands, orders))
     order = None if below is None else max(0, min(orders) - below)
-    with pytest.MonkeyPatch.context() as mp, np.errstate(invalid="ignore"):
+    with pytest.MonkeyPatch.context() as mp:
         for name, value in WAYS.get(way, {}).items():
             mp.setattr(jets, name, value)
         result = jets.tensor_product(sub, a, b, order)
@@ -382,27 +360,31 @@ def test_tensor_product_matches_the_dense_oracle(sub, points, n, orders, below, 
     assert result.space is oracle.space
     assert result.array.shape == oracle.array.shape
     got, want = result.array, oracle.array
-    finite = np.isfinite(want)
-    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
-    np.testing.assert_array_equal(got[~finite & ~np.isnan(want)], want[~finite & ~np.isnan(want)])
-    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-13 * bound.array[finite])
+    assert np.all(np.abs(got - want) <= 1e-13 * bound.array)
     assert np.all(got[want == 0] == 0)
 
 
-@pytest.mark.parametrize("sub", ["ii,ij->j", "ij,k->k", "iPj,Pjk->Pik", "ak,kb->ba"])
+@pytest.mark.parametrize("sub", ["iPj,Pjk->Pik", "ak,kb->ba"])
 @pytest.mark.parametrize("way", [None, *WAYS])
 def test_any_subscript_contracts_as_the_dense_oracle(sub, way, monkeypatch):
-    # a repeated letter takes the diagonal, a letter of one operand only is
-    # summed, and batch and output letters may come in any order
+    # batch and output letters may come in any order; a repeated letter (a
+    # diagonal) and a letter of one operand only (a sum within it) are refused
     from oracles import dense_tensor_product
     rng = np.random.default_rng(2)
     s = jet_space(2, 2)
-    a, b = (jets.JetTensor(rng.normal(size=(3,) * len(letters) + (s.size,)), s)
-            for letters in sub.split("->")[0].split(","))
+
+    def operands(sub):
+        return (jets.JetTensor(rng.normal(size=(3,) * len(letters) + (s.size,)), s)
+                for letters in sub.split("->")[0].split(","))
+
+    a, b = operands(sub)
     for name, value in WAYS.get(way, {}).items():
         monkeypatch.setattr(jets, name, value)
     np.testing.assert_allclose(jets.tensor_product(sub, a, b).array,
                                dense_tensor_product(sub, a, b).array, rtol=1e-13, atol=1e-13)
+    for bad in ("ii,ij->j", "ij,k->k"):
+        with pytest.raises(ValueError, match="subscript"):
+            jets.tensor_product(bad, *operands(bad))
 
 
 def test_a_kept_operator_is_reused_only_for_its_own_array():

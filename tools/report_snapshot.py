@@ -30,7 +30,9 @@ transported field's failures at the path's ends, a chart given both as
 syntax error (after a comment, a tab, on a CRLF line, on the last line, at
 the end of the file, an unknown name, a non-integer exponent, trailing input
 and a wrong row count), charts degenerate at their base point or at the
-``--point`` given, and fields with a syntax error), and
+``--point`` given, fields with a syntax error, and ``curvature``,
+``killing-dim``, ``holonomy`` and ``transport`` on a chart whose curvature
+overflows where its metric jets are finite), and
 ``check-field`` and
 ``demo-counterexample`` on the fields they check (``FIELD_COMMANDS``: every
 catalog Killing field, two fields that are not Killing, one and three
@@ -205,6 +207,9 @@ ERROR_CHARTS = {
                    "  metric: [[x^2, 0], [0, 1]];\n}\n"),
     "degenerateoff": ("manifold d {\n  coordinates: x, y;\n"
                       "  metric: [[x^2, 0], [0, 1]];\n  base_point: (1, 0);\n}\n"),
+    # finite metric jets whose curvature chain overflows at the base point
+    "overflow": ("manifold over {\n  coordinates: x, y;\n"
+                 "  metric: [[1e-300 + 1e10 * x, 0], [0, 1]];\n  base_point: (0, 0);\n}\n"),
 }
 
 # Every command that evaluates a point, at a bad point of each chart: the
@@ -283,6 +288,12 @@ ERROR_COMMANDS = [
     ["check-field", "--builtin", "sphere2", "--field", "0,sin(theta"],
     ["check-field", "--builtin", "sphere2", "--field", "0,2 $ theta"],
     ["transport", "--builtin", "sphere2", "--field", "0,theta^0.5", "--path", "1,0;1.2,0.1",
+     "--steps", "10"],
+    # a curvature chain that overflows where the metric's jets are finite
+    ["curvature", "--file", "{overflow}"],
+    ["killing-dim", "--file", "{overflow}"],
+    ["holonomy", "--file", "{overflow}"],
+    ["transport", "--file", "{overflow}", "--germ", "1,0|0,0;0,0", "--path", "0,0;0,1",
      "--steps", "10"],
 ]
 
