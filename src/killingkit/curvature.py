@@ -26,6 +26,7 @@ Index conventions, fixed once for the whole project:
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -414,8 +415,24 @@ class CurvatureData:
             kappa = float(max(np.abs(gamma).max(),
                               np.sqrt(np.abs(cov[0]).max(initial=0.0)))) or 1.0
             frames.append(UnitFrame(e=e, einv=einv, signs=np.sign(w[k]), kappa=kappa,
-                                    covR=[c / kappa ** (m + 2) for m, c in enumerate(cov)]))
+                                    covR=[_over_power(c, kappa, m + 2)
+                                          for m, c in enumerate(cov)]))
         return frames
+
+
+def _over_power(c, kappa, power):
+    """c / kappa^power: one division where the power is a normal float, else
+    ``power`` divisions by kappa, so that a power past the float range (kappa
+    = 5e99 on a flat chart, power 4) neither overflows nor underflows."""
+    try:
+        scale = kappa ** power
+    except OverflowError:
+        scale = 0.0
+    if scale >= sys.float_info.min:
+        return c / scale
+    for _ in range(power):
+        c = c / kappa
+    return c
 
 
 # Frame budget: one ``CurvatureData.compute`` of a frame ladder or of
@@ -423,7 +440,10 @@ class CurvatureData:
 # takes P points with P * n^(4 + depth) <= _FRAME_BUDGET (at least one
 # point; ``budget_points``), so the deepest curvature values it holds stay
 # within the budget whatever the number of points; transport evaluates depth
-# 0.  Each call has a fixed cost that more points spread.  Measured time per
+# 0, at the 17 Chebyshev nodes of as many whole segments as fit (one segment
+# at n = 8), and at the stage points of a segment that the nodes do not
+# resolve, where a call may span segments.  Each call has a fixed cost that
+# more points spread.  Measured time per
 # point of one depth-0 call (2-vCPU host, one BLAS thread; sphere2,
 # Schwarzschild, cw2 x cw2), by P * n^4:
 #
@@ -435,7 +455,8 @@ class CurvatureData:
 # One point alone takes 0.37 / 0.41 / 0.81 ms at n = 2 / 4 / 8.  Past about
 # 1e5 the time per point stops falling at n = 4 and 8 and then rises.  The
 # budget, 33 * 8^4, is the 2 * 16 + 1 stage points of one block of 16 steps
-# at n = 8: 528 points a call at n = 4, 8448 at n = 2.
+# at n = 8, and holds the 17 nodes of one segment there: 528 points a call
+# at n = 4 (the nodes of 31 segments), 8448 at n = 2.
 _FRAME_BUDGET = 33 * 8 ** 4
 
 

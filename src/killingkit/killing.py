@@ -21,6 +21,7 @@ so three computations fall out of one construction:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -497,22 +498,45 @@ def kernel_germs(spec, point=None, m_max=10, tol=1e-8):
 # K arrays of a block, whatever the number of steps.
 _BLOCK_STEPS = 16
 
+# A segment takes its frames at N + 1 Chebyshev points of the second kind,
+# N = _CHEBYSHEV_N, unless the last two Chebyshev coefficients of an input of
+# its generators there exceed _CHEBYSHEV_TAIL times that input's largest
+# entry (see ``killing_transport``).
+_CHEBYSHEV_N = 16
+_CHEBYSHEV_TAIL = 1e-13
 
-def _transport_generators(gus, rs, u):
+
+def _transport_generators(gus, rus, u):
     """The generators M of D-transport along a segment with velocity u, one
     per frame: ds/dt = M s for s = (xi, A flattened row by row).  ``gus``
-    holds Gamma^i_ab u^a as [P, i, b] and ``rs`` the curvature values
-    [P, l, k, i, j]; the result has shape (P, n + n^2, n + n^2)."""
+    holds Gamma^i_ab u^a as [P, i, b] and ``rus`` the curvature values
+    R^i_jcd u^c as [P, i, j, d] (``_frame_inputs``); the result has shape
+    (P, n + n^2, n + n^2)."""
     count, n = gus.shape[:2]
     eye = np.eye(n)
     m = np.empty((count, n + n * n, n + n * n))
     m[:, :n, :n] = -gus                                       # -Gamma(u) xi
     m[:, :n, n:] = -np.einsum("ik,l->ikl", eye, u).reshape(n, n * n)   # -A u
-    m[:, n:, :n] = -np.einsum("Pijcd,c->Pijd", rs, u).reshape(count, n * n, n)
+    m[:, n:, :n] = -rus.reshape(count, n * n, n)              # -R(u, xi)
     m[:, n:, n:] = (np.einsum("ik,Plj->Pijkl", eye, gus)      # A Gamma(u)
                     - np.einsum("Pik,jl->Pijkl", gus, eye)    # -Gamma(u) A
                     ).reshape(count, n * n, n * n)
     return m
+
+
+def _frame_inputs(gammas, rs, u):
+    """The inputs of ``_transport_generators`` from connection values
+    [P, i, a, b] and curvature values [P, i, j, c, d] along velocity u."""
+    return np.einsum("Piab,a->Pib", gammas, u), np.einsum("Pijcd,c->Pijd", rs, u)
+
+
+def _stage_times(steps, i):
+    """The parameters t in [0, 1] of the stage points ``i`` (an index array)
+    of a segment of ``steps`` RK4 steps: 0, then the midpoint and the end of
+    each step."""
+    h = 1.0 / steps
+    s = (i - 1) // 2 * h   # step k starts at s = k h
+    return np.where(i % 2, s + h / 2, s + h)
 
 
 def _stage_points(path, steps, start, stop):
@@ -522,19 +546,55 @@ def _stage_points(path, steps, start, stop):
     them comes ``path[-1]`` itself."""
     per_segment = 2 * steps + 1
     stages = (len(path) - 1) * per_segment
-    h = 1.0 / steps
     pieces = []
     for seg in range(start // per_segment, (min(stop, stages) - 1) // per_segment + 1):
         x0 = path[seg]
         i = np.arange(max(start - seg * per_segment, 0),
                       min(stop - seg * per_segment, per_segment))
-        s = (i - 1) // 2 * h   # step k starts at s = k h
-        points = x0 + np.where(i % 2, s + h / 2, s + h)[:, None] * (path[seg + 1] - x0)
+        points = x0 + _stage_times(steps, i)[:, None] * (path[seg + 1] - x0)
         points[i == 0] = x0   # exactly: x0 + 0 u would turn -0.0 into 0.0
         pieces.append(points)
     if stop > stages:
         pieces.append(path[-1][None])
     return np.concatenate(pieces)
+
+
+@lru_cache(maxsize=None)
+def _chebyshev_nodes(count):
+    """The ``count`` + 1 Chebyshev points of the second kind on [0, 1],
+    t_j = sin^2(j pi / (2 count)) for j = 0..count, 0 and 1 exactly; and the
+    (2, count + 1) matrix that takes values there to the last two
+    coefficients, c_(count - 1) and c_count, of their interpolant in
+    Chebyshev polynomials (Trefethen, ATAP, ch. 3); read-only."""
+    j = np.arange(count + 1)
+    t = np.sin(j * np.pi / (2 * count)) ** 2
+    tail = (np.where((j == 0) | (j == count), 1.0, 2.0) / count
+            * np.cos(np.outer([count - 1, count], j) * np.pi / count))
+    tail[1] /= 2
+    for arr in (t, tail):
+        arr.flags.writeable = False
+    return t, tail
+
+
+@lru_cache(maxsize=8)
+def _interpolation(count, steps):
+    """The (2 steps + 1, count + 1) matrix that takes values at the
+    ``_chebyshev_nodes(count)`` of a segment to its stage points by the
+    barycentric formula (Berrut and Trefethen 2004): row i holds the
+    Lagrange basis at stage point i, a unit row where that is a node;
+    read-only."""
+    t, _ = _chebyshev_nodes(count)
+    weights = (-1.0) ** np.arange(count + 1)
+    weights[[0, -1]] /= 2
+    gap = _stage_times(steps, np.arange(2 * steps + 1))[:, None] - t
+    on_node = gap == 0
+    with np.errstate(divide="ignore"):
+        terms = weights / gap
+    hit = on_node.any(axis=1)
+    terms[hit] = on_node[hit]
+    mat = terms / terms.sum(axis=1, keepdims=True)
+    mat.flags.writeable = False
+    return mat
 
 
 @dataclass(frozen=True)
@@ -560,31 +620,43 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
         K2 = M(t + h/2) (I + h/2 K1),   K3 = M(t + h/2) (I + h/2 K2),
         K4 = M(t + h) (I + h K3),
 
-    and the state is multiplied by the propagators in step order.  One loop
-    walks the stage points of the whole path in path order.  Its outer level
-    is the frame batch: one ``point_frame`` call of as many consecutive
-    stage points as ``budget_points`` allows at depth 0 (P n^4 floats of
-    curvature within the frame budget), made once the previous batch is
-    released, so a point where the chart fails raises what evaluating the
-    points one by one would raise first.  Its inner level is the block: at
-    most twice ``_BLOCK_STEPS`` stage points of one segment inside the
-    batch, whose generators M, after the one or two of the step under way
-    carried over, give P for every step that ends in the block by batched
-    products.  Memory holds one frame batch, one
-    block's M ((n + n^2)^2 floats a point) and the carried ones, whatever
-    the number of steps.  The products round differently from stepping xi
-    and A through the right-hand side of D stage by stage, so end germs
-    differ from that form in the last bits.
+    and the state is multiplied by the propagators in step order.  M is
+    built from Gamma(u) and R(., ., u, .) at the 2 steps + 1 stage points of
+    a segment, block by block: at most twice ``_BLOCK_STEPS`` stage points
+    of one segment, whose generators, after the one or two of the step under
+    way carried over, give P for every step that ends in the block by
+    batched products.  The products round differently from stepping xi and
+    A through the right-hand side of D stage by stage, so end germs differ
+    from that form in the last bits.
 
-    Returns a ``Transport``.  ``path[-1]`` is evaluated as one more point
-    after the last stage point, inside the budget, for the metric at the
-    end.  ``germ`` is a ``KillingGerm``, or a field's ``field_jets``: then
-    the field's germs at both ends come from the same batches, as
-    ``sample_field`` would give them: the start germ from the first stage
-    point, which is ``path[0]`` exactly, and the end germ from ``path[-1]``.
-    The first failure raised is the first of: the chart at ``path[0]``, the
-    field there, the chart at a stage point in path order, the chart at
-    ``path[-1]``, the field there.
+    Along a segment Gamma(u) and R(., ., u, .) are analytic in t wherever
+    the chart is, so a segment of more than 8 steps takes them at its
+    N + 1 = 17 Chebyshev nodes (``_chebyshev_nodes``; the first and last
+    are its path nodes exactly) and interpolates them to its stage points
+    (``_interpolation``).  The nodes of consecutive segments share
+    ``point_frame`` calls of at most ``budget_points`` points at depth 0,
+    and the chart is still checked at every stage point, by one order-0
+    metric evaluation with its nondegeneracy check.  A segment takes its
+    frames at its stage points instead, as a segment of at most 8 steps
+    does, when a node or a stage point fails there, or when the last two
+    Chebyshev coefficients of either input exceed ``_CHEBYSHEV_TAIL`` times
+    its largest entry, i.e. it is not resolved to rounding: then consecutive
+    stage points, across the segments that take them together, come in
+    ``point_frame`` calls of at most ``budget_points`` points at depth 0,
+    each made once the previous batch is released, so a point where the
+    chart fails raises what evaluating the points one by one would raise
+    first.  Memory holds one frame batch, one block's M ((n + n^2)^2 floats
+    a point) and the carried ones, whatever the number of steps.
+
+    Returns a ``Transport``.  The metric at the end comes from ``path[-1]``
+    itself: the last node of the last segment, or one more point after the
+    last stage point, inside the budget.  ``germ`` is a ``KillingGerm``, or
+    a field's ``field_jets``: then the field's germs at both ends come from
+    the same frames, as ``sample_field`` would give them: the start germ
+    from ``path[0]`` and the end germ from ``path[-1]``.  The first failure
+    raised is the first of: the chart at ``path[0]``, the field there, the
+    chart at a stage point in path order, the chart at ``path[-1]``, the
+    field there.
     """
     if steps_per_segment < 1:
         raise ValueError("steps_per_segment must be >= 1")
@@ -602,36 +674,121 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     n = len(path[0])
     per_call = budget_points(n, 0)
     per_segment = 2 * steps + 1
-    stages = (len(path) - 1) * per_segment
-    total = stages + 1   # path[-1] follows the stage points
+    segments = len(path) - 1
+    velocity = [path[seg + 1] - path[seg] for seg in range(segments)]
     h = 1.0 / steps
-    for lo in range(0, total, per_call):
-        hi = min(lo + per_call, total)
-        g = ginv = gammas = rs = None   # release the spent batch before the next
-        g, ginv, gammas, rs = point_frame(spec, _stage_points(path, steps, lo, hi))
-        if lo == 0:
-            if jets_at is not None:
-                germ = _field_germ(start_jets, gammas[0])
-            state = np.concatenate([np.ravel(germ.xi), np.ravel(germ.a)]).astype(np.float64)
-            eye = np.eye(len(state))
-        j = lo
-        while j < min(hi, stages):
-            seg, i = divmod(j, per_segment)
-            stop = min(hi, j - i + per_segment, j + 2 * _BLOCK_STEPS)
-            u = path[seg + 1] - path[seg]
-            ms = _transport_generators(np.einsum("Piab,a->Pib", gammas[j - lo:stop - lo], u),
-                                       rs[j - lo:stop - lo], u)
-            if i:
-                ms = np.concatenate([carry, ms])
-            ended = (len(ms) - 1) // 2   # the steps whose end lies in the block
-            k1, mids, ends = ms[0:2 * ended:2], ms[1:2 * ended:2], ms[2:2 * ended + 1:2]
-            k2 = mids + h / 2 * (mids @ k1)
-            k3 = mids + h / 2 * (mids @ k2)
-            k4 = ends + h * (ends @ k3)
-            for step in eye + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4):
-                state = step @ state
-            carry = ms[2 * ended:]   # the start of the step under way, and its midpoint
-            j = stop
-    end = KillingGerm(xi=state[:n].copy(), a=state[n:].reshape(n, n).copy())
-    field_end = None if jets_at is None else _field_germ(jets_at(path[-1], 1), gammas[-1])
-    return Transport(start=germ, end=end, g_end=g[-1], field_end=field_end)
+    state = carry = end = None   # end: the metric and the connection at path[-1]
+
+    def begin(gamma):
+        """The state at path[0], where the connection is ``gamma``."""
+        nonlocal germ, state
+        if jets_at is not None:
+            germ = _field_germ(start_jets, gamma)
+        state = np.concatenate([np.ravel(germ.xi), np.ravel(germ.a)]).astype(np.float64)
+
+    def block(gus, rus, u, first):
+        """Multiply the state by P of every step that ends in a block of
+        consecutive stage points of one segment, its ``first`` or not."""
+        nonlocal state, carry
+        ms = _transport_generators(gus, rus, u)
+        if not first:
+            ms = np.concatenate([carry, ms])
+        ended = (len(ms) - 1) // 2   # the steps whose end lies in the block
+        k1, mids, ends = ms[0:2 * ended:2], ms[1:2 * ended:2], ms[2:2 * ended + 1:2]
+        k2 = mids + h / 2 * (mids @ k1)
+        k3 = mids + h / 2 * (mids @ k2)
+        k4 = ends + h * (ends @ k3)
+        for step in np.eye(len(state)) + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4):
+            state = step @ state
+        carry = ms[2 * ended:]   # the start of the step under way, and its midpoint
+
+    def stage_walk(first, last):
+        """Segments ``first`` to ``last - 1`` from frames at their stage
+        points, in batches across them, ``path[-1]`` after the path's last."""
+        nonlocal end
+        stages = last * per_segment
+        total = stages + (last == segments)
+        for lo in range(first * per_segment, total, per_call):
+            hi = min(lo + per_call, total)
+            g = gammas = rs = None   # release the spent batch before the next
+            g, _, gammas, rs = point_frame(spec, _stage_points(path, steps, lo, hi))
+            if lo == 0:
+                begin(gammas[0])
+            j = lo
+            while j < min(hi, stages):
+                seg, i = divmod(j, per_segment)
+                stop = min(hi, j - i + per_segment, j + 2 * _BLOCK_STEPS)
+                block(*_frame_inputs(gammas[j - lo:stop - lo], rs[j - lo:stop - lo],
+                                     velocity[seg]), velocity[seg], i == 0)
+                j = stop
+        if last == segments:
+            end = g[-1], gammas[-1]
+
+    def node_inputs(run):
+        """For each segment of ``run``: its metric, connection and generator
+        inputs at its nodes, or None where the inputs' tail is not at
+        rounding level.  Raises the ValueError of a stage point's metric or
+        of a node."""
+        stop = (run[-1] + 1) * per_segment
+        for lo in range(run[0] * per_segment, stop, per_call):
+            metricdsl.metric_jet_tensor(
+                spec, _stage_points(path, steps, lo, min(lo + per_call, stop)), 0)
+        t, tail = _chebyshev_nodes(_CHEBYSHEV_N)
+        nodes = []
+        for seg in run:
+            x = path[seg] + t[:, None] * velocity[seg]
+            x[0], x[-1] = path[seg], path[seg + 1]
+            nodes.append(x)
+        nodes = np.concatenate(nodes)
+        along = np.repeat([velocity[seg] for seg in run], len(t), axis=0)
+        parts = []
+        for lo in range(0, len(nodes), per_call):
+            g, _, gammas, rs = point_frame(spec, nodes[lo:lo + per_call])
+            v = along[lo:lo + per_call]
+            parts.append((g, gammas, np.einsum("Piab,Pa->Pib", gammas, v),
+                          np.einsum("Pijcd,Pc->Pijd", rs, v)))
+        frames = [np.concatenate(a).reshape((len(run), len(t)) + a[0].shape[1:])
+                  for a in zip(*parts)]
+        fed = []
+        for k in range(len(run)):
+            inputs = [f[k] for f in frames]
+            resolved = all(np.abs(tail @ q.reshape(len(t), -1)).max()
+                           <= _CHEBYSHEV_TAIL * np.abs(q).max() for q in inputs[2:])
+            fed.append(inputs if resolved else None)
+        return fed
+
+    def node_runs(run):
+        """``node_inputs(run)``, each segment alone where the run raises, and
+        None for a segment that raises alone."""
+        try:
+            return node_inputs(run)
+        except ValueError:
+            if len(run) == 1:
+                return [None]
+            return [node_runs(range(seg, seg + 1))[0] for seg in run]
+
+    if per_segment <= _CHEBYSHEV_N + 1:
+        stage_walk(0, segments)
+    else:
+        interpolate = _interpolation(_CHEBYSHEV_N, steps)
+        group = max(1, per_call // (_CHEBYSHEV_N + 1))   # segments whose nodes share calls
+        for lo in range(0, segments, group):
+            run = range(lo, min(lo + group, segments))
+            for seg, inputs in zip(run, node_runs(run)):
+                if inputs is None:
+                    stage_walk(seg, seg + 1)
+                    continue
+                g, gammas, gus, rus = inputs
+                if seg == 0:
+                    begin(gammas[0])
+                gus, rus = gus.reshape(len(gus), -1), rus.reshape(len(rus), -1)
+                for b in range(0, per_segment, 2 * _BLOCK_STEPS):
+                    rows = interpolate[b:b + 2 * _BLOCK_STEPS]
+                    block((rows @ gus).reshape(-1, n, n), (rows @ rus).reshape(-1, n, n, n),
+                          velocity[seg], b == 0)
+                if seg == segments - 1:
+                    end = g[-1], gammas[-1]
+    g_end, gamma_end = end
+    moved = KillingGerm(xi=state[:n].copy(), a=state[n:].reshape(n, n).copy())
+    field_end = None if jets_at is None else _field_germ(jets_at(path[-1], 1), gamma_end)
+    return Transport(start=germ, end=moved, g_end=g_end, field_end=field_end)

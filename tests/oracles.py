@@ -555,6 +555,19 @@ def stage_points(path, steps):
     return np.concatenate(points)
 
 
+def chebyshev_nodes(path, count=16):
+    """The Chebyshev points of the second kind of each segment of a polyline,
+    count + 1 a segment, in path order: x0 + sin^2(j pi / (2 count)) (x1 - x0)
+    for j = 0..count, the first and the last the segment's ends exactly."""
+    t = np.sin(np.arange(count + 1) * np.pi / (2 * count)) ** 2
+    nodes = []
+    for x0, x1 in zip(np.asarray(path, float)[:-1], np.asarray(path, float)[1:]):
+        seg = x0 + t[:, None] * (x1 - x0)
+        seg[0], seg[-1] = x0, x1
+        nodes.append(seg)
+    return np.concatenate(nodes)
+
+
 def transport_by_steps(spec, germ, path, steps_per_segment=1000):
     """Killing transport as it was integrated before the step propagators of
     ``killing.killing_transport``: classical RK4 on the right-hand side of D,

@@ -207,7 +207,8 @@ def test_transport_of_a_germ_takes_the_end_metric_from_the_path_frames(capsys,
                         "--germ", "0,1|0,0;0,0", "--path", "1,0;1.2,0.1;1.1,0.3",
                         "--steps", "30", "--json")
     assert code == 0
-    assert len(frames) == 1 and len(frames[0]) == 2 * (2 * 30 + 1) + 1
+    # one call of the 17 Chebyshev nodes of each segment, the last node the path's end
+    assert len(frames) == 1 and len(frames[0]) == 2 * 17
     assert list(frames[0][-1]) == [1.1, 0.3]
     assert [1.1, 0.3] not in values
 
@@ -709,6 +710,44 @@ def test_transport_raises_a_curvature_overflow_before_a_later_metric_error(capsy
     code, out, err = invoke(capsys, *transport, "--path", "1,0;0,0;0,2")
     assert (code, out) == (2, "")
     assert err.startswith("error: curvature of 'over' at (0.0, 0.0): a non-finite entry in ")
+
+
+# 2 + sin(x - c) / (x - c) is analytic, but the chart fails at x = c = 0.05,
+# the first midpoint of a segment of 10 steps from x = 0 to 1 and none of its
+# Chebyshev nodes, so only the check of the chart at every stage point finds
+# it: the nodes alone evaluate.
+def test_transport_checks_the_chart_between_nodes(capsys, tmp_path):
+    from killingkit.curvature import point_frame
+    from killingkit.metricdsl import parse_manifold
+
+    from oracles import chebyshev_nodes
+    chart = chart_file(tmp_path, "rs", "[[2 + sin(x - 0.05) / (x - 0.05), 0], [0, 1]]",
+                       "0.5, 0")
+    point_frame(parse_manifold(Path(chart).read_text()), chebyshev_nodes([[0, 0], [1, 0]]))
+    code, out, err = invoke(capsys, "transport", "--file", chart, "--germ", "1,0|0,0;0,0",
+                            "--path", "0,0;1,0", "--steps", "10")
+    assert (code, out) == (2, "")
+    assert err == ("error: metric of 'rs' at (0.05, 0.0): component (0, 0) = "
+                   "2.0 + sin(x - 0.05) / (x - 0.05): reciprocal of jet with zero "
+                   "constant term\n")
+
+
+# Flat charts whose unit-frame scale kappa^(m + 2) leaves the float range
+# while every covR entry is finite: the overflow chart at x = 1e-100, where
+# max |Gamma| = 5e99 and kappa^4 overflows, and 1 + 1e-200 x, where kappa^2
+# underflows to 0.  Each is flat: Killing dimension 3, holonomy 0.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("metric,point", [(OVERFLOW_METRIC, "1e-100,0"),
+                                          ("[[1 + 1e-200 * x, 0], [0, 1]]", "0,0")],
+                         ids=["overflow", "underflow"])
+def test_a_curvature_scale_outside_the_float_range_gives_the_flat_answer(capsys, tmp_path,
+                                                                         metric, point):
+    chart = chart_file(tmp_path, "flat", metric, "1, 0")
+    code, out, err = invoke(capsys, "killing-dim", "--file", chart, f"--point={point}",
+                            "--json")
+    assert (code, err) == (0, "") and json.loads(out)["result"]["stabilized_dim"] == 3
+    code, out, err = invoke(capsys, "holonomy", "--file", chart, f"--point={point}", "--json")
+    assert (code, err) == (0, "") and json.loads(out)["result"]["dimension"] == 0
 
 
 def test_an_overflowing_literal_is_an_input_error(capsys, tmp_path):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from killingkit import curvature, killing
+from killingkit import curvature, killing, metricdsl
 from killingkit.curvature import CurvatureData
 from killingkit.killing import (KillingGerm, PreconditionError, bundle_dim,
                                 check_first_prolongation, field_jets, kernel_germs,
@@ -13,9 +13,9 @@ from killingkit.killing import (KillingGerm, PreconditionError, bundle_dim,
 from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
 from killingkit.product import product_metric
 
-from oracles import (apply_tensor, germ_kernel_residual, integrability_tensors,
-                     killing_curvature, perturbed_points, stage_points, transport_by_steps,
-                     whole_covR)
+from oracles import (apply_tensor, chebyshev_nodes, germ_kernel_residual,
+                     integrability_tensors, killing_curvature, perturbed_points, stage_points,
+                     transport_by_steps, whole_covR)
 from test_tower import CHARTS, SCHWARZSCHILD, random_chart
 
 
@@ -560,40 +560,61 @@ def spy_on_frames(monkeypatch):
     return batches
 
 
+def spy_on_stage_checks(monkeypatch):
+    """Record the points of every order-0 metric evaluation, the check of the
+    chart at the stage points of a segment that takes its frames at nodes."""
+    checks = []
+    metric_jet_tensor = metricdsl.metric_jet_tensor
+
+    def spy(spec, points, order):
+        if order == 0:
+            checks.append(np.array(points))
+        return metric_jet_tensor(spec, points, order)
+
+    monkeypatch.setattr(metricdsl, "metric_jet_tensor", spy)
+    return checks
+
+
 @pytest.mark.parametrize("steps", [100, 5000])
 def test_transport_frames_come_in_bounded_batches(monkeypatch, steps):
-    # every stage point, then the path's end, is evaluated once, in path
-    # order across segments, in calls as large as the budget allows (at
-    # n = 2, 8448 points)
+    # the frames are the 17 Chebyshev nodes of each segment, path order, in
+    # one call (34 points; at n = 2 a call takes 8448); the chart is checked
+    # at every stage point, in path order across segments, in calls as large
+    # as the budget allows, and the path's end is the last node
     eu = builtin("euclidean", n=2)
     germ = field_germ(eu, ["-x2", "x1"])
     batches = spy_on_frames(monkeypatch)
+    checks = spy_on_stage_checks(monkeypatch)
     path = [[0, 0], [0.5, 0.7], [0.2, 0.1]]
     killing_transport(eu, germ, path, steps)
-    assert all(batch.ndim == 2 for batch in batches)
-    assert np.array_equal(np.concatenate(batches),
-                          np.vstack([stage_points(path, steps), path[-1]]))
+    assert all(batch.ndim == 2 for batch in batches + checks)
+    assert len(batches) == 1 and np.array_equal(batches[0], chebyshev_nodes(path))
+    assert np.array_equal(batches[0][-1], path[-1])
+    assert np.array_equal(np.concatenate(checks), stage_points(path, steps))
     per_call = curvature._FRAME_BUDGET // 2 ** 4
-    assert [len(b) for b in batches[:-1]] == [per_call] * (len(batches) - 1)
-    assert max(len(b) for b in batches) == min(2 * (2 * steps + 1) + 1, per_call)
+    assert [len(c) for c in checks[:-1]] == [per_call] * (len(checks) - 1)
+    assert max(len(c) for c in checks) == min(2 * (2 * steps + 1), per_call)
 
 
-# (n, steps): at n = 8, 201 stage points already take 7 calls
+# (n, steps): at n = 8 a call takes 33 points, so 61 stage points take 2
 @pytest.mark.parametrize("n,steps", [(2, 30), (2, 5000), (4, 30), (4, 5000), (8, 30),
                                      (8, 100)])
 def test_transport_frame_batches_fit_the_budget(monkeypatch, n, steps):
-    # P n^4 <= budget in every call, and on one short segment the largest
-    # call stops growing with the step count once it reaches the budget
+    # P n^4 <= budget in every call of the frames and of the stage check; on
+    # one short segment the frames are its 17 nodes in one call, whatever the
+    # step count, and the largest stage check stops growing with the step
+    # count once it reaches the budget
     batches = spy_on_frames(monkeypatch)
+    checks = spy_on_stage_checks(monkeypatch)
     spec = builtin("euclidean", n=n)
     germ = KillingGerm(xi=np.ones(n), a=np.zeros((n, n)))
     path = [np.zeros(n), np.full(n, 0.01)]
     killing_transport(spec, germ, path, steps)
     per_call = curvature._FRAME_BUDGET // n ** 4
-    assert all(len(b) * n ** 4 <= curvature._FRAME_BUDGET for b in batches)
-    assert np.array_equal(np.concatenate(batches),
-                          np.vstack([stage_points(path, steps), path[-1]]))
-    assert max(len(b) for b in batches) == min(2 * steps + 2, per_call)
+    assert all(len(b) * n ** 4 <= curvature._FRAME_BUDGET for b in batches + checks)
+    assert len(batches) == 1 and np.array_equal(batches[0], chebyshev_nodes(path))
+    assert np.array_equal(np.concatenate(checks), stage_points(path, steps))
+    assert max(len(c) for c in checks) == min(2 * steps + 1, per_call)
 
 
 EXP_LINE_CHART = """
@@ -669,6 +690,53 @@ def test_one_batched_frame_call_equals_point_by_point(chart, steps):
             assert np.abs(many[k] - one).max() <= 1e-14 * np.abs(one).max()
 
 
+# (steps): up to 8 steps a segment has at most 17 stage points, as many as
+# its nodes, and takes its frames there, with the path's end after them in
+# the same call, as one walk across segments; from 9 steps it takes its nodes
+@pytest.mark.parametrize("steps", [1, 8, 9])
+def test_transport_takes_stage_frames_up_to_8_steps(monkeypatch, steps):
+    make, path = TRANSPORT_PATHS["sphere2"]
+    spec = make()
+    batches = spy_on_frames(monkeypatch)
+    checks = spy_on_stage_checks(monkeypatch)
+    killing_transport(spec, KillingGerm(xi=np.ones(2), a=np.zeros((2, 2))), path, steps)
+    assert len(batches) == 1
+    if steps <= 8:
+        assert np.array_equal(batches[0], np.vstack([stage_points(path, steps), path[-1]]))
+        assert checks == []
+    else:
+        assert np.array_equal(batches[0], chebyshev_nodes(path))
+        assert np.array_equal(np.concatenate(checks), stage_points(path, steps))
+
+
+# Near sphere2's axis: Gamma has a pole at theta = 0, just off the first
+# segment, and its Chebyshev coefficients decay too slowly for 17 nodes on
+# both segments.
+NEAR_AXIS = [[0.01, 0.0], [0.3, 0.2], [0.6, 0.5]]
+
+
+@pytest.mark.parametrize("mode", ["germ", "field"])
+def test_a_segment_whose_tail_does_not_decay_takes_its_stage_frames(monkeypatch, mode):
+    # after the nodes, each segment is walked at its stage points, the path's
+    # end after the last, and every germ is bit for bit the one that stage
+    # frames alone give (every segment walked as at <= 8 steps)
+    spec = builtin("sphere2")
+    germ = (KillingGerm(xi=np.array([0.0, 1.0]), a=np.array([[0.0, 0.3], [-0.3, 0.0]]))
+            if mode == "germ" else field_jets(spec, ["1", "theta"]))
+    batches = spy_on_frames(monkeypatch)
+    moved = killing_transport(spec, germ, NEAR_AXIS, 30)
+    assert np.array_equal(batches[0], chebyshev_nodes(NEAR_AXIS))
+    assert [len(b) for b in batches[1:]] == [61, 62]
+    assert np.array_equal(np.concatenate(batches[1:]),
+                          np.vstack([stage_points(NEAR_AXIS, 30), NEAR_AXIS[-1]]))
+    monkeypatch.setattr(killing, "_CHEBYSHEV_N", 10 ** 6)
+    want = killing_transport(spec, germ, NEAR_AXIS, 30)
+    for got, ref in [(moved.start, want.start), (moved.end, want.end)] + (
+            [] if mode == "germ" else [(moved.field_end, want.field_end)]):
+        assert np.array_equal(got.xi, ref.xi) and np.array_equal(got.a, ref.a)
+    assert np.array_equal(moved.g_end, want.g_end)
+
+
 # -- transport of a field's germ -----------------------------------------------------
 
 SQRT_END_CHART = """
@@ -736,23 +804,28 @@ def test_field_transport_raises_what_point_by_point_raised_first(case):
     assert str(new.value) == message
 
 
-# (n, path nodes, steps): a short path is one call at n = 2 and 4; the stage
-# points fill the budget exactly at n = 4 (16 segments of 33 points) and at
-# n = 8 (one segment of 33), so path[-1] is a call of its own there
+# (n, path nodes, steps, calls): the segments' nodes share calls of whole
+# segments, as many as the budget allows: 31 a call at n = 4 (527 of 528
+# points), one at n = 8 (17 of 33); the path's end is the last node of the
+# last call, and the field's end germ comes from it
 @pytest.mark.parametrize("n,nodes,steps,calls", [(2, 3, 30, 1), (4, 3, 30, 1),
-                                                 (4, 17, 16, 2), (8, 2, 16, 2),
-                                                 (8, 2, 30, 2)])
+                                                 (4, 33, 16, 2), (8, 2, 16, 1),
+                                                 (8, 3, 30, 2)])
 def test_field_transport_evaluates_path_end_last_in_budget(monkeypatch, n, nodes, steps,
                                                            calls):
     spec = builtin("euclidean", n=n)
     jets = field_jets(spec, ["-x2", "x1"] + ["0"] * (n - 2))
     path = [0.01 * k * np.arange(1, n + 1) for k in range(nodes)]
     batches = spy_on_frames(monkeypatch)
-    killing_transport(spec, jets, path, steps)
+    moved = killing_transport(spec, jets, path, steps)
     assert len(batches) == calls
     assert all(len(b) * n ** 4 <= curvature._FRAME_BUDGET for b in batches)
-    assert np.array_equal(np.concatenate(batches),
-                          np.vstack([stage_points(path, steps), path[-1]]))
+    assert all(len(b) % 17 == 0 for b in batches)
+    assert np.array_equal(np.concatenate(batches), chebyshev_nodes(path))
+    assert np.array_equal(batches[-1][-1], path[-1])
+    end = field_germ(spec, jets, path[-1])
+    assert np.array_equal(moved.field_end.xi, end.xi)
+    assert np.array_equal(moved.field_end.a, end.a)
 
 
 @pytest.mark.parametrize("chart", ["sphere2", "hyperbolic2", "cw2", "schwarzschild"])
@@ -773,14 +846,13 @@ def test_field_transport_germs_are_germ_of_field_and_its_transport(chart):
     assert np.abs(moved.g_end - g_end).max() <= 1e-14 * np.abs(g_end).max()
 
 
-# (chart, steps): one call of 122 stage points and the end at n = 2; at n = 8
-# calls of 33 frames ending inside steps, then one of the last 6 stage points
-# and the end
+# (chart, steps): one call of the 34 nodes of two segments at n = 2; at n = 8
+# one call of 17 nodes a segment, the last one ending with the path's end
 @pytest.mark.parametrize("chart,steps", [("sphere2", 30), ("cw2xcw2", 17)])
 def test_germ_transport_evaluates_the_end_node_last_in_its_batch(monkeypatch, chart,
                                                                  steps):
-    # as for a field: path[-1] is one more point after the last stage point,
-    # evaluated once, in the final call, and the metric at the end is its own
+    # as for a field: path[-1] is the last node of the last segment, evaluated
+    # once, last in the final call, and the metric at the end is its own
     make, path = {**TRANSPORT_PATHS, **MORE_PATHS}[chart]
     spec = make()
     n = spec.dim
@@ -788,36 +860,35 @@ def test_germ_transport_evaluates_the_end_node_last_in_its_batch(monkeypatch, ch
     germ = KillingGerm(xi=np.ones(n), a=np.zeros((n, n)))
     moved = killing_transport(spec, germ, path, steps)
     points = np.concatenate(batches)
-    assert np.array_equal(points, np.vstack([stage_points(path, steps), path[-1]]))
-    assert len(batches[-1]) == len(points) % (curvature._FRAME_BUDGET // n ** 4)
+    assert np.array_equal(points, chebyshev_nodes(path))
+    group = max(1, curvature._FRAME_BUDGET // n ** 4 // 17)
+    assert [len(b) for b in batches] == [
+        17 * min(group, len(path) - 1 - k) for k in range(0, len(path) - 1, group)]
+    assert np.array_equal(batches[-1][-1], path[-1])
+    assert (points == path[-1]).all(axis=1).sum() == 1
     assert moved.start is germ and moved.field_end is None
     assert np.array_equal(moved.g_end, killing.point_frame(spec, path[-1])[0])
 
 
-# (chart, steps): at n = 2 one call of 8448 frames holds many blocks of steps;
-# at n = 8 the calls of 33 frames end inside steps
+# (chart, steps): blocks of 32 stage points, 313 a segment at 5000 steps on
+# sphere2; on the cw2 x cw2 chart at 17 steps 2 a segment, the second of 3
 @pytest.mark.parametrize("chart,steps", [("sphere2", 5000), ("cw2xcw2", 17)])
 @pytest.mark.parametrize("mode", ["germ", "field"])
 def test_transport_generators_come_in_blocks_of_one_segment(monkeypatch, chart, steps, mode):
-    # every call of the RK4 generators takes at most 2 _BLOCK_STEPS frames of
+    # every call of the RK4 generators takes at most 2 _BLOCK_STEPS inputs of
     # one segment, and together the calls take each stage point once, in
-    # path order, and never the path's end, which the frames hold last
+    # path order, and never the path's end; the inputs interpolated from the
+    # nodes are those of the frames at the stage points, to rounding
     make, path = {**TRANSPORT_PATHS, **MORE_PATHS}[chart]
     spec = make()
     n = spec.dim
-    frames, calls = [], []
-    point_frame, generators = killing.point_frame, killing._transport_generators
+    calls = []
+    generators = killing._transport_generators
 
-    def frame_spy(spec, points):
-        out = point_frame(spec, points)
-        frames.append(out)
-        return out
+    def generators_spy(gus, rus, u):
+        calls.append((gus.copy(), rus.copy(), u.copy()))
+        return generators(gus, rus, u)
 
-    def generators_spy(gus, rs, u):
-        calls.append((gus.copy(), rs.copy(), u.copy()))
-        return generators(gus, rs, u)
-
-    monkeypatch.setattr(killing, "point_frame", frame_spy)
     monkeypatch.setattr(killing, "_transport_generators", generators_spy)
     if mode == "germ":
         killing_transport(spec, KillingGerm(xi=np.ones(n), a=np.zeros((n, n))), path, steps)
@@ -825,18 +896,16 @@ def test_transport_generators_come_in_blocks_of_one_segment(monkeypatch, chart, 
         killing_transport(spec, field_jets(spec, ["1"] + ["0"] * (n - 1)), path, steps)
     per_segment = 2 * steps + 1
     stages = (len(path) - 1) * per_segment
-    gammas = np.concatenate([f[2] for f in frames])
-    rs = np.concatenate([f[3] for f in frames])
-    assert len(rs) == stages + 1
+    _, _, gammas, rs = killing.point_frame(spec, stage_points(path, steps))
     assert max(len(c[0]) for c in calls) <= 2 * killing._BLOCK_STEPS
     start = 0
-    for gus, r, u in calls:
+    for gus, rus, u in calls:
         stop = start + len(gus)
         seg = start // per_segment
         assert (stop - 1) // per_segment == seg
         assert np.array_equal(u, np.subtract(path[seg + 1], path[seg]))
-        assert np.array_equal(r, rs[start:stop])
-        want = np.einsum("Piab,a->Pib", gammas[start:stop], u)
-        assert np.abs(gus - want).max() <= 1e-14 * np.abs(want).max()
+        for got, want in zip((gus, rus), killing._frame_inputs(gammas[start:stop],
+                                                               rs[start:stop], u)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         start = stop
     assert start == stages

@@ -19,7 +19,9 @@ cw2, and at 17 steps on the cw2 x cw2 chart, and ``transport --germ`` of an
 explicit germ on sphere2 along two segments at 30 steps and on the cw2 x cw2
 chart at 17 steps, and, at depth 3 above n = 4, ``curvature --order 3`` on
 cw3 (n = 5), ``product`` of the benchmark's cw2c and cw2d charts at
-``--order 3`` (n = 8) and ``killing-dim --order 3`` on the cw2 x cw2 chart),
+``--order 3`` (n = 8) and ``killing-dim --order 3`` on the cw2 x cw2 chart,
+and ``transport --germ`` near sphere2's axis, where each segment takes its
+frames at its stage points),
 and a fixed list of commands
 that must fail (``ERROR_COMMANDS``: Killing transport into a domain error, a
 degenerate point or an overflow, an invalid step count, every command that
@@ -32,7 +34,10 @@ the end of the file, an unknown name, a non-integer exponent, trailing input
 and a wrong row count), charts degenerate at their base point or at the
 ``--point`` given, fields with a syntax error, and ``curvature``,
 ``killing-dim``, ``holonomy`` and ``transport`` on a chart whose curvature
-overflows where its metric jets are finite), and
+overflows where its metric jets are finite, and transport on a chart that
+fails at a stage point between Chebyshev nodes), ``killing-dim`` and
+``holonomy`` on that overflow chart at a flat point where the unit frame's
+scale overflows (``KAPPA_COMMANDS``), and
 ``check-field`` and
 ``demo-counterexample`` on the fields they check (``FIELD_COMMANDS``: every
 catalog Killing field, two fields that are not Killing, one and three
@@ -116,7 +121,9 @@ LOW_ORDER_COMMANDS = [
 # curvature above n = 4, where no workload class goes: curvature on cw3
 # (n = 5), the product of the benchmark's two n = 4 plane waves cw2c and
 # cw2d ("{cw2c}", "{cw2d}", written to the workdir at fixed base points) and
-# the Killing tower of the cw2 x cw2 chart, each at --order 3.
+# the Killing tower of the cw2 x cw2 chart, each at --order 3.  Last, a
+# transport near sphere2's axis, where the Chebyshev tail of Gamma does not
+# decay on either segment, so each takes its frames at its stage points.
 CW2XCW2_GERM = ("--germ=1,0,0.5,0,0,-0.2,0,0.3|"
                 + ";".join(",".join("0.1" if c == r + 1 else "-0.1" if c == r - 1 else "0"
                                     for c in range(8)) for r in range(8)))
@@ -144,6 +151,8 @@ DEEP_COMMANDS = [
     ["curvature", "--builtin", "cahen_wallach:n=3,q=1:-1:2", "--order", "3"],
     ["product", "@{cw2c}", "@{cw2d}", "--order", "3"],
     ["killing-dim", "--file", "{cw2xcw2}", "--order", "3"],
+    ["transport", "--builtin", "sphere2", "--germ=0,1|0,0.3;-0.3,0",
+     "--path=0.01,0;0.3,0.2;0.6,0.5", "--steps", "30"],
 ]
 
 # Every builtin form that README.md, the tests and the workloads use, each
@@ -207,6 +216,10 @@ ERROR_CHARTS = {
                    "  metric: [[x^2, 0], [0, 1]];\n}\n"),
     "degenerateoff": ("manifold d {\n  coordinates: x, y;\n"
                       "  metric: [[x^2, 0], [0, 1]];\n  base_point: (1, 0);\n}\n"),
+    # analytic, but failing at x = 0.05, a stage point between Chebyshev nodes
+    "removable": ("manifold rs {\n  coordinates: x, y;\n"
+                  "  metric: [[2 + sin(x - 0.05) / (x - 0.05), 0], [0, 1]];\n"
+                  "  base_point: (0.5, 0);\n}\n"),
     # finite metric jets whose curvature chain overflows at the base point
     "overflow": ("manifold over {\n  coordinates: x, y;\n"
                  "  metric: [[1e-300 + 1e10 * x, 0], [0, 1]];\n  base_point: (0, 0);\n}\n"),
@@ -295,7 +308,15 @@ ERROR_COMMANDS = [
     ["holonomy", "--file", "{overflow}"],
     ["transport", "--file", "{overflow}", "--germ", "1,0|0,0;0,0", "--path", "0,0;0,1",
      "--steps", "10"],
+    # a chart that fails at a stage point and at none of the segment's nodes
+    ["transport", "--file", "{removable}", "--germ", "1,0|0,0;0,0", "--path", "0,0;1,0",
+     "--steps", "10"],
 ]
+
+# The overflow chart at a flat point where kappa^(m + 2), the unit frame's
+# scale, overflows though every covR entry is finite.
+KAPPA_COMMANDS = [[command, "--file", "{overflow}", "--point=1e-100,0"]
+                  for command in ("killing-dim", "holonomy")]
 
 # check-field on every Killing field of the catalog charts that have some
 # (``known_killing_fields``), then on the cases where the field or its
@@ -453,6 +474,9 @@ def snapshot(seeds, workdir):
     for i, argv in enumerate(ERROR_COMMANDS):
         argv = [arg.format(**charts) for arg in argv]
         reports[f"errors.{i}.{argv[0]}"] = run_query(cli, argv)
+    for i, argv in enumerate(KAPPA_COMMANDS):
+        argv = [arg.format(**charts) for arg in argv]
+        reports[f"kappa.{i}.{argv[0]}"] = run_query(cli, argv)
     fields = [["check-field", "--builtin", chart, "--field=" + ",".join(fld)]
               for chart in FIELD_CATALOG for fld in known_killing_fields(chart)]
     for i, argv in enumerate(fields + FIELD_COMMANDS):
