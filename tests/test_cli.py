@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from killingkit.cli import run
 from killingkit.metricdsl import BUILTINS, builtin
 
-from oracles import changed_chart, random_expression, round_floats
+from oracles import chebyshev_nodes, changed_chart, random_expression, round_floats
 
 
 def invoke(capsys, *argv):
@@ -719,8 +719,6 @@ def test_transport_raises_a_curvature_overflow_before_a_later_metric_error(capsy
 def test_transport_checks_the_chart_between_nodes(capsys, tmp_path):
     from killingkit.curvature import point_frame
     from killingkit.metricdsl import parse_manifold
-
-    from oracles import chebyshev_nodes
     chart = chart_file(tmp_path, "rs", "[[2 + sin(x - 0.05) / (x - 0.05), 0], [0, 1]]",
                        "0.5, 0")
     point_frame(parse_manifold(Path(chart).read_text()), chebyshev_nodes([[0, 0], [1, 0]]))
