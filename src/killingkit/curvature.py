@@ -440,11 +440,9 @@ def _over_power(c, kappa, power):
 # takes P points with P * n^(4 + depth) <= _FRAME_BUDGET (at least one
 # point; ``budget_points``), so the deepest curvature values it holds stay
 # within the budget whatever the number of points; transport evaluates depth
-# 0, at the 17 Chebyshev nodes of as many whole segments as fit (one segment
-# at n = 8), and at the stage points of a segment that the nodes do not
-# resolve, where a call may span segments.  Each call has a fixed cost that
-# more points spread.  Measured time per
-# point of one depth-0 call (2-vCPU host, one BLAS thread; sphere2,
+# 0 (``killing.killing_transport`` says which points share a call).  Each
+# call has a fixed cost that more points spread.  Measured time per point of
+# one depth-0 call (2-vCPU host, one BLAS thread; sphere2,
 # Schwarzschild, cw2 x cw2), by P * n^4:
 #
 #     P * n^4   5e2   2e3   8e3   3.4e4  1.4e5  5.4e5
@@ -454,9 +452,8 @@ def _over_power(c, kappa, power):
 #
 # One point alone takes 0.37 / 0.41 / 0.81 ms at n = 2 / 4 / 8.  Past about
 # 1e5 the time per point stops falling at n = 4 and 8 and then rises.  The
-# budget, 33 * 8^4, is the 2 * 16 + 1 stage points of one block of 16 steps
-# at n = 8, and holds the 17 nodes of one segment there: 528 points a call
-# at n = 4 (the nodes of 31 segments), 8448 at n = 2.
+# budget, 33 * 8^4, is 33 points a call at n = 8, 528 at n = 4 and 8448 at
+# n = 2.
 _FRAME_BUDGET = 33 * 8 ** 4
 
 

@@ -494,8 +494,10 @@ def kernel_germs(spec, point=None, m_max=10, tol=1e-8):
 
 # -- transport --------------------------------------------------------------------
 
-# Steps per block of RK4 products: bounds the (P, (n + n^2)^2) generators and
-# K arrays of a block, whatever the number of steps.
+# Steps per block of RK4 products: bounds the (2 k + 1, (n + n^2)^2)
+# generators and K arrays of a block of k steps, whatever the number of
+# steps.  The frame budget (``curvature._FRAME_BUDGET``) is the 2 * 16 + 1
+# stage points of one block at n = 8, and holds the 17 nodes of a segment.
 _BLOCK_STEPS = 16
 
 # A segment takes its frames at N + 1 Chebyshev points of the second kind,
@@ -510,7 +512,7 @@ def _transport_generators(gus, rus, u):
     """The generators M of D-transport along a segment with velocity u, one
     per frame: ds/dt = M s for s = (xi, A flattened row by row).  ``gus``
     holds Gamma^i_ab u^a as [P, i, b] and ``rus`` the curvature values
-    R^i_jcd u^c as [P, i, j, d] (``_frame_inputs``); the result has shape
+    R^i_jcd u^c as [P, i, j, d]; the result has shape
     (P, n + n^2, n + n^2)."""
     count, n = gus.shape[:2]
     eye = np.eye(n)
@@ -524,39 +526,22 @@ def _transport_generators(gus, rus, u):
     return m
 
 
-def _frame_inputs(gammas, rs, u):
-    """The inputs of ``_transport_generators`` from connection values
-    [P, i, a, b] and curvature values [P, i, j, c, d] along velocity u."""
-    return np.einsum("Piab,a->Pib", gammas, u), np.einsum("Pijcd,c->Pijd", rs, u)
-
-
 def _stage_times(steps, i):
     """The parameters t in [0, 1] of the stage points ``i`` (an index array)
     of a segment of ``steps`` RK4 steps: 0, then the midpoint and the end of
-    each step."""
+    each step, the last 1 exactly."""
     h = 1.0 / steps
     s = (i - 1) // 2 * h   # step k starts at s = k h
-    return np.where(i % 2, s + h / 2, s + h)
+    return np.where(i % 2, s + h / 2, np.where(i == 2 * steps, 1.0, s + h))
 
 
-def _stage_points(path, steps, start, stop):
-    """Stage points ``start`` to ``stop - 1`` of RK4 along the polyline
-    ``path`` with ``steps`` steps a segment, in path order: each segment's
-    start x0, then the midpoint and the end of each step; past the last of
-    them comes ``path[-1]`` itself."""
-    per_segment = 2 * steps + 1
-    stages = (len(path) - 1) * per_segment
-    pieces = []
-    for seg in range(start // per_segment, (min(stop, stages) - 1) // per_segment + 1):
-        x0 = path[seg]
-        i = np.arange(max(start - seg * per_segment, 0),
-                      min(stop - seg * per_segment, per_segment))
-        points = x0 + _stage_times(steps, i)[:, None] * (path[seg + 1] - x0)
-        points[i == 0] = x0   # exactly: x0 + 0 u would turn -0.0 into 0.0
-        pieces.append(points)
-    if stop > stages:
-        pieces.append(path[-1][None])
-    return np.concatenate(pieces)
+def _segment_points(path, seg, t):
+    """The points x0 + t (x1 - x0) at the parameters ``t`` (an array) of
+    segment ``seg`` of ``path``, from x0 = path[seg] to x1, one segment or
+    one a parameter; x0 and x1 exactly where t is 0 and 1 (x0 + 0 u would
+    turn -0.0 into 0.0)."""
+    x0, x1, t = path[seg], path[seg + 1], t[:, None]
+    return np.where(t == 0, x0, np.where(t == 1, x1, x0 + t * (x1 - x0)))
 
 
 @lru_cache(maxsize=None)
@@ -576,22 +561,22 @@ def _chebyshev_nodes(count):
     return t, tail
 
 
-@lru_cache(maxsize=8)
-def _interpolation(count, steps):
-    """The (2 steps + 1, count + 1) matrix that takes values at the
-    ``_chebyshev_nodes(count)`` of a segment to its stage points by the
+@lru_cache(maxsize=128)
+def _interpolation(count, steps, first):
+    """The matrix that takes values at the ``_chebyshev_nodes(count)`` of a
+    segment of ``steps`` RK4 steps to the 2 k + 1 stage points of its block
+    of k = min(_BLOCK_STEPS, steps - first) steps from step ``first`` by the
     barycentric formula (Berrut and Trefethen 2004): row i holds the
-    Lagrange basis at stage point i, a unit row where that is a node;
-    read-only."""
+    Lagrange basis at stage point 2 first + i, a unit row where that is a
+    node; read-only."""
     t, _ = _chebyshev_nodes(count)
     weights = (-1.0) ** np.arange(count + 1)
     weights[[0, -1]] /= 2
-    gap = _stage_times(steps, np.arange(2 * steps + 1))[:, None] - t
+    last = min(first + _BLOCK_STEPS, steps)
+    gap = _stage_times(steps, np.arange(2 * first, 2 * last + 1))[:, None] - t
     on_node = gap == 0
     with np.errstate(divide="ignore"):
-        terms = weights / gap
-    hit = on_node.any(axis=1)
-    terms[hit] = on_node[hit]
+        terms = np.where(on_node.any(axis=1, keepdims=True), on_node, weights / gap)
     mat = terms / terms.sum(axis=1, keepdims=True)
     mat.flags.writeable = False
     return mat
@@ -621,46 +606,57 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
         K4 = M(t + h) (I + h K3),
 
     and the state is multiplied by the propagators in step order.  M is
-    built from Gamma(u) and R(., ., u, .) at the 2 steps + 1 stage points of
-    a segment, block by block: at most twice ``_BLOCK_STEPS`` stage points
-    of one segment, whose generators, after the one or two of the step under
-    way carried over, give P for every step that ends in the block by
-    batched products.  The products round differently from stepping xi and
-    A through the right-hand side of D stage by stage, so end germs differ
-    from that form in the last bits.
+    built from Gamma(u) and R(., ., u, .) at the stage points of a segment:
+    its start, then the midpoint and the end of each step, the last its end
+    node exactly.  The steps of a segment come in blocks of whole steps:
+    the 2 k + 1 stage points of a block of k steps run from its start to its
+    end, where the next block starts, and their generators give P of each
+    of its k steps by batched products.  Nothing is carried from one block
+    to the next but the state.  The products round differently from
+    stepping xi and A through the right-hand side of D stage by stage, so
+    end germs differ from that form in the last bits.
 
-    Along a segment Gamma(u) and R(., ., u, .) are analytic in t wherever
-    the chart is, so a segment of more than 8 steps takes them at its
-    N + 1 = 17 Chebyshev nodes (``_chebyshev_nodes``; the first and last
-    are its path nodes exactly) and interpolates them to its stage points
-    (``_interpolation``).  The nodes of consecutive segments share
-    ``point_frame`` calls of at most ``budget_points`` points at depth 0,
-    and the chart is still checked at every stage point, by one order-0
-    metric evaluation with its nondegeneracy check.  A segment takes its
-    frames at its stage points instead, as a segment of at most 8 steps
-    does, when a node or a stage point fails there, or when the last two
-    Chebyshev coefficients of either input exceed ``_CHEBYSHEV_TAIL`` times
-    its largest entry, i.e. it is not resolved to rounding: then consecutive
-    stage points, across the segments that take them together, come in
-    ``point_frame`` calls of at most ``budget_points`` points at depth 0,
-    each made once the previous batch is released, so a point where the
-    chart fails raises what evaluating the points one by one would raise
-    first.  Memory holds one frame batch, one block's M ((n + n^2)^2 floats
-    a point) and the carried ones, whatever the number of steps.
+    A block's inputs come from one of two sources.  Along a segment Gamma(u)
+    and R(., ., u, .) are analytic in t wherever the chart is, so a segment
+    of more than 8 steps takes them at its N + 1 = 17 Chebyshev nodes
+    (``_chebyshev_nodes``; the first and last are its path nodes exactly)
+    and interpolates them to the stage points of each of its blocks of
+    ``_BLOCK_STEPS`` steps (``_interpolation``, rows built for that block
+    alone).  The chart is still checked at every stage point, by one order-0
+    metric evaluation with its nondegeneracy check, in chunks of at most
+    ``budget_points`` points at depth 0 across the segments whose nodes
+    share calls.  A segment takes the frames of each block at the block's
+    own stage points instead, as a segment of at most 8 steps (at most 17
+    stage points) always does, when a node or a stage point fails there, or
+    when the last two Chebyshev coefficients of either input exceed
+    ``_CHEBYSHEV_TAIL`` times its largest entry: it is not resolved to
+    rounding, as near a coordinate axis.  Such a block has at most
+    min(``_BLOCK_STEPS``, (P - 1) // 2) steps, at least one, for P the
+    points of one call.
 
-    Returns a ``Transport``.  The metric at the end comes from ``path[-1]``
-    itself: the last node of the last segment, or one more point after the
-    last stage point, inside the budget.  ``germ`` is a ``KillingGerm``, or
-    a field's ``field_jets``: then the field's germs at both ends come from
-    the same frames, as ``sample_field`` would give them: the start germ
-    from ``path[0]`` and the end germ from ``path[-1]``.  The first failure
+    Frames of nodes and of stage blocks come from ``point_frame`` calls of
+    at most P = ``budget_points(n, 0)`` points: as many whole sets as fit
+    (the nodes of consecutive segments, 31 segments a call at n = 4 and one
+    at n = 8; the stage blocks of the segments that take them together),
+    and a set larger than P in calls of its own.  The calls come in path
+    order, each once the curvature of the one before is released, so a
+    point where the chart fails raises what evaluating the points one by
+    one would raise first.  Memory holds one call's frames, one block's M
+    ((n + n^2)^2 floats a stage point) and the cached interpolation rows of
+    at most 128 blocks, whatever the number of steps.
+
+    Returns a ``Transport``.  The metric at the end is the last frame's,
+    at ``path[-1]`` itself.  ``germ`` is a ``KillingGerm``, or a field's
+    ``field_jets``: then the field's germs at both ends come from the same
+    frames, as ``sample_field`` would give them: the start germ from
+    ``path[0]`` and the end germ from ``path[-1]``.  The first failure
     raised is the first of: the chart at ``path[0]``, the field there, the
-    chart at a stage point in path order, the chart at ``path[-1]``, the
-    field there.
+    chart at a stage point in path order (the last is ``path[-1]``), the
+    field at ``path[-1]``.
     """
     if steps_per_segment < 1:
         raise ValueError("steps_per_segment must be >= 1")
-    path = [np.asarray(p, dtype=np.float64) for p in path]
+    path = np.array(path, dtype=np.float64)
     if len(path) < 2:
         raise ValueError("path needs at least two points")
     jets_at = germ if callable(germ) else None
@@ -671,89 +667,58 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
             point_frame(spec, path[0])   # a chart failure at path[0] comes first
             raise
     steps = steps_per_segment
-    n = len(path[0])
+    n = path.shape[1]
     per_call = budget_points(n, 0)
     per_segment = 2 * steps + 1
     segments = len(path) - 1
-    velocity = [path[seg + 1] - path[seg] for seg in range(segments)]
+    velocity = path[1:] - path[:-1]
     h = 1.0 / steps
-    state = carry = end = None   # end: the metric and the connection at path[-1]
+    stage_steps = max(1, min(_BLOCK_STEPS, (per_call - 1) // 2))   # steps a stage block
 
-    def begin(gamma):
-        """The state at path[0], where the connection is ``gamma``."""
-        nonlocal germ, state
-        if jets_at is not None:
-            germ = _field_germ(start_jets, gamma)
-        state = np.concatenate([np.ravel(germ.xi), np.ravel(germ.a)]).astype(np.float64)
+    def frames(sets):
+        """g, Gamma, Gamma(u), R(., ., u, .) and u for each (points, u) of
+        ``sets`` in turn, from ``point_frame`` calls within the budget."""
+        sets = iter(sets)
+        item = next(sets, None)
+        while item is not None:
+            batch, size = [], 0   # as many whole sets as fit one call, at least one
+            while item is not None and (not batch or size + len(item[0]) <= per_call):
+                batch.append(item)
+                size += len(item[0])
+                item = next(sets, None)
+            points = np.concatenate([p for p, _ in batch])
+            g = gammas = rs = None   # release the spent call before the next
+            g, _, gammas, rs = point_frame(spec, points) if size <= per_call else map(
+                np.concatenate, zip(*(point_frame(spec, points[lo:lo + per_call])
+                                      for lo in range(0, size, per_call))))
+            lo = 0
+            for p, u in batch:
+                at = slice(lo, lo + len(p))
+                yield (g[at], gammas[at], np.einsum("Piab,a->Pib", gammas[at], u),
+                       np.einsum("Pijcd,c->Pijd", rs[at], u), u)
+                lo = at.stop
 
-    def block(gus, rus, u, first):
-        """Multiply the state by P of every step that ends in a block of
-        consecutive stage points of one segment, its ``first`` or not."""
-        nonlocal state, carry
-        ms = _transport_generators(gus, rus, u)
-        if not first:
-            ms = np.concatenate([carry, ms])
-        ended = (len(ms) - 1) // 2   # the steps whose end lies in the block
-        k1, mids, ends = ms[0:2 * ended:2], ms[1:2 * ended:2], ms[2:2 * ended + 1:2]
-        k2 = mids + h / 2 * (mids @ k1)
-        k3 = mids + h / 2 * (mids @ k2)
-        k4 = ends + h * (ends @ k3)
-        for step in np.eye(len(state)) + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4):
-            state = step @ state
-        carry = ms[2 * ended:]   # the start of the step under way, and its midpoint
-
-    def stage_walk(first, last):
-        """Segments ``first`` to ``last - 1`` from frames at their stage
-        points, in batches across them, ``path[-1]`` after the path's last."""
-        nonlocal end
-        stages = last * per_segment
-        total = stages + (last == segments)
-        for lo in range(first * per_segment, total, per_call):
-            hi = min(lo + per_call, total)
-            g = gammas = rs = None   # release the spent batch before the next
-            g, _, gammas, rs = point_frame(spec, _stage_points(path, steps, lo, hi))
-            if lo == 0:
-                begin(gammas[0])
-            j = lo
-            while j < min(hi, stages):
-                seg, i = divmod(j, per_segment)
-                stop = min(hi, j - i + per_segment, j + 2 * _BLOCK_STEPS)
-                block(*_frame_inputs(gammas[j - lo:stop - lo], rs[j - lo:stop - lo],
-                                     velocity[seg]), velocity[seg], i == 0)
-                j = stop
-        if last == segments:
-            end = g[-1], gammas[-1]
+    def stage_blocks(run):
+        """The frames of the segments of ``run`` at the stage points of each
+        of their blocks."""
+        return frames((_segment_points(path, seg, _stage_times(steps, np.arange(
+            2 * first, 2 * min(first + stage_steps, steps) + 1))), velocity[seg])
+            for seg in run for first in range(0, steps, stage_steps))
 
     def node_inputs(run):
-        """For each segment of ``run``: its metric, connection and generator
-        inputs at its nodes, or None where the inputs' tail is not at
-        rounding level.  Raises the ValueError of a stage point's metric or
-        of a node."""
+        """For each segment of ``run``: its frames at its nodes, or None
+        where the inputs' tail is not at rounding level.  Raises the
+        ValueError of a stage point's metric or of a node."""
         stop = (run[-1] + 1) * per_segment
         for lo in range(run[0] * per_segment, stop, per_call):
-            metricdsl.metric_jet_tensor(
-                spec, _stage_points(path, steps, lo, min(lo + per_call, stop)), 0)
+            seg, i = np.divmod(np.arange(lo, min(lo + per_call, stop)), per_segment)
+            points = _segment_points(path, seg, _stage_times(steps, i))
+            metricdsl.metric_jet_tensor(spec, points, 0)
         t, tail = _chebyshev_nodes(_CHEBYSHEV_N)
-        nodes = []
-        for seg in run:
-            x = path[seg] + t[:, None] * velocity[seg]
-            x[0], x[-1] = path[seg], path[seg + 1]
-            nodes.append(x)
-        nodes = np.concatenate(nodes)
-        along = np.repeat([velocity[seg] for seg in run], len(t), axis=0)
-        parts = []
-        for lo in range(0, len(nodes), per_call):
-            g, _, gammas, rs = point_frame(spec, nodes[lo:lo + per_call])
-            v = along[lo:lo + per_call]
-            parts.append((g, gammas, np.einsum("Piab,Pa->Pib", gammas, v),
-                          np.einsum("Pijcd,Pc->Pijd", rs, v)))
-        frames = [np.concatenate(a).reshape((len(run), len(t)) + a[0].shape[1:])
-                  for a in zip(*parts)]
         fed = []
-        for k in range(len(run)):
-            inputs = [f[k] for f in frames]
+        for inputs in frames((_segment_points(path, seg, t), velocity[seg]) for seg in run):
             resolved = all(np.abs(tail @ q.reshape(len(t), -1)).max()
-                           <= _CHEBYSHEV_TAIL * np.abs(q).max() for q in inputs[2:])
+                           <= _CHEBYSHEV_TAIL * np.abs(q).max() for q in inputs[2:4])
             fed.append(inputs if resolved else None)
         return fed
 
@@ -767,28 +732,47 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
                 return [None]
             return [node_runs(range(seg, seg + 1))[0] for seg in run]
 
-    if per_segment <= _CHEBYSHEV_N + 1:
-        stage_walk(0, segments)
-    else:
-        interpolate = _interpolation(_CHEBYSHEV_N, steps)
+    def node_blocks(g, gammas, gus, rus, u):
+        """The blocks of a segment from its frames at its nodes."""
+        gus, rus = gus.reshape(len(gus), -1), rus.reshape(len(rus), -1)
+        for first in range(0, steps, _BLOCK_STEPS):
+            rows = _interpolation(_CHEBYSHEV_N, steps, first)
+            yield (g, gammas, (rows @ gus).reshape(-1, n, n),
+                   (rows @ rus).reshape(-1, n, n, n), u)
+
+    def blocks():
+        """Each block of the path in order: g and Gamma of the frames it
+        comes from (its segment's nodes or its own stage points, either way
+        from where it starts to where it ends), the generator inputs at its
+        stage points, and u."""
+        if per_segment <= _CHEBYSHEV_N + 1:
+            yield from stage_blocks(range(segments))
+            return
         group = max(1, per_call // (_CHEBYSHEV_N + 1))   # segments whose nodes share calls
         for lo in range(0, segments, group):
             run = range(lo, min(lo + group, segments))
             for seg, inputs in zip(run, node_runs(run)):
-                if inputs is None:
-                    stage_walk(seg, seg + 1)
-                    continue
-                g, gammas, gus, rus = inputs
-                if seg == 0:
-                    begin(gammas[0])
-                gus, rus = gus.reshape(len(gus), -1), rus.reshape(len(rus), -1)
-                for b in range(0, per_segment, 2 * _BLOCK_STEPS):
-                    rows = interpolate[b:b + 2 * _BLOCK_STEPS]
-                    block((rows @ gus).reshape(-1, n, n), (rows @ rus).reshape(-1, n, n, n),
-                          velocity[seg], b == 0)
-                if seg == segments - 1:
-                    end = g[-1], gammas[-1]
-    g_end, gamma_end = end
+                yield from stage_blocks([seg]) if inputs is None else node_blocks(*inputs)
+
+    def advance(state, gus, rus, u):
+        """``state`` multiplied by P of each step of a block, from the
+        generator inputs at its stage points."""
+        ms = _transport_generators(gus, rus, u)
+        k1, mids, ends = ms[:-1:2], ms[1::2], ms[2::2]
+        k2 = mids + h / 2 * (mids @ k1)
+        k3 = mids + h / 2 * (mids @ k2)
+        k4 = ends + h * (ends @ k3)
+        for step in np.eye(len(state)) + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4):
+            state = step @ state
+        return state
+
+    state = None
+    for g, gammas, gus, rus, u in blocks():
+        if state is None:
+            if jets_at is not None:
+                germ = _field_germ(start_jets, gammas[0])
+            state = np.concatenate([np.ravel(germ.xi), np.ravel(germ.a)]).astype(np.float64)
+        state = advance(state, gus, rus, u)
     moved = KillingGerm(xi=state[:n].copy(), a=state[n:].reshape(n, n).copy())
-    field_end = None if jets_at is None else _field_germ(jets_at(path[-1], 1), gamma_end)
-    return Transport(start=germ, end=moved, g_end=g_end, field_end=field_end)
+    field_end = None if jets_at is None else _field_germ(jets_at(path[-1], 1), gammas[-1])
+    return Transport(start=germ, end=moved, g_end=g[-1], field_end=field_end)

@@ -542,7 +542,8 @@ def killing_curvature(curv, germ, i, j):
 
 def stage_points(path, steps):
     """The RK4 stage points of a polyline in path order: each segment's
-    start, then the midpoint and the end of each step."""
+    start, then the midpoint and the end of each step, the last the
+    segment's end exactly."""
     h = 1.0 / steps
     s = np.arange(steps) * h
     points = []
@@ -551,8 +552,16 @@ def stage_points(path, steps):
         seg[0] = x0
         seg[1::2] = x0 + (s + h / 2)[:, None] * (x1 - x0)
         seg[2::2] = x0 + (s + h)[:, None] * (x1 - x0)
+        seg[-1] = x1
         points.append(seg)
     return np.concatenate(points)
+
+
+def frame_inputs(gammas, rs, u):
+    """The generator inputs of Killing transport along velocity u from
+    connection values [P, i, a, b] and curvature values [P, i, j, c, d]:
+    Gamma^i_ab u^a as [P, i, b] and R^i_jcd u^c as [P, i, j, d]."""
+    return np.einsum("Piab,a->Pib", gammas, u), np.einsum("Pijcd,c->Pijd", rs, u)
 
 
 def chebyshev_nodes(path, count=16):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from killingkit.killing import (KillingGerm, PreconditionError, bundle_dim,
 from killingkit.metricdsl import builtin, known_killing_fields, parse_manifold
 from killingkit.product import product_metric
 
-from oracles import (apply_tensor, chebyshev_nodes, germ_kernel_residual,
+from oracles import (apply_tensor, chebyshev_nodes, frame_inputs, germ_kernel_residual,
                      integrability_tensors, killing_curvature, perturbed_points, stage_points,
                      transport_by_steps, whole_covR)
 from test_tower import CHARTS, SCHWARZSCHILD, random_chart
@@ -640,11 +641,12 @@ TRANSPORT_PATHS = {
 }
 
 
-# Longer paths where the batches of frames split a segment or end with one:
-# at n = 4 a call takes 528 stage points, so with 264 steps (529 points a
-# segment) the first call splits the first segment's last step; at n = 8 a
-# call takes 33, so with 16 steps every call is one segment, with 17 the
-# calls end inside segments, and with 1 step one call spans every segment.
+# Longer paths where the calls split a segment or span several: at n = 4 a
+# call takes 528 points, so with 264 steps (529 stage points a segment) the
+# first chunk of the stage check splits the first segment; at n = 8 a call
+# takes 33, one segment's 17 nodes or one block of 16 steps, so with 16 and
+# 17 steps every node call is one segment, 17 steps are blocks of 16 and 1
+# steps, and with 1 step the stage blocks of every segment share one call.
 MORE_PATHS = {
     "schwarzschild5": (lambda: parse_manifold(SCHWARZSCHILD),
                        [[0.0, 5.0, 1.57, 0.0], [0.1, 5.2, 1.4, 0.1], [0.3, 5.4, 1.3, 0.2],
@@ -691,8 +693,9 @@ def test_one_batched_frame_call_equals_point_by_point(chart, steps):
 
 
 # (steps): up to 8 steps a segment has at most 17 stage points, as many as
-# its nodes, and takes its frames there, with the path's end after them in
-# the same call, as one walk across segments; from 9 steps it takes its nodes
+# its nodes, and takes its frames there, one block a segment, every segment
+# in the same call, the last stage point the path's end; from 9 steps it
+# takes its nodes
 @pytest.mark.parametrize("steps", [1, 8, 9])
 def test_transport_takes_stage_frames_up_to_8_steps(monkeypatch, steps):
     make, path = TRANSPORT_PATHS["sphere2"]
@@ -702,11 +705,67 @@ def test_transport_takes_stage_frames_up_to_8_steps(monkeypatch, steps):
     killing_transport(spec, KillingGerm(xi=np.ones(2), a=np.zeros((2, 2))), path, steps)
     assert len(batches) == 1
     if steps <= 8:
-        assert np.array_equal(batches[0], np.vstack([stage_points(path, steps), path[-1]]))
+        assert np.array_equal(batches[0], stage_points(path, steps))
+        assert np.array_equal(batches[0][-1], path[-1])
         assert checks == []
     else:
         assert np.array_equal(batches[0], chebyshev_nodes(path))
         assert np.array_equal(np.concatenate(checks), stage_points(path, steps))
+
+
+def block_stage_points(path, steps, k):
+    """The stage points of each block of k steps of each segment in path
+    order, a block's end point again at the start of the next block."""
+    blocks = []
+    for seg in range(len(path) - 1):
+        points = stage_points(path[seg:seg + 2], steps)
+        blocks += [points[2 * first:2 * min(first + k, steps) + 1]
+                   for first in range(0, steps, k)]
+    return np.concatenate(blocks)
+
+
+# (chart, block, calls): a segment that takes stage frames comes in blocks
+# of at most (budget - 1) // 2 steps, at least one: 6 steps at n = 10 (a call
+# takes 13 points), so 8 steps are blocks of 6 and 2, each in a call of its
+# own; 1 step at n = 16 (a call takes 2 points), whose 3 points take 2 calls
+@pytest.mark.parametrize("chart,block,calls", [
+    (lambda: builtin("cahen_wallach", n=8, q=[1.0, -1.0, 0.5, 2.0, -0.5, 1.5, -2.0, 0.3]),
+     6, [13, 5] * 2),
+    (lambda: builtin("euclidean", n=16), 1, [2, 1] * 16),
+], ids=["cw8", "euclidean16"])
+def test_stage_blocks_fit_the_budget_above_n_8(monkeypatch, chart, block, calls):
+    spec = chart()
+    n = spec.dim
+    rng = np.random.default_rng(1)
+    germ = KillingGerm(xi=rng.normal(size=n), a=rng.normal(size=(n, n)))
+    path = [np.zeros(n), 0.05 * rng.normal(size=n), 0.1 * rng.normal(size=n)]
+    batches = spy_on_frames(monkeypatch)
+    out = killing_transport(spec, germ, path, 8).end
+    assert [len(b) for b in batches] == calls
+    assert np.array_equal(np.concatenate(batches), block_stage_points(path, 8, block))
+    ref = transport_by_steps(spec, germ, path, 8)
+    scale = max(np.abs(ref.xi).max(), np.abs(ref.a).max())
+    assert np.abs(out.xi - ref.xi).max() <= 1e-12 * scale
+    assert np.abs(out.a - ref.a).max() <= 1e-12 * scale
+
+
+def test_transport_memory_does_not_grow_with_the_step_count():
+    # the interpolation rows are built a block at a time and the stage check
+    # a chunk at a time, so the peak of one segment's transport at 20000
+    # steps is that at 5000
+    spec = builtin("sphere2")
+    germ = KillingGerm(xi=np.array([0.0, 1.0]), a=np.array([[0.0, 0.3], [-0.3, 0.0]]))
+    path = [[1.0, 0.0], [1.3, 0.4]]
+    killing_transport(spec, germ, path, 30)   # the chart's tape, compiled once
+    peaks = []
+    for steps in (5000, 20000):
+        tracemalloc.start()
+        try:
+            killing_transport(spec, germ, path, steps)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 # Near sphere2's axis: Gamma has a pole at theta = 0, just off the first
@@ -717,18 +776,18 @@ NEAR_AXIS = [[0.01, 0.0], [0.3, 0.2], [0.6, 0.5]]
 
 @pytest.mark.parametrize("mode", ["germ", "field"])
 def test_a_segment_whose_tail_does_not_decay_takes_its_stage_frames(monkeypatch, mode):
-    # after the nodes, each segment is walked at its stage points, the path's
-    # end after the last, and every germ is bit for bit the one that stage
-    # frames alone give (every segment walked as at <= 8 steps)
+    # after the nodes, each segment takes its frames at the stage points of
+    # its blocks of 16 and 14 steps, 33 + 29 points in one call, the block
+    # boundary twice, and every germ is bit for bit the one that stage frames
+    # alone give (every segment taking them, as at <= 8 steps)
     spec = builtin("sphere2")
     germ = (KillingGerm(xi=np.array([0.0, 1.0]), a=np.array([[0.0, 0.3], [-0.3, 0.0]]))
             if mode == "germ" else field_jets(spec, ["1", "theta"]))
     batches = spy_on_frames(monkeypatch)
     moved = killing_transport(spec, germ, NEAR_AXIS, 30)
     assert np.array_equal(batches[0], chebyshev_nodes(NEAR_AXIS))
-    assert [len(b) for b in batches[1:]] == [61, 62]
-    assert np.array_equal(np.concatenate(batches[1:]),
-                          np.vstack([stage_points(NEAR_AXIS, 30), NEAR_AXIS[-1]]))
+    assert [len(b) for b in batches[1:]] == [62, 62]
+    assert np.array_equal(np.concatenate(batches[1:]), block_stage_points(NEAR_AXIS, 30, 16))
     monkeypatch.setattr(killing, "_CHEBYSHEV_N", 10 ** 6)
     want = killing_transport(spec, germ, NEAR_AXIS, 30)
     for got, ref in [(moved.start, want.start), (moved.end, want.end)] + (
@@ -870,15 +929,18 @@ def test_germ_transport_evaluates_the_end_node_last_in_its_batch(monkeypatch, ch
     assert np.array_equal(moved.g_end, killing.point_frame(spec, path[-1])[0])
 
 
-# (chart, steps): blocks of 32 stage points, 313 a segment at 5000 steps on
-# sphere2; on the cw2 x cw2 chart at 17 steps 2 a segment, the second of 3
+# (chart, steps): blocks of 16 steps, 313 a segment at 5000 steps on
+# sphere2 (the last of 8 steps); on the cw2 x cw2 chart at 17 steps 2 a
+# segment, of 16 steps and of 1
 @pytest.mark.parametrize("chart,steps", [("sphere2", 5000), ("cw2xcw2", 17)])
 @pytest.mark.parametrize("mode", ["germ", "field"])
 def test_transport_generators_come_in_blocks_of_one_segment(monkeypatch, chart, steps, mode):
-    # every call of the RK4 generators takes at most 2 _BLOCK_STEPS inputs of
-    # one segment, and together the calls take each stage point once, in
-    # path order, and never the path's end; the inputs interpolated from the
-    # nodes are those of the frames at the stage points, to rounding
+    # every call of the RK4 generators takes the 2 k + 1 inputs of k <=
+    # _BLOCK_STEPS whole steps of one segment, from the start of its first
+    # step to the end of its last, where the next call starts (or the next
+    # segment, at its start), so together the calls take every step once, in
+    # path order; the inputs interpolated from the nodes are those of the
+    # frames at the stage points, to rounding
     make, path = {**TRANSPORT_PATHS, **MORE_PATHS}[chart]
     spec = make()
     n = spec.dim
@@ -895,17 +957,17 @@ def test_transport_generators_come_in_blocks_of_one_segment(monkeypatch, chart, 
     else:
         killing_transport(spec, field_jets(spec, ["1"] + ["0"] * (n - 1)), path, steps)
     per_segment = 2 * steps + 1
-    stages = (len(path) - 1) * per_segment
     _, _, gammas, rs = killing.point_frame(spec, stage_points(path, steps))
-    assert max(len(c[0]) for c in calls) <= 2 * killing._BLOCK_STEPS
-    start = 0
+    seg = first = 0
     for gus, rus, u in calls:
-        stop = start + len(gus)
-        seg = start // per_segment
-        assert (stop - 1) // per_segment == seg
+        k = (len(gus) - 1) // 2
+        assert len(gus) == 2 * k + 1 and 1 <= k <= killing._BLOCK_STEPS
+        assert first + k <= steps
         assert np.array_equal(u, np.subtract(path[seg + 1], path[seg]))
-        for got, want in zip((gus, rus), killing._frame_inputs(gammas[start:stop],
-                                                               rs[start:stop], u)):
+        at = slice(seg * per_segment + 2 * first, seg * per_segment + 2 * (first + k) + 1)
+        for got, want in zip((gus, rus), frame_inputs(gammas[at], rs[at], u)):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        start = stop
-    assert start == stages
+        first += k
+        if first == steps:
+            seg, first = seg + 1, 0
+    assert (seg, first) == (len(path) - 1, 0)

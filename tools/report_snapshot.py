@@ -21,7 +21,9 @@ chart at 17 steps, and, at depth 3 above n = 4, ``curvature --order 3`` on
 cw3 (n = 5), ``product`` of the benchmark's cw2c and cw2d charts at
 ``--order 3`` (n = 8) and ``killing-dim --order 3`` on the cw2 x cw2 chart,
 and ``transport --germ`` near sphere2's axis, where each segment takes its
-frames at its stage points),
+frames at its stage points, on sphere2 at 5 steps along a segment whose end
+is not x0 + (x1 - x0), and ``transport`` of a Killing field near
+Schwarzschild's axis at 1000 steps, whose stage blocks fill 9 calls),
 and a fixed list of commands
 that must fail (``ERROR_COMMANDS``: Killing transport into a domain error, a
 degenerate point or an overflow, an invalid step count, every command that
@@ -124,6 +126,12 @@ LOW_ORDER_COMMANDS = [
 # the Killing tower of the cw2 x cw2 chart, each at --order 3.  Last, a
 # transport near sphere2's axis, where the Chebyshev tail of Gamma does not
 # decay on either segment, so each takes its frames at its stage points.
+# Then transport of the same germ on sphere2 at 5 steps (stage frames) along
+# a segment whose last stage point, the path's end exactly, is not
+# x0 + (x1 - x0): 1.1 + (0.3 - 1.1) != 0.3.  Last, a Killing field's
+# transport on Schwarzschild from theta = 0.01 at the default 1000 steps,
+# where neither segment is resolved at its nodes (one call), and each takes
+# its stage frames in blocks of 16 steps, 4 calls a segment.
 CW2XCW2_GERM = ("--germ=1,0,0.5,0,0,-0.2,0,0.3|"
                 + ";".join(",".join("0.1" if c == r + 1 else "-0.1" if c == r - 1 else "0"
                                     for c in range(8)) for r in range(8)))
@@ -153,6 +161,11 @@ DEEP_COMMANDS = [
     ["killing-dim", "--file", "{cw2xcw2}", "--order", "3"],
     ["transport", "--builtin", "sphere2", "--germ=0,1|0,0.3;-0.3,0",
      "--path=0.01,0;0.3,0.2;0.6,0.5", "--steps", "30"],
+    ["transport", "--builtin", "sphere2", "--germ=0,1|0,0.3;-0.3,0",
+     "--path=1.1,0;0.3,0.2", "--steps", "5"],
+    ["transport", "--file", "{schwarzschild}",
+     "--field=0,0,sin(ph),cos(ph) * cos(th) / sin(th)",
+     "--path=0,5,0.01,0;0.3,5.4,0.1,0.2;0.1,4.8,0.3,-0.3"],
 ]
 
 # Every builtin form that README.md, the tests and the workloads use, each
