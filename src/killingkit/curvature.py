@@ -472,10 +472,11 @@ def frame_ladder(spec, points, first):
     ``CurvatureData`` is computed at a point only for a depth deeper than
     any computed there so far, the first time straight to max(depth, first),
     and for all the rows asked that need it at once: one batched compute of
-    as many rows as ``budget_points`` allows, then the next.  A shallower
-    depth is a slice of the deepest frame's covR.  The stabilisation loop
-    always asks for order 1 after order 0 when it may, so a caller passes as
-    ``first`` the depth its order min(1, m_max) reads.  Batching changes no
+    as many rows as ``budget_points`` allows, then the next, each with a
+    point axis, also for a lone row.  A shallower depth is a slice of the
+    deepest frame's covR.  The stabilisation loop always asks for order 1
+    after order 0 when it may, so a caller passes as ``first`` the depth its
+    order min(1, m_max) reads.  Batching changes no
     bit of a point's frame; sliced covR agree with a fresh computation at
     the shallower depth up to rounding: the two contract jets of different
     orders."""
@@ -489,11 +490,8 @@ def frame_ladder(spec, points, first):
         per_call = budget_points(spec.dim, m_max)
         for lo in range(0, len(todo), per_call):
             rows = todo[lo:lo + per_call]
-            # a lone point is computed without a point axis, which costs a
-            # few percent at P = 1; the batch's jets are released before the
-            # next batch is computed
-            batch = points[rows] if len(rows) > 1 else points[rows[0]]
-            for k, frame in zip(rows, CurvatureData.compute(spec, batch,
+            # the batch's jets are released before the next batch is computed
+            for k, frame in zip(rows, CurvatureData.compute(spec, points[rows],
                                                             m_max=m_max).unit_frames):
                 deepest[k] = frame
         return [deepest[k]._replace(covR=deepest[k].covR[:depth + 1]) for k in which]

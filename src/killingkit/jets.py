@@ -244,21 +244,6 @@ def _compose(x, c, tab):
     return r
 
 
-def _power(x, exponent, tab):
-    """Non-negative integer power of the jets ``x`` by repeated squaring."""
-    result, base = None, x
-    while exponent:
-        if exponent & 1:
-            result = base if result is None else _cauchy(result, base, tab)
-        exponent >>= 1
-        if exponent:
-            base = _cauchy(base, base, tab)
-    if result is None:
-        result = np.zeros(np.shape(x))
-        result[..., 0] = 1.0
-    return result
-
-
 # -- straight-line programs over jets ----------------------------------------
 
 class JetTape:
@@ -268,12 +253,12 @@ class JetTape:
     ``ops`` lists tuples ``(kind, *args)``; an argument naming another op is
     its index in the list, always an earlier one.  The kinds are
     ``("const", value)``, ``("coord", i)``, ``("add", a, b)``, ``("sub", a,
-    b)``, ``("neg", a)``, ``("mul", a, b)``, ``("scale", a, k)`` (the product
-    with op k, whose value is a constant jet), ``("pow", a, exponent)`` with
-    a non-negative integer exponent, and ``(tag, a)`` for the elementary
-    functions ``reciprocal``, ``sqrt``, ``exp``, ``sin``, ``cos``, ``sinh``
-    and ``cosh``.  ``outputs`` are the ops whose jets ``evaluate`` returns,
-    and ``owners[op]`` is the first output that reads the op.
+    b)``, ``("neg", a)``, ``("mul", a, b)`` (every product: by a constant
+    jet too, and each squaring and product of a power) and ``(tag, a)`` for
+    the elementary functions ``reciprocal``, ``sqrt``, ``exp``, ``sin``,
+    ``cos``, ``sinh`` and ``cosh``.  ``outputs`` are the ops whose jets
+    ``evaluate`` returns, and ``owners[op]`` is the first output that reads
+    the op.
     """
 
     __slots__ = ("ops", "outputs", "owners")
@@ -320,10 +305,6 @@ class JetTape:
                     v = -vals[op[1]]
                 elif kind == "mul":
                     v = _cauchy(vals[op[1]], vals[op[2]], tab)
-                elif kind == "scale":
-                    v = vals[op[1]] * vals[op[2]][..., :1]
-                elif kind == "pow":
-                    v = _power(vals[op[1]], op[2], tab)
                 else:
                     x = vals[op[1]]
                     c, bad = _series_coefficients(kind, x[..., 0], order)
@@ -367,34 +348,45 @@ def compile_tape(roots):
     A node describes itself by ``node.jet_op()``: ``((kind, *params),
     operands)``, with kind "const" (param: the value), "coord" (param: the
     variable index), "add", "sub", "mul", "div", "neg", "pow" (param: an
-    integer exponent) or an elementary function.  Equal subtrees, within one
-    tree or across trees, become one op.  The ops of each tree come in the
-    order a recursive evaluation visits its nodes (operands first, left
-    before right), so the first op to fail at a point is the node such an
-    evaluation would fail at.
+    integer exponent) or an elementary function.  A quotient becomes a
+    product with a reciprocal, and a power the squarings and products of
+    repeated squaring (of the reciprocal, for a negative exponent), so the
+    tape's ops are those ``JetTape`` lists.  Equal subtrees, within one
+    tree or across trees, become one op, and so do equal squarings and
+    products.  The ops of each tree come in the order a recursive
+    evaluation visits its nodes (operands first, left before right), so the
+    first op to fail at a point is the node such an evaluation would fail
+    at.
     """
-    ops, index, constant, owners, outputs = [], {}, [], [], []
+    ops, index, owners, outputs = [], {}, [], []
 
-    def emit(op, is_constant):
+    def emit(op):
         k = index.get(op)
         if k is None:
             k = index[op] = len(ops)
             ops.append(op)
-            constant.append(is_constant)
             owners.append(len(outputs))
         return k
+
+    def power(base, exponent):
+        result = None
+        while exponent:
+            if exponent & 1:
+                result = base if result is None else emit(("mul", result, base))
+            exponent >>= 1
+            if exponent:
+                base = emit(("mul", base, base))
+        return emit(("const", 1.0)) if result is None else result
 
     def walk(node):
         (kind, *params), operands = node.jet_op()
         args = [walk(x) for x in operands]
-        is_constant = kind == "const" or (bool(args) and all(constant[a] for a in args))
         if kind == "div":   # a / b is a times the reciprocal of b
-            kind, args[1] = "mul", emit(("reciprocal", args[1]), constant[args[1]])
-        if kind == "pow" and params[0] < 0:
-            args[0], params[0] = emit(("reciprocal", args[0]), is_constant), -params[0]
-        if kind == "mul" and (constant[args[0]] or constant[args[1]]):
-            kind, args = "scale", args if constant[args[1]] else args[::-1]
-        return emit((kind, *args, *params), is_constant)
+            kind, args[1] = "mul", emit(("reciprocal", args[1]))
+        if kind == "pow":
+            base = args[0] if params[0] >= 0 else emit(("reciprocal", args[0]))
+            return power(base, abs(params[0]))
+        return emit((kind, *args, *params))
 
     for root in roots:
         outputs.append(walk(root))
@@ -445,14 +437,6 @@ class JetTensor:
         if not isinstance(other, JetTensor) or other.space is not self.space:
             raise JetShapeError("JetTensor addition needs a common space")
         return JetTensor(self.array + other.array, self.space)
-
-    def __sub__(self, other):
-        if not isinstance(other, JetTensor) or other.space is not self.space:
-            raise JetShapeError("JetTensor subtraction needs a common space")
-        return JetTensor(self.array - other.array, self.space)
-
-    def __neg__(self):
-        return JetTensor(-self.array, self.space)
 
     def scaled(self, factor):
         return JetTensor(self.array * factor, self.space)

@@ -465,16 +465,16 @@ def killing_dimension(spec, point=None, m_max=10, tol=1e-8, multi_point=False):
                             warnings=warnings)
 
 
-def nearby_points(p, count=5):
-    """``count`` points near the point ``p``: steps of delta = 0.05 (1 + max |p|)
-    each way along the coordinate axes in turn, a quarter longer each time the
-    axes wrap, then the diagonal p + delta / sqrt(n); a 1-D chart has no
-    diagonal, so it gets one more axis step instead."""
+def nearby_points(p):
+    """Five points near the point ``p``: four steps of delta = 0.05 (1 +
+    max |p|) each way along the coordinate axes in turn, a quarter longer
+    each time the axes wrap, then the diagonal p + delta / sqrt(n); a 1-D
+    chart has no diagonal, so it gets a fifth axis step instead."""
     p = np.asarray(p, dtype=np.float64)
     n = len(p)
     delta = 0.05 * (1.0 + float(np.abs(p).max()))
     points = []
-    for k in range(count - 1 if n > 1 else count):
+    for k in range(4 if n > 1 else 5):
         q = p.copy()
         q[k // 2 % n] += (-delta if k % 2 else delta) * (1.0 + 0.25 * (k // 2 // n))
         points.append(q)

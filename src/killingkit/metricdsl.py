@@ -376,9 +376,10 @@ def metric_jet_tensor(spec, point, order):
     Checks each point as a point-by-point evaluation would, and raises what
     it would raise first: a failing component (naming the point, the
     component and its expression; see ``JetTape.evaluate``) or a degenerate
-    metric, at the earliest failing point.  The base point alone is not
-    checked again: ``make_spec`` checked it, and the order-0 coefficients of
-    any order are the values it checked.
+    metric, at the earliest failing point.  The base point alone, as a
+    point or as a batch of one row, is not checked again: ``make_spec``
+    checked it, and the order-0 coefficients of any order are the values it
+    checked.
     """
     return _metric_jet_tensor(spec, point, order, check=True)
 
@@ -394,7 +395,7 @@ def _metric_jet_tensor(spec, point, order, check):
     position = _upper_position(spec.dim)
     g = coeffs[:, position]
     valid = len(batch) if failure is None else failure[0]
-    if check and not (points.ndim == 1 and tuple(points.tolist()) == spec.base_point):
+    if check and not (len(batch) == 1 and tuple(batch[0].tolist()) == spec.base_point):
         spec.check_nondegenerate(batch[:valid], g[:valid, :, :, 0])
     if failure is not None:
         k, output, exc = failure

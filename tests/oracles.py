@@ -27,7 +27,9 @@ level by level, so it shares the jet layer but none of the closed form's
 algebra.  The tree walk is how expressions became jets before
 they were compiled into a ``JetTape``: one coefficient vector per node,
 visited recursively, with no shared subexpressions and no batch of points;
-it runs the tape's Cauchy product and series kernels one node at a time.
+it runs the tape's Cauchy product and series kernels one node at a time, and
+takes a power by its own repeated squaring, where the tape compiles one into
+shared products.
 The whole-tensor curvature chain is how ``CurvatureData`` computed covR
 before it kept the curvature lowered in pair form: R from two products of
 the connection with itself, and each covariant derivative over all n^(4+m)
@@ -55,7 +57,7 @@ import numpy as np
 from killingkit.curvature import (CurvatureData, OrderExhaustedError, _points, christoffel,
                                   covariant_derivative, point_frame, unpack)
 from killingkit.jets import (JetDomainError, JetTensor, _cauchy, _compose, _elementary_error,
-                             _mul_table, _power, _series_coefficients, jet_space,
+                             _mul_table, _series_coefficients, jet_space,
                              tensor_deriv, tensor_product)
 from killingkit.killing import KillingGerm, _kernel_trace
 from killingkit.metricdsl import (Binary, Call, Const, Coord, Neg, PowInt, make_spec,
@@ -209,6 +211,21 @@ def random_expression(rng, n_vars, depth=3):
 
 
 # -- the tree-walking jet evaluator ----------------------------------------------
+
+def _power(x, exponent, tab):
+    """Non-negative integer power of the jet ``x`` by repeated squaring."""
+    result, base = None, x
+    while exponent:
+        if exponent & 1:
+            result = base if result is None else _cauchy(result, base, tab)
+        exponent >>= 1
+        if exponent:
+            base = _cauchy(base, base, tab)
+    if result is None:
+        result = np.zeros(np.shape(x))
+        result[..., 0] = 1.0
+    return result
+
 
 def tree_jet(expr, space, point):
     """The coefficient vector of an expression's jet about ``point``, walking

@@ -712,6 +712,20 @@ def test_transport_raises_a_curvature_overflow_before_a_later_metric_error(capsy
     assert err.startswith("error: curvature of 'over' at (0.0, 0.0): a non-finite entry in ")
 
 
+# The 9 stage points of this path's 4 steps come in one call, which meets
+# sqrt(1 - y) outside its domain from y = 1 on; its first point, where the
+# curvature overflows, fails first one by one.
+def test_transport_raises_its_first_points_curvature_before_a_later_metric_error(capsys,
+                                                                                 tmp_path):
+    chart = chart_file(tmp_path, "over", "[[1e-300 + 1e10 * x, 0], [0, 1 + sqrt(1 - y)]]",
+                       "1, 0")
+    code, out, err = invoke(capsys, "transport", "--file", chart, "--germ", "1,0|0,0;0,0",
+                            "--path", "0,0.5;0,1.5", "--steps", "4")
+    assert (code, out) == (2, "")
+    assert err == ("error: curvature of 'over' at (0.0, 0.5): a non-finite entry in "
+                   "the jets of gamma\n")
+
+
 # 2 + sin(x - c) / (x - c) is analytic, but the chart fails at x = c = 0.05,
 # the first midpoint of a segment of 10 steps from x = 0 to 1 and none of its
 # Chebyshev nodes, so only the check of the chart at every stage point finds

@@ -298,3 +298,24 @@ def test_a_batch_names_the_earliest_point_whose_curvature_overflows(m_max):
         with pytest.raises(JetDomainError, match=r"^curvature of 'over' at \(0\.0, 0\.0\): "
                                                  r"a non-finite entry in "):
             CurvatureData.compute(spec, np.array(points), m_max=m_max)
+
+
+# The curvature of this chart overflows at x = 0, and sqrt(1 - y) leaves its
+# domain at y = 1.
+FIRST_FAILURE_SRC = """
+manifold over {
+  coordinates: x, y;
+  metric: [[1e-300 + 1e10 * x, 0], [0, 1 + sqrt(1 - y)]];
+  base_point: (1, 0);
+}
+"""
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_batch_raises_a_curvature_failure_before_a_later_points_metric_failure():
+    # the batch's metric fails at its second point; one by one, the first
+    # point raises first, from its curvature
+    spec = parse_manifold(FIRST_FAILURE_SRC)
+    with pytest.raises(JetDomainError, match=r"^curvature of 'over' at \(0\.0, 0\.5\): "
+                                             r"a non-finite entry in the jets of gamma$"):
+        CurvatureData.compute(spec, np.array([[0.0, 0.5], [1.0, 2.0]]), m_max=0)

@@ -402,6 +402,26 @@ def test_a_kept_operator_is_reused_only_for_its_own_array():
     assert built[1] is not built[0] and built[2] is built[1]
 
 
+def test_points_that_take_different_ways_get_the_bits_they_get_alone():
+    # past the work at which supports are looked at, the dense first point
+    # takes the gather and the mostly zero second point the join; the batch
+    # gives each point the bits of a batch of that point alone
+    s = jet_space(8, 2)
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((2, 8, 8, s.size))
+    b = rng.standard_normal((2, 8, 8, 8, s.size))
+    a[1] *= rng.random((8, 8, 1)) < 0.2
+    b[1] *= rng.random((8, 8, 8, 1)) < 0.2
+    sub = "Pkl,Plij->Pkij"
+    p = jets._plan(sub, a.shape[:-1], b.shape[:-1], 8, 2, 2, 2)
+    ways, _ = jets._ways(p, a, b, len(jets._mul_table(8, 2, 2, 2).ai))
+    assert ways == [jets._GATHER, jets._JOIN]
+    both = tensor_product(sub, JetTensor(a, s), JetTensor(b, s)).array
+    for k in range(2):
+        alone = tensor_product(sub, JetTensor(a[k:k + 1], s), JetTensor(b[k:k + 1], s)).array
+        np.testing.assert_array_equal(both[k], alone[0])
+
+
 # The tracemalloc peaks of two contractions at commit c56423c (numpy 2.4),
 # where every dense contraction gathered both operands along the table: the
 # first, at a high order, still takes the gather, and the second, a

@@ -198,6 +198,34 @@ def test_one_gather_serves_both_signatures_of_a_dimension():
     assert killing._level_gather(3, 0) is killing._gathers[(3, 0)]
 
 
+def _kept_bytes():
+    return sum(a.nbytes for kept in killing._gathers.values() for a in kept)
+
+
+def test_a_gather_over_the_byte_budget_is_not_kept(monkeypatch):
+    # level 2 at n = 8 holds 32 MB, four times ``_GATHER_BYTES``
+    monkeypatch.setattr(killing, "_gathers", {})
+    killing._level_gather(3, 0)
+    arrays = killing._level_gather(8, 2)
+    assert sum(a.nbytes for a in arrays) > killing._GATHER_BYTES
+    assert (8, 2) not in killing._gathers
+    assert _kept_bytes() <= killing._GATHER_BYTES
+
+
+def test_the_least_recently_used_gather_goes_first(monkeypatch):
+    # (6, 2), (8, 1), (7, 1) and (5, 2) hold 3.7, 3.3, 1.4 and 0.9 MB: the
+    # fourth passes the budget, and (8, 1), used before (6, 2) was used
+    # again, goes
+    monkeypatch.setattr(killing, "_gathers", {})
+    for key in [(6, 2), (8, 1), (6, 2), (7, 1)]:
+        killing._level_gather(*key)
+        assert _kept_bytes() <= killing._GATHER_BYTES
+    assert list(killing._gathers) == [(8, 1), (6, 2), (7, 1)]
+    killing._level_gather(5, 2)
+    assert list(killing._gathers) == [(6, 2), (7, 1), (5, 2)]
+    assert _kept_bytes() <= killing._GATHER_BYTES
+
+
 def _all_slot_blocks(frame, m):
     """Every slot's block of covR[m] lowered by the signs, (4 + m) n^(3 + m)
     rows: each slot in turn moved last and taken as the columns."""

@@ -36,8 +36,10 @@ the end of the file, an unknown name, a non-integer exponent, trailing input
 and a wrong row count), charts degenerate at their base point or at the
 ``--point`` given, fields with a syntax error, and ``curvature``,
 ``killing-dim``, ``holonomy`` and ``transport`` on a chart whose curvature
-overflows where its metric jets are finite, and transport on a chart that
-fails at a stage point between Chebyshev nodes), ``killing-dim`` and
+overflows where its metric jets are finite, transport on a chart that
+fails at a stage point between Chebyshev nodes, and transport whose one
+call of stage points overflows in the curvature at its first point and
+fails in the metric at a later one), ``killing-dim`` and
 ``holonomy`` on that overflow chart at a flat point where the unit frame's
 scale overflows (``KAPPA_COMMANDS``), and
 ``check-field`` and
@@ -236,6 +238,10 @@ ERROR_CHARTS = {
     # finite metric jets whose curvature chain overflows at the base point
     "overflow": ("manifold over {\n  coordinates: x, y;\n"
                  "  metric: [[1e-300 + 1e10 * x, 0], [0, 1]];\n  base_point: (0, 0);\n}\n"),
+    # the curvature overflows at x = 0, sqrt(1 - y) leaves its domain at y = 1
+    "overflowsqrt": ("manifold over {\n  coordinates: x, y;\n"
+                     "  metric: [[1e-300 + 1e10 * x, 0], [0, 1 + sqrt(1 - y)]];\n"
+                     "  base_point: (1, 0);\n}\n"),
 }
 
 # Every command that evaluates a point, at a bad point of each chart: the
@@ -324,6 +330,10 @@ ERROR_COMMANDS = [
     # a chart that fails at a stage point and at none of the segment's nodes
     ["transport", "--file", "{removable}", "--germ", "1,0|0,0;0,0", "--path", "0,0;1,0",
      "--steps", "10"],
+    # one call of stage points whose metric fails at a later point and whose
+    # curvature overflows at the first: the curvature error comes first
+    ["transport", "--file", "{overflowsqrt}", "--germ", "1,0|0,0;0,0",
+     "--path", "0,0.5;0,1.5", "--steps", "4"],
 ]
 
 # The overflow chart at a flat point where kappa^(m + 2), the unit frame's
