@@ -457,8 +457,7 @@ def _cmd_check_field(args):
     named = _parse_points(args.points, spec.dim) if args.points else []
     # the base point, where the report's germ is taken, and the points you
     # name must evaluate; the nearby points generated without --points need not
-    samples = sample_field(spec, field_jets(spec, components),
-                           [base] + (named or nearby_points(base)))
+    samples = sample_field(spec, components, [base] + (named or nearby_points(base)))
     germ, g0 = samples.at(base)
     for p in named:
         samples.at(p)
@@ -727,7 +726,8 @@ def build_parser():
     sp.add_argument("--germ", help="explicit germ xi1,..|a11,..;a21,..")
     sp.add_argument("--path", help="polyline p0;p1;...")
     sp.add_argument("--steps", type=_count_arg, default=1000,
-                    help="integration steps per segment, >= 1 (default 1000)")
+                    help="grid steps per segment, where the chart is checked, >= 1 "
+                         "(default 1000)")
     sp.set_defaults(func=_cmd_transport)
 
     sp = sub.add_parser("product", help="build a product chart")

@@ -32,7 +32,6 @@ class HolonomyReport:
     bracket_closure_enlarges: bool
     nullity: int
     warnings: list
-    tol: float
 
     @property
     def stable(self):
@@ -81,7 +80,7 @@ def infinitesimal_holonomy(spec, point=None, m_max=10, tol=1e-8, frames=None):
                           candidates=candidates @ frame.e.T,
                           bracket_closure_enlarges=_bracket_check(generators, span, tol,
                                                                   so_rows),
-                          nullity=n - killed.rank, warnings=warnings, tol=tol)
+                          nullity=n - killed.rank, warnings=warnings)
 
 
 def endomorphism_rows(frame, m):

@@ -256,9 +256,12 @@ class JetTape:
     b)``, ``("neg", a)``, ``("mul", a, b)`` (every product: by a constant
     jet too, and each squaring and product of a power) and ``(tag, a)`` for
     the elementary functions ``reciprocal``, ``sqrt``, ``exp``, ``sin``,
-    ``cos``, ``sinh`` and ``cosh``.  ``outputs`` are the ops whose jets
-    ``evaluate`` returns, and ``owners[op]`` is the first output that reads
-    the op.
+    ``cos``, ``sinh`` and ``cosh``.  An op on constants alone evaluates to
+    a constant jet, with no point axis, whose only nonzero coefficient is
+    its constant term; ``evaluate`` takes a product with one by scaling the
+    other operand, every bit of the Cauchy product on finite jets.
+    ``outputs`` are the ops whose jets ``evaluate`` returns, and
+    ``owners[op]`` is the first output that reads the op.
     """
 
     __slots__ = ("ops", "outputs", "owners")
@@ -304,7 +307,13 @@ class JetTape:
                 elif kind == "neg":
                     v = -vals[op[1]]
                 elif kind == "mul":
-                    v = _cauchy(vals[op[1]], vals[op[2]], tab)
+                    x, y = vals[op[1]], vals[op[2]]
+                    if y.ndim == 1:   # a constant jet: its constant term scales
+                        v = x * y[0]
+                    elif x.ndim == 1:
+                        v = y * x[0]
+                    else:
+                        v = _cauchy(x, y, tab)
                 else:
                     x = vals[op[1]]
                     c, bad = _series_coefficients(kind, x[..., 0], order)

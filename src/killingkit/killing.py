@@ -135,13 +135,12 @@ class FieldSamples:
 
 
 def sample_field(spec, fld, points):
-    """``FieldSamples`` of a field (``fld``: its component expressions or, to
-    sample one field several times from one compiled tape, its
-    ``field_jets``) from one batched evaluation of the chart and one of the
-    field at ``points``.  Only if that raises, each point is evaluated alone,
-    the chart first, to find the bad ones, and the good ones once more in
-    one batch, whose failure is raised."""
-    jets_at = fld if callable(fld) else field_jets(spec, fld)
+    """``FieldSamples`` of a field (``fld``: its component expressions) from
+    one batched evaluation of the chart and one of the field at ``points``.
+    Only if that raises, each point is evaluated alone, the chart first, to
+    find the bad ones, and the good ones once more in one batch, whose
+    failure is raised."""
+    jets_at = field_jets(spec, fld)
     points = np.asarray(points, dtype=np.float64).reshape(-1, spec.dim)
 
     def samples(batch, errors):
@@ -494,16 +493,12 @@ def kernel_germs(spec, point=None, m_max=10, tol=1e-8):
 
 # -- transport --------------------------------------------------------------------
 
-# Steps per block of RK4 products: bounds the (2 k + 1, (n + n^2)^2)
-# generators and K arrays of a block of k steps, whatever the number of
-# steps.  The frame budget (``curvature._FRAME_BUDGET``) is the 2 * 16 + 1
-# stage points of one block at n = 8, and holds the 17 nodes of a segment.
-_BLOCK_STEPS = 16
-
-# A segment takes its frames at N + 1 Chebyshev points of the second kind,
-# N = _CHEBYSHEV_N, unless the last two Chebyshev coefficients of an input of
-# its generators there exceed _CHEBYSHEV_TAIL times that input's largest
-# entry (see ``killing_transport``).
+# A piece of a segment takes its frames at N + 1 Chebyshev points of the
+# second kind, N = _CHEBYSHEV_N.  It is resolved when the last two Chebyshev
+# coefficients of each input of its generators there are at most
+# _CHEBYSHEV_TAIL times that input's largest entry, and its collocation
+# stops once a step changes the state by at most _CHEBYSHEV_TAIL times the
+# state's largest entry (see ``killing_transport``).
 _CHEBYSHEV_N = 16
 _CHEBYSHEV_TAIL = 1e-13
 
@@ -526,9 +521,9 @@ def _transport_generators(gus, rus, u):
     return m
 
 
-def _stage_times(steps, i):
-    """The parameters t in [0, 1] of the stage points ``i`` (an index array)
-    of a segment of ``steps`` RK4 steps: 0, then the midpoint and the end of
+def _grid_times(steps, i):
+    """The parameters t in [0, 1] of the grid points ``i`` (an index array)
+    of a segment of ``steps`` steps: 0, then the midpoint and the end of
     each step, the last 1 exactly."""
     h = 1.0 / steps
     s = (i - 1) // 2 * h   # step k starts at s = k h
@@ -547,39 +542,29 @@ def _segment_points(path, seg, t):
 @lru_cache(maxsize=None)
 def _chebyshev_nodes(count):
     """The ``count`` + 1 Chebyshev points of the second kind on [0, 1],
-    t_j = sin^2(j pi / (2 count)) for j = 0..count, 0 and 1 exactly; and the
+    t_j = sin^2(j pi / (2 count)) for j = 0..count, 0 and 1 exactly; the
     (2, count + 1) matrix that takes values there to the last two
     coefficients, c_(count - 1) and c_count, of their interpolant in
-    Chebyshev polynomials (Trefethen, ATAP, ch. 3); read-only."""
+    Chebyshev polynomials T_k(1 - 2 t) (Trefethen, ATAP, ch. 3); and the
+    (count + 1, count + 1) matrix that takes them to the integral of the
+    interpolant from 0 to each point, in closed form: with theta = j pi /
+    count, the integral of T_k(1 - 2 t) from 0 to t_j is half that of
+    cos(k phi) sin(phi) from 0 to theta, (f(k + 1) - f(k - 1)) / 4 with
+    f(m) = (1 - cos(m theta)) / m.  Its first row is 0.  All read-only."""
     j = np.arange(count + 1)
     t = np.sin(j * np.pi / (2 * count)) ** 2
-    tail = (np.where((j == 0) | (j == count), 1.0, 2.0) / count
-            * np.cos(np.outer([count - 1, count], j) * np.pi / count))
-    tail[1] /= 2
-    for arr in (t, tail):
+    coeffs = (np.where((j == 0) | (j == count), 1.0, 2.0) / count
+              * np.cos(np.outer(j, j) * np.pi / count))
+    coeffs[[0, count]] /= 2
+    theta = j[:, None] * np.pi / count
+
+    def f(m):   # (1 - cos(m theta)) / m, 0 at m = 0
+        return theta * np.sin(m * theta / 2) * np.sinc(m * theta / (2 * np.pi))
+    integral = (f(j + 1) - f(j - 1)) / 4 @ coeffs
+    tail = coeffs[count - 1:]
+    for arr in (t, tail, integral):
         arr.flags.writeable = False
-    return t, tail
-
-
-@lru_cache(maxsize=128)
-def _interpolation(count, steps, first):
-    """The matrix that takes values at the ``_chebyshev_nodes(count)`` of a
-    segment of ``steps`` RK4 steps to the 2 k + 1 stage points of its block
-    of k = min(_BLOCK_STEPS, steps - first) steps from step ``first`` by the
-    barycentric formula (Berrut and Trefethen 2004): row i holds the
-    Lagrange basis at stage point 2 first + i, a unit row where that is a
-    node; read-only."""
-    t, _ = _chebyshev_nodes(count)
-    weights = (-1.0) ** np.arange(count + 1)
-    weights[[0, -1]] /= 2
-    last = min(first + _BLOCK_STEPS, steps)
-    gap = _stage_times(steps, np.arange(2 * first, 2 * last + 1))[:, None] - t
-    on_node = gap == 0
-    with np.errstate(divide="ignore"):
-        terms = np.where(on_node.any(axis=1, keepdims=True), on_node, weights / gap)
-    mat = terms / terms.sum(axis=1, keepdims=True)
-    mat.flags.writeable = False
-    return mat
+    return t, tail, integral
 
 
 @dataclass(frozen=True)
@@ -597,53 +582,42 @@ class Transport:
 def killing_transport(spec, germ, path, steps_per_segment=1000):
     """Parallel transport of a germ along a polyline for the bundle connection.
 
-    Classical fixed-step 4th-order integration of D along each segment.  D is
-    linear in the state s = (xi, vec A), ds/dt = M(t) s, so one step of size
-    h is a matrix, the step propagator
+    D is linear in the state s = (xi, vec A): ds/dt = M(t) s along a
+    segment, with M built from Gamma(u) and R(., ., u, .), u its velocity.
+    These are analytic in t wherever the chart is, so each piece of a
+    segment (at first the whole segment) takes them at its N + 1 = 17
+    Chebyshev nodes (``_chebyshev_nodes``; the first and last are the
+    piece's ends exactly) and is integrated by collocation there
+    (Trefethen, ATAP, ch. 19): the states S at the nodes solve
+    S = s(0) + Q (M S), Q the Chebyshev integration matrix, by fixed-point
+    iteration from S = s(0) until a step changes S by at most
+    ``_CHEBYSHEV_TAIL`` of its largest entry (Battles and Trefethen 2004).
+    The state at the last node goes on to the next piece.
 
-        P = I + h/6 (K1 + 2 K2 + 2 K3 + K4),   K1 = M(t),
-        K2 = M(t + h/2) (I + h/2 K1),   K3 = M(t + h/2) (I + h/2 K2),
-        K4 = M(t + h) (I + h K3),
+    A piece is taken when its iteration settles and the last two Chebyshev
+    coefficients of both inputs are at most ``_CHEBYSHEV_TAIL`` of each
+    one's largest entry.  Otherwise it is halved, and its halves' nodes
+    come in one call.  A half that settles is taken whatever its tail when
+    the tail stopped shrinking (near a coordinate axis it stalls at
+    rounding, about 1e-12) or the half is one grid step long; one that does
+    not settle is halved again.  ``steps_per_segment`` sets that grid: the
+    2 steps + 1 points of each segment at its start, then the midpoint and
+    the end of each of ``steps`` equal steps.
 
-    and the state is multiplied by the propagators in step order.  M is
-    built from Gamma(u) and R(., ., u, .) at the stage points of a segment:
-    its start, then the midpoint and the end of each step, the last its end
-    node exactly.  The steps of a segment come in blocks of whole steps:
-    the 2 k + 1 stage points of a block of k steps run from its start to its
-    end, where the next block starts, and their generators give P of each
-    of its k steps by batched products.  Nothing is carried from one block
-    to the next but the state.  The products round differently from
-    stepping xi and A through the right-hand side of D stage by stage, so
-    end germs differ from that form in the last bits.
-
-    A block's inputs come from one of two sources.  Along a segment Gamma(u)
-    and R(., ., u, .) are analytic in t wherever the chart is, so a segment
-    of more than 8 steps takes them at its N + 1 = 17 Chebyshev nodes
-    (``_chebyshev_nodes``; the first and last are its path nodes exactly)
-    and interpolates them to the stage points of each of its blocks of
-    ``_BLOCK_STEPS`` steps (``_interpolation``, rows built for that block
-    alone).  The chart is still checked at every stage point, by one order-0
-    metric evaluation with its nondegeneracy check, in chunks of at most
+    The chart is checked at every grid point, by one order-0 metric
+    evaluation with its nondegeneracy check, in chunks of at most
     ``budget_points`` points at depth 0 across the segments whose nodes
-    share calls.  A segment takes the frames of each block at the block's
-    own stage points instead, as a segment of at most 8 steps (at most 17
-    stage points) always does, when a node or a stage point fails there, or
-    when the last two Chebyshev coefficients of either input exceed
-    ``_CHEBYSHEV_TAIL`` times its largest entry: it is not resolved to
-    rounding, as near a coordinate axis.  Such a block has at most
-    min(``_BLOCK_STEPS``, (P - 1) // 2) steps, at least one, for P the
-    points of one call.
-
-    Frames of nodes and of stage blocks come from ``point_frame`` calls of
-    at most P = ``budget_points(n, 0)`` points: as many whole sets as fit
-    (the nodes of consecutive segments, 31 segments a call at n = 4 and one
-    at n = 8; the stage blocks of the segments that take them together),
-    and a set larger than P in calls of its own.  The calls come in path
-    order, each once the curvature of the one before is released, so a
-    point where the chart fails raises what evaluating the points one by
-    one would raise first.  Memory holds one call's frames, one block's M
-    ((n + n^2)^2 floats a stage point) and the cached interpolation rows of
-    at most 128 blocks, whatever the number of steps.
+    share calls: as many whole segments as one call holds (31 at n = 4,
+    one at n = 8), or one segment in calls of its own where it holds fewer
+    than 17.  Where those segments' check or nodes raise, each is tried
+    alone, and the grid points of one that still raises are walked through
+    ``point_frame`` in path order, which raises the first failure a point
+    by point evaluation meets; with none there, the segment is halved as
+    above, each half tried alone if their call raises.  A half of one grid
+    step whose nodes raise raises that error; one that does not settle
+    where it no longer halves raises a SpecError.  Memory holds one call's
+    frames and one piece's M ((n + n^2)^2 floats a node), whatever the
+    number of steps.
 
     Returns a ``Transport``.  The metric at the end is the last frame's,
     at ``path[-1]`` itself.  ``germ`` is a ``KillingGerm``, or a field's
@@ -651,7 +625,7 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     frames, as ``sample_field`` would give them: the start germ from
     ``path[0]`` and the end germ from ``path[-1]``.  The first failure
     raised is the first of: the chart at ``path[0]``, the field there, the
-    chart at a stage point in path order (the last is ``path[-1]``), the
+    chart at a grid point in path order (the last is ``path[-1]``), the
     field at ``path[-1]``.
     """
     if steps_per_segment < 1:
@@ -672,8 +646,7 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     per_segment = 2 * steps + 1
     segments = len(path) - 1
     velocity = path[1:] - path[:-1]
-    h = 1.0 / steps
-    stage_steps = max(1, min(_BLOCK_STEPS, (per_call - 1) // 2))   # steps a stage block
+    t, tail, integral = _chebyshev_nodes(_CHEBYSHEV_N)
 
     def frames(sets):
         """g, Gamma, Gamma(u), R(., ., u, .) and u for each (points, u) of
@@ -698,81 +671,89 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
                        np.einsum("Pijcd,c->Pijd", rs[at], u), u)
                 lo = at.stop
 
-    def stage_blocks(run):
-        """The frames of the segments of ``run`` at the stage points of each
-        of their blocks."""
-        return frames((_segment_points(path, seg, _stage_times(steps, np.arange(
-            2 * first, 2 * min(first + stage_steps, steps) + 1))), velocity[seg])
-            for seg in run for first in range(0, steps, stage_steps))
-
-    def node_inputs(run):
-        """For each segment of ``run``: its frames at its nodes, or None
-        where the inputs' tail is not at rounding level.  Raises the
-        ValueError of a stage point's metric or of a node."""
-        stop = (run[-1] + 1) * per_segment
-        for lo in range(run[0] * per_segment, stop, per_call):
+    def grid(segs):
+        """The grid points of the segments ``segs`` (a range) in path order,
+        in chunks of at most ``per_call``."""
+        stop = segs.stop * per_segment
+        for lo in range(segs.start * per_segment, stop, per_call):
             seg, i = np.divmod(np.arange(lo, min(lo + per_call, stop)), per_segment)
-            points = _segment_points(path, seg, _stage_times(steps, i))
-            metricdsl.metric_jet_tensor(spec, points, 0)
-        t, tail = _chebyshev_nodes(_CHEBYSHEV_N)
-        fed = []
-        for inputs in frames((_segment_points(path, seg, t), velocity[seg]) for seg in run):
-            resolved = all(np.abs(tail @ q.reshape(len(t), -1)).max()
-                           <= _CHEBYSHEV_TAIL * np.abs(q).max() for q in inputs[2:4])
-            fed.append(inputs if resolved else None)
-        return fed
+            yield _segment_points(path, seg, _grid_times(steps, i))
 
-    def node_runs(run):
-        """``node_inputs(run)``, each segment alone where the run raises, and
-        None for a segment that raises alone."""
+    def node_frames(pieces):
+        """The frames at the nodes of each (segment, a, b) of ``pieces``,
+        its parameters from a to b, in shared calls after the grid check of
+        the whole segments among them; where they raise, each piece alone,
+        and the error of a piece that raises alone and passes the walk."""
+        whole = (range(pieces[0][0], pieces[-1][0] + 1) if pieces[0][1:] == (0.0, 1.0)
+                 else range(0))   # a run of segments, or the halves of a piece
         try:
-            return node_inputs(run)
-        except ValueError:
-            if len(run) == 1:
-                return [None]
-            return [node_runs(range(seg, seg + 1))[0] for seg in run]
+            for points in grid(whole):
+                metricdsl.metric_jet_tensor(spec, points, 0)
+            return list(frames((_segment_points(path, seg, a + (b - a) * t),
+                                (b - a) * velocity[seg]) for seg, a, b in pieces))
+        except ValueError as exc:
+            if len(pieces) > 1:
+                return [node_frames([piece])[0] for piece in pieces]
+            for points in grid(whole):
+                point_frame(spec, points)
+            return [exc]
 
-    def node_blocks(g, gammas, gus, rus, u):
-        """The blocks of a segment from its frames at its nodes."""
-        gus, rus = gus.reshape(len(gus), -1), rus.reshape(len(rus), -1)
-        for first in range(0, steps, _BLOCK_STEPS):
-            rows = _interpolation(_CHEBYSHEV_N, steps, first)
-            yield (g, gammas, (rows @ gus).reshape(-1, n, n),
-                   (rows @ rus).reshape(-1, n, n, n), u)
+    def begin(gamma):
+        """The state at ``path[0]``: the germ's, or the field's there, where
+        the connection is ``gamma``."""
+        nonlocal germ
+        if jets_at is not None:
+            germ = _field_germ(start_jets, gamma)
+        return np.concatenate([np.ravel(germ.xi), np.ravel(germ.a)]).astype(np.float64)
 
-    def blocks():
-        """Each block of the path in order: g and Gamma of the frames it
-        comes from (its segment's nodes or its own stage points, either way
-        from where it starts to where it ends), the generator inputs at its
-        stage points, and u."""
-        if per_segment <= _CHEBYSHEV_N + 1:
-            yield from stage_blocks(range(segments))
-            return
-        group = max(1, per_call // (_CHEBYSHEV_N + 1))   # segments whose nodes share calls
-        for lo in range(0, segments, group):
-            run = range(lo, min(lo + group, segments))
-            for seg, inputs in zip(run, node_runs(run)):
-                yield from stage_blocks([seg]) if inputs is None else node_blocks(*inputs)
+    def collocate(state, ms):
+        """The state at the end of a piece from its generators at its nodes,
+        and whether the iteration settled before its steps stopped
+        shrinking."""
+        states, change = np.broadcast_to(state, (len(t), len(state))), np.inf
+        while True:
+            new = state + integral @ (ms @ states[:, :, None])[:, :, 0]
+            step = np.abs(new - states).max()
+            states = new
+            settled = step <= _CHEBYSHEV_TAIL * np.abs(states).max()
+            if settled or not step < change:
+                return states[-1], settled
+            change = step
 
-    def advance(state, gus, rus, u):
-        """``state`` multiplied by P of each step of a block, from the
-        generator inputs at its stage points."""
-        ms = _transport_generators(gus, rus, u)
-        k1, mids, ends = ms[:-1:2], ms[1::2], ms[2::2]
-        k2 = mids + h / 2 * (mids @ k1)
-        k3 = mids + h / 2 * (mids @ k2)
-        k4 = ends + h * (ends @ k3)
-        for step in np.eye(len(state)) + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4):
-            state = step @ state
-        return state
+    def advance(state, seg, a, b, inputs, above):
+        """The state carried over the parameters a to b of segment ``seg``
+        from the frames at their nodes (or their error), given the tail and
+        the largest generator entry of the piece they halve; and the frames
+        of the last piece taken."""
+        size = reach = np.inf
+        if not isinstance(inputs, ValueError):
+            state = begin(inputs[1][0]) if state is None else state
+            size = max(np.abs(tail @ x.reshape(len(t), -1)).max() / (np.abs(x).max() or 1.0)
+                       for x in inputs[2:4])
+            ms = _transport_generators(*inputs[2:])
+            reach = np.abs(ms).max()
+            end, settled = collocate(state, ms)
+            if settled and (size <= _CHEBYSHEV_TAIL or size >= above[0]
+                            or 2 * steps * (b - a) <= 1):
+                return end, inputs
+            if not settled and reach >= above[1]:
+                ends = [tuple(map(float, x)) for x in _segment_points(path, seg, np.array([a, b]))]
+                raise metricdsl.SpecError(f"transport on {spec.name!r} does not settle between "
+                                          f"{ends[0]} and {ends[1]}")
+        elif 2 * steps * (b - a) <= 1:
+            raise inputs
+        mid = (a + b) / 2
+        halves = [(seg, a, mid), (seg, mid, b)]
+        for half, frame in zip(halves, node_frames(halves)):
+            state, inputs = advance(state, *half, frame, (size, reach))
+        return state, inputs
 
     state = None
-    for g, gammas, gus, rus, u in blocks():
-        if state is None:
-            if jets_at is not None:
-                germ = _field_germ(start_jets, gammas[0])
-            state = np.concatenate([np.ravel(germ.xi), np.ravel(germ.a)]).astype(np.float64)
-        state = advance(state, gus, rus, u)
+    group = max(1, per_call // (_CHEBYSHEV_N + 1))   # segments whose nodes share calls
+    for lo in range(0, segments, group):
+        run = [(seg, 0.0, 1.0) for seg in range(lo, min(lo + group, segments))]
+        for piece, inputs in zip(run, node_frames(run)):
+            state, last = advance(state, *piece, inputs, (np.inf, np.inf))
     moved = KillingGerm(xi=state[:n].copy(), a=state[n:].reshape(n, n).copy())
-    field_end = None if jets_at is None else _field_germ(jets_at(path[-1], 1), gammas[-1])
-    return Transport(start=germ, end=moved, g_end=g[-1], field_end=field_end)
+    field_end = None if jets_at is None else _field_germ(jets_at(path[-1], 1), last[1][-1])
+    return Transport(start=germ, end=moved, g_end=last[0][-1], field_end=field_end)

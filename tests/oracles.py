@@ -54,8 +54,8 @@ from functools import reduce
 
 import numpy as np
 
-from killingkit.curvature import (CurvatureData, OrderExhaustedError, _points, christoffel,
-                                  covariant_derivative, point_frame, unpack)
+from killingkit.curvature import (CurvatureData, OrderExhaustedError, _points, budget_points,
+                                  christoffel, covariant_derivative, point_frame, unpack)
 from killingkit.jets import (JetDomainError, JetTensor, _cauchy, _compose, _elementary_error,
                              _mul_table, _series_coefficients, jet_space,
                              tensor_deriv, tensor_product)
@@ -595,12 +595,13 @@ def chebyshev_nodes(path, count=16):
 
 
 def transport_by_steps(spec, germ, path, steps_per_segment=1000):
-    """Killing transport as it was integrated before the step propagators of
-    ``killing.killing_transport``: classical RK4 on the right-hand side of D,
-    with xi and A stepped through each stage separately.  The frames of each
-    segment come from one ``point_frame`` call over all its stage points,
-    whatever the production batching, so the two differ only in the order
-    of the floating-point operations."""
+    """Killing transport by classical RK4 on the right-hand side of D, with
+    xi and A stepped through each stage separately: the reference that
+    ``killing.killing_transport`` is compared with.  The frames of each
+    segment come from ``point_frame`` calls over its stage points in order,
+    as many as ``budget_points`` allows a call, whatever the production
+    batching, so the memory of a step count in the thousands stays bounded
+    on an 8-dimensional chart."""
     if steps_per_segment < 1:
         raise ValueError("steps_per_segment must be >= 1")
     path = [np.asarray(p, dtype=np.float64) for p in path]
@@ -609,22 +610,25 @@ def transport_by_steps(spec, germ, path, steps_per_segment=1000):
     xi = np.array(germ.xi, dtype=np.float64)
     a = np.array(germ.a, dtype=np.float64)
 
-    def rhs(gu, r, state, u):
+    def rhs(gu, ru, state, u):
         s_xi, s_a = state
         d_xi = -gu @ s_xi - s_a @ u
-        d_a = -gu @ s_a + s_a @ gu - np.einsum("ijcd,c,d->ij", r, u, s_xi)
+        d_a = -gu @ s_a + s_a @ gu - ru @ s_xi
         return d_xi, d_a
 
     h = 1.0 / steps_per_segment
     for seg in range(len(path) - 1):
         u = path[seg + 1] - path[seg]
-        _, _, gammas, rs = point_frame(spec, stage_points(path[seg:seg + 2],
-                                                          steps_per_segment))
-        gus = np.einsum("Piab,a->Pib", gammas, u)
-        frame0 = gus[0], rs[0]
+        points = stage_points(path[seg:seg + 2], steps_per_segment)
+        per_call = budget_points(len(u), 0)
+        gus, rus = map(np.concatenate, zip(*(
+            frame_inputs(gammas, rs, u) for _, _, gammas, rs in (
+                point_frame(spec, points[lo:lo + per_call])
+                for lo in range(0, len(points), per_call)))))
+        frame0 = gus[0], rus[0]
         for k in range(steps_per_segment):
-            mid = gus[2 * k + 1], rs[2 * k + 1]
-            frame1 = gus[2 * k + 2], rs[2 * k + 2]
+            mid = gus[2 * k + 1], rus[2 * k + 1]
+            frame1 = gus[2 * k + 2], rus[2 * k + 2]
             k1 = rhs(*frame0, (xi, a), u)
             k2 = rhs(*mid, (xi + h / 2 * k1[0], a + h / 2 * k1[1]), u)
             k3 = rhs(*mid, (xi + h / 2 * k2[0], a + h / 2 * k2[1]), u)

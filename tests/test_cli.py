@@ -744,6 +744,20 @@ def test_transport_checks_the_chart_between_nodes(capsys, tmp_path):
                    "constant term\n")
 
 
+# sin(1 / (x - c)) oscillates without bound near c = 0.1234567, between the
+# grid points of the path: no piece about c settles, and halving does not
+# shrink its generators, so transport refuses the chart there.
+def test_transport_refuses_a_piece_that_does_not_settle(capsys, tmp_path):
+    chart = chart_file(tmp_path, "osc", "[[2 + sin(1 / (x - 0.1234567)), 0], [0, 1]]",
+                       "0.5, 0")
+    for steps in ("10", "1000"):
+        code, out, err = invoke(capsys, "transport", "--file", chart, "--germ", "1,0|0,0;0,0",
+                                "--path", "0.1,0;0.2,0", "--steps", steps)
+        assert (code, out) == (2, "")
+        assert err == ("error: transport on 'osc' does not settle between (0.1, 0.0) and "
+                       "(0.125, 0.0)\n")
+
+
 # Flat charts whose unit-frame scale kappa^(m + 2) leaves the float range
 # while every covR entry is finite: the overflow chart at x = 1e-100, where
 # max |Gamma| = 5e99 and kappa^4 overflows, and 1 + 1e-200 x, where kappa^2

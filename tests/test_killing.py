@@ -1,4 +1,7 @@
+import functools
 import itertools
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -663,16 +666,30 @@ PROPAGATOR_CASES = (
     + [("cw2xcw2", steps) for steps in [1, 16, 17, 40]])
 
 
-@pytest.mark.parametrize("chart,steps", PROPAGATOR_CASES,
-                         ids=[f"{chart}-{steps}" for chart, steps in PROPAGATOR_CASES])
-def test_transport_propagators_match_stepping_by_stages(chart, steps):
+# The RK4 oracle at 4000 steps is converged on these paths: at 8000 steps
+# it moves by about 1e-14 of the germ's largest entry.
+CONVERGED_STEPS = 4000
+
+
+@functools.lru_cache(maxsize=None)
+def converged_transport(chart):
+    """A random germ of the chart's path (seed 5) and its transport by the
+    RK4 oracle at CONVERGED_STEPS steps, computed once a chart."""
     make, path = {**TRANSPORT_PATHS, **MORE_PATHS}[chart]
     spec = make()
     rng = np.random.default_rng(5)
-    n = spec.dim
-    germ = KillingGerm(xi=rng.normal(size=n), a=rng.normal(size=(n, n)))
-    out = killing_transport(spec, germ, path, steps).end
-    ref = transport_by_steps(spec, germ, path, steps)
+    germ = KillingGerm(xi=rng.normal(size=spec.dim), a=rng.normal(size=(spec.dim, spec.dim)))
+    return germ, transport_by_steps(spec, germ, path, CONVERGED_STEPS)
+
+
+@pytest.mark.parametrize("chart,steps", PROPAGATOR_CASES,
+                         ids=[f"{chart}-{steps}" for chart, steps in PROPAGATOR_CASES])
+def test_transport_propagators_match_stepping_by_stages(chart, steps):
+    # collocation resolves each segment at every step count: the end germ is
+    # the converged RK4 one, where RK4 at 1 step was off by up to 9e-5
+    make, path = {**TRANSPORT_PATHS, **MORE_PATHS}[chart]
+    germ, ref = converged_transport(chart)
+    out = killing_transport(make(), germ, path, steps).end
     scale = max(np.abs(ref.xi).max(), np.abs(ref.a).max())
     assert np.abs(out.xi - ref.xi).max() <= 1e-12 * scale
     assert np.abs(out.a - ref.a).max() <= 1e-12 * scale
@@ -692,48 +709,32 @@ def test_one_batched_frame_call_equals_point_by_point(chart, steps):
             assert np.abs(many[k] - one).max() <= 1e-14 * np.abs(one).max()
 
 
-# (steps): up to 8 steps a segment has at most 17 stage points, as many as
-# its nodes, and takes its frames there, one block a segment, every segment
-# in the same call, the last stage point the path's end; from 9 steps it
-# takes its nodes
+# (steps): whatever the step count, each segment takes its frames at its 17
+# nodes, both segments in one call, the path's end last; the step count sets
+# only the grid where the chart is checked
 @pytest.mark.parametrize("steps", [1, 8, 9])
-def test_transport_takes_stage_frames_up_to_8_steps(monkeypatch, steps):
+def test_transport_takes_node_frames_at_every_step_count(monkeypatch, steps):
     make, path = TRANSPORT_PATHS["sphere2"]
     spec = make()
     batches = spy_on_frames(monkeypatch)
     checks = spy_on_stage_checks(monkeypatch)
     killing_transport(spec, KillingGerm(xi=np.ones(2), a=np.zeros((2, 2))), path, steps)
-    assert len(batches) == 1
-    if steps <= 8:
-        assert np.array_equal(batches[0], stage_points(path, steps))
-        assert np.array_equal(batches[0][-1], path[-1])
-        assert checks == []
-    else:
-        assert np.array_equal(batches[0], chebyshev_nodes(path))
-        assert np.array_equal(np.concatenate(checks), stage_points(path, steps))
+    assert len(batches) == 1 and np.array_equal(batches[0], chebyshev_nodes(path))
+    assert np.array_equal(batches[0][-1], path[-1])
+    assert np.array_equal(np.concatenate(checks), stage_points(path, steps))
 
 
-def block_stage_points(path, steps, k):
-    """The stage points of each block of k steps of each segment in path
-    order, a block's end point again at the start of the next block."""
-    blocks = []
-    for seg in range(len(path) - 1):
-        points = stage_points(path[seg:seg + 2], steps)
-        blocks += [points[2 * first:2 * min(first + k, steps) + 1]
-                   for first in range(0, steps, k)]
-    return np.concatenate(blocks)
-
-
-# (chart, block, calls): a segment that takes stage frames comes in blocks
-# of at most (budget - 1) // 2 steps, at least one: 6 steps at n = 10 (a call
-# takes 13 points), so 8 steps are blocks of 6 and 2, each in a call of its
-# own; 1 step at n = 16 (a call takes 2 points), whose 3 points take 2 calls
-@pytest.mark.parametrize("chart,block,calls", [
+# (chart, calls, reference steps): above n = 8 a call holds fewer points
+# than a segment's 17 nodes, which come in calls of their own: 13 and 4 at
+# n = 10 (a call takes 13 points), 2 at a time at n = 16 (a call takes 2),
+# the last alone.  The RK4 oracle is converged at 400 steps on the short cw8
+# path, and exact at any step count on the flat chart (M is constant, M^2 = 0).
+@pytest.mark.parametrize("chart,calls,reference_steps", [
     (lambda: builtin("cahen_wallach", n=8, q=[1.0, -1.0, 0.5, 2.0, -0.5, 1.5, -2.0, 0.3]),
-     6, [13, 5] * 2),
-    (lambda: builtin("euclidean", n=16), 1, [2, 1] * 16),
+     [13, 4] * 2, 400),
+    (lambda: builtin("euclidean", n=16), ([2] * 8 + [1]) * 2, 8),
 ], ids=["cw8", "euclidean16"])
-def test_stage_blocks_fit_the_budget_above_n_8(monkeypatch, chart, block, calls):
+def test_node_frames_fit_the_budget_above_n_8(monkeypatch, chart, calls, reference_steps):
     spec = chart()
     n = spec.dim
     rng = np.random.default_rng(1)
@@ -742,8 +743,8 @@ def test_stage_blocks_fit_the_budget_above_n_8(monkeypatch, chart, block, calls)
     batches = spy_on_frames(monkeypatch)
     out = killing_transport(spec, germ, path, 8).end
     assert [len(b) for b in batches] == calls
-    assert np.array_equal(np.concatenate(batches), block_stage_points(path, 8, block))
-    ref = transport_by_steps(spec, germ, path, 8)
+    assert np.array_equal(np.concatenate(batches), chebyshev_nodes(path))
+    ref = transport_by_steps(spec, germ, path, reference_steps)
     scale = max(np.abs(ref.xi).max(), np.abs(ref.a).max())
     assert np.abs(out.xi - ref.xi).max() <= 1e-12 * scale
     assert np.abs(out.a - ref.a).max() <= 1e-12 * scale
@@ -772,28 +773,110 @@ def test_transport_memory_does_not_grow_with_the_step_count():
 # segment, and its Chebyshev coefficients decay too slowly for 17 nodes on
 # both segments.
 NEAR_AXIS = [[0.01, 0.0], [0.3, 0.2], [0.6, 0.5]]
+NEAR_AXIS_GERM = KillingGerm(xi=np.array([0.0, 1.0]), a=np.array([[0.0, 0.3], [-0.3, 0.0]]))
 
 
 @pytest.mark.parametrize("mode", ["germ", "field"])
-def test_a_segment_whose_tail_does_not_decay_takes_its_stage_frames(monkeypatch, mode):
-    # after the nodes, each segment takes its frames at the stage points of
-    # its blocks of 16 and 14 steps, 33 + 29 points in one call, the block
-    # boundary twice, and every germ is bit for bit the one that stage frames
-    # alone give (every segment taking them, as at <= 8 steps)
+def test_a_segment_whose_tail_does_not_decay_is_halved(monkeypatch, mode):
+    # after the nodes of both segments, each call holds the nodes of the two
+    # halves of one piece, in path order, the halves meeting at the piece's
+    # midpoint; the field's germs are those of transporting its start germ
     spec = builtin("sphere2")
-    germ = (KillingGerm(xi=np.array([0.0, 1.0]), a=np.array([[0.0, 0.3], [-0.3, 0.0]]))
-            if mode == "germ" else field_jets(spec, ["1", "theta"]))
+    germ = NEAR_AXIS_GERM if mode == "germ" else field_jets(spec, ["1", "theta"])
     batches = spy_on_frames(monkeypatch)
     moved = killing_transport(spec, germ, NEAR_AXIS, 30)
     assert np.array_equal(batches[0], chebyshev_nodes(NEAR_AXIS))
-    assert [len(b) for b in batches[1:]] == [62, 62]
-    assert np.array_equal(np.concatenate(batches[1:]), block_stage_points(NEAR_AXIS, 30, 16))
-    monkeypatch.setattr(killing, "_CHEBYSHEV_N", 10 ** 6)
-    want = killing_transport(spec, germ, NEAR_AXIS, 30)
-    for got, ref in [(moved.start, want.start), (moved.end, want.end)] + (
-            [] if mode == "germ" else [(moved.field_end, want.field_end)]):
-        assert np.array_equal(got.xi, ref.xi) and np.array_equal(got.a, ref.a)
-    assert np.array_equal(moved.g_end, want.g_end)
+    assert len(batches) > 2 and all(len(b) == 34 for b in batches[1:])
+    for batch in batches[1:]:
+        assert np.array_equal(batch[16], batch[17])
+        want = chebyshev_nodes([batch[0], batch[16], batch[-1]])
+        assert np.abs(batch - want).max() <= 1e-15
+    firsts = [batch[0, 0] for batch in batches[1:]]
+    assert firsts == sorted(firsts)   # theta grows along NEAR_AXIS
+    if mode == "field":
+        want = killing_transport(spec, moved.start, NEAR_AXIS, 30)
+        assert np.array_equal(moved.end.xi, want.end.xi)
+        assert np.array_equal(moved.end.a, want.end.a)
+        assert np.array_equal(moved.g_end, want.g_end)
+
+
+@pytest.mark.parametrize("steps", [30, 1000])
+def test_near_axis_transport_matches_the_converged_oracle(steps):
+    # the halved pieces resolve the pole's neighbourhood to rounding
+    spec = builtin("sphere2")
+    ref = transport_by_steps(spec, NEAR_AXIS_GERM, NEAR_AXIS, CONVERGED_STEPS)
+    out = killing_transport(spec, NEAR_AXIS_GERM, NEAR_AXIS, steps).end
+    scale = max(np.abs(ref.xi).max(), np.abs(ref.a).max())
+    assert np.abs(out.xi - ref.xi).max() <= 1e-12 * scale
+    assert np.abs(out.a - ref.a).max() <= 1e-12 * scale
+
+
+# A Killing field of each chart of TRANSPORT_PATHS that has one (random3
+# has none): a rotation of the sphere, the quadratic isometry field of the
+# half plane, a boost of the plane wave, a rotation of Schwarzschild and
+# the one field of the line.
+KILLING_FIELDS = {
+    "sphere2": ["-sin(phi)", "-cos(phi) * cos(theta) / sin(theta)"],
+    "hyperbolic2": ["x^2 - y^2", "2 * x * y"],
+    "cw2": known_killing_fields("cahen_wallach", n=2, q=[1.0, -1.0])[3],
+    "schwarzschild": ["0", "0", "sin(ph)", "cos(ph) * cos(th) / sin(th)"],
+    "expline": ["exp(-x / 2)"],
+}
+
+
+@pytest.mark.parametrize("steps", [1, 5, 30])
+@pytest.mark.parametrize("chart", sorted(KILLING_FIELDS))
+def test_a_killing_fields_transport_is_its_own_germ_at_every_step_count(chart, steps):
+    # RK4 at 1 step was off by up to 9e-5 of the germ here
+    make, path = TRANSPORT_PATHS[chart]
+    spec = make()
+    moved = killing_transport(spec, field_jets(spec, KILLING_FIELDS[chart]), path, steps)
+    ref = moved.field_end
+    scale = max(np.abs(ref.xi).max(), np.abs(ref.a).max())
+    assert np.abs(moved.end.xi - ref.xi).max() <= 1e-13 * scale
+    assert np.abs(moved.end.a - ref.a).max() <= 1e-13 * scale
+
+
+def removable_chart(*poles):
+    """The flat chart g = diag(f(x), 1), f = 2 + sum of sin(x - c) / (x - c)
+    over ``poles``: analytic, but its tape divides 0 by 0 at each c; and f."""
+    f = " + ".join(f"sin(x - {c!r}) / (x - {c!r})" for c in poles)
+    spec = parse_manifold(f"manifold rs {{\n  coordinates: x, y;\n  metric: [[2 + {f}, 0], "
+                          f"[0, 1]];\n  base_point: (0.5, 0);\n}}\n")
+    return spec, lambda x: 2 + sum(math.sin(x - c) / (x - c) if x != c else 1.0 for c in poles)
+
+
+# c = sin^2(pi / 32) is the second Chebyshev node of the segment from x = 0
+# to 1 and no grid point, and c / 2 is the second node of its first half.
+NODE = float(np.sin(np.pi / 32) ** 2)
+
+
+def test_a_segment_whose_node_alone_fails_is_halved(monkeypatch):
+    # the nodes fail, the walk over the grid points does not, so the segment
+    # is halved; the germ is parallel on the flat chart, xi^x sqrt(f) constant
+    spec, f = removable_chart(NODE)
+    batches = spy_on_frames(monkeypatch)
+    germ = KillingGerm(xi=np.array([1.0, 0.0]), a=np.zeros((2, 2)))
+    out = killing_transport(spec, germ, [[0.0, 0.0], [1.0, 0.0]], 10).end
+    assert [len(b) for b in batches] == [17, 21, 34]
+    assert np.array_equal(batches[1], stage_points([[0.0, 0.0], [1.0, 0.0]], 10))
+    assert abs(out.xi[0] - math.sqrt(f(0.0) / f(1.0))) <= 1e-14
+    assert np.abs(out.a).max() <= 1e-14 and out.xi[1] == 0
+    # a field's start germ takes Gamma at path[0] from the first piece taken
+    moved = killing_transport(spec, field_jets(spec, ["1", "0"]), [[0.0, 0.0], [1.0, 0.0]], 10)
+    start = field_germ(spec, ["1", "0"], [0.0, 0.0])
+    assert np.array_equal(moved.start.xi, start.xi) and np.array_equal(moved.start.a, start.a)
+
+
+def test_a_piece_of_one_grid_step_whose_node_fails_raises_it():
+    # at 1 step the half [0, 1/2] is one grid step long, and its node c / 2
+    # fails: that is raised; at 2 steps that half is halved again
+    spec, f = removable_chart(NODE, NODE / 2)
+    germ = KillingGerm(xi=np.array([1.0, 0.0]), a=np.zeros((2, 2)))
+    with pytest.raises(metricdsl.JetDomainError, match=re.escape(f"at ({NODE / 2}, 0.0)")):
+        killing_transport(spec, germ, [[0.0, 0.0], [1.0, 0.0]], 1)
+    out = killing_transport(spec, germ, [[0.0, 0.0], [1.0, 0.0]], 2).end
+    assert abs(out.xi[0] - math.sqrt(f(0.0) / f(1.0))) <= 1e-14
 
 
 # -- transport of a field's germ -----------------------------------------------------
@@ -873,16 +956,16 @@ def test_field_transport_raises_what_point_by_point_raised_first(case):
 def test_field_transport_evaluates_path_end_last_in_budget(monkeypatch, n, nodes, steps,
                                                            calls):
     spec = builtin("euclidean", n=n)
-    jets = field_jets(spec, ["-x2", "x1"] + ["0"] * (n - 2))
+    fld = ["-x2", "x1"] + ["0"] * (n - 2)
     path = [0.01 * k * np.arange(1, n + 1) for k in range(nodes)]
     batches = spy_on_frames(monkeypatch)
-    moved = killing_transport(spec, jets, path, steps)
+    moved = killing_transport(spec, field_jets(spec, fld), path, steps)
     assert len(batches) == calls
     assert all(len(b) * n ** 4 <= curvature._FRAME_BUDGET for b in batches)
     assert all(len(b) % 17 == 0 for b in batches)
     assert np.array_equal(np.concatenate(batches), chebyshev_nodes(path))
     assert np.array_equal(batches[-1][-1], path[-1])
-    end = field_germ(spec, jets, path[-1])
+    end = field_germ(spec, fld, path[-1])
     assert np.array_equal(moved.field_end.xi, end.xi)
     assert np.array_equal(moved.field_end.a, end.a)
 
@@ -892,11 +975,11 @@ def test_field_transport_germs_are_germ_of_field_and_its_transport(chart):
     make, path = TRANSPORT_PATHS[chart]
     spec = make()
     # any field will do: the germs need not be Killing
-    jets = field_jets(spec, [f"1 + {c} * {spec.coords[0]}" for c in spec.coords])
-    moved = killing_transport(spec, jets, path, 30)
-    start = field_germ(spec, jets, path[0])
+    fld = [f"1 + {c} * {spec.coords[0]}" for c in spec.coords]
+    moved = killing_transport(spec, field_jets(spec, fld), path, 30)
+    start = field_germ(spec, fld, path[0])
     want = [start, killing_transport(spec, start, path, 30).end,
-            field_germ(spec, jets, path[-1])]
+            field_germ(spec, fld, path[-1])]
     for got, ref in zip([moved.start, moved.end, moved.field_end], want):
         scale = max(np.abs(ref.xi).max(), np.abs(ref.a).max())
         assert np.abs(got.xi - ref.xi).max() <= 1e-14 * scale
@@ -929,18 +1012,13 @@ def test_germ_transport_evaluates_the_end_node_last_in_its_batch(monkeypatch, ch
     assert np.array_equal(moved.g_end, killing.point_frame(spec, path[-1])[0])
 
 
-# (chart, steps): blocks of 16 steps, 313 a segment at 5000 steps on
-# sphere2 (the last of 8 steps); on the cw2 x cw2 chart at 17 steps 2 a
-# segment, of 16 steps and of 1
 @pytest.mark.parametrize("chart,steps", [("sphere2", 5000), ("cw2xcw2", 17)])
 @pytest.mark.parametrize("mode", ["germ", "field"])
-def test_transport_generators_come_in_blocks_of_one_segment(monkeypatch, chart, steps, mode):
-    # every call of the RK4 generators takes the 2 k + 1 inputs of k <=
-    # _BLOCK_STEPS whole steps of one segment, from the start of its first
-    # step to the end of its last, where the next call starts (or the next
-    # segment, at its start), so together the calls take every step once, in
-    # path order; the inputs interpolated from the nodes are those of the
-    # frames at the stage points, to rounding
+def test_transport_generators_are_built_at_the_nodes_of_each_segment(monkeypatch, chart,
+                                                                      steps, mode):
+    # every call of the generators takes the inputs at the 17 nodes of one
+    # segment, none of which these paths halve, in path order: those of the
+    # frames at the nodes, to rounding, whatever the step count
     make, path = {**TRANSPORT_PATHS, **MORE_PATHS}[chart]
     spec = make()
     n = spec.dim
@@ -956,18 +1034,10 @@ def test_transport_generators_come_in_blocks_of_one_segment(monkeypatch, chart, 
         killing_transport(spec, KillingGerm(xi=np.ones(n), a=np.zeros((n, n))), path, steps)
     else:
         killing_transport(spec, field_jets(spec, ["1"] + ["0"] * (n - 1)), path, steps)
-    per_segment = 2 * steps + 1
-    _, _, gammas, rs = killing.point_frame(spec, stage_points(path, steps))
-    seg = first = 0
-    for gus, rus, u in calls:
-        k = (len(gus) - 1) // 2
-        assert len(gus) == 2 * k + 1 and 1 <= k <= killing._BLOCK_STEPS
-        assert first + k <= steps
+    assert len(calls) == len(path) - 1
+    _, _, gammas, rs = killing.point_frame(spec, chebyshev_nodes(path))
+    for seg, (gus, rus, u) in enumerate(calls):
         assert np.array_equal(u, np.subtract(path[seg + 1], path[seg]))
-        at = slice(seg * per_segment + 2 * first, seg * per_segment + 2 * (first + k) + 1)
+        at = slice(17 * seg, 17 * (seg + 1))
         for got, want in zip((gus, rus), frame_inputs(gammas[at], rs[at], u)):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
-        first += k
-        if first == steps:
-            seg, first = seg + 1, 0
-    assert (seg, first) == (len(path) - 1, 0)

@@ -11,7 +11,8 @@ from test_tower import CHARTS
 
 from killingkit.curvature import CurvatureData, point_frame
 from killingkit.jets import compile_tape, jet_space
-from killingkit.metricdsl import (Binary, Call, metric_jet_tensor, parse_expression,
+from killingkit.metricdsl import (Binary, Call, Const, PowInt, metric_jet_tensor,
+                                  parse_expression,
                                   parse_manifold)
 
 TRACE_CHARTS = sorted(set(CHARTS) - {"random3"})
@@ -60,6 +61,29 @@ def test_expression_tape_matches_tree_walk(n_vars):
         for order in range(6):
             space = jet_space(n_vars, order)
             assert_close(tape_jet(expr, space, p), tree_jet(expr, space, p))
+
+
+def test_a_constant_factor_gives_the_bits_of_the_cauchy_product():
+    # a product with a constant jet (an op without a point axis) scales the
+    # other operand by its constant term; on finite jets every bit is the
+    # truncated Cauchy product's, which the tree walk takes for each product
+    rng = np.random.default_rng(33)
+    for _ in range(30):
+        n_vars = int(rng.integers(2, 4))
+        e = random_expression(rng, n_vars, depth=3)
+        c = Const(float(rng.uniform(-2.0, 2.0)))
+        k = Binary("/", Const(1.0), Binary("+", Const(2.0),
+                                          Call("cos", Const(float(rng.uniform(-1.0, 1.0))))))
+        exprs = [Binary("*", c, e), Binary("*", e, k),
+                 Binary("*", Binary("*", c, k), Binary("-", e, PowInt(c, 3)))]
+        points = rng.uniform(-0.5, 0.5, size=(4, n_vars))
+        for order in range(5):
+            space = jet_space(n_vars, order)
+            coeffs, failure = compile_tape(exprs).evaluate(points, space)
+            assert failure is None
+            for p, jets in zip(points, coeffs):
+                for expr, jet in zip(exprs, jets):
+                    assert np.array_equal(jet, tree_jet(expr, space, p))
 
 
 def test_shared_subexpressions_compile_once_and_evaluate_on_a_batch():

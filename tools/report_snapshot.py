@@ -20,11 +20,12 @@ explicit germ on sphere2 along two segments at 30 steps and on the cw2 x cw2
 chart at 17 steps, and, at depth 3 above n = 4, ``curvature --order 3`` on
 cw3 (n = 5), ``product`` of the benchmark's cw2c and cw2d charts at
 ``--order 3`` (n = 8) and ``killing-dim --order 3`` on the cw2 x cw2 chart,
-and ``transport --germ`` near sphere2's axis, where each segment takes its
-frames at its stage points, on sphere2 at 5 steps along a segment whose end
-is not x0 + (x1 - x0), and ``transport`` of a Killing field near
-Schwarzschild's axis at 1000 steps, whose stage blocks fill 9 calls),
-and a fixed list of commands
+and ``transport --germ`` near sphere2's axis, where each segment is halved
+into pieces, on sphere2 at 5 steps along a segment whose end is not
+x0 + (x1 - x0), ``transport`` of a Killing field near Schwarzschild's axis
+at 1000 steps, whose segments are halved, ``transport`` on a chart that
+fails at a Chebyshev node and at no grid point, and of a Killing field on
+sphere2 at 1 step), and a fixed list of commands
 that must fail (``ERROR_COMMANDS``: Killing transport into a domain error, a
 degenerate point or an overflow, an invalid step count, every command that
 evaluates a point at three bad points, non-finite metric values and literals,
@@ -37,8 +38,8 @@ and a wrong row count), charts degenerate at their base point or at the
 ``--point`` given, fields with a syntax error, and ``curvature``,
 ``killing-dim``, ``holonomy`` and ``transport`` on a chart whose curvature
 overflows where its metric jets are finite, transport on a chart that
-fails at a stage point between Chebyshev nodes, and transport whose one
-call of stage points overflows in the curvature at its first point and
+fails at a grid point between Chebyshev nodes, and transport whose one
+call of grid points overflows in the curvature at its first point and
 fails in the metric at a later one), ``killing-dim`` and
 ``holonomy`` on that overflow chart at a flat point where the unit frame's
 scale overflows (``KAPPA_COMMANDS``), and
@@ -67,7 +68,9 @@ with the largest absolute difference between floats of the two reports, that
 difference relative to the largest |float| of the first snapshot's report
 (a change that only rounds differently stays below about 1e-12 there), and
 every place where anything else (an integer, a string, a flag, a length)
-differs.  It exits 1 when any report differs and 0 otherwise.
+differs; then the ``field_germ_deviation`` of every transport report that
+has one, first snapshot -> second.  It exits 1 when any report differs and 0
+otherwise.
 """
 from __future__ import annotations
 
@@ -116,8 +119,8 @@ LOW_ORDER_COMMANDS = [
 # Schwarzschild at r = 5 ("{schwarzschild}", written to the workdir) and on
 # cw2, each with a Killing field of the chart.  Last, a field of the first
 # factor on the cw2 x cw2 chart ("{cw2xcw2}", written to the workdir), n = 8,
-# at 17 steps on three segments: its frame batches of 33 stage points end
-# inside steps.  Last, transport of an explicit germ, which is not a field's:
+# at 17 steps on three segments: each segment's 17 nodes take a call of
+# their own.  Last, transport of an explicit germ, which is not a field's:
 # on sphere2 along two segments at 30 steps, one frame batch with the path's
 # end; and on the cw2 x cw2 chart along the same path as the field, at 17
 # steps, where the batches end inside steps and the last one holds the end
@@ -127,13 +130,16 @@ LOW_ORDER_COMMANDS = [
 # cw2d ("{cw2c}", "{cw2d}", written to the workdir at fixed base points) and
 # the Killing tower of the cw2 x cw2 chart, each at --order 3.  Last, a
 # transport near sphere2's axis, where the Chebyshev tail of Gamma does not
-# decay on either segment, so each takes its frames at its stage points.
-# Then transport of the same germ on sphere2 at 5 steps (stage frames) along
-# a segment whose last stage point, the path's end exactly, is not
-# x0 + (x1 - x0): 1.1 + (0.3 - 1.1) != 0.3.  Last, a Killing field's
-# transport on Schwarzschild from theta = 0.01 at the default 1000 steps,
-# where neither segment is resolved at its nodes (one call), and each takes
-# its stage frames in blocks of 16 steps, 4 calls a segment.
+# decay on either segment at its nodes, so each is halved into pieces.
+# Then transport of the same germ on sphere2 at 5 steps along a segment
+# whose last node, the path's end exactly, is not x0 + (x1 - x0):
+# 1.1 + (0.3 - 1.1) != 0.3.  Then a Killing field's transport on
+# Schwarzschild from theta = 0.01 at the default 1000 steps, where neither
+# segment is resolved at its nodes (one call), so both are halved.  Then
+# transport on a chart whose tape divides 0 by 0 at x = sin^2(pi / 32), the
+# second Chebyshev node of the segment and no grid point ("{nodeonly}",
+# written to the workdir): the segment is halved.  Last, a workload-like
+# transport of a rotation of sphere2 along two segments at 1 step.
 CW2XCW2_GERM = ("--germ=1,0,0.5,0,0,-0.2,0,0.3|"
                 + ";".join(",".join("0.1" if c == r + 1 else "-0.1" if c == r - 1 else "0"
                                     for c in range(8)) for r in range(8)))
@@ -168,7 +174,16 @@ DEEP_COMMANDS = [
     ["transport", "--file", "{schwarzschild}",
      "--field=0,0,sin(ph),cos(ph) * cos(th) / sin(th)",
      "--path=0,5,0.01,0;0.3,5.4,0.1,0.2;0.1,4.8,0.3,-0.3"],
+    ["transport", "--file", "{nodeonly}", "--germ", "1,0|0,0;0,0", "--path", "0,0;1,0",
+     "--steps", "10"],
+    ["transport", "--builtin", "sphere2",
+     "--field=-sin(phi),-cos(phi) * cos(theta) / sin(theta)",
+     "--path=1.2,0.3;1.4,0.45;1.3,0.7", "--steps", "1"],
 ]
+
+# x = sin^2(pi / 32) as the Chebyshev nodes of a segment from x = 0 to 1 give
+# it, where the "{nodeonly}" chart's tape divides 0 by 0.
+NODE_ONLY_C = 0.009607359798384776
 
 # Every builtin form that README.md, the tests and the workloads use, each
 # parsed, so that a snapshot pins every catalog chart as built.
@@ -231,7 +246,7 @@ ERROR_CHARTS = {
                    "  metric: [[x^2, 0], [0, 1]];\n}\n"),
     "degenerateoff": ("manifold d {\n  coordinates: x, y;\n"
                       "  metric: [[x^2, 0], [0, 1]];\n  base_point: (1, 0);\n}\n"),
-    # analytic, but failing at x = 0.05, a stage point between Chebyshev nodes
+    # analytic, but failing at x = 0.05, a grid point between Chebyshev nodes
     "removable": ("manifold rs {\n  coordinates: x, y;\n"
                   "  metric: [[2 + sin(x - 0.05) / (x - 0.05), 0], [0, 1]];\n"
                   "  base_point: (0.5, 0);\n}\n"),
@@ -257,7 +272,7 @@ POINT_COMMANDS = [["curvature", "--point={point}"], ["killing-dim", "--point={po
                   ["transport", "--field", "1,0", "--path={path}", "--steps", "2"]]
 
 ERROR_COMMANDS = [
-    # the first failing stage point, on the first and on a later segment
+    # the first failing grid point, on the first and on a later segment
     ["transport", "--builtin", "hyperbolic2", "--field", "1,0", "--path", "0,1;0,-1",
      "--steps", "10"],
     ["transport", "--file", "{sqrt}", "--field", "1,0", "--path", "0,1;0,-1.3",
@@ -291,13 +306,13 @@ ERROR_COMMANDS = [
      for argv in (["killing-dim", "--builtin", chart], ["check-decomposition", chart, "sphere2"])
 ] + [
     # the failure at a transported field's start: the field before a later
-    # stage point, the chart before the field
+    # grid point, the chart before the field
     ["transport", "--builtin", "hyperbolic2", "--field", "1/x,0", "--path", "0,1;0,-1",
      "--steps", "10"],
     ["transport", "--builtin", "hyperbolic2", "--field", "1/x,0", "--path", "0,0;0,-1",
      "--steps", "10"],
     # the field failing only at the path's end, after a clean path; the chart
-    # failing only there (the last stage point is 0.30000000000000004), before
+    # failing only there (the last grid point is 0.30000000000000004), before
     # the field
     ["transport", "--builtin", "euclidean:n=2", "--field", "0,1/x1", "--path", "1,0;0,0",
      "--steps", "10"],
@@ -327,10 +342,10 @@ ERROR_COMMANDS = [
     ["holonomy", "--file", "{overflow}"],
     ["transport", "--file", "{overflow}", "--germ", "1,0|0,0;0,0", "--path", "0,0;0,1",
      "--steps", "10"],
-    # a chart that fails at a stage point and at none of the segment's nodes
+    # a chart that fails at a grid point and at none of the segment's nodes
     ["transport", "--file", "{removable}", "--germ", "1,0|0,0;0,0", "--path", "0,0;1,0",
      "--steps", "10"],
-    # one call of stage points whose metric fails at a later point and whose
+    # one call of grid points whose metric fails at a later point and whose
     # curvature overflows at the first: the curvature error comes first
     ["transport", "--file", "{overflowsqrt}", "--germ", "1,0|0,0;0,0",
      "--path", "0,0.5;0,1.5", "--steps", "4"],
@@ -472,7 +487,8 @@ def snapshot(seeds, workdir):
     deep = {"deep": workdir / "deep" / "cw1xcw1.man",
             "schwarzschild": workdir / "deep" / "schwarzschild.man",
             "cw2xcw2": workdir / "deep" / "cw2xcw2.man",
-            "cw2c": workdir / "deep" / "cw2c.man", "cw2d": workdir / "deep" / "cw2d.man"}
+            "cw2c": workdir / "deep" / "cw2c.man", "cw2d": workdir / "deep" / "cw2d.man",
+            "nodeonly": workdir / "deep" / "nodeonly.man"}
     deep["deep"].parent.mkdir(parents=True, exist_ok=True)
     cw1 = metricdsl.builtin("cahen_wallach", n=1, q=1.0)
     deep["deep"].write_text(product_metric(cw1, cw1).combined.serialize(),
@@ -486,6 +502,11 @@ def snapshot(seeds, workdir):
                             encoding="utf-8")
     deep["cw2d"].write_text(workloads.cahen_wallach_chart([-1.0, -2.0], [-0.4, 0.1, 0.2, 0.15]),
                             encoding="utf-8")
+    c = repr(NODE_ONLY_C)
+    deep["nodeonly"].write_text(
+        "manifold nodeonly {\n  coordinates: x, y;\n"
+        f"  metric: [[2 + sin(x - {c}) / (x - {c}), 0], [0, 1]];\n"
+        "  base_point: (0.5, 0);\n}\n", encoding="utf-8")
     for i, argv in enumerate(DEEP_COMMANDS):
         argv = [arg.format(**deep) for arg in argv]
         reports[f"deep.{i:02d}.{argv[0]}"] = run_query(cli, argv)
@@ -592,7 +613,20 @@ def diff(path_a, path_b):
                     notes.append(f"other differences at {shown}{more}")
         print(f"{key}: {'; '.join(notes)}")
     print(f"{differing} of {len(set(a) | set(b))} queries differ")
+    print(f"field_germ_deviation, {path_a} -> {path_b}:")
+    for key in sorted(set(a) & set(b)):
+        devs = [field_germ_deviation(r[key]) for r in (a, b)]
+        if a[key]["argv"][0] == "transport" and devs != [None, None]:
+            print(f"  {key}: {devs[0]!r} -> {devs[1]!r}")
     return 1 if differing else 0
+
+
+def field_germ_deviation(report):
+    """The ``field_germ_deviation`` of a query's JSON report, or None."""
+    try:
+        return json.loads(report["stdout"])["result"].get("field_germ_deviation")
+    except (ValueError, KeyError):
+        return None
 
 
 def main(argv=None):
