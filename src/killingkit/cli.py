@@ -303,7 +303,7 @@ def _field_check_payload(chk):
 
 def _cmd_catalog(args):
     entries = [{"name": name, "params": params}
-               for name, (_, params) in metricdsl.BUILTINS.items()]
+               for name, (_, _, params) in metricdsl.BUILTINS.items()]
     payload = {"result": {"builtins": entries}, "warnings": []}
     lines = ["available builtin charts:"]
     for e in entries:
@@ -503,17 +503,18 @@ def _cmd_transport(args):
         raise SpecError("transport requires --field or --germ")
     moved = killing_transport(spec, germ, path, steps_per_segment=steps)
     out = moved.end
+    defect = out.so_defect(moved.g_end)
     result = {
         "path": [list(map(float, p)) for p in path],
         "steps_per_segment": steps,
         "start_germ": {"xi": moved.start.xi, "a": moved.start.a},
         "end_germ": {"xi": out.xi, "a": out.a},
-        "so_defect_at_end": out.so_defect(moved.g_end),
+        "so_defect_at_end": defect,
     }
     lines = [f"transported germ along {len(path) - 1} segment(s), "
              f"{steps} steps each",
              f"  end xi: {[float(x) for x in out.xi]}",
-             f"  so defect at end: {_fmt(out.so_defect(moved.g_end))}"]
+             f"  so defect at end: {_fmt(defect)}"]
     ref = moved.field_end
     if ref is not None:
         deviation = max(float(np.abs(out.xi - ref.xi).max()),

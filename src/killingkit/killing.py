@@ -503,17 +503,17 @@ _CHEBYSHEV_N = 16
 _CHEBYSHEV_TAIL = 1e-13
 
 
-def _transport_generators(gus, rus, u):
-    """The generators M of D-transport along a segment with velocity u, one
-    per frame: ds/dt = M s for s = (xi, A flattened row by row).  ``gus``
-    holds Gamma^i_ab u^a as [P, i, b] and ``rus`` the curvature values
-    R^i_jcd u^c as [P, i, j, d]; the result has shape
-    (P, n + n^2, n + n^2)."""
+def _transport_generators(gus, rus, us):
+    """The generators M of D-transport, one per frame: ds/dt = M s for
+    s = (xi, A flattened row by row) along a segment whose velocity there is
+    u, the frame's row of ``us``, (P, n).  ``gus`` holds Gamma^i_ab u^a as
+    [P, i, b] and ``rus`` the curvature values R^i_jcd u^c as [P, i, j, d];
+    the result has shape (P, n + n^2, n + n^2)."""
     count, n = gus.shape[:2]
     eye = np.eye(n)
     m = np.empty((count, n + n * n, n + n * n))
     m[:, :n, :n] = -gus                                       # -Gamma(u) xi
-    m[:, :n, n:] = -np.einsum("ik,l->ikl", eye, u).reshape(n, n * n)   # -A u
+    m[:, :n, n:] = -np.einsum("ik,Pl->Pikl", eye, us).reshape(count, n, n * n)   # -A u
     m[:, n:, :n] = -rus.reshape(count, n * n, n)              # -R(u, xi)
     m[:, n:, n:] = (np.einsum("ik,Plj->Pijkl", eye, gus)      # A Gamma(u)
                     - np.einsum("Pik,jl->Pijkl", gus, eye)    # -Gamma(u) A
@@ -615,18 +615,24 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     by point evaluation meets; with none there, the segment is halved as
     above, each half tried alone if their call raises.  A half of one grid
     step whose nodes raise raises that error; one that does not settle
-    where it no longer halves raises a SpecError.  Memory holds one call's
-    frames and one piece's M ((n + n^2)^2 floats a node), whatever the
-    number of steps.
+    where it no longer halves raises a SpecError.  Where the check passes,
+    det g keeps its sign between consecutive grid points, or transport
+    raises a DegenerateMetricError naming the first such two: a pole or a
+    zero of the metric lies between them.  Each call's frames are
+    contracted with their nodes' velocities and turned into generators at
+    once, for all its pieces.  Memory holds one call's frames and
+    generators ((n + n^2)^2 floats a node), whatever the number of steps.
 
     Returns a ``Transport``.  The metric at the end is the last frame's,
     at ``path[-1]`` itself.  ``germ`` is a ``KillingGerm``, or a field's
     ``field_jets``: then the field's germs at both ends come from the same
     frames, as ``sample_field`` would give them: the start germ from
-    ``path[0]`` and the end germ from ``path[-1]``.  The first failure
-    raised is the first of: the chart at ``path[0]``, the field there, the
-    chart at a grid point in path order (the last is ``path[-1]``), the
-    field at ``path[-1]``.
+    ``path[0]`` and the end germ from ``path[-1]``, the field's jets at both
+    from one evaluation.  Only where that raises is each end evaluated
+    alone, where the order of errors takes it.  The first failure raised
+    is the first of: the chart at ``path[0]``, the field there, the chart
+    at a grid point in path order (the last is ``path[-1]``), the field at
+    ``path[-1]``.
     """
     if steps_per_segment < 1:
         raise ValueError("steps_per_segment must be >= 1")
@@ -636,10 +642,14 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     jets_at = germ if callable(germ) else None
     if jets_at is not None:
         try:
-            start_jets = jets_at(path[0], 1)
-        except ValueError:
-            point_frame(spec, path[0])   # a chart failure at path[0] comes first
-            raise
+            start_jets, end_jets = jets_at(path[[0, -1]], 1)
+        except ValueError:   # then each end alone, where the order of errors takes it
+            end_jets = None
+            try:
+                start_jets = jets_at(path[0], 1)
+            except ValueError:
+                point_frame(spec, path[0])   # a chart failure at path[0] comes first
+                raise
     steps = steps_per_segment
     n = path.shape[1]
     per_call = budget_points(n, 0)
@@ -649,8 +659,17 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     t, tail, integral = _chebyshev_nodes(_CHEBYSHEV_N)
 
     def frames(sets):
-        """g, Gamma, Gamma(u), R(., ., u, .) and u for each (points, u) of
-        ``sets`` in turn, from ``point_frame`` calls within the budget."""
+        """g, Gamma, Gamma(u), R(., ., u, .) and the generators M at the
+        points of each (points, u) of ``sets`` in turn, u the velocity there,
+        from ``point_frame`` calls within the budget; each call's frames are
+        contracted with their velocities and turned into generators at once."""
+        def call(points, us):
+            g, _, gammas, rs = point_frame(spec, points)
+            gus = np.einsum("Piab,Pa->Pib", gammas, us)
+            rus = np.einsum("Pijcd,Pc->Pijd", rs, us)
+            del rs   # the curvature is not held while the generators are built
+            return g, gammas, gus, rus, _transport_generators(gus, rus, us)
+
         sets = iter(sets)
         item = next(sets, None)
         while item is not None:
@@ -660,15 +679,15 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
                 size += len(item[0])
                 item = next(sets, None)
             points = np.concatenate([p for p, _ in batch])
-            g = gammas = rs = None   # release the spent call before the next
-            g, _, gammas, rs = point_frame(spec, points) if size <= per_call else map(
-                np.concatenate, zip(*(point_frame(spec, points[lo:lo + per_call])
-                                      for lo in range(0, size, per_call))))
+            us = np.concatenate([np.broadcast_to(u, p.shape) for p, u in batch])
+            out = None   # release the spent call before the next
+            out = call(points, us) if size <= per_call else tuple(map(
+                np.concatenate, zip(*(call(points[lo:lo + per_call], us[lo:lo + per_call])
+                                      for lo in range(0, size, per_call)))))
             lo = 0
-            for p, u in batch:
+            for p, _ in batch:
                 at = slice(lo, lo + len(p))
-                yield (g[at], gammas[at], np.einsum("Piab,a->Pib", gammas[at], u),
-                       np.einsum("Pijcd,c->Pijd", rs[at], u), u)
+                yield tuple(x[at] for x in out)
                 lo = at.stop
 
     def grid(segs):
@@ -679,24 +698,47 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
             seg, i = np.divmod(np.arange(lo, min(lo + per_call, stop)), per_segment)
             yield _segment_points(path, seg, _grid_times(steps, i))
 
+    def check(segs):
+        """Check the chart at the grid points of the segments ``segs`` (a
+        range) in path order; then return the first two consecutive ones
+        between which det g changes sign, or None.  Segments meet at one
+        point, so such a pair lies within a segment."""
+        flip = last = None
+        for points in grid(segs):
+            positive = metricdsl.metric_det_positive(spec, points)
+            if flip is None:
+                pairs = np.flatnonzero(positive[1:] != positive[:-1])
+                if last is not None and last[1] != positive[0]:
+                    flip = last[0], points[0].copy()
+                elif len(pairs):
+                    flip = points[pairs[0]:pairs[0] + 2].copy()
+            last = points[-1].copy(), positive[-1]   # no view: one chunk at a time
+        return flip
+
     def node_frames(pieces):
         """The frames at the nodes of each (segment, a, b) of ``pieces``,
         its parameters from a to b, in shared calls after the grid check of
         the whole segments among them; where they raise, each piece alone,
-        and the error of a piece that raises alone and passes the walk."""
+        and the error of a piece that raises alone and passes the walk.
+        Where the check passes and det g changes sign, the chart is refused
+        between those grid points."""
         whole = (range(pieces[0][0], pieces[-1][0] + 1) if pieces[0][1:] == (0.0, 1.0)
                  else range(0))   # a run of segments, or the halves of a piece
         try:
-            for points in grid(whole):
-                metricdsl.metric_jet_tensor(spec, points, 0)
-            return list(frames((_segment_points(path, seg, a + (b - a) * t),
-                                (b - a) * velocity[seg]) for seg, a, b in pieces))
+            flip = check(whole)
+            if flip is None:
+                return list(frames((_segment_points(path, seg, a + (b - a) * t),
+                                    (b - a) * velocity[seg]) for seg, a, b in pieces))
         except ValueError as exc:
             if len(pieces) > 1:
                 return [node_frames([piece])[0] for piece in pieces]
             for points in grid(whole):
                 point_frame(spec, points)
             return [exc]
+        ends = [tuple(map(float, p)) for p in flip]
+        raise metricdsl.DegenerateMetricError(
+            f"metric of {spec.name!r} degenerate or singular between {ends[0]} and "
+            f"{ends[1]}: det g changes sign")
 
     def begin(gamma):
         """The state at ``path[0]``: the germ's, or the field's there, where
@@ -730,7 +772,7 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
             state = begin(inputs[1][0]) if state is None else state
             size = max(np.abs(tail @ x.reshape(len(t), -1)).max() / (np.abs(x).max() or 1.0)
                        for x in inputs[2:4])
-            ms = _transport_generators(*inputs[2:])
+            ms = inputs[4]
             reach = np.abs(ms).max()
             end, settled = collocate(state, ms)
             if settled and (size <= _CHEBYSHEV_TAIL or size >= above[0]
@@ -755,5 +797,7 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
         for piece, inputs in zip(run, node_frames(run)):
             state, last = advance(state, *piece, inputs, (np.inf, np.inf))
     moved = KillingGerm(xi=state[:n].copy(), a=state[n:].reshape(n, n).copy())
-    field_end = None if jets_at is None else _field_germ(jets_at(path[-1], 1), last[1][-1])
+    if jets_at is not None and end_jets is None:
+        end_jets = jets_at(path[-1], 1)
+    field_end = None if jets_at is None else _field_germ(end_jets, last[1][-1])
     return Transport(start=germ, end=moved, g_end=last[0][-1], field_end=field_end)

@@ -17,7 +17,6 @@ grid may give only the upper triangle; the lower triangle is mirrored.
 """
 from __future__ import annotations
 
-import inspect
 import math
 import numbers
 import operator
@@ -283,7 +282,7 @@ class ManifoldSpec:
     def metric_values(self, point):
         """The metric at ``point``, from the spec's tape; a failing component
         raises as in ``metric_jet_tensor``.  Nondegeneracy is not checked."""
-        return _metric_jet_tensor(self, point, 0, check=False).array[..., 0].copy()
+        return _metric_jet_tensor(self, point, 0, check=False)[0].array[..., 0].copy()
 
     def _component_error(self, point, i, j, exc):
         """The error to raise when evaluating component (i, j) at ``point``
@@ -299,12 +298,14 @@ class ManifoldSpec:
         is zero).  Both are taken of g divided by its largest |entry|, so
         neither can overflow.  A (P, n) batch of points with ``g`` of shape
         (P, n, n) is checked point by point, and the first degenerate one is
-        named."""
+        named.  Returns whether det g > 0 (at each point), from the
+        determinant the check takes."""
         g = self.metric_values(point) if g is None else g
         top = np.abs(g).max(axis=(-2, -1), keepdims=True)
         unit = g / np.where(top > 0, top, 1.0)
         rows = np.sqrt((unit * unit).sum(axis=-1)).prod(axis=-1)
-        bad = np.abs(np.linalg.det(unit)) <= DEGENERACY_FACTOR * rows
+        unit_det = np.linalg.det(unit)
+        bad = np.abs(unit_det) <= DEGENERACY_FACTOR * rows
         if bad.any():
             first = int(np.argmax(bad))
             p = np.reshape(point, (-1, self.dim))[first]
@@ -312,6 +313,7 @@ class ManifoldSpec:
             raise DegenerateMetricError(
                 f"metric of {self.name!r} degenerate at {tuple(map(float, p))}: "
                 f"det = {det:g}")
+        return unit_det > 0
 
     def serialize(self):
         lines = [f"manifold {self.name} {{"]
@@ -381,11 +383,22 @@ def metric_jet_tensor(spec, point, order):
     checked it, and the order-0 coefficients of any order are the values it
     checked.
     """
-    return _metric_jet_tensor(spec, point, order, check=True)
+    points = np.asarray(point, dtype=np.float64)
+    base = points.size == spec.dim and tuple(points.ravel().tolist()) == spec.base_point
+    return _metric_jet_tensor(spec, points, order, check=not base)[0]
+
+
+def metric_det_positive(spec, points):
+    """The check of ``metric_jet_tensor`` at order 0 of each row of a (P, n)
+    array of points, the base point too, raising what it raises; returns
+    whether det g > 0 at each point, from the determinant the
+    nondegeneracy check takes."""
+    return _metric_jet_tensor(spec, points, 0, check=True)[1]
 
 
 def _metric_jet_tensor(spec, point, order, check):
-    """``metric_jet_tensor``, with the nondegeneracy check only if ``check``."""
+    """``metric_jet_tensor`` and whether det g > 0 at each point, with the
+    nondegeneracy check, which tells that, only if ``check`` (else None)."""
     points = np.asarray(point, dtype=np.float64)
     if points.ndim not in (1, 2) or points.shape[-1:] != (spec.dim,):
         raise SpecError(f"point of dimension {points.shape[-1:]} for {spec.dim} coordinates")
@@ -395,13 +408,12 @@ def _metric_jet_tensor(spec, point, order, check):
     position = _upper_position(spec.dim)
     g = coeffs[:, position]
     valid = len(batch) if failure is None else failure[0]
-    if check and not (len(batch) == 1 and tuple(batch[0].tolist()) == spec.base_point):
-        spec.check_nondegenerate(batch[:valid], g[:valid, :, :, 0])
+    positive = spec.check_nondegenerate(batch[:valid], g[:valid, :, :, 0]) if check else None
     if failure is not None:
         k, output, exc = failure
         i, j = map(int, np.argwhere(position == output)[0])
         raise spec._component_error(batch[k], i, j, exc) from exc
-    return JetTensor(g if points.ndim == 2 else g[0], space)
+    return JetTensor(g if points.ndim == 2 else g[0], space), positive
 
 
 # -- tokenizer / parser -------------------------------------------------------
@@ -839,17 +851,18 @@ def _walker_recurrent():
     return _chart("walker_recurrent", ["t", "v", "x"], metric), None
 
 
-# The catalog: each builtin's builder and its parameters as ``catalog``
-# lists them.  A builder takes the chart's parameters as keyword arguments,
-# checks them, and returns the chart and the component strings of a full
-# set of its Killing fields, or None where the catalog lists none.
+# The catalog: each builtin's builder, the names of its parameters and
+# those parameters as ``catalog`` lists them.  A builder takes the chart's
+# parameters as keyword arguments, checks them, and returns the chart and
+# the component strings of a full set of its Killing fields, or None where
+# the catalog lists none.
 BUILTINS = {
-    "euclidean": (_euclidean, "n (dimension, default 2)"),
-    "minkowski": (_minkowski, "p, q (negative/positive directions)"),
-    "sphere2": (_sphere2, "r (radius, default 1)"),
-    "hyperbolic2": (_hyperbolic2, "none (upper half-plane)"),
-    "cahen_wallach": (_cahen_wallach, "n, q (diagonal entries, q=a:b:...)"),
-    "walker_recurrent": (_walker_recurrent, "none"),
+    "euclidean": (_euclidean, ("n",), "n (dimension, default 2)"),
+    "minkowski": (_minkowski, ("p", "q"), "p, q (negative/positive directions)"),
+    "sphere2": (_sphere2, ("r",), "r (radius, default 1)"),
+    "hyperbolic2": (_hyperbolic2, (), "none (upper half-plane)"),
+    "cahen_wallach": (_cahen_wallach, ("n", "q"), "n, q (diagonal entries, q=a:b:...)"),
+    "walker_recurrent": (_walker_recurrent, (), "none"),
 }
 
 
@@ -858,10 +871,9 @@ def _build(name, params, kw):
     in ``params`` and ``kw``; raises SpecError for an unknown name or key."""
     if name not in BUILTINS:
         raise SpecError(f"unknown builtin {name!r} (choose from {', '.join(BUILTINS)})")
-    build = BUILTINS[name][0]
+    build, accepted, _ = BUILTINS[name]
     params = dict(params or {})
     params.update(kw)
-    accepted = inspect.signature(build).parameters
     for key in params:
         if key not in accepted:
             raise SpecError(f"{name} has no parameter {key!r} "

@@ -213,6 +213,73 @@ def test_transport_of_a_germ_takes_the_end_metric_from_the_path_frames(capsys,
     assert [1.1, 0.3] not in values
 
 
+def spy_on_field_tapes_and_frames(monkeypatch):
+    """One list of the events of a transport: ("field", points) for every
+    evaluation of a field's compiled tape, ("frames", points) for every
+    ``point_frame`` call and ("generators", count) for every call of the
+    transport generators, in the order they happen."""
+    from killingkit import killing
+    events = []
+    compile_tape, point_frame = killing.compile_tape, killing.point_frame
+    generators = killing._transport_generators
+
+    class TapeSpy:
+        def __init__(self, tape):
+            self.tape = tape
+
+        def evaluate(self, points, space):
+            events.append(("field", np.array(points)))
+            return self.tape.evaluate(points, space)
+
+    def generators_spy(gus, rus, us):
+        events.append(("generators", len(us)))
+        return generators(gus, rus, us)
+
+    monkeypatch.setattr(killing, "compile_tape", lambda exprs: TapeSpy(compile_tape(exprs)))
+    monkeypatch.setattr(killing, "point_frame",
+                        lambda spec, p: events.append(("frames", np.array(p))) or
+                        point_frame(spec, p))
+    monkeypatch.setattr(killing, "_transport_generators", generators_spy)
+    return events
+
+
+def test_transport_of_a_field_evaluates_its_tape_once_on_both_ends(capsys, monkeypatch):
+    # one evaluation of the field's tape, at the path's start and end; one
+    # call of the generators, of the 34 nodes of the one call of frames
+    events = spy_on_field_tapes_and_frames(monkeypatch)
+    code, out, _ = invoke(capsys, "transport", "--builtin", "sphere2", "--field=0,1",
+                          "--path", "1,0;1.2,0.1;1.1,0.3", "--steps", "30", "--json")
+    assert code == 0 and "field_germ_deviation" in json.loads(out)["result"]
+    assert [kind for kind, _ in events] == ["field", "frames", "generators"]
+    assert np.array_equal(events[0][1], [[1.0, 0.0], [1.1, 0.3]])
+    assert len(events[1][1]) == events[2][1] == 34
+
+
+# a field that fails at the path's end (x1 = 0 or x = 0): its evaluation at
+# both ends raises, so each end is evaluated alone where the order of errors
+# takes it, the start before the path and the end after it; on hyperbolic2
+# the chart fails at a grid point (y = 0) first, and the end is not reached
+@pytest.mark.parametrize("chart,field,path,kinds,message", [
+    ("euclidean:n=2", "0,1/x1", "1,0;0,0", ["field", "field", "frames", "generators", "field"],
+     "field on 'euclidean2' at (0.0, 0.0): component 1 = 1.0 / x1: "
+     "reciprocal of jet with zero constant term"),
+    ("hyperbolic2", "0,1/x", "1,1;0,-1", ["field", "field", "frames"],
+     "metric of 'hyperbolic2' at (0.5, 0.0): component (0, 0) = 1.0 / y^2: "
+     "reciprocal of jet with zero constant term"),
+], ids=["field-at-end", "grid-point-first"])
+def test_a_field_failing_at_the_end_is_evaluated_at_each_end_alone(capsys, monkeypatch, chart,
+                                                                   field, path, kinds,
+                                                                   message):
+    events = spy_on_field_tapes_and_frames(monkeypatch)
+    code, out, err = invoke(capsys, "transport", "--builtin", chart, "--field", field,
+                            "--path", path, "--steps", "10")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert [kind for kind, _ in events] == kinds
+    ends = [[float(v) for v in p.split(",")] for p in path.split(";")]
+    assert [p.tolist() for kind, p in events if kind == "field"] == [
+        ends, [ends[0]], [ends[-1]]][:kinds.count("field")]
+
+
 def test_transport_takes_a_field_or_a_germ_not_both(capsys):
     code, out, err = invoke(capsys, "transport", "--builtin", "sphere2", "--field=0,1",
                             "--germ=1,0,0,0,0,0", "--path=1,0;1.2,0.1")
@@ -756,6 +823,36 @@ def test_transport_refuses_a_piece_that_does_not_settle(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert err == ("error: transport on 'osc' does not settle between (0.1, 0.0) and "
                        "(0.125, 0.0)\n")
+
+
+# 1 + 1 / (x - 0.123) has a pole between two grid points of the path, where
+# g_xx changes sign: no grid point or node meets it and the pieces about it
+# settle, so only the sign of det g at consecutive grid points refuses it,
+# on the first segment or on a later one; a grid point of the same segment
+# that fails, after the sign change, is named first
+POLE = "[[1 + 1 / (x - 0.123), 0], [0, 1]]"
+POLE_MESSAGES = {steps: f"metric of 'pole' degenerate or singular between {ends}: "
+                        "det g changes sign"
+                 for steps, ends in [("10", "(0.12000000000000001, 0.0) and (0.125, 0.0)"),
+                                     ("1000", "(0.12295, 0.0) and (0.12300000000000001, 0.0)")]}
+SQRT_AFTER_POLE = ("metric of 'pole' at (0.15000000000000002, 0.0): component (1, 1) = "
+                   "1.0 + sqrt(0.15 - x): sqrt of jet with constant term "
+                   "-2.7755575615628914e-17 <= 0")
+
+
+@pytest.mark.parametrize("metric,path,messages", [
+    (POLE, "0.1,0;0.2,0", POLE_MESSAGES),
+    (POLE, "0.1,0.1;0.1,0;0.2,0", POLE_MESSAGES),
+    ("[[1 + 1 / (x - 0.123), 0], [0, 1 + sqrt(0.15 - x)]]", "0.1,0;0.2,0",
+     dict.fromkeys(POLE_MESSAGES, SQRT_AFTER_POLE)),
+], ids=["first-segment", "second-segment", "grid-point-first"])
+def test_transport_refuses_a_sign_change_of_det_g_between_grid_points(capsys, tmp_path,
+                                                                      metric, path, messages):
+    chart = chart_file(tmp_path, "pole", metric, "0.11, 0")
+    for steps, message in messages.items():
+        code, out, err = invoke(capsys, "transport", "--file", chart, "--germ", "1,0|0,0;0,0",
+                                "--path", path, "--steps", steps)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # Flat charts whose unit-frame scale kappa^(m + 2) leaves the float range

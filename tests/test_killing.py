@@ -565,17 +565,17 @@ def spy_on_frames(monkeypatch):
 
 
 def spy_on_stage_checks(monkeypatch):
-    """Record the points of every order-0 metric evaluation, the check of the
-    chart at the stage points of a segment that takes its frames at nodes."""
+    """Record the points of every order-0 metric check that tells the sign
+    of det g, the check of the chart at the stage points of a segment that
+    takes its frames at nodes."""
     checks = []
-    metric_jet_tensor = metricdsl.metric_jet_tensor
+    metric_det_positive = metricdsl.metric_det_positive
 
-    def spy(spec, points, order):
-        if order == 0:
-            checks.append(np.array(points))
-        return metric_jet_tensor(spec, points, order)
+    def spy(spec, points):
+        checks.append(np.array(points))
+        return metric_det_positive(spec, points)
 
-    monkeypatch.setattr(metricdsl, "metric_jet_tensor", spy)
+    monkeypatch.setattr(metricdsl, "metric_det_positive", spy)
     return checks
 
 
@@ -1016,8 +1016,9 @@ def test_germ_transport_evaluates_the_end_node_last_in_its_batch(monkeypatch, ch
 @pytest.mark.parametrize("mode", ["germ", "field"])
 def test_transport_generators_are_built_at_the_nodes_of_each_segment(monkeypatch, chart,
                                                                       steps, mode):
-    # every call of the generators takes the inputs at the 17 nodes of one
-    # segment, none of which these paths halve, in path order: those of the
+    # one call of the generators for each call of the frames, whose rows are
+    # the nodes of its segments (none of which these paths halve) in path
+    # order, each with its segment's velocity: the inputs are those of the
     # frames at the nodes, to rounding, whatever the step count
     make, path = {**TRANSPORT_PATHS, **MORE_PATHS}[chart]
     spec = make()
@@ -1025,19 +1026,24 @@ def test_transport_generators_are_built_at_the_nodes_of_each_segment(monkeypatch
     calls = []
     generators = killing._transport_generators
 
-    def generators_spy(gus, rus, u):
-        calls.append((gus.copy(), rus.copy(), u.copy()))
-        return generators(gus, rus, u)
+    def generators_spy(gus, rus, us):
+        calls.append((gus.copy(), rus.copy(), us.copy()))
+        return generators(gus, rus, us)
 
     monkeypatch.setattr(killing, "_transport_generators", generators_spy)
+    batches = spy_on_frames(monkeypatch)
     if mode == "germ":
         killing_transport(spec, KillingGerm(xi=np.ones(n), a=np.zeros((n, n))), path, steps)
     else:
         killing_transport(spec, field_jets(spec, ["1"] + ["0"] * (n - 1)), path, steps)
-    assert len(calls) == len(path) - 1
+    assert len(calls) == len(batches) == (1 if n == 2 else len(path) - 1)
+    assert [len(us) for _, _, us in calls] == [len(b) for b in batches]
+    assert np.array_equal(np.concatenate(batches), chebyshev_nodes(path))
     _, _, gammas, rs = killing.point_frame(spec, chebyshev_nodes(path))
-    for seg, (gus, rus, u) in enumerate(calls):
-        assert np.array_equal(u, np.subtract(path[seg + 1], path[seg]))
+    gus, rus, us = map(np.concatenate, zip(*calls))
+    for seg in range(len(path) - 1):
         at = slice(17 * seg, 17 * (seg + 1))
-        for got, want in zip((gus, rus), frame_inputs(gammas[at], rs[at], u)):
+        u = np.subtract(path[seg + 1], path[seg])
+        assert np.array_equal(us[at], np.broadcast_to(u, (17, n)))
+        for got, want in zip((gus[at], rus[at]), frame_inputs(gammas[at], rs[at], u)):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

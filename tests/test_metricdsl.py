@@ -1,5 +1,6 @@
 import functools
 import importlib.util
+import inspect
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from killingkit.cli import _parse_builtin_string, run
-from killingkit.metricdsl import (DegenerateMetricError, ParseError, SpecError,
+from killingkit.metricdsl import (BUILTINS, DegenerateMetricError, ParseError, SpecError,
                                   builtin, known_killing_fields, metric_jet_tensor,
                                   parse_expression, parse_field, parse_manifold)
 
@@ -285,6 +286,17 @@ def test_catalog_lists_exactly_the_builtins(capsys):
     with pytest.raises(SpecError) as refused:
         builtin("torus")
     assert str(refused.value) == f"unknown builtin 'torus' (choose from {', '.join(names)})"
+
+
+def test_builtins_list_the_parameters_their_builders_take():
+    for name, (build, names, _) in BUILTINS.items():
+        assert names == tuple(inspect.signature(build).parameters), name
+    with pytest.raises(SpecError) as refused:
+        builtin("minkowski", p=1, r=2)
+    assert str(refused.value) == "minkowski has no parameter 'r' (it takes p, q)"
+    with pytest.raises(SpecError) as refused:
+        builtin("walker_recurrent", n=1)
+    assert str(refused.value) == "walker_recurrent has no parameter 'n' (it takes none)"
 
 
 @pytest.mark.parametrize("name,params,message", [

@@ -40,7 +40,9 @@ and a wrong row count), charts degenerate at their base point or at the
 overflows where its metric jets are finite, transport on a chart that
 fails at a grid point between Chebyshev nodes, and transport whose one
 call of grid points overflows in the curvature at its first point and
-fails in the metric at a later one), ``killing-dim`` and
+fails in the metric at a later one, transport across a pole between two
+grid points at 10 and at 1000 steps, and a transported field that fails
+only at the end of a two-segment path), ``killing-dim`` and
 ``holonomy`` on that overflow chart at a flat point where the unit frame's
 scale overflows (``KAPPA_COMMANDS``), and
 ``check-field`` and
@@ -257,6 +259,9 @@ ERROR_CHARTS = {
     "overflowsqrt": ("manifold over {\n  coordinates: x, y;\n"
                      "  metric: [[1e-300 + 1e10 * x, 0], [0, 1 + sqrt(1 - y)]];\n"
                      "  base_point: (1, 0);\n}\n"),
+    # g_xx has a pole at x = 0.123, where it changes sign
+    "pole": ("manifold pole {\n  coordinates: x, y;\n"
+             "  metric: [[1 + 1 / (x - 0.123), 0], [0, 1]];\n  base_point: (0.2, 0);\n}\n"),
 }
 
 # Every command that evaluates a point, at a bad point of each chart: the
@@ -349,6 +354,16 @@ ERROR_COMMANDS = [
     # curvature overflows at the first: the curvature error comes first
     ["transport", "--file", "{overflowsqrt}", "--germ", "1,0|0,0;0,0",
      "--path", "0,0.5;0,1.5", "--steps", "4"],
+    # a pole between two grid points, where det g changes sign, at 10 and at
+    # 1000 steps
+    ["transport", "--file", "{pole}", "--germ", "1,0|0,0;0,0", "--path", "0.1,0;0.2,0",
+     "--steps", "10"],
+    ["transport", "--file", "{pole}", "--germ", "1,0|0,0;0,0", "--path", "0.1,0;0.2,0",
+     "--steps", "1000"],
+    # a field failing only at the end of a two-segment path on a chart that
+    # evaluates everywhere
+    ["transport", "--builtin", "cahen_wallach:n=2,q=1:-1", "--field", "1,0,0,1/(x2 - 0.3)",
+     "--path", "0,0,0,0;0.1,0.1,0.1,0.1;0.2,0.2,0.1,0.3", "--steps", "30"],
 ]
 
 # The overflow chart at a flat point where kappa^(m + 2), the unit frame's
