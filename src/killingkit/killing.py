@@ -595,33 +595,35 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     The state at the last node goes on to the next piece.
 
     A piece is taken when its iteration settles and the last two Chebyshev
-    coefficients of both inputs are at most ``_CHEBYSHEV_TAIL`` of each
-    one's largest entry.  Otherwise it is halved, and its halves' nodes
-    come in one call.  A half that settles is taken whatever its tail when
-    the tail stopped shrinking (near a coordinate axis it stalls at
-    rounding, about 1e-12) or the half is one grid step long; one that does
-    not settle is halved again.  ``steps_per_segment`` sets that grid: the
-    2 steps + 1 points of each segment at its start, then the midpoint and
-    the end of each of ``steps`` equal steps.
+    coefficients of both inputs are at most ``_CHEBYSHEV_TAIL`` of each one's
+    largest entry.  Otherwise it is halved, and its halves' nodes are evaluated
+    together.  A half that settles is taken whatever its tail when the tail
+    stopped shrinking (near a coordinate axis it stalls at rounding, about
+    1e-12) or the half is one grid step long; one that does not settle is
+    halved again.  ``steps_per_segment`` sets that grid: the 2 steps + 1 points
+    of each segment at its start, then the midpoint and the end of each of
+    ``steps`` equal steps.
 
-    The chart is checked at every grid point, by one order-0 metric
-    evaluation with its nondegeneracy check, in chunks of at most
-    ``budget_points`` points at depth 0 across the segments whose nodes
-    share calls: as many whole segments as one call holds (31 at n = 4,
-    one at n = 8), or one segment in calls of its own where it holds fewer
-    than 17.  Where those segments' check or nodes raise, each is tried
-    alone, and the grid points of one that still raises are walked through
-    ``point_frame`` in path order, which raises the first failure a point
-    by point evaluation meets; with none there, the segment is halved as
-    above, each half tried alone if their call raises.  A half of one grid
-    step whose nodes raise raises that error; one that does not settle
-    where it no longer halves raises a SpecError.  Where the check passes,
-    det g keeps its sign between consecutive grid points, or transport
-    raises a DegenerateMetricError naming the first such two: a pole or a
-    zero of the metric lies between them.  Each call's frames are
-    contracted with their nodes' velocities and turned into generators at
-    once, for all its pieces.  Memory holds one call's frames and
-    generators ((n + n^2)^2 floats a node), whatever the number of steps.
+    The chart is checked at every grid point, by one order-0 metric evaluation
+    with its nondegeneracy check, in chunks of at most ``budget_points``
+    points at depth 0 across a run of segments: as many whole segments as one
+    call holds (31 at n = 4, one at n = 8), or one segment where a call holds
+    fewer than its 17 nodes.  The nodes of a run, or of a piece's two halves,
+    come in path order in calls of at most ``budget_points`` points from the
+    first node, as the grid does; each call's frames are contracted with their
+    nodes' velocities and turned into generators at once.  Where a run's check
+    or nodes raise, each of its segments is tried alone, and the grid points
+    of one that still raises are walked through ``point_frame`` in path order,
+    which raises the first failure a point by point evaluation meets; with
+    none there, the segment is halved as above, each half tried alone if their
+    call raises.  A half of one grid step whose nodes raise raises that error;
+    one that does not settle where it no longer halves raises a
+    SpecError.  Where the check passes, det g keeps its sign between
+    consecutive grid points, or transport raises a DegenerateMetricError
+    naming the first such two: a pole or a zero of the metric lies between
+    them.  Memory holds the frames and generators ((n + n^2)^2 floats a node)
+    of the run and of the two halves at each depth of halving, not one call's
+    at a time; the number of steps bounds only that depth.
 
     Returns a ``Transport``.  The metric at the end is the last frame's,
     at ``path[-1]`` itself.  ``germ`` is a ``KillingGerm``, or a field's
@@ -658,37 +660,25 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     velocity = path[1:] - path[:-1]
     t, tail, integral = _chebyshev_nodes(_CHEBYSHEV_N)
 
-    def frames(sets):
+    def frames(pieces):
         """g, Gamma, Gamma(u), R(., ., u, .) and the generators M at the
-        points of each (points, u) of ``sets`` in turn, u the velocity there,
-        from ``point_frame`` calls within the budget; each call's frames are
-        contracted with their velocities and turned into generators at once."""
-        def call(points, us):
-            g, _, gammas, rs = point_frame(spec, points)
-            gus = np.einsum("Piab,Pa->Pib", gammas, us)
-            rus = np.einsum("Pijcd,Pc->Pijd", rs, us)
+        nodes of each (segment, a, b) of ``pieces``, u the velocity there:
+        all their nodes in path order, in ``point_frame`` calls of at most
+        ``per_call`` points from the first; each call's frames are contracted
+        with their velocities and turned into generators at once."""
+        points = np.concatenate([_segment_points(path, seg, a + (b - a) * t)
+                                 for seg, a, b in pieces])
+        us = np.repeat([(b - a) * velocity[seg] for seg, a, b in pieces], len(t), axis=0)
+        calls = []
+        for lo in range(0, len(points), per_call):
+            u = us[lo:lo + per_call]
+            g, _, gammas, rs = point_frame(spec, points[lo:lo + per_call])
+            gus = np.einsum("Piab,Pa->Pib", gammas, u)
+            rus = np.einsum("Pijcd,Pc->Pijd", rs, u)
             del rs   # the curvature is not held while the generators are built
-            return g, gammas, gus, rus, _transport_generators(gus, rus, us)
-
-        sets = iter(sets)
-        item = next(sets, None)
-        while item is not None:
-            batch, size = [], 0   # as many whole sets as fit one call, at least one
-            while item is not None and (not batch or size + len(item[0]) <= per_call):
-                batch.append(item)
-                size += len(item[0])
-                item = next(sets, None)
-            points = np.concatenate([p for p, _ in batch])
-            us = np.concatenate([np.broadcast_to(u, p.shape) for p, u in batch])
-            out = None   # release the spent call before the next
-            out = call(points, us) if size <= per_call else tuple(map(
-                np.concatenate, zip(*(call(points[lo:lo + per_call], us[lo:lo + per_call])
-                                      for lo in range(0, size, per_call)))))
-            lo = 0
-            for p, _ in batch:
-                at = slice(lo, lo + len(p))
-                yield tuple(x[at] for x in out)
-                lo = at.stop
+            calls.append((g, gammas, gus, rus, _transport_generators(gus, rus, u)))
+        out = calls[0] if len(calls) == 1 else tuple(map(np.concatenate, zip(*calls)))
+        return [tuple(x[lo:lo + len(t)] for x in out) for lo in range(0, len(points), len(t))]
 
     def grid(segs):
         """The grid points of the segments ``segs`` (a range) in path order,
@@ -727,8 +717,7 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
         try:
             flip = check(whole)
             if flip is None:
-                return list(frames((_segment_points(path, seg, a + (b - a) * t),
-                                    (b - a) * velocity[seg]) for seg, a, b in pieces))
+                return frames(pieces)
         except ValueError as exc:
             if len(pieces) > 1:
                 return [node_frames([piece])[0] for piece in pieces]

@@ -1,9 +1,3 @@
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-
-
 def pytest_runtest_logreport(report):
     if report.when == "call" and "test_acceptance" in report.nodeid:
         name = report.nodeid.split("::")[-1]

@@ -838,6 +838,11 @@ POLE_MESSAGES = {steps: f"metric of 'pole' degenerate or singular between {ends}
 SQRT_AFTER_POLE = ("metric of 'pole' at (0.15000000000000002, 0.0): component (1, 1) = "
                    "1.0 + sqrt(0.15 - x): sqrt of jet with constant term "
                    "-2.7755575615628914e-17 <= 0")
+# At n = 2 a chunk of the grid check holds 8448 points, so at 5000 steps grid
+# points 8447 and 8448 (x = 0.8447 and 0.8448) fall in different chunks: the
+# sign change between them is found across the chunk boundary
+CHUNK_BOUNDARY_MESSAGE = ("metric of 'pole' degenerate or singular between (0.8447, 0.0) and "
+                          "(0.8448, 0.0): det g changes sign")
 
 
 @pytest.mark.parametrize("metric,path,messages", [
@@ -845,7 +850,8 @@ SQRT_AFTER_POLE = ("metric of 'pole' at (0.15000000000000002, 0.0): component (1
     (POLE, "0.1,0.1;0.1,0;0.2,0", POLE_MESSAGES),
     ("[[1 + 1 / (x - 0.123), 0], [0, 1 + sqrt(0.15 - x)]]", "0.1,0;0.2,0",
      dict.fromkeys(POLE_MESSAGES, SQRT_AFTER_POLE)),
-], ids=["first-segment", "second-segment", "grid-point-first"])
+    ("[[1 + 1 / (x - 0.84475), 0], [0, 1]]", "0,0;1,0", {"5000": CHUNK_BOUNDARY_MESSAGE}),
+], ids=["first-segment", "second-segment", "grid-point-first", "chunk-boundary"])
 def test_transport_refuses_a_sign_change_of_det_g_between_grid_points(capsys, tmp_path,
                                                                       metric, path, messages):
     chart = chart_file(tmp_path, "pole", metric, "0.11, 0")

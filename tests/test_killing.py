@@ -629,8 +629,8 @@ manifold expline {
 }
 """
 
-# Three-node paths inside each chart's domain: the frame is handed over
-# between blocks of steps and between the two segments.
+# Three-node paths inside each chart's domain: the state at the last node of
+# the first segment is carried over to the nodes of the second.
 TRANSPORT_PATHS = {
     "sphere2": (lambda: builtin("sphere2"), [[1.0, 0.0], [1.3, 0.4], [0.9, 0.8]]),
     "hyperbolic2": (lambda: builtin("hyperbolic2"), [[0.0, 1.0], [0.3, 1.4], [-0.2, 0.8]]),
@@ -645,11 +645,12 @@ TRANSPORT_PATHS = {
 
 
 # Longer paths where the calls split a segment or span several: at n = 4 a
-# call takes 528 points, so with 264 steps (529 stage points a segment) the
-# first chunk of the stage check splits the first segment; at n = 8 a call
-# takes 33, one segment's 17 nodes or one block of 16 steps, so with 16 and
-# 17 steps every node call is one segment, 17 steps are blocks of 16 and 1
-# steps, and with 1 step the stage blocks of every segment share one call.
+# call takes 528 points, so the 68 nodes of the four segments share one call
+# and with 264 steps (529 grid points a segment) the first chunk of the grid
+# check splits the first segment; at n = 8 a call takes 33, so each
+# segment's 17 nodes come in a call of their own and its grid is checked
+# alone: in one chunk at 1 and 16 steps (3 and 33 points), in chunks of 33
+# and 2 at 17 steps.
 MORE_PATHS = {
     "schwarzschild5": (lambda: parse_manifold(SCHWARZSCHILD),
                        [[0.0, 5.0, 1.57, 0.0], [0.1, 5.2, 1.4, 0.1], [0.3, 5.4, 1.3, 0.2],
@@ -751,9 +752,9 @@ def test_node_frames_fit_the_budget_above_n_8(monkeypatch, chart, calls, referen
 
 
 def test_transport_memory_does_not_grow_with_the_step_count():
-    # the interpolation rows are built a block at a time and the stage check
-    # a chunk at a time, so the peak of one segment's transport at 20000
-    # steps is that at 5000
+    # the nodes and their collocation do not depend on the step count and
+    # the grid check reads the grid a chunk at a time, so the peak of one
+    # segment's transport at 20000 steps is that at 5000
     spec = builtin("sphere2")
     germ = KillingGerm(xi=np.array([0.0, 1.0]), a=np.array([[0.0, 0.3], [-0.3, 0.0]]))
     path = [[1.0, 0.0], [1.3, 0.4]]
@@ -809,6 +810,39 @@ def test_near_axis_transport_matches_the_converged_oracle(steps):
     scale = max(np.abs(ref.xi).max(), np.abs(ref.a).max())
     assert np.abs(out.xi - ref.xi).max() <= 1e-12 * scale
     assert np.abs(out.a - ref.a).max() <= 1e-12 * scale
+
+
+def test_a_piece_is_halved_where_its_halves_do_not_fit_one_call(monkeypatch):
+    # near sphere2's axis on sphere2 x cw4 (n = 8), where a call takes 33
+    # points: after the segment's 17 nodes, the 34 nodes of each piece's two
+    # halves come in path order in calls of at most 33 from the first, the
+    # halves meeting at the piece's midpoint; the germ stays in the sphere's
+    # block, which is sphere2's own transport along the projected path
+    sphere = builtin("sphere2")
+    spec = product_metric(sphere, builtin("cahen_wallach", n=4, q=[1.0, -1.0, 0.5, 2.0])).combined
+    path = [[0.01] + [0.0] * 7, [0.3, 0.2, 0.1, -0.1, 0.05, 0.0, 0.1, -0.05]]
+    xi, a = np.zeros(8), np.zeros((8, 8))
+    xi[:2], a[:2, :2] = NEAR_AXIS_GERM.xi, NEAR_AXIS_GERM.a
+    calls = spy_on_frames(monkeypatch)
+    out = killing_transport(spec, KillingGerm(xi=xi, a=a), path, 30).end
+    assert max(len(b) for b in calls) <= 33
+    assert np.array_equal(calls[0], chebyshev_nodes(path))
+    halves = np.concatenate(calls[1:])
+    assert len(halves) > 0 and len(halves) % 34 == 0
+    blocks = halves.reshape(-1, 34, 8)
+    for block in blocks:
+        assert np.array_equal(block[16], block[17])
+        want = chebyshev_nodes([block[0], block[16], block[-1]])
+        assert np.abs(block - want).max() <= 1e-15
+    firsts = [block[0, 0] for block in blocks]
+    assert firsts == sorted(firsts)   # theta grows along the path
+    ref = killing_transport(sphere, NEAR_AXIS_GERM, [p[:2] for p in path], 30).end
+    scale = max(np.abs(ref.xi).max(), np.abs(ref.a).max())
+    assert np.abs(out.xi[:2] - ref.xi).max() <= 1e-14 * scale
+    assert np.abs(out.a[:2, :2] - ref.a).max() <= 1e-14 * scale
+    rest = out.a.copy()
+    rest[:2, :2] = 0
+    assert np.abs(out.xi[2:]).max() <= 1e-14 * scale and np.abs(rest).max() <= 1e-14 * scale
 
 
 # A Killing field of each chart of TRANSPORT_PATHS that has one (random3
