@@ -611,15 +611,17 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
     fewer than its 17 nodes.  The nodes of a run, or of a piece's two halves,
     come in path order in calls of at most ``budget_points`` points from the
     first node, as the grid does; each call's frames are contracted with their
-    nodes' velocities and turned into generators at once.  Where a run's check
-    or nodes raise, each of its segments is tried alone, and the grid points
+    nodes' velocities and turned into generators at once.  From the first
+    segment that fails a run's check, each is checked alone once the one
+    before it is taken, so errors come in path order however segments are
+    grouped; where nodes raise, each segment is tried alone.  The grid points
     of one that still raises are walked through ``point_frame`` in path order,
     which raises the first failure a point by point evaluation meets; with
     none there, the segment is halved as above, each half tried alone if their
     call raises.  A half of one grid step whose nodes raise raises that error;
     one that does not settle where it no longer halves raises a
-    SpecError.  Where the check passes, det g keeps its sign between
-    consecutive grid points, or transport raises a DegenerateMetricError
+    SpecError.  Where a segment's grid points pass, det g keeps its sign
+    between consecutive ones, or transport raises a DegenerateMetricError
     naming the first such two: a pole or a zero of the metric lies between
     them.  Memory holds the frames and generators ((n + n^2)^2 floats a node)
     of the run and of the two halves at each depth of halving, not one call's
@@ -682,52 +684,70 @@ def killing_transport(spec, germ, path, steps_per_segment=1000):
 
     def grid(segs):
         """The grid points of the segments ``segs`` (a range) in path order,
-        in chunks of at most ``per_call``."""
+        in chunks of at most ``per_call``, each after its first's index."""
         stop = segs.stop * per_segment
         for lo in range(segs.start * per_segment, stop, per_call):
             seg, i = np.divmod(np.arange(lo, min(lo + per_call, stop)), per_segment)
-            yield _segment_points(path, seg, _grid_times(steps, i))
+            yield lo, _segment_points(path, seg, _grid_times(steps, i))
 
     def check(segs):
         """Check the chart at the grid points of the segments ``segs`` (a
-        range) in path order; then return the first two consecutive ones
-        between which det g changes sign, or None.  Segments meet at one
-        point, so such a pair lies within a segment."""
+        range) in path order up to the first segment in a chunk that raises,
+        or whose points pass but det g changes sign between two consecutive
+        ones; return the segments before it, the sign change as an error and
+        the chunk's (None where there is none).  Segments meet at one point,
+        so such a pair lies within a segment."""
         flip = last = None
-        for points in grid(segs):
-            positive = metricdsl.metric_det_positive(spec, points)
+        for lo, points in grid(segs):
+            if flip is not None and lo // per_segment > at // per_segment:
+                break
+            try:
+                positive = metricdsl.metric_det_positive(spec, points)
+            except ValueError as exc:
+                return lo // per_segment - segs.start, None, exc
             if flip is None:
                 pairs = np.flatnonzero(positive[1:] != positive[:-1])
                 if last is not None and last[1] != positive[0]:
-                    flip = last[0], points[0].copy()
+                    at, flip = lo - 1, (last[0], points[0].copy())
                 elif len(pairs):
-                    flip = points[pairs[0]:pairs[0] + 2].copy()
+                    at, flip = lo + pairs[0], points[pairs[0]:pairs[0] + 2].copy()
             last = points[-1].copy(), positive[-1]   # no view: one chunk at a time
-        return flip
+        if flip is None:
+            return len(segs), None, None
+        ends = [tuple(map(float, p)) for p in flip]
+        return at // per_segment - segs.start, metricdsl.DegenerateMetricError(
+            f"metric of {spec.name!r} degenerate or singular between {ends[0]} and "
+            f"{ends[1]}: det g changes sign"), None
 
-    def node_frames(pieces):
-        """The frames at the nodes of each (segment, a, b) of ``pieces``,
-        its parameters from a to b, in shared calls after the grid check of
-        the whole segments among them; where they raise, each piece alone,
-        and the error of a piece that raises alone and passes the walk.
-        Where the check passes and det g changes sign, the chart is refused
-        between those grid points."""
+    def walked(segs, exc):
+        """``exc``, once ``point_frame`` at the grid points of ``segs`` in
+        path order raises nothing: a point by point evaluation meets that."""
+        for _, points in grid(segs):
+            point_frame(spec, points)
+        return exc
+
+    def node_frames(pieces, checked=False):
+        """Yield in path order the frames at the nodes of each (segment, a,
+        b) of ``pieces``, its parameters from a to b, or what ``walked``
+        passes on; the leading whole segments that pass one grid check
+        (unless ``checked``) share calls, and the rest come alone."""
         whole = (range(pieces[0][0], pieces[-1][0] + 1) if pieces[0][1:] == (0.0, 1.0)
                  else range(0))   # a run of segments, or the halves of a piece
-        try:
-            flip = check(whole)
-            if flip is None:
-                return frames(pieces)
-        except ValueError as exc:
-            if len(pieces) > 1:
-                return [node_frames([piece])[0] for piece in pieces]
-            for points in grid(whole):
-                point_frame(spec, points)
-            return [exc]
-        ends = [tuple(map(float, p)) for p in flip]
-        raise metricdsl.DegenerateMetricError(
-            f"metric of {spec.name!r} degenerate or singular between {ends[0]} and "
-            f"{ends[1]}: det g changes sign")
+        passed, flip, exc = check(whole) if whole and not checked else (len(pieces), None, None)
+        if passed:
+            try:
+                out = frames(pieces[:passed])
+            except ValueError as error:
+                out = ([walked(whole[:1], error)] if passed == 1 else
+                       (x for piece in pieces[:passed] for x in node_frames([piece], True)))
+            yield from out
+        if flip is not None:
+            raise flip
+        if len(pieces) - passed == 1:
+            yield walked(whole[passed:], exc)
+        else:
+            for piece in pieces[passed:]:
+                yield from node_frames([piece])
 
     def begin(gamma):
         """The state at ``path[0]``: the germ's, or the field's there, where

@@ -177,37 +177,16 @@ def _binary(op, a, b):
     ca, cb = type(a) is Const, type(b) is Const
     if ca and cb:
         return _folded(Binary(op, a, b), _ARITHMETIC[op], a.value, b.value)
-    # unit rules keep parameter substitution out of the printed form
-    if op == "*":
-        if ca and a.value == 1.0:
-            return b
-        if cb and b.value == 1.0:
-            return a
-        if (ca and a.value == 0.0) or (cb and b.value == 0.0):
-            return Const(0.0)
-    elif op == "+":
-        if ca and a.value == 0.0:
-            return b
-        if cb and b.value == 0.0:
-            return a
-    elif op == "-":
-        if cb and b.value == 0.0:
-            return a
-        if ca and a.value == 0.0:
-            return Neg(b)
-    elif op == "/":
-        if cb and b.value == 1.0:
-            return a
+    # 1 * f keeps a unit parameter (sphere2 at r = 1) out of the printed form;
+    # other unit operands stay, so the tape still evaluates and checks f
+    if op == "*" and ca and a.value == 1.0:
+        return b
     return Binary(op, a, b)
 
 
 def _pow(a, exponent):
     if type(a) is Const:
         return _folded(PowInt(a, exponent), pow, a.value, exponent)
-    if exponent == 1:
-        return a
-    if exponent == 0:
-        return Const(1.0)
     return PowInt(a, exponent)
 
 

@@ -482,6 +482,16 @@ def test_python_m_killingkit_runs_the_cli():
     assert json.loads(done.stdout)["command"] == "catalog"
 
 
+def test_python_m_killingkit_prints_its_version():
+    import killingkit
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run([sys.executable, "-m", "killingkit", "--version"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, f"{killingkit.__version__}\n", "")
+
+
 def test_warnings_appear_verbatim(capsys):
     code, out, _ = invoke(capsys, "killing-dim", "--builtin", "sphere2",
                           "--order", "0", "--json")
@@ -668,6 +678,44 @@ def test_non_finite_values_are_input_errors(capsys, argv, value):
     assert f"value {value!r} in " in err and "is not a finite number" in err
 
 
+# Arguments that are missing or malformed, each refused with its own message
+@pytest.mark.parametrize("argv,message", [
+    (["transport", "--builtin", "sphere2", "--germ", "1,0", "--path", "1,0;1.2,0.1"],
+     "germ syntax: xi1,..,xin|a11,..,a1n;a21,.."),
+    (["transport", "--builtin", "sphere2", "--germ", "1,0,0|0,0;0,0", "--path", "1,0;1.2,0.1"],
+     "germ shapes (3,), (2, 2) do not fit dimension 2"),
+    (["transport", "--builtin", "sphere2", "--germ", "1,0|0,0;0,0"],
+     'transport requires --path "p0;p1;..."'),
+    (["transport", "--builtin", "sphere2", "--path", "1,0;1.2,0.1"],
+     "transport requires --field or --germ"),
+    (["check-field", "--builtin", "sphere2"], 'check-field requires --field "expr,expr,..."'),
+    (["check-field", "--builtin", "sphere2", "--field", "0,1", "--points", ";"],
+     "no point in ';'; expected p0;p1;..."),
+    (["killing-dim", "--builtin", "sphere2:r"],
+     "malformed builtin parameter 'r' (expected key=value)"),
+    (["killing-dim"], "no input chart: pass --builtin NAME[:params] or --file PATH"),
+], ids=["germ-syntax", "germ-shapes", "transport-path", "transport-germ", "check-field-field",
+        "check-field-points", "builtin-parameter", "no-chart"])
+def test_missing_and_malformed_arguments_are_input_errors(capsys, argv, message):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_a_chart_file_takes_unary_plus_and_a_positional_at_file(capsys, tmp_path):
+    chart = tmp_path / "plus.man"
+    chart.write_text("manifold plus {\n  coordinates: x, y;\n  parameters: a = +2;\n"
+                     "  metric: [[a, 0], [0, 1]];\n  base_point: (+1, 0);\n}\n")
+    code, out, _ = invoke(capsys, "parse", "--file", str(chart), "--json")
+    assert code == 0
+    res = json.loads(out)["result"]
+    assert (res["parameters"], res["base_point"]) == ({"a": 2.0}, [1.0, 0.0])
+    code, out, _ = invoke(capsys, "check-decomposition", f"@{chart}", "sphere2", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert [i["kind"] for i in doc["inputs"]] == ["file", "builtin"]
+    assert (doc["result"]["dim_a"], doc["result"]["dim_b"], doc["result"]["excess"]) == (3, 3, 0)
+
+
 def test_a_ragged_germ_is_an_input_error(capsys):
     code, out, err = invoke(capsys, "transport", "--builtin", "sphere2", "--germ", "0,1|0,0;1",
                             "--path", "1,0;1.2,0.1", "--json")
@@ -734,6 +782,24 @@ def test_domain_errors_name_the_point_and_component(capsys, tmp_path, argv):
         args = [a.format(point=point, path=path) for a in argv[1:]]
         code, out, err = invoke(capsys, argv[0], *chart, *args)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# 0 * f, f * 0 and f^0 keep f, which the tape evaluates and checks, so each
+# fails where f fails, as 1e-300 * f does
+@pytest.mark.parametrize("metric,message", [
+    ("[[1 + 0 * sqrt(x), 0], [0, 1]]", "component (0, 0) = 1.0 + 0.0 * sqrt(x): "
+     "sqrt of jet with constant term -1.0 <= 0"),
+    ("[[1 + sqrt(x) * 0, 0], [0, 1]]", "component (0, 0) = 1.0 + sqrt(x) * 0.0: "
+     "sqrt of jet with constant term -1.0 <= 0"),
+    ("[[1 + sqrt(x)^0, 0], [0, 1]]", "component (0, 0) = 1.0 + sqrt(x)^0: "
+     "sqrt of jet with constant term -1.0 <= 0"),
+    ("[[2 + 0 * (1 / y), 0], [0, 1]]", "component (0, 0) = 2.0 + 0.0 * 1.0 / y: "
+     "reciprocal of jet with zero constant term"),
+], ids=["zero-times-f", "f-times-zero", "f-to-the-zero", "zero-times-reciprocal"])
+def test_a_unit_operand_fails_where_its_other_operand_fails(capsys, tmp_path, metric, message):
+    chart = chart_file(tmp_path, "z", metric, "1, 1")
+    code, out, err = invoke(capsys, "curvature", "--file", chart, "--point=-1,0")
+    assert (code, out, err) == (2, "", f"error: metric of 'z' at (-1.0, 0.0): {message}\n")
 
 
 @pytest.mark.parametrize("metric,point", [("[[x^400, 0], [0, 1]]", "10,0"),
@@ -823,6 +889,24 @@ def test_transport_refuses_a_piece_that_does_not_settle(capsys, tmp_path):
         assert (code, out) == (2, "")
         assert err == ("error: transport on 'osc' does not settle between (0.1, 0.0) and "
                        "(0.125, 0.0)\n")
+
+
+# On the first segment sin(1 / (x - 0.11237)) does not settle, as above, and
+# the second meets 0 / 0 at its grid point y = 5: the first failure is named
+# whether both segments share a frame call (n = 2) or each has its own (a
+# budget of 17 points a call, as at n >= 8)
+@pytest.mark.parametrize("budget", [None, 17 * 2 ** 4], ids=["shared-call", "call-a-segment"])
+def test_transport_names_a_segments_failure_before_the_next_segments(capsys, tmp_path,
+                                                                     monkeypatch, budget):
+    from killingkit import curvature
+    if budget is not None:
+        monkeypatch.setattr(curvature, "_FRAME_BUDGET", budget)
+    chart = chart_file(tmp_path, "osc", "[[3 + sin(1 / (x - 0.11237)), 0], "
+                       "[0, 2 + sin(y - 5) / (y - 5)]]", "0.1, 0")
+    code, out, err = invoke(capsys, "transport", "--file", chart, "--germ", "1,0|0,0;0,0",
+                            "--path", "0.1,0;0.125,0;0.125,8", "--steps", "4")
+    assert (code, out, err) == (2, "", "error: transport on 'osc' does not settle between "
+                                       "(0.1, 0.0) and (0.1125, 0.0)\n")
 
 
 # 1 + 1 / (x - 0.123) has a pole between two grid points of the path, where

@@ -913,6 +913,26 @@ def test_a_piece_of_one_grid_step_whose_node_fails_raises_it():
     assert abs(out.xi[0] - math.sqrt(f(0.0) / f(1.0))) <= 1e-14
 
 
+def test_a_grid_check_that_fails_on_a_later_segment_checks_each_point_once(monkeypatch):
+    # at n = 2 the grid check of the three segments (10001 points each at 5000
+    # steps) takes chunks of 8448 points, and only the last, from point 25344
+    # on, meets the grid point c of the third: the two segments before it
+    # share one call of their 34 nodes, and the third is walked from its start
+    # without a second check, so every grid point is checked once
+    path = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
+    grid = stage_points(path, 5000)
+    c = float(grid[29002, 0])
+    spec, _ = removable_chart(c)
+    batches = spy_on_frames(monkeypatch)
+    checks = spy_on_stage_checks(monkeypatch)
+    germ = KillingGerm(xi=np.array([1.0, 0.0]), a=np.zeros((2, 2)))
+    with pytest.raises(metricdsl.JetDomainError, match=re.escape(f"at ({c}, 0.0)")):
+        killing_transport(spec, germ, path, 5000)
+    assert np.array_equal(np.concatenate(checks), grid)
+    assert np.array_equal(batches[0], chebyshev_nodes(path[:3]))
+    assert np.array_equal(np.concatenate(batches[1:]), grid[20002:])
+
+
 # -- transport of a field's germ -----------------------------------------------------
 
 SQRT_END_CHART = """

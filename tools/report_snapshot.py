@@ -63,7 +63,8 @@ through ``killingkit.cli.run`` of the package in this checkout's ``src/``.  It
 writes one JSON file mapping each query to its exit code, stdout and
 stderr.  Chart files go to a fixed directory
 (``--workdir``), so snapshots taken from two checkouts name the same paths
-and can be compared.
+and can be compared; take them one after the other, since a snapshot holds
+a lock on the workdir and one started while another runs there exits 2.
 
 The second form lists each query whose report differs between two snapshots,
 with the largest absolute difference between floats of the two reports, that
@@ -78,6 +79,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import fcntl
 import io
 import json
 import math
@@ -657,7 +659,16 @@ def main(argv=None):
         return diff(*args.diff)
     if not args.out:
         parser.error("give a snapshot file to write, or --diff A B")
-    reports = snapshot(args.seeds, args.workdir)
+    args.workdir.mkdir(parents=True, exist_ok=True)
+    # two snapshots sharing a workdir would overwrite each other's chart files
+    with open(args.workdir / "snapshot.lock", "w") as lock:
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            print(f"error: workdir {args.workdir} is in use by another snapshot",
+                  file=sys.stderr)
+            return 2
+        reports = snapshot(args.seeds, args.workdir)
     Path(args.out).write_text(json.dumps(reports, indent=1, sort_keys=True) + "\n",
                               encoding="utf-8")
     print(f"{len(reports)} reports written to {args.out}")
