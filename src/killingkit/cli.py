@@ -19,9 +19,12 @@ a warning naming where).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import io
 import math
+import os
 import sys
 import time
 import traceback
@@ -792,7 +795,16 @@ def run(argv=None):
 
 
 def main():
-    sys.exit(run())
+    """``run`` on the command line, its report written once it is done: a
+    reader that closes stdout early (``| head``) drops the rest of it."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run()
+    try:
+        print(out.getvalue(), end="", flush=True)
+    except BrokenPipeError:   # so that the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -482,6 +482,22 @@ def test_python_m_killingkit_runs_the_cli():
     assert json.loads(done.stdout)["command"] == "catalog"
 
 
+# The reader closes stdout before the report comes: the write (or, with
+# stdout buffered, the flush) meets a broken pipe, and the command keeps its
+# exit code, 3 (sphere2 is unstable at order 0), without a traceback.
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_a_reader_that_closes_early_ends_the_report_not_the_command(unbuffered):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONUNBUFFERED": unbuffered, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.Popen([sys.executable, "-m", "killingkit", "killing-dim", "--builtin",
+                             "sphere2", "--order", "0", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (3, b"")
+
+
 def test_python_m_killingkit_prints_its_version():
     import killingkit
     src = Path(__file__).resolve().parent.parent / "src"
@@ -929,15 +945,30 @@ CHUNK_BOUNDARY_MESSAGE = ("metric of 'pole' degenerate or singular between (0.84
                           "(0.8448, 0.0): det g changes sign")
 
 
-@pytest.mark.parametrize("metric,path,messages", [
-    (POLE, "0.1,0;0.2,0", POLE_MESSAGES),
-    (POLE, "0.1,0.1;0.1,0;0.2,0", POLE_MESSAGES),
-    ("[[1 + 1 / (x - 0.123), 0], [0, 1 + sqrt(0.15 - x)]]", "0.1,0;0.2,0",
-     dict.fromkeys(POLE_MESSAGES, SQRT_AFTER_POLE)),
-    ("[[1 + 1 / (x - 0.84475), 0], [0, 1]]", "0,0;1,0", {"5000": CHUNK_BOUNDARY_MESSAGE}),
-], ids=["first-segment", "second-segment", "grid-point-first", "chunk-boundary"])
+# The first three cases also at a budget of 17 points a call, where each
+# segment has a call of its own.
+SIGN_CHANGES = {
+    "first-segment": (POLE, "0.1,0;0.2,0", POLE_MESSAGES),
+    "second-segment": (POLE, "0.1,0.1;0.1,0;0.2,0", POLE_MESSAGES),
+    "grid-point-first": ("[[1 + 1 / (x - 0.123), 0], [0, 1 + sqrt(0.15 - x)]]", "0.1,0;0.2,0",
+                         dict.fromkeys(POLE_MESSAGES, SQRT_AFTER_POLE)),
+    "chunk-boundary": ("[[1 + 1 / (x - 0.84475), 0], [0, 1]]", "0,0;1,0",
+                       {"5000": CHUNK_BOUNDARY_MESSAGE}),
+}
+SPLIT_SIGN_CHANGES = ["first-segment", "second-segment", "grid-point-first"]
+
+
+@pytest.mark.parametrize(
+    "metric,path,messages,budget",
+    [(*case, None) for case in SIGN_CHANGES.values()]
+    + [(*SIGN_CHANGES[name], 17 * 2 ** 4) for name in SPLIT_SIGN_CHANGES],
+    ids=list(SIGN_CHANGES) + [f"{name}-call-a-segment" for name in SPLIT_SIGN_CHANGES])
 def test_transport_refuses_a_sign_change_of_det_g_between_grid_points(capsys, tmp_path,
-                                                                      metric, path, messages):
+                                                                      monkeypatch, metric,
+                                                                      path, messages, budget):
+    from killingkit import curvature
+    if budget is not None:
+        monkeypatch.setattr(curvature, "_FRAME_BUDGET", budget)
     chart = chart_file(tmp_path, "pole", metric, "0.11, 0")
     for steps, message in messages.items():
         code, out, err = invoke(capsys, "transport", "--file", chart, "--germ", "1,0|0,0;0,0",

@@ -517,31 +517,49 @@ manifold ex {
 
 
 # The messages are those of evaluating the stage points one at a time, in
-# path order: the earliest failing point, then its first failing component.
-@pytest.mark.parametrize("chart,path,steps,error,message", [
-    (lambda: builtin("hyperbolic2"), "0,1;0,-1", 10, "JetDomainError",
-     "metric of 'hyperbolic2' at (0.0, 0.0): component (0, 0) = 1.0 / y^2: "
-     "reciprocal of jet with zero constant term"),
-    (lambda: parse_manifold(SQRT_CHART), "0,1;0,-1.3", 7, "JetDomainError",
-     "metric of 'sq' at (0.0, -0.1499999999999999): component (0, 0) = "
-     "1.0 + sqrt(y): sqrt of jet with constant term -0.1499999999999999 <= 0"),
-    (lambda: builtin("hyperbolic2"), "0,2;0,1;0.5,-1", 10, "JetDomainError",
-     "metric of 'hyperbolic2' at (0.25, 0.0): component (0, 0) = 1.0 / y^2: "
-     "reciprocal of jet with zero constant term"),
-    (lambda: parse_manifold(EXP_CHART), "0,0;1000,0", 10, "JetDomainError",
-     "metric of 'ex' at (750.0000000000001, 0.0): component (0, 0) = "
-     "1.0 + exp(x) * exp(-x): math range error"),
-    (lambda: parse_manifold(EXP_CHART), "0,0;1000,0", 1000, "JetDomainError",
-     "metric of 'ex' at (710.0, 0.0): component (0, 0) = "
-     "1.0 + exp(x) * exp(-x): math range error"),
-    (lambda: builtin("sphere2"), "1,0;-1,0", 10, "DegenerateMetricError",
-     "metric of 'sphere2' degenerate at (0.0, 0.0): det = 0"),
-    (lambda: builtin("hyperbolic2"), "-0,0;1,0", 10, "JetDomainError",
-     "metric of 'hyperbolic2' at (-0.0, 0.0): component (0, 0) = 1.0 / y^2: "
-     "reciprocal of jet with zero constant term"),
-], ids=["reciprocal", "sqrt", "second-segment", "overflow", "overflow-late-block",
-        "degenerate", "signed-zero-start"])
-def test_transport_names_the_first_failing_stage_point(chart, path, steps, error, message):
+# path order: the earliest failing point, then its first failing component,
+# whether segments share frame calls or (at a budget of 17 points a call, as
+# at n >= 8) each has its own.
+STAGE_POINT_FAILURES = {
+    "reciprocal": (
+        lambda: builtin("hyperbolic2"), "0,1;0,-1", 10, "JetDomainError",
+        "metric of 'hyperbolic2' at (0.0, 0.0): component (0, 0) = 1.0 / y^2: "
+        "reciprocal of jet with zero constant term"),
+    "sqrt": (
+        lambda: parse_manifold(SQRT_CHART), "0,1;0,-1.3", 7, "JetDomainError",
+        "metric of 'sq' at (0.0, -0.1499999999999999): component (0, 0) = "
+        "1.0 + sqrt(y): sqrt of jet with constant term -0.1499999999999999 <= 0"),
+    "second-segment": (
+        lambda: builtin("hyperbolic2"), "0,2;0,1;0.5,-1", 10, "JetDomainError",
+        "metric of 'hyperbolic2' at (0.25, 0.0): component (0, 0) = 1.0 / y^2: "
+        "reciprocal of jet with zero constant term"),
+    "overflow": (
+        lambda: parse_manifold(EXP_CHART), "0,0;1000,0", 10, "JetDomainError",
+        "metric of 'ex' at (750.0000000000001, 0.0): component (0, 0) = "
+        "1.0 + exp(x) * exp(-x): math range error"),
+    "overflow-late-block": (
+        lambda: parse_manifold(EXP_CHART), "0,0;1000,0", 1000, "JetDomainError",
+        "metric of 'ex' at (710.0, 0.0): component (0, 0) = "
+        "1.0 + exp(x) * exp(-x): math range error"),
+    "degenerate": (
+        lambda: builtin("sphere2"), "1,0;-1,0", 10, "DegenerateMetricError",
+        "metric of 'sphere2' degenerate at (0.0, 0.0): det = 0"),
+    "signed-zero-start": (
+        lambda: builtin("hyperbolic2"), "-0,0;1,0", 10, "JetDomainError",
+        "metric of 'hyperbolic2' at (-0.0, 0.0): component (0, 0) = 1.0 / y^2: "
+        "reciprocal of jet with zero constant term"),
+}
+
+
+@pytest.mark.parametrize(
+    "chart,path,steps,error,message,budget",
+    [(*case, None) for case in STAGE_POINT_FAILURES.values()]
+    + [(*case, 17 * 2 ** 4) for case in STAGE_POINT_FAILURES.values()],
+    ids=list(STAGE_POINT_FAILURES) + [f"{name}-call-a-segment" for name in STAGE_POINT_FAILURES])
+def test_transport_names_the_first_failing_stage_point(monkeypatch, chart, path, steps, error,
+                                                       message, budget):
+    if budget is not None:
+        monkeypatch.setattr(curvature, "_FRAME_BUDGET", budget)
     spec = chart()
     germ = KillingGerm(xi=np.ones(spec.dim), a=np.zeros((spec.dim, spec.dim)))
     points = [[float(v) for v in p.split(",")] for p in path.split(";")]
@@ -913,24 +931,44 @@ def test_a_piece_of_one_grid_step_whose_node_fails_raises_it():
     assert abs(out.xi[0] - math.sqrt(f(0.0) / f(1.0))) <= 1e-14
 
 
-def test_a_grid_check_that_fails_on_a_later_segment_checks_each_point_once(monkeypatch):
-    # at n = 2 the grid check of the three segments (10001 points each at 5000
-    # steps) takes chunks of 8448 points, and only the last, from point 25344
-    # on, meets the grid point c of the third: the two segments before it
-    # share one call of their 34 nodes, and the third is walked from its start
-    # without a second check, so every grid point is checked once
+def spy_on_calls(monkeypatch):
+    """Record in call order ("check", points) for every order-0 check of the
+    sign of det g and ("frames", points) for every ``point_frame`` call that
+    transport makes."""
+    calls = []
+    for kind, module, name in [("check", metricdsl, "metric_det_positive"),
+                               ("frames", killing, "point_frame")]:
+        def spy(spec, points, kind=kind, call=getattr(module, name)):
+            calls.append((kind, np.array(points)))
+            return call(spec, points)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_a_run_whose_grid_check_fails_takes_each_segment_alone(monkeypatch):
+    # at n = 2 the grid check of the run of three segments (10001 points each
+    # at 5000 steps) takes chunks of 8448 points, and only the last, from
+    # point 25344 on, meets the grid point c of the third: the run fails, so
+    # each segment is checked alone once the one before it is taken, the
+    # first two with a call of their 17 nodes each, and the third, whose own
+    # check fails, is walked from its start
     path = [[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]
     grid = stage_points(path, 5000)
     c = float(grid[29002, 0])
     spec, _ = removable_chart(c)
-    batches = spy_on_frames(monkeypatch)
-    checks = spy_on_stage_checks(monkeypatch)
+    calls = spy_on_calls(monkeypatch)
     germ = KillingGerm(xi=np.array([1.0, 0.0]), a=np.zeros((2, 2)))
     with pytest.raises(metricdsl.JetDomainError, match=re.escape(f"at ({c}, 0.0)")):
         killing_transport(spec, germ, path, 5000)
-    assert np.array_equal(np.concatenate(checks), grid)
-    assert np.array_equal(batches[0], chebyshev_nodes(path[:3]))
-    assert np.array_equal(np.concatenate(batches[1:]), grid[20002:])
+    alone = [("check", 8448), ("check", 1553)]
+    assert [(kind, len(points)) for kind, points in calls] == (
+        [("check", 8448)] * 3 + [("check", 4659)]   # the run
+        + alone + [("frames", 17)] + alone + [("frames", 17)]
+        + alone + [("frames", 8448), ("frames", 1553)])
+    seg = [grid[i * 10001:(i + 1) * 10001] for i in range(3)]
+    assert np.array_equal(np.concatenate([points for _, points in calls]), np.concatenate(
+        [grid, seg[0], chebyshev_nodes(path[:2]), seg[1], chebyshev_nodes(path[1:3]),
+         seg[2], seg[2]]))
 
 
 # -- transport of a field's germ -----------------------------------------------------

@@ -1,5 +1,8 @@
 import fcntl
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 _path = Path(__file__).resolve().parent.parent / "tools" / "report_snapshot.py"
@@ -19,3 +22,17 @@ def test_a_snapshot_refuses_a_workdir_another_snapshot_holds(tmp_path, capsys):
     assert capsys.readouterr() == (
         "", f"error: workdir {tmp_path} is in use by another snapshot\n")
     assert [p.name for p in tmp_path.iterdir()] == ["snapshot.lock"]
+
+
+def test_a_diff_whose_reader_closes_early_keeps_its_exit_code(tmp_path):
+    # the reader closes stdout before the diff is written: no traceback, and
+    # the exit code is the diff's, 1 since the one report differs
+    report = {"argv": ["catalog"], "code": 0, "stdout": "", "stderr": ""}
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, code in zip(paths, (0, 2)):
+        path.write_text(json.dumps({"q": {**report, "code": code}}), encoding="utf-8")
+    proc = subprocess.Popen([sys.executable, str(_path), "--diff", *map(str, paths)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (1, b"")

@@ -41,8 +41,9 @@ overflows where its metric jets are finite, transport on a chart that
 fails at a grid point between Chebyshev nodes, and transport whose one
 call of grid points overflows in the curvature at its first point and
 fails in the metric at a later one, transport across a pole between two
-grid points at 10 and at 1000 steps, and a transported field that fails
-only at the end of a two-segment path), ``killing-dim`` and
+grid points at 10 and at 1000 steps, a transported field that fails
+only at the end of a two-segment path, and a segment that does not settle
+before a grid point of the next that fails), ``killing-dim`` and
 ``holonomy`` on that overflow chart at a flat point where the unit frame's
 scale overflows (``KAPPA_COMMANDS``), and
 ``check-field`` and
@@ -83,6 +84,7 @@ import fcntl
 import io
 import json
 import math
+import os
 import shlex
 import sys
 import tempfile
@@ -264,6 +266,11 @@ ERROR_CHARTS = {
     # g_xx has a pole at x = 0.123, where it changes sign
     "pole": ("manifold pole {\n  coordinates: x, y;\n"
              "  metric: [[1 + 1 / (x - 0.123), 0], [0, 1]];\n  base_point: (0.2, 0);\n}\n"),
+    # g_xx oscillates without bound near x = 0.11237, and g_yy divides 0 by 0
+    # at y = 5
+    "osc": ("manifold osc {\n  coordinates: x, y;\n"
+            "  metric: [[3 + sin(1 / (x - 0.11237)), 0], [0, 2 + sin(y - 5) / (y - 5)]];\n"
+            "  base_point: (0.1, 0);\n}\n"),
 }
 
 # Every command that evaluates a point, at a bad point of each chart: the
@@ -366,6 +373,9 @@ ERROR_COMMANDS = [
     # evaluates everywhere
     ["transport", "--builtin", "cahen_wallach:n=2,q=1:-1", "--field", "1,0,0,1/(x2 - 0.3)",
      "--path", "0,0,0,0;0.1,0.1,0.1,0.1;0.2,0.2,0.1,0.3", "--steps", "30"],
+    # a segment that does not settle, before the next one's grid point y = 5
+    ["transport", "--file", "{osc}", "--germ", "1,0|0,0;0,0",
+     "--path", "0.1,0;0.125,0;0.125,8", "--steps", "4"],
 ]
 
 # The overflow chart at a flat point where kappa^(m + 2), the unit frame's
@@ -646,19 +656,9 @@ def field_germ_deviation(report):
         return None
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("out", nargs="?", help="snapshot file to write")
-    parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
-                        help="compare two snapshot files instead")
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--workdir", type=Path, default=DEFAULT_WORKDIR,
-                        help=f"where chart files are written (default {DEFAULT_WORKDIR})")
-    args = parser.parse_args(argv)
-    if args.diff:
-        return diff(*args.diff)
-    if not args.out:
-        parser.error("give a snapshot file to write, or --diff A B")
+def write_snapshot(args):
+    """Write the snapshot of ``args.seeds`` to ``args.out``; exit code 0, or 2
+    where another snapshot holds the workdir."""
     args.workdir.mkdir(parents=True, exist_ok=True)
     # two snapshots sharing a workdir would overwrite each other's chart files
     with open(args.workdir / "snapshot.lock", "w") as lock:
@@ -673,6 +673,32 @@ def main(argv=None):
                               encoding="utf-8")
     print(f"{len(reports)} reports written to {args.out}")
     return 0
+
+
+def main(argv=None):
+    """Run the tool and return its exit code.  Its output goes to stdout once
+    it is done; where the reader closes early (``| head``) the rest is
+    dropped, and stdout points at os.devnull so that the flush at exit does
+    not raise again (the SIGPIPE note of the ``signal`` module's docs)."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", nargs="?", help="snapshot file to write")
+    parser.add_argument("--diff", nargs=2, metavar=("A", "B"),
+                        help="compare two snapshot files instead")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    parser.add_argument("--workdir", type=Path, default=DEFAULT_WORKDIR,
+                        help=f"where chart files are written (default {DEFAULT_WORKDIR})")
+    args = parser.parse_args(argv)
+    if not args.diff and not args.out:
+        parser.error("give a snapshot file to write, or --diff A B")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = diff(*args.diff) if args.diff else write_snapshot(args)
+    try:
+        sys.stdout.write(out.getvalue())
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":
