@@ -117,8 +117,8 @@ def _load_spec_file(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
-        raise SpecError(f"cannot read {path}: {exc.strerror or exc}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpecError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
     spec = metricdsl.parse_manifold(text)
     digest = hashlib.sha256(text.encode()).hexdigest()
     return spec, {"kind": "file", "value": path, "digest": f"sha256:{digest}"}
@@ -265,19 +265,6 @@ def _emit(args, payload, lines, elapsed):
         _print_text(payload, lines, elapsed)
 
 
-def _kernel_report_payload(rep):
-    return {
-        "point": list(rep.point),
-        "dims": list(rep.dims),
-        "stabilized_dim": rep.stabilized_dim,
-        "stabilization_order": rep.stabilization_order,
-        "gaps": rep.gaps,
-        "tol": rep.tol,
-        "m_max": rep.m_max,
-        "warnings": rep.warnings,
-    }
-
-
 def _decomposition_payload(rep):
     """The keys that check-decomposition and demo-counterexample share past
     the dimensions: the factors' parallel directions and every rank margin."""
@@ -379,25 +366,21 @@ def _cmd_killing_dim(args):
         payload_result = {
             "min_dim": rep.min_dim,
             "points": [list(p) for p in rep.points],
-            "reports": [_kernel_report_payload(r) for r in rep.reports],
+            "reports": [dict(vars(r)) for r in rep.reports],
         }
-        warnings = rep.warnings
-        stable = rep.stable
         lines = [f"killing dimension (multi-point) of {spec.name}: min {rep.min_dim}"]
         for r in rep.reports:
             lines.append(f"  at {r.point}: dim {r.stabilized_dim}, trace {r.dims}")
     else:
-        payload_result = _kernel_report_payload(rep)
-        warnings = rep.warnings
-        stable = rep.stable
+        payload_result = dict(vars(rep))
         lines = [f"killing dimension of {spec.name}: {rep.stabilized_dim}",
                  f"  kernel trace by order: {rep.dims}",
                  f"  stabilization order: {rep.stabilization_order}",
                  f"  rank tolerance: {_fmt(args.tol)} (absolute, on singular "
                  "values in the unit frame)"]
     payload = {"inputs": [source], "result": payload_result,
-               "tolerances": {"rank_tol": args.tol}, "warnings": warnings}
-    return payload, lines, EXIT_OK if stable else EXIT_INCONCLUSIVE
+               "tolerances": {"rank_tol": args.tol}, "warnings": rep.warnings}
+    return payload, lines, EXIT_OK if rep.stable else EXIT_INCONCLUSIVE
 
 
 def _cmd_holonomy(args):
@@ -586,14 +569,10 @@ def _cmd_check_decomposition(args):
 
 
 def _cmd_demo_counterexample(args):
-    for side in ("plus", "minus"):
-        n, q = getattr(args, f"n_{side}"), getattr(args, f"q_{side}")
-        if len(q) != n:
-            raise SpecError(f"--q-{side} must have {n} entries, one per --n-{side} "
-                            f"direction, got {len(q)}")
+    for side, q in (("plus", args.q_plus), ("minus", args.q_minus)):
         if 0.0 in q:
             raise SpecError(f"--q-{side} entries must be nonzero, got {q}")
-    prod, components = cw_counterexample(args.n_plus, args.q_plus, args.n_minus, args.q_minus)
+    prod, components = cw_counterexample(args.q_plus, args.q_minus)
     spec = prod.combined
     samples = sample_field(spec, components,
                            [spec.base_point] + nearby_points(spec.base_point))
@@ -604,8 +583,8 @@ def _cmd_demo_counterexample(args):
     v_minus = np.zeros(spec.dim)
     v_minus[spec.coord_index("b_v")] = 1.0
     w = wedge(v_plus, v_minus, g0)
-    grad_xi_residual = float(np.abs(-germ.a - w).max())   # grad xi = + wedge
-    a_residual = float(np.abs(germ.a + w).max())          # A = - wedge
+    # A = -grad xi, so grad xi = wedge and A = -wedge are one residual
+    residual = float(np.abs(germ.a + w).max())
     rep = decomposition_check(prod.factors[0], prod.factors[1], m_max=args.order,
                               tol=args.tol)
     payload = {
@@ -620,8 +599,8 @@ def _cmd_demo_counterexample(args):
             "germ_xi": germ.xi,
             "germ_a": germ.a,
             "wedge_v_plus_v_minus": w,
-            "grad_xi_equals_wedge_residual": grad_xi_residual,
-            "a_equals_minus_wedge_residual": a_residual,
+            "grad_xi_equals_wedge_residual": residual,
+            "a_equals_minus_wedge_residual": residual,
             "dim_product": rep.dim_product,
             "dim_a": rep.dim_a,
             "dim_b": rep.dim_b,
@@ -639,8 +618,8 @@ def _cmd_demo_counterexample(args):
         f"({'pass' if chk.passed else 'FAIL'} at 1e-10)",
         f"  germ: xi = 0 (|xi| = {_fmt(float(np.abs(germ.xi).max()))}), "
         "A mixes the factors:",
-        f"    grad xi = wedge(dv+, dv-) residual: {_fmt(grad_xi_residual)}",
-        f"    A = -wedge(dv+, dv-) residual: {_fmt(a_residual)}",
+        f"    grad xi = wedge(dv+, dv-) residual: {_fmt(residual)}",
+        f"    A = -wedge(dv+, dv-) residual: {_fmt(residual)}",
         f"  dimensions: product {rep.dim_product} vs factors "
         f"{rep.dim_a} + {rep.dim_b} -> excess {rep.excess}",
         f"  factor verdicts: {rep.verdict_a}, {rep.verdict_b}",
@@ -753,8 +732,6 @@ def build_parser():
                         help="plane-wave product with a non-splitting Killing field")
     sp.add_argument("--q-plus", type=_q_arg, default=[1.0], help="first factor's q, a:b:..")
     sp.add_argument("--q-minus", type=_q_arg, default=[-1.0], help="second factor's q, a:b:..")
-    sp.add_argument("--n-plus", type=_count_arg, default=1)
-    sp.add_argument("--n-minus", type=_count_arg, default=1)
     _add_common(sp, point=False)
     sp.set_defaults(func=_cmd_demo_counterexample)
 

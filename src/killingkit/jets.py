@@ -387,15 +387,28 @@ def compile_tape(roots):
                 base = emit(("mul", base, base))
         return emit(("const", 1.0)) if result is None else result
 
-    def walk(node):
-        (kind, *params), operands = node.jet_op()
-        args = [walk(x) for x in operands]
-        if kind == "div":   # a / b is a times the reciprocal of b
-            kind, args[1] = "mul", emit(("reciprocal", args[1]))
-        if kind == "pow":
-            base = args[0] if params[0] >= 0 else emit(("reciprocal", args[0]))
-            return power(base, abs(params[0]))
-        return emit((kind, *args, *params))
+    def walk(root):
+        # each node listed before its operands, right before left: reversed,
+        # the docstring's order, with no recursion to limit a tree's depth
+        nodes, stack = [], [root]
+        while stack:
+            op, operands = stack.pop().jet_op()
+            nodes.append((op, len(operands)))
+            stack.extend(operands)
+        done = []   # the tape index of each node finished and not yet read
+        for op, arity in reversed(nodes):
+            if not arity:
+                done.append(emit(op))
+                continue
+            (kind, *params), args = op, done[-arity:]
+            del done[-arity:]
+            if kind == "div":   # a / b is a times the reciprocal of b
+                kind, args[1] = "mul", emit(("reciprocal", args[1]))
+            if kind == "pow" and params[0] < 0:
+                args[0] = emit(("reciprocal", args[0]))
+            done.append(power(args[0], abs(params[0])) if kind == "pow"
+                        else emit((kind, *args, *params)))
+        return done.pop()
 
     for root in roots:
         outputs.append(walk(root))

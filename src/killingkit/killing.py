@@ -367,7 +367,7 @@ def tower_level(frame, m):
 
 @dataclass
 class KernelReport:
-    """Joint-kernel trace of the integrability tower at one point."""
+    """Joint-kernel trace of the integrability tower at one point (killing-dim's report)."""
 
     point: tuple
     dims: list

@@ -467,6 +467,14 @@ class _Parser:
             return True
         return False
 
+    def read(self, rule):
+        """``rule(self)``; nesting too deep for the recursion limit is a ParseError."""
+        try:
+            return rule(self)
+        except RecursionError:   # in the parser, or in finish_grid's ==
+            pass
+        self.error("expression nested too deeply")
+
     # grammar
     def parse_manifold(self):
         self.expect("manifold")
@@ -653,7 +661,7 @@ class _Parser:
 
 def parse_manifold(text):
     """Parse a chart description; raises ParseError / SpecError on bad input."""
-    return _Parser(text).parse_manifold()
+    return _Parser(text).read(_Parser.parse_manifold)
 
 
 def parse_expression(text, spec):
@@ -661,7 +669,7 @@ def parse_expression(text, spec):
     p = _Parser(text)
     p.coords = list(spec.coords)
     p.params = dict(spec.params)
-    node = p.parse_expr()
+    node = p.read(_Parser.parse_expr)
     tok = p.peek()
     if tok[0] != "eof":
         p.error(f"trailing input {tok[1]!r}", tok)

@@ -207,16 +207,16 @@ def decomposition_check(a, b, m_max=10, tol=1e-8):
         warnings=sorted(warnings))
 
 
-def cw_counterexample(n_plus=1, q_plus=(1.0,), n_minus=1, q_minus=(-1.0,)):
+def cw_counterexample(q_plus=(1.0,), q_minus=(-1.0,)):
     """The product of two plane-wave charts with the cross vector field.
 
-    Each factor carries the parallel null direction along its v-coordinate;
-    the returned field t_plus * d/dv_minus - t_minus * d/dv_plus is Killing
-    on the product but projects to neither factor.
+    Each factor has one x-direction per entry of its q list and carries the
+    parallel null direction along its v-coordinate; the returned field
+    t_plus * d/dv_minus - t_minus * d/dv_plus is Killing on the product but
+    projects to neither factor.
     """
-    a = metricdsl.builtin("cahen_wallach", n=n_plus, q=list(np.atleast_1d(q_plus)))
-    b = metricdsl.builtin("cahen_wallach", n=n_minus, q=list(np.atleast_1d(q_minus)))
-    prod = product_metric(a, b)
+    prod = product_metric(*(metricdsl.builtin("cahen_wallach", n=len(q), q=q)
+                            for q in (q_plus, q_minus)))
     components = ["0"] * prod.dim
     components[prod.combined.coord_index("a_v")] = "-b_t"
     components[prod.combined.coord_index("b_v")] = "a_t"

@@ -90,7 +90,7 @@ def test_criterion_3_curvature_identities():
 
 def test_criterion_4_product_block_law():
     prod1 = product_metric(builtin("sphere2"), builtin("hyperbolic2"))
-    prod2, _ = cw_counterexample(1, (1.0,), 1, (-1.0,))
+    prod2, _ = cw_counterexample((1.0,), (-1.0,))
     for prod in (prod1, prod2):
         residuals = mixed_curvature_residuals(prod, m_max=3)
         assert len(residuals) == 4
@@ -111,7 +111,7 @@ def test_criterion_5_theorem_instance():
 
 def test_criterion_6_counterexample_reproduction():
     from killingkit.killing import wedge
-    prod, field = cw_counterexample(1, (1.0,), 1, (-1.0,))
+    prod, field = cw_counterexample((1.0,), (-1.0,))
     spec = prod.combined
     iv_a, iv_b = spec.coord_index("a_v"), spec.coord_index("b_v")
     it_a, it_b = spec.coord_index("a_t"), spec.coord_index("b_t")
@@ -159,7 +159,7 @@ def test_criterion_8_killing_connection_consistency():
         spec = builtin(name, **params)
         for field in known_killing_fields(name, **params):
             cases.append((spec, field))
-    prod, cross = cw_counterexample(1, (1.0,), 1, (-1.0,))
+    prod, cross = cw_counterexample((1.0,), (-1.0,))
     cases.append((prod.combined, cross))
 
     for spec, field in cases:

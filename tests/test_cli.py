@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from killingkit.cli import run
-from killingkit.metricdsl import BUILTINS, builtin
+from killingkit.curvature import CurvatureData
+from killingkit.killing import field_jets, killing_dimension, killing_transport
+from killingkit.metricdsl import BUILTINS, builtin, parse_manifold
 
 from oracles import chebyshev_nodes, changed_chart, random_expression, round_floats
 
@@ -70,6 +72,20 @@ def test_missing_file(capsys):
     code, _, err = invoke(capsys, "parse", "--file", "/nonexistent.man")
     assert code == 2
     assert "cannot read" in err
+
+
+# A chart file in latin-1, not UTF-8: an input error, through --file and
+# through a positional @file alike.
+@pytest.mark.parametrize("argv", [["parse", "--file", "{path}"],
+                                  ["product", "@{path}", "sphere2"]], ids=["file", "at-file"])
+def test_a_chart_file_that_is_not_utf8_is_an_input_error(capsys, tmp_path, argv):
+    path = tmp_path / "latin1.man"
+    path.write_bytes("manifold m {  # caf\u00e9\n  coordinates: x, y;\n"
+                     "  metric: [[1, 0], [0, 1]];\n}\n".encode("latin-1"))
+    code, out, err = invoke(capsys, *(arg.format(path=path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err == (f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xe9 "
+                   "in position 19: invalid continuation byte\n")
 
 
 def test_unknown_builtin(capsys):
@@ -604,16 +620,12 @@ def test_non_finite_builtin_parameters_are_input_errors(capsys, argv, message):
     assert message in err and "line" not in err
 
 
+# each factor's size is the length of its q list: --n-plus is no option
 @pytest.mark.parametrize("argv,message", [
-    (["--n-plus", "0"], "argument --n-plus: expected an integer >= 1, got '0'"),
-    (["--n-minus", "-1"], "argument --n-minus: expected an integer >= 1, got '-1'"),
-    (["--n-plus", "2", "--q-plus", "1"],
-     "--q-plus must have 2 entries, one per --n-plus direction, got 1"),
-    (["--n-minus", "2", "--q-minus", "1:2:3"],
-     "--q-minus must have 2 entries, one per --n-minus direction, got 3"),
+    (["--n-plus", "2", "--q-plus", "1:2"], "unrecognized arguments: --n-plus 2"),
     (["--q-plus", "0"], "--q-plus entries must be nonzero"),
-    (["--n-minus", "2", "--q-minus=-1:0"], "--q-minus entries must be nonzero"),
-], ids=["n-plus", "n-minus", "q-plus-count", "q-minus-count", "q-plus-zero", "q-minus-zero"])
+    (["--q-minus=-1:0"], "--q-minus entries must be nonzero"),
+], ids=["n-plus", "q-plus-zero", "q-minus-zero"])
 def test_demo_counterexample_errors_name_its_options(capsys, argv, message):
     code, out, err = invoke(capsys, "demo-counterexample", *argv)
     assert code == 2 and out == ""
@@ -621,8 +633,7 @@ def test_demo_counterexample_errors_name_its_options(capsys, argv, message):
 
 
 def test_demo_counterexample_takes_q_lists(capsys):
-    code, out, _ = invoke(capsys, "demo-counterexample", "--n-plus", "2",
-                          "--q-plus", "1:2", "--json")
+    code, out, _ = invoke(capsys, "demo-counterexample", "--q-plus", "1:2", "--json")
     assert code == 0
     res = json.loads(out)["result"]
     assert res["killing_passed"] is True
@@ -765,6 +776,48 @@ def chart_file(tmp_path, name, metric, base_point):
     path.write_text(f"manifold {name} {{\n  coordinates: x, y;\n  metric: {metric};\n"
                     f"  base_point: ({base_point});\n}}\n")
     return str(path)
+
+
+# A metric entry summed from 2000 terms, a tree deeper than Python's
+# recursion limit lets a recursive walk go, and 3000 nested parentheses.
+DEEP_SUM = " + ".join(f"{k}e-4 * x^2" for k in range(1, 2001))
+NESTED = "(" * 3000 + "{}" + ")" * 3000
+
+
+def test_a_metric_entry_of_2000_terms_reads_as_their_sum(capsys, tmp_path):
+    # the terms sum to 200.1 * x^2
+    charts = [chart_file(tmp_path, name, f"[[1, 0], [0, 2 + {entry}]]", "0.3, 0.2")
+              for name, entry in (("deep", DEEP_SUM), ("one", "200.1 * x^2"))]
+    path = "0.3,0.2;0.5,0.4;0.2,0.6"
+    for argv in (["curvature"], ["killing-dim"],
+                 ["transport", "--field", "0,1", "--path", path, "--steps", "20"]):
+        code, _, err = invoke(capsys, argv[0], "--file", charts[0], *argv[1:], "--json")
+        assert (code, err) == (0, "")
+    specs = [parse_manifold(Path(chart).read_text()) for chart in charts]
+    deep, one = ([*CurvatureData.compute(spec, m_max=2).covR,
+                  *vars(killing_transport(spec, field_jets(spec, ["0", "1"]),
+                                          [[0.3, 0.2], [0.5, 0.4], [0.2, 0.6]],
+                                          steps_per_segment=20).end).values()]
+                 for spec in specs)
+    for a, b in zip(deep, one):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+    assert killing_dimension(specs[0]).dims == killing_dimension(specs[1]).dims
+
+
+@pytest.mark.parametrize("argv", [
+    ["parse", "--file", "{nested}"],
+    ["check-field", "--builtin", "euclidean:n=2", "--field", "0," + NESTED.format("x1")],
+    # a fully written grid compares its two deep off-diagonal entries
+    ["parse", "--file", "{symmetric}"],
+], ids=["chart", "field", "symmetric-grid"])
+def test_an_expression_nested_too_deeply_is_a_parse_error(capsys, tmp_path, argv):
+    charts = {"nested": chart_file(tmp_path, "nested", f"[[1, 0], [0, {NESTED.format('x')}]]",
+                                   "0, 0"),
+              "symmetric": chart_file(tmp_path, "symmetric",
+                                      f"[[5, {DEEP_SUM}], [{DEEP_SUM}, 5]]", "0, 0")}
+    code, out, err = invoke(capsys, *(arg.format(**charts) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line ") and err.endswith(": expression nested too deeply\n")
 
 
 # A bad point of each chart, a transport path that meets it first, and the

@@ -53,7 +53,7 @@ def test_rotation_germ_is_minus_gradient():
 
 def test_cross_field_germ_is_pure_wedge():
     from killingkit.product import cw_counterexample
-    prod, field = cw_counterexample(1, (1.0,), 1, (-1.0,))
+    prod, field = cw_counterexample((1.0,), (-1.0,))
     spec = prod.combined
     germ = field_germ(spec, field)
     g0 = spec.metric_values(spec.base_point)

@@ -90,7 +90,7 @@ def test_monotonicity_of_product_dimension():
 
 
 def test_counterexample_field_is_killing_but_projections_fail():
-    prod, field = cw_counterexample(1, (1.0,), 1, (-1.0,))
+    prod, field = cw_counterexample((1.0,), (-1.0,))
     spec = prod.combined
     pts = sample(spec)
     assert verify_killing(sample_field(spec, field, pts), tol=1e-10).passed
@@ -106,7 +106,7 @@ def test_counterexample_field_is_killing_but_projections_fail():
 
 
 def test_counterexample_excess():
-    prod, field = cw_counterexample(1, (1.0,), 1, (-1.0,))
+    prod, field = cw_counterexample((1.0,), (-1.0,))
     rep = decomposition_check(prod.factors[0], prod.factors[1])
     assert rep.dim_a == rep.dim_b == 4
     assert rep.dim_product == 9
@@ -115,7 +115,7 @@ def test_counterexample_excess():
 
 
 def test_counterexample_germ():
-    prod, field = cw_counterexample(1, (2.0,), 1, (-3.0,))
+    prod, field = cw_counterexample((2.0,), (-3.0,))
     spec = prod.combined
     germ = field_germ(spec, field)
     g0 = spec.metric_values(spec.base_point)
@@ -238,7 +238,7 @@ def test_product_trace_matches_the_full_tower_on_the_product_workload(tmp_path):
                 a, b = (parse_manifold(Path(arg[1:]).read_text()) for arg in q.argv[1:3])
             elif q.name.startswith("demo."):
                 qs = [float(arg.split("=")[1]) for arg in q.argv[1:3]]
-                a, b = cw_counterexample(1, qs[:1], 1, qs[1:])[0].factors
+                a, b = cw_counterexample(qs[:1], qs[1:])[0].factors
             else:
                 continue
             want = product_trace_by_full_tower(a, b, 10, 1e-8)

@@ -5,10 +5,27 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from killingkit.cli import run
+
 _path = Path(__file__).resolve().parent.parent / "tools" / "report_snapshot.py"
 _spec = importlib.util.spec_from_file_location("report_snapshot", _path)
 report_snapshot = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(report_snapshot)
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("argv", report_snapshot.readme_commands(README), ids=" ".join)
+def test_every_readme_command_runs(capsys, argv):
+    assert run(argv + ["--json"]) == 0
+
+
+def test_the_readme_library_sketch_runs():
+    sketch = README.read_text(encoding="utf-8").split("## Library sketch\n", 1)[1]
+    code = sketch.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, f"{README}: Library sketch", "exec"), {})
 
 
 def test_a_snapshot_refuses_a_workdir_another_snapshot_holds(tmp_path, capsys):

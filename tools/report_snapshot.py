@@ -25,7 +25,8 @@ into pieces, on sphere2 at 5 steps along a segment whose end is not
 x0 + (x1 - x0), ``transport`` of a Killing field near Schwarzschild's axis
 at 1000 steps, whose segments are halved, ``transport`` on a chart that
 fails at a Chebyshev node and at no grid point, and of a Killing field on
-sphere2 at 1 step), and a fixed list of commands
+sphere2 at 1 step, and ``curvature`` on a chart whose metric entry is a sum
+of 2000 terms), and a fixed list of commands
 that must fail (``ERROR_COMMANDS``: Killing transport into a domain error, a
 degenerate point or an overflow, an invalid step count, every command that
 evaluates a point at three bad points, non-finite metric values and literals,
@@ -42,8 +43,10 @@ fails at a grid point between Chebyshev nodes, and transport whose one
 call of grid points overflows in the curvature at its first point and
 fails in the metric at a later one, transport across a pole between two
 grid points at 10 and at 1000 steps, a transported field that fails
-only at the end of a two-segment path, and a segment that does not settle
-before a grid point of the next that fails), ``killing-dim`` and
+only at the end of a two-segment path, a segment that does not settle
+before a grid point of the next that fails, a chart file in latin-1, not
+UTF-8, through ``--file`` and through ``@file``, and 3000 nested
+parentheses in a chart and in a field), ``killing-dim`` and
 ``holonomy`` on that overflow chart at a flat point where the unit frame's
 scale overflows (``KAPPA_COMMANDS``), and
 ``check-field`` and
@@ -66,6 +69,8 @@ stderr.  Chart files go to a fixed directory
 (``--workdir``), so snapshots taken from two checkouts name the same paths
 and can be compared; take them one after the other, since a snapshot holds
 a lock on the workdir and one started while another runs there exits 2.
+Queries are added at the end of their list, so that the queries already
+there keep their keys.
 
 The second form lists each query whose report differs between two snapshots,
 with the largest absolute difference between floats of the two reports, that
@@ -144,8 +149,10 @@ LOW_ORDER_COMMANDS = [
 # segment is resolved at its nodes (one call), so both are halved.  Then
 # transport on a chart whose tape divides 0 by 0 at x = sin^2(pi / 32), the
 # second Chebyshev node of the segment and no grid point ("{nodeonly}",
-# written to the workdir): the segment is halved.  Last, a workload-like
-# transport of a rotation of sphere2 along two segments at 1 step.
+# written to the workdir): the segment is halved.  Then a workload-like
+# transport of a rotation of sphere2 along two segments at 1 step.  Last,
+# curvature on a chart whose g_yy is a sum of 2000 terms, a tree deeper than
+# Python's recursion limit ("{sum2000}", written to the workdir).
 CW2XCW2_GERM = ("--germ=1,0,0.5,0,0,-0.2,0,0.3|"
                 + ";".join(",".join("0.1" if c == r + 1 else "-0.1" if c == r - 1 else "0"
                                     for c in range(8)) for r in range(8)))
@@ -185,6 +192,7 @@ DEEP_COMMANDS = [
     ["transport", "--builtin", "sphere2",
      "--field=-sin(phi),-cos(phi) * cos(theta) / sin(theta)",
      "--path=1.2,0.3;1.4,0.45;1.3,0.7", "--steps", "1"],
+    ["curvature", "--file", "{sum2000}"],
 ]
 
 # x = sin^2(pi / 32) as the Chebyshev nodes of a segment from x = 0 to 1 give
@@ -209,8 +217,12 @@ BAD_BUILTINS = ["sphere2:r=1:2", "euclidean:n=1:2", "cahen_wallach:n=1:1",
                 "euclidean:n=2.5", "minkowski:p=1.7", "hyperbolic2:r=3", "sphere2:foo=1",
                 "euclidean:n=2,n=3", "sphere2:r=", "cahen_wallach:n=2,q=1:"]
 
-# Charts of the error and field commands, written to the workdir; "{name}"
-# in an argument becomes the path of chart ``name``.
+# 3000 nested parentheses about an expression: deeper than the parser goes.
+NESTED = "(" * 3000 + "{}" + ")" * 3000
+
+# Charts of the error and field commands, written to the workdir (bytes as
+# they are, text in UTF-8); "{name}" in an argument becomes the path of
+# chart ``name``.
 ERROR_CHARTS = {
     "sqrt": ("manifold sq {\n  coordinates: x, y;\n"
              "  metric: [[1 + sqrt(y), 0], [0, 2 + sqrt(y + 0.5)]];\n"
@@ -271,6 +283,11 @@ ERROR_CHARTS = {
     "osc": ("manifold osc {\n  coordinates: x, y;\n"
             "  metric: [[3 + sin(1 / (x - 0.11237)), 0], [0, 2 + sin(y - 5) / (y - 5)]];\n"
             "  base_point: (0.1, 0);\n}\n"),
+    # a latin-1 e acute in a comment
+    "latin1": ("manifold m {  # caf\u00e9\n  coordinates: x, y;\n"
+               "  metric: [[1, 0], [0, 1]];\n}\n").encode("latin-1"),
+    "nested": ("manifold nested {\n  coordinates: x, y;\n"
+               f"  metric: [[1, 0], [0, {NESTED.format('x')}]];\n}}\n"),
 }
 
 # Every command that evaluates a point, at a bad point of each chart: the
@@ -376,6 +393,12 @@ ERROR_COMMANDS = [
     # a segment that does not settle, before the next one's grid point y = 5
     ["transport", "--file", "{osc}", "--germ", "1,0|0,0;0,0",
      "--path", "0.1,0;0.125,0;0.125,8", "--steps", "4"],
+    # a chart file that is not UTF-8, through --file and through @file
+    ["parse", "--file", "{latin1}"],
+    ["product", "@{latin1}", "sphere2"],
+    # 3000 nested parentheses in a chart and in a field
+    ["parse", "--file", "{nested}"],
+    ["check-field", "--builtin", "euclidean:n=2", "--field", "0," + NESTED.format("x1")],
 ]
 
 # The overflow chart at a flat point where kappa^(m + 2), the unit frame's
@@ -407,7 +430,7 @@ FIELD_COMMANDS = [
     # the field's 1-jet is finite at the point, its 2-jet is not
     ["check-field", "--builtin", "euclidean:n=2", "--field", "x1^1730,0",
      "--points", "1.5,0"],
-    ["demo-counterexample", "--n-plus", "2", "--q-plus", "1:2"],
+    ["demo-counterexample", "--q-plus", "1:2"],
     ["demo-counterexample", "--q-plus", "0.5", "--q-minus", "-2"],
     # --point sets the base point: the germ is taken there, and the samples
     # are it and its nearby points, or it and the --points entries
@@ -515,7 +538,8 @@ def snapshot(seeds, workdir):
             "schwarzschild": workdir / "deep" / "schwarzschild.man",
             "cw2xcw2": workdir / "deep" / "cw2xcw2.man",
             "cw2c": workdir / "deep" / "cw2c.man", "cw2d": workdir / "deep" / "cw2d.man",
-            "nodeonly": workdir / "deep" / "nodeonly.man"}
+            "nodeonly": workdir / "deep" / "nodeonly.man",
+            "sum2000": workdir / "deep" / "sum2000.man"}
     deep["deep"].parent.mkdir(parents=True, exist_ok=True)
     cw1 = metricdsl.builtin("cahen_wallach", n=1, q=1.0)
     deep["deep"].write_text(product_metric(cw1, cw1).combined.serialize(),
@@ -534,6 +558,11 @@ def snapshot(seeds, workdir):
         "manifold nodeonly {\n  coordinates: x, y;\n"
         f"  metric: [[2 + sin(x - {c}) / (x - {c}), 0], [0, 1]];\n"
         "  base_point: (0.5, 0);\n}\n", encoding="utf-8")
+    terms = " + ".join(f"{k}e-4 * x^2" for k in range(1, 2001))
+    deep["sum2000"].write_text(
+        "manifold sum2000 {\n  coordinates: x, y;\n"
+        f"  metric: [[1, 0], [0, 2 + {terms}]];\n  base_point: (0.3, 0.2);\n}}\n",
+        encoding="utf-8")
     for i, argv in enumerate(DEEP_COMMANDS):
         argv = [arg.format(**deep) for arg in argv]
         reports[f"deep.{i:02d}.{argv[0]}"] = run_query(cli, argv)
@@ -541,7 +570,7 @@ def snapshot(seeds, workdir):
     (workdir / "errors").mkdir(parents=True, exist_ok=True)
     for name, text in ERROR_CHARTS.items():
         charts[name] = workdir / "errors" / f"{name}.man"
-        charts[name].write_text(text, encoding="utf-8")
+        charts[name].write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     for i, argv in enumerate(ERROR_COMMANDS):
         argv = [arg.format(**charts) for arg in argv]
         reports[f"errors.{i}.{argv[0]}"] = run_query(cli, argv)
